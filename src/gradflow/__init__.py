@@ -58,7 +58,6 @@ from .frontend import (
     FORMAT_VERSION,
     ProgramBuilder,
     load_program,
-    parse_and_validate,
     parse_program,
     program_to_dict,
     serialize_program,

@@ -44,6 +44,7 @@ from .ir import (
     Conditional,
     DataDescriptor,
     Dataflow,
+    LIB_CONNECTORS,
     LibraryNode,
     LoopRegion,
     MapNode,
@@ -53,6 +54,7 @@ from .ir import (
     Tasklet,
     affine_stride,
     copy_program,
+    library_expr,
     pristine_inputs,
     schedule,
     validate,
@@ -67,6 +69,7 @@ from .symexpr import (
     Unary,
     free_names,
     simplify,
+    substitute,
 )
 from .versions import ForwardingEntry, ReachSet, VersionInfo, analyze_versions
 
@@ -95,16 +98,24 @@ def _warn_ae(op: str):
 
 def derivative(expr: Expr, wrt: str) -> Expr:
     """Symbolic partial derivative with respect to the name ``wrt``."""
-    return simplify(_deriv(expr, wrt))
+    return simplify(_deriv(expr, wrt, Const(1)))
 
 
-def _deriv(e: Expr, w: str) -> Expr:
+def _deriv(e: Expr, w: str, seed: Expr) -> Expr:
+    """Forward-mode derivative of ``e`` when the name ``w`` carries the
+    derivative ``seed`` and every other name carries 0.
+
+    With ``seed = 1`` this is the partial derivative. Every rule is linear in
+    the operand derivatives, so a symbolic seed ``g`` yields ``g * de/dw``:
+    for a scalar ``e`` the Jacobian is 1x1 and equals its transpose, so that
+    pushforward is also the adjoint contribution reverse mode sends to ``w``.
+    """
     if isinstance(e, Const):
         return Const(0)
     if isinstance(e, Name):
-        return Const(1 if e.id == w else 0)
+        return seed if e.id == w else Const(0)
     if isinstance(e, Unary):
-        dx = _deriv(e.x, w)
+        dx = _deriv(e.x, w, seed)
         if isinstance(dx, Const) and dx.value == 0 and e.op != "sign":
             return Const(0)
         x = e.x
@@ -132,7 +143,7 @@ def _deriv(e: Expr, w: str) -> Expr:
             return Const(0)
         raise UnsupportedConstruct(f"no derivative rule for '{e.op}'")
     if isinstance(e, Binary):
-        dx, dy = _deriv(e.x, w), _deriv(e.y, w)
+        dx, dy = _deriv(e.x, w, seed), _deriv(e.y, w, seed)
         x, y = e.x, e.y
         zx = isinstance(dx, Const) and dx.value == 0
         zy = isinstance(dy, Const) and dy.value == 0
@@ -143,7 +154,14 @@ def _deriv(e: Expr, w: str) -> Expr:
         if e.op == "mul":
             return Binary("add", Binary("mul", dx, y), Binary("mul", x, dy))
         if e.op == "div":
-            # x'/y - x*y'/y^2
+            # x'/y - x*y'/y^2, without the term that vanishes: y*y can
+            # underflow to 0 where y itself does not
+            if zx and zy:
+                return Const(0)
+            if zy:
+                return Binary("div", dx, y)
+            if zx:
+                return Unary("neg", Binary("div", Binary("mul", x, dy), Binary("mul", y, y)))
             return Binary(
                 "sub",
                 Binary("div", dx, y),
@@ -185,11 +203,6 @@ def _deriv(e: Expr, w: str) -> Expr:
             return Const(0)
         raise UnsupportedConstruct(f"no derivative rule for '{e.op}'")
     raise UnsupportedConstruct("conditions are not differentiable")
-
-
-def differentiate_tasklet(tasklet: Tasklet, out_conn: str, wrt_connector: str) -> Expr:
-    """Partial of one tasklet output with respect to one input connector."""
-    return derivative(tasklet.body[out_conn], wrt_connector)
 
 
 # ---------------------------------------------------------------------------
@@ -463,21 +476,8 @@ class _Assembler:
         return not any(not isinstance(n, AccessNode) for n in self.df.nodes)
 
 
-_UNARY_ADJ_BODY = {
-    "sin": lambda x, g: Binary("mul", Unary("cos", Name(x)), Name(g)),
-    "cos": lambda x, g: Unary("neg", Binary("mul", Unary("sin", Name(x)), Name(g))),
-    "exp": lambda x, g: Binary("mul", Unary("exp", Name(x)), Name(g)),
-    "log": lambda x, g: Binary("div", Name(g), Name(x)),
-    "sqrt": lambda x, g: Binary(
-        "div", Name(g), Binary("mul", Const(2), Unary("sqrt", Name(x)))
-    ),
-    "tanh": lambda x, g: Binary(
-        "mul",
-        Binary("sub", Const(1), Binary("mul", Unary("tanh", Name(x)), Unary("tanh", Name(x)))),
-        Name(g),
-    ),
-    "abs": lambda x, g: Binary("mul", Unary("sign", Name(x)), Name(g)),
-}
+# library connector -> its name inside a per-element adjoint map
+_MAP_VAR = {"x": "_x", "a": "_a", "b": "_b"}
 
 
 class _BackwardBuilder:
@@ -804,99 +804,49 @@ class _BackwardBuilder:
         elif node.kind == "reduce_sum":
             x_e = in_by_conn["x"]
             if active("x"):
-                rank = self.p.descriptors[x_e.data].rank
                 gdata = self.grad_of(x_e.data)
-                self._broadcast_map(asm, g, gdata, x_e.data, rank,
-                                    overwrite=is_self("x"))
+                self._ew_map(asm, x_e.data, {"_g": g}, gdata, Name("_g"),
+                             overwrite=is_self("x"))
                 emitted_self |= is_self("x")
 
-        elif node.kind == "ew_unary":
-            x_e = in_by_conn["x"]
-            if active("x"):
-                gdata = self.grad_of(x_e.data)
-                self_w = is_self("x")
-                wcr = None if self_w else "sum"
-                if node.op == "copy":
-                    lib("ew_unary", {"x": g}, gdata, wcr=wcr, op="copy")
-                elif node.op == "neg":
-                    lib("ew_unary", {"x": g}, gdata, wcr=wcr, op="neg")
-                elif node.op == "scale":
-                    lib("ew_unary", {"x": g}, gdata, wcr=wcr, op="scale", const=node.const)
-                elif node.op == "sign":
-                    _warn_ae("sign")
-                else:
-                    if node.op in ("abs",):
-                        _warn_ae(node.op)
-                    fn = _UNARY_ADJ_BODY[node.op]
-                    self._ew_map(
-                        asm, x_e.data,
-                        ins={"_g": g, "_x": val("x")},
-                        out=gdata,
-                        expr=simplify(fn("_x", "_g")),
-                        overwrite=self_w,
-                    )
-                emitted_self |= self_w and node.op != "sign"
-
-        else:  # ew_binary
-            a_e, b_e = in_by_conn["a"], in_by_conn["b"]
-            if is_self("a") and is_self("b"):
+        else:  # ew_unary, ew_binary
+            if node.kind == "ew_binary" and is_self("a") and is_self("b"):
                 raise UnsupportedConstruct(
                     f"'{node.id}': both operands alias the overwritten output"
                 )
-            jobs = []  # (conn, emit thunk)
-            if active("a"):
-                jobs.append("a")
-            if active("b"):
-                jobs.append("b")
-            jobs.sort(key=is_self)
-            for conn in jobs:
+            expr = library_expr(node)
+            seed = Name("_g")
+            conns = [c for c in LIB_CONNECTORS[node.kind][0] if active(c)]
+            for conn in sorted(conns, key=is_self):  # self contribution last
                 gdata = self.grad_of(in_by_conn[conn].data)
+                adj = simplify(_deriv(expr, conn, seed))
+                if adj == Const(0):
+                    continue
                 self_w = is_self(conn)
                 wcr = None if self_w else "sum"
-                op = node.op
-                if op == "add":
-                    lib("ew_unary", {"x": g}, gdata, wcr=wcr, op="copy")
-                elif op == "sub":
-                    if conn == "a":
-                        lib("ew_unary", {"x": g}, gdata, wcr=wcr, op="copy")
-                    else:
-                        lib("ew_unary", {"x": g}, gdata, wcr=wcr, op="neg")
-                elif op == "mul":
-                    other = val("b" if conn == "a" else "a")
-                    lib("ew_binary", {"a": other, "b": g}, gdata, wcr=wcr, op="mul")
-                elif op == "div":
-                    if conn == "a":
-                        lib("ew_binary", {"a": g, "b": val("b")}, gdata, wcr=wcr, op="div")
-                    else:
-                        self._ew_map(
-                            asm, b_e.data,
-                            ins={"_g": g, "_a": val("a"), "_b": val("b")},
-                            out=gdata,
-                            expr=simplify(Unary("neg", Binary(
-                                "div",
-                                Binary("mul", Name("_a"), Name("_g")),
-                                Binary("mul", Name("_b"), Name("_b")),
-                            ))),
-                            overwrite=self_w,
-                        )
-                        emitted_self |= self_w
-                        continue
-                elif op in ("min", "max"):
-                    _warn_ae(op)
-                    s = Unary("sign", Binary("sub", Name("_a"), Name("_b")))
-                    lo = Binary("mul", Const(0.5), Binary("sub", Const(1), s))
-                    hi = Binary("mul", Const(0.5), Binary("add", Const(1), s))
-                    w = (hi if op == "max" else lo) if conn == "a" else (lo if op == "max" else hi)
-                    self._ew_map(
-                        asm, a_e.data,
-                        ins={"_g": g, "_a": val("a"), "_b": val("b")},
-                        out=gdata,
-                        expr=simplify(Binary("mul", w, Name("_g"))),
-                        overwrite=self_w,
-                    )
-                    emitted_self |= self_w
-                    continue
                 emitted_self |= self_w
+                # lower g, -g, c*g, v*g and g/v to library nodes; anything
+                # else runs per element
+                factor = None
+                if isinstance(adj, Binary) and adj.op == "mul" and seed in (adj.x, adj.y):
+                    factor = adj.y if adj.x == seed else adj.x
+                if adj == seed:
+                    lib("ew_unary", {"x": g}, gdata, wcr=wcr, op="copy")
+                elif adj == Unary("neg", seed):
+                    lib("ew_unary", {"x": g}, gdata, wcr=wcr, op="neg")
+                elif isinstance(factor, Const):
+                    lib("ew_unary", {"x": g}, gdata, wcr=wcr, op="scale", const=factor.value)
+                elif isinstance(factor, Name):
+                    lib("ew_binary", {"a": val(factor.id), "b": g}, gdata, wcr=wcr, op="mul")
+                elif (isinstance(adj, Binary) and adj.op == "div" and adj.x == seed
+                      and isinstance(adj.y, Name)):
+                    lib("ew_binary", {"a": g, "b": val(adj.y.id)}, gdata, wcr=wcr, op="div")
+                else:
+                    names = sorted(free_names(adj) - {"_g"})
+                    ins = {"_g": g, **{_MAP_VAR[n]: val(n) for n in names}}
+                    body = substitute(adj, {n: Name(_MAP_VAR[n]) for n in names})
+                    self._ew_map(asm, in_by_conn[conn].data, ins, gdata, body,
+                                 overwrite=self_w)
 
         if killed and not emitted_self:
             lib_id = self.fresh("adjz")
@@ -933,28 +883,6 @@ class _BackwardBuilder:
         asm.df.nodes.append(MapNode(mid, params, ranges, body))
         for data in sorted({d for d in ins.values()}):
             asm.df.edges.append(Memlet(asm.read(data), None, mid, None, data, None))
-        asm.df.edges.append(
-            Memlet(mid, None, asm.write(out), None, out, None, None if overwrite else "sum")
-        )
-
-    def _broadcast_map(self, asm: _Assembler, g: str, out: str, shaped_like: str,
-                       rank: int, overwrite: bool):
-        desc = self.p.descriptors[shaped_like]
-        params = tuple(f"_i{k}" for k in range(rank))
-        ranges = tuple((Const(0), dim, Const(1)) for dim in desc.shape)
-        subset = tuple(Name(p) for p in params)
-        body = Dataflow()
-        tid = self.fresh("adjt")
-        gid = self.fresh("a")
-        oid = self.fresh("a")
-        body.nodes.append(AccessNode(gid, g))
-        body.nodes.append(Tasklet(tid, ("_g",), ("_o",), {"_o": Name("_g")}))
-        body.nodes.append(AccessNode(oid, out))
-        body.edges.append(Memlet(gid, None, tid, "_g", g, ()))
-        body.edges.append(Memlet(tid, "_o", oid, None, out, subset, None if overwrite else "sum"))
-        mid = self.fresh("adjm")
-        asm.df.nodes.append(MapNode(mid, params, ranges, body))
-        asm.df.edges.append(Memlet(asm.read(g), None, mid, None, g, None))
         asm.df.edges.append(
             Memlet(mid, None, asm.write(out), None, out, None, None if overwrite else "sum")
         )

@@ -32,7 +32,6 @@ from .errors import (
     GradflowError,
     Infeasible,
     IrrecomputableValue,
-    PathExplosion,
     UnboundName,
     UnresolvableTripCount,
 )
@@ -50,6 +49,7 @@ from .ir import (
     Program,
     State,
     Tasklet,
+    branch_labels,
     copy_program,
     pristine_inputs,
     schedule,
@@ -59,8 +59,6 @@ from .ir import (
     walk_blocks,
 )
 from .versions import VersionInfo
-
-MAX_PATHS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +478,6 @@ def _block_peak(state: State, descs: dict[str, DataDescriptor], params: dict[str
 # memory-event sequences
 
 
-def _branch_labels(program: Program) -> list[str]:
-    return [b.label for _, b in walk_blocks(program.region) if isinstance(b, Conditional)]
-
-
 def build_memory_sequences(
     program: Program,
     bundle: BackwardBundle,
@@ -494,9 +488,7 @@ def build_memory_sequences(
 ) -> list[PathSequence]:
     """Resident-byte event sequences, one per control-flow path pair. Every
     sequence starts and ends at zero; totals are affine in the plan bits."""
-    labels = _branch_labels(program)
-    if 1 << len(labels) > MAX_PATHS:
-        raise PathExplosion(f"{len(labels)} branches exceed {MAX_PATHS} paths")
+    labels = branch_labels(program)
     limit = trip_limit if trip_limit is not None else default_trip_limit()
     b = _SeqBuilder(program, bundle, fvs, params, limit)
     seqs = []

@@ -402,14 +402,6 @@ def load_program(path: str) -> Program:
         return parse_program(f.read())
 
 
-def parse_and_validate(text: str | bytes) -> Program:
-    program = parse_program(text)
-    diags = validate(program)
-    if diags:
-        raise ValidationFailed(diags)
-    return program
-
-
 # ---------------------------------------------------------------------------
 # builder
 

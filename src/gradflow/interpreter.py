@@ -35,7 +35,6 @@ from .errors import (
     MissingTapeValue,
     NonTermination,
     OutOfBounds,
-    PathExplosion,
     ShapeMismatch,
     UnboundName,
     UnresolvableTripCount,
@@ -51,13 +50,14 @@ from .ir import (
     Program,
     State,
     Tasklet,
+    branch_labels,
+    library_expr,
     schedule,
 )
 from .symexpr import compile_expr, count_ops, eval_expr, free_names
 from .versions import CUR, LAST, PREV, VersionInfo, analyze_versions
 
 TRIP_LIMIT_VAR = "GRADFLOW_TRIP_LIMIT"
-MAX_PATHS = 2**16
 
 _DTYPE = {"real32": np.float32, "real64": np.float64}
 
@@ -449,18 +449,17 @@ class Executor:
             rank = self.program.descriptors[df.in_edges(node.id)[0].data].rank
             res = x.sum(axis=tuple(range(-rank, 0))) if rank else np.array(x, copy=True)
             self.op_count += int(np.prod(in_shapes["x"], dtype=np.int64)) if rank else 0
-        elif node.kind == "ew_unary":
-            x = ins["x"]
-            res, cost = _apply_unary(node, x)
-            self.op_count += cost * int(np.prod(in_shapes["x"], dtype=np.int64) if in_shapes["x"] else 1)
-        else:  # ew_binary
-            a, b = ins["a"], ins["b"]
-            if in_shapes["a"] != in_shapes["b"]:
+        else:  # ew_unary, ew_binary: the node's scalar expression per element
+            if node.kind == "ew_binary" and in_shapes["a"] != in_shapes["b"]:
                 raise ShapeMismatch(
                     f"'{node.id}': operand shapes {in_shapes['a']} vs {in_shapes['b']}"
                 )
-            res = _BINARY_LIB[node.op](a, b)
-            self.op_count += int(np.prod(in_shapes["a"], dtype=np.int64) if in_shapes["a"] else 1)
+            expr = library_expr(node)
+            res = eval_expr(expr, ins)
+            if res is ins.get("x"):
+                res = np.array(res, copy=True)  # copy: the output must not alias its input
+            shape = in_shapes["a" if node.kind == "ew_binary" else "x"]
+            self.op_count += count_ops(expr) * int(np.prod(shape, dtype=np.int64))
 
         for e in out_edges:
             dtype = self._dtype(e.data)
@@ -548,53 +547,6 @@ class Executor:
                         return None
                     coords.append(seq[-1])
         return tuple(coords)
-
-
-def _apply_unary(node: LibraryNode, x: np.ndarray):
-    op = node.op
-    if op == "copy":
-        return np.array(x, copy=True), 0
-    if op == "scale":
-        return x * np.asarray(node.const, dtype=x.dtype), 1
-    if op == "neg":
-        return -x, 1
-    if op == "abs":
-        return np.abs(x), 1
-    if op == "sign":
-        return np.sign(x), 1
-    if op == "sin":
-        return np.sin(x), 1
-    if op == "cos":
-        return np.cos(x), 1
-    if op == "exp":
-        return np.exp(x), 1
-    if op == "tanh":
-        return np.tanh(x), 1
-    if op == "log":
-        if np.any(x <= 0):
-            raise DomainError("log of non-positive value")
-        return np.log(x), 1
-    if op == "sqrt":
-        if np.any(x < 0):
-            raise DomainError("sqrt of negative value")
-        return np.sqrt(x), 1
-    raise DomainError(f"unknown elementwise op '{op}'")
-
-
-def _lib_div(a, b):
-    if np.any(b == 0):
-        raise DomainError("division by zero")
-    return a / b
-
-
-_BINARY_LIB = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": _lib_div,
-    "min": np.minimum,
-    "max": np.maximum,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -705,16 +657,12 @@ def count_flops(program: Program, params: dict[str, int], trip_limit: int | None
     in program order; a branch-free program yields {(): total}."""
     params = dict(params)
     limit = trip_limit if trip_limit is not None else default_trip_limit()
-    labels = [b.label for _, b in _walk(program.region) if isinstance(b, Conditional)]
-    if len(labels) > 16:
-        raise PathExplosion(f"{len(labels)} branch blocks exceed the supported 16")
+    branch_labels(program)  # raises PathExplosion past MAX_BRANCHES
 
     def region_cost(region: list[Block]) -> dict[tuple, int]:
         total: dict[tuple, int] = {(): 0}
         for block in region:
             total = _cross(total, block_cost(block))
-            if len(total) > MAX_PATHS:
-                raise PathExplosion(f"more than {MAX_PATHS} control-flow paths")
         return total
 
     def block_cost(block: Block) -> dict[tuple, int]:
@@ -769,12 +717,6 @@ def _cross(a: dict[tuple, int], b: dict[tuple, int]) -> dict[tuple, int]:
     return {pa + pb: ca + cb for pa, ca in a.items() for pb, cb in b.items()}
 
 
-def _walk(region):
-    from .ir import walk_blocks
-
-    return walk_blocks(region)
-
-
 def _graph_cost(df: Dataflow, program: Program, params: dict[str, int]) -> int:
     total = 0
     for node in df.nodes:
@@ -808,9 +750,7 @@ def _library_cost(node: LibraryNode, df: Dataflow, program: Program, params: dic
     n = int(np.prod(sx, dtype=np.int64)) if sx else 1
     if node.kind == "reduce_sum":
         return n if sx else 0
-    if node.kind == "ew_unary" and node.op == "copy":
-        return 0
-    return n
+    return n * count_ops(library_expr(node))
 
 
 def _map_points(node: MapNode, params: dict[str, int]) -> int:

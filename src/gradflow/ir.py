@@ -23,7 +23,9 @@ from typing import Iterator, Union
 
 from .errors import (
     Diagnostic,
+    DomainError,
     NonTermination,
+    PathExplosion,
     UnboundName,
     UnresolvableTripCount,
     ValidationFailed,
@@ -33,11 +35,11 @@ from .symexpr import (
     Const,
     Expr,
     Name,
+    Unary,
     contains_compare_or_index,
     eval_expr,
     free_names,
     is_condition,
-    to_sexpr,
 )
 
 ELEMENT_WIDTH = {"real32": 4, "real64": 8}
@@ -45,6 +47,9 @@ ROLES = ("input", "output", "intermediate", "gradient", "stored-copy")
 
 EW_UNARY_OPS = ("sin", "cos", "exp", "log", "sqrt", "tanh", "abs", "neg", "sign", "scale", "copy")
 EW_BINARY_OPS = ("add", "sub", "mul", "div", "min", "max")
+# every combination of branch outcomes is a path; beyond this many branches
+# the per-path cost and memory models refuse the program
+MAX_BRANCHES = 16
 
 
 @dataclass(frozen=True)
@@ -125,6 +130,27 @@ LIB_CONNECTORS = {
     "ew_unary": (("x",), ("y",)),
     "ew_binary": (("a", "b"), ("c",)),
 }
+
+
+def library_expr(node: LibraryNode) -> Expr:
+    """The scalar expression an ``ew_unary``/``ew_binary`` node applies to
+    every element, over its input connector names: ``(op a b)`` for
+    ``ew_binary``, ``x`` for copy, ``(mul c x)`` for scale and ``(op x)`` for
+    every other unary op.
+
+    This is the one definition of the elementwise ops: the executor
+    evaluates it, the cost model counts its operators and the differentiator
+    derives the node's adjoints from it.
+    """
+    if node.op not in (EW_BINARY_OPS if node.kind == "ew_binary" else EW_UNARY_OPS):
+        raise DomainError(f"unknown elementwise op '{node.op}'")
+    if node.kind == "ew_binary":
+        return Binary(node.op, Name("a"), Name("b"))
+    if node.op == "copy":
+        return Name("x")
+    if node.op == "scale":
+        return Binary("mul", Const(node.const), Name("x"))
+    return Unary(node.op, Name("x"))
 
 
 @dataclass
@@ -234,16 +260,13 @@ def walk_blocks(region: list[Block], path: tuple[str, ...] = ()) -> Iterator[tup
             yield from walk_blocks(block.else_body, path + (block.label, "else"))
 
 
-def enclosing_loops(program: Program, target_label: str) -> list[LoopRegion]:
-    """Loop regions enclosing the block with the given label, outer first."""
-    loops_by_label = {
-        b.label: b for _, b in walk_blocks(program.region) if isinstance(b, LoopRegion)
-    }
-    for path, block in walk_blocks(program.region):
-        label = getattr(block, "label", None)
-        if label == target_label:
-            return [loops_by_label[p] for p in path if p in loops_by_label]
-    raise KeyError(target_label)
+def branch_labels(program: Program) -> list[str]:
+    """Labels of the program's branch blocks, in program order. Raises
+    PathExplosion beyond ``MAX_BRANCHES``."""
+    labels = [b.label for _, b in walk_blocks(program.region) if isinstance(b, Conditional)]
+    if len(labels) > MAX_BRANCHES:
+        raise PathExplosion(f"{len(labels)} branch blocks exceed the supported {MAX_BRANCHES}")
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -668,10 +691,6 @@ def pristine_inputs(program: Program) -> set[str]:
         for d in program.descriptors.values()
         if d.role == "input" and d.name not in written
     }
-
-
-def shape_str(desc: DataDescriptor) -> str:
-    return "[" + ", ".join(to_sexpr(s) for s in desc.shape) + "]"
 
 
 def copy_program(program: Program) -> Program:

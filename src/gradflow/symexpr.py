@@ -13,6 +13,10 @@ Operator set:
 
 ``sign`` (sign(0) = 0) exists so almost-everywhere derivatives of abs/min/max
 are expressible as ordinary serializable expressions.
+
+The whole-array elementwise library ops are defined by these expressions too
+(``ir.library_expr``), so the op and domain-check tables below are the only
+evaluators of scalar operators in the package.
 """
 
 from __future__ import annotations

@@ -60,9 +60,6 @@ class VersionInfo:
     killed: dict[tuple[str, str], ReachSet] = field(default_factory=dict)
     n_versions: dict[str, int] = field(default_factory=dict)
 
-    def instance_version(self, state: str, node: str) -> int | None:
-        return self.write_version.get((state, node))
-
 
 @dataclass(frozen=True)
 class ForwardingEntry:

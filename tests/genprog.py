@@ -1,18 +1,23 @@
-"""Seeded random straight-line programs for planner exactness tests.
+"""Seeded random straight-line programs.
 
-Each program is a handful of elementwise chains over [d,d] real64 arrays.
-Chains alternate linear scalings with sin, so the sin inputs become the
-planner's decision variables. The first op of every chain is a scaling,
-which keeps raw inputs out of the forwarded set and makes the variable
-count equal to the number of sins on intermediates.
+``make_chain_program`` feeds the planner exactness tests. Each program is a
+handful of elementwise chains over [d,d] real64 arrays. Chains alternate
+linear scalings with sin, so the sin inputs become the planner's decision
+variables. The first op of every chain is a scaling, which keeps raw inputs
+out of the forwarded set and makes the variable count equal to the number
+of sins on intermediates.
+
+``make_elementwise_program`` draws from every elementwise library op, with
+in-place overwrites, for the gradient and memory gates.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 from gradflow import ProgramBuilder
-from gradflow.ir import Program
+from gradflow.ir import EW_BINARY_OPS, EW_UNARY_OPS, Program
 
 MAX_SINS = 12
 
@@ -79,3 +84,103 @@ def pingpong_nonaffine() -> Program:
     with b.state("collect") as s:
         s.library("reduce_sum", {"x": "B"}, {"y": "O"})
     return b.finish("O", ["A"])
+
+
+def _unary_box(op: str, lo: float, hi: float, const: float):
+    """Bounds of ``op`` over [lo, hi], or None where the op would leave its
+    domain or hit a kink (the finite-difference oracle needs smoothness)."""
+    away = lo >= 0.1 or hi <= -0.1
+    if op in ("sin", "cos"):
+        return -1.0, 1.0
+    if op == "tanh":
+        return math.tanh(lo), math.tanh(hi)
+    if op == "exp":
+        return (math.exp(lo), math.exp(hi)) if hi <= 3 else None
+    if op in ("log", "sqrt"):
+        f = math.log if op == "log" else math.sqrt
+        return (f(lo), f(hi)) if lo >= 0.1 else None
+    if op == "abs":
+        return (min(abs(lo), abs(hi)), max(abs(lo), abs(hi))) if away else None
+    if op == "sign":
+        return ((1.0, 1.0) if lo > 0 else (-1.0, -1.0)) if away else None
+    if op == "neg":
+        return -hi, -lo
+    if op == "scale":
+        return min(const * lo, const * hi), max(const * lo, const * hi)
+    return lo, hi  # copy
+
+
+def _binary_box(op: str, a: tuple[float, float], b: tuple[float, float]):
+    if op == "div":
+        if not (b[0] >= 0.2 or b[1] <= -0.2):
+            return None
+        b = (1 / b[1], 1 / b[0])
+    if op in ("mul", "div"):
+        corners = [x * y for x in a for y in b]
+        return min(corners), max(corners)
+    if op == "add":
+        return a[0] + b[0], a[1] + b[1]
+    if op == "sub":
+        return a[0] - b[1], a[1] - b[0]
+    f = min if op == "min" else max
+    return f(a[0], b[0]), f(a[1], b[1])
+
+
+def make_elementwise_program(seed: int) -> Program:
+    """Two [n] real64 inputs in [0.4, 1.6], then 2-8 elementwise library
+    nodes, then ``O = sum`` of the last array written.
+
+    Ops are drawn from ``EW_UNARY_OPS`` and ``EW_BINARY_OPS``; each operand's
+    value bounds are tracked, and an op whose operands fall outside its
+    domain or its smooth region is redrawn. About a third of the nodes
+    overwrite an intermediate operand in place (never an input, and never
+    when both operands are the same array), and about a third share a state
+    with the node before.
+    """
+    r = random.Random(seed)
+    b = ProgramBuilder(("n",))
+    box: dict[str, tuple[float, float]] = {}
+    for name in ("X0", "X1"):
+        b.array(name, ("n",), role="input", kind="real64")
+        box[name] = (0.4, 1.6)
+    states: list[list[tuple]] = []
+    last = ""
+    n_nodes = r.randint(2, 8)
+    while n_nodes:
+        op = r.choice(EW_UNARY_OPS + EW_BINARY_OPS)
+        names = sorted(box)
+        a = r.choice(names)
+        if op in EW_UNARY_OPS:
+            const = r.choice((0.5, -1.25, 2.0))
+            new_box = _unary_box(op, *box[a], const)
+            ins, operands = {"x": a}, [a]
+        else:
+            c = a if r.random() < 0.2 else r.choice(names)
+            new_box = _binary_box(op, box[a], box[c])
+            ins, operands = {"a": a, "b": c}, [a, c]
+        if new_box is None or max(abs(new_box[0]), abs(new_box[1])) > 50:
+            continue
+        in_place = [x for x in operands if x not in ("X0", "X1")]
+        if in_place and len(set(operands)) == len(operands) and r.random() < 0.35:
+            out = r.choice(in_place)
+        else:
+            out = f"T{len(box)}"
+            b.array(out, ("n",), kind="real64")
+        box[out] = new_box
+        node = ("ew_unary" if op in EW_UNARY_OPS else "ew_binary", ins,
+                {"y" if op in EW_UNARY_OPS else "c": out}, op,
+                const if op == "scale" else None)
+        if states and r.random() < 0.35:
+            states[-1].append(node)
+        else:
+            states.append([node])
+        last = out
+        n_nodes -= 1
+    for k, nodes in enumerate(states):
+        with b.state(f"s{k}") as s:
+            for kind, ins, outs, op, const in nodes:
+                s.library(kind, ins, outs, op=op, const=const)
+    b.scalar("O", role="output", kind="real64")
+    with b.state("red") as s:
+        s.library("reduce_sum", {"x": last}, {"y": "O"})
+    return b.finish("O", ["X0", "X1"])

@@ -8,15 +8,27 @@ import gradflow.examples as examples
 from gradflow import (
     ProgramBuilder,
     build_backward,
+    compare_gradients,
     extract_ccs,
+    finite_difference_gradient,
     gradient,
+    plan,
     restrict_to_ccs,
     reverse_loop_header,
     run_backward,
     run_forward,
+    run_planned,
+    sample_inputs,
 )
 from gradflow.errors import MissingInverse
-from gradflow.ir import LoopRegion, simulate_header
+from gradflow.ir import (
+    EW_BINARY_OPS,
+    EW_UNARY_OPS,
+    LibraryNode,
+    LoopRegion,
+    MapNode,
+    simulate_header,
+)
 from gradflow.symexpr import parse_sexpr
 
 
@@ -239,6 +251,115 @@ def test_grad_doubling_gather(rng):
     for i in (1, 2, 4, 8):
         expect[i] = prod / a[i]
     np.testing.assert_allclose(g["A"], expect, rtol=1e-13)
+
+
+def test_grad_div_tasklet_with_tiny_denominator():
+    # d(x/y)/dx = 1/y; the quotient rule's other term would divide by y*y,
+    # which underflows to 0 at y = 1e-200
+    b = ProgramBuilder(())
+    b.scalar("X", role="input", kind="real64")
+    b.scalar("Y", role="input", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("s") as s:
+        s.tasklet(
+            ins={"x": ("X", ()), "y": ("Y", ())},
+            outs={"o": ("O", ())},
+            body={"o": "(div x y)"},
+        )
+    p = b.finish("O", ["X"])
+    inputs = {"X": np.float64(1.0), "Y": np.float64(1e-200)}
+    assert run_forward(p, inputs, {}).value == 1e200
+    assert gradient(p, inputs, {}).grads["X"] == 1e200
+
+
+# ---------------------------------------------------------------------------
+# elementwise library adjoints: which nodes they lower to
+
+
+# adjoint of each operand connector: (kind, op) of a library node, or "map"
+# for the per-element fallback, which runs one tasklet per element
+_UNARY_ADJOINT = {
+    "sin": "map", "cos": "map", "exp": "map", "sqrt": "map", "tanh": "map",
+    "abs": "map", "log": ("ew_binary", "div"), "neg": ("ew_unary", "neg"),
+    "scale": ("ew_unary", "scale"), "copy": ("ew_unary", "copy"), "sign": None,
+}
+_BINARY_ADJOINT = {
+    "add": (("ew_unary", "copy"), ("ew_unary", "copy")),
+    "sub": (("ew_unary", "copy"), ("ew_unary", "neg")),
+    "mul": (("ew_binary", "mul"), ("ew_binary", "mul")),
+    "div": (("ew_binary", "div"), "map"),
+    "min": ("map", "map"),
+    "max": ("map", "map"),
+}
+
+
+def _lowering_program(op, out):
+    """X, Y -> P = 0.5 X, Q = 1.5 Y -> one elementwise node -> O = sum.
+    The node reads intermediates, so an in-place ``out`` overwrites a
+    forwarded value rather than an input."""
+    b = ProgramBuilder(("n",))
+    for name, role in (("X", "input"), ("Y", "input"), ("P", "intermediate"),
+                       ("Q", "intermediate"), ("R", "intermediate")):
+        b.array(name, ("n",), role=role, kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("pre") as s:
+        s.library("ew_unary", {"x": "X"}, {"y": "P"}, op="scale", const=0.5)
+        s.library("ew_unary", {"x": "Y"}, {"y": "Q"}, op="scale", const=1.5)
+    tgt = {"new": "R", "a": "P", "b": "Q", "a=b": "R"}[out]
+    with b.state("op") as s:
+        if op in EW_UNARY_OPS:
+            s.library("ew_unary", {"x": "P"}, {"y": tgt}, op=op,
+                      const=1.75 if op == "scale" else None)
+        else:
+            ins = {"a": "P", "b": "P" if out == "a=b" else "Q"}
+            s.library("ew_binary", ins, {"c": tgt}, op=op)
+    with b.state("red") as s:
+        s.library("reduce_sum", {"x": tgt}, {"y": "O"})
+    return b.finish("O", ["X", "Y"])
+
+
+def _adjoint_nodes(program, label):
+    """(kind, op) of each library node and "map" for each map node in the
+    reverse of forward state ``label``, in emission order."""
+    states = [b for b in build_backward(program).backward.region if b.label == label + "__bwd"]
+    out = []
+    for state in states:
+        for n in state.graph.nodes:
+            if isinstance(n, LibraryNode):
+                out.append((n.kind, n.op))
+            elif isinstance(n, MapNode):
+                out.append("map")
+    return out
+
+
+_LOWERING_CASES = [(op, out) for op in EW_UNARY_OPS for out in ("new", "a")] + [
+    (op, out) for op in EW_BINARY_OPS for out in ("new", "a", "b", "a=b")
+]
+
+
+@pytest.mark.filterwarnings("ignore::gradflow.errors.NonDifferentiableOp")
+@pytest.mark.parametrize("op,out", _LOWERING_CASES)
+def test_elementwise_adjoint_lowering(op, out, rng):
+    p = _lowering_program(op, out)
+    if op in EW_UNARY_OPS:
+        expect = [_UNARY_ADJOINT[op]] if _UNARY_ADJOINT[op] else []
+        if out == "a" and not expect:
+            expect = [("ew_unary", "scale")]  # nothing to send: only clear P's gradient
+    else:
+        by_conn = dict(zip("ab", _BINARY_ADJOINT[op]))
+        # the contribution that overwrites the aliased gradient comes last
+        expect = [by_conn[c] for c in sorted("ab", key=lambda c: c == out)]
+    assert _adjoint_nodes(p, "op") == expect
+
+    params = {"n": 5}
+    inputs = sample_inputs(p, params, rng)
+    ad = gradient(p, inputs, params)
+    fd = finite_difference_gradient(p, inputs, params)
+    report = compare_gradients(ad.grads, fd, tolerance=1e-5)
+    assert report["ok"], report
+    replay = run_planned(plan(p, None, params), inputs, params)
+    for k in ad.grads:
+        assert np.array_equal(replay.grads[k], ad.grads[k]), k
 
 
 # ---------------------------------------------------------------------------

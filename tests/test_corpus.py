@@ -1,8 +1,10 @@
 """Every built-in kernel, checked end to end: finite differences, slice
-restriction, planned replay, and the two independent memory accountings."""
+restriction, planned replay, and the two independent memory accountings.
+Random elementwise programs face the same gates."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gradflow.examples as examples
 from gradflow import (
@@ -17,6 +19,7 @@ from gradflow import (
     simulate_memory,
 )
 from gradflow.errors import Infeasible
+from genprog import make_elementwise_program
 
 
 def _inputs(name, seed=101):
@@ -77,3 +80,38 @@ def test_simulated_peak_matches_the_parametric_model(name):
         )
         assert timeline.peak == seq.peak(result.solution.assignment), \
             (name, seq.outcomes)
+
+
+@pytest.mark.filterwarnings("ignore::gradflow.errors.NonDifferentiableOp")
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_random_elementwise_programs_pass_the_corpus_gates(seed):
+    program = make_elementwise_program(seed)
+    params = {"n": 4}
+    inputs = sample_inputs(program, params, np.random.default_rng(seed))
+    plain = gradient(program, inputs, params)
+    fd = finite_difference_gradient(program, inputs, params)
+    report = compare_gradients(plain.grads, fd, tolerance=1e-5)
+    assert report["ok"], report
+    assert run_forward(restrict_to_ccs(program), inputs, params).value == plain.value
+
+    # keep everything, then the tightest budget that fits: where anything
+    # can be recomputed, that plan recomputes it
+    try:
+        plan(program, 0, params)
+        floor = 0
+    except Infeasible as exc:
+        floor = exc.min_peak_bytes
+    for limit_mib in (None, (floor + 1) / (1 << 20)):
+        result = plan(program, limit_mib, params)
+        replay = run_planned(result, inputs, params)
+        assert replay.value == plain.value
+        for k in plain.grads:
+            assert np.array_equal(replay.grads[k], plain.grads[k]), (limit_mib, k)
+        hints = {fv.name: fv.total_bytes for fv in result.fvs if fv.forced}
+        for seq in result.sequences:
+            timeline = simulate_memory(
+                result.forward, result.backward, params,
+                dict(seq.outcomes), stored_hints=hints,
+            )
+            assert timeline.peak == seq.peak(result.solution.assignment)

@@ -1,10 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import gradflow.examples as examples
-from gradflow import ProgramBuilder, count_flops, gradient, run_forward
+from gradflow import (
+    ProgramBuilder,
+    count_flops,
+    gradient,
+    parse_program,
+    program_to_dict,
+    run_forward,
+)
 from gradflow.errors import (
     BatchDivergence,
     DomainError,
@@ -173,6 +181,41 @@ def test_domain_error_propagates():
     p = b.finish("O", ["X"])
     with pytest.raises(DomainError):
         run_forward(p, {"X": np.array([1.0, -2.0])}, {"n": 2})
+
+
+def test_unknown_elementwise_op_is_a_domain_error():
+    # parse_program does not validate, so the executor and the
+    # differentiator meet the unknown op themselves
+    b = ProgramBuilder(())
+    b.array("X", ("3",), role="input", kind="real64")
+    b.array("Y", ("3",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("s") as s:
+        s.library("ew_unary", {"x": "X"}, {"y": "Y"}, op="sin")
+        s.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+    text = json.dumps(program_to_dict(b.finish("O", ["X"]))).replace('"sin"', '"frob"')
+    p = parse_program(text)
+    for call in (run_forward, gradient):
+        with pytest.raises(DomainError, match="unknown elementwise op 'frob'"):
+            call(p, {"X": np.ones(3)}, {})
+
+
+def test_library_copy_does_not_alias_its_input():
+    # an element write to T after Y = copy(T) must not show through Y
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.array("T", ("n",), kind="real64")
+    b.array("Y", ("n",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("s") as s:
+        s.library("ew_unary", {"x": "X"}, {"y": "T"}, op="scale", const=2.0)
+        s.library("ew_unary", {"x": "T"}, {"y": "Y"}, op="copy")
+    with b.state("bump") as s:
+        s.tasklet(ins={"a": ("T", ("0",))}, outs={"o": ("T", ("0",))}, body={"o": "(add a 1)"})
+    with b.state("sum") as s:
+        s.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+    p = b.finish("O", ["X"])
+    assert run_forward(p, {"X": np.array([1.0, 2.0])}, {"n": 2}).value == 6.0
 
 
 # ---------------------------------------------------------------------------

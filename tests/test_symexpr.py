@@ -176,3 +176,11 @@ def test_derivative_matches_finite_difference(src, point):
 def test_derivative_of_unrelated_name_is_zero():
     d = derivative(parse_sexpr("(mul y y)"), "x")
     assert to_sexpr(simplify(d)) == "0"
+
+
+def test_div_derivative_drops_the_vanishing_term():
+    # d/dx has no x*y'/(y*y) term to evaluate, and y*y underflows to 0 long
+    # before y does
+    assert to_sexpr(derivative(parse_sexpr("(div x y)"), "x")) == "(div 1 y)"
+    assert to_sexpr(derivative(parse_sexpr("(div x y)"), "y")) == "(neg (div x (mul y y)))"
+    assert to_sexpr(derivative(parse_sexpr("(div y y)"), "x")) == "0"
