@@ -54,6 +54,8 @@ from .ir import (
     Tasklet,
     affine_stride,
     copy_program,
+    data_read,
+    data_written,
     library_expr,
     pristine_inputs,
     schedule,
@@ -572,6 +574,22 @@ class _BackwardBuilder:
         passes = self.ccs.loop_passes.get(loop.label, [])
         if not passes or not any(passes):
             return []
+        out = self._rev_loop_blocks(loop, passes)
+        # a reversed header reads an input as is; a scalar the program
+        # writes no longer holds the value the forward header saw
+        for rev in out:
+            header = (rev.init, rev.bound, rev.update, rev.inverse)
+            names = set().union(*(free_names(e) for e in header if e is not None))
+            for name in sorted(names & set(self.p.descriptors)):
+                if name not in self.pristine:
+                    raise UnsupportedLoop(
+                        f"loop '{loop.label}': its header reads '{name}', which the "
+                        "program writes, so the reversed header cannot recover it"
+                    )
+                self.used_inputs.add(name)
+        return out
+
+    def _rev_loop_blocks(self, loop: LoopRegion, passes: list[frozenset[NodeRef]]) -> list[Block]:
         k = len(passes) - 1
         steady = passes[-1]
         if k == 0:
@@ -620,7 +638,12 @@ class _BackwardBuilder:
             if not writes & self.gradset:
                 continue
             if isinstance(node, Tasklet):
-                self.adj_tasklet(asm, state, df, node)
+                self.emit_tasklet_adjoint(
+                    state.label, df, node,
+                    site=lambda e: e.src if e.dst == node.id else e.dst,
+                    graph=asm.df, read=asm.read, write=asm.write, prefix="adj",
+                    where=f"tasklet '{node.id}'",
+                )
             elif isinstance(node, LibraryNode):
                 self.adj_library(asm, state, df, node)
             else:
@@ -635,18 +658,32 @@ class _BackwardBuilder:
         rs = self.vinfo.killed.get((state_label, access_id), ReachSet(()))
         return bool(rs.candidates)
 
-    def adj_tasklet(self, asm: _Assembler, state: State, df: Dataflow, node: Tasklet):
-        in_edges = df.in_edges(node.id)
-        out_edges = df.out_edges(node.id)
-        in_by_conn = {e.dst_conn: e for e in in_edges}
+    def emit_tasklet_adjoint(self, state_label: str, fwd_graph: Dataflow, node: Tasklet, *,
+                             site, graph: Dataflow, read, write, prefix: str,
+                             where: str) -> str | None:
+        """Emit the adjoint tasklet of the forward tasklet ``node`` (which
+        lives in ``fwd_graph``) into ``graph``. Returns the adjoint's id, or
+        None when it would do nothing.
 
-        outs_info = []
-        for e in out_edges:
-            if e.data not in self.gradset:
-                continue
-            outs_info.append(e)
+        The adjoint reads the gradient of every active output and the forward
+        values its partials need, and sends each active input connector its
+        contribution with ``sum`` conflict resolution. A connector that reads
+        the element its tasklet overwrites (same array and subset) replaces
+        that gradient instead; when several do, their partials merge into one
+        replacement write. An output that killed a consumed value, and is not
+        such a self-overwrite, clears its gradient. Either rule needs a single
+        active output; ``where`` names the node in that error.
+
+        The caller places the adjoint. ``site(edge)`` is the state-level
+        access instance behind a forward edge, for value sourcing and kill
+        lookup. ``read(data)`` and ``write(data)`` give the access node in
+        ``graph`` that an adjoint edge reads from or writes to; ``write`` is
+        called once per gradient array. ``prefix`` starts the adjoint's id.
+        """
+        in_by_conn = {e.dst_conn: e for e in fwd_graph.in_edges(node.id)}
+        outs_info = [e for e in fwd_graph.out_edges(node.id) if e.data in self.gradset]
         if not outs_info:
-            return
+            return None
 
         # per active in connector: total contribution expression
         contribs: dict[str, Expr] = {}
@@ -674,32 +711,27 @@ class _BackwardBuilder:
             oe
             for oe in outs_info
             if oe.wcr is None
-            and self._killed(state.label, oe.dst)
+            and self._killed(state_label, site(oe))
             and not any(se is oe for _, se in self_pairs)
         ]
         if not contribs and not clears:
-            return
+            return None
         if (self_pairs or clears) and len(outs_info) > 1:
-            raise UnsupportedConstruct(
-                f"tasklet '{node.id}': gradient clearing with multiple outputs"
-            )
+            raise UnsupportedConstruct(f"{where}: gradient clearing with multiple outputs")
 
-        tid = self.fresh("adj")
+        tid = self.fresh(prefix)
         ins: list[str] = []
-        body: dict[str, Expr] = {}
-        edges_in: list[Memlet] = []
-        edges_out: list[Memlet] = []
-
+        edges: list[Memlet] = []
         for oi, oe in enumerate(outs_info):
             gconn = f"_g{oi}"
             ins.append(gconn)
-            src = asm.read(self.grad_of(oe.data))
-            edges_in.append(Memlet(src, None, tid, gconn, self.grad_of(oe.data), oe.subset))
+            gdata = self.grad_of(oe.data)
+            edges.append(Memlet(read(gdata), None, tid, gconn, gdata, oe.subset))
         for conn in sorted(needed_values):
             ie = in_by_conn[conn]
-            vname = self.value_source(state.label, ie.src, ie.data)
+            vname = self.value_source(state_label, site(ie), ie.data)
             ins.append(conn)
-            edges_in.append(Memlet(asm.read(vname), None, tid, conn, vname, ie.subset))
+            edges.append(Memlet(read(vname), None, tid, conn, vname, ie.subset))
 
         self_conns = {c for c, _ in self_pairs}
         if len(self_conns) > 1:
@@ -713,15 +745,16 @@ class _BackwardBuilder:
                 contribs[merged[0]] = simplify(total)
             self_conns = set(merged[:1])
 
-        # one new access instance per gradient array, shared by all its writes
+        # one written access node per gradient array, shared by all its writes
         wdst: dict[str, str] = {}
 
         def dst_of(gdata: str) -> str:
             if gdata not in wdst:
-                wdst[gdata] = asm.write(gdata)
+                wdst[gdata] = write(gdata)
             return wdst[gdata]
 
         outs: list[str] = []
+        body: dict[str, Expr] = {}
         for conn, expr in contribs.items():
             ie = in_by_conn[conn]
             oconn = f"_d{conn}"
@@ -729,19 +762,16 @@ class _BackwardBuilder:
             body[oconn] = expr
             gdata = self.grad_of(ie.data)
             wcr = None if conn in self_conns else "sum"
-            edges_out.append(
-                Memlet(tid, oconn, dst_of(gdata), None, gdata, ie.subset, wcr)
-            )
+            edges.append(Memlet(tid, oconn, dst_of(gdata), None, gdata, ie.subset, wcr))
         for oe in clears:
-            zconn = "_z"
-            outs.append(zconn)
-            body[zconn] = Const(0)
+            outs.append("_z")
+            body["_z"] = Const(0)
             gdata = self.grad_of(oe.data)
-            edges_out.append(Memlet(tid, zconn, dst_of(gdata), None, gdata, oe.subset))
+            edges.append(Memlet(tid, "_z", dst_of(gdata), None, gdata, oe.subset))
 
-        asm.df.nodes.append(Tasklet(tid, tuple(ins), tuple(outs), body))
-        asm.df.edges.extend(edges_in)
-        asm.df.edges.extend(edges_out)
+        graph.nodes.append(Tasklet(tid, tuple(ins), tuple(outs), body))
+        graph.edges.extend(edges)
+        return tid
 
     def adj_library(self, asm: _Assembler, state: State, df: Dataflow, node: LibraryNode):
         out_e = df.out_edges(node.id)[0]
@@ -894,109 +924,23 @@ class _BackwardBuilder:
                 f"map '{node.id}': reversal supports single-tasklet bodies"
             )
         fwd_t = computes[0]
-        body_in = {e.dst_conn: e for e in node.body.in_edges(fwd_t.id)}
-        body_out = [e for e in node.body.out_edges(fwd_t.id) if e.data in self.gradset]
-        if not body_out:
-            return
         # state-level access instances of the forward map, for value sourcing
         state_in_src = {e.data: e.src for e in df.in_edges(node.id)}
         state_out_dst = {e.data: e.dst for e in df.out_edges(node.id)}
-
-        contribs: dict[str, Expr] = {}
-        needed_values: set[str] = set()
-        self_conns: set[str] = set()
-        for conn, ie in body_in.items():
-            if ie.data not in self.gradset:
-                continue
-            total: Expr | None = None
-            for oi, oe in enumerate(body_out):
-                part = derivative(fwd_t.body[oe.src_conn], conn)
-                if isinstance(part, Const) and part.value == 0:
-                    continue
-                total_term = Binary("mul", part, Name(f"_g{oi}"))
-                total = total_term if total is None else Binary("add", total, total_term)
-                needed_values |= free_names(part) & set(fwd_t.ins)
-                if oe.wcr is None and (ie.data, _sub_key(ie.subset)) == (oe.data, _sub_key(oe.subset)):
-                    self_conns.add(conn)
-            if total is not None:
-                contribs[conn] = simplify(total)
-
-        clears = [
-            oe for oe in body_out
-            if oe.wcr is None
-            and self._killed(state.label, state_out_dst[oe.data])
-            and not any(
-                body_in[c].data == oe.data and _sub_key(body_in[c].subset) == _sub_key(oe.subset)
-                for c in self_conns
-            )
-        ]
-        if not contribs and not clears:
-            return
-        if (self_conns or clears) and len(body_out) > 1:
-            raise UnsupportedConstruct(
-                f"map '{node.id}': gradient clearing with multiple outputs"
-            )
-
-        if len(self_conns) > 1:
-            merged = sorted(self_conns & set(contribs))
-            if len(merged) > 1:
-                total = contribs[merged[0]]
-                for c in merged[1:]:
-                    total = Binary("add", total, contribs.pop(c))
-                contribs[merged[0]] = simplify(total)
-            self_conns = set(merged[:1])
-
         body = Dataflow()
-        tid = self.fresh("adjt")
-        ins: list[str] = []
-        body_edges: list[Memlet] = []
-        tbody: dict[str, Expr] = {}
-        outs: list[str] = []
 
-        for oi, oe in enumerate(body_out):
-            gconn = f"_g{oi}"
-            ins.append(gconn)
-            gdata = self.grad_of(oe.data)
+        def access(data: str) -> str:  # a fresh body access node per use
             aid = self.fresh("a")
-            body.nodes.append(AccessNode(aid, gdata))
-            body_edges.append(Memlet(aid, None, tid, gconn, gdata, oe.subset))
-        for conn in sorted(needed_values):
-            ie = body_in[conn]
-            vname = self.value_source(state.label, state_in_src[ie.data], ie.data)
-            ins.append(conn)
-            aid = self.fresh("a")
-            body.nodes.append(AccessNode(aid, vname))
-            body_edges.append(Memlet(aid, None, tid, conn, vname, ie.subset))
+            body.nodes.append(AccessNode(aid, data))
+            return aid
 
-        # one body access node per written gradient array
-        bdst: dict[str, str] = {}
-
-        def dst_of(gdata: str) -> str:
-            if gdata not in bdst:
-                aid = self.fresh("a")
-                body.nodes.append(AccessNode(aid, gdata))
-                bdst[gdata] = aid
-            return bdst[gdata]
-
-        for conn, expr in contribs.items():
-            ie = body_in[conn]
-            oconn = f"_d{conn}"
-            outs.append(oconn)
-            tbody[oconn] = expr
-            gdata = self.grad_of(ie.data)
-            wcr = None if conn in self_conns else "sum"
-            body_edges.append(Memlet(tid, oconn, dst_of(gdata), None, gdata, ie.subset, wcr))
-        for oe in clears:
-            outs.append("_z")
-            tbody["_z"] = Const(0)
-            gdata = self.grad_of(oe.data)
-            body_edges.append(Memlet(tid, "_z", dst_of(gdata), None, gdata, oe.subset))
-
-        body.nodes.append(Tasklet(tid, tuple(ins), tuple(outs), tbody))
-        body.edges.extend(body_edges)
-
-        from .ir import data_read, data_written
-
+        tid = self.emit_tasklet_adjoint(
+            state.label, node.body, fwd_t,
+            site=lambda e: (state_in_src if e.dst == fwd_t.id else state_out_dst)[e.data],
+            graph=body, read=access, write=access, prefix="adjt", where=f"map '{node.id}'",
+        )
+        if tid is None:
+            return
         mid = self.fresh("adjm")
         asm.df.nodes.append(MapNode(mid, node.params, node.ranges, body))
         for data in sorted(data_read(body)):

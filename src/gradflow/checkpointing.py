@@ -268,11 +268,13 @@ def collect_forwarded(
         desc = program.descriptors[entry.data]
         size = size_bytes(desc, params)
         cand = entry.candidates[0]
-        plannable = (
+        single = (
             len(entry.candidates) == 1
             and not cand.directives
             and not vinfo.write_loops.get((entry.data, cand.version))
         )
+        # an input's own value (version 0) has no producer to recompute
+        plannable = single and (entry.data, cand.version) in vinfo.write_site
         site = access = None
         forced_reason = None
         rec_plan = None
@@ -287,6 +289,8 @@ def collect_forwarded(
                 )
             except IrrecomputableValue as exc:
                 forced_reason = str(exc)
+        elif single:
+            forced_reason = f"input '{entry.data}' is overwritten in place; its original value is kept"
         else:
             forced_reason = "value history spans loop iterations"
             snapshots = 0

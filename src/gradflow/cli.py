@@ -39,8 +39,7 @@ from .errors import (
     ValidationFailed,
 )
 from .frontend import load_program, serialize_program
-from .ir import Program, size_bytes
-from .symexpr import eval_expr
+from .ir import Program
 from .verification import (
     compare_gradients,
     fd_epsilon,
@@ -358,16 +357,16 @@ def cmd_mem_report(args) -> int:
     for p in paths:
         arm = ", ".join(f"{k}={v}" for k, v in p["outcomes"]) or "straight-line"
         ok = "" if limit is None else (" <= limit" if p["peak_bytes"] <= limit else " EXCEEDS limit")
-        print(f"path [{arm}]: peak {p['peak_bytes'] / MIB:.2f} MiB{ok}")
+        print(f"path [{arm}]: peak {p['peak_bytes'] / MIB:.2f} MiB ({p['peak_bytes']} B){ok}")
         if args.events:
             for label, delta, total in p["events"]:
                 print(f"  {total:>14} B  {delta:>+14} B  {label}")
     if limit is not None:
-        print(f"peak {peak / MIB:.2f} MiB <= limit {limit / MIB:.2f} MiB"
-              if peak <= limit else
-              f"peak {peak / MIB:.2f} MiB EXCEEDS limit {limit / MIB:.2f} MiB")
+        verdict = "<=" if peak <= limit else "EXCEEDS"
+        print(f"peak {peak / MIB:.2f} MiB {verdict} limit {limit / MIB:.2f} MiB "
+              f"({peak} B {verdict} {limit} B)")
     else:
-        print(f"peak {peak / MIB:.2f} MiB (no limit)")
+        print(f"peak {peak / MIB:.2f} MiB ({peak} B, no limit)")
     return EXIT_OK
 
 

@@ -33,7 +33,6 @@ from .errors import (
     DomainError,
     MissingInverse,
     MissingTapeValue,
-    NonTermination,
     OutOfBounds,
     ShapeMismatch,
     UnboundName,
@@ -53,6 +52,8 @@ from .ir import (
     branch_labels,
     library_expr,
     schedule,
+    simulate_header,
+    uniform_int,
 )
 from .symexpr import compile_expr, count_ops, eval_expr, free_names
 from .versions import CUR, LAST, PREV, VersionInfo, analyze_versions
@@ -196,44 +197,19 @@ class Executor:
             return bool(flat[0])
         return bool(np.asarray(value).reshape(-1)[0]) if isinstance(value, np.ndarray) else bool(value)
 
-    def _uniform_int(self, value, what: str) -> int:
-        if isinstance(value, np.ndarray):
-            flat = value.reshape(-1)
-            if flat.size > 1 and not bool(np.all(flat == flat[0])):
-                raise BatchDivergence(f"{what} differs across the batch")
-            value = flat[0]
-        f = float(value)
-        if not f.is_integer():
-            raise DomainError(f"{what} evaluated to non-integer {f}")
-        return int(f)
-
     def _header_bindings(self, loop: LoopRegion) -> dict:
-        b = dict(self.bind)
+        """The live bindings plus the scalar arrays the header reads.
+        ``simulate_header`` copies its bindings, so the live dict itself
+        serves a header that reads no scalar."""
         need = (
             free_names(loop.init) | free_names(loop.bound) | free_names(loop.update)
-        ) - {loop.iterator} - set(b)
+        ) - {loop.iterator} - self.bind.keys()
+        scalars = {}
         for name in sorted(need):
             desc = self.program.descriptors.get(name)
             if desc is not None and desc.rank == 0 and name in self.env:
-                b[name] = self._uniform_int(self.env[name], f"scalar '{name}' in a loop header")
-        return b
-
-    def _simulate(self, loop: LoopRegion) -> list[int]:
-        b = self._header_bindings(loop)
-        out: list[int] = []
-        i = self._uniform_int(eval_expr(loop.init, b), f"init of '{loop.label}'")
-        lt = loop.cmp == "<"
-        while (i < self._uniform_int(eval_expr(loop.bound, b), f"bound of '{loop.label}'")) if lt else (
-            i > self._uniform_int(eval_expr(loop.bound, b), f"bound of '{loop.label}'")
-        ):
-            out.append(i)
-            if len(out) > self.trip_limit:
-                raise NonTermination(
-                    f"loop '{loop.label}' exceeded the trip limit of {self.trip_limit}"
-                )
-            b[loop.iterator] = i
-            i = self._uniform_int(eval_expr(loop.update, b), f"update of '{loop.label}'")
-        return out
+                scalars[name] = uniform_int(self.env[name], f"scalar '{name}' in a loop header")
+        return {**self.bind, **scalars} if scalars else self.bind
 
     # -- control flow --------------------------------------------------------
 
@@ -263,19 +239,23 @@ class Executor:
                     f"no recorded iterates for loop '{loop.replay_of}' at {key}"
                 )
             self._run_iterates(loop, recs[key], loop.replay_of, reverse=True)
-        elif loop.reversed_simulate:
-            self._run_inverse(loop, self._simulate(loop), loop.reverse_of or loop.label)
+            return
+        iterates = simulate_header(loop, self._header_bindings(loop), self.trip_limit)
+        if loop.reversed_simulate:
+            # the header is the forward one: step back through its iterates
+            self._run_iterates(loop, iterates, loop.reverse_of or loop.label, reverse=True)
         elif loop.reverse_of is not None:
-            backward_order = self._simulate(loop)
-            self._run_iterates(loop, backward_order[::-1], loop.reverse_of, reverse=True)
+            self._run_iterates(loop, iterates[::-1], loop.reverse_of, reverse=True)
         else:
-            iterates = self._simulate(loop)
             if self.tape is not None:
                 key = tuple(c.current for c in self.ctx_stack)
                 self.tape.iterate_records.setdefault(loop.label, {})[key] = list(iterates)
             self._run_iterates(loop, iterates, loop.label, reverse=False)
 
     def _run_iterates(self, loop: LoopRegion, fwd: list[int], label: str, reverse: bool):
+        """Run the body once per forward iterate, in order or reversed. A
+        declared-inverse loop checks after each body that its inverse steps
+        back to the previous forward iterate."""
         ctx = _LoopCtx(label, fwd)
         self.ctx[label] = ctx
         self.ctx_stack.append(ctx)
@@ -287,40 +267,13 @@ class Executor:
                 ctx.pos = pos
                 self.bind[loop.iterator] = fwd[pos]
                 self._exec_region(loop.body)
-        finally:
-            self.ctx_stack.pop()
-            del self.ctx[label]
-            if had:
-                self.bind[loop.iterator] = saved
-            else:
-                self.bind.pop(loop.iterator, None)
-
-    def _run_inverse(self, loop: LoopRegion, fwd: list[int], label: str):
-        """Reversal by declared inverse: re-simulate the forward header for
-        the trip count and last iterate, then step backwards."""
-        if not fwd:
-            return
-        ctx = _LoopCtx(label, fwd)
-        self.ctx[label] = ctx
-        self.ctx_stack.append(ctx)
-        had = loop.iterator in self.bind
-        saved = self.bind.get(loop.iterator)
-        try:
-            i = fwd[-1]
-            for pos in range(len(fwd) - 1, -1, -1):
-                ctx.pos = pos
-                if i != fwd[pos]:
-                    raise DomainError(
-                        f"declared inverse of loop '{loop.label}' diverges: "
-                        f"expected {fwd[pos]}, got {i}"
-                    )
-                self.bind[loop.iterator] = i
-                self._exec_region(loop.body)
-                if pos > 0:
-                    b = dict(self.bind)
-                    i = self._uniform_int(
-                        eval_expr(loop.inverse, b), f"inverse of '{loop.label}'"
-                    )
+                if loop.reversed_simulate and pos > 0:
+                    i = uniform_int(eval_expr(loop.inverse, self.bind), f"inverse of '{loop.label}'")
+                    if i != fwd[pos - 1]:
+                        raise DomainError(
+                            f"declared inverse of loop '{loop.label}' diverges: "
+                            f"expected {fwd[pos - 1]}, got {i}"
+                        )
         finally:
             self.ctx_stack.pop()
             del self.ctx[label]
@@ -396,7 +349,7 @@ class Executor:
     def _index(self, name: str, subset_fns, shape: tuple[int, ...]) -> tuple[int, ...]:
         idx = []
         for k, fn in enumerate(subset_fns):
-            i = self._uniform_int(fn(self.bind), f"subset of '{name}'")
+            i = uniform_int(fn(self.bind), f"subset of '{name}'")
             if not 0 <= i < shape[k]:
                 raise OutOfBounds(f"'{name}' index {i} outside dimension of size {shape[k]}")
             idx.append(i)
@@ -486,13 +439,8 @@ class Executor:
                         self._exec_compute(inner, node.body)
                 return
             f0, f1, f2 = range_fns[k]
-            start = self._uniform_int(f0(self.bind), f"map '{node.id}' start")
-            stop = self._uniform_int(f1(self.bind), f"map '{node.id}' stop")
-            step = self._uniform_int(f2(self.bind), f"map '{node.id}' step")
-            if step <= 0:
-                raise DomainError(f"map '{node.id}' step must be positive, got {step}")
             p = node.params[k]
-            for v in range(start, stop, step):
+            for v in _map_range(node, f0(self.bind), f1(self.bind), f2(self.bind)):
                 self.bind[p] = v
                 run_level(k + 1)
 
@@ -669,8 +617,6 @@ def count_flops(program: Program, params: dict[str, int], trip_limit: int | None
         if isinstance(block, State):
             return {(): _graph_cost(block.graph, program, params)}
         if isinstance(block, LoopRegion):
-            from .ir import simulate_header
-
             try:
                 iterates = simulate_header(block, params, limit)
             except UnboundName as exc:
@@ -753,9 +699,18 @@ def _library_cost(node: LibraryNode, df: Dataflow, program: Program, params: dic
     return n * count_ops(library_expr(node))
 
 
-def _map_points(node: MapNode, params: dict[str, int]) -> int:
-    from .symexpr import free_names
+def _map_range(node: MapNode, start, stop, step) -> range:
+    """One map parameter's range from its evaluated start, stop and step."""
+    start = uniform_int(start, f"map '{node.id}' start")
+    stop = uniform_int(stop, f"map '{node.id}' stop")
+    step = uniform_int(step, f"map '{node.id}' step")
+    if step <= 0:
+        raise DomainError(f"map '{node.id}' step must be positive, got {step}")
+    return range(start, stop, step)
 
+
+def _map_points(node: MapNode, params: dict[str, int]) -> int:
+    """Points in the map's range product, as the executor enumerates them."""
     independent = True
     for k, (start, stop, step) in enumerate(node.ranges):
         used = free_names(start) | free_names(stop) | free_names(step)
@@ -764,13 +719,8 @@ def _map_points(node: MapNode, params: dict[str, int]) -> int:
             break
     if independent:
         total = 1
-        for start, stop, step in node.ranges:
-            a = int(eval_expr(start, params))
-            b = int(eval_expr(stop, params))
-            s = int(eval_expr(step, params))
-            if s <= 0:
-                raise DomainError("map step must be positive")
-            total *= max(0, -(-(b - a) // s))
+        for r in node.ranges:
+            total *= len(_map_range(node, *(eval_expr(e, params) for e in r)))
         return total
     count = 0
     bind = dict(params)
@@ -780,12 +730,7 @@ def _map_points(node: MapNode, params: dict[str, int]) -> int:
         if k == len(node.params):
             count += 1
             return
-        a = int(eval_expr(node.ranges[k][0], bind))
-        b = int(eval_expr(node.ranges[k][1], bind))
-        s = int(eval_expr(node.ranges[k][2], bind))
-        if s <= 0:
-            raise DomainError("map step must be positive")
-        for v in range(a, b, s):
+        for v in _map_range(node, *(eval_expr(e, bind) for e in node.ranges[k])):
             bind[node.params[k]] = v
             rec(k + 1)
         bind.pop(node.params[k], None)

@@ -21,7 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
+import numpy as np
+
 from .errors import (
+    BatchDivergence,
     Diagnostic,
     DomainError,
     NonTermination,
@@ -346,24 +349,43 @@ def affine_stride(loop: LoopRegion) -> Expr | None:
     return None
 
 
-def simulate_header(
-    loop: LoopRegion, bindings: dict[str, int], trip_limit: int,
-    arrays=None,
-) -> list[int]:
-    """Iterate the header to enumerate the iteration values (trip-guarded)."""
+def uniform_int(value, what: str) -> int:
+    """The integer an index, loop header or map range evaluated to.
+
+    ``value`` may carry leading batch dimensions; every batch element must
+    agree (``BatchDivergence`` otherwise). A value that is not a whole number
+    raises ``DomainError`` rather than being truncated; ``what`` names the
+    expression in both errors.
+    """
+    if isinstance(value, np.ndarray):
+        flat = value.reshape(-1)
+        if flat.size > 1 and not bool(np.all(flat == flat[0])):
+            raise BatchDivergence(f"{what} differs across the batch")
+        value = flat[0]
+    f = float(value)
+    if not f.is_integer():
+        raise DomainError(f"{what} evaluated to non-integer {f}")
+    return int(f)
+
+
+def simulate_header(loop: LoopRegion, bindings: dict[str, int], trip_limit: int) -> list[int]:
+    """Iterate the header to enumerate the iteration values (trip-guarded).
+    Init, bound and update go through :func:`uniform_int`."""
     out: list[int] = []
     env = dict(bindings)
-    i = int(eval_expr(loop.init, env, arrays))
-    bound_cmp = (lambda a, b: a < b) if loop.cmp == "<" else (lambda a, b: a > b)
-    while bound_cmp(i, int(eval_expr(loop.bound, env, arrays))):
+    i = uniform_int(eval_expr(loop.init, env), f"init of '{loop.label}'")
+    lt = loop.cmp == "<"
+    while True:
+        bound = uniform_int(eval_expr(loop.bound, env), f"bound of '{loop.label}'")
+        if not (i < bound if lt else i > bound):
+            return out
         out.append(i)
         if len(out) > trip_limit:
             raise NonTermination(
                 f"loop '{loop.label}' exceeded the trip limit of {trip_limit}"
             )
         env[loop.iterator] = i
-        i = int(eval_expr(loop.update, env, arrays))
-    return out
+        i = uniform_int(eval_expr(loop.update, env), f"update of '{loop.label}'")
 
 
 def trip_count(loop: LoopRegion, bindings: dict[str, int], trip_limit: int = 10**9) -> int:

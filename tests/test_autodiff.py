@@ -20,7 +20,7 @@ from gradflow import (
     run_planned,
     sample_inputs,
 )
-from gradflow.errors import MissingInverse
+from gradflow.errors import MissingInverse, UnsupportedConstruct, UnsupportedLoop
 from gradflow.ir import (
     EW_BINARY_OPS,
     EW_UNARY_OPS,
@@ -360,6 +360,119 @@ def test_elementwise_adjoint_lowering(op, out, rng):
     replay = run_planned(plan(p, None, params), inputs, params)
     for k in ad.grads:
         assert np.array_equal(replay.grads[k], ad.grads[k]), k
+
+
+# ---------------------------------------------------------------------------
+# tasklet adjoints at state level and inside maps
+
+
+_PI = ("P", ("i",))
+# case -> (scope of the tasklet, its body, reads, writes)
+_EMITTER_CASES = {
+    # P[i] = sin(P[i]): the adjoint overwrites P's gradient in place
+    "map_self_overwrite": ("map", {"o": "(sin a)"}, {"a": _PI}, {"o": _PI}),
+    # P[i] = a*b with a and b both P[i]: their partials merge into one overwrite
+    "map_merge": ("map", {"o": "(mul a b)"}, {"a": _PI, "b": _PI}, {"o": _PI}),
+    "tasklet_merge": ("loop", {"o": "(mul a b)"}, {"a": _PI, "b": _PI}, {"o": _PI}),
+    # B[i] = c*P[i] over a B that was consumed: B's gradient is cleared
+    "map_clear": ("map", {"o": "(mul k a)"}, {"k": ("c", ()), "a": _PI}, {"o": ("B", ("i",))}),
+    # two outputs, one of them overwriting the input: rejected
+    "map_two_outputs": ("map", {"o": "(sin a)", "q": "(cos a)"}, {"a": _PI},
+                        {"o": _PI, "q": ("Q", ("i",))}),
+    "tasklet_two_outputs": ("loop", {"o": "(sin a)", "q": "(cos a)"}, {"a": _PI},
+                            {"o": _PI, "q": ("Q", ("i",))}),
+}
+
+
+def _emitter_program(case):
+    """P = 0.5 X, B = sin X, O = sum B; then the case's tasklet, in a map or
+    in a loop over i; then O += sum of every array it wrote."""
+    scope, body, ins, outs = _EMITTER_CASES[case]
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.scalar("c", role="input", kind="real64")
+    for name in ("P", "Q", "B"):
+        b.array(name, ("n",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("pre") as s:
+        s.library("ew_unary", {"x": "X"}, {"y": "P"}, op="scale", const=0.5)
+        s.library("ew_unary", {"x": "X"}, {"y": "B"}, op="sin")
+        s.library("reduce_sum", {"x": "B"}, {"y": "O"})
+    if scope == "map":
+        with b.state("op") as s:
+            s.map_node(("i",), (("0", "n", "1"),),
+                       lambda inner: inner.tasklet(ins=ins, outs=outs, body=body))
+    else:
+        with b.loop("i", "0", "n", label="elems"):
+            with b.state("op") as s:
+                s.tasklet(ins=ins, outs=outs, body=body)
+    with b.state("red") as s:
+        for data in sorted({data for data, _ in outs.values()}):
+            s.library("reduce_sum", {"x": data}, {"y": "O"}, wcr="sum")
+    return b.finish("O", ["X", "c"])
+
+
+@pytest.mark.parametrize("case", sorted(_EMITTER_CASES))
+def test_tasklet_adjoint_emitter_paths(case, rng):
+    p = _emitter_program(case)
+    params = {"n": 5}
+    inputs = sample_inputs(p, params, rng)
+    if case.endswith("two_outputs"):
+        with pytest.raises(UnsupportedConstruct, match="multiple outputs"):
+            gradient(p, inputs, params)
+        return
+    ad = gradient(p, inputs, params)
+    fd = finite_difference_gradient(p, inputs, params)
+    report = compare_gradients(ad.grads, fd, tolerance=1e-5)
+    assert report["ok"], report
+    replay = run_planned(plan(p, None, params), inputs, params)
+    for k in ad.grads:
+        assert np.array_equal(replay.grads[k], ad.grads[k]), k
+
+
+# ---------------------------------------------------------------------------
+# loop headers that read scalars
+
+
+def _scalar_header_program(written):
+    """acc = acc*sin(A[i]) + A[i] for i < m, with m a scalar input or a
+    scalar the program writes before the loop."""
+    b = ProgramBuilder(())
+    b.array("A", ("16",), role="input", kind="real64")
+    b.scalar("m", role="intermediate" if written else "input", kind="real64")
+    b.scalar("acc", role="output", kind="real64")
+    with b.state("init") as s:
+        s.tasklet(ins={}, outs={"o": ("acc", ())}, body={"o": "0"})
+        if written:
+            s.tasklet(ins={}, outs={"o": ("m", ())}, body={"o": "3"})
+    with b.loop("i", "0", "m", label="lp"):
+        with b.state("push") as s:
+            s.tasklet(ins={"t": ("acc", ()), "a": ("A", ("i",))},
+                      outs={"o": ("acc", ())},
+                      body={"o": "(add (mul t (sin a)) a)"})
+    return b.finish("acc", ["A"])
+
+
+def test_loop_header_reading_a_scalar_input(rng):
+    p = _scalar_header_program(written=False)
+    inputs = {"A": rng.uniform(0.4, 1.6, 16), "m": np.float64(4.0)}
+    assert "m" in build_backward(p).backward.descriptors
+    ad = gradient(p, inputs, {})
+    assert np.count_nonzero(ad.grads["A"]) == 4
+    fd = finite_difference_gradient(p, inputs, {})
+    report = compare_gradients(ad.grads, fd, tolerance=1e-5)
+    assert report["ok"], report
+    replay = run_planned(plan(p, None, {}), inputs, {})
+    assert np.array_equal(replay.grads["A"], ad.grads["A"])
+
+
+def test_loop_header_reading_a_written_scalar_is_unsupported(rng):
+    p = _scalar_header_program(written=True)
+    inputs = {"A": rng.uniform(0.4, 1.6, 16)}
+    assert run_forward(p, inputs, {}).value > 0
+    for call in (lambda: gradient(p, inputs, {}), lambda: plan(p, None, {})):
+        with pytest.raises(UnsupportedLoop, match="header reads 'm', which the program writes"):
+            call()
 
 
 # ---------------------------------------------------------------------------

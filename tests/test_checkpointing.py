@@ -12,6 +12,7 @@ import pytest
 
 import gradflow.examples as examples
 from gradflow import (
+    ProgramBuilder,
     apply_plan,
     brute_force_plan,
     build_backward,
@@ -21,6 +22,7 @@ from gradflow import (
     gradient,
     plan,
     run_planned,
+    sample_inputs,
     simulate_memory,
     solve_ilp,
 )
@@ -290,3 +292,41 @@ def test_simulated_peak_equals_model_on_every_config():
         fwd, bwd = apply_plan(p, bundle, fvs, v)
         timeline = simulate_memory(fwd, bwd, {"N": 64})
         assert timeline.peak == seq.peak(v)
+
+
+# ---------------------------------------------------------------------------
+# in-place library nodes on inputs
+
+
+def _inplace_input_program(op):
+    """``X = sin(X)`` or ``X = mul(X, Y)`` on an input, then ``O = sum(X)``:
+    the adjoint needs the input's value from before the overwrite."""
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("op") as s:
+        if op == "sin":
+            s.library("ew_unary", {"x": "X"}, {"y": "X"}, op="sin")
+        else:
+            b.array("Y", ("n",), role="input", kind="real64")
+            s.library("ew_binary", {"a": "X", "b": "Y"}, {"c": "X"}, op="mul")
+    with b.state("red") as s:
+        s.library("reduce_sum", {"x": "X"}, {"y": "O"})
+    return b.finish("O", ["X", "Y"] if op == "mul" else ["X"])
+
+
+@pytest.mark.parametrize("op,peak", [("sin", 96), ("mul", 144)])
+def test_plan_keeps_an_input_overwritten_in_place(op, peak, rng):
+    p = _inplace_input_program(op)
+    params = {"n": 6}
+    inputs = sample_inputs(p, params, rng)
+    for limit in (None, peak / MIB):  # the value is forced, so the budget changes nothing
+        result = plan(p, limit, params)
+        (fv,) = result.fvs
+        assert fv.forced and fv.forced_reason.startswith("input 'X' is overwritten")
+        assert result.solution.t_star == peak
+        assert simulate_memory(result.forward, result.backward, params).peak == peak
+        replay = run_planned(result, inputs, params)
+        plain = gradient(p, inputs, params)
+        for k in plain.grads:
+            assert np.array_equal(replay.grads[k], plain.grads[k]), k

@@ -174,6 +174,7 @@ def test_mem_report_within_limit(foo_path, capsys):
                    "--params", "N=3620") == 0
     out = capsys.readouterr().out
     assert "peak 499.89 MiB <= limit 500.00 MiB" in out
+    assert "(524176000 B <= 524288000 B)" in out  # 10 S of the chain at N=3620
 
 
 def test_mem_report_json(foo_path, capsys):
@@ -229,6 +230,19 @@ def test_mem_report_json_peak_is_not_the_first_path(tmp_path, capsys):
     peaks = [p["peak_bytes"] for p in doc["paths"]]
     assert len(peaks) == 2 and peaks[0] < peaks[1]
     assert doc["peak_bytes"] == max(peaks) == doc["model_peak_bytes"]
+
+
+def test_mem_report_text_prints_exact_bytes(tmp_path, capsys):
+    # both paths peak at 128 B, which rounds to 0.00 MiB
+    path = tmp_path / "branchy.json"
+    path.write_text(serialize_program(examples.build("branchy_scale")))
+    assert run_cli("mem-report", path, "--params", "n=8") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "path [pick=True]: peak 0.00 MiB (128 B)",
+        "path [pick=False]: peak 0.00 MiB (128 B)",
+        "peak 0.00 MiB (128 B, no limit)",
+    ]
 
 
 def test_mem_report_infeasible(foo_path, capsys):

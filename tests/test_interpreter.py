@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,9 @@ from gradflow import (
     count_flops,
     gradient,
     parse_program,
+    plan,
     program_to_dict,
+    reverse_loop_header,
     run_forward,
 )
 from gradflow.errors import (
@@ -252,3 +255,77 @@ def test_count_flops_per_branch_path():
     assert set(got) == {(("pick", True),), (("pick", False),)}
     # each arm: 4 elementwise + dead scale 4 + reduce 4
     assert all(v == 12 for v in got.values())
+
+
+# ---------------------------------------------------------------------------
+# loop headers: one simulation for the executor, the cost model and the planner
+
+
+def _loop_program(init, bound, update="(add i 1)", inverse=None):
+    """acc = acc*10 + A[i] over the loop, so the visit order reads off acc."""
+    b = ProgramBuilder(("n",))
+    b.array("A", ("16",), role="input", kind="real64")
+    b.scalar("acc", role="output", kind="real64")
+    with b.state("init") as s:
+        s.tasklet(ins={}, outs={"o": ("acc", ())}, body={"o": "0"})
+    with b.loop("i", init, bound, update=update, inverse=inverse, label="lp"):
+        with b.state("push") as s:
+            s.tasklet(ins={"t": ("acc", ()), "a": ("A", ("i",))},
+                      outs={"o": ("acc", ())},
+                      body={"o": "(add (mul t 10) a)"})
+    return b.finish("acc", ["A"])
+
+
+def test_non_integer_loop_bound_is_rejected_everywhere():
+    p = _loop_program("0", "(div n 2)")
+    a = np.arange(16, dtype=np.float64)
+    assert run_forward(p, {"A": a}, {"n": 6}).value == 12  # visits 0, 1, 2
+    match = "bound of 'lp' evaluated to non-integer 2.5"
+    with pytest.raises(DomainError, match=match):
+        gradient(p, {"A": a}, {"n": 5})
+    with pytest.raises(DomainError, match=match):
+        count_flops(p, {"n": 5})
+    with pytest.raises(DomainError, match=match):
+        plan(p, None, {"n": 5})
+
+
+def test_non_integer_map_range_is_rejected_by_the_cost_model():
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.array("Y", ("n",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+
+    def body(inner):
+        inner.tasklet(ins={"x": ("X", ("i",))}, outs={"y": ("Y", ("i",))},
+                      body={"y": "(sin x)"})
+
+    with b.state("s") as s:
+        s.map_node(("i",), (("0", "(div n 2)", "1"),), body)
+        s.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+    p = b.finish("O", ["X"])
+    assert count_flops(p, {"n": 6}) == {(): 3 + 6}
+    x = np.ones(5)
+    for run in (lambda: run_forward(p, {"X": x}, {"n": 5}),
+                lambda: count_flops(p, {"n": 5})):
+        with pytest.raises(DomainError, match="map 'm.*' stop evaluated to non-integer 2.5"):
+            run()
+
+
+def test_diverging_declared_inverse_is_a_domain_error():
+    # forward visits 1, 2, 4, 8; (idiv 8 3) = 2 does not step back to 4
+    p = _loop_program("1", "16", update="(mul i 2)", inverse="(idiv i 3)")
+    a = np.arange(16, dtype=np.float64)
+    assert run_forward(p, {"A": a}, {}).value == 1248
+    with pytest.raises(DomainError, match="'lp__bwd' diverges: expected 4, got 2"):
+        gradient(p, {"A": a}, {})
+
+
+def test_zero_trip_inverse_loop_runs_nothing():
+    p = _loop_program("16", "16", update="(mul i 2)", inverse="(idiv i 2)")
+    rev = reverse_loop_header(p.region[1])
+    rev.body = p.region[1].body
+    backward_only = dataclasses.replace(p, region=[p.region[0], rev])
+    a = np.arange(16, dtype=np.float64)
+    res = run_forward(backward_only, {"A": a}, {})
+    assert res.value == 0 and res.op_count == 0
+    assert gradient(p, {"A": a}, {}).grads["A"].tolist() == [0.0] * 16
