@@ -37,7 +37,6 @@ from .errors import (
     GradflowError,
     Infeasible,
     IrrecomputableValue,
-    MissingInverse,
     MissingTapeValue,
     NegativeResident,
     NoFixpoint,

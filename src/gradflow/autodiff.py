@@ -11,9 +11,10 @@ The pipeline:
    which is emitted as peeled one-trip loops.
 
 2. ``build_backward`` emits the adjoint program: control flow mirrored in
-   reverse, loops reversed in closed form when the update is affine
-   (otherwise by declared inverse, otherwise by replaying recorded
-   iterates), conditionals replaying recorded outcomes. Each kept node
+   reverse, each loop reversed by one rule (the reversed loop keeps the
+   forward header, which the executor re-simulates and walks backwards;
+   peels are such loops restricted to single iterates), conditionals
+   replaying recorded outcomes. Each kept node
    becomes an adjoint node writing gradient contributions with ``sum``
    conflict resolution. A write that killed a previous value clears the
    gradient buffer after consuming it; when an operand aliases the output
@@ -52,7 +53,6 @@ from .ir import (
     Program,
     State,
     Tasklet,
-    affine_stride,
     copy_program,
     data_read,
     data_written,
@@ -337,47 +337,9 @@ def restrict_to_ccs(program: Program, ccs: CCS | None = None) -> Program:
 # loop reversal
 
 
-def _last_iterate_expr(loop: LoopRegion, stride: Expr) -> Expr:
-    L, U, s = loop.init, loop.bound, stride
-    if loop.cmp == "<":
-        span = Binary("sub", Binary("sub", U, Const(1)), L)
-    else:
-        span = Binary("sub", Binary("add", U, Const(1)), L)
-    return simplify(Binary("add", L, Binary("mul", s, Binary("idiv", span, s))))
-
-
 def reverse_loop_header(loop: LoopRegion) -> LoopRegion:
-    """Header visiting the forward iterates in reverse. Affine updates get a
-    closed form; a declared inverse yields a re-simulating header; anything
-    else replays the recorded iterate sequence."""
-    stride = affine_stride(loop)
-    if stride is not None:
-        last = _last_iterate_expr(loop, stride)
-        if loop.cmp == "<":
-            cmp, bound = ">", simplify(Binary("sub", loop.init, Const(1)))
-        else:
-            cmp, bound = "<", simplify(Binary("add", loop.init, Const(1)))
-        return LoopRegion(
-            label=loop.label + "__bwd",
-            iterator=loop.iterator,
-            init=last,
-            bound=bound,
-            cmp=cmp,
-            update=simplify(Binary("sub", Name(loop.iterator), stride)),
-            reverse_of=loop.label,
-        )
-    if loop.inverse is not None:
-        return LoopRegion(
-            label=loop.label + "__bwd",
-            iterator=loop.iterator,
-            init=loop.init,
-            bound=loop.bound,
-            cmp=loop.cmp,
-            update=loop.update,
-            inverse=loop.inverse,
-            reversed_simulate=True,
-            reverse_of=loop.label,
-        )
+    """The reversal of ``loop``: its forward header under ``reverse_of``,
+    which the executor re-simulates and walks from the last iterate back."""
     return LoopRegion(
         label=loop.label + "__bwd",
         iterator=loop.iterator,
@@ -385,48 +347,14 @@ def reverse_loop_header(loop: LoopRegion) -> LoopRegion:
         bound=loop.bound,
         cmp=loop.cmp,
         update=loop.update,
-        replay_of=loop.label,
         reverse_of=loop.label,
     )
-
-
-def _peel_header(loop: LoopRegion, stride: Expr, p: int) -> LoopRegion:
-    """One-trip region for the p-th reversed iteration (0 = last forward),
-    degenerating to zero trips when the loop ran fewer than p+1 times."""
-    last = _last_iterate_expr(loop, stride)
-    init = simplify(Binary("sub", last, Binary("mul", Const(p), stride)))
-    step_back = simplify(Binary("sub", init, stride))
-    if loop.cmp == "<":
-        floor = simplify(Binary("sub", loop.init, Const(1)))
-        bound = simplify(Binary("max", floor, step_back))
-        cmp = ">"
-    else:
-        ceil = simplify(Binary("add", loop.init, Const(1)))
-        bound = simplify(Binary("min", ceil, step_back))
-        cmp = "<"
-    return LoopRegion(
-        label=f"{loop.label}__peel{p}",
-        iterator=loop.iterator,
-        init=init,
-        bound=bound,
-        cmp=cmp,
-        update=simplify(Binary("sub", Name(loop.iterator), stride)),
-        reverse_of=loop.label,
-    )
-
-
-def _main_reversed_header(loop: LoopRegion, stride: Expr, k: int) -> LoopRegion:
-    rev = reverse_loop_header(loop)
-    if k:
-        rev.init = simplify(Binary("sub", rev.init, Binary("mul", Const(k), stride)))
-        rev.label = f"{loop.label}__bwd"
-    return rev
 
 
 def _suffix_labels(region: list[Block], suffix: str):
     """Rename every block label in a region copy; reversal back-references
-    (``reverse_of``, ``replay_of``, ``trace_ref``) keep pointing at the
-    forward program and are left alone."""
+    (``reverse_of``, ``trace_ref``) keep pointing at the forward program and
+    are left alone."""
     for b in region:
         b.label = b.label + suffix
         if isinstance(b, LoopRegion):
@@ -447,8 +375,6 @@ class BackwardBundle:
     required: frozenset[tuple[str, int]]
     vinfo: VersionInfo
     ccs: CCS
-    # forward read sites per forwarded name: ((state label, access id), ...)
-    read_sites: dict[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
 
 
 class _Assembler:
@@ -491,7 +417,6 @@ class _BackwardBuilder:
         self.gradset = set(ccs.active) | {program.dependent}
         self.entries: dict[tuple, ForwardingEntry] = {}
         self.entry_data: dict[str, str] = {}  # stored name -> forward array
-        self.read_sites: dict[str, list[tuple[str, str]]] = {}
         self.used_inputs: set[str] = set()
         self.used_grads: set[str] = {program.dependent}
         self._n = 0
@@ -525,9 +450,6 @@ class _BackwardBuilder:
             entry = ForwardingEntry(stored_name(data, versions), data, rs.candidates)
             self.entries[key] = entry
             self.entry_data[entry.name] = data
-        sites = self.read_sites.setdefault(entry.name, [])
-        if (state_label, access_id) not in sites:
-            sites.append((state_label, access_id))
         return entry.name
 
     def grad_of(self, data: str) -> str:
@@ -575,18 +497,19 @@ class _BackwardBuilder:
         if not passes or not any(passes):
             return []
         out = self._rev_loop_blocks(loop, passes)
-        # a reversed header reads an input as is; a scalar the program
-        # writes no longer holds the value the forward header saw
-        for rev in out:
-            header = (rev.init, rev.bound, rev.update, rev.inverse)
-            names = set().union(*(free_names(e) for e in header if e is not None))
-            for name in sorted(names & set(self.p.descriptors)):
-                if name not in self.pristine:
-                    raise UnsupportedLoop(
-                        f"loop '{loop.label}': its header reads '{name}', which the "
-                        "program writes, so the reversed header cannot recover it"
-                    )
-                self.used_inputs.add(name)
+        if not out:
+            return out
+        # the reversed loop re-simulates the forward header, reading inputs
+        # as they are; a scalar the program writes no longer holds the value
+        # the forward header saw
+        header = free_names(loop.init) | free_names(loop.bound) | free_names(loop.update)
+        for name in sorted(header & set(self.p.descriptors)):
+            if name not in self.pristine:
+                raise UnsupportedLoop(
+                    f"loop '{loop.label}': its header reads '{name}', which the "
+                    "program writes, so the reversed header cannot recover it"
+                )
+            self.used_inputs.add(name)
         return out
 
     def _rev_loop_blocks(self, loop: LoopRegion, passes: list[frozenset[NodeRef]]) -> list[Block]:
@@ -599,11 +522,6 @@ class _BackwardBuilder:
             rev = reverse_loop_header(loop)
             rev.body = body
             return [rev]
-        stride = affine_stride(loop)
-        if stride is None:
-            raise UnsupportedLoop(
-                f"loop '{loop.label}' needs peeled reversal, which requires an affine update"
-            )
         if any(not isinstance(b, State) for b in loop.body):
             raise UnsupportedLoop(
                 f"loop '{loop.label}' needs peeled reversal, which requires a flat body"
@@ -612,15 +530,17 @@ class _BackwardBuilder:
         for p in range(k):
             body = self.rev_region(loop.body, passes[p])
             if body:
-                peel = _peel_header(loop, stride, p)
+                # the p-th reversed iterate alone
+                peel = reverse_loop_header(loop)
+                peel.label, peel.skip, peel.take = f"{loop.label}__peel{p}", p, 1
                 # nested labels must stay unique across the peeled copies
                 _suffix_labels(body, f"__p{p}")
                 peel.body = body
                 out.append(peel)
         body = self.rev_region(loop.body, steady)
         if body:
-            main = _main_reversed_header(loop, stride, k)
-            main.body = body
+            main = reverse_loop_header(loop)
+            main.skip, main.body = k, body
             out.append(main)
         return out
 
@@ -1005,7 +925,6 @@ def build_backward(program: Program, vinfo: VersionInfo | None = None) -> Backwa
         required=frozenset(required),
         vinfo=vinfo,
         ccs=ccs,
-        read_sites={k: tuple(v) for k, v in builder.read_sites.items()},
     )
 
 

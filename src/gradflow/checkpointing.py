@@ -13,8 +13,9 @@ transient is resident from its first write to the end of the forward pass; a
 gradient from its first touch to its last use. A kept value adds its bytes
 from production to its last backward use; a recomputed one adds its scratch
 peak plus its bytes at first backward use and drops the scratch right after.
-Loop bodies count once (steady state); values snapshotted per iteration
-count once per trip.
+Loop bodies count once (steady state). A value the tape holds (snapshots
+across loop iterations, or an input's value before it is overwritten in
+place) counts all its snapshots from the start of the forward pass.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .errors import (
     GradflowError,
     Infeasible,
     IrrecomputableValue,
-    UnboundName,
-    UnresolvableTripCount,
 )
 from .interpreter import count_flops, default_trip_limit, run_backward, run_forward
 from .ir import (
@@ -49,6 +48,7 @@ from .ir import (
     Program,
     State,
     Tasklet,
+    body_runs,
     branch_labels,
     copy_program,
     pristine_inputs,
@@ -153,8 +153,6 @@ class RecomputePlan:
     """A self-contained block that rebuilds one value from pristine inputs."""
 
     state: State
-    reads: tuple[str, ...]  # pristine inputs consumed
-    transients: tuple[str, ...]  # renamed scratch arrays
     descriptors: dict[str, DataDescriptor]
     flops: int
     peak_bytes: int  # scratch high-water mark, produced value excluded
@@ -396,7 +394,6 @@ def _recompute_plan(
     graph = Dataflow()
     acc_ids: dict[str, str] = {}
     descs: dict[str, DataDescriptor] = {}
-    reads: set[str] = set()
 
     def access_of(name: str) -> str:
         nid = acc_ids.get(name)
@@ -418,7 +415,6 @@ def _recompute_plan(
             name = rename.get(e.data, e.data)
             graph.edges.append(Memlet(access_of(name), None, clone.id, e.dst_conn, name, e.subset, e.wcr))
             if e.data in pristine:
-                reads.add(e.data)
                 descs.setdefault(e.data, program.descriptors[e.data])
         graph.nodes.append(clone)
         for e in src_graph.out_edges(nid):
@@ -440,8 +436,7 @@ def _recompute_plan(
     )
     flops = sum(count_flops(cost_prog, params).values())
     peak = _block_peak(st, descs, params, exclude=stored_name)
-    transients = tuple(n for n, d in descs.items() if d.role == "intermediate")
-    return RecomputePlan(st, tuple(sorted(reads)), transients, descs, flops, peak)
+    return RecomputePlan(st, descs, flops, peak)
 
 
 def _block_peak(state: State, descs: dict[str, DataDescriptor], params: dict[str, int], exclude: str) -> int:
@@ -509,23 +504,15 @@ class _SeqBuilder:
         self.fvs = fvs
         self.params = params
         self.limit = limit
-        # store events fire right after the node that completes the value
+        # store events fire right after the node that completes the value;
+        # tape-held snapshots are charged in full when the path starts
         self.store_sites: dict[tuple[str, str], list[ForwardedValue]] = {}
-        self.input_snaps: list[ForwardedValue] = []
-        states = {bl.label: bl for _, bl in walk_blocks(program.region) if isinstance(bl, State)}
-        vinfo = bundle.vinfo
+        self.tape_held: list[ForwardedValue] = []
         for fv in fvs:
             if fv.site is not None:
                 self.store_sites.setdefault(fv.site, []).append(fv)
-                continue
-            for v in fv.versions:
-                site = vinfo.write_site.get((fv.data, v))
-                if site is None:
-                    self.input_snaps.append(fv)
-                else:
-                    slabel, acc = site
-                    prod = _producer(states[slabel], acc)
-                    self.store_sites.setdefault((slabel, prod), []).append(fv)
+            else:
+                self.tape_held.append(fv)
 
     def path(self, outcome: dict[str, bool]) -> PathSequence:
         events: list[MemoryEvent] = []
@@ -541,11 +528,11 @@ class _SeqBuilder:
         # --- forward
         allocated: list[tuple[str, int]] = []
         seen: set[str] = set()
-        for fv in self.input_snaps:
-            d = AffineBytes(store=((fv.index, fv.size_bytes),))
+        for fv in self.tape_held:
+            d = AffineBytes(store=((fv.index, fv.total_bytes),))
             self._balance[fv.index] = self._balance.get(fv.index, ZERO).add(d)
             emit(f"snapshot {fv.data}", d)
-        self._walk_fw(self.program.region, outcome, 1, emit, allocated, seen)
+        self._walk_fw(self.program.region, outcome, emit, allocated, seen)
         for name, size in reversed(allocated):
             emit(f"free {name}", AffineBytes(const=-size))
 
@@ -607,32 +594,18 @@ class _SeqBuilder:
 
     # forward side
 
-    def _walk_fw(self, region, outcome, mult, emit, allocated, seen):
+    def _walk_fw(self, region, outcome, emit, allocated, seen):
         for block in region:
             if isinstance(block, State):
-                self._fw_state(block, mult, emit, allocated, seen)
+                self._fw_state(block, emit, allocated, seen)
             elif isinstance(block, LoopRegion):
-                try:
-                    trips = len(simulate_header(block, self.params, self.limit))
-                except UnboundName:
-                    # iterator-dependent inner bounds: trips only matter when
-                    # a snapshot multiplies by them
-                    if self._has_store_site(block):
-                        raise UnresolvableTripCount(
-                            f"cannot size snapshots under loop '{block.label}'"
-                        ) from None
-                    trips = 1
-                if trips:
-                    self._walk_fw(block.body, outcome, mult * trips, emit, allocated, seen)
+                if body_runs(block, self.params, self.limit):
+                    self._walk_fw(block.body, outcome, emit, allocated, seen)
             else:
                 arm = block.then_body if outcome[block.label] else block.else_body
-                self._walk_fw(arm, outcome, mult, emit, allocated, seen)
+                self._walk_fw(arm, outcome, emit, allocated, seen)
 
-    def _has_store_site(self, loop: LoopRegion) -> bool:
-        labels = {getattr(b, "label", None) for _, b in walk_blocks(loop.body)}
-        return any(s in labels for s, _ in self.store_sites)
-
-    def _fw_state(self, state: State, mult, emit, allocated, seen):
+    def _fw_state(self, state: State, emit, allocated, seen):
         graph = state.graph
         byid = {n.id: n for n in graph.nodes}
         for nid in schedule(graph):
@@ -648,7 +621,7 @@ class _SeqBuilder:
                     allocated.append((e.data, size))
                     emit(f"alloc {e.data}", AffineBytes(const=size))
             for fv in self.store_sites.get((state.label, nid), ()):
-                delta = AffineBytes(store=((fv.index, fv.size_bytes * mult),))
+                delta = AffineBytes(store=((fv.index, fv.size_bytes),))
                 self._balance[fv.index] = self._balance.get(fv.index, ZERO).add(delta)
                 emit(f"keep {fv.name}", delta)
 

@@ -22,7 +22,6 @@ from .errors import (
     DomainError,
     GradflowError,
     Infeasible,
-    MissingInverse,
     MissingTapeValue,
     NegativeResident,
     NoFixpoint,
@@ -70,7 +69,6 @@ _VALIDATION_ERRORS = (
 _UNSUPPORTED_ERRORS = (
     UnsupportedLoop,
     UnsupportedConstruct,
-    MissingInverse,
     NoFixpoint,
     PathExplosion,
     UnresolvableTripCount,

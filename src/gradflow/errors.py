@@ -96,10 +96,6 @@ class NoFixpoint(GradflowError):
     """Loop tracking analysis failed to stabilize within its bound."""
 
 
-class MissingInverse(GradflowError):
-    """A non-affine loop reversal required a declared inverse update."""
-
-
 class IrrecomputableValue(GradflowError):
     """A forwarded value cannot be rebuilt from program inputs (forced store)."""
 

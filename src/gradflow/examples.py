@@ -201,15 +201,15 @@ def strided_copy() -> Program:
 
 
 def doubling_gather() -> Program:
-    """Non-affine loop i *= 2 with a declared inverse: running product of
-    gathered elements. Forward iterates [1,2,4,8]; the reverse pass steps
-    back through [8,4,2,1] using the inverse."""
+    """Non-affine loop i *= 2: running product of gathered elements.
+    Forward iterates [1,2,4,8]; the reverse pass re-simulates the header and
+    steps back through [8,4,2,1]."""
     b = ProgramBuilder()
     b.array("A", ("16",), role="input", kind="real64")
     b.scalar("T", role="output", kind="real64")
     with b.state("init") as s:
         s.tasklet(ins={}, outs={"o": ("T", ())}, body={"o": "1"})
-    with b.loop("i", "1", "16", update="(mul i 2)", inverse="(idiv i 2)", label="dbl"):
+    with b.loop("i", "1", "16", update="(mul i 2)", label="dbl"):
         with b.state("gather") as s:
             s.tasklet(
                 ins={"t": ("T", ()), "a": ("A", ("i",))},

@@ -39,7 +39,7 @@ FORMAT_VERSION = 1
 _PROGRAM_KEYS = {"format_version", "parameters", "descriptors", "dependent", "independents", "region"}
 _DESC_KEYS = {"name", "element_kind", "shape", "role"}
 _STATE_KEYS = {"kind", "label", "nodes", "edges"}
-_LOOP_KEYS = {"kind", "label", "iterator", "init", "bound", "cmp", "update", "body", "inverse", "reversal", "reverse_of"}
+_LOOP_KEYS = {"kind", "label", "iterator", "init", "bound", "cmp", "update", "body", "reverse_of", "skip", "take"}
 _BRANCH_KEYS = {"kind", "label", "condition", "then", "else", "trace_ref"}
 _EDGE_KEYS = {"src", "src_conn", "dst", "dst_conn", "data", "subset", "wcr"}
 _NODE_KEYS = {
@@ -244,18 +244,6 @@ def _parse_loop(rb: dict, p: list) -> LoopRegion:
     cmp = _get(rb, "cmp", p, str)
     if cmp not in ("<", ">"):
         _fail(p + ["cmp"], f"comparison must be '<' or '>', got '{cmp}'")
-    inverse_raw = _get(rb, "inverse", p, str, optional=True)
-    reversal = rb.get("reversal")
-    reversed_simulate = False
-    replay_of = None
-    if reversal is None:
-        pass
-    elif reversal == "simulate":
-        reversed_simulate = True
-    elif isinstance(reversal, dict) and set(reversal) == {"replay_of"} and isinstance(reversal["replay_of"], str):
-        replay_of = reversal["replay_of"]
-    else:
-        _fail(p + ["reversal"], "expected null, \"simulate\" or {\"replay_of\": label}")
     return LoopRegion(
         label=_get(rb, "label", p, str),
         iterator=_get(rb, "iterator", p, str),
@@ -264,10 +252,9 @@ def _parse_loop(rb: dict, p: list) -> LoopRegion:
         cmp=cmp,
         update=_expr(_get(rb, "update", p, str), p + ["update"]),
         body=_parse_region(_get(rb, "body", p, list), p + ["body"]),
-        inverse=None if inverse_raw is None else _expr(inverse_raw, p + ["inverse"]),
-        reversed_simulate=reversed_simulate,
-        replay_of=replay_of,
         reverse_of=_get(rb, "reverse_of", p, str, optional=True),
+        skip=_get(rb, "skip", p, int, optional=True, default=0),
+        take=_get(rb, "take", p, int, optional=True),
     )
 
 
@@ -314,12 +301,6 @@ def _block_to_dict(block: Block) -> dict:
             "edges": [_edge_to_dict(e) for e in block.graph.edges],
         }
     if isinstance(block, LoopRegion):
-        if block.reversed_simulate:
-            reversal = "simulate"
-        elif block.replay_of is not None:
-            reversal = {"replay_of": block.replay_of}
-        else:
-            reversal = None
         out = {
             "kind": "loop",
             "label": block.label,
@@ -329,9 +310,9 @@ def _block_to_dict(block: Block) -> dict:
             "cmp": block.cmp,
             "update": to_sexpr(block.update),
             "body": [_block_to_dict(b) for b in block.body],
-            "inverse": None if block.inverse is None else to_sexpr(block.inverse),
-            "reversal": reversal,
             "reverse_of": block.reverse_of,
+            "skip": block.skip or None,
+            "take": block.take,
         }
     else:
         out = {
@@ -442,17 +423,14 @@ class ProgramBuilder:
         return _StateCtx(self, label or self.fresh("s"))
 
     def loop(self, iterator: str, init, bound, cmp: str = "<", update=None,
-             label: str | None = None, inverse=None) -> "_LoopCtx":
+             label: str | None = None) -> "_LoopCtx":
         def ex(v):
             return parse_sexpr(v) if isinstance(v, str) else v
 
         update = update if update is not None else f"(add {iterator} 1)"
         return _LoopCtx(
             self,
-            LoopRegion(
-                label or self.fresh("l"), iterator, ex(init), ex(bound), cmp,
-                ex(update), [], None if inverse is None else ex(inverse),
-            ),
+            LoopRegion(label or self.fresh("l"), iterator, ex(init), ex(bound), cmp, ex(update)),
         )
 
     def branch(self, condition, label: str | None = None) -> "_BranchCtx":

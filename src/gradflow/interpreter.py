@@ -15,10 +15,11 @@ is also what accumulation via ``sum`` conflict resolution assumes.
 A ``Tape`` records what a later reverse pass may need: array snapshots keyed
 by ``(name, static version, loop coordinates)``, branch outcomes per label in
 execution order, and per-loop iterate sequences. Reverse-mode programs
-consume the tape through three mechanisms: forwarded value reads (resolved
-against snapshot candidates), ``trace_ref`` conditionals (replay recorded
-outcomes backwards), and ``replay_of`` loops (walk a recorded iterate
-sequence in reverse).
+consume the tape through two mechanisms: forwarded value reads (resolved
+against snapshot candidates; a ``last`` candidate outside its loop reads the
+recorded iterates) and ``trace_ref`` conditionals (replay recorded outcomes
+backwards). A reversed loop needs no tape: it re-simulates its forward
+header and walks the iterates backwards.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 from .errors import (
     BatchDivergence,
     DomainError,
-    MissingInverse,
     MissingTapeValue,
     OutOfBounds,
     ShapeMismatch,
@@ -54,6 +54,7 @@ from .ir import (
     schedule,
     simulate_header,
     uniform_int,
+    visit_positions,
 )
 from .symexpr import compile_expr, count_ops, eval_expr, free_names
 from .versions import CUR, LAST, PREV, VersionInfo, analyze_versions
@@ -226,54 +227,27 @@ class Executor:
                 self._exec_branch(block)
 
     def _exec_loop(self, loop: LoopRegion):
-        if loop.replay_of is not None:
-            if self.src_tape is None:
-                raise MissingInverse(
-                    f"loop '{loop.replay_of}' has a non-affine header and no "
-                    "declared inverse; reversing it requires recorded iterates"
-                )
-            key = tuple(c.current for c in self.ctx_stack)
-            recs = self.src_tape.iterate_records.get(loop.replay_of, {})
-            if key not in recs:
-                raise MissingTapeValue(
-                    f"no recorded iterates for loop '{loop.replay_of}' at {key}"
-                )
-            self._run_iterates(loop, recs[key], loop.replay_of, reverse=True)
-            return
         iterates = simulate_header(loop, self._header_bindings(loop), self.trip_limit)
-        if loop.reversed_simulate:
-            # the header is the forward one: step back through its iterates
-            self._run_iterates(loop, iterates, loop.reverse_of or loop.label, reverse=True)
-        elif loop.reverse_of is not None:
-            self._run_iterates(loop, iterates[::-1], loop.reverse_of, reverse=True)
-        else:
-            if self.tape is not None:
-                key = tuple(c.current for c in self.ctx_stack)
-                self.tape.iterate_records.setdefault(loop.label, {})[key] = list(iterates)
-            self._run_iterates(loop, iterates, loop.label, reverse=False)
+        if self.tape is not None and loop.reverse_of is None:
+            key = tuple(c.current for c in self.ctx_stack)
+            self.tape.iterate_records.setdefault(loop.label, {})[key] = list(iterates)
+        self._run_iterates(loop, iterates)
 
-    def _run_iterates(self, loop: LoopRegion, fwd: list[int], label: str, reverse: bool):
-        """Run the body once per forward iterate, in order or reversed. A
-        declared-inverse loop checks after each body that its inverse steps
-        back to the previous forward iterate."""
+    def _run_iterates(self, loop: LoopRegion, fwd: list[int]):
+        """Run the body at the iterates ``visit_positions`` picks. A reversed
+        loop's context is its forward loop's, so forwarded reads locate
+        the snapshots the forward run took."""
+        label = loop.reverse_of or loop.label
         ctx = _LoopCtx(label, fwd)
         self.ctx[label] = ctx
         self.ctx_stack.append(ctx)
         had = loop.iterator in self.bind
         saved = self.bind.get(loop.iterator)
         try:
-            positions = range(len(fwd) - 1, -1, -1) if reverse else range(len(fwd))
-            for pos in positions:
+            for pos in visit_positions(loop, len(fwd)):
                 ctx.pos = pos
                 self.bind[loop.iterator] = fwd[pos]
                 self._exec_region(loop.body)
-                if loop.reversed_simulate and pos > 0:
-                    i = uniform_int(eval_expr(loop.inverse, self.bind), f"inverse of '{loop.label}'")
-                    if i != fwd[pos - 1]:
-                        raise DomainError(
-                            f"declared inverse of loop '{loop.label}' diverges: "
-                            f"expected {fwd[pos - 1]}, got {i}"
-                        )
         finally:
             self.ctx_stack.pop()
             del self.ctx[label]
@@ -619,6 +593,7 @@ def count_flops(program: Program, params: dict[str, int], trip_limit: int | None
         if isinstance(block, LoopRegion):
             try:
                 iterates = simulate_header(block, params, limit)
+                iterates = [iterates[p] for p in visit_positions(block, len(iterates))]
             except UnboundName as exc:
                 raise UnresolvableTripCount(
                     f"loop '{block.label}' needs runtime values: {exc}"

@@ -13,6 +13,7 @@ Invariants enforced by :func:`validate`:
   between successive access instances of the same array;
 * tasklet bodies reference only declared input connectors;
 * a loop body never writes the loop iterator or any name free in the header;
+* ``skip``/``take`` appear only on reversed loops, with skip >= 0, take >= 1;
 * branch conditions are comparisons over scalars, elements and parameters.
 """
 
@@ -199,15 +200,12 @@ class State:
 class LoopRegion:
     """``for iterator = init; iterator cmp bound; iterator = update``.
 
-    ``inverse`` optionally declares the update's inverse for non-affine
-    reversal. Reversed forms produced by the differentiator:
-
-    * plain header (affine loops reversed in closed form);
-    * ``reversed_simulate=True``: header fields describe the *forward* loop;
-      execution first re-simulates it to find the last iterate and trip
-      count, then runs backward applying ``inverse``;
-    * ``replay_of=<label>``: execution replays the recorded iterate sequence
-      of forward loop ``<label>`` in reverse (no inverse declared).
+    A loop with ``reverse_of`` set is the reversal of the forward loop of
+    that label, made by the differentiator. It keeps the forward header:
+    execution simulates it and runs the body from the last iterate back to
+    the first. A peel, an iteration that needs its own adjoint body, is such
+    a loop that skips the last ``skip`` iterates and runs at most ``take``
+    of the rest (``None``: all of them).
     """
 
     label: str
@@ -217,10 +215,9 @@ class LoopRegion:
     cmp: str  # "<" or ">"
     update: Expr
     body: list["Block"] = field(default_factory=list)
-    inverse: Expr | None = None
-    reversed_simulate: bool = False
-    replay_of: str | None = None
-    reverse_of: str | None = None  # forward loop this one reverses, any mode
+    reverse_of: str | None = None
+    skip: int = 0
+    take: int | None = None
 
 
 @dataclass
@@ -336,19 +333,6 @@ def schedule(df: Dataflow) -> list[str]:
 # loop header analysis
 
 
-def affine_stride(loop: LoopRegion) -> Expr | None:
-    """The additive stride when the update is ``i + s`` / ``i - s`` with
-    ``s`` not depending on the iterator; None for non-affine updates."""
-    u = loop.update
-    if isinstance(u, Binary) and u.op in ("add", "sub") and isinstance(u.x, Name) and u.x.id == loop.iterator:
-        if loop.iterator not in free_names(u.y):
-            return u.y if u.op == "add" else Binary("sub", Const(0), u.y)
-    if isinstance(u, Binary) and u.op == "add" and isinstance(u.y, Name) and u.y.id == loop.iterator:
-        if loop.iterator not in free_names(u.x):
-            return u.x
-    return None
-
-
 def uniform_int(value, what: str) -> int:
     """The integer an index, loop header or map range evaluated to.
 
@@ -386,6 +370,27 @@ def simulate_header(loop: LoopRegion, bindings: dict[str, int], trip_limit: int)
             )
         env[loop.iterator] = i
         i = uniform_int(eval_expr(loop.update, env), f"update of '{loop.label}'")
+
+
+def body_runs(loop: LoopRegion, params: dict[str, int], trip_limit: int) -> bool:
+    """Whether a static walk over the parameters enters the loop's body: not
+    when the header runs zero trips, always when the header depends on an
+    enclosing iterator."""
+    try:
+        return bool(simulate_header(loop, params, trip_limit))
+    except UnboundName:
+        return True
+
+
+def visit_positions(loop: LoopRegion, n: int) -> range:
+    """Positions into the ``n`` simulated iterates of ``loop`` that its body
+    runs at, in order: all of them forward, or for a reversed loop the last
+    one back to the first, less ``skip`` and at most ``take``."""
+    if loop.reverse_of is None:
+        return range(n)
+    top = n - 1 - loop.skip
+    stop = -1 if loop.take is None else max(-1, top - loop.take)
+    return range(top, stop, -1)
 
 
 def trip_count(loop: LoopRegion, bindings: dict[str, int], trip_limit: int = 10**9) -> int:
@@ -474,8 +479,12 @@ def validate(program: Program) -> list[Diagnostic]:
             check_scope(expr, scope | {loop.iterator} if what == "update" else scope, where, f"loop {what}")
         if loop.cmp not in ("<", ">"):
             add(Diagnostic("BadLoop", f"comparison must be '<' or '>', got '{loop.cmp}'", where))
-        if loop.inverse is not None:
-            check_scope(loop.inverse, scope | {loop.iterator}, where, "loop inverse")
+        if loop.reverse_of is None and (loop.skip or loop.take is not None):
+            add(Diagnostic("BadLoop", "skip and take need a reversed loop (reverse_of)", where))
+        if loop.skip < 0:
+            add(Diagnostic("BadLoop", f"skip must be at least 0, got {loop.skip}", where))
+        if loop.take is not None and loop.take < 1:
+            add(Diagnostic("BadLoop", f"take must be at least 1, got {loop.take}", where))
         header_names = free_names(loop.init) | free_names(loop.bound) | free_names(loop.update)
         mutated = writes_in(loop.body) & (header_names | {loop.iterator})
         for m in sorted(mutated):

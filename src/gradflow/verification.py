@@ -21,7 +21,7 @@ from .errors import (
     Infeasible,
     NegativeResident,
 )
-from .interpreter import run_forward
+from .interpreter import default_trip_limit, run_forward
 from .ir import (
     AccessNode,
     Block,
@@ -29,6 +29,7 @@ from .ir import (
     LoopRegion,
     Program,
     State,
+    body_runs,
     schedule,
     size_bytes,
     walk_blocks,
@@ -343,12 +344,15 @@ def _produced_names(program: Program) -> set[str]:
 
 
 def _walk_forward(program, params, trace, emit, allocated, seen, stored_live):
+    limit = default_trip_limit()
+
     def rec(region: list[Block]):
         for block in region:
             if isinstance(block, State):
                 state(block)
             elif isinstance(block, LoopRegion):
-                rec(block.body)
+                if body_runs(block, params, limit):  # a zero-trip loop allocates nothing
+                    rec(block.body)
             else:
                 rec(block.then_body if trace.get(block.label, True) else block.else_body)
 

@@ -125,24 +125,26 @@ def analyze_versions(program: Program) -> VersionInfo:
                 out.append(c)
         return ReachSet(tuple(out), rs.branch_merged)
 
-    def carry_versions(region: list[Block]) -> dict[str, int]:
-        """Per array, the last version assigned anywhere under this region."""
-        out: dict[str, int] = {}
+    def carry_versions(region: list[Block]) -> dict[str, tuple[int, bool]]:
+        """Per array, the last version assigned anywhere under this region,
+        and whether that write lies in a branch arm: then it need not have
+        run in the previous iteration, so the carried value merges arms."""
+        out: dict[str, tuple[int, bool]] = {}
 
-        def walk(r: list[Block]):
+        def walk(r: list[Block], in_arm: bool):
             for block in r:
                 if isinstance(block, State):
                     for n in block.graph.nodes:
                         v = info.write_version.get((block.label, n.id))
-                        if v is not None and isinstance(n, AccessNode):
-                            out[n.data] = max(out.get(n.data, 0), v)
+                        if v is not None and v > out.get(n.data, (0, False))[0]:
+                            out[n.data] = (v, in_arm)
                 elif isinstance(block, LoopRegion):
-                    walk(block.body)
+                    walk(block.body, in_arm)
                 elif isinstance(block, Conditional):
-                    walk(block.then_body)
-                    walk(block.else_body)
+                    walk(block.then_body, True)
+                    walk(block.else_body, True)
 
-        walk(region)
+        walk(region, False)
         return out
 
     def resolve_region(region: list[Block], loops: tuple[str, ...]):
@@ -175,20 +177,17 @@ def analyze_versions(program: Program) -> VersionInfo:
     def resolve_loop(loop: LoopRegion, loops: tuple[str, ...]):
         carries = carry_versions(loop.body)
         entry = {a: current[a] for a in current}
-        for a, v in carries.items():
-            dirs = tuple(
-                (l, CUR) for l in info.write_loops[(a, v)]
-            )
-            carry_c = Candidate(v, dirs)
-            prev_rs = demote(ReachSet((carry_c,)), loop.label, PREV)
+        for a, (v, in_arm) in carries.items():
+            dirs = tuple((l, CUR) for l in info.write_loops[(a, v)])
+            prev_rs = demote(ReachSet((Candidate(v, dirs),)), loop.label, PREV)
             old = entry.get(a, ReachSet(()))
-            current[a] = ReachSet(prev_rs.candidates + old.candidates, old.branch_merged)
+            current[a] = ReachSet(prev_rs.candidates + old.candidates, old.branch_merged or in_arm)
         resolve_region(loop.body, loops + (loop.label,))
-        for a, v in carries.items():
+        for a, (v, in_arm) in carries.items():
             dirs = tuple((l, CUR) for l in info.write_loops[(a, v)])
             exit_rs = demote(ReachSet((Candidate(v, dirs),)), loop.label, LAST)
             old = entry.get(a, ReachSet(()))
-            current[a] = ReachSet(exit_rs.candidates + old.candidates, old.branch_merged)
+            current[a] = ReachSet(exit_rs.candidates + old.candidates, old.branch_merged or in_arm)
 
     def resolve_branch(br: Conditional, loops: tuple[str, ...]):
         pre = dict(current)

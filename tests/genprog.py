@@ -9,6 +9,11 @@ of sins on intermediates.
 
 ``make_elementwise_program`` draws from every elementwise library op, with
 in-place overwrites, for the gradient and memory gates.
+
+``make_loop_program`` wraps elementwise updates in one loop with a drawn
+header (unit, non-unit and negative strides, doubling and halving, zero
+trips) and a drawn body (in place, ping-pong, nested loop, branch on a
+scalar input), for the same gates.
 """
 
 from __future__ import annotations
@@ -71,8 +76,10 @@ def make_chain_program(seed: int) -> Program:
 
 
 def pingpong_nonaffine() -> Program:
-    """Two arrays updated in a geometric loop: reversal would need a peel,
-    which only affine headers support."""
+    """Two arrays updated in a geometric loop (k = 1, 2, 4, 8) with the
+    dependent reading only B: the reversal peels the last iteration, which
+    needs no affine update, since every reversed loop re-simulates the
+    forward header."""
     b = ProgramBuilder(())
     b.array("A", ("4",), role="input", kind="real64")
     b.array("B", ("4",), kind="real64")
@@ -84,6 +91,26 @@ def pingpong_nonaffine() -> Program:
     with b.state("collect") as s:
         s.library("reduce_sum", {"x": "B"}, {"y": "O"})
     return b.finish("O", ["A"])
+
+
+def scalar_header_program(written: bool) -> Program:
+    """acc = acc*sin(A[i]) + A[i] for i < m, with m a scalar input or a
+    scalar the program writes before the loop (whose reversal is then
+    unsupported)."""
+    b = ProgramBuilder(())
+    b.array("A", ("16",), role="input", kind="real64")
+    b.scalar("m", role="intermediate" if written else "input", kind="real64")
+    b.scalar("acc", role="output", kind="real64")
+    with b.state("init") as s:
+        s.tasklet(ins={}, outs={"o": ("acc", ())}, body={"o": "0"})
+        if written:
+            s.tasklet(ins={}, outs={"o": ("m", ())}, body={"o": "3"})
+    with b.loop("i", "0", "m", label="lp"):
+        with b.state("push") as s:
+            s.tasklet(ins={"t": ("acc", ()), "a": ("A", ("i",))},
+                      outs={"o": ("acc", ())},
+                      body={"o": "(add (mul t (sin a)) a)"})
+    return b.finish("acc", ["A"])
 
 
 def _unary_box(op: str, lo: float, hi: float, const: float):
@@ -183,4 +210,97 @@ def make_elementwise_program(seed: int) -> Program:
     b.scalar("O", role="output", kind="real64")
     with b.state("red") as s:
         s.library("reduce_sum", {"x": last}, {"y": "O"})
+    return b.finish("O", ["X0", "X1"])
+
+
+# smooth everywhere, so repeated application never leaves a domain
+_LOOP_UNARY = ("sin", "cos", "tanh", "scale", "neg")
+_LOOP_HEADERS = ("unit", "stride", "negative", "double", "halve")
+_LOOP_BODIES = ("inplace", "pingpong", "nested", "branch_carried", "branch_local")
+
+
+def _loop_header(kind: str, trips: int) -> tuple[str, str, str, str]:
+    """(init, bound, cmp, update) of a loop over i that runs ``trips`` times."""
+    if kind == "unit":
+        return "0", str(trips), "<", "(add i 1)"
+    if kind == "stride":
+        return "1", str(3 * trips - 1 if trips else 1), "<", "(add i 3)"
+    if kind == "negative":
+        return str(2 * trips), "0", ">", "(sub i 2)"
+    if kind == "double":
+        return "1", str(2 ** trips), "<", "(mul i 2)"
+    return (str(2 ** (trips - 1)) if trips else "0"), "0", ">", "(idiv i 2)"
+
+
+def make_loop_program(seed: int) -> Program:
+    """Inputs X0, X1 ([n] real64) and a scalar s; A = 0.5 X0; one loop over
+    i with a drawn header and 0-5 trips; then O = sum of the loop's result
+    plus a scalar accumulator.
+
+    Bodies, built from elementwise updates that are smooth everywhere
+    (``_LOOP_UNARY``, or mul/add with X1):
+
+    * ``inplace``: A = f(A), sometimes with acc += sin(A[i mod n]);
+    * ``pingpong``: B = f(A); A = g(B), with O reading only B, so the last
+      reversed iteration is peeled;
+    * ``nested``: an inner loop over j < 2 applying A = f(A);
+    * ``branch_carried``: if s < 1 then A = f(A) else A = g(A), so the
+      carried A merges branch arms;
+    * ``branch_local``: the arms write C = f(A) or C = g(A), acc += sum C,
+      then A = h(A) unconditionally.
+    """
+    r = random.Random(seed)
+    b = ProgramBuilder(("n",))
+    for name in ("X0", "X1"):
+        b.array(name, ("n",), role="input", kind="real64")
+    b.scalar("s", role="input", kind="real64")
+    for name in ("A", "B", "C"):
+        b.array(name, ("n",), kind="real64")
+    b.scalar("acc", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+
+    def update(s, src: str, dst: str):
+        op = r.choice(_LOOP_UNARY + ("mul", "add"))
+        if op in ("mul", "add"):
+            s.library("ew_binary", {"a": src, "b": "X1"}, {"c": dst}, op=op)
+        else:
+            s.library("ew_unary", {"x": src}, {"y": dst}, op=op,
+                      const=0.75 if op == "scale" else None)
+
+    body = r.choice(_LOOP_BODIES)
+    init, bound, cmp, step = _loop_header(r.choice(_LOOP_HEADERS), r.randint(0, 5))
+    with b.state("pre") as s:
+        s.library("ew_unary", {"x": "X0"}, {"y": "A"}, op="scale", const=0.5)
+        s.tasklet(ins={}, outs={"o": ("acc", ())}, body={"o": "0"})
+    with b.loop("i", init, bound, cmp=cmp, update=step, label="outer"):
+        if body == "nested":
+            with b.loop("j", "0", "2", label="inner"):
+                with b.state("inner_step") as s:
+                    update(s, "A", "A")
+        elif body.startswith("branch"):
+            dst = "A" if body == "branch_carried" else "C"
+            with b.branch("(lt s 1.0)", label="pick") as br:
+                with br.then():
+                    with b.state("hi") as s:
+                        update(s, "A", dst)
+                with br.orelse():
+                    with b.state("lo") as s:
+                        update(s, "A", dst)
+            if body == "branch_local":
+                with b.state("merge") as s:
+                    s.library("reduce_sum", {"x": "C"}, {"y": "acc"}, wcr="sum")
+                    update(s, "A", "A")
+        else:
+            with b.state("step") as s:
+                if body == "pingpong":
+                    update(s, "A", "B")
+                    update(s, "B", "A")
+                else:
+                    update(s, "A", "A")
+                    if r.random() < 0.5:
+                        s.tasklet(ins={"t": ("acc", ()), "a": ("A", ("(mod i n)",))},
+                                  outs={"o": ("acc", ())}, body={"o": "(add t (sin a))"})
+    with b.state("post") as s:
+        s.library("reduce_sum", {"x": "B" if body == "pingpong" else "A"}, {"y": "O"})
+        s.tasklet(ins={"a": ("acc", ())}, outs={"o": ("O", ())}, body={"o": "a"}, wcr="sum")
     return b.finish("O", ["X0", "X1"])

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import gradflow.examples as examples
 from gradflow import (
@@ -20,7 +20,7 @@ from gradflow import (
     run_planned,
     sample_inputs,
 )
-from gradflow.errors import MissingInverse, UnsupportedConstruct, UnsupportedLoop
+from gradflow.errors import UnsupportedConstruct, UnsupportedLoop
 from gradflow.ir import (
     EW_BINARY_OPS,
     EW_UNARY_OPS,
@@ -30,6 +30,7 @@ from gradflow.ir import (
     simulate_header,
 )
 from gradflow.symexpr import parse_sexpr
+from genprog import pingpong_nonaffine, scalar_header_program
 
 
 def _grads(name, inputs, params):
@@ -90,33 +91,65 @@ def test_forwarded_versions_inplace_loop():
 # loop reversal
 
 
-def _loop(init, bound, cmp, update, **kw):
+def _loop(init, bound, cmp, update):
     return LoopRegion("l", "i", parse_sexpr(init), parse_sexpr(bound), cmp,
-                      parse_sexpr(update), [], **kw)
+                      parse_sexpr(update), [])
+
+
+def _visits(fwd, params=None, skip=0, take=None):
+    """Execute the reversal of ``fwd`` (a peel, given ``skip``/``take``)
+    with a body that stamps V[i + 16] with a running count, and read the
+    visit order off the stamps."""
+    params = params or {}
+    b = ProgramBuilder(tuple(params))
+    b.array("V", ("64",), role="output", kind="real64")
+    b.scalar("c", role="output", kind="real64")
+    with b.state("init") as s:
+        s.tasklet(ins={}, outs={"o": ("c", ())}, body={"o": "0"})
+    with b.loop(fwd.iterator, fwd.init, fwd.bound, fwd.cmp, fwd.update, label=fwd.label) as loop:
+        with b.state("stamp") as s:
+            s.tasklet(ins={"t": ("c", ())}, outs={"o": ("c", ())}, body={"o": "(add t 1)"})
+            s.tasklet(ins={"t": ("c", ())}, outs={"o": ("V", ("(add i 16)",))}, body={"o": "t"})
+    p = b.finish("c", [])
+    rev = reverse_loop_header(loop)
+    rev.body, rev.skip, rev.take = loop.body, skip, take
+    env = run_forward(dataclasses.replace(p, region=[p.region[0], rev]), {}, params).env
+    v = env.get("V", np.zeros(64))  # never written when nothing is visited
+    return sorted((int(k) - 16 for k in np.flatnonzero(v)), key=lambda i: v[i + 16])
 
 
 def test_reverse_unit_stride():
-    rev = reverse_loop_header(_loop("0", "8", "<", "(add i 1)"))
-    assert simulate_header(rev, {}, 100) == [7, 6, 5, 4, 3, 2, 1, 0]
+    assert _visits(_loop("0", "8", "<", "(add i 1)")) == [7, 6, 5, 4, 3, 2, 1, 0]
 
 
 def test_reverse_stride_three():
-    rev = reverse_loop_header(_loop("0", "10", "<", "(add i 3)"))
-    assert simulate_header(rev, {}, 100) == [9, 6, 3, 0]
+    assert _visits(_loop("0", "10", "<", "(add i 3)")) == [9, 6, 3, 0]
 
 
 def test_reverse_negative_stride():
-    fwd = _loop("5", "0", ">", "(sub i 2)")
-    rev = reverse_loop_header(fwd)
-    assert simulate_header(rev, {}, 100) == [1, 3, 5]
+    assert _visits(_loop("5", "0", ">", "(sub i 2)")) == [1, 3, 5]
 
 
 def test_reverse_parametric_bound():
-    rev = reverse_loop_header(_loop("0", "n", "<", "(add i 1)"))
-    assert simulate_header(rev, {"n": 4}, 100) == [3, 2, 1, 0]
-    assert simulate_header(rev, {"n": 0}, 100) == []  # empty forward, empty backward
+    fwd = _loop("0", "n", "<", "(add i 1)")
+    assert _visits(fwd, {"n": 4}) == [3, 2, 1, 0]
+    assert _visits(fwd, {"n": 0}) == []  # empty forward, empty backward
 
 
+def test_reverse_doubling():
+    assert _visits(_loop("1", "16", "<", "(mul i 2)")) == [8, 4, 2, 1]
+
+
+def test_peels_skip_and_take_reversed_iterates():
+    unit, doubling = _loop("0", "8", "<", "(add i 1)"), _loop("1", "16", "<", "(mul i 2)")
+    assert _visits(unit, skip=1, take=1) == [6]
+    assert _visits(unit, skip=2) == [5, 4, 3, 2, 1, 0]
+    assert _visits(unit, skip=7, take=3) == [0]
+    assert _visits(unit, skip=8, take=1) == []  # fewer trips than the peel needs
+    assert _visits(doubling, skip=1, take=2) == [4, 2]
+
+
+@settings(deadline=None)
 @given(st.integers(-10, 10), st.integers(-10, 25), st.integers(1, 6),
        st.booleans())
 def test_reverse_affine_is_exact_reversal(lo, hi, stride, ascending):
@@ -125,20 +158,16 @@ def test_reverse_affine_is_exact_reversal(lo, hi, stride, ascending):
     else:
         fwd = _loop(str(hi), str(lo), ">", f"(sub i {stride})")
     seq = simulate_header(fwd, {}, 1000)
-    rev = simulate_header(reverse_loop_header(fwd), {}, 1000)
-    assert rev == seq[::-1]
+    assert _visits(fwd) == seq[::-1]
 
 
-def test_reverse_declared_inverse_flags():
-    fwd = _loop("1", "16", "<", "(mul i 2)", inverse=parse_sexpr("(idiv i 2)"))
-    rev = reverse_loop_header(fwd)
-    assert rev.reversed_simulate
-    assert rev.reverse_of == "l"
-
-
-def test_reverse_inverseless_replays_the_tape():
-    rev = reverse_loop_header(_loop("1", "16", "<", "(mul i 2)"))
-    assert rev.replay_of == "l"
+def test_reverse_loop_header_keeps_the_forward_header():
+    # affine, negative-stride and non-affine loops reverse by the same rule
+    for fwd in (_loop("0", "10", "<", "(add i 3)"), _loop("5", "0", ">", "(sub i 2)"),
+                _loop("1", "16", "<", "(mul i 2)")):
+        rev = reverse_loop_header(fwd)
+        assert (rev.init, rev.bound, rev.cmp, rev.update) == (fwd.init, fwd.bound, fwd.cmp, fwd.update)
+        assert (rev.label, rev.reverse_of, rev.skip, rev.take) == ("l__bwd", "l", 0, None)
 
 
 def _order_probe_program():
@@ -148,8 +177,7 @@ def _order_probe_program():
     b.scalar("acc", role="output", kind="real64")
     with b.state("init") as s:
         s.tasklet(ins={}, outs={"o": ("acc", ())}, body={"o": "0"})
-    with b.loop("i", "1", "16", update="(mul i 2)",
-                inverse="(idiv i 2)", label="dbl"):
+    with b.loop("i", "1", "16", update="(mul i 2)", label="dbl"):
         with b.state("push") as s:
             s.tasklet(ins={"t": ("acc", ()), "a": ("A", ("i",))},
                       outs={"o": ("acc", ())},
@@ -167,6 +195,50 @@ def test_declared_inverse_replays_reversed_order():
     rev.body = loop.body
     backward_only = dataclasses.replace(p, region=[p.region[0], rev])
     assert run_forward(backward_only, {"A": a}, {}).value == 8421  # visits 8,4,2,1
+
+
+def _peel_program(update, bound):
+    """B = sin(A); A = 1.5 B in a loop, the dependent reading only B: the
+    last reversed iteration is peeled, and its sin adjoint needs the A the
+    previous iteration wrote."""
+    b = ProgramBuilder(())
+    b.array("A", ("4",), role="input", kind="real64")
+    b.array("B", ("4",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("k", "1", bound, update=update, label="swap"):
+        with b.state("step") as s:
+            s.library("ew_unary", {"x": "A"}, {"y": "B"}, op="sin")
+            s.library("ew_unary", {"x": "B"}, {"y": "A"}, op="scale", const=1.5)
+    with b.state("collect") as s:
+        s.library("reduce_sum", {"x": "B"}, {"y": "O"})
+    return b.finish("O", ["A"])
+
+
+@pytest.mark.parametrize("update,bound", [
+    ("(add k 1)", "2"), ("(add k 1)", "4"), ("(add k 2)", "8"),
+    ("(mul k 2)", "2"), ("(mul k 2)", "16"),
+])
+def test_peeled_reversal_matches_finite_differences(update, bound):
+    p = _peel_program(update, bound)
+    assert len(extract_ccs(p).loop_passes["swap"]) == 2
+    inputs = {"A": np.linspace(0.5, 1.5, 4)}
+    ad = gradient(p, inputs, {})
+    fd = finite_difference_gradient(p, inputs, {})
+    report = compare_gradients(ad.grads, fd, tolerance=1e-5)
+    assert report["ok"], report
+    replay = run_planned(plan(p, None, {}), inputs, {})
+    assert np.array_equal(replay.grads["A"], ad.grads["A"])
+
+
+def test_nonaffine_pingpong_matches_finite_differences():
+    p = pingpong_nonaffine()
+    inputs = {"A": np.linspace(0.5, 1.5, 4)}
+    ad = gradient(p, inputs, {})
+    # B after the trips 1, 2, 4, 8 is 2 * 6^3 * A
+    np.testing.assert_array_equal(ad.grads["A"], np.full(4, 432.0))
+    fd = finite_difference_gradient(p, inputs, {})
+    report = compare_gradients(ad.grads, fd, tolerance=1e-5)
+    assert report["ok"], report
 
 
 # ---------------------------------------------------------------------------
@@ -434,27 +506,8 @@ def test_tasklet_adjoint_emitter_paths(case, rng):
 # loop headers that read scalars
 
 
-def _scalar_header_program(written):
-    """acc = acc*sin(A[i]) + A[i] for i < m, with m a scalar input or a
-    scalar the program writes before the loop."""
-    b = ProgramBuilder(())
-    b.array("A", ("16",), role="input", kind="real64")
-    b.scalar("m", role="intermediate" if written else "input", kind="real64")
-    b.scalar("acc", role="output", kind="real64")
-    with b.state("init") as s:
-        s.tasklet(ins={}, outs={"o": ("acc", ())}, body={"o": "0"})
-        if written:
-            s.tasklet(ins={}, outs={"o": ("m", ())}, body={"o": "3"})
-    with b.loop("i", "0", "m", label="lp"):
-        with b.state("push") as s:
-            s.tasklet(ins={"t": ("acc", ()), "a": ("A", ("i",))},
-                      outs={"o": ("acc", ())},
-                      body={"o": "(add (mul t (sin a)) a)"})
-    return b.finish("acc", ["A"])
-
-
 def test_loop_header_reading_a_scalar_input(rng):
-    p = _scalar_header_program(written=False)
+    p = scalar_header_program(written=False)
     inputs = {"A": rng.uniform(0.4, 1.6, 16), "m": np.float64(4.0)}
     assert "m" in build_backward(p).backward.descriptors
     ad = gradient(p, inputs, {})
@@ -467,7 +520,7 @@ def test_loop_header_reading_a_scalar_input(rng):
 
 
 def test_loop_header_reading_a_written_scalar_is_unsupported(rng):
-    p = _scalar_header_program(written=True)
+    p = scalar_header_program(written=True)
     inputs = {"A": rng.uniform(0.4, 1.6, 16)}
     assert run_forward(p, inputs, {}).value > 0
     for call in (lambda: gradient(p, inputs, {}), lambda: plan(p, None, {})):
@@ -476,10 +529,54 @@ def test_loop_header_reading_a_written_scalar_is_unsupported(rng):
 
 
 # ---------------------------------------------------------------------------
+# loop-carried values whose last write lies in a branch arm
+
+
+def _branch_carry_program(cond, empty_else):
+    """for t: if cond then X = sin(X) else X = 0.5 X (or nothing); O = sum X.
+    The last write of X in an iteration depends on the arm taken."""
+    b = ProgramBuilder(("n", "steps"))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.scalar("s", role="input", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("t", "0", "steps", label="iters"):
+        with b.branch(cond, label="pick") as br:
+            with br.then():
+                with b.state("hi") as st:
+                    st.library("ew_unary", {"x": "X"}, {"y": "X"}, op="sin")
+            with br.orelse():
+                if not empty_else:
+                    with b.state("lo") as st:
+                        st.library("ew_unary", {"x": "X"}, {"y": "X"}, op="scale", const=0.5)
+    with b.state("collect") as s:
+        s.library("reduce_sum", {"x": "X"}, {"y": "O"})
+    return b.finish("O", ["X"])
+
+
+@pytest.mark.parametrize("cond,empty_else", [
+    ("(lt s 0.5)", False), ("(lt s 0.5)", True), ("(lt (mod t 2) 1)", False),
+])
+def test_value_carried_from_a_branch_arm_is_never_silently_wrong(cond, empty_else):
+    p = _branch_carry_program(cond, empty_else)
+    params = {"n": 6, "steps": 4}
+    inputs = {"X": np.linspace(0.4, 1.4, 6), "s": np.float64(0.2)}
+    try:
+        ad = gradient(p, inputs, params)
+    except UnsupportedConstruct as exc:
+        assert "merges across branch arms" in str(exc)
+        return
+    fd = finite_difference_gradient(p, inputs, params)
+    report = compare_gradients(ad.grads, fd, tolerance=1e-5)
+    assert report["ok"], report
+
+
+# ---------------------------------------------------------------------------
 # error surface
 
 
-def test_reversal_without_tape_needs_inverse(rng):
+def test_reversal_without_tape_matches_gradient(rng):
+    # a non-affine loop is reversed by re-simulating its header: the reverse
+    # program runs without the forward tape when it reads no forwarded value
     b = ProgramBuilder(())
     b.array("A", ("4",), role="input", kind="real64")
     b.array("B", ("4",), kind="real64")
@@ -493,8 +590,10 @@ def test_reversal_without_tape_needs_inverse(rng):
     p = b.finish("O", ["A"])
     a = rng.uniform(0.4, 1.6, 4)
 
-    assert gradient(p, {"A": a}, {}).grads["A"] == pytest.approx(np.full(4, 27.0))
+    grads = gradient(p, {"A": a}, {}).grads
+    assert grads["A"] == pytest.approx(np.full(4, 27.0))
 
     bundle = build_backward(p)
-    with pytest.raises(MissingInverse):
-        run_backward(p, bundle.backward, {"A": a}, {}, tape=None, forwarding={})
+    assert bundle.forwarding == {}
+    bwd = run_backward(p, bundle.backward, {"A": a}, {}, tape=None, forwarding={})
+    np.testing.assert_array_equal(bwd.env["A__grad"], grads["A"])

@@ -330,3 +330,42 @@ def test_plan_keeps_an_input_overwritten_in_place(op, peak, rng):
         plain = gradient(p, inputs, params)
         for k in plain.grads:
             assert np.array_equal(replay.grads[k], plain.grads[k]), k
+
+
+def _arm_snapshot_program():
+    """O = 0; for t: if s < 0.5 then {Y = sin X; Z = sin Y; O += sum Z}
+    else {O += sum X}. Y's per-iteration snapshots are produced in an arm."""
+    b = ProgramBuilder(("n", "steps"))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.scalar("s", role="input", kind="real64")
+    b.array("Y", ("n",), kind="real64")
+    b.array("Z", ("n",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("init") as st:
+        st.tasklet(ins={}, outs={"o": ("O", ())}, body={"o": "0"})
+    with b.loop("t", "0", "steps", label="iters"):
+        with b.branch("(lt s 0.5)", label="pick") as br:
+            with br.then():
+                with b.state("hi") as st:
+                    st.library("ew_unary", {"x": "X"}, {"y": "Y"}, op="sin")
+                    st.library("ew_unary", {"x": "Y"}, {"y": "Z"}, op="sin")
+                    st.library("reduce_sum", {"x": "Z"}, {"y": "O"}, wcr="sum")
+            with br.orelse():
+                with b.state("lo") as st:
+                    st.library("reduce_sum", {"x": "X"}, {"y": "O"}, wcr="sum")
+    return b.finish("O", ["X"])
+
+
+def test_tape_held_snapshots_count_once_on_every_path():
+    p = _arm_snapshot_program()
+    params = {"n": 6, "steps": 4}
+    result = plan(p, None, params)
+    (fv,) = result.fvs
+    assert (fv.data, fv.snapshots, fv.total_bytes) == ("Y", 4, 4 * 48)
+    hints = {fv.name: fv.total_bytes}
+    peaks = {}
+    for seq in result.sequences:
+        timeline = simulate_memory(result.forward, result.backward, params,
+                                   dict(seq.outcomes), stored_hints=hints)
+        peaks[seq.outcomes] = (seq.peak(result.solution.assignment), timeline.peak)
+    assert peaks == {(("pick", True),): (288, 288), (("pick", False),): (240, 240)}

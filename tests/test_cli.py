@@ -7,7 +7,7 @@ import pytest
 
 import gradflow.examples as examples
 from gradflow import ProgramBuilder, cli, load_program, serialize_program
-from genprog import pingpong_nonaffine
+from genprog import scalar_header_program
 
 
 @pytest.fixture
@@ -291,8 +291,9 @@ def test_unparseable_program_is_validation_error(tmp_path, capsys):
 
 
 def test_unsupported_reversal_exit_code(tmp_path, capsys):
-    path = tmp_path / "peel.json"
-    path.write_text(serialize_program(pingpong_nonaffine()))
+    # the loop header reads a scalar the program writes
+    path = tmp_path / "header.json"
+    path.write_text(serialize_program(scalar_header_program(written=True)))
     assert run_cli("diff", path) == 3
     assert "unsupported" in capsys.readouterr().err
 

@@ -1,6 +1,8 @@
 """Every built-in kernel, checked end to end: finite differences, slice
 restriction, planned replay, and the two independent memory accountings.
-Random elementwise programs face the same gates."""
+Random elementwise programs and random loop programs face the same gates."""
+
+import re
 
 import numpy as np
 import pytest
@@ -18,8 +20,8 @@ from gradflow import (
     sample_inputs,
     simulate_memory,
 )
-from gradflow.errors import Infeasible
-from genprog import make_elementwise_program
+from gradflow.errors import Infeasible, UnsupportedConstruct, UnsupportedLoop
+from genprog import make_elementwise_program, make_loop_program
 
 
 def _inputs(name, seed=101):
@@ -82,14 +84,7 @@ def test_simulated_peak_matches_the_parametric_model(name):
             (name, seq.outcomes)
 
 
-@pytest.mark.filterwarnings("ignore::gradflow.errors.NonDifferentiableOp")
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_random_elementwise_programs_pass_the_corpus_gates(seed):
-    program = make_elementwise_program(seed)
-    params = {"n": 4}
-    inputs = sample_inputs(program, params, np.random.default_rng(seed))
-    plain = gradient(program, inputs, params)
+def _assert_corpus_gates(program, params, inputs, plain):
     fd = finite_difference_gradient(program, inputs, params)
     report = compare_gradients(plain.grads, fd, tolerance=1e-5)
     assert report["ok"], report
@@ -115,3 +110,29 @@ def test_random_elementwise_programs_pass_the_corpus_gates(seed):
                 dict(seq.outcomes), stored_hints=hints,
             )
             assert timeline.peak == seq.peak(result.solution.assignment)
+
+
+@pytest.mark.filterwarnings("ignore::gradflow.errors.NonDifferentiableOp")
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_random_elementwise_programs_pass_the_corpus_gates(seed):
+    program = make_elementwise_program(seed)
+    params = {"n": 4}
+    inputs = sample_inputs(program, params, np.random.default_rng(seed))
+    _assert_corpus_gates(program, params, inputs, gradient(program, inputs, params))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_random_loop_programs_pass_the_corpus_gates(seed):
+    program = make_loop_program(seed)
+    params = {"n": 4}
+    inputs = sample_inputs(program, params, np.random.default_rng(seed))
+    try:
+        plain = gradient(program, inputs, params)
+    except (UnsupportedConstruct, UnsupportedLoop) as exc:
+        # a rejected construct raises its named error, in planning too
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            plan(program, None, params)
+        return
+    _assert_corpus_gates(program, params, inputs, plain)

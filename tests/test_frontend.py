@@ -12,6 +12,7 @@ from gradflow import (
     program_to_dict,
     serialize_program,
     validate,
+    validate_or_raise,
 )
 from gradflow.errors import GradflowError, ProgramSyntaxError, ValidationFailed
 
@@ -116,3 +117,44 @@ def test_builder_rejects_invalid_program():
         s.library("reduce_sum", {"x": "X"}, {"y": "O"})
     with pytest.raises(ValidationFailed):
         b.finish("O", ["X", "missing"])
+
+
+def _pingpong_backward_doc():
+    """The reverse program of the pingpong kernel: a peel (skip 0, take 1)
+    and the main reversed loop (skip 1)."""
+    doc = program_to_dict(build_backward(examples.build("two_array_pingpong")).backward)
+    loops = [b for b in doc["region"] if b["kind"] == "loop"]
+    assert [(b.get("skip"), b.get("take")) for b in loops] == [(None, 1), (1, None)]
+    return doc, loops
+
+
+@pytest.mark.parametrize("key,value,msg", [
+    ("skip", -1, "skip must be at least 0, got -1"),
+    ("take", 0, "take must be at least 1, got 0"),
+])
+def test_bad_skip_or_take_fails_validation(key, value, msg):
+    doc, loops = _pingpong_backward_doc()
+    loops[0][key] = value
+    program = parse_program(json.dumps(doc))
+    with pytest.raises(ValidationFailed, match=msg):
+        validate_or_raise(program)
+
+
+@pytest.mark.parametrize("key", ["skip", "take"])
+def test_skip_and_take_need_a_reversed_loop(key):
+    doc, loops = _pingpong_backward_doc()
+    del loops[0]["reverse_of"]
+    loops[0][key] = 1
+    diags = validate(parse_program(json.dumps(doc)))
+    assert [d.code for d in diags] == ["BadLoop"]
+    assert "skip and take need a reversed loop" in diags[0].message
+
+
+@pytest.mark.parametrize("key,value", [
+    ("inverse", "(idiv i 2)"), ("reversal", "simulate"), ("reversal", {"replay_of": "l"}),
+])
+def test_removed_loop_reversal_keys_are_unknown(key, value):
+    doc = program_to_dict(examples.build("doubling_gather"))
+    doc["region"][1][key] = value
+    with pytest.raises(ProgramSyntaxError, match=f"unknown keys \\['{key}'\\]"):
+        parse_program(json.dumps(doc))

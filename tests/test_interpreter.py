@@ -261,14 +261,14 @@ def test_count_flops_per_branch_path():
 # loop headers: one simulation for the executor, the cost model and the planner
 
 
-def _loop_program(init, bound, update="(add i 1)", inverse=None):
+def _loop_program(init, bound, update="(add i 1)"):
     """acc = acc*10 + A[i] over the loop, so the visit order reads off acc."""
     b = ProgramBuilder(("n",))
     b.array("A", ("16",), role="input", kind="real64")
     b.scalar("acc", role="output", kind="real64")
     with b.state("init") as s:
         s.tasklet(ins={}, outs={"o": ("acc", ())}, body={"o": "0"})
-    with b.loop("i", init, bound, update=update, inverse=inverse, label="lp"):
+    with b.loop("i", init, bound, update=update, label="lp"):
         with b.state("push") as s:
             s.tasklet(ins={"t": ("acc", ()), "a": ("A", ("i",))},
                       outs={"o": ("acc", ())},
@@ -311,17 +311,8 @@ def test_non_integer_map_range_is_rejected_by_the_cost_model():
             run()
 
 
-def test_diverging_declared_inverse_is_a_domain_error():
-    # forward visits 1, 2, 4, 8; (idiv 8 3) = 2 does not step back to 4
-    p = _loop_program("1", "16", update="(mul i 2)", inverse="(idiv i 3)")
-    a = np.arange(16, dtype=np.float64)
-    assert run_forward(p, {"A": a}, {}).value == 1248
-    with pytest.raises(DomainError, match="'lp__bwd' diverges: expected 4, got 2"):
-        gradient(p, {"A": a}, {})
-
-
 def test_zero_trip_inverse_loop_runs_nothing():
-    p = _loop_program("16", "16", update="(mul i 2)", inverse="(idiv i 2)")
+    p = _loop_program("16", "16", update="(mul i 2)")
     rev = reverse_loop_header(p.region[1])
     rev.body = p.region[1].body
     backward_only = dataclasses.replace(p, region=[p.region[0], rev])

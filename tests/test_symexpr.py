@@ -87,7 +87,7 @@ def test_eval_math_functions():
 
 
 def test_integer_division_floors():
-    # floor semantics (matches the loop-inverse arithmetic): -7 idiv 2 = -4
+    # floor semantics, as in a halving loop header: -7 idiv 2 = -4
     assert eval_expr(parse_sexpr("(idiv (neg 7) 2)"), {}) == -4
     assert eval_expr(parse_sexpr("(mod (neg 7) 2)"), {}) == 1
     assert eval_expr(parse_sexpr("(idiv 9 2)"), {}) == 4
