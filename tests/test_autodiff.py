@@ -161,13 +161,24 @@ def test_reverse_affine_is_exact_reversal(lo, hi, stride, ascending):
     assert _visits(fwd) == seq[::-1]
 
 
-def test_reverse_loop_header_keeps_the_forward_header():
-    # affine, negative-stride and non-affine loops reverse by the same rule
+def test_reverse_declared_inverse_flags():
+    # loops no longer declare inverses: the doubling loop, which once declared
+    # (idiv i 2), and affine loops alike keep the forward header, and the
+    # reversal is flagged by reverse_of alone
     for fwd in (_loop("0", "10", "<", "(add i 3)"), _loop("5", "0", ">", "(sub i 2)"),
                 _loop("1", "16", "<", "(mul i 2)")):
         rev = reverse_loop_header(fwd)
         assert (rev.init, rev.bound, rev.cmp, rev.update) == (fwd.init, fwd.bound, fwd.cmp, fwd.update)
         assert (rev.label, rev.reverse_of, rev.skip, rev.take) == ("l__bwd", "l", 0, None)
+
+
+def test_reverse_inverseless_replays_the_tape():
+    # the reversal of a loop without an inverse visits exactly the iterates
+    # the forward run's tape records, last first
+    p = _order_probe_program()
+    tape = run_forward(p, {"A": np.arange(16, dtype=np.float64)}, {}, record="all").tape
+    assert tape.iterate_records["dbl"] == {(): [1, 2, 4, 8]}
+    assert _visits(_loop("1", "16", "<", "(mul i 2)")) == [8, 4, 2, 1]
 
 
 def _order_probe_program():
