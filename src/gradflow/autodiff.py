@@ -15,8 +15,11 @@ The pipeline:
    forward header, which the executor re-simulates and walks backwards;
    peels are such loops restricted to single iterates), conditionals
    replaying recorded outcomes. Each kept node
-   becomes an adjoint node writing gradient contributions with ``sum``
-   conflict resolution. A write that killed a previous value clears the
+   becomes adjoint nodes writing gradient contributions with ``sum``
+   conflict resolution: tasklets and maps get adjoint tasklets and maps, a
+   matmul gets matmuls, and every other library node gets one whole-array
+   ``ew_expr`` node per active operand, holding the derivative of its
+   elementwise expression. A write that killed a previous value clears the
    gradient buffer after consuming it; when an operand aliases the output
    at the same subset, the overwrite itself plays the role of the clear.
 
@@ -45,7 +48,6 @@ from .ir import (
     Conditional,
     DataDescriptor,
     Dataflow,
-    LIB_CONNECTORS,
     LibraryNode,
     LoopRegion,
     MapNode,
@@ -56,6 +58,7 @@ from .ir import (
     copy_program,
     data_read,
     data_written,
+    library_connectors,
     library_expr,
     pristine_inputs,
     schedule,
@@ -71,7 +74,6 @@ from .symexpr import (
     Unary,
     free_names,
     simplify,
-    substitute,
 )
 from .versions import ForwardingEntry, ReachSet, VersionInfo, analyze_versions
 
@@ -219,10 +221,6 @@ class CCS:
     # per loop label: kept sets of the distinct leading reverse passes;
     # the last entry is the steady state, earlier ones become peels
     loop_passes: dict[str, list[frozenset[NodeRef]]] = field(default_factory=dict)
-
-    def peel_count(self, label: str) -> int:
-        passes = self.loop_passes.get(label)
-        return max(0, len(passes) - 1) if passes else 0
 
 
 def _node_reads(df: Dataflow, nid: str) -> set[str]:
@@ -402,10 +400,6 @@ class _Assembler:
     @property
     def empty(self) -> bool:
         return not any(not isinstance(n, AccessNode) for n in self.df.nodes)
-
-
-# library connector -> its name inside a per-element adjoint map
-_MAP_VAR = {"x": "_x", "a": "_a", "b": "_b"}
 
 
 class _BackwardBuilder:
@@ -694,6 +688,14 @@ class _BackwardBuilder:
         return tid
 
     def adj_library(self, asm: _Assembler, state: State, df: Dataflow, node: LibraryNode):
+        """Emit the adjoint of a library node: matmuls for a matmul, and one
+        whole-array ``ew_expr`` node per active operand otherwise, holding
+        the operand's derived contribution over the output gradient ``_g``
+        (``_g`` itself, broadcast, for ``reduce_sum``; ``_g_`` and so on when
+        the node has a connector ``_g``). Contributions
+        accumulate with ``sum``; one whose operand is the overwritten output
+        replaces that gradient instead and comes last. A consumed output
+        that no contribution replaces has its gradient cleared."""
         out_e = df.out_edges(node.id)[0]
         if out_e.data not in self.gradset:
             return
@@ -712,130 +714,48 @@ class _BackwardBuilder:
         def is_self(conn: str) -> bool:
             return in_by_conn[conn].data == out_e.data and not accumulate
 
-        def lib(kind: str, ins: dict[str, str], out_data: str, *, wcr, op=None,
-                const=None, ta=False, tb=False):
-            nid = self.fresh("adjn")
+        def lib(kind: str, ins: dict[str, str], out_data: str, wcr, prefix="adjn", **attrs):
+            adj = LibraryNode(self.fresh(prefix), kind, **attrs)
             srcs = {c: asm.read(d) for c, d in ins.items()}
-            asm.df.nodes.append(LibraryNode(nid, kind, op=op, const=const, ta=ta, tb=tb))
+            asm.df.nodes.append(adj)
             for c, d in ins.items():
-                asm.df.edges.append(Memlet(srcs[c], None, nid, c, d, None))
-            asm.df.edges.append(
-                Memlet(nid, {"matmul": "c", "ew_binary": "c", "ew_unary": "y",
-                             "reduce_sum": "y"}[kind], asm.write(out_data), None,
-                       out_data, None, wcr)
-            )
+                asm.df.edges.append(Memlet(srcs[c], None, adj.id, c, d, None))
+            asm.df.edges.append(Memlet(adj.id, library_connectors(adj)[1][0],
+                                       asm.write(out_data), None, out_data, None, wcr))
+
+        jobs = []  # (operand connector, adjoint kind, its inputs, its attributes)
+        if node.kind == "matmul":
+            if active("a"):
+                jobs.append(("a", "matmul", {"a": g, "b": val("b")}, dict(ta=False, tb=not node.tb))
+                            if not node.ta else
+                            ("a", "matmul", {"a": val("b"), "b": g}, dict(ta=node.tb, tb=True)))
+            if active("b"):
+                jobs.append(("b", "matmul", {"a": val("a"), "b": g}, dict(ta=not node.ta, tb=False))
+                            if not node.tb else
+                            ("b", "matmul", {"a": g, "b": val("a")}, dict(ta=True, tb=node.ta)))
+        else:
+            conns = [c for c in library_connectors(node)[0] if active(c)]
+            if sum(map(is_self, conns)) > 1:
+                raise UnsupportedConstruct(
+                    f"'{node.id}': several operands alias the overwritten output"
+                )
+            seed = "_g"
+            while seed in in_by_conn:  # an ew_expr may name a connector _g
+                seed += "_"
+            for conn in sorted(conns, key=is_self):
+                adj = Name(seed) if node.kind == "reduce_sum" else simplify(
+                    _deriv(library_expr(node), conn, Name(seed)))
+                if adj != Const(0):
+                    ins = {n: g if n == seed else val(n) for n in sorted(free_names(adj))}
+                    jobs.append((conn, "ew_expr", ins, dict(expr=adj)))
 
         emitted_self = False
-
-        if node.kind == "matmul":
-            a_e, b_e = in_by_conn["a"], in_by_conn["b"]
-            jobs = []
-            if active("a"):
-                if not node.ta:
-                    jobs.append(("a", "matmul", {"a": g, "b": val("b")},
-                                 dict(ta=False, tb=not node.tb)))
-                else:
-                    jobs.append(("a", "matmul", {"a": val("b"), "b": g},
-                                 dict(ta=node.tb, tb=True)))
-            if active("b"):
-                if not node.tb:
-                    jobs.append(("b", "matmul", {"a": val("a"), "b": g},
-                                 dict(ta=not node.ta, tb=False)))
-                else:
-                    jobs.append(("b", "matmul", {"a": g, "b": val("a")},
-                                 dict(ta=True, tb=node.ta)))
-            jobs.sort(key=lambda j: is_self(j[0]))  # self contribution last
-            for conn, kind, ins, flags in jobs:
-                gdata = self.grad_of(in_by_conn[conn].data)
-                wcr = None if is_self(conn) else "sum"
-                emitted_self |= is_self(conn)
-                lib(kind, ins, gdata, wcr=wcr, **flags)
-
-        elif node.kind == "reduce_sum":
-            x_e = in_by_conn["x"]
-            if active("x"):
-                gdata = self.grad_of(x_e.data)
-                self._ew_map(asm, x_e.data, {"_g": g}, gdata, Name("_g"),
-                             overwrite=is_self("x"))
-                emitted_self |= is_self("x")
-
-        else:  # ew_unary, ew_binary
-            if node.kind == "ew_binary" and is_self("a") and is_self("b"):
-                raise UnsupportedConstruct(
-                    f"'{node.id}': both operands alias the overwritten output"
-                )
-            expr = library_expr(node)
-            seed = Name("_g")
-            conns = [c for c in LIB_CONNECTORS[node.kind][0] if active(c)]
-            for conn in sorted(conns, key=is_self):  # self contribution last
-                gdata = self.grad_of(in_by_conn[conn].data)
-                adj = simplify(_deriv(expr, conn, seed))
-                if adj == Const(0):
-                    continue
-                self_w = is_self(conn)
-                wcr = None if self_w else "sum"
-                emitted_self |= self_w
-                # lower g, -g, c*g, v*g and g/v to library nodes; anything
-                # else runs per element
-                factor = None
-                if isinstance(adj, Binary) and adj.op == "mul" and seed in (adj.x, adj.y):
-                    factor = adj.y if adj.x == seed else adj.x
-                if adj == seed:
-                    lib("ew_unary", {"x": g}, gdata, wcr=wcr, op="copy")
-                elif adj == Unary("neg", seed):
-                    lib("ew_unary", {"x": g}, gdata, wcr=wcr, op="neg")
-                elif isinstance(factor, Const):
-                    lib("ew_unary", {"x": g}, gdata, wcr=wcr, op="scale", const=factor.value)
-                elif isinstance(factor, Name):
-                    lib("ew_binary", {"a": val(factor.id), "b": g}, gdata, wcr=wcr, op="mul")
-                elif (isinstance(adj, Binary) and adj.op == "div" and adj.x == seed
-                      and isinstance(adj.y, Name)):
-                    lib("ew_binary", {"a": g, "b": val(adj.y.id)}, gdata, wcr=wcr, op="div")
-                else:
-                    names = sorted(free_names(adj) - {"_g"})
-                    ins = {"_g": g, **{_MAP_VAR[n]: val(n) for n in names}}
-                    body = substitute(adj, {n: Name(_MAP_VAR[n]) for n in names})
-                    self._ew_map(asm, in_by_conn[conn].data, ins, gdata, body,
-                                 overwrite=self_w)
-
+        for conn, kind, ins, attrs in sorted(jobs, key=lambda j: is_self(j[0])):  # self last
+            emitted_self |= is_self(conn)
+            lib(kind, ins, self.grad_of(in_by_conn[conn].data),
+                None if is_self(conn) else "sum", **attrs)
         if killed and not emitted_self:
-            lib_id = self.fresh("adjz")
-            src = asm.read(g)
-            asm.df.nodes.append(LibraryNode(lib_id, "ew_unary", op="scale", const=0.0))
-            asm.df.edges.append(Memlet(src, None, lib_id, "x", g, None))
-            asm.df.edges.append(Memlet(lib_id, "y", asm.write(g), None, g, None))
-
-    def _ew_map(self, asm: _Assembler, shaped_like: str, ins: dict[str, str],
-                out: str, expr: Expr, overwrite: bool):
-        """Elementwise adjoint over the index space of ``shaped_like``."""
-        desc = self.p.descriptors[shaped_like]
-        params = tuple(f"_i{k}" for k in range(desc.rank))
-        ranges = tuple((Const(0), dim, Const(1)) for dim in desc.shape)
-        subset = tuple(Name(p) for p in params)
-        body = Dataflow()
-        tid = self.fresh("adjt")
-        body_edges_in = []
-        inner_in_ids = {}
-        for conn, data in ins.items():
-            aid = self.fresh("a")
-            body.nodes.append(AccessNode(aid, data))
-            inner_in_ids[conn] = aid
-            dsub = subset if self.base_desc(data).rank else ()
-            body_edges_in.append(Memlet(aid, None, tid, conn, data, dsub))
-        body.nodes.append(Tasklet(tid, tuple(ins), ("_o",), {"_o": expr}))
-        body.edges.extend(body_edges_in)
-        out_aid = self.fresh("a")
-        body.nodes.append(AccessNode(out_aid, out))
-        body.edges.append(
-            Memlet(tid, "_o", out_aid, None, out, subset, None if overwrite else "sum")
-        )
-        mid = self.fresh("adjm")
-        asm.df.nodes.append(MapNode(mid, params, ranges, body))
-        for data in sorted({d for d in ins.values()}):
-            asm.df.edges.append(Memlet(asm.read(data), None, mid, None, data, None))
-        asm.df.edges.append(
-            Memlet(mid, None, asm.write(out), None, out, None, None if overwrite else "sum")
-        )
+            lib("ew_unary", {"x": g}, g, None, prefix="adjz", op="scale", const=0.0)
 
     def adj_map(self, asm: _Assembler, state: State, df: Dataflow, node: MapNode):
         computes = [n for n in node.body.nodes if not isinstance(n, AccessNode)]

@@ -24,7 +24,7 @@ import copy
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -326,7 +326,7 @@ def _clone_node(node, fresh: str, rename: dict[str, str], group: str):
     if isinstance(node, Tasklet):
         return Tasklet(fresh, node.ins, node.outs, dict(node.body), group=group)
     if isinstance(node, LibraryNode):
-        return LibraryNode(fresh, node.kind, node.op, node.const, node.ta, node.tb, group=group)
+        return replace(node, id=fresh, group=group)
     if isinstance(node, MapNode):
         body = Dataflow(
             nodes=[

@@ -49,6 +49,7 @@ _NODE_KEYS = {
     "reduce_sum": {"id", "type", "group"},
     "ew_unary": {"id", "type", "op", "const", "group"},
     "ew_binary": {"id", "type", "op", "group"},
+    "ew_expr": {"id", "type", "expr", "group"},
     "map": {"id", "type", "params", "ranges", "nodes", "edges", "group"},
 }
 
@@ -82,7 +83,7 @@ def _expr(text, path: list) -> Expr:
     try:
         return parse_sexpr(text)
     except ProgramSyntaxError as exc:
-        _fail(path, f"bad expression: {exc.message}")
+        _fail(path, f"bad expression: {exc}")
 
 
 def _str_list(obj: dict, key: str, path: list, optional: bool = False) -> tuple[str, ...]:
@@ -204,6 +205,9 @@ def _parse_node(rn, p: list):
         )
     if ntype == "ew_binary":
         return LibraryNode(nid, "ew_binary", op=_get(rn, "op", p, str), group=group)
+    if ntype == "ew_expr":
+        expr = _expr(_get(rn, "expr", p, str), p + ["expr"])
+        return LibraryNode(nid, "ew_expr", expr=expr, group=group)
     # map
     params = _str_list(rn, "params", p)
     raw_ranges = _get(rn, "ranges", p, list)
@@ -346,6 +350,8 @@ def _node_to_dict(n) -> dict:
             out = {"id": n.id, "type": "reduce_sum", "group": n.group}
         elif n.kind == "ew_unary":
             out = {"id": n.id, "type": "ew_unary", "op": n.op, "const": n.const, "group": n.group}
+        elif n.kind == "ew_expr":
+            out = {"id": n.id, "type": "ew_expr", "expr": to_sexpr(n.expr), "group": n.group}
         else:
             out = {"id": n.id, "type": "ew_binary", "op": n.op, "group": n.group}
     else:

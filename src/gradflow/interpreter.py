@@ -8,7 +8,10 @@ the finite-difference oracle leans on this to evaluate thousands of
 perturbed inputs in a handful of vectorized passes.
 
 Execution is deterministic: states run in the schedule order, loops iterate
-their simulated header sequence, maps enumerate range products in order.
+their simulated header sequence, maps enumerate range products in order and
+run their body once per point. A library node runs once on whole arrays; an
+elementwise one evaluates its expression (``ir.library_expr``) with numpy,
+broadcasting rank-0 operands over the output behind their batch dimensions.
 Intermediate and gradient arrays are zero-initialized on first touch, which
 is also what accumulation via ``sum`` conflict resolution assumes.
 
@@ -376,16 +379,20 @@ class Executor:
             rank = self.program.descriptors[df.in_edges(node.id)[0].data].rank
             res = x.sum(axis=tuple(range(-rank, 0))) if rank else np.array(x, copy=True)
             self.op_count += int(np.prod(in_shapes["x"], dtype=np.int64)) if rank else 0
-        else:  # ew_unary, ew_binary: the node's scalar expression per element
-            if node.kind == "ew_binary" and in_shapes["a"] != in_shapes["b"]:
-                raise ShapeMismatch(
-                    f"'{node.id}': operand shapes {in_shapes['a']} vs {in_shapes['b']}"
-                )
+        else:  # elementwise: the node's scalar expression on whole arrays
+            shape = self.shape_of(out_edges[0].data)
+            for conn, s in in_shapes.items():
+                if not s:
+                    # rank 0 broadcasts; its batch axes stay leading
+                    ins[conn] = ins[conn].reshape(ins[conn].shape + (1,) * len(shape))
+                elif s != shape:
+                    raise ShapeMismatch(
+                        f"'{node.id}': operand '{conn}' has shape {s}, output {shape}"
+                    )
             expr = library_expr(node)
-            res = eval_expr(expr, ins)
-            if res is ins.get("x"):
-                res = np.array(res, copy=True)  # copy: the output must not alias its input
-            shape = in_shapes["a" if node.kind == "ew_binary" else "x"]
+            res = np.asarray(eval_expr(expr, ins))
+            if any(res is v for v in ins.values()):
+                res = np.array(res, copy=True)  # the output must not alias an input
             self.op_count += count_ops(expr) * int(np.prod(shape, dtype=np.int64))
 
         for e in out_edges:
@@ -667,10 +674,11 @@ def _library_cost(node: LibraryNode, df: Dataflow, program: Program, params: dic
         if node.tb:
             sb = sb[::-1]
         return 2 * sa[0] * sa[1] * sb[1]
-    sx = shape("x" if node.kind in ("reduce_sum", "ew_unary") else "a")
-    n = int(np.prod(sx, dtype=np.int64)) if sx else 1
     if node.kind == "reduce_sum":
-        return n if sx else 0
+        sx = shape("x")
+        return int(np.prod(sx, dtype=np.int64)) if sx else 0
+    out = program.descriptors[df.out_edges(node.id)[0].data]
+    n = int(np.prod([int(eval_expr(d, params)) for d in out.shape], dtype=np.int64))
     return n * count_ops(library_expr(node))
 
 

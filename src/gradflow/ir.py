@@ -12,6 +12,7 @@ Invariants enforced by :func:`validate`:
 * graphs are acyclic within a state, including write-after-read ordering
   between successive access instances of the same array;
 * tasklet bodies reference only declared input connectors;
+* tasklet bodies and ``ew_expr`` payloads use no condition-only syntax;
 * a loop body never writes the loop iterator or any name free in the header;
 * ``skip``/``take`` appear only on reversed loops, with skip >= 0, take >= 1;
 * branch conditions are comparisons over scalars, elements and parameters.
@@ -101,8 +102,11 @@ class Tasklet:
 @dataclass
 class LibraryNode:
     """Whole-array op: matmul (a,b)->c, reduce_sum x->y, ew_unary x->y,
-    ew_binary (a,b)->c. ``op`` selects the elementwise function; ``const``
-    parameterizes ``scale``; ``ta``/``tb`` transpose matmul operands."""
+    ew_binary (a,b)->c, and ew_expr, which applies the scalar expression
+    ``expr`` elementwise: its input connectors are the expression's free
+    names, its output connector is y. ``op`` selects the ew_unary/ew_binary
+    function; ``const`` parameterizes ``scale``; ``ta``/``tb`` transpose
+    matmul operands."""
 
     id: str
     kind: str
@@ -111,6 +115,7 @@ class LibraryNode:
     ta: bool = False
     tb: bool = False
     group: str | None = None
+    expr: Expr | None = None
 
 
 @dataclass
@@ -133,19 +138,29 @@ LIB_CONNECTORS = {
     "reduce_sum": (("x",), ("y",)),
     "ew_unary": (("x",), ("y",)),
     "ew_binary": (("a", "b"), ("c",)),
+    "ew_expr": ((), ("y",)),  # inputs: the free names of the expression
 }
 
 
+def library_connectors(node: LibraryNode) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(input connectors, output connectors) of a library node."""
+    if node.kind == "ew_expr" and node.expr is not None:
+        return tuple(sorted(free_names(node.expr))), ("y",)
+    return LIB_CONNECTORS.get(node.kind, ((), ()))
+
+
 def library_expr(node: LibraryNode) -> Expr:
-    """The scalar expression an ``ew_unary``/``ew_binary`` node applies to
-    every element, over its input connector names: ``(op a b)`` for
-    ``ew_binary``, ``x`` for copy, ``(mul c x)`` for scale and ``(op x)`` for
-    every other unary op.
+    """The scalar expression an elementwise node applies to every element,
+    over its input connector names: the payload of ``ew_expr``, ``(op a b)``
+    for ``ew_binary``, ``x`` for copy, ``(mul c x)`` for scale and ``(op x)``
+    for every other unary op.
 
     This is the one definition of the elementwise ops: the executor
-    evaluates it, the cost model counts its operators and the differentiator
-    derives the node's adjoints from it.
+    evaluates it on whole arrays, the cost model counts its operators and
+    the differentiator derives the node's adjoints from it.
     """
+    if node.kind == "ew_expr":
+        return node.expr
     if node.op not in (EW_BINARY_OPS if node.kind == "ew_binary" else EW_UNARY_OPS):
         raise DomainError(f"unknown elementwise op '{node.op}'")
     if node.kind == "ew_binary":
@@ -393,15 +408,6 @@ def visit_positions(loop: LoopRegion, n: int) -> range:
     return range(top, stop, -1)
 
 
-def trip_count(loop: LoopRegion, bindings: dict[str, int], trip_limit: int = 10**9) -> int:
-    try:
-        return len(simulate_header(loop, bindings, trip_limit))
-    except UnboundName as exc:
-        raise UnresolvableTripCount(
-            f"cannot resolve trips of loop '{loop.label}': {exc}"
-        ) from exc
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -550,6 +556,11 @@ def validate(program: Program) -> list[Diagnostic]:
                     add(Diagnostic("BadLibrary", f"'{n.id}': unknown elementwise op '{n.op}'", where))
                 if n.kind == "ew_unary" and n.op == "scale" and n.const is None:
                     add(Diagnostic("BadLibrary", f"'{n.id}': scale needs a constant", where))
+                if n.kind == "ew_expr":
+                    if n.expr is None:
+                        add(Diagnostic("BadLibrary", f"'{n.id}': ew_expr needs an expression", where))
+                    elif contains_compare_or_index(n.expr):
+                        add(Diagnostic("BadCondition", f"'{n.id}' expression uses condition-only syntax", where))
             if isinstance(n, MapNode):
                 if len(n.params) != len(n.ranges):
                     add(Diagnostic("ArityMismatch", f"map '{n.id}': {len(n.params)} params, {len(n.ranges)} ranges", where))
@@ -638,7 +649,7 @@ def _connectors(n: Node) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     if isinstance(n, Tasklet):
         return n.ins, n.outs
     if isinstance(n, LibraryNode):
-        return LIB_CONNECTORS.get(n.kind, ((), ()))
+        return library_connectors(n)
     if isinstance(n, MapNode):
         return (), ()
     return None

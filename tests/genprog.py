@@ -8,7 +8,8 @@ out of the forwarded set and makes the variable count equal to the number
 of sins on intermediates.
 
 ``make_elementwise_program`` draws from every elementwise library op, with
-in-place overwrites, for the gradient and memory gates.
+in-place overwrites of inputs and intermediates, for the gradient and memory
+gates.
 
 ``make_loop_program`` wraps elementwise updates in one loop with a drawn
 header (unit, non-unit and negative strides, doubling and halving, zero
@@ -18,10 +19,11 @@ scalar input), for the same gates.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
-from gradflow import ProgramBuilder
+from gradflow import ProgramBuilder, parse_program, program_to_dict
 from gradflow.ir import EW_BINARY_OPS, EW_UNARY_OPS, Program
 
 MAX_SINS = 12
@@ -113,6 +115,30 @@ def scalar_header_program(written: bool) -> Program:
     return b.finish("acc", ["A"])
 
 
+def ew_expr_program(expr: str) -> Program:
+    """E = ``expr`` elementwise over inputs G (connector ``_g``) and X
+    (connector ``x``), both [n] real64; O = sum E. Built through JSON, the
+    only spelling of a forward ``ew_expr`` node; not validated."""
+    b = ProgramBuilder(("n",))
+    for name in ("G", "X"):
+        b.array(name, ("n",), role="input", kind="real64")
+    b.array("E", ("n",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("s") as s:
+        nid = s.library("ew_binary", {"a": "G", "b": "X"}, {"c": "E"}, op="mul")
+        s.library("reduce_sum", {"x": "E"}, {"y": "O"})
+    doc = program_to_dict(b.finish("O", ["G", "X"]))
+    graph = doc["region"][0]
+    graph["nodes"] = [{"id": nid, "type": "ew_expr", "expr": expr} if n["id"] == nid else n
+                      for n in graph["nodes"]]
+    rename = {"a": "_g", "b": "x", "c": "y"}
+    for e in graph["edges"]:
+        for end in ("src", "dst"):
+            if e[end] == nid:
+                e[end + "_conn"] = rename[e[end + "_conn"]]
+    return parse_program(json.dumps(doc))
+
+
 def _unary_box(op: str, lo: float, hi: float, const: float):
     """Bounds of ``op`` over [lo, hi], or None where the op would leave its
     domain or hit a kink (the finite-difference oracle needs smoothness)."""
@@ -160,9 +186,9 @@ def make_elementwise_program(seed: int) -> Program:
     Ops are drawn from ``EW_UNARY_OPS`` and ``EW_BINARY_OPS``; each operand's
     value bounds are tracked, and an op whose operands fall outside its
     domain or its smooth region is redrawn. About a third of the nodes
-    overwrite an intermediate operand in place (never an input, and never
-    when both operands are the same array), and about a third share a state
-    with the node before.
+    overwrite one of their operands in place, inputs included (never when
+    both operands are the same array), and about a third share a state with
+    the node before.
     """
     r = random.Random(seed)
     b = ProgramBuilder(("n",))
@@ -187,9 +213,8 @@ def make_elementwise_program(seed: int) -> Program:
             ins, operands = {"a": a, "b": c}, [a, c]
         if new_box is None or max(abs(new_box[0]), abs(new_box[1])) > 50:
             continue
-        in_place = [x for x in operands if x not in ("X0", "X1")]
-        if in_place and len(set(operands)) == len(operands) and r.random() < 0.35:
-            out = r.choice(in_place)
+        if len(set(operands)) == len(operands) and r.random() < 0.35:
+            out = r.choice(operands)
         else:
             out = f"T{len(box)}"
             b.array(out, ("n",), kind="real64")

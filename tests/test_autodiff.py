@@ -29,8 +29,8 @@ from gradflow.ir import (
     MapNode,
     simulate_header,
 )
-from gradflow.symexpr import parse_sexpr
-from genprog import pingpong_nonaffine, scalar_header_program
+from gradflow.symexpr import parse_sexpr, to_sexpr
+from genprog import ew_expr_program, pingpong_nonaffine, scalar_header_program
 
 
 def _grads(name, inputs, params):
@@ -359,20 +359,26 @@ def test_grad_div_tasklet_with_tiny_denominator():
 # elementwise library adjoints: which nodes they lower to
 
 
-# adjoint of each operand connector: (kind, op) of a library node, or "map"
-# for the per-element fallback, which runs one tasklet per element
+# adjoint of each operand connector: the expression of its whole-array
+# ``ew_expr`` node over the output gradient ``_g``, or None when the
+# derivative is 0
 _UNARY_ADJOINT = {
-    "sin": "map", "cos": "map", "exp": "map", "sqrt": "map", "tanh": "map",
-    "abs": "map", "log": ("ew_binary", "div"), "neg": ("ew_unary", "neg"),
-    "scale": ("ew_unary", "scale"), "copy": ("ew_unary", "copy"), "sign": None,
+    "sin": "(mul (cos x) _g)", "cos": "(neg (mul (sin x) _g))",
+    "exp": "(mul (exp x) _g)", "sqrt": "(div _g (mul 2 (sqrt x)))",
+    "tanh": "(mul (sub 1 (mul (tanh x) (tanh x))) _g)", "abs": "(mul (sign x) _g)",
+    "log": "(div _g x)", "neg": "(neg _g)", "scale": "(mul 1.75 _g)", "copy": "_g",
+    "sign": None,
 }
+# _g where a > b (or a < b), _g/2 where a = b, else 0
+_WHERE_A_GT_B = "(mul (mul 0.5 (add 1 (sign (sub a b)))) _g)"
+_WHERE_A_LT_B = "(mul (mul 0.5 (sub 1 (sign (sub a b)))) _g)"
 _BINARY_ADJOINT = {
-    "add": (("ew_unary", "copy"), ("ew_unary", "copy")),
-    "sub": (("ew_unary", "copy"), ("ew_unary", "neg")),
-    "mul": (("ew_binary", "mul"), ("ew_binary", "mul")),
-    "div": (("ew_binary", "div"), "map"),
-    "min": ("map", "map"),
-    "max": ("map", "map"),
+    "add": ("_g", "_g"),
+    "sub": ("_g", "(neg _g)"),
+    "mul": ("(mul _g b)", "(mul a _g)"),
+    "div": ("(div _g b)", "(neg (div (mul a _g) (mul b b)))"),
+    "min": (_WHERE_A_LT_B, _WHERE_A_GT_B),
+    "max": (_WHERE_A_GT_B, _WHERE_A_LT_B),
 }
 
 
@@ -402,14 +408,15 @@ def _lowering_program(op, out):
 
 
 def _adjoint_nodes(program, label):
-    """(kind, op) of each library node and "map" for each map node in the
-    reverse of forward state ``label``, in emission order."""
+    """("ew_expr", expression) of each ``ew_expr`` node, (kind, op) of each
+    other library node and "map" for each map node in the reverse of forward
+    state ``label``, in emission order."""
     states = [b for b in build_backward(program).backward.region if b.label == label + "__bwd"]
     out = []
     for state in states:
         for n in state.graph.nodes:
             if isinstance(n, LibraryNode):
-                out.append((n.kind, n.op))
+                out.append((n.kind, to_sexpr(n.expr) if n.kind == "ew_expr" else n.op))
             elif isinstance(n, MapNode):
                 out.append("map")
     return out
@@ -425,11 +432,11 @@ _LOWERING_CASES = [(op, out) for op in EW_UNARY_OPS for out in ("new", "a")] + [
 def test_elementwise_adjoint_lowering(op, out, rng):
     p = _lowering_program(op, out)
     if op in EW_UNARY_OPS:
-        expect = [_UNARY_ADJOINT[op]] if _UNARY_ADJOINT[op] else []
+        expect = [("ew_expr", _UNARY_ADJOINT[op])] if _UNARY_ADJOINT[op] else []
         if out == "a" and not expect:
             expect = [("ew_unary", "scale")]  # nothing to send: only clear P's gradient
     else:
-        by_conn = dict(zip("ab", _BINARY_ADJOINT[op]))
+        by_conn = {c: ("ew_expr", adj) for c, adj in zip("ab", _BINARY_ADJOINT[op])}
         # the contribution that overwrites the aliased gradient comes last
         expect = [by_conn[c] for c in sorted("ab", key=lambda c: c == out)]
     assert _adjoint_nodes(p, "op") == expect
@@ -443,6 +450,19 @@ def test_elementwise_adjoint_lowering(op, out, rng):
     replay = run_planned(plan(p, None, params), inputs, params)
     for k in ad.grads:
         assert np.array_equal(replay.grads[k], ad.grads[k]), k
+
+
+def test_ew_expr_with_a_connector_named_like_the_seed(rng):
+    # the adjoints of (mul _g (sin x)) must not read the output gradient
+    # where they mean the operand _g
+    p = ew_expr_program("(mul _g (sin x))")
+    params = {"n": 5}
+    inputs = sample_inputs(p, params, rng)
+    ad = gradient(p, inputs, params, seed=1.5)
+    assert np.array_equal(ad.grads["G"], 1.5 * np.sin(inputs["X"]))
+    fd = finite_difference_gradient(p, inputs, params)
+    report = compare_gradients(ad.grads, {k: 1.5 * v for k, v in fd.items()}, tolerance=1e-5)
+    assert report["ok"], report
 
 
 # ---------------------------------------------------------------------------

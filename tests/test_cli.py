@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import gradflow.examples as examples
-from gradflow import ProgramBuilder, cli, load_program, serialize_program
+from gradflow import (
+    ProgramBuilder,
+    build_backward,
+    cli,
+    load_program,
+    parse_program,
+    serialize_program,
+)
+from gradflow.errors import ProgramSyntaxError
 from genprog import scalar_header_program
 
 
@@ -288,6 +296,37 @@ def test_unparseable_program_is_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
     assert run_cli("plan", bad) == 2
+
+
+def _nodes_of_type(value, ntype):
+    """Every node object of type ``ntype`` in a program document."""
+    if isinstance(value, dict):
+        if value.get("type") == ntype:
+            yield value
+        for v in value.values():
+            yield from _nodes_of_type(v, ntype)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _nodes_of_type(v, ntype)
+
+
+@pytest.mark.parametrize("ntype", ["tasklet", "ew_expr"])
+def test_malformed_expression_is_a_syntax_error(ntype, tmp_path, capsys):
+    # the reverse program holds both a tasklet and ew_expr nodes
+    doc = json.loads(serialize_program(
+        build_backward(examples.build("scaled_product_chain")).backward))
+    node = next(_nodes_of_type(doc, ntype))
+    if ntype == "tasklet":
+        node["body"][node["outs"][0]] = "(add i"
+    else:
+        node["expr"] = "(add i"
+    text = json.dumps(doc)
+    with pytest.raises(ProgramSyntaxError, match="bad expression"):
+        parse_program(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run_cli("fmt", path) == 2
+    assert "bad expression" in capsys.readouterr().err
 
 
 def test_unsupported_reversal_exit_code(tmp_path, capsys):

@@ -15,6 +15,7 @@ from gradflow import (
     validate_or_raise,
 )
 from gradflow.errors import GradflowError, ProgramSyntaxError, ValidationFailed
+from genprog import ew_expr_program
 
 
 @pytest.mark.parametrize("name", sorted(examples.EXAMPLES))
@@ -138,6 +139,22 @@ def test_bad_skip_or_take_fails_validation(key, value, msg):
     program = parse_program(json.dumps(doc))
     with pytest.raises(ValidationFailed, match=msg):
         validate_or_raise(program)
+
+
+def test_ew_expr_round_trips_and_takes_its_connectors_from_the_expression():
+    program = ew_expr_program("(mul _g (sin x))")
+    assert validate(program) == []
+    text = serialize_program(program)
+    assert '"expr": "(mul _g (sin x))"' in text
+    assert serialize_program(parse_program(text)) == text
+    # a free name with no edge is an unwired connector
+    diags = validate(ew_expr_program("(mul _g (sin z))"))
+    assert {d.code for d in diags} == {"UnknownConnector", "ArityMismatch"}
+
+
+def test_ew_expr_rejects_condition_only_syntax():
+    diags = validate(ew_expr_program("(add _g (lt x 1))"))
+    assert [d.code for d in diags] == ["BadCondition"]
 
 
 @pytest.mark.parametrize("key", ["skip", "take"])

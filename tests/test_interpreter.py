@@ -8,12 +8,14 @@ import pytest
 import gradflow.examples as examples
 from gradflow import (
     ProgramBuilder,
+    build_backward,
     count_flops,
     gradient,
     parse_program,
     plan,
     program_to_dict,
     reverse_loop_header,
+    run_backward,
     run_forward,
 )
 from gradflow.errors import (
@@ -123,6 +125,43 @@ def test_batched_run_matches_individual_runs(rng):
     singles = [run_forward(p, {"X": x}, {"n": 5}).value for x in xs]
     assert np.allclose(batched, singles)
     assert np.shape(batched) == (3,)
+
+
+def test_batched_backward_matches_individual_gradients(rng):
+    # the reverse program broadcasts O's rank-0 gradient, which carries the
+    # batch axis, over the elements of Z
+    p = examples.build("exp_sin_chain")
+    xs = rng.uniform(0.4, 1.6, (3, 9))
+    bundle = build_backward(p)
+    fwd = run_forward(p, {"X": xs}, {"n": 9}, record="all")
+    bwd = run_backward(p, bundle.backward, {"X": xs}, {"n": 9},
+                       tape=fwd.tape, forwarding=bundle.forwarding)
+    singles = [gradient(p, {"X": x}, {"n": 9}).grads["X"] for x in xs]
+    assert np.array_equal(bwd.env["X__grad"], np.stack(singles))
+
+
+def _scaled_by_scalar(n_y):
+    """Y = X * s over whole arrays, O = sum Y, with Y declared [n_y]."""
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.scalar("s", role="input", kind="real64")
+    b.array("Y", (n_y,), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("s") as st:
+        st.library("ew_binary", {"a": "X", "b": "s"}, {"c": "Y"}, op="mul")
+        st.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+    return b.finish("O", ["X"])
+
+
+def test_elementwise_rank0_operand_broadcasts_under_the_batch_axis(rng):
+    xs, ss = rng.uniform(0.4, 1.6, (2, 4)), np.array([2.0, 3.0])
+    got = run_forward(_scaled_by_scalar("n"), {"X": xs, "s": ss}, {"n": 4}).value
+    assert np.array_equal(got, (xs * ss[:, None]).sum(axis=1))
+
+
+def test_elementwise_operand_of_another_shape_is_a_shape_mismatch():
+    with pytest.raises(ShapeMismatch, match="operand 'a'"):
+        run_forward(_scaled_by_scalar("(add n 1)"), {"X": np.ones(4), "s": 2.0}, {"n": 4})
 
 
 def test_batched_branch_divergence(rng):

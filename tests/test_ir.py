@@ -12,7 +12,6 @@ from gradflow.ir import (
     pristine_inputs,
     schedule,
     simulate_header,
-    trip_count,
 )
 from gradflow.symexpr import parse_sexpr
 
@@ -66,7 +65,7 @@ def test_header_descending():
 
 def test_header_zero_trips():
     assert simulate_header(_loop("4", "4", "<", "(add i 1)"), {}, 100) == []
-    assert trip_count(_loop("7", "3", "<", "(add i 1)"), {}) == 0
+    assert len(simulate_header(_loop("7", "3", "<", "(add i 1)"), {}, 10**9)) == 0
 
 
 def test_header_parametric_bound():
