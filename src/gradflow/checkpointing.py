@@ -16,11 +16,21 @@ peak plus its bytes at first backward use and drops the scratch right after.
 Loop bodies count once (steady state). A value the tape holds (snapshots
 across loop iterations, or an input's value before it is overwritten in
 place) counts all its snapshots from the start of the forward pass.
+
+Solver: each event total is one memory row, affine in the store bits. Rows
+that never exceed the limit, and rows another row dominates, are dropped
+before the search; the rest are held as dense integer arrays. Best-first
+branch and bound decides the values in production order. Its key is the
+recompute flops paid so far plus a fractional-knapsack bound on the flops
+still to pay, computed exactly, then the decided bits; so among the
+cheapest plans it returns the one that stores the earliest-produced values.
 """
 
 from __future__ import annotations
 
+import bisect
 import copy
+import functools
 import heapq
 import itertools
 import time
@@ -99,23 +109,6 @@ class AffineBytes:
             n += c * assignment[i]
         for i, c in self.rec:
             n += c * (1 - assignment[i])
-        return n
-
-    def low(self, partial: dict[int, int]) -> int:
-        """Smallest value reachable from a partial assignment."""
-        n = self.const
-        coef: dict[int, tuple[int, int]] = {}
-        for i, c in self.store:
-            coef[i] = (c, 0)
-        for i, c in self.rec:
-            s, _ = coef.get(i, (0, 0))
-            coef[i] = (s, c)
-        for i, (s, r) in coef.items():
-            v = partial.get(i)
-            if v is None:
-                n += min(s, r)
-            else:
-                n += s if v else r
         return n
 
     @property
@@ -667,6 +660,7 @@ class ILPSolution:
     t_star: int  # peak bytes under the assignment
     nodes: int
     wall_ms: float
+    rows_kept: int = 0  # memory rows the search checked, after pruning
 
 
 def build_ilp(
@@ -693,54 +687,175 @@ def _peak(problem: ILPProblem, assignment) -> int:
     return max((t.value(assignment) for _, _, t in problem.events), default=0)
 
 
+class MemoryRows:
+    """Event totals as dense int64 rows over the plan bits: row e holds
+    ``base[e] + delta[e] @ v`` bytes, where ``base`` is the total when every
+    value is recomputed and ``delta`` is store minus recompute bytes."""
+
+    def __init__(self, base: np.ndarray, delta: np.ndarray):
+        self.base = base
+        self.delta = delta
+        self.up = np.maximum(delta, 0)  # rise when the value is stored
+        self.down = np.maximum(-delta, 0)  # rise when it is recomputed
+
+    @classmethod
+    def of(cls, totals, k: int, fixed: dict[int, int]) -> "MemoryRows":
+        """Rows of the given totals, with the ``fixed`` values folded into
+        ``base``."""
+        base = np.array([t.const + sum(c for _, c in t.rec) for t in totals], dtype=np.int64)
+        delta = np.zeros((len(totals), k), dtype=np.int64)
+        store = [(e, i, c) for e, t in enumerate(totals) for i, c in t.store]
+        rec = [(e, i, -c) for e, t in enumerate(totals) for i, c in t.rec]
+        for terms in (store, rec):
+            if terms:
+                e, i, c = np.array(terms, dtype=np.int64).T
+                np.add.at(delta, (e, i), c)
+        for i, v in fixed.items():
+            base += v * delta[:, i]
+            delta[:, i] = 0
+        return cls(base, delta)
+
+    def values(self, assignment) -> np.ndarray:
+        return self.base + self.delta @ np.asarray(assignment, dtype=np.int64)
+
+    def low(self) -> np.ndarray:
+        """Lowest total each row reaches under any assignment."""
+        return self.base - self.down.sum(axis=1)
+
+    def decide(self, low: np.ndarray, i: int, v: int) -> np.ndarray:
+        """``low`` once value i, undecided in it, is stored (v=1) or
+        recomputed (v=0)."""
+        return low + (self.up[:, i] if v else self.down[:, i])
+
+    def prune(self, limit: int) -> "MemoryRows":
+        """The rows that can exceed ``limit`` and that no other row
+        dominates; of identical rows the first stays. Row b dominates row a
+        when it is at least a under every assignment."""
+        live = self.base + self.up.sum(axis=1) > limit
+        base, delta = self.base[live], self.delta[live]
+        n, k = delta.shape
+        dom = np.empty((n, n), dtype=bool)  # dom[b, a]: b dominates a
+        step = max(1, (1 << 20) // max(1, n * k))
+        for lo in range(0, n, step):
+            a = slice(lo, lo + step)
+            gap = base - base[a, None] + np.minimum(delta - delta[a, None], 0).sum(axis=2)
+            dom[:, a] = (gap >= 0).T
+        earlier = np.triu(np.ones((n, n), dtype=bool), 1)  # earlier[b, a]: b < a
+        beaten = dom & (~dom.T | earlier)
+        np.fill_diagonal(beaten, False)
+        keep = ~beaten.any(axis=0)
+        return MemoryRows(base[keep], delta[keep])
+
+    def floor(self, free: list[int]) -> int:
+        """Exact least highest row over every assignment of the ``free``
+        values, enumerated as low-bit subsets against each high-bit one."""
+        d = self.delta[:, free]
+
+        def subset_sums(cols: np.ndarray) -> np.ndarray:
+            bits = (np.arange(1 << cols.shape[1])[:, None] >> np.arange(cols.shape[1])) & 1
+            return bits @ cols.T
+
+        split = min(len(free), 12)
+        low = self.base + subset_sums(d[:, :split])
+        return int(min((low + h).max(axis=1).min() for h in subset_sums(d[:, split:])))
+
+
 def solve_ilp(problem: ILPProblem) -> ILPSolution:
-    """Exact best-first branch and bound. Ties on recompute cost resolve to
-    the assignment that stores the earliest-produced values."""
+    """Exact best-first branch and bound over the plan bits, decided in
+    production order.
+
+    Storing everything costs no flops, so it wins whenever it fits.
+    Otherwise the event totals become dense rows with the pinned values
+    folded in (``MemoryRows``), and only the rows that can bind stay: a row
+    whose highest value is within the limit never binds, and a dominated row
+    binds only where its dominator already does. A search node carries the
+    lowest total each kept row can still reach; a child costs one vector
+    update, and it is pruned when a row exceeds the limit. The heap key adds
+    to the flops paid so far an admissible bound on the flops still to pay:
+    for each kept row over the limit with every undecided value stored, the
+    fractional knapsack over the undecided values whose recompute lowers it,
+    rounded up in exact integers; the bound is the largest of these.
+
+    Ties resolve to the assignment that stores the earliest-produced values:
+    keys are ``(flops + bound, decided bits as 1 - v)``, every prefix of that
+    assignment has a key no larger than its own, and its key is smaller than
+    any other complete assignment's, so it is the first complete node popped.
+    The peak ``t_star`` is taken over every event row.
+    """
     t0 = time.perf_counter()
     k = problem.k
     limit = problem.limit_bytes
     nodes = 1
 
     all_store = tuple(1 for _ in range(k))
-    if limit is None or _peak(problem, all_store) <= limit:
-        # storing everything is free in flops, so it wins whenever it fits
+    peak = _peak(problem, all_store)
+    if limit is None or peak <= limit:
         ms = (time.perf_counter() - t0) * 1e3
-        return ILPSolution(all_store, 0, _peak(problem, all_store), nodes, ms)
+        return ILPSolution(all_store, 0, peak, nodes, ms)
 
-    def low_peak(partial: dict[int, int]) -> int:
-        return max((t.low(partial) for _, _, t in problem.events), default=0)
+    # the zero row stands for the peak of a path with no events
+    full = MemoryRows.of([*(t for _, _, t in problem.events), ZERO], k, problem.fixed)
+    rows = full.prune(limit)
+    costs = problem.costs
+    up_tail = np.zeros((len(rows.base), k + 1), dtype=np.int64)
+    up_tail[:, :k] = np.cumsum(rows.up[:, ::-1], axis=1)[:, ::-1]
 
-    # heap entries: (objective bound, decided bits as 1-v for largest-v ties)
-    heap = [(0, (), dict(problem.fixed))]
+    @functools.cache
+    def table(r: int, depth: int):
+        """Row r's undecided values whose recompute lowers it, as (flops,
+        bytes) cheapest per byte first, with running byte and flop sums."""
+        up = rows.up[r].tolist()
+        items = sorted(
+            ((costs[i], up[i]) for i in range(depth, k) if up[i] > 0),
+            key=functools.cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]),  # exact ratios
+        )
+        return (
+            items,
+            list(itertools.accumulate(b for _, b in items)),
+            [0, *itertools.accumulate(c for c, _ in items)],
+        )
+
+    def bound(depth: int, low: np.ndarray) -> int | None:
+        """Least flops the undecided values still cost, None if no
+        completion fits."""
+        shed = low + up_tail[:, depth] - limit  # bytes each row must lose
+        best = 0
+        for r in np.flatnonzero(shed > 0).tolist():
+            items, cum_bytes, cum_flops = table(r, depth)
+            need = int(shed[r])
+            j = bisect.bisect_left(cum_bytes, need)
+            if j == len(items):
+                return None
+            c, b = items[j]
+            rest = need - (cum_bytes[j - 1] if j else 0)
+            best = max(best, cum_flops[j] - (-c * rest // b))
+        return best
+
+    low = rows.low()
+    h = bound(0, low)
+    heap = [] if h is None else [(h, (), 0, low)]
     while heap:
-        obj, bits, partial = heapq.heappop(heap)
+        _, bits, obj, low = heapq.heappop(heap)
         nodes += 1
         depth = len(bits)
         if depth == k:
             assignment = tuple(1 - b for b in bits)
-            if _peak(problem, assignment) <= limit:
-                ms = (time.perf_counter() - t0) * 1e3
-                return ILPSolution(assignment, obj, _peak(problem, assignment), nodes, ms)
-            continue
+            t_star = int(full.values(assignment).max())
+            ms = (time.perf_counter() - t0) * 1e3
+            return ILPSolution(assignment, obj, t_star, nodes, ms, len(rows.base))
         forced = problem.fixed.get(depth)
         for v in (1, 0) if forced is None else (forced,):
-            child = dict(partial)
-            child[depth] = v
-            if low_peak(child) > limit:
+            child = rows.decide(low, depth, v)
+            h = bound(depth + 1, child)
+            if h is None:
                 continue
-            heapq.heappush(
-                heap,
-                (obj + (problem.costs[depth] if v == 0 else 0), bits + (1 - v,), child),
-            )
+            paid = obj + (costs[depth] if v == 0 else 0)
+            heapq.heappush(heap, (paid + h, bits + (1 - v,), paid, child))
 
     if k <= 20:
-        best = min(
-            _peak(problem, a)
-            for a in itertools.product((1, 0), repeat=k)
-            if all(a[i] == v for i, v in problem.fixed.items())
-        )
+        best = rows.floor([i for i in range(k) if i not in problem.fixed])
     else:
-        best = low_peak(dict(problem.fixed))
+        best = int(full.low().max())
     raise Infeasible(
         f"no plan fits in {limit} bytes; the best achievable peak is {best} bytes",
         min_peak_bytes=best,
@@ -864,6 +979,9 @@ def plan(
         "peak_bytes": solution.t_star,
         "limit_bytes": limit_bytes,
         "solver_ms": solution.wall_ms,
+        "solver_nodes": solution.nodes,
+        "rows_kept": solution.rows_kept,
+        "events": len(problem.events),
         "paths_checked": problem.n_paths,
     }
     return PlanResult(fwd, bwd, solution, report, bundle, fvs, sequences)

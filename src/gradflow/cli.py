@@ -270,7 +270,11 @@ def cmd_plan(args) -> int:
         f"peak: {report['peak_bytes'] / MIB:.2f} MiB"
         + (f" (limit {limit / MIB:.2f} MiB)" if limit is not None else "")
     )
-    print(f"solver: {report['solver_ms']:.2f} ms over {report['paths_checked']} path(s)")
+    print(
+        f"solver: {report['solver_ms']:.2f} ms, {report['solver_nodes']} nodes, "
+        f"{report['rows_kept']} of {report['events']} memory rows, "
+        f"over {report['paths_checked']} path(s)"
+    )
     return EXIT_OK
 
 

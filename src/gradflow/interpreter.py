@@ -561,9 +561,12 @@ def run_backward(
                 env[k] = np.asarray(v)
     seed_name = program.dependent + "__grad"
     if seed_name in backward.descriptors and seed_name not in env:
+        # the reverse program may read no forward input, so the batch shape
+        # comes from the inputs the forward run saw
         batch = ()
-        for name, arr in env.items():
-            desc = backward.descriptors.get(name)
+        for name, value in inputs.items():
+            desc = program.descriptors.get(name)
+            arr = np.asarray(value)
             if desc is not None and arr.ndim > desc.rank:
                 batch = arr.shape[: arr.ndim - desc.rank]
                 break

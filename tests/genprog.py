@@ -5,7 +5,8 @@ handful of elementwise chains over [d,d] real64 arrays. Chains alternate
 linear scalings with sin, so the sin inputs become the planner's decision
 variables. The first op of every chain is a scaling, which keeps raw inputs
 out of the forwarded set and makes the variable count equal to the number
-of sins on intermediates.
+of sins on intermediates. ``sin_chain`` is one such chain of a given length,
+sized for solver-speed tests.
 
 ``make_elementwise_program`` draws from every elementwise library op, with
 in-place overwrites of inputs and intermediates, for the gradient and memory
@@ -75,6 +76,28 @@ def make_chain_program(seed: int) -> Program:
                 body={"o": expr},
             )
     return b.finish("O", [f"X{c}" for c in range(n_chains)])
+
+
+def sin_chain(k: int, side: int = 16) -> Program:
+    """A scale, then k sins, then ``reduce_sum``, over [side, side] real64:
+    k decision variables of equal size, each dearer to recompute than the
+    one before."""
+    shape = (str(side), str(side))
+    b = ProgramBuilder(())
+    b.array("X", shape, role="input", kind="real64")
+    b.array("L", shape, kind="real64")
+    with b.state("scale") as s:
+        s.library("ew_unary", {"x": "X"}, {"y": "L"}, op="scale", const=0.5)
+    cur = "L"
+    for j in range(k):
+        b.array(f"A{j}", shape, kind="real64")
+        with b.state(f"sin{j}") as s:
+            s.library("ew_unary", {"x": cur}, {"y": f"A{j}"}, op="sin")
+        cur = f"A{j}"
+    b.scalar("O", role="output", kind="real64")
+    with b.state("reduce") as s:
+        s.library("reduce_sum", {"x": cur}, {"y": "O"})
+    return b.finish("O", ["X"])
 
 
 def pingpong_nonaffine() -> Program:

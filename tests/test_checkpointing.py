@@ -6,6 +6,9 @@ budget. All byte numbers derive from S = 3620^2 * 4 = 52,417,600.
 """
 
 import itertools
+import random
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,9 +29,9 @@ from gradflow import (
     simulate_memory,
     solve_ilp,
 )
-from gradflow.checkpointing import AffineBytes
-from gradflow.errors import Infeasible
-from genprog import make_chain_program
+from gradflow.checkpointing import AffineBytes, MemoryEvent, MemoryRows, PathSequence
+from gradflow.errors import Infeasible, UnsupportedConstruct, UnsupportedLoop
+from genprog import make_chain_program, make_elementwise_program, make_loop_program, sin_chain
 
 S = 3620 ** 2 * 4
 MIB = 1 << 20
@@ -51,10 +54,13 @@ def test_affine_bytes_algebra():
     assert a.value((0, 0)) == 10 + 3
     assert a.value((1, 0)) == 10 + 5 + 3
     assert a.add(a.neg()).is_zero
+    rows = MemoryRows.of([a], 2, {})
+    assert all(rows.values(v)[0] == a.value(v) for v in itertools.product((0, 1), repeat=2))
     # independent per-term minimum is a lower bound over all assignments
-    assert all(a.low({}) <= a.value(v) for v in itertools.product((0, 1), repeat=2))
-    # pinning a variable tightens the bound
-    assert a.low({0: 1}) >= a.low({})
+    low = rows.low()
+    assert all(low[0] <= a.value(v) for v in itertools.product((0, 1), repeat=2))
+    # deciding a variable tightens the bound
+    assert rows.decide(low, 0, 1)[0] >= low[0]
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +196,156 @@ def test_solver_agrees_with_brute_force_on_random_chains():
             assert got.objective_flops == ref.objective_flops
 
 
+def _problem(program, params):
+    bundle = build_backward(program)
+    fvs = collect_forwarded(program, bundle, params)
+    return fvs, build_memory_sequences(program, bundle, fvs, params)
+
+
+def _keep_all(fvs, seqs):
+    return max(s.peak(tuple(1 for _ in fvs)) for s in seqs)
+
+
+def _floor(fvs, seqs):
+    try:
+        brute_force_plan(fvs, seqs, -1)
+    except Infeasible as exc:
+        return exc.min_peak_bytes
+    return 0
+
+
+@pytest.mark.filterwarnings("ignore::gradflow.errors.NonDifferentiableOp")
+def test_solver_agrees_with_brute_force_on_random_programs():
+    # budgets between the floor and the keep-all peak; drawn shares of the
+    # keep-all peak would mostly be infeasible
+    seen = {"recompute": 0, "forced": 0, "paths": 0, "infeasible": 0}
+    for make, seed in itertools.product((make_elementwise_program, make_loop_program), range(200)):
+        try:
+            fvs, seqs = _problem(make(seed), {"n": 4})
+        except (UnsupportedConstruct, UnsupportedLoop):
+            continue
+        if not fvs:
+            continue
+        seen["forced"] += any(fv.forced for fv in fvs)
+        seen["paths"] += len(seqs) > 1
+        floor, keep = _floor(fvs, seqs), _keep_all(fvs, seqs)
+        for limit in sorted({floor - 1, floor, (floor + keep) // 2, keep - 1}):
+            try:
+                got = solve_ilp(build_ilp(fvs, seqs, limit))
+            except Infeasible as e1:
+                with pytest.raises(Infeasible) as e2:
+                    brute_force_plan(fvs, seqs, limit)
+                assert e1.min_peak_bytes == e2.value.min_peak_bytes == floor, (make, seed, limit)
+                seen["infeasible"] += 1
+                continue
+            ref = brute_force_plan(fvs, seqs, limit)
+            assert (got.assignment, got.objective_flops, got.t_star) == \
+                (ref.assignment, ref.objective_flops, ref.t_star), (make, seed, limit)
+            seen["recompute"] += got.objective_flops > 0
+    assert all(seen.values()), seen
+
+
+def _random_problem(r: random.Random):
+    """Up to 7 values, pinned or tied in cost, over two paths of random
+    event totals, some of them repeated."""
+    k = r.randint(0, 7)
+    fvs = [SimpleNamespace(index=i, forced=r.random() < 0.2, c_flops=r.choice((0, 1, 2, 3, 5, 8)))
+           for i in range(k)]
+
+    def terms():
+        return tuple((i, r.randint(-3, 9)) for i in range(k) if r.random() < 0.6)
+
+    seqs = []
+    for _ in range(2):
+        totals = []
+        for _ in range(r.randint(0, 6)):
+            totals.append(r.choice(totals) if totals and r.random() < 0.3
+                          else AffineBytes(r.randint(0, 20), terms(), terms()))
+        seqs.append(PathSequence((), tuple(MemoryEvent("e", t, t) for t in totals)))
+    return fvs, seqs
+
+
+def test_solver_agrees_with_brute_force_on_random_rows():
+    # arbitrary rows: floors away from recompute-everything, identical and
+    # dominated rows, ties in cost, pinned values, empty paths
+    r = random.Random(7)
+    for case in range(400):
+        fvs, seqs = _random_problem(r)
+        floor, keep = _floor(fvs, seqs), _keep_all(fvs, seqs)
+        for limit in sorted({floor - 1, floor, (floor + keep) // 2, keep}):
+            try:
+                got = solve_ilp(build_ilp(fvs, seqs, limit))
+            except Infeasible as exc:
+                assert exc.min_peak_bytes == floor, (case, limit)
+                assert limit < floor
+                continue
+            ref = brute_force_plan(fvs, seqs, limit)
+            assert (got.assignment, got.objective_flops, got.t_star) == \
+                (ref.assignment, ref.objective_flops, ref.t_star), (case, limit)
+
+
+@pytest.mark.parametrize("share", [0.8, 0.6])
+def test_sin_chain_of_24_values_solves_in_under_a_second(share):
+    k = 24
+    fvs, seqs = _problem(sin_chain(k), {})
+    limit = int(share * _keep_all(fvs, seqs))
+    t0 = time.perf_counter()
+    sol = solve_ilp(build_ilp(fvs, seqs, limit))
+    assert time.perf_counter() - t0 < 1.0
+    # equal sizes and rising recompute costs: recompute the shortest prefix
+    # that fits
+    m = next(m for m in range(k + 1)
+             if max(s.peak((0,) * m + (1,) * (k - m)) for s in seqs) <= limit)
+    assert sol.assignment == (0,) * m + (1,) * (k - m)
+    assert sol.objective_flops == sum(fv.c_flops for fv in fvs[:m])
+    assert sol.t_star == max(s.peak(sol.assignment) for s in seqs) <= limit
+    assert sol.rows_kept == 1
+
+
+def test_infeasible_floor_of_16_values_in_under_half_a_second():
+    k = 16
+    program = sin_chain(k)
+    t0 = time.perf_counter()
+    with pytest.raises(Infeasible) as exc:
+        plan(program, 1e-5, {})
+    assert time.perf_counter() - t0 < 0.5
+    # on a sin chain recomputing everything reaches the floor (brute force
+    # agrees at k=10)
+    fvs, seqs = _problem(program, {})
+    assert exc.value.min_peak_bytes == max(s.peak((0,) * k) for s in seqs)
+    fvs, seqs = _problem(sin_chain(10), {})
+    with pytest.raises(Infeasible) as small:
+        solve_ilp(build_ilp(fvs, seqs, 10))
+    assert small.value.min_peak_bytes == _floor(fvs, seqs)
+
+
+@pytest.mark.parametrize("k", [20, 24])
+@pytest.mark.parametrize("share", [0.8, 0.6])
+def test_solver_objective_matches_scipy_milp(k, share):
+    optimize = pytest.importorskip("scipy.optimize")
+    fvs, seqs = _problem(sin_chain(k), {})
+    limit = int(share * _keep_all(fvs, seqs))
+    sol = solve_ilp(build_ilp(fvs, seqs, limit))
+    # each event total is base + delta @ v over the store bits v
+    totals = [ev.total for seq in seqs for ev in seq.events]
+    base = np.array([t.const + sum(c for _, c in t.rec) for t in totals], dtype=float)
+    delta = np.zeros((len(totals), k))
+    for e, t in enumerate(totals):
+        for i, c in t.store:
+            delta[e, i] += c
+        for i, c in t.rec:
+            delta[e, i] -= c
+    costs = np.array([fv.c_flops for fv in fvs], dtype=float)
+    res = optimize.milp(
+        -costs,  # recomputing costs sum(c) - c @ v
+        constraints=optimize.LinearConstraint(delta, -np.inf, limit - base),
+        integrality=np.ones(k),
+        bounds=optimize.Bounds(0, 1),
+    )
+    assert res.success
+    assert sol.objective_flops == round(costs.sum() + res.fun)
+
+
 # ---------------------------------------------------------------------------
 # plan application
 
@@ -214,6 +370,9 @@ def test_plan_report(foo_plan):
     assert rep["objective_flops"] == C_FLOPS[0]
     assert rep["peak_bytes"] == 10 * S
     assert rep["paths_checked"] == 1
+    assert rep["events"] == len(foo_plan.sequences[0].events)
+    assert 0 < rep["rows_kept"] <= rep["events"]
+    assert rep["solver_nodes"] == foo_plan.solution.nodes
     decisions = {v["data"]: v["decision"] for v in rep["values"]}
     assert decisions == {"A0": "recompute", "A1": "store", "A2": "store"}
 

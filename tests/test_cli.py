@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -71,6 +72,7 @@ def test_plan_prints_decision_line(foo_path, capsys):
     out = capsys.readouterr().out
     assert "A0: recompute, A1: store, A2: store" in out
     assert "objective" in out
+    assert re.search(r"solver: [\d.]+ ms, \d+ nodes, \d+ of \d+ memory rows, over 1 path\(s\)", out)
 
 
 def test_plan_json_report(foo_path, capsys):
@@ -80,6 +82,8 @@ def test_plan_json_report(foo_path, capsys):
     assert report["objective_flops"] == 13_104_400
     assert report["peak_bytes"] == 10 * 3620 ** 2 * 4
     assert [v["decision"] for v in report["values"]] == ["recompute", "store", "store"]
+    assert report["solver_nodes"] > 1
+    assert 0 < report["rows_kept"] <= report["events"]
 
 
 def test_plan_emits_rewritten_programs(foo_path, tmp_path, capsys):

@@ -17,6 +17,7 @@ from gradflow import (
     reverse_loop_header,
     run_backward,
     run_forward,
+    sample_inputs,
 )
 from gradflow.errors import (
     BatchDivergence,
@@ -138,6 +139,30 @@ def test_batched_backward_matches_individual_gradients(rng):
                        tape=fwd.tape, forwarding=bundle.forwarding)
     singles = [gradient(p, {"X": x}, {"n": 9}).grads["X"] for x in xs]
     assert np.array_equal(bwd.env["X__grad"], np.stack(singles))
+
+
+@pytest.mark.parametrize("name, params", [
+    ("overwrite_chain", {"n": 7}),
+    ("iterated_sin_map", {"n": 6, "steps": 4}),
+    ("two_array_pingpong", None),
+    ("seidel_stencil", {"N": 8, "TSTEPS": 2}),
+])
+def test_batched_backward_takes_the_batch_from_the_forward_inputs(name, params, rng):
+    # these reverse programs read no forward input, so nothing in the
+    # backward env carries the batch axis
+    p = examples.build(name)
+    params = params or examples.DEFAULT_PARAMS[name]
+    samples = [sample_inputs(p, params, rng) for _ in range(3)]
+    batch = {k: np.stack([s[k] for s in samples]) for k in samples[0]}
+    bundle = build_backward(p)
+    fwd = run_forward(p, batch, params, record="all")
+    bwd = run_backward(p, bundle.backward, batch, params,
+                       tape=fwd.tape, forwarding=bundle.forwarding)
+    singles = [gradient(p, s, params).grads for s in samples]
+    for ind in p.independents:
+        got = bwd.env[ind + "__grad"]
+        assert got.shape == batch[ind].shape, ind
+        assert np.array_equal(got, np.stack([g[ind] for g in singles])), ind
 
 
 def _scaled_by_scalar(n_y):
