@@ -58,6 +58,7 @@ from .ir import (
     copy_program,
     data_read,
     data_written,
+    header_names,
     library_connectors,
     library_expr,
     pristine_inputs,
@@ -496,8 +497,7 @@ class _BackwardBuilder:
         # the reversed loop re-simulates the forward header, reading inputs
         # as they are; a scalar the program writes no longer holds the value
         # the forward header saw
-        header = free_names(loop.init) | free_names(loop.bound) | free_names(loop.update)
-        for name in sorted(header & set(self.p.descriptors)):
+        for name in sorted(header_names(loop) & set(self.p.descriptors)):
             if name not in self.pristine:
                 raise UnsupportedLoop(
                     f"loop '{loop.label}': its header reads '{name}', which the "

@@ -13,9 +13,12 @@ transient is resident from its first write to the end of the forward pass; a
 gradient from its first touch to its last use. A kept value adds its bytes
 from production to its last backward use; a recomputed one adds its scratch
 peak plus its bytes at first backward use and drops the scratch right after.
-Loop bodies count once (steady state). A value the tape holds (snapshots
-across loop iterations, or an input's value before it is overwritten in
-place) counts all its snapshots from the start of the forward pass.
+Both passes follow one static walk per path (``ir.path_visits``). A loop
+body counts once (steady state); a loop that visits no iterate, such as a
+zero-trip loop or a peel past the last iterate, counts nothing. A value the
+tape holds (snapshots across loop iterations, or an input's value before it
+is overwritten in place) counts all its snapshots from the start of the
+forward pass: the most any path records.
 
 Solver: each event total is one memory row, affine in the store bits. Rows
 that never exceed the limit, and rows another row dominates, are dropped
@@ -43,6 +46,7 @@ from .errors import (
     GradflowError,
     Infeasible,
     IrrecomputableValue,
+    UnresolvableTripCount,
 )
 from .interpreter import count_flops, default_trip_limit, run_backward, run_forward
 from .ir import (
@@ -58,12 +62,12 @@ from .ir import (
     Program,
     State,
     Tasklet,
-    body_runs,
-    branch_labels,
     copy_program,
+    path_outcomes,
+    path_visits,
     pristine_inputs,
+    runtime_loop,
     schedule,
-    simulate_header,
     size_bytes,
     validate_or_raise,
     walk_blocks,
@@ -172,14 +176,6 @@ class ForwardedValue:
         return self.size_bytes * self.snapshots
 
 
-def _state_index(program: Program) -> dict[str, int]:
-    return {
-        b.label: i
-        for i, (_, b) in enumerate(walk_blocks(program.region))
-        if isinstance(b, State)
-    }
-
-
 def _producer(state: State, access_id: str) -> str:
     """Compute node that completes the given access instance (schedule-last
     when conflict resolution merges several writers)."""
@@ -190,34 +186,6 @@ def _producer(state: State, access_id: str) -> str:
         return srcs[0]
     pos = {nid: i for i, nid in enumerate(schedule(state.graph))}
     return max(srcs, key=pos.__getitem__)
-
-
-def _site_visits(program: Program, label: str, params: dict[str, int], limit: int) -> int:
-    """How many times the block with this label runs; branch arms use their
-    own count (an upper bound when the condition is data-dependent)."""
-
-    def rec(region: list[Block], bind: dict[str, int]) -> int:
-        n = 0
-        for block in region:
-            if isinstance(block, State):
-                n += 1 if block.label == label else 0
-            elif isinstance(block, LoopRegion):
-                if block.label == label:
-                    return n + 1
-                if not _contains(block.body, label):
-                    continue
-                for it in simulate_header(block, bind, limit):
-                    n += rec(block.body, {**bind, block.iterator: it})
-            else:
-                if block.label == label:
-                    return n + 1
-                n += max(rec(block.then_body, bind), rec(block.else_body, bind))
-        return n
-
-    def _contains(region: list[Block], target: str) -> bool:
-        return any(getattr(b, "label", None) == target for _, b in walk_blocks(region))
-
-    return rec(program.region, dict(params))
 
 
 def collect_forwarded(
@@ -232,9 +200,27 @@ def collect_forwarded(
     limit = trip_limit if trip_limit is not None else default_trip_limit()
     vinfo = bundle.vinfo
     pristine = pristine_inputs(program)
-    sidx = _state_index(program)
     states = {b.label: b for _, b in walk_blocks(program.region) if isinstance(b, State)}
-    sched = {label: {n: i for i, n in enumerate(schedule(st.graph))} for label, st in states.items()}
+    order = {  # (state, node) -> program position
+        (label, nid): (i, j)
+        for i, (label, st) in enumerate(states.items())
+        for j, nid in enumerate(schedule(st.graph))
+    }
+
+    @functools.cache
+    def path_runs() -> list[list[tuple[str, int | None]]]:
+        """Per path, the (state label, runs) it visits."""
+        return [
+            [(st.label, n) for st, _, n in path_visits(program.region, outcome, params, limit)]
+            for outcome in path_outcomes(program)
+        ]
+
+    def site_runs(visits: list[tuple[str, int | None]], label: str) -> int:
+        runs = [n for st, n in visits if st == label]
+        if None in runs:
+            loop = runtime_loop(program.region, states[label], params)
+            raise UnresolvableTripCount(f"loop '{loop}' needs runtime values to count snapshots")
+        return sum(runs)
 
     raw = []
     for entry in bundle.forwarding.values():
@@ -242,20 +228,14 @@ def collect_forwarded(
         if desc.rank == 0:
             continue
         versions = tuple(c.version for c in entry.candidates)
-        key = (len(sidx) + 1, 0)  # input snapshots sort ahead of everything
-        for v in versions:
-            site = vinfo.write_site.get((entry.data, v))
-            if site is not None:
-                slabel, acc = site
-                prod = _producer(states[slabel], acc)
-                key = min(key, (sidx[slabel], sched[slabel][prod]))
-        if key == (len(sidx) + 1, 0):
-            key = (-1, -1)
-        raw.append((key, entry, versions))
+        sites = [vinfo.write_site.get((entry.data, v)) for v in versions]
+        # input snapshots sort ahead of everything
+        key = min((order[st, _producer(states[st], acc)] for st, acc in filter(None, sites)), default=(-1, -1))
+        raw.append((key, entry, versions, sites))
     raw.sort(key=lambda t: t[0])
 
     out: list[ForwardedValue] = []
-    for idx, (_, entry, versions) in enumerate(raw):
+    for idx, (_, entry, versions, sites) in enumerate(raw):
         desc = program.descriptors[entry.data]
         size = size_bytes(desc, params)
         cand = entry.candidates[0]
@@ -276,7 +256,7 @@ def collect_forwarded(
             access = acc
             try:
                 rec_plan = _recompute_plan(
-                    program, vinfo, pristine, entry.name, entry.data, cand.version, idx, params
+                    program, vinfo, pristine, states, order, entry.name, entry.data, cand.version, idx, params
                 )
             except IrrecomputableValue as exc:
                 forced_reason = str(exc)
@@ -284,13 +264,10 @@ def collect_forwarded(
             forced_reason = f"input '{entry.data}' is overwritten in place; its original value is kept"
         else:
             forced_reason = "value history spans loop iterations"
-            snapshots = 0
-            for v in versions:
-                st = vinfo.write_site.get((entry.data, v))
-                if st is None:  # version 0: the input itself is snapshotted
-                    snapshots += 1
-                else:
-                    snapshots += _site_visits(program, st[0], params, limit)
+            # version 0, the input itself, is one snapshot on every path
+            snapshots = sites.count(None) + max(
+                sum(site_runs(visits, st) for st, _ in filter(None, sites)) for visits in path_runs()
+            )
         out.append(
             ForwardedValue(
                 index=idx,
@@ -339,6 +316,8 @@ def _recompute_plan(
     program: Program,
     vinfo: VersionInfo,
     pristine: set[str],
+    states: dict[str, State],
+    order: dict[tuple[str, str], tuple[int, int]],
     stored_name: str,
     data: str,
     version: int,
@@ -346,10 +325,8 @@ def _recompute_plan(
     params: dict[str, int],
 ) -> RecomputePlan:
     """Straight-line producer closure of (data, version), rebuilt as one
-    state that reads only pristine inputs and writes ``stored_name``."""
-    states = {b.label: b for _, b in walk_blocks(program.region) if isinstance(b, State)}
-    sidx = _state_index(program)
-    sched = {label: {n: i for i, n in enumerate(schedule(st.graph))} for label, st in states.items()}
+    state that reads only pristine inputs and writes ``stored_name``.
+    ``order`` gives each (state, node) its program position."""
 
     steps: dict[tuple[str, int], tuple[str, str]] = {}
     need = [(data, version)]
@@ -382,7 +359,7 @@ def _recompute_plan(
         raise IrrecomputableValue(f"closure of '{data}' touches several versions of one array")
 
     rename = {d: (stored_name if (d, v) == (data, version) else f"{d}__r{fvid}") for d, v in steps}
-    ordered = sorted(steps.items(), key=lambda kv: (sidx[kv[1][0]], sched[kv[1][0]][kv[1][1]]))
+    ordered = sorted(steps.items(), key=lambda kv: order[kv[1]])
 
     graph = Dataflow()
     acc_ids: dict[str, str] = {}
@@ -480,14 +457,9 @@ def build_memory_sequences(
 ) -> list[PathSequence]:
     """Resident-byte event sequences, one per control-flow path pair. Every
     sequence starts and ends at zero; totals are affine in the plan bits."""
-    labels = branch_labels(program)
     limit = trip_limit if trip_limit is not None else default_trip_limit()
     b = _SeqBuilder(program, bundle, fvs, params, limit)
-    seqs = []
-    for bits in itertools.product((True, False), repeat=len(labels)):
-        outcome = dict(zip(labels, bits))
-        seqs.append(b.path(outcome))
-    return seqs
+    return [b.path(outcome) for outcome in path_outcomes(program)]
 
 
 class _SeqBuilder:
@@ -525,18 +497,22 @@ class _SeqBuilder:
             d = AffineBytes(store=((fv.index, fv.total_bytes),))
             self._balance[fv.index] = self._balance.get(fv.index, ZERO).add(d)
             emit(f"snapshot {fv.data}", d)
-        self._walk_fw(self.program.region, outcome, emit, allocated, seen)
+        for state in self._path_states(self.program, outcome):
+            self._fw_state(state, emit, allocated, seen)
         for name, size in reversed(allocated):
             emit(f"free {name}", AffineBytes(const=-size))
 
         # --- backward
-        linear = []
-        self._linearize_bw(self.backward.region, outcome, linear)
+        linear = [
+            (state.label, reads, writes)
+            for state in self._path_states(self.backward, outcome)
+            for reads, writes in _node_accesses(state.graph)
+        ]
         first_state: dict[int, str] = {}
         last_use: dict[int, int] = {}
         touch: dict[str, tuple[int, int]] = {}
         fv_names = {fv.name: fv for fv in self.fvs}
-        for pos, (slabel, _nid, reads, writes) in enumerate(linear):
+        for pos, (slabel, reads, writes) in enumerate(linear):
             for name in reads:
                 fv = fv_names.get(name)
                 if fv is not None:
@@ -550,7 +526,7 @@ class _SeqBuilder:
                 touch[name] = (min(first, pos), pos)
         cur_state = None
         galloc: set[str] = set()
-        for pos, (slabel, _nid, reads, writes) in enumerate(linear):
+        for pos, (slabel, reads, writes) in enumerate(linear):
             if slabel != cur_state:
                 cur_state = slabel
                 for fv in self.fvs:
@@ -585,18 +561,14 @@ class _SeqBuilder:
             raise GradflowError(f"internal: path accounting leaks {self._cur}")
         return PathSequence(tuple(sorted(outcome.items())), tuple(events))
 
-    # forward side
+    def _path_states(self, program: Program, outcome: dict[str, bool]) -> list[State]:
+        """The states the path runs at all, each once, in program order: a
+        loop body counts once (steady state), one that visits no iterate
+        not at all."""
+        ran = {st.label for st, _, _ in path_visits(program.region, outcome, self.params, self.limit)}
+        return [b for _, b in walk_blocks(program.region) if isinstance(b, State) and b.label in ran]
 
-    def _walk_fw(self, region, outcome, emit, allocated, seen):
-        for block in region:
-            if isinstance(block, State):
-                self._fw_state(block, emit, allocated, seen)
-            elif isinstance(block, LoopRegion):
-                if body_runs(block, self.params, self.limit):
-                    self._walk_fw(block.body, outcome, emit, allocated, seen)
-            else:
-                arm = block.then_body if outcome[block.label] else block.else_body
-                self._walk_fw(arm, outcome, emit, allocated, seen)
+    # forward side
 
     def _fw_state(self, state: State, emit, allocated, seen):
         graph = state.graph
@@ -618,25 +590,16 @@ class _SeqBuilder:
                 self._balance[fv.index] = self._balance.get(fv.index, ZERO).add(delta)
                 emit(f"keep {fv.name}", delta)
 
-    # backward side
 
-    def _linearize_bw(self, region, outcome, out):
-        for block in region:
-            if isinstance(block, State):
-                graph = block.graph
-                byid = {n.id: n for n in graph.nodes}
-                for nid in schedule(graph):
-                    if isinstance(byid[nid], AccessNode):
-                        continue
-                    reads = {e.data for e in graph.in_edges(nid) if isinstance(byid[e.src], AccessNode)}
-                    writes = {e.data for e in graph.out_edges(nid) if isinstance(byid[e.dst], AccessNode)}
-                    out.append((block.label, nid, reads, writes))
-            elif isinstance(block, LoopRegion):
-                self._linearize_bw(block.body, outcome, out)
-            else:
-                key = block.trace_ref or block.label
-                arm = block.then_body if outcome[key] else block.else_body
-                self._linearize_bw(arm, outcome, out)
+def _node_accesses(graph: Dataflow) -> list[tuple[set[str], set[str]]]:
+    """(arrays read, arrays written) of each compute node, in schedule order."""
+    byid = {n.id: n for n in graph.nodes}
+    return [
+        ({e.data for e in graph.in_edges(nid) if isinstance(byid[e.src], AccessNode)},
+         {e.data for e in graph.out_edges(nid) if isinstance(byid[e.dst], AccessNode)})
+        for nid in schedule(graph)
+        if not isinstance(byid[nid], AccessNode)
+    ]
 
 
 # ---------------------------------------------------------------------------

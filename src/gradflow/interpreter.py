@@ -52,8 +52,11 @@ from .ir import (
     Program,
     State,
     Tasklet,
-    branch_labels,
+    header_names,
     library_expr,
+    path_outcomes,
+    path_visits,
+    runtime_loop,
     schedule,
     simulate_header,
     uniform_int,
@@ -205,9 +208,7 @@ class Executor:
         """The live bindings plus the scalar arrays the header reads.
         ``simulate_header`` copies its bindings, so the live dict itself
         serves a header that reads no scalar."""
-        need = (
-            free_names(loop.init) | free_names(loop.bound) | free_names(loop.update)
-        ) - {loop.iterator} - self.bind.keys()
+        need = header_names(loop) - {loop.iterator} - self.bind.keys()
         scalars = {}
         for name in sorted(need):
             desc = self.program.descriptors.get(name)
@@ -585,67 +586,24 @@ def run_backward(
 
 def count_flops(program: Program, params: dict[str, int], trip_limit: int | None = None) -> dict[tuple, int]:
     """Operation count per control-flow path, assuming each branch takes one
-    arm for the whole execution. Paths are keyed by ((label, outcome), ...)
-    in program order; a branch-free program yields {(): total}."""
+    arm for the whole execution. A path is keyed like
+    ``PathSequence.outcomes``: the sorted ``(label, arm)`` pairs of every
+    branch, a reversed branch under the label of the forward branch it
+    replays; a branch-free program yields {(): total}. A loop whose trip
+    count needs runtime values raises UnresolvableTripCount."""
     params = dict(params)
     limit = trip_limit if trip_limit is not None else default_trip_limit()
-    branch_labels(program)  # raises PathExplosion past MAX_BRANCHES
-
-    def region_cost(region: list[Block]) -> dict[tuple, int]:
-        total: dict[tuple, int] = {(): 0}
-        for block in region:
-            total = _cross(total, block_cost(block))
-        return total
-
-    def block_cost(block: Block) -> dict[tuple, int]:
-        if isinstance(block, State):
-            return {(): _graph_cost(block.graph, program, params)}
-        if isinstance(block, LoopRegion):
-            try:
-                iterates = simulate_header(block, params, limit)
-                iterates = [iterates[p] for p in visit_positions(block, len(iterates))]
-            except UnboundName as exc:
+    out: dict[tuple, int] = {}
+    for outcome in path_outcomes(program):
+        total = 0
+        for state, bind, runs in path_visits(program.region, outcome, params, limit):
+            if runs is None:
                 raise UnresolvableTripCount(
-                    f"loop '{block.label}' needs runtime values: {exc}"
-                ) from None
-            try:
-                inner = region_cost(block.body)
-            except (UnboundName, UnresolvableTripCount):
-                inner = None
-            if inner is not None:
-                return {p: c * len(iterates) for p, c in inner.items()}
-            # body cost depends on the iterate (triangular nests): sum per trip
-            total: dict[tuple, int] | None = None
-            had, saved = block.iterator in params, params.get(block.iterator)
-            try:
-                for i in iterates:
-                    params[block.iterator] = i
-                    once = region_cost(block.body)
-                    if total is None:
-                        total = once
-                    else:
-                        for p, c in once.items():
-                            total[p] = total.get(p, 0) + c
-            finally:
-                if had:
-                    params[block.iterator] = saved
-                else:
-                    params.pop(block.iterator, None)
-            return total if total is not None else {(): 0}
-        then_c = region_cost(block.then_body)
-        else_c = region_cost(block.else_body)
-        out: dict[tuple, int] = {}
-        for p, c in then_c.items():
-            out[((block.label, True),) + p] = c
-        for p, c in else_c.items():
-            out[((block.label, False),) + p] = c
-        return out
-
-    return region_cost(program.region)
-
-
-def _cross(a: dict[tuple, int], b: dict[tuple, int]) -> dict[tuple, int]:
-    return {pa + pb: ca + cb for pa, ca in a.items() for pb, cb in b.items()}
+                    f"loop '{runtime_loop(program.region, state, params)}' needs runtime values"
+                )
+            total += runs * _graph_cost(state.graph, program, bind)
+        out[tuple(sorted(outcome.items()))] = total
+    return out
 
 
 def _graph_cost(df: Dataflow, program: Program, params: dict[str, int]) -> int:
@@ -696,30 +654,16 @@ def _map_range(node: MapNode, start, stop, step) -> range:
 
 
 def _map_points(node: MapNode, params: dict[str, int]) -> int:
-    """Points in the map's range product, as the executor enumerates them."""
-    independent = True
-    for k, (start, stop, step) in enumerate(node.ranges):
-        used = free_names(start) | free_names(stop) | free_names(step)
-        if used & set(node.params[:k]):
-            independent = False
-            break
-    if independent:
-        total = 1
-        for r in node.ranges:
-            total *= len(_map_range(node, *(eval_expr(e, params) for e in r)))
-        return total
-    count = 0
-    bind = dict(params)
+    """Points in the map's range product, as the executor enumerates them. A
+    parameter no later range reads multiplies; any other is enumerated."""
+    later = [set().union(*(free_names(e) for r in node.ranges[k + 1:] for e in r)) for k in range(len(node.params))]
 
-    def rec(k: int):
-        nonlocal count
+    def count(k: int, bind: dict[str, int]) -> int:
         if k == len(node.params):
-            count += 1
-            return
-        for v in _map_range(node, *(eval_expr(e, bind) for e in node.ranges[k])):
-            bind[node.params[k]] = v
-            rec(k + 1)
-        bind.pop(node.params[k], None)
+            return 1
+        points = _map_range(node, *(eval_expr(e, bind) for e in node.ranges[k]))
+        if node.params[k] not in later[k]:
+            return len(points) * count(k + 1, bind)
+        return sum(count(k + 1, {**bind, node.params[k]: v}) for v in points)
 
-    rec(0)
-    return count
+    return count(0, params)

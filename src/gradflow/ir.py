@@ -20,6 +20,7 @@ Invariants enforced by :func:`validate`:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
@@ -276,12 +277,23 @@ def walk_blocks(region: list[Block], path: tuple[str, ...] = ()) -> Iterator[tup
 
 
 def branch_labels(program: Program) -> list[str]:
-    """Labels of the program's branch blocks, in program order. Raises
-    PathExplosion beyond ``MAX_BRANCHES``."""
-    labels = [b.label for _, b in walk_blocks(program.region) if isinstance(b, Conditional)]
+    """The keys that pick the program's branch arms, in program order: a
+    branch's label, or for a reversed branch the label of the forward branch
+    it replays (``trace_ref``), once each. Raises PathExplosion beyond
+    ``MAX_BRANCHES``."""
+    labels = list(dict.fromkeys(
+        b.trace_ref or b.label for _, b in walk_blocks(program.region) if isinstance(b, Conditional)
+    ))
     if len(labels) > MAX_BRANCHES:
         raise PathExplosion(f"{len(labels)} branch blocks exceed the supported {MAX_BRANCHES}")
     return labels
+
+
+def path_outcomes(program: Program) -> list[dict[str, bool]]:
+    """One outcome per control-flow path: every combination of branch arms,
+    keyed by :func:`branch_labels`."""
+    labels = branch_labels(program)
+    return [dict(zip(labels, bits)) for bits in itertools.product((True, False), repeat=len(labels))]
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +399,6 @@ def simulate_header(loop: LoopRegion, bindings: dict[str, int], trip_limit: int)
         i = uniform_int(eval_expr(loop.update, env), f"update of '{loop.label}'")
 
 
-def body_runs(loop: LoopRegion, params: dict[str, int], trip_limit: int) -> bool:
-    """Whether a static walk over the parameters enters the loop's body: not
-    when the header runs zero trips, always when the header depends on an
-    enclosing iterator."""
-    try:
-        return bool(simulate_header(loop, params, trip_limit))
-    except UnboundName:
-        return True
-
-
 def visit_positions(loop: LoopRegion, n: int) -> range:
     """Positions into the ``n`` simulated iterates of ``loop`` that its body
     runs at, in order: all of them forward, or for a reversed loop the last
@@ -406,6 +408,81 @@ def visit_positions(loop: LoopRegion, n: int) -> range:
     top = n - 1 - loop.skip
     stop = -1 if loop.take is None else max(-1, top - loop.take)
     return range(top, stop, -1)
+
+
+def header_names(loop: LoopRegion) -> set[str]:
+    """Names the loop's init, bound and update read, its iterator included."""
+    return free_names(loop.init) | free_names(loop.bound) | free_names(loop.update)
+
+
+def _body_reads_iterator(loop: LoopRegion) -> bool:
+    """Whether a loop header or map range nested in the body reads the
+    loop's iterator."""
+    names: set[str] = set()
+    for _, b in walk_blocks(loop.body):
+        if isinstance(b, LoopRegion):
+            names |= header_names(b)
+        elif isinstance(b, State):
+            names |= _range_names(b.graph)
+    return loop.iterator in names
+
+
+def _range_names(df: Dataflow) -> set[str]:
+    """Names the map ranges of a graph read, nested maps included."""
+    out: set[str] = set()
+    for n in df.nodes:
+        if isinstance(n, MapNode):
+            out |= _range_names(n.body).union(*(free_names(e) for r in n.ranges for e in r))
+    return out
+
+
+def path_visits(
+    region: list[Block], outcome: dict[str, bool], bind: dict[str, int], trip_limit: int
+) -> Iterator[tuple[State, dict[str, int], int | None]]:
+    """The states one control-flow path runs, in execution order, as
+    ``(state, bindings, runs)``. ``outcome`` picks each branch's arm, keyed
+    by :func:`branch_labels`. A loop runs its body at the simulated iterates
+    :func:`visit_positions` picks, so one that visits none yields nothing. A
+    body whose nested loop headers and map ranges never read the iterator is
+    walked once with ``runs`` times the visit count, any other once per visit
+    with the iterator bound. A header that reads a value known only at run
+    time yields its body once with ``runs=None``."""
+
+    def walk(region: list[Block], bind: dict[str, int], runs: int | None):
+        for block in region:
+            if isinstance(block, State):
+                yield block, bind, runs
+            elif isinstance(block, Conditional):
+                key = block.trace_ref or block.label
+                yield from walk(block.then_body if outcome[key] else block.else_body, bind, runs)
+            else:
+                try:
+                    iterates = simulate_header(block, bind, trip_limit)
+                except UnboundName:
+                    yield from walk(block.body, bind, None)
+                    continue
+                visits = [iterates[p] for p in visit_positions(block, len(iterates))]
+                if not visits:
+                    continue
+                if _body_reads_iterator(block):
+                    for i in visits:
+                        yield from walk(block.body, {**bind, block.iterator: i}, runs)
+                else:
+                    yield from walk(block.body, bind, None if runs is None else runs * len(visits))
+
+    return walk(region, bind, 1)
+
+
+def runtime_loop(region: list[Block], state: State, params: dict[str, int]) -> str | None:
+    """The outermost loop around ``state`` whose header reads a name that is
+    neither a parameter nor an enclosing iterator: a value known only at run
+    time."""
+    known = set(params)
+    for _, loop in walk_blocks(region):
+        if isinstance(loop, LoopRegion) and any(b is state for _, b in walk_blocks(loop.body)):
+            if header_names(loop) - known - {loop.iterator}:
+                return loop.label
+            known.add(loop.iterator)
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +568,7 @@ def validate(program: Program) -> list[Diagnostic]:
             add(Diagnostic("BadLoop", f"skip must be at least 0, got {loop.skip}", where))
         if loop.take is not None and loop.take < 1:
             add(Diagnostic("BadLoop", f"take must be at least 1, got {loop.take}", where))
-        header_names = free_names(loop.init) | free_names(loop.bound) | free_names(loop.update)
-        mutated = writes_in(loop.body) & (header_names | {loop.iterator})
+        mutated = writes_in(loop.body) & (header_names(loop) | {loop.iterator})
         for m in sorted(mutated):
             add(Diagnostic(
                 "HeaderMutation",

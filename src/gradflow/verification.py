@@ -20,18 +20,19 @@ from .errors import (
     GradflowError,
     Infeasible,
     NegativeResident,
+    UnboundName,
 )
 from .interpreter import default_trip_limit, run_forward
 from .ir import (
     AccessNode,
     Block,
-    Conditional,
     LoopRegion,
     Program,
     State,
-    body_runs,
     schedule,
+    simulate_header,
     size_bytes,
+    visit_positions,
     walk_blocks,
 )
 from .symexpr import eval_expr
@@ -277,8 +278,7 @@ def simulate_memory(
         emit(f"free {name}", -size)
 
     # backward
-    linear: list[tuple[str, object, set, set]] = []
-    _linearize(backward.region, trace, linear)
+    linear = _linearize(backward, params, trace)
     stored_names = _stored_names(backward)
     touch: dict[str, tuple[int, int]] = {}
     stored_last: dict[str, int] = {}
@@ -343,20 +343,41 @@ def _produced_names(program: Program) -> set[str]:
     return out
 
 
-def _walk_forward(program, params, trace, emit, allocated, seen, stored_live):
-    limit = default_trip_limit()
+def _body_runs(loop: LoopRegion, bind: dict[str, int], limit: int) -> list[dict[str, int]]:
+    """The bindings the loop's body runs under: one per visited iterate, or
+    the enclosing ones once when the header reads a value known only at run
+    time."""
+    try:
+        iterates = simulate_header(loop, bind, limit)
+    except UnboundName:
+        return [bind]
+    return [{**bind, loop.iterator: iterates[p]} for p in visit_positions(loop, len(iterates))]
 
-    def rec(region: list[Block]):
+
+def _states_run(program: Program, params: dict[str, int], trace: dict[str, bool]) -> list[State]:
+    """The states one path runs at least once, each once, in program order.
+    ``trace`` picks each branch's arm (then, when absent); a reversed branch
+    follows the forward branch it replays. Every loop iterate is visited."""
+    limit = default_trip_limit()
+    ran: set[str] = set()
+
+    def rec(region: list[Block], bind: dict[str, int]):
         for block in region:
             if isinstance(block, State):
-                state(block)
+                ran.add(block.label)
             elif isinstance(block, LoopRegion):
-                if body_runs(block, params, limit):  # a zero-trip loop allocates nothing
-                    rec(block.body)
+                for inner in _body_runs(block, bind, limit):
+                    rec(block.body, inner)
             else:
-                rec(block.then_body if trace.get(block.label, True) else block.else_body)
+                taken = trace.get(block.trace_ref or block.label, True)
+                rec(block.then_body if taken else block.else_body, bind)
 
-    def state(st: State):
+    rec(program.region, params)
+    return [b for _, b in walk_blocks(program.region) if isinstance(b, State) and b.label in ran]
+
+
+def _walk_forward(program, params, trace, emit, allocated, seen, stored_live):
+    for st in _states_run(program, params, trace):
         graph = st.graph
         byid = {n.id: n for n in graph.nodes}
         for nid in schedule(graph):
@@ -379,28 +400,21 @@ def _walk_forward(program, params, trace, emit, allocated, seen, stored_live):
                     allocated.append((e.data, size))
                     emit(f"alloc {e.data}", size)
 
-    rec(program.region)
 
-
-def _linearize(region: list[Block], trace: dict[str, bool], out: list):
-    for block in region:
-        if isinstance(block, State):
-            graph = block.graph
-            byid = {n.id: n for n in graph.nodes}
-            compute = [nid for nid in schedule(graph) if not isinstance(byid[nid], AccessNode)]
-            groups = {getattr(byid[n], "group", None) for n in compute}
-            if compute and all(g and g.startswith("rec:") for g in groups):
-                reads = {e.data for e in graph.edges if isinstance(byid.get(e.src), AccessNode)}
-                writes = {e.data for e in graph.edges if isinstance(byid.get(e.dst), AccessNode)}
-                out.append(("rec", block, reads, writes))
-                continue
-            for nid in compute:
-                reads = {e.data for e in graph.in_edges(nid) if isinstance(byid.get(e.src), AccessNode)}
-                writes = {e.data for e in graph.out_edges(nid) if isinstance(byid.get(e.dst), AccessNode)}
-                out.append(("node", nid, reads, writes))
-        elif isinstance(block, LoopRegion):
-            _linearize(block.body, trace, out)
-        elif isinstance(block, Conditional):
-            key = block.trace_ref or block.label
-            arm = block.then_body if trace.get(key, True) else block.else_body
-            _linearize(arm, trace, out)
+def _linearize(program: Program, params: dict[str, int], trace: dict[str, bool]) -> list:
+    out = []
+    for block in _states_run(program, params, trace):
+        graph = block.graph
+        byid = {n.id: n for n in graph.nodes}
+        compute = [nid for nid in schedule(graph) if not isinstance(byid[nid], AccessNode)]
+        groups = {getattr(byid[n], "group", None) for n in compute}
+        if compute and all(g and g.startswith("rec:") for g in groups):
+            reads = {e.data for e in graph.edges if isinstance(byid.get(e.src), AccessNode)}
+            writes = {e.data for e in graph.edges if isinstance(byid.get(e.dst), AccessNode)}
+            out.append(("rec", block, reads, writes))
+            continue
+        for nid in compute:
+            reads = {e.data for e in graph.in_edges(nid) if isinstance(byid.get(e.src), AccessNode)}
+            writes = {e.data for e in graph.out_edges(nid) if isinstance(byid.get(e.dst), AccessNode)}
+            out.append(("node", nid, reads, writes))
+    return out

@@ -138,6 +138,24 @@ def scalar_header_program(written: bool) -> Program:
     return b.finish("acc", ["A"])
 
 
+def runtime_header_array_program() -> Program:
+    """Y = 0.5 X; Y = sin(Y) for i < m, with m a scalar input; O = sum Y.
+    The carried array's snapshot count is known only at run time."""
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.scalar("m", role="input", kind="real64")
+    b.array("Y", ("n",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("init") as s:
+        s.library("ew_unary", {"x": "X"}, {"y": "Y"}, op="scale", const=0.5)
+    with b.loop("i", "0", "m", label="lp"):
+        with b.state("step") as s:
+            s.library("ew_unary", {"x": "Y"}, {"y": "Y"}, op="sin")
+    with b.state("post") as s:
+        s.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+    return b.finish("O", ["X"])
+
+
 def ew_expr_program(expr: str) -> Program:
     """E = ``expr`` elementwise over inputs G (connector ``_g``) and X
     (connector ``x``), both [n] real64; O = sum E. Built through JSON, the

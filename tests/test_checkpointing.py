@@ -22,6 +22,7 @@ from gradflow import (
     build_ilp,
     build_memory_sequences,
     collect_forwarded,
+    count_flops,
     gradient,
     plan,
     run_planned,
@@ -30,8 +31,15 @@ from gradflow import (
     solve_ilp,
 )
 from gradflow.checkpointing import AffineBytes, MemoryEvent, MemoryRows, PathSequence
-from gradflow.errors import Infeasible, UnsupportedConstruct, UnsupportedLoop
-from genprog import make_chain_program, make_elementwise_program, make_loop_program, sin_chain
+from gradflow.errors import Infeasible, UnresolvableTripCount, UnsupportedConstruct, UnsupportedLoop
+from gradflow.ir import LoopRegion, simulate_header, visit_positions, walk_blocks
+from genprog import (
+    make_chain_program,
+    make_elementwise_program,
+    make_loop_program,
+    runtime_header_array_program,
+    sin_chain,
+)
 
 S = 3620 ** 2 * 4
 MIB = 1 << 20
@@ -528,3 +536,56 @@ def test_tape_held_snapshots_count_once_on_every_path():
                                    dict(seq.outcomes), stored_hints=hints)
         peaks[seq.outcomes] = (seq.peak(result.solution.assignment), timeline.peak)
     assert peaks == {(("pick", True),): (288, 288), (("pick", False),): (240, 240)}
+
+
+def test_count_flops_keys_are_the_sequence_outcomes():
+    for program, params in (
+        (examples.build("branchy_scale"), {"n": 4}),
+        (_arm_snapshot_program(), {"n": 6, "steps": 4}),
+    ):
+        result = plan(program, None, params)
+        outcomes = {seq.outcomes for seq in result.sequences}
+        assert set(count_flops(program, params)) == outcomes
+        assert set(count_flops(result.bundle.backward, params)) == outcomes
+
+
+# ---------------------------------------------------------------------------
+# a reversed loop body that visits no iterate is charged nothing
+
+
+def _model_and_simulation(program, params):
+    result = plan(program, None, params)
+    hints = {fv.name: fv.total_bytes for fv in result.fvs if fv.forced}
+    for seq in result.sequences:
+        timeline = simulate_memory(result.forward, result.backward, params,
+                                   dict(seq.outcomes), stored_hints=hints)
+        assert timeline.peak == seq.peak(result.solution.assignment), seq.outcomes
+    return result
+
+
+def test_zero_trip_loop_allocates_no_gradients():
+    # the loop writing C runs no trip, so the backward run never touches
+    # C's or X1's gradient
+    result = _model_and_simulation(make_loop_program(417), {"n": 4})
+    (taken,) = [seq for seq in result.sequences if seq.outcomes == (("pick", True),)]
+    labels = {ev.label for ev in taken.events}
+    assert not labels & {"alloc C__grad", "alloc X1__grad"}
+    assert result.solution.t_star == 96
+
+
+def test_peel_past_the_last_iterate_allocates_nothing():
+    program = make_loop_program(273)
+    (peel,) = [b for _, b in walk_blocks(build_backward(program).backward.region)
+               if isinstance(b, LoopRegion) and b.label == "outer__bwd"]
+    iterates = simulate_header(peel, {"n": 4}, 100)
+    assert iterates and not visit_positions(peel, len(iterates))
+    assert _model_and_simulation(program, {"n": 4}).solution.t_star == 160
+
+
+# ---------------------------------------------------------------------------
+# loop headers that read a scalar input
+
+
+def test_plan_of_a_runtime_header_over_a_carried_array_names_the_loop():
+    with pytest.raises(UnresolvableTripCount, match="loop 'lp'"):
+        plan(runtime_header_array_program(), None, {"n": 4})

@@ -16,7 +16,7 @@ from gradflow import (
     serialize_program,
 )
 from gradflow.errors import ProgramSyntaxError
-from genprog import scalar_header_program
+from genprog import runtime_header_array_program, scalar_header_program
 
 
 @pytest.fixture
@@ -339,6 +339,14 @@ def test_unsupported_reversal_exit_code(tmp_path, capsys):
     path.write_text(serialize_program(scalar_header_program(written=True)))
     assert run_cli("diff", path) == 3
     assert "unsupported" in capsys.readouterr().err
+
+
+def test_runtime_trip_count_exit_code(tmp_path, capsys):
+    # a carried array's snapshots under a loop bound read from a scalar input
+    path = tmp_path / "runtime.json"
+    path.write_text(serialize_program(runtime_header_array_program()))
+    assert run_cli("plan", path, "--params", "n=4") == 3
+    assert "loop 'lp' needs runtime values" in capsys.readouterr().err
 
 
 def test_module_entry_point(foo_path):

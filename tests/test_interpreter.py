@@ -18,6 +18,7 @@ from gradflow import (
     run_backward,
     run_forward,
     sample_inputs,
+    simulate_memory,
 )
 from gradflow.errors import (
     BatchDivergence,
@@ -26,8 +27,13 @@ from gradflow.errors import (
     OutOfBounds,
     ShapeMismatch,
     UnboundName,
+    UnresolvableTripCount,
+    UnsupportedConstruct,
+    UnsupportedLoop,
 )
 from gradflow.interpreter import default_trip_limit
+from gradflow.ir import branch_labels
+from genprog import make_elementwise_program, make_loop_program, runtime_header_array_program
 
 
 def _run(name, inputs, params):
@@ -384,3 +390,99 @@ def test_zero_trip_inverse_loop_runs_nothing():
     res = run_forward(backward_only, {"A": a}, {})
     assert res.value == 0 and res.op_count == 0
     assert gradient(p, {"A": a}, {}).grads["A"].tolist() == [0.0] * 16
+
+
+# ---------------------------------------------------------------------------
+# one static path walk: the cost model counts what the executor runs
+
+
+def _count_matches_run(program, params, inputs):
+    """count_flops of the forward and backward programs, on the path the run
+    takes, equals the executor's op counts. A branch the run never reaches
+    takes either arm; both cost the same."""
+    res = gradient(program, inputs, params)
+    trace = res.forward.tape.branch_trace
+    assert all(len(set(arms)) == 1 for arms in trace.values())
+    key = tuple(sorted((label, trace.get(label, [True])[0]) for label in branch_labels(program)))
+    assert count_flops(program, params)[key] == res.forward.op_count
+    assert count_flops(res.bundle.backward, params)[key] == res.backward.op_count
+
+
+def _each_arm(program, params, seed):
+    """Sampled inputs, once with s = 0.5 and once with s = 1.5 when the
+    program reads a scalar s, so every s < 0.5 or s < 1 branch takes both
+    arms."""
+    inputs = sample_inputs(program, params, np.random.default_rng(seed))
+    if "s" not in inputs:
+        return [inputs]
+    return [{**inputs, "s": np.float64(s)} for s in (0.5, 1.5)]
+
+
+@pytest.mark.parametrize("name", sorted(examples.EXAMPLES))
+def test_count_flops_equals_op_count_on_the_corpus(name):
+    program, params = examples.build(name), examples.DEFAULT_PARAMS[name]
+    for inputs in _each_arm(program, params, 101):
+        _count_matches_run(program, params, inputs)
+
+
+@pytest.mark.filterwarnings("ignore::gradflow.errors.NonDifferentiableOp")
+@pytest.mark.parametrize("make,seeds", [(make_loop_program, 300), (make_elementwise_program, 100)])
+def test_count_flops_equals_op_count_on_random_programs(make, seeds):
+    checked = 0
+    for seed in range(seeds):
+        program, params = make(seed), {"n": 4}
+        for inputs in _each_arm(program, params, seed):
+            try:
+                _count_matches_run(program, params, inputs)
+            except (UnsupportedConstruct, UnsupportedLoop):
+                continue
+            checked += 1
+    assert checked >= seeds  # most programs are differentiable, many run twice
+
+
+def _late_triangle(sibling_first):
+    """A = 0.5 X; for i < n: {for j in a triangular range: A = sin(A)} next to
+    a sibling state {T = exp(A); A = T X}; O = sum A. Either the inner loop
+    runs j < i, no trip at i = 0, and the sibling follows it; or the sibling
+    comes first and the inner loop runs i < j < n, no trip at i = n - 1, so
+    the reversed body starts with a loop that its first visit skips."""
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    for name in ("A", "T"):
+        b.array(name, ("n",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("pre") as s:
+        s.library("ew_unary", {"x": "X"}, {"y": "A"}, op="scale", const=0.5)
+
+    def sibling():
+        with b.state("sibling") as s:
+            s.library("ew_unary", {"x": "A"}, {"y": "T"}, op="exp")
+            s.library("ew_binary", {"a": "T", "b": "X"}, {"c": "A"}, op="mul")
+
+    with b.loop("i", "0", "n", label="outer"):
+        if sibling_first:
+            sibling()
+        with b.loop("j", *(("(add i 1)", "n") if sibling_first else ("0", "i")), label="inner"):
+            with b.state("tri") as s:
+                s.library("ew_unary", {"x": "A"}, {"y": "A"}, op="sin")
+        if not sibling_first:
+            sibling()
+    with b.state("post") as s:
+        s.library("reduce_sum", {"x": "A"}, {"y": "O"})
+    return b.finish("O", ["X"])
+
+
+@pytest.mark.parametrize("sibling_first", [False, True])
+def test_zero_trip_inner_loop_next_to_a_sibling_state(sibling_first):
+    program, params = _late_triangle(sibling_first), {"n": 4}
+    _count_matches_run(program, params, sample_inputs(program, params))
+    result = plan(program, None, params)
+    hints = {fv.name: fv.total_bytes for fv in result.fvs if fv.forced}
+    (seq,) = result.sequences
+    timeline = simulate_memory(result.forward, result.backward, params, stored_hints=hints)
+    assert timeline.peak == seq.peak(result.solution.assignment) == result.solution.t_star
+
+
+def test_count_flops_of_a_runtime_header_names_the_loop():
+    with pytest.raises(UnresolvableTripCount, match="loop 'lp'"):
+        count_flops(runtime_header_array_program(), {"n": 4})

@@ -6,9 +6,11 @@ from gradflow import size_bytes, validate
 from gradflow.errors import NonTermination
 from gradflow.ir import (
     AccessNode,
+    Conditional,
     DataDescriptor,
     LoopRegion,
     State,
+    path_visits,
     pristine_inputs,
     schedule,
     simulate_header,
@@ -136,3 +138,48 @@ def test_pristine_inputs():
     assert pristine_inputs(foo) == {"C", "D"}
     sei = examples.build("seidel_stencil")
     assert pristine_inputs(sei) == set()  # A is overwritten in place
+
+
+# ---------------------------------------------------------------------------
+# the static path walk
+
+
+def _nest(outer, inner, branch=False):
+    """for i in outer: {for j in inner: s_in}; s_out, optionally behind a
+    branch 'b' whose else arm is empty."""
+    body_in = [State("s_in")]
+    loop_in = LoopRegion("lin", "j", *map(parse_sexpr, inner), "<",
+                         parse_sexpr("(add j 1)"), body_in)
+    body = [loop_in, State("s_out")]
+    if branch:
+        body = [Conditional("b", parse_sexpr("(lt s 1)"), body, [])]
+    return [LoopRegion("lout", "i", *map(parse_sexpr, outer), "<",
+                       parse_sexpr("(add i 1)"), body)]
+
+
+def _visits(region, outcome=None, bind=None):
+    return [(st.label, dict(b), runs)
+            for st, b, runs in path_visits(region, outcome or {}, bind or {}, 100)]
+
+
+def test_path_visits_multiplies_a_body_that_ignores_the_iterator():
+    assert _visits(_nest(("0", "3"), ("0", "2"))) == [("s_in", {}, 6), ("s_out", {}, 3)]
+
+
+def test_path_visits_binds_an_iterator_a_nested_header_reads():
+    got = _visits(_nest(("0", "3"), ("0", "i")))
+    assert got == [("s_out", {"i": 0}, 1), ("s_in", {"i": 1}, 1), ("s_out", {"i": 1}, 1),
+                   ("s_in", {"i": 2}, 2), ("s_out", {"i": 2}, 1)]
+
+
+def test_path_visits_skips_a_loop_that_visits_nothing():
+    assert _visits(_nest(("0", "0"), ("0", "2"))) == []
+    peel = LoopRegion("p", "i", parse_sexpr("0"), parse_sexpr("2"), "<", parse_sexpr("(add i 1)"),
+                      [State("s")], reverse_of="f", skip=2)
+    assert _visits([peel]) == []
+
+
+def test_path_visits_follows_the_outcome_and_marks_runtime_headers():
+    region = _nest(("0", "m"), ("0", "2"), branch=True)
+    assert _visits(region, {"b": True}) == [("s_in", {}, None), ("s_out", {}, None)]
+    assert _visits(region, {"b": False}) == []
