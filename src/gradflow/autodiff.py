@@ -414,6 +414,7 @@ class _BackwardBuilder:
         self.entry_data: dict[str, str] = {}  # stored name -> forward array
         self.used_inputs: set[str] = set()
         self.used_grads: set[str] = {program.dependent}
+        self.temps: dict[str, DataDescriptor] = {}  # broadcast contributions
         self._n = 0
 
     def fresh(self, prefix: str) -> str:
@@ -750,10 +751,18 @@ class _BackwardBuilder:
                     jobs.append((conn, "ew_expr", ins, dict(expr=adj)))
 
         emitted_self = False
+        out_desc = self.base_desc(out_e.data)
         for conn, kind, ins, attrs in sorted(jobs, key=lambda j: is_self(j[0])):  # self last
             emitted_self |= is_self(conn)
-            lib(kind, ins, self.grad_of(in_by_conn[conn].data),
-                None if is_self(conn) else "sum", **attrs)
+            data = in_by_conn[conn].data
+            if kind == "ew_expr" and out_desc.rank and not self.base_desc(data).rank:
+                # a rank-0 operand broadcast over the output: its gradient
+                # is the sum of the contributions at every output element
+                tmp = self.fresh(f"{grad_name(data)}_bcast")
+                self.temps[tmp] = DataDescriptor(tmp, self.base_desc(data).element_kind, out_desc.shape, "gradient")
+                lib(kind, ins, tmp, None, **attrs)
+                kind, ins, attrs = "reduce_sum", {"x": tmp}, {}
+            lib(kind, ins, self.grad_of(data), None if is_self(conn) else "sum", **attrs)
         if killed and not emitted_self:
             lib("ew_unary", {"x": g}, g, None, prefix="adjz", op="scale", const=0.0)
 
@@ -819,6 +828,7 @@ def build_backward(program: Program, vinfo: VersionInfo | None = None) -> Backwa
         descriptors[dep_grad] = DataDescriptor(
             dep_grad, program.descriptors[program.dependent].element_kind, (), "input"
         )
+    descriptors.update(builder.temps)
     for data in sorted(builder.used_inputs):
         descriptors[data] = program.descriptors[data]
     forwarding: dict[str, ForwardingEntry] = {}

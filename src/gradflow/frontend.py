@@ -30,6 +30,7 @@ from .ir import (
     Program,
     State,
     Tasklet,
+    peel_diagnostics,
     validate,
 )
 from .symexpr import Expr, parse_sexpr, to_sexpr
@@ -248,7 +249,7 @@ def _parse_loop(rb: dict, p: list) -> LoopRegion:
     cmp = _get(rb, "cmp", p, str)
     if cmp not in ("<", ">"):
         _fail(p + ["cmp"], f"comparison must be '<' or '>', got '{cmp}'")
-    return LoopRegion(
+    loop = LoopRegion(
         label=_get(rb, "label", p, str),
         iterator=_get(rb, "iterator", p, str),
         init=_expr(_get(rb, "init", p, str), p + ["init"]),
@@ -260,6 +261,12 @@ def _parse_loop(rb: dict, p: list) -> LoopRegion:
         skip=_get(rb, "skip", p, int, optional=True, default=0),
         take=_get(rb, "take", p, int, optional=True),
     )
+    # a peel's skip and take index the simulated iterates: reject them here
+    # rather than fail on the index when the loop runs
+    diags = peel_diagnostics(loop)
+    if diags:
+        raise ValidationFailed(diags)
+    return loop
 
 
 def _parse_branch(rb: dict, p: list) -> Conditional:

@@ -1,25 +1,35 @@
 """Reference executor for programs, forward and reverse.
 
 Arrays are numpy; element kind fixes the dtype. Every array may carry extra
-*leading* batch dimensions on top of its declared shape: all element access
-goes through ``arr[..., i, j]``, so a batch of inputs evaluates in one run.
-Branch conditions must agree across the batch (``BatchDivergence`` otherwise);
-the finite-difference oracle leans on this to evaluate thousands of
-perturbed inputs in a handful of vectorized passes.
+*leading* batch dimensions on top of its declared shape, so a batch of
+inputs evaluates in one run; an input the program overwrites takes the
+batch dimensions of the others. Branch conditions must agree across the
+batch (``BatchDivergence`` otherwise); the finite-difference oracle leans
+on this to evaluate thousands of perturbed inputs in a handful of
+vectorized passes.
 
 Execution is deterministic: states run in the schedule order, loops iterate
 their simulated header sequence, maps enumerate range products in order and
-run their body once per point. A library node runs once on whole arrays; an
-elementwise one evaluates its expression (``ir.library_expr``) with numpy,
-broadcasting rank-0 operands over the output behind their batch dimensions.
-Intermediate and gradient arrays are zero-initialized on first touch, which
-is also what accumulation via ``sum`` conflict resolution assumes.
+run their body once per point. A loop's header is simulated once per
+distinct value of the names it reads, and memoized for the run. A tasklet
+runs as a compiled kernel: one generated Python function per tasklet
+structure (its edges, bodies and resolved shapes), cached for the whole
+process, so the reverse program that ``gradient()`` rebuilds on every call
+reuses the kernels of the previous one. The kernel inlines index
+arithmetic and bounds checks, reads an array without batch axes as
+``arr[i, j]`` and a batched one as ``arr[..., i, j]``. A library node runs
+once on whole arrays; an elementwise one evaluates its expression
+(``ir.library_expr``) with numpy, broadcasting rank-0 operands over the
+output behind their batch dimensions. Intermediate and gradient arrays are
+zero-initialized on first touch, which is also what accumulation via
+``sum`` conflict resolution assumes.
 
 A ``Tape`` records what a later reverse pass may need: array snapshots keyed
 by ``(name, static version, loop coordinates)``, branch outcomes per label in
-execution order, and per-loop iterate sequences. Reverse-mode programs
-consume the tape through two mechanisms: forwarded value reads (resolved
-against snapshot candidates; a ``last`` candidate outside its loop reads the
+execution order, and the iterate sequences of the loops around a recorded
+write (of every loop under ``record="all"``). Reverse-mode programs consume
+the tape through two mechanisms: forwarded value reads (resolved against
+snapshot candidates; a ``last`` candidate outside its loop reads the
 recorded iterates) and ``trace_ref`` conditionals (replay recorded outcomes
 backwards). A reversed loop needs no tape: it re-simulates its forward
 header and walks the iterates backwards.
@@ -27,8 +37,10 @@ header and walks the iterates backwards.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -61,8 +73,9 @@ from .ir import (
     simulate_header,
     uniform_int,
     visit_positions,
+    written_descriptors,
 )
-from .symexpr import compile_expr, count_ops, eval_expr, free_names
+from .symexpr import SOURCE_NAMESPACE, count_ops, eval_expr, free_names, python_source
 from .versions import CUR, LAST, PREV, VersionInfo, analyze_versions
 
 TRIP_LIMIT_VAR = "GRADFLOW_TRIP_LIMIT"
@@ -104,21 +117,100 @@ class _LoopCtx:
         return self.iterates[self.pos]
 
 
-class _TaskletPlan:
-    """Precompiled element op: subset closures plus body closures."""
+@functools.lru_cache(maxsize=4096)
+def _compiled_tasklet(key: tuple) -> tuple[Callable, int]:
+    """One generated Python function per tasklet structure, shared by every
+    executor. ``key`` is ``(ins, outs, shapes)``: ``ins`` holds ``(data,
+    subset, connector)`` per in-edge, ``outs`` ``(data, subset, body, wcr)``
+    per out-edge, and ``shapes`` each array's resolved shape. Returns the
+    function ``kernel(read, write, bind)`` and its operator count.
 
-    __slots__ = ("ins", "outs", "flops")
+    The kernel runs the edges in the order the executor always has: each
+    in-edge's index dimension by dimension, then each out-edge's body
+    before its index. An index that is not an ``int`` goes through
+    ``uniform_int``; every index is bounds-checked, and an index expression
+    repeated over a dimension of the same size is computed once. An array
+    without batch axes is read as ``arr[i, j]``, an immutable scalar; a
+    batched one as ``arr[..., i, j]``, copied, since a rank-0 read aliases
+    the array an output may overwrite.
+    """
+    ins, outs, shapes = key
+    shape = dict(shapes)
+    lines = ["def kernel(read, write, b):"]
+    emit = lines.append
+    arrays: dict[tuple, str] = {}
+    bound: dict[str, str] = {}
+    indices: dict[tuple, str] = {}
+    conns: dict[str, str] = {}
 
-    def __init__(self, node: Tasklet, df: Dataflow):
-        self.ins = [
-            (e.data, tuple(compile_expr(s) for s in e.subset), e.dst_conn)
-            for e in df.in_edges(node.id)
-        ]
-        self.outs = [
-            (e.data, tuple(compile_expr(s) for s in e.subset), compile_expr(node.body[e.src_conn]), e.wcr)
-            for e in df.out_edges(node.id)
-        ]
-        self.flops = sum(count_ops(node.body[e.src_conn]) for e in df.out_edges(node.id))
+    def bound_name(name: str) -> str:
+        if name not in bound:
+            var = bound[name] = f"n{len(bound)}"
+            emit("    try:")
+            emit(f"        {var} = b[{name!r}]")
+            emit("    except KeyError:")
+            emit(f"        _unbound({name!r})")
+        return bound[name]
+
+    def array(data: str, fetch: str) -> str:
+        if (fetch, data) not in arrays:
+            var = arrays[(fetch, data)] = f"a{len(arrays)}"
+            emit(f"    {var} = {fetch}({data!r})")
+            emit(f"    {var}_flat = {var}.ndim == {len(shape[data])}")
+        return arrays[(fetch, data)]
+
+    def index(data: str, subset) -> str:
+        names = []
+        for k, e in enumerate(subset):
+            size = shape[data][k]
+            if (e, size) not in indices:
+                var = indices[(e, size)] = f"x{len(indices)}"
+                emit(f"    {var} = {python_source(e, bound_name)}")
+                what = "subset of '" + data + "'"
+                emit(f"    if {var}.__class__ is not int:")
+                emit(f"        {var} = uniform_int({var}, {what!r})")
+                emit(f"    if not 0 <= {var} < {size}:")
+                emit(f"        _out_of_bounds({data!r}, {var}, {size})")
+            names.append(indices[(e, size)])
+        return ", ".join(names)
+
+    for data, subset, conn in ins:
+        arr = array(data, "read")
+        idx = index(data, subset)
+        var = conns[conn] = f"c{len(conns)}"
+        emit(f"    {var} = {arr}[{idx or '()'}] if {arr}_flat else _copy({arr}[..., {idx}])")
+
+    def connector(name: str) -> str:
+        # a body name with no in-edge raises where the body runs
+        return conns.get(name, f"_unbound({name!r})")
+
+    for k, (data, subset, body, wcr) in enumerate(outs):
+        emit(f"    r{k} = {python_source(body, connector)}")
+        arr = array(data, "write")
+        idx = index(data, subset)
+        op = "+=" if wcr == "sum" else "="
+        emit(f"    if {arr}_flat:")
+        emit(f"        {arr}[{idx or '()'}] {op} r{k}")
+        emit("    else:")
+        emit(f"        {arr}[..., {idx}] {op} r{k}")
+    ns = {
+        **SOURCE_NAMESPACE, "uniform_int": uniform_int, "_copy": _copy_element,
+        "_unbound": _unbound, "_out_of_bounds": _out_of_bounds,
+    }
+    exec(compile("\n".join(lines), "<tasklet kernel>", "exec"), ns)
+    return ns["kernel"], sum(count_ops(body) for _, _, body, _ in outs)
+
+
+def _copy_element(v):
+    return np.array(v, copy=True) if isinstance(v, np.ndarray) else v
+
+
+def _unbound(name: str):
+    raise UnboundName(f"no binding for '{name}'")
+
+
+def _out_of_bounds(data: str, i: int, size: int):
+    raise OutOfBounds(f"'{data}' index {i} outside dimension of size {size}")
 
 
 class Executor:
@@ -150,7 +242,12 @@ class Executor:
         self.branch_down: dict[str, int] = {}
         self.op_count = 0
         self._sched: dict[int, list] = {}
-        self._plans: dict[tuple[int, str], _TaskletPlan] = {}
+        self._kernels: dict[tuple[int, str], tuple[Callable, int]] = {}
+        self._header_names: dict[int, list[str]] = {}
+        self._record_loops = set() if record in (None, "all") else {
+            label for key in record for label in vinfo.write_loops.get(key, ())
+        }
+        self._iterates: dict[tuple, list[int]] = {}
         self._shapes: dict[str, tuple[int, ...]] = {}
 
     # -- shared helpers ------------------------------------------------------
@@ -204,17 +301,29 @@ class Executor:
             return bool(flat[0])
         return bool(np.asarray(value).reshape(-1)[0]) if isinstance(value, np.ndarray) else bool(value)
 
-    def _header_bindings(self, loop: LoopRegion) -> dict:
-        """The live bindings plus the scalar arrays the header reads.
-        ``simulate_header`` copies its bindings, so the live dict itself
-        serves a header that reads no scalar."""
-        need = header_names(loop) - {loop.iterator} - self.bind.keys()
-        scalars = {}
-        for name in sorted(need):
+    def _loop_iterates(self, loop: LoopRegion) -> list[int]:
+        """The loop's simulated iterates. The header reads live bindings and
+        scalar arrays; the result is memoized on the values of the names it
+        reads, so a loop nested in another simulates once per distinct
+        header."""
+        names = self._header_names.get(id(loop))
+        if names is None:
+            names = self._header_names[id(loop)] = sorted(header_names(loop))
+        values, scalars = [], {}
+        for name in names:
+            if name in self.bind:
+                values.append(self.bind[name])
+                continue
             desc = self.program.descriptors.get(name)
-            if desc is not None and desc.rank == 0 and name in self.env:
+            if name != loop.iterator and desc is not None and desc.rank == 0 and name in self.env:
                 scalars[name] = uniform_int(self.env[name], f"scalar '{name}' in a loop header")
-        return {**self.bind, **scalars} if scalars else self.bind
+            values.append(scalars.get(name))
+        key = (id(loop), tuple(values))
+        iterates = self._iterates.get(key)
+        if iterates is None:
+            bind = {**self.bind, **scalars} if scalars else self.bind
+            iterates = self._iterates[key] = simulate_header(loop, bind, self.trip_limit)
+        return iterates
 
     # -- control flow --------------------------------------------------------
 
@@ -231,11 +340,18 @@ class Executor:
                 self._exec_branch(block)
 
     def _exec_loop(self, loop: LoopRegion):
-        iterates = simulate_header(loop, self._header_bindings(loop), self.trip_limit)
-        if self.tape is not None and loop.reverse_of is None:
+        iterates = self._loop_iterates(loop)
+        if self.tape is not None and self._records_iterates(loop):
             key = tuple(c.current for c in self.ctx_stack)
             self.tape.iterate_records.setdefault(loop.label, {})[key] = list(iterates)
         self._run_iterates(loop, iterates)
+
+    def _records_iterates(self, loop: LoopRegion) -> bool:
+        """Whether the tape keeps this forward loop's iterates. Only a
+        ``last`` candidate of a recorded value reads them, outside its
+        loop, so a loop is recorded only if it encloses a recorded write
+        (every loop under ``record="all"``)."""
+        return loop.reverse_of is None and (self.record == "all" or loop.label in self._record_loops)
 
     def _run_iterates(self, loop: LoopRegion, fwd: list[int]):
         """Run the body at the iterates ``visit_positions`` picks. A reversed
@@ -324,37 +440,22 @@ class Executor:
         else:
             self._exec_map(node, df)
 
-    def _index(self, name: str, subset_fns, shape: tuple[int, ...]) -> tuple[int, ...]:
-        idx = []
-        for k, fn in enumerate(subset_fns):
-            i = uniform_int(fn(self.bind), f"subset of '{name}'")
-            if not 0 <= i < shape[k]:
-                raise OutOfBounds(f"'{name}' index {i} outside dimension of size {shape[k]}")
-            idx.append(i)
-        return tuple(idx)
-
     def _exec_tasklet(self, node: Tasklet, df: Dataflow):
         key = (id(df), node.id)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = _TaskletPlan(node, df)
-            self._plans[key] = plan
-        vals = {}
-        for data, fns, conn in plan.ins:
-            arr = self.read_array(data)
-            idx = self._index(data, fns, self.shape_of(data))
-            v = arr[(Ellipsis, *idx)]
-            # rank-0 reads alias the backing array; outputs may overwrite it
-            vals[conn] = np.array(v, copy=True) if isinstance(v, np.ndarray) else v
-        for data, fns, body_fn, wcr in plan.outs:
-            res = body_fn(vals)
-            arr = self.write_target(data)
-            idx = self._index(data, fns, self.shape_of(data))
-            if wcr == "sum":
-                arr[(Ellipsis, *idx)] += res
-            else:
-                arr[(Ellipsis, *idx)] = res
-        self.op_count += plan.flops
+        kernel = self._kernels.get(key)
+        if kernel is None:
+            kernel = self._kernels[key] = _compiled_tasklet(self._tasklet_key(node, df))
+        kernel[0](self.read_array, self.write_target, self.bind)
+        self.op_count += kernel[1]
+
+    def _tasklet_key(self, node: Tasklet, df: Dataflow) -> tuple:
+        ins = tuple((e.data, e.subset, e.dst_conn) for e in df.in_edges(node.id))
+        outs = tuple((e.data, e.subset, node.body[e.src_conn], e.wcr) for e in df.out_edges(node.id))
+        names = dict.fromkeys(e[0] for e in ins + outs)
+        for name in names:
+            if name not in self.program.descriptors:
+                raise UnboundName(f"no value for input '{name}'")
+        return ins, outs, tuple((name, self.shape_of(name)) for name in names)
 
     def _exec_library(self, node: LibraryNode, df: Dataflow):
         ins = {e.dst_conn: self.read_array(e.data) for e in df.in_edges(node.id)}
@@ -411,7 +512,6 @@ class Executor:
 
     def _exec_map(self, node: MapNode, df: Dataflow):
         order = self._schedule(node.body)
-        range_fns = [tuple(compile_expr(p) for p in r) for r in node.ranges]
         saved = {p: self.bind.get(p) for p in node.params if p in self.bind}
 
         def run_level(k: int):
@@ -420,9 +520,8 @@ class Executor:
                     if not isinstance(inner, AccessNode):
                         self._exec_compute(inner, node.body)
                 return
-            f0, f1, f2 = range_fns[k]
             p = node.params[k]
-            for v in _map_range(node, f0(self.bind), f1(self.bind), f2(self.bind)):
+            for v in _map_range(node, *(eval_expr(e, self.bind) for e in node.ranges[k])):
                 self.bind[p] = v
                 run_level(k + 1)
 
@@ -485,6 +584,7 @@ class Executor:
 
 def _prepare_inputs(program: Program, inputs: dict, params: dict) -> dict[str, np.ndarray]:
     env: dict[str, np.ndarray] = {}
+    batch: tuple[int, ...] = ()
     for name, value in inputs.items():
         desc = program.descriptors.get(name)
         if desc is None:
@@ -497,6 +597,13 @@ def _prepare_inputs(program: Program, inputs: dict, params: dict) -> dict[str, n
             )
         # the program may overwrite its inputs; never mutate caller arrays
         env[name] = np.array(arr, copy=True)
+        if not batch and arr.ndim > desc.rank:
+            batch = arr.shape[: arr.ndim - desc.rank]
+    if batch:
+        # an input written in place may take a different value per sample
+        for name in written_descriptors(program) & env.keys():
+            if env[name].ndim == program.descriptors[name].rank:
+                env[name] = np.broadcast_to(env[name], batch + env[name].shape).copy()
     return env
 
 

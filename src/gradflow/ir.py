@@ -410,6 +410,17 @@ def visit_positions(loop: LoopRegion, n: int) -> range:
     return range(top, stop, -1)
 
 
+def peel_diagnostics(loop: LoopRegion) -> list[Diagnostic]:
+    """``BadLoop`` findings on a loop's ``skip`` and ``take``, which index
+    into its simulated iterates."""
+    out = []
+    if loop.skip < 0:
+        out.append(Diagnostic("BadLoop", f"skip must be at least 0, got {loop.skip}", loop.label))
+    if loop.take is not None and loop.take < 1:
+        out.append(Diagnostic("BadLoop", f"take must be at least 1, got {loop.take}", loop.label))
+    return out
+
+
 def header_names(loop: LoopRegion) -> set[str]:
     """Names the loop's init, bound and update read, its iterator included."""
     return free_names(loop.init) | free_names(loop.bound) | free_names(loop.update)
@@ -564,10 +575,8 @@ def validate(program: Program) -> list[Diagnostic]:
             add(Diagnostic("BadLoop", f"comparison must be '<' or '>', got '{loop.cmp}'", where))
         if loop.reverse_of is None and (loop.skip or loop.take is not None):
             add(Diagnostic("BadLoop", "skip and take need a reversed loop (reverse_of)", where))
-        if loop.skip < 0:
-            add(Diagnostic("BadLoop", f"skip must be at least 0, got {loop.skip}", where))
-        if loop.take is not None and loop.take < 1:
-            add(Diagnostic("BadLoop", f"take must be at least 1, got {loop.take}", where))
+        for d in peel_diagnostics(loop):
+            add(d)
         mutated = writes_in(loop.body) & (header_names(loop) | {loop.iterator})
         for m in sorted(mutated):
             add(Diagnostic(

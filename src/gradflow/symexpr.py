@@ -16,7 +16,9 @@ are expressible as ordinary serializable expressions.
 
 The whole-array elementwise library ops are defined by these expressions too
 (``ir.library_expr``), so the op and domain-check tables below are the only
-evaluators of scalar operators in the package.
+evaluators of scalar operators in the package; ``python_source`` turns an
+expression into Python that calls the same entries (add, sub, mul and neg
+are the plain operators the entries apply).
 """
 
 from __future__ import annotations
@@ -189,28 +191,34 @@ def eval_expr(expr: Expr, bindings: dict[str, Value], arrays: dict[str, np.ndarr
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def compile_expr(expr: Expr) -> Callable[[dict[str, Value]], Value]:
-    """Build a closure evaluating ``expr``; faster than tree-walking per call."""
+_PY_OPERATORS = {"add": "+", "sub": "-", "mul": "*"}
+
+
+def python_source(expr: Expr, local: Callable[[str], str]) -> str:
+    """Python source that evaluates ``expr`` like :func:`eval_expr`, with
+    ``local(name)`` naming the variable that holds each name's value.
+    add/sub/mul/neg become operators inside the tree's own parentheses;
+    every other op calls its table entry, ``B_<op>(x, y)`` or ``U_<op>(x)``
+    in :data:`SOURCE_NAMESPACE`, so its domain checks still run."""
     if isinstance(expr, Const):
         v = expr.value
-        return lambda b: v
+        return repr(v) if math.isfinite(v) else f"float('{v!r}')"
     if isinstance(expr, Name):
-        nm = expr.id
-
-        def load(b, nm=nm):
-            try:
-                return b[nm]
-            except KeyError:
-                raise UnboundName(f"no binding for '{nm}'") from None
-
-        return load
+        return local(expr.id)
     if isinstance(expr, Unary):
-        f, cx = _UNARY_FNS[expr.op], compile_expr(expr.x)
-        return lambda b: f(cx(b))
+        x = python_source(expr.x, local)
+        return f"(-{x})" if expr.op == "neg" else f"U_{expr.op}({x})"
     if isinstance(expr, Binary):
-        f, cx, cy = _BINARY_FNS[expr.op], compile_expr(expr.x), compile_expr(expr.y)
-        return lambda b: f(cx(b), cy(b))
+        x, y = python_source(expr.x, local), python_source(expr.y, local)
+        sym = _PY_OPERATORS.get(expr.op)
+        return f"({x} {sym} {y})" if sym else f"B_{expr.op}({x}, {y})"
     raise TypeError(f"cannot compile {expr!r}")
+
+
+SOURCE_NAMESPACE = {
+    **{f"B_{op}": fn for op, fn in _BINARY_FNS.items()},
+    **{f"U_{op}": fn for op, fn in _UNARY_FNS.items()},
+}
 
 
 # ---------------------------------------------------------------------------

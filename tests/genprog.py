@@ -16,6 +16,10 @@ gates.
 header (unit, non-unit and negative strides, doubling and halving, zero
 trips) and a drawn body (in place, ping-pong, nested loop, branch on a
 scalar input), for the same gates.
+
+``make_map_program`` chains scalar tasklets, most inside maps: maps with
+``sum`` conflict resolution, and in-place overwrites of map outputs,
+tasklet outputs and inputs, for the same gates.
 """
 
 from __future__ import annotations
@@ -370,3 +374,91 @@ def make_loop_program(seed: int) -> Program:
         s.library("reduce_sum", {"x": "B" if body == "pingpong" else "A"}, {"y": "O"})
         s.tasklet(ins={"a": ("acc", ())}, outs={"o": ("O", ())}, body={"o": "a"}, wcr="sum")
     return b.finish("O", ["X0", "X1"])
+
+
+# tasklet bodies over connectors a (and b): smooth everywhere and bounded
+# by the operands, so any chain of them stays inside [-3, 3]
+_MAP_UNARY = ("(sin a)", "(cos a)", "(tanh a)", "(mul 0.75 a)")
+_MAP_BINARY = ("(mul a b)", "(add (mul 0.5 a) (sin b))", "(mul a (cos b))", "(sub a (tanh b))")
+_MAP_STEPS = ("map_new", "map_inplace", "map_sum", "map_rows", "scalar", "scalar_inplace")
+
+
+def make_map_program(seed: int) -> Program:
+    """Inputs X0, X1 ([n] real64) and W ([n, n] real64); acc = 0; then 2-6
+    steps of scalar tasklets, about a third sharing a state with the step
+    before; then ``O = sum`` of the last [n] array written plus ``acc`` and
+    ``c``.
+
+    Steps:
+
+    * ``map_new``: T[i] = f(A[i], B[i]) over i < n into a new array;
+    * ``map_inplace``: A[i] = f(A[i], B[i]), overwriting a map output or an
+      input in place;
+    * ``map_sum``: acc += f(A[i]) over i < n, with ``sum`` conflict
+      resolution;
+    * ``map_rows``: R[i] += f(W[i, j], A[j]) over (i, j), a 2-D map
+      accumulating each row into a new array with ``sum``;
+    * ``scalar``: c = f(acc), a state-level tasklet;
+    * ``scalar_inplace``: c = f(c, acc), overwriting a tasklet output in
+      place (``c`` is written by a ``scalar`` step first).
+    """
+    r = random.Random(seed)
+    b = ProgramBuilder(("n",))
+    for name in ("X0", "X1"):
+        b.array(name, ("n",), role="input", kind="real64")
+    b.array("W", ("n", "n"), role="input", kind="real64")
+    b.scalar("acc", kind="real64")
+    b.scalar("c", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    arrays, last, has_c = ["X0", "X1"], "X0", False
+    states: list[list[tuple]] = []  # (step, a, b, out, body) per state
+    for k in range(r.randint(2, 6)):
+        kind = r.choice(_MAP_STEPS)
+        if kind == "scalar_inplace" and not has_c:
+            kind = "scalar"
+        has_c |= kind == "scalar"
+        x, y = r.choice(arrays), r.choice(arrays)
+        out = {"map_new": f"T{k}", "map_inplace": x, "map_rows": f"R{k}"}.get(kind, "c")
+        if kind in ("map_new", "map_rows"):
+            b.array(out, ("n",), kind="real64")
+            arrays.append(out)
+        if kind.startswith("map") and kind != "map_sum":
+            last = out
+        body = r.choice(_MAP_UNARY if kind in ("map_sum", "scalar") else _MAP_BINARY)
+        step = (kind, x, y, out, body)
+        if states and r.random() < 0.35:
+            states[-1].append(step)
+        else:
+            states.append([step])
+
+    def map_point(kind, x, y, out, body):
+        def point(inner):
+            if kind == "map_sum":
+                inner.tasklet(ins={"a": (x, ("i",))}, outs={"o": ("acc", ())},
+                              body={"o": body}, wcr="sum")
+            elif kind == "map_rows":
+                inner.tasklet(ins={"a": ("W", ("i", "j")), "b": (x, ("j",))},
+                              outs={"o": (out, ("i",))}, body={"o": body}, wcr="sum")
+            else:
+                inner.tasklet(ins={"a": (x, ("i",)), "b": (y, ("i",))},
+                              outs={"o": (out, ("i",))}, body={"o": body})
+        return point
+
+    with b.state("pre") as s:
+        s.tasklet(ins={}, outs={"o": ("acc", ())}, body={"o": "0"})
+    for k, steps in enumerate(states):
+        with b.state(f"s{k}") as s:
+            for kind, x, y, out, body in steps:
+                if kind == "scalar":
+                    s.tasklet(ins={"a": ("acc", ())}, outs={"o": ("c", ())}, body={"o": body})
+                elif kind == "scalar_inplace":
+                    s.tasklet(ins={"a": ("c", ()), "b": ("acc", ())}, outs={"o": ("c", ())},
+                              body={"o": body})
+                else:
+                    ranges = (("0", "n", "1"),) * (2 if kind == "map_rows" else 1)
+                    s.map_node(("i", "j")[: len(ranges)], ranges, map_point(kind, x, y, out, body))
+    with b.state("post") as s:
+        s.library("reduce_sum", {"x": last}, {"y": "O"})
+        for scalar in ("acc", "c") if has_c else ("acc",):
+            s.tasklet(ins={"a": (scalar, ())}, outs={"o": ("O", ())}, body={"o": "a"}, wcr="sum")
+    return b.finish("O", ["X0", "X1", "W"])

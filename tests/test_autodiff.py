@@ -19,6 +19,7 @@ from gradflow import (
     run_forward,
     run_planned,
     sample_inputs,
+    simulate_memory,
 )
 from gradflow.errors import UnsupportedConstruct, UnsupportedLoop
 from gradflow.ir import (
@@ -463,6 +464,45 @@ def test_ew_expr_with_a_connector_named_like_the_seed(rng):
     fd = finite_difference_gradient(p, inputs, params)
     report = compare_gradients(ad.grads, {k: 1.5 * v for k, v in fd.items()}, tolerance=1e-5)
     assert report["ok"], report
+
+
+def _broadcast_program(kind: str, op: str):
+    """Y[n] = op(X, s) or Y[n] = op(s), with the scalar input s broadcast
+    over Y, and O = sum(Y)."""
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.scalar("s", role="input", kind="real64")
+    b.array("Y", ("n",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("op") as st_:
+        if kind == "ew_binary":
+            st_.library("ew_binary", {"a": "X", "b": "s"}, {"c": "Y"}, op=op)
+        else:
+            st_.library("ew_unary", {"x": "s"}, {"y": "Y"}, op=op, const=1.5 if op == "scale" else None)
+    with b.state("sum") as st_:
+        st_.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+    return b.finish("O", ["X", "s"] if kind == "ew_binary" else ["s"])
+
+
+@pytest.mark.filterwarnings("ignore::gradflow.errors.NonDifferentiableOp")
+@pytest.mark.parametrize("kind,op", [("ew_binary", op) for op in EW_BINARY_OPS]
+                         + [("ew_unary", op) for op in EW_UNARY_OPS])
+def test_rank0_operand_broadcast_over_an_array_sums_its_gradient(kind, op, rng):
+    p = _broadcast_program(kind, op)
+    params = {"n": 4}
+    inputs = sample_inputs(p, params, rng)
+    ad = gradient(p, inputs, params)
+    assert np.shape(ad.grads["s"]) == ()
+    fd = finite_difference_gradient(p, inputs, params)
+    report = compare_gradients(ad.grads, fd, tolerance=1e-5)
+    assert report["ok"], report
+    result = plan(p, None, params)
+    replay = run_planned(result, inputs, params)
+    for k in ad.grads:
+        assert np.array_equal(replay.grads[k], ad.grads[k]), k
+    for seq in result.sequences:
+        timeline = simulate_memory(result.forward, result.backward, params, dict(seq.outcomes))
+        assert timeline.peak == seq.peak(result.solution.assignment)
 
 
 # ---------------------------------------------------------------------------

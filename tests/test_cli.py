@@ -15,7 +15,7 @@ from gradflow import (
     parse_program,
     serialize_program,
 )
-from gradflow.errors import ProgramSyntaxError
+from gradflow.errors import ProgramSyntaxError, ValidationFailed
 from genprog import runtime_header_array_program, scalar_header_program
 
 
@@ -347,6 +347,22 @@ def test_runtime_trip_count_exit_code(tmp_path, capsys):
     path.write_text(serialize_program(runtime_header_array_program()))
     assert run_cli("plan", path, "--params", "n=4") == 3
     assert "loop 'lp' needs runtime values" in capsys.readouterr().err
+
+
+def test_negative_skip_in_a_parsed_program_is_a_validation_error(tmp_path, capsys):
+    # a reversed loop's skip indexes its simulated iterates; a negative one
+    # is rejected where the document is parsed, not as a bare IndexError
+    doc = json.loads(serialize_program(
+        build_backward(examples.build("two_array_pingpong")).backward))
+    loop = next(b for b in doc["region"] if b["kind"] == "loop")
+    loop["skip"] = -1
+    text = json.dumps(doc)
+    with pytest.raises(ValidationFailed, match="BadLoop: skip must be at least 0, got -1"):
+        parse_program(text)
+    path = tmp_path / "bwd.json"
+    path.write_text(text)
+    assert run_cli("run", path, "--params", "trips=3") == 2
+    assert "skip must be at least 0, got -1" in capsys.readouterr().err
 
 
 def test_module_entry_point(foo_path):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from gradflow import (
     validate_or_raise,
 )
 from gradflow.errors import GradflowError, ProgramSyntaxError, ValidationFailed
+from gradflow.ir import LoopRegion
 from genprog import ew_expr_program
 
 
@@ -134,11 +136,19 @@ def _pingpong_backward_doc():
     ("take", 0, "take must be at least 1, got 0"),
 ])
 def test_bad_skip_or_take_fails_validation(key, value, msg):
+    # parsing rejects the peel with validation's diagnostic, before it can
+    # index the simulated iterates; validation flags the same loop in memory
     doc, loops = _pingpong_backward_doc()
     loops[0][key] = value
-    program = parse_program(json.dumps(doc))
-    with pytest.raises(ValidationFailed, match=msg):
+    with pytest.raises(ValidationFailed, match=msg) as info:
+        parse_program(json.dumps(doc))
+    assert [(d.code, d.where) for d in info.value.diagnostics] == [("BadLoop", "swap__peel0")]
+    program = build_backward(examples.build("two_array_pingpong")).backward
+    at = next(k for k, b in enumerate(program.region) if isinstance(b, LoopRegion))
+    program.region[at] = replace(program.region[at], **{key: value})
+    with pytest.raises(ValidationFailed, match=msg) as info:
         validate_or_raise(program)
+    assert [(d.code, d.where) for d in info.value.diagnostics] == [("BadLoop", "swap__peel0")]
 
 
 def test_ew_expr_round_trips_and_takes_its_connectors_from_the_expression():

@@ -31,9 +31,15 @@ from gradflow.errors import (
     UnsupportedConstruct,
     UnsupportedLoop,
 )
-from gradflow.interpreter import default_trip_limit
-from gradflow.ir import branch_labels
-from genprog import make_elementwise_program, make_loop_program, runtime_header_array_program
+import gradflow.interpreter as interpreter
+from gradflow.interpreter import _compiled_tasklet, default_trip_limit
+from gradflow.ir import branch_labels, simulate_header
+from genprog import (
+    make_elementwise_program,
+    make_loop_program,
+    make_map_program,
+    runtime_header_array_program,
+)
 
 
 def _run(name, inputs, params):
@@ -426,7 +432,8 @@ def test_count_flops_equals_op_count_on_the_corpus(name):
 
 
 @pytest.mark.filterwarnings("ignore::gradflow.errors.NonDifferentiableOp")
-@pytest.mark.parametrize("make,seeds", [(make_loop_program, 300), (make_elementwise_program, 100)])
+@pytest.mark.parametrize("make,seeds", [(make_loop_program, 300), (make_elementwise_program, 100),
+                                        (make_map_program, 100)])
 def test_count_flops_equals_op_count_on_random_programs(make, seeds):
     checked = 0
     for seed in range(seeds):
@@ -486,3 +493,96 @@ def test_zero_trip_inner_loop_next_to_a_sibling_state(sibling_first):
 def test_count_flops_of_a_runtime_header_names_the_loop():
     with pytest.raises(UnresolvableTripCount, match="loop 'lp'"):
         count_flops(runtime_header_array_program(), {"n": 4})
+
+
+# ---------------------------------------------------------------------------
+# compiled tasklet kernels, memoized headers, pruned iterate records
+
+
+def _gather_program(bound: str):
+    """O = sum over i < bound of X[i] by a scalar tasklet."""
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("i", "0", bound, label="over"):
+        with b.state("s") as s:
+            s.tasklet(ins={"a": ("X", ("i",))}, outs={"o": ("O", ())},
+                      body={"o": "a"}, wcr="sum")
+    return b.finish("O", ["X"])
+
+
+@pytest.mark.parametrize("batch", [(), (2,)])
+@pytest.mark.parametrize("subset, bound, error, msg", [
+    ("i", "(add n 1)", OutOfBounds, "'X' index 3 outside dimension of size 3"),
+    ("(div i 2)", "n", DomainError, "subset of 'X' evaluated to non-integer 0.5"),
+    ("k", "n", UnboundName, "no binding for 'k'"),
+])
+def test_compiled_tasklet_errors_keep_their_class_and_message(subset, bound, error, msg, batch):
+    doc = program_to_dict(_gather_program(bound))
+    # the builder validates, so the unbound subset goes in through the document
+    doc["region"][0]["body"][0]["edges"][0]["subset"] = [subset]
+    program = parse_program(json.dumps(doc))
+    with pytest.raises(error) as info:
+        run_forward(program, {"X": np.ones(batch + (3,))}, {"n": 3})
+    assert str(info.value) == msg
+
+
+def test_tasklet_reads_batched_and_unbatched_arrays_alike(rng):
+    # A carries a batch axis, B does not: each element read takes its own
+    # array's access path
+    b = ProgramBuilder(("n",))
+    b.array("A", ("n",), role="input", kind="real64")
+    b.array("B", ("n",), role="input", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("i", "0", "n", label="over"):
+        with b.state("s") as s:
+            s.tasklet(ins={"a": ("A", ("i",)), "b": ("B", ("i",))}, outs={"o": ("O", ())},
+                      body={"o": "(mul a (sin b))"}, wcr="sum")
+    p = b.finish("O", ["A", "B"])
+    a, bb = rng.uniform(0.4, 1.6, (3, 5)), rng.uniform(0.4, 1.6, 5)
+    got = run_forward(p, {"A": a, "B": bb}, {"n": 5}).value
+    singles = [run_forward(p, {"A": x, "B": bb}, {"n": 5}).value for x in a]
+    assert np.array_equal(got, np.stack(singles))
+
+
+def test_a_second_gradient_compiles_no_kernel(rng):
+    # gradient() builds a fresh reverse program on every call; its kernels
+    # come from the module-wide cache
+    p, params = examples.build("seidel_stencil"), {"N": 8, "TSTEPS": 2}
+    inputs = sample_inputs(p, params, rng)
+    first = gradient(p, inputs, params)
+    misses = _compiled_tasklet.cache_info().misses
+    second = gradient(p, inputs, params)
+    assert second.bundle.backward is not first.bundle.backward
+    assert _compiled_tasklet.cache_info().misses == misses
+    assert np.array_equal(second.grads["A"], first.grads["A"])
+
+
+def test_loop_headers_simulate_once_per_distinct_header(monkeypatch, rng):
+    calls = []
+
+    def counting(loop, bindings, trip_limit):
+        calls.append(loop.label)
+        return simulate_header(loop, bindings, trip_limit)
+
+    monkeypatch.setattr(interpreter, "simulate_header", counting)
+    p = examples.build("seidel_stencil")
+    run_forward(p, {"A": rng.uniform(0.4, 1.6, (8, 8))}, {"N": 8, "TSTEPS": 2})
+    # unmemoized: 1 time loop, 2 row loops and 12 column loops
+    assert sorted(calls) == ["cols", "rows", "time"]
+
+
+def test_tape_records_iterates_only_of_loops_around_recorded_writes(rng):
+    # seidel's reverse program reads no forward value: its tape keeps no
+    # iterates; record="all" keeps every forward loop's
+    p, params = examples.build("seidel_stencil"), {"N": 8, "TSTEPS": 2}
+    inputs = sample_inputs(p, params, rng)
+    assert gradient(p, inputs, params).forward.tape.iterate_records == {}
+    tape = run_forward(p, inputs, params, record="all").tape
+    assert set(tape.iterate_records) == {"time", "rows", "cols"}
+    # a recorded write inside the loop keeps that loop's iterates
+    p = examples.build("iterated_sin_map")
+    params = examples.DEFAULT_PARAMS["iterated_sin_map"]
+    res = gradient(p, sample_inputs(p, params, rng), params)
+    loops = {l for key in res.bundle.required for l in res.bundle.vinfo.write_loops.get(key, ())}
+    assert loops and set(res.forward.tape.iterate_records) == loops
