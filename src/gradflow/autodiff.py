@@ -877,8 +877,6 @@ def gradient(
     params: dict[str, int] | None = None,
     *,
     seed=1.0,
-    trip_limit: int | None = None,
-    bundle: BackwardBundle | None = None,
 ) -> GradientResult:
     """Differentiate the dependent with respect to the independents at the
     given inputs, running forward (recording only what the adjoints need)
@@ -887,14 +885,11 @@ def gradient(
 
     from .interpreter import run_backward, run_forward
 
-    bundle = bundle or build_backward(program)
-    fwd = run_forward(
-        program, inputs, params,
-        record=set(bundle.required), trip_limit=trip_limit, vinfo=bundle.vinfo,
-    )
+    bundle = build_backward(program)
+    fwd = run_forward(program, inputs, params, record=set(bundle.required), vinfo=bundle.vinfo)
     bwd = run_backward(
         program, bundle.backward, inputs, params,
-        tape=fwd.tape, forwarding=bundle.forwarding, seed=seed, trip_limit=trip_limit,
+        tape=fwd.tape, forwarding=bundle.forwarding, seed=seed,
     )
     grads = {}
     for ind in program.independents:

@@ -48,7 +48,7 @@ from .errors import (
     IrrecomputableValue,
     UnresolvableTripCount,
 )
-from .interpreter import count_flops, default_trip_limit, run_backward, run_forward
+from .interpreter import count_flops, run_backward, run_forward
 from .ir import (
     AccessNode,
     Block,
@@ -192,12 +192,9 @@ def collect_forwarded(
     program: Program,
     bundle: BackwardBundle,
     params: dict[str, int],
-    *,
-    trip_limit: int | None = None,
 ) -> list[ForwardedValue]:
     """One entry per array value the reverse pass needs, in forward
     production order. Scalars ride the tape for free and are skipped."""
-    limit = trip_limit if trip_limit is not None else default_trip_limit()
     vinfo = bundle.vinfo
     pristine = pristine_inputs(program)
     states = {b.label: b for _, b in walk_blocks(program.region) if isinstance(b, State)}
@@ -211,7 +208,7 @@ def collect_forwarded(
     def path_runs() -> list[list[tuple[str, int | None]]]:
         """Per path, the (state label, runs) it visits."""
         return [
-            [(st.label, n) for st, _, n in path_visits(program.region, outcome, params, limit)]
+            [(st.label, n) for st, _, n in path_visits(program.region, outcome, params)]
             for outcome in path_outcomes(program)
         ]
 
@@ -452,23 +449,19 @@ def build_memory_sequences(
     bundle: BackwardBundle,
     fvs: list[ForwardedValue],
     params: dict[str, int],
-    *,
-    trip_limit: int | None = None,
 ) -> list[PathSequence]:
     """Resident-byte event sequences, one per control-flow path pair. Every
     sequence starts and ends at zero; totals are affine in the plan bits."""
-    limit = trip_limit if trip_limit is not None else default_trip_limit()
-    b = _SeqBuilder(program, bundle, fvs, params, limit)
+    b = _SeqBuilder(program, bundle, fvs, params)
     return [b.path(outcome) for outcome in path_outcomes(program)]
 
 
 class _SeqBuilder:
-    def __init__(self, program, bundle, fvs, params, limit):
+    def __init__(self, program, bundle, fvs, params):
         self.program = program
         self.backward = bundle.backward
         self.fvs = fvs
         self.params = params
-        self.limit = limit
         # store events fire right after the node that completes the value;
         # tape-held snapshots are charged in full when the path starts
         self.store_sites: dict[tuple[str, str], list[ForwardedValue]] = {}
@@ -565,7 +558,7 @@ class _SeqBuilder:
         """The states the path runs at all, each once, in program order: a
         loop body counts once (steady state), one that visits no iterate
         not at all."""
-        ran = {st.label for st, _, _ in path_visits(program.region, outcome, self.params, self.limit)}
+        ran = {st.label for st, _, _ in path_visits(program.region, outcome, self.params)}
         return [b for _, b in walk_blocks(program.region) if isinstance(b, State) and b.label in ran]
 
     # forward side
@@ -911,14 +904,12 @@ def plan(
     program: Program,
     limit_mib: float | None,
     params: dict[str, int] | None = None,
-    *,
-    trip_limit: int | None = None,
 ) -> PlanResult:
     """Choose and apply a keep-or-recompute plan under ``limit_mib``."""
     params = dict(params or {})
     bundle = build_backward(program)
-    fvs = collect_forwarded(program, bundle, params, trip_limit=trip_limit)
-    sequences = build_memory_sequences(program, bundle, fvs, params, trip_limit=trip_limit)
+    fvs = collect_forwarded(program, bundle, params)
+    sequences = build_memory_sequences(program, bundle, fvs, params)
     limit_bytes = None if limit_mib is None else int(limit_mib * (1 << 20))
     problem = build_ilp(fvs, sequences, limit_bytes)
     solution = solve_ilp(problem)
@@ -956,7 +947,6 @@ def run_planned(
     params: dict[str, int] | None = None,
     *,
     seed=1.0,
-    trip_limit: int | None = None,
 ):
     """Execute a planned forward/backward pair; returns the same result shape
     as ``gradient``.
@@ -981,10 +971,7 @@ def run_planned(
     for fv in result.fvs:
         if fv.forced:
             forwarding[fv.name] = result.bundle.forwarding[fv.name]
-    fwd_run = run_forward(
-        result.forward, inputs, params,
-        record=keep, trip_limit=trip_limit, vinfo=None,
-    )
+    fwd_run = run_forward(result.forward, inputs, params, record=keep)
     stored = {
         fv.name: fwd_run.env[fv.name]
         for fv, v in zip(result.fvs, result.solution.assignment)
@@ -992,8 +979,7 @@ def run_planned(
     }
     bwd_run = run_backward(
         result.forward, result.backward, inputs, params,
-        tape=fwd_run.tape, forwarding=forwarding, seed=seed,
-        extra_env=stored, trip_limit=trip_limit,
+        tape=fwd_run.tape, forwarding=forwarding, seed=seed, extra_env=stored,
     )
     grads = {}
     for ind in result.forward.independents:

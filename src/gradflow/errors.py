@@ -69,7 +69,8 @@ class OutOfBounds(GradflowError):
 
 
 class NonTermination(GradflowError):
-    """A loop exceeded the trip guard (GRADFLOW_TRIP_LIMIT, default 10**9)."""
+    """A loop header never ends: it repeats an iterate, or yields more than
+    ``ir.TRIP_LIMIT`` (10**9) of them."""
 
 
 class MissingTapeValue(GradflowError):

@@ -27,7 +27,8 @@ zero-initialized on first touch, which is also what accumulation via
 A ``Tape`` records what a later reverse pass may need: array snapshots keyed
 by ``(name, static version, loop coordinates)``, branch outcomes per label in
 execution order, and the iterate sequences of the loops around a recorded
-write (of every loop under ``record="all"``). Reverse-mode programs consume
+write. A forward run records the ``(name, version)`` pairs of its ``record``
+set, or keeps no tape when ``record`` is None. Reverse-mode programs consume
 the tape through two mechanisms: forwarded value reads (resolved against
 snapshot candidates; a ``last`` candidate outside its loop reads the
 recorded iterates) and ``trace_ref`` conditionals (replay recorded outcomes
@@ -38,7 +39,6 @@ header and walks the iterates backwards.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -64,6 +64,7 @@ from .ir import (
     Program,
     State,
     Tasklet,
+    dimensions,
     header_names,
     library_expr,
     path_outcomes,
@@ -78,14 +79,7 @@ from .ir import (
 from .symexpr import SOURCE_NAMESPACE, count_ops, eval_expr, free_names, python_source
 from .versions import CUR, LAST, PREV, VersionInfo, analyze_versions
 
-TRIP_LIMIT_VAR = "GRADFLOW_TRIP_LIMIT"
-
 _DTYPE = {"real32": np.float32, "real64": np.float64}
-
-
-def default_trip_limit() -> int:
-    raw = os.environ.get(TRIP_LIMIT_VAR)
-    return int(raw) if raw else 10**9
 
 
 @dataclass
@@ -219,8 +213,8 @@ class Executor:
         program: Program,
         params: dict[str, int],
         env: dict[str, np.ndarray],
+        batch: tuple[int, ...],
         *,
-        trip_limit: int | None = None,
         tape: Tape | None = None,
         record=None,
         src_tape: Tape | None = None,
@@ -230,7 +224,7 @@ class Executor:
         self.program = program
         self.params = dict(params)
         self.env = env
-        self.trip_limit = trip_limit if trip_limit is not None else default_trip_limit()
+        self.batch = batch
         self.tape = tape
         self.record = record
         self.src_tape = src_tape
@@ -244,7 +238,7 @@ class Executor:
         self._sched: dict[int, list] = {}
         self._kernels: dict[tuple[int, str], tuple[Callable, int]] = {}
         self._header_names: dict[int, list[str]] = {}
-        self._record_loops = set() if record in (None, "all") else {
+        self._record_loops = set() if record is None else {
             label for key in record for label in vinfo.write_loops.get(key, ())
         }
         self._iterates: dict[tuple, list[int]] = {}
@@ -255,23 +249,11 @@ class Executor:
     def shape_of(self, name: str) -> tuple[int, ...]:
         s = self._shapes.get(name)
         if s is None:
-            desc = self.program.descriptors[name]
-            s = tuple(int(eval_expr(d, self.params)) for d in desc.shape)
-            self._shapes[name] = s
+            s = self._shapes[name] = dimensions(self.program.descriptors[name], self.params)
         return s
 
     def _dtype(self, name: str):
         return _DTYPE[self.program.descriptors[name].element_kind]
-
-    def _batch_shape(self) -> tuple[int, ...]:
-        for name, arr in self.env.items():
-            desc = self.program.descriptors.get(name)
-            if desc is None:
-                continue
-            extra = arr.ndim - desc.rank
-            if extra > 0:
-                return arr.shape[:extra]
-        return ()
 
     def read_array(self, name: str) -> np.ndarray:
         arr = self.env.get(name)
@@ -282,14 +264,14 @@ class Executor:
         desc = self.program.descriptors.get(name)
         if desc is None or desc.role == "input":
             raise UnboundName(f"no value for input '{name}'")
-        arr = np.zeros(self._batch_shape() + self.shape_of(name), dtype=self._dtype(name))
+        arr = np.zeros(self.batch + self.shape_of(name), dtype=self._dtype(name))
         self.env[name] = arr
         return arr
 
     def write_target(self, name: str) -> np.ndarray:
         arr = self.env.get(name)
         if arr is None:
-            arr = np.zeros(self._batch_shape() + self.shape_of(name), dtype=self._dtype(name))
+            arr = np.zeros(self.batch + self.shape_of(name), dtype=self._dtype(name))
             self.env[name] = arr
         return arr
 
@@ -322,7 +304,7 @@ class Executor:
         iterates = self._iterates.get(key)
         if iterates is None:
             bind = {**self.bind, **scalars} if scalars else self.bind
-            iterates = self._iterates[key] = simulate_header(loop, bind, self.trip_limit)
+            iterates = self._iterates[key] = simulate_header(loop, bind)
         return iterates
 
     # -- control flow --------------------------------------------------------
@@ -349,9 +331,8 @@ class Executor:
     def _records_iterates(self, loop: LoopRegion) -> bool:
         """Whether the tape keeps this forward loop's iterates. Only a
         ``last`` candidate of a recorded value reads them, outside its
-        loop, so a loop is recorded only if it encloses a recorded write
-        (every loop under ``record="all"``)."""
-        return loop.reverse_of is None and (self.record == "all" or loop.label in self._record_loops)
+        loop, so a loop is recorded only if it encloses a recorded write."""
+        return loop.reverse_of is None and loop.label in self._record_loops
 
     def _run_iterates(self, loop: LoopRegion, fwd: list[int]):
         """Run the body at the iterates ``visit_positions`` picks. A reversed
@@ -419,18 +400,13 @@ class Executor:
         if self.tape is None or self.vinfo is None:
             return
         v = self.vinfo.write_version.get((state_label, node.id))
-        if v is None or not self._want(node.data, v):
+        if v is None or (node.data, v) not in self.record:
             return
         labels = self.vinfo.write_loops[(node.data, v)]
         coords = tuple(self.ctx[l].current for l in labels)
         self.tape.values[(node.data, v, coords)] = np.array(
             self.read_array(node.data), copy=True
         )
-
-    def _want(self, data: str, version: int) -> bool:
-        if self.record == "all":
-            return True
-        return self.record is not None and (data, version) in self.record
 
     def _exec_compute(self, node, df: Dataflow):
         if isinstance(node, Tasklet):
@@ -473,14 +449,10 @@ class Executor:
                     f"matmul '{node.id}': inner dims {a.shape[-1]} vs {b.shape[-2]}"
                 )
             res = np.matmul(a, b)
-            sa = in_shapes["a"][::-1] if node.ta else in_shapes["a"]
-            sb = in_shapes["b"][::-1] if node.tb else in_shapes["b"]
-            self.op_count += 2 * sa[0] * sa[1] * sb[1]
         elif node.kind == "reduce_sum":
             x = ins["x"]
-            rank = self.program.descriptors[df.in_edges(node.id)[0].data].rank
+            rank = len(in_shapes["x"])
             res = x.sum(axis=tuple(range(-rank, 0))) if rank else np.array(x, copy=True)
-            self.op_count += int(np.prod(in_shapes["x"], dtype=np.int64)) if rank else 0
         else:  # elementwise: the node's scalar expression on whole arrays
             shape = self.shape_of(out_edges[0].data)
             for conn, s in in_shapes.items():
@@ -495,7 +467,7 @@ class Executor:
             res = np.asarray(eval_expr(expr, ins))
             if any(res is v for v in ins.values()):
                 res = np.array(res, copy=True)  # the output must not alias an input
-            self.op_count += count_ops(expr) * int(np.prod(shape, dtype=np.int64))
+        self.op_count += _library_cost(node, df, self.shape_of)
 
         for e in out_edges:
             dtype = self._dtype(e.data)
@@ -503,8 +475,7 @@ class Executor:
                 tgt = self.write_target(e.data)
                 tgt += res.astype(dtype, copy=False)
             else:
-                batch = self._batch_shape()
-                want = batch + self.shape_of(e.data)
+                want = self.batch + self.shape_of(e.data)
                 out = np.asarray(res, dtype=dtype)
                 if out.shape != want:
                     out = np.broadcast_to(out, want).astype(dtype)
@@ -582,29 +553,38 @@ class Executor:
 # entry points
 
 
-def _prepare_inputs(program: Program, inputs: dict, params: dict) -> dict[str, np.ndarray]:
+def _prepare_inputs(
+    program: Program, inputs: dict, params: dict, names=None
+) -> tuple[dict[str, np.ndarray], tuple[int, ...]]:
+    """Check the inputs against ``program`` and decide the run's batch
+    shape: the axes ahead of each input's declared shape, which every
+    batched input must share (``ShapeMismatch`` otherwise). Returns copies
+    of the inputs in ``names`` (all of them when None) and the batch."""
     env: dict[str, np.ndarray] = {}
     batch: tuple[int, ...] = ()
     for name, value in inputs.items():
         desc = program.descriptors.get(name)
         if desc is None:
             raise UnboundName(f"input '{name}' is not declared")
-        arr = np.asarray(value, dtype=_DTYPE[desc.element_kind])
-        declared = tuple(int(eval_expr(d, params)) for d in desc.shape)
-        if desc.rank and arr.shape[arr.ndim - desc.rank :] != declared:
+        shape = np.shape(value)
+        declared = dimensions(desc, params)
+        if desc.rank and shape[len(shape) - desc.rank :] != declared:
             raise ShapeMismatch(
-                f"input '{name}': trailing shape {arr.shape} does not end with {declared}"
+                f"input '{name}': trailing shape {shape} does not end with {declared}"
             )
-        # the program may overwrite its inputs; never mutate caller arrays
-        env[name] = np.array(arr, copy=True)
-        if not batch and arr.ndim > desc.rank:
-            batch = arr.shape[: arr.ndim - desc.rank]
+        lead = shape[: len(shape) - desc.rank]
+        if lead and batch and lead != batch:
+            raise ShapeMismatch(f"input '{name}' has batch shape {lead}, another input {batch}")
+        batch = lead or batch
+        if names is None or name in names:
+            # the program may overwrite its inputs; never mutate caller arrays
+            env[name] = np.array(np.asarray(value, dtype=_DTYPE[desc.element_kind]), copy=True)
     if batch:
         # an input written in place may take a different value per sample
         for name in written_descriptors(program) & env.keys():
             if env[name].ndim == program.descriptors[name].rank:
                 env[name] = np.broadcast_to(env[name], batch + env[name].shape).copy()
-    return env
+    return env, batch
 
 
 def run_forward(
@@ -613,25 +593,22 @@ def run_forward(
     params: dict[str, int] | None = None,
     *,
     record=None,
-    trip_limit: int | None = None,
     vinfo: VersionInfo | None = None,
 ) -> RunResult:
-    """Execute the program. ``record`` is None (no tape), "all", or a set of
-    ``(name, version)`` pairs to snapshot."""
+    """Execute the program. ``record`` is None (no tape) or a set of
+    ``(name, version)`` pairs to snapshot; ``vinfo`` is the program's
+    version analysis, computed when a tape needs it and none is given."""
     params = dict(params or {})
-    env = _prepare_inputs(program, inputs, params)
+    env, batch = _prepare_inputs(program, inputs, params)
     tape = None
     if record is not None:
         tape = Tape()
         if vinfo is None:
             vinfo = analyze_versions(program)
         for name, desc in program.descriptors.items():
-            if desc.role == "input" and name in env and _want0(record, name):
+            if desc.role == "input" and name in env and (name, 0) in record:
                 tape.values[(name, 0, ())] = np.array(env[name], copy=True)
-    ex = Executor(
-        program, params, env,
-        trip_limit=trip_limit, tape=tape, record=record, vinfo=vinfo,
-    )
+    ex = Executor(program, params, env, batch, tape=tape, record=record, vinfo=vinfo)
     ex.run()
     value = env.get(program.dependent)
     if value is None:
@@ -639,10 +616,6 @@ def run_forward(
     if tape is not None:
         tape.op_count = ex.op_count
     return RunResult(env=env, value=value, op_count=ex.op_count, tape=tape)
-
-
-def _want0(record, name: str) -> bool:
-    return record == "all" or (name, 0) in record
 
 
 def run_backward(
@@ -655,34 +628,22 @@ def run_backward(
     forwarding: dict | None = None,
     seed=1.0,
     extra_env: dict | None = None,
-    trip_limit: int | None = None,
 ) -> RunResult:
     """Run a reverse-mode program. ``inputs`` are the forward inputs (pristine
     arrays are read directly); ``extra_env`` carries materialized stored
     copies from a planned forward run; everything else resolves via ``tape``
-    and the ``forwarding`` table."""
+    and the ``forwarding`` table. The batch shape is the forward inputs'
+    one, since the reverse program may read none of them."""
     params = dict(params or {})
-    env = _prepare_inputs(backward, {k: v for k, v in inputs.items() if k in backward.descriptors}, params)
+    env, batch = _prepare_inputs(program, inputs, params, backward.descriptors)
     if extra_env:
         for k, v in extra_env.items():
             if k in backward.descriptors:
                 env[k] = np.asarray(v)
     seed_name = program.dependent + "__grad"
     if seed_name in backward.descriptors and seed_name not in env:
-        # the reverse program may read no forward input, so the batch shape
-        # comes from the inputs the forward run saw
-        batch = ()
-        for name, value in inputs.items():
-            desc = program.descriptors.get(name)
-            arr = np.asarray(value)
-            if desc is not None and arr.ndim > desc.rank:
-                batch = arr.shape[: arr.ndim - desc.rank]
-                break
         env[seed_name] = np.full(batch, seed, dtype=_DTYPE[backward.descriptors[seed_name].element_kind])
-    ex = Executor(
-        backward, params, env,
-        trip_limit=trip_limit, src_tape=tape, forwarding=forwarding,
-    )
+    ex = Executor(backward, params, env, batch, src_tape=tape, forwarding=forwarding)
     ex.run()
     return RunResult(env=env, value=env.get(seed_name), op_count=ex.op_count)
 
@@ -691,7 +652,7 @@ def run_backward(
 # static cost
 
 
-def count_flops(program: Program, params: dict[str, int], trip_limit: int | None = None) -> dict[tuple, int]:
+def count_flops(program: Program, params: dict[str, int]) -> dict[tuple, int]:
     """Operation count per control-flow path, assuming each branch takes one
     arm for the whole execution. A path is keyed like
     ``PathSequence.outcomes``: the sorted ``(label, arm)`` pairs of every
@@ -699,11 +660,10 @@ def count_flops(program: Program, params: dict[str, int], trip_limit: int | None
     replays; a branch-free program yields {(): total}. A loop whose trip
     count needs runtime values raises UnresolvableTripCount."""
     params = dict(params)
-    limit = trip_limit if trip_limit is not None else default_trip_limit()
     out: dict[tuple, int] = {}
     for outcome in path_outcomes(program):
         total = 0
-        for state, bind, runs in path_visits(program.region, outcome, params, limit):
+        for state, bind, runs in path_visits(program.region, outcome, params):
             if runs is None:
                 raise UnresolvableTripCount(
                     f"loop '{runtime_loop(program.region, state, params)}' needs runtime values"
@@ -719,7 +679,7 @@ def _graph_cost(df: Dataflow, program: Program, params: dict[str, int]) -> int:
         if isinstance(node, Tasklet):
             total += sum(count_ops(e) for e in node.body.values())
         elif isinstance(node, LibraryNode):
-            total += _library_cost(node, df, program, params)
+            total += _library_cost(node, df, lambda name: dimensions(program.descriptors[name], params))
         elif isinstance(node, MapNode):
             body = _graph_cost(node.body, program, params)
             if body:
@@ -727,12 +687,14 @@ def _graph_cost(df: Dataflow, program: Program, params: dict[str, int]) -> int:
     return total
 
 
-def _library_cost(node: LibraryNode, df: Dataflow, program: Program, params: dict[str, int]) -> int:
+def _library_cost(node: LibraryNode, df: Dataflow, shape_of: Callable[[str], tuple[int, ...]]) -> int:
+    """Operations of one run of a library node, from the shapes ``shape_of``
+    gives its arrays: the one count the executor and ``count_flops`` share."""
+
     def shape(conn: str) -> tuple[int, ...]:
         for e in df.in_edges(node.id):
             if e.dst_conn == conn:
-                desc = program.descriptors[e.data]
-                return tuple(int(eval_expr(d, params)) for d in desc.shape)
+                return shape_of(e.data)
         raise KeyError(conn)
 
     if node.kind == "matmul":
@@ -745,8 +707,7 @@ def _library_cost(node: LibraryNode, df: Dataflow, program: Program, params: dic
     if node.kind == "reduce_sum":
         sx = shape("x")
         return int(np.prod(sx, dtype=np.int64)) if sx else 0
-    out = program.descriptors[df.out_edges(node.id)[0].data]
-    n = int(np.prod([int(eval_expr(d, params)) for d in out.shape], dtype=np.int64))
+    n = int(np.prod(shape_of(df.out_edges(node.id)[0].data), dtype=np.int64))
     return n * count_ops(library_expr(node))
 
 

@@ -56,6 +56,8 @@ EW_BINARY_OPS = ("add", "sub", "mul", "div", "min", "max")
 # every combination of branch outcomes is a path; beyond this many branches
 # the per-path cost and memory models refuse the program
 MAX_BRANCHES = 16
+# a loop header that yields more iterates than this raises NonTermination
+TRIP_LIMIT = 10**9
 
 
 @dataclass(frozen=True)
@@ -70,14 +72,23 @@ class DataDescriptor:
         return len(self.shape)
 
 
-def size_bytes(desc: DataDescriptor, bindings: dict[str, int]) -> int:
-    """Payload bytes: element width times the product of evaluated dims."""
-    n = ELEMENT_WIDTH[desc.element_kind]
+def dimensions(desc: DataDescriptor, bindings: dict[str, int]) -> tuple[int, ...]:
+    """The descriptor's shape evaluated under ``bindings``. A dimension that
+    is not a whole number at least 0 raises UnresolvableTripCount."""
+    out = []
     for dim in desc.shape:
         d = eval_expr(dim, bindings)
         if not float(d).is_integer() or d < 0:
             raise UnresolvableTripCount(f"dimension of '{desc.name}' evaluated to {d}")
-        n *= int(d)
+        out.append(int(d))
+    return tuple(out)
+
+
+def size_bytes(desc: DataDescriptor, bindings: dict[str, int]) -> int:
+    """Payload bytes: element width times the product of evaluated dims."""
+    n = ELEMENT_WIDTH[desc.element_kind]
+    for d in dimensions(desc, bindings):
+        n *= d
     return n
 
 
@@ -379,10 +390,16 @@ def uniform_int(value, what: str) -> int:
     return int(f)
 
 
-def simulate_header(loop: LoopRegion, bindings: dict[str, int], trip_limit: int) -> list[int]:
-    """Iterate the header to enumerate the iteration values (trip-guarded).
-    Init, bound and update go through :func:`uniform_int`."""
+def simulate_header(loop: LoopRegion, bindings: dict[str, int]) -> list[int]:
+    """Iterate the header to enumerate the iteration values. Init, bound and
+    update go through :func:`uniform_int`.
+
+    The body never writes a header name (:func:`validate`), so each iterate
+    fixes every later one: an iterate that repeats proves the loop never
+    ends. That, and more than ``TRIP_LIMIT`` iterates, raise NonTermination.
+    """
     out: list[int] = []
+    seen: set[int] = set()
     env = dict(bindings)
     i = uniform_int(eval_expr(loop.init, env), f"init of '{loop.label}'")
     lt = loop.cmp == "<"
@@ -390,11 +407,12 @@ def simulate_header(loop: LoopRegion, bindings: dict[str, int], trip_limit: int)
         bound = uniform_int(eval_expr(loop.bound, env), f"bound of '{loop.label}'")
         if not (i < bound if lt else i > bound):
             return out
+        if i in seen:
+            raise NonTermination(f"loop '{loop.label}' repeats iterate {i}, so it never ends")
+        seen.add(i)
         out.append(i)
-        if len(out) > trip_limit:
-            raise NonTermination(
-                f"loop '{loop.label}' exceeded the trip limit of {trip_limit}"
-            )
+        if len(out) > TRIP_LIMIT:
+            raise NonTermination(f"loop '{loop.label}' exceeded the trip limit of {TRIP_LIMIT}")
         env[loop.iterator] = i
         i = uniform_int(eval_expr(loop.update, env), f"update of '{loop.label}'")
 
@@ -448,7 +466,7 @@ def _range_names(df: Dataflow) -> set[str]:
 
 
 def path_visits(
-    region: list[Block], outcome: dict[str, bool], bind: dict[str, int], trip_limit: int
+    region: list[Block], outcome: dict[str, bool], bind: dict[str, int]
 ) -> Iterator[tuple[State, dict[str, int], int | None]]:
     """The states one control-flow path runs, in execution order, as
     ``(state, bindings, runs)``. ``outcome`` picks each branch's arm, keyed
@@ -468,7 +486,7 @@ def path_visits(
                 yield from walk(block.then_body if outcome[key] else block.else_body, bind, runs)
             else:
                 try:
-                    iterates = simulate_header(block, bind, trip_limit)
+                    iterates = simulate_header(block, bind)
                 except UnboundName:
                     yield from walk(block.body, bind, None)
                     continue

@@ -37,31 +37,41 @@ UNARY_OPS = ("neg", "sin", "cos", "exp", "log", "sqrt", "tanh", "abs", "sign")
 COMPARE_OPS = ("lt", "gt", "le", "ge")
 
 
+class _Immutable:
+    """Expression nodes are frozen, so a copy, deep or not, is the node."""
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
 @dataclass(frozen=True)
-class Const:
+class Const(_Immutable):
     value: Union[int, float]
 
 
 @dataclass(frozen=True)
-class Name:
+class Name(_Immutable):
     id: str
 
 
 @dataclass(frozen=True)
-class Unary:
+class Unary(_Immutable):
     op: str
     x: "Expr"
 
 
 @dataclass(frozen=True)
-class Binary:
+class Binary(_Immutable):
     op: str
     x: "Expr"
     y: "Expr"
 
 
 @dataclass(frozen=True)
-class Index:
+class Index(_Immutable):
     """Element read inside a branch condition: base array + index expressions."""
 
     base: str

@@ -22,20 +22,20 @@ from .errors import (
     NegativeResident,
     UnboundName,
 )
-from .interpreter import default_trip_limit, run_forward
+from .interpreter import run_forward
 from .ir import (
     AccessNode,
     Block,
     LoopRegion,
     Program,
     State,
+    dimensions,
     schedule,
     simulate_header,
     size_bytes,
     visit_positions,
     walk_blocks,
 )
-from .symexpr import eval_expr
 
 BRUTE_FORCE_CAP = 20
 
@@ -58,7 +58,6 @@ def finite_difference_gradient(
     params: dict[str, int] | None = None,
     *,
     eps: float | None = None,
-    trip_limit: int | None = None,
 ) -> dict[str, np.ndarray]:
     """Central differences of the dependent with respect to each independent.
 
@@ -75,7 +74,7 @@ def finite_difference_gradient(
     program = _promote64(program)
     base = {k: np.asarray(v, dtype=np.float64) for k, v in inputs.items()}
     return {
-        name: _fd_one(program, base, params, name, eps, trip_limit)
+        name: _fd_one(program, base, params, name, eps)
         for name in program.independents
     }
 
@@ -95,7 +94,7 @@ def _promote64(program: Program) -> Program:
     return wide
 
 
-def _fd_one(program, base, params, name, eps, trip_limit):
+def _fd_one(program, base, params, name, eps):
     x = base[name]
     n = x.size if x.shape else 1
     h = fd_epsilon(x, eps)
@@ -105,16 +104,14 @@ def _fd_one(program, base, params, name, eps, trip_limit):
     flat[idx, idx] += h
     flat[n + idx, idx] -= h
     try:
-        run = run_forward(program, {**base, name: batch}, params, trip_limit=trip_limit)
+        run = run_forward(program, {**base, name: batch}, params)
         vals = np.asarray(run.value, dtype=np.float64).reshape(2 * n)
         g = (vals[:n] - vals[n:]) / (2.0 * h)
     except BatchDivergence:
         g = np.empty(n)
         for i in range(n):
             try:
-                run = run_forward(
-                    program, {**base, name: batch[[i, n + i]]}, params, trip_limit=trip_limit
-                )
+                run = run_forward(program, {**base, name: batch[[i, n + i]]}, params)
                 pair = np.asarray(run.value, dtype=np.float64).reshape(2)
                 g[i] = (pair[0] - pair[1]) / (2.0 * h[i])
             except BatchDivergence:
@@ -171,9 +168,8 @@ def sample_inputs(
     for d in program.descriptors.values():
         if d.role != "input":
             continue
-        shape = tuple(int(eval_expr(dim, params)) for dim in d.shape)
         dt = np.float32 if d.element_kind == "real32" else np.float64
-        out[d.name] = rng.uniform(low, high, shape).astype(dt)
+        out[d.name] = rng.uniform(low, high, dimensions(d, params)).astype(dt)
     return out
 
 
@@ -343,12 +339,12 @@ def _produced_names(program: Program) -> set[str]:
     return out
 
 
-def _body_runs(loop: LoopRegion, bind: dict[str, int], limit: int) -> list[dict[str, int]]:
+def _body_runs(loop: LoopRegion, bind: dict[str, int]) -> list[dict[str, int]]:
     """The bindings the loop's body runs under: one per visited iterate, or
     the enclosing ones once when the header reads a value known only at run
     time."""
     try:
-        iterates = simulate_header(loop, bind, limit)
+        iterates = simulate_header(loop, bind)
     except UnboundName:
         return [bind]
     return [{**bind, loop.iterator: iterates[p]} for p in visit_positions(loop, len(iterates))]
@@ -358,7 +354,6 @@ def _states_run(program: Program, params: dict[str, int], trace: dict[str, bool]
     """The states one path runs at least once, each once, in program order.
     ``trace`` picks each branch's arm (then, when absent); a reversed branch
     follows the forward branch it replays. Every loop iterate is visited."""
-    limit = default_trip_limit()
     ran: set[str] = set()
 
     def rec(region: list[Block], bind: dict[str, int]):
@@ -366,7 +361,7 @@ def _states_run(program: Program, params: dict[str, int], trace: dict[str, bool]
             if isinstance(block, State):
                 ran.add(block.label)
             elif isinstance(block, LoopRegion):
-                for inner in _body_runs(block, bind, limit):
+                for inner in _body_runs(block, bind):
                     rec(block.body, inner)
             else:
                 taken = trace.get(block.trace_ref or block.label, True)

@@ -577,7 +577,7 @@ def test_peel_past_the_last_iterate_allocates_nothing():
     program = make_loop_program(273)
     (peel,) = [b for _, b in walk_blocks(build_backward(program).backward.region)
                if isinstance(b, LoopRegion) and b.label == "outer__bwd"]
-    iterates = simulate_header(peel, {"n": 4}, 100)
+    iterates = simulate_header(peel, {"n": 4})
     assert iterates and not visit_positions(peel, len(iterates))
     assert _model_and_simulation(program, {"n": 4}).solution.t_star == 160
 

@@ -349,6 +349,17 @@ def test_runtime_trip_count_exit_code(tmp_path, capsys):
     assert "loop 'lp' needs runtime values" in capsys.readouterr().err
 
 
+def test_a_header_that_repeats_an_iterate_is_a_validation_error(tmp_path, capsys):
+    # the update leaves the iterator as it is, so the loop never ends
+    doc = json.loads(serialize_program(examples.build("iterated_sin_map")))
+    loop = next(b for b in doc["region"] if b["kind"] == "loop")
+    loop["update"] = loop["iterator"]
+    path = tmp_path / "stuck.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("run", path, "--params", "n=4,steps=3") == 2
+    assert "loop 'iters' repeats iterate 0, so it never ends" in capsys.readouterr().err
+
+
 def test_negative_skip_in_a_parsed_program_is_a_validation_error(tmp_path, capsys):
     # a reversed loop's skip indexes its simulated iterates; a negative one
     # is rejected where the document is parsed, not as a bare IndexError

@@ -32,7 +32,8 @@ from gradflow.errors import (
     UnsupportedLoop,
 )
 import gradflow.interpreter as interpreter
-from gradflow.interpreter import _compiled_tasklet, default_trip_limit
+import gradflow.ir as ir
+from gradflow.interpreter import _compiled_tasklet
 from gradflow.ir import branch_labels, simulate_header
 from genprog import (
     make_elementwise_program,
@@ -146,7 +147,7 @@ def test_batched_backward_matches_individual_gradients(rng):
     p = examples.build("exp_sin_chain")
     xs = rng.uniform(0.4, 1.6, (3, 9))
     bundle = build_backward(p)
-    fwd = run_forward(p, {"X": xs}, {"n": 9}, record="all")
+    fwd = run_forward(p, {"X": xs}, {"n": 9}, record=set(bundle.required), vinfo=bundle.vinfo)
     bwd = run_backward(p, bundle.backward, {"X": xs}, {"n": 9},
                        tape=fwd.tape, forwarding=bundle.forwarding)
     singles = [gradient(p, {"X": x}, {"n": 9}).grads["X"] for x in xs]
@@ -167,7 +168,7 @@ def test_batched_backward_takes_the_batch_from_the_forward_inputs(name, params, 
     samples = [sample_inputs(p, params, rng) for _ in range(3)]
     batch = {k: np.stack([s[k] for s in samples]) for k in samples[0]}
     bundle = build_backward(p)
-    fwd = run_forward(p, batch, params, record="all")
+    fwd = run_forward(p, batch, params, record=set(bundle.required), vinfo=bundle.vinfo)
     bwd = run_backward(p, bundle.backward, batch, params,
                        tape=fwd.tape, forwarding=bundle.forwarding)
     singles = [gradient(p, s, params).grads for s in samples]
@@ -212,22 +213,51 @@ def test_batched_branch_divergence(rng):
 # guards
 
 
-def test_trip_limit_env(monkeypatch):
-    monkeypatch.setenv("GRADFLOW_TRIP_LIMIT", "17")
-    assert default_trip_limit() == 17
-
-
-def test_trip_limit_enforced(rng):
+def test_trip_limit_enforced(monkeypatch, rng):
+    monkeypatch.setattr(ir, "TRIP_LIMIT", 10)
     p = examples.build("iterated_sin_map")
     x = rng.uniform(0.4, 1.6, 4)
-    with pytest.raises(NonTermination):
-        run_forward(p, {"X": x}, {"n": 4, "steps": 50}, trip_limit=10)
+    with pytest.raises(NonTermination, match="trip limit of 10"):
+        run_forward(p, {"X": x}, {"n": 4, "steps": 50})
 
 
 def test_shape_mismatch(rng):
     p = examples.build("map_reduce_2d")
     with pytest.raises(ShapeMismatch):
         run_forward(p, {"X": rng.uniform(size=(4, 5))}, {"n": 5})
+
+
+def test_inputs_with_different_batch_shapes_are_a_shape_mismatch(rng):
+    p = examples.build("matmul_sum")
+    inputs = {"A": rng.uniform(size=(2, 5, 5)), "B": rng.uniform(size=(3, 5, 5))}
+    with pytest.raises(ShapeMismatch, match=r"input 'B' has batch shape \(3,\), another input \(2,\)"):
+        gradient(p, inputs, {"d": 5})
+
+
+def _sin_sum(dim):
+    """O = sum(sin(X)) over whole arrays, X and Y declared [dim]."""
+    b = ProgramBuilder(("N",))
+    b.array("X", (dim,), role="input", kind="real64")
+    b.array("Y", (dim,), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("s") as st:
+        st.library("ew_unary", {"x": "X"}, {"y": "Y"}, op="sin")
+        st.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+    return b.finish("O", ["X"])
+
+
+@pytest.mark.parametrize("dim, bad", [("(div N 2)", "2.5"), ("(sub N 10)", "-5")])
+def test_a_dimension_that_is_not_a_size_is_rejected_everywhere(dim, bad):
+    # at N=5 the dimension is no whole number at least 0: running, counting
+    # and planning all refuse it the way size_bytes does
+    p = _sin_sum(dim)
+    match = f"dimension of '[XY]' evaluated to {bad}"
+    with pytest.raises(UnresolvableTripCount, match=match):
+        gradient(p, {"X": np.ones(2)}, {"N": 5})
+    with pytest.raises(UnresolvableTripCount, match=match):
+        count_flops(p, {"N": 5})
+    with pytest.raises(UnresolvableTripCount, match=match):
+        plan(p, None, {"N": 5})
 
 
 def test_missing_parameter(rng):
@@ -561,9 +591,9 @@ def test_a_second_gradient_compiles_no_kernel(rng):
 def test_loop_headers_simulate_once_per_distinct_header(monkeypatch, rng):
     calls = []
 
-    def counting(loop, bindings, trip_limit):
+    def counting(loop, bindings):
         calls.append(loop.label)
-        return simulate_header(loop, bindings, trip_limit)
+        return simulate_header(loop, bindings)
 
     monkeypatch.setattr(interpreter, "simulate_header", counting)
     p = examples.build("seidel_stencil")
@@ -574,11 +604,11 @@ def test_loop_headers_simulate_once_per_distinct_header(monkeypatch, rng):
 
 def test_tape_records_iterates_only_of_loops_around_recorded_writes(rng):
     # seidel's reverse program reads no forward value: its tape keeps no
-    # iterates; record="all" keeps every forward loop's
+    # iterates; recording the write inside all three loops keeps them all
     p, params = examples.build("seidel_stencil"), {"N": 8, "TSTEPS": 2}
     inputs = sample_inputs(p, params, rng)
     assert gradient(p, inputs, params).forward.tape.iterate_records == {}
-    tape = run_forward(p, inputs, params, record="all").tape
+    tape = run_forward(p, inputs, params, record={("A", 1)}).tape
     assert set(tape.iterate_records) == {"time", "rows", "cols"}
     # a recorded write inside the loop keeps that loop's iterates
     p = examples.build("iterated_sin_map")

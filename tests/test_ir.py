@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gradflow.examples as examples
+import gradflow.ir as ir
 from gradflow import size_bytes, validate
 from gradflow.errors import NonTermination
 from gradflow.ir import (
@@ -53,39 +54,49 @@ def _loop(init, bound, cmp, update, **kw):
 
 
 def test_header_unit_stride():
-    assert simulate_header(_loop("0", "5", "<", "(add i 1)"), {}, 100) == [0, 1, 2, 3, 4]
+    assert simulate_header(_loop("0", "5", "<", "(add i 1)"), {}) == [0, 1, 2, 3, 4]
 
 
 def test_header_stride_three():
     # forward {0,3,6,9}, the non-unit-stride shape from the loop analysis
-    assert simulate_header(_loop("0", "10", "<", "(add i 3)"), {}, 100) == [0, 3, 6, 9]
+    assert simulate_header(_loop("0", "10", "<", "(add i 3)"), {}) == [0, 3, 6, 9]
 
 
 def test_header_descending():
-    assert simulate_header(_loop("5", "0", ">", "(sub i 2)"), {}, 100) == [5, 3, 1]
+    assert simulate_header(_loop("5", "0", ">", "(sub i 2)"), {}) == [5, 3, 1]
 
 
 def test_header_zero_trips():
-    assert simulate_header(_loop("4", "4", "<", "(add i 1)"), {}, 100) == []
-    assert len(simulate_header(_loop("7", "3", "<", "(add i 1)"), {}, 10**9)) == 0
+    assert simulate_header(_loop("4", "4", "<", "(add i 1)"), {}) == []
+    assert len(simulate_header(_loop("7", "3", "<", "(add i 1)"), {})) == 0
 
 
 def test_header_parametric_bound():
-    assert simulate_header(_loop("0", "n", "<", "(add i 1)"), {"n": 3}, 100) == [0, 1, 2]
+    assert simulate_header(_loop("0", "n", "<", "(add i 1)"), {"n": 3}) == [0, 1, 2]
 
 
 def test_header_geometric():
-    assert simulate_header(_loop("1", "16", "<", "(mul i 2)"), {}, 100) == [1, 2, 4, 8]
+    assert simulate_header(_loop("1", "16", "<", "(mul i 2)"), {}) == [1, 2, 4, 8]
 
 
-def test_header_trip_limit():
-    with pytest.raises(NonTermination):
-        simulate_header(_loop("0", "10", "<", "(add i 0)"), {}, 50)
+def test_header_trip_limit(monkeypatch):
+    monkeypatch.setattr(ir, "TRIP_LIMIT", 50)
+    assert len(simulate_header(_loop("0", "50", "<", "(add i 1)"), {})) == 50
+    with pytest.raises(NonTermination, match="trip limit of 50"):
+        simulate_header(_loop("0", "51", "<", "(add i 1)"), {})
+
+
+@pytest.mark.parametrize("update", ["i", "(add i 0)", "(mod (add i 1) 3)"])
+def test_header_that_repeats_an_iterate_never_ends(update):
+    # the update reads only the iterator, so a repeated iterate repeats the
+    # whole sequence from there on
+    with pytest.raises(NonTermination, match="loop 'l' repeats iterate 0"):
+        simulate_header(_loop("0", "10", "<", update), {})
 
 
 @given(st.integers(-8, 8), st.integers(-8, 20), st.integers(1, 5))
 def test_header_matches_range_enumeration(lo, hi, step):
-    got = simulate_header(_loop(str(lo), str(hi), "<", f"(add i {step})"), {}, 1000)
+    got = simulate_header(_loop(str(lo), str(hi), "<", f"(add i {step})"), {})
     assert got == list(range(lo, hi, step))
 
 
@@ -159,7 +170,7 @@ def _nest(outer, inner, branch=False):
 
 def _visits(region, outcome=None, bind=None):
     return [(st.label, dict(b), runs)
-            for st, b, runs in path_visits(region, outcome or {}, bind or {}, 100)]
+            for st, b, runs in path_visits(region, outcome or {}, bind or {})]
 
 
 def test_path_visits_multiplies_a_body_that_ignores_the_iterator():
