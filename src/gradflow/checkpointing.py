@@ -810,11 +810,14 @@ def solve_ilp(problem: ILPProblem) -> ILPSolution:
 
     if k <= 20:
         best = rows.floor([i for i in range(k) if i not in problem.fixed])
-    else:
-        best = int(full.low().max())
+        raise Infeasible(
+            f"no plan fits in {limit} bytes; the best achievable peak is {best} bytes",
+            min_peak_bytes=best,
+        )
+    best = int(full.low().max())  # the per-row lower bound
     raise Infeasible(
-        f"no plan fits in {limit} bytes; the best achievable peak is {best} bytes",
-        min_peak_bytes=best,
+        f"no plan fits in {limit} bytes; the peak is at least {best} bytes",
+        min_peak_bytes=best, exact=False,
     )
 
 
@@ -972,8 +975,8 @@ def run_planned(
         if fv.forced:
             forwarding[fv.name] = result.bundle.forwarding[fv.name]
     fwd_run = run_forward(result.forward, inputs, params, record=keep)
-    stored = {
-        fv.name: fwd_run.env[fv.name]
+    stored = {  # moved, so the reverse run's release frees them
+        fv.name: fwd_run.env.pop(fv.name)
         for fv, v in zip(result.fvs, result.solution.assignment)
         if v and not fv.forced
     }

@@ -8,14 +8,16 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import build_backward, gradient
-from .checkpointing import plan
+from .checkpointing import plan, run_planned
 from .errors import (
     BatchDivergence,
     DependentUnreachable,
@@ -91,9 +93,9 @@ def main(argv=None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         if exc.min_peak_bytes is not None:
+            what = "minimum achievable peak" if exc.exact else "peak lower bound"
             print(
-                f"minimum achievable peak: {exc.min_peak_bytes} bytes "
-                f"({exc.min_peak_bytes / MIB:.2f} MiB)",
+                f"{what}: {exc.min_peak_bytes} bytes ({exc.min_peak_bytes / MIB:.2f} MiB)",
                 file=sys.stderr,
             )
         return EXIT_INFEASIBLE
@@ -151,9 +153,9 @@ def _parser() -> argparse.ArgumentParser:
                    help="max relative error (default 1e-5 for real64 programs, 1e-2 with real32 data)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("mem-report", help="simulate resident bytes of a planned run; --json gives "
-                       "peak_bytes (max simulated path peak), model_peak_bytes (solver's), "
-                       "limit_bytes, paths")
+    p = sub.add_parser("mem-report", help="simulate resident bytes of a planned run and measure "
+                       "one run on sampled inputs; --json gives peak_bytes (max simulated path "
+                       "peak), model_peak_bytes (solver's), measured_peak_bytes, limit_bytes, paths")
     common(p)
     p.add_argument("--memory-limit-mib", type=float, default=None, metavar="M")
     p.add_argument("--events", action="store_true", help="print every timeline event")
@@ -337,13 +339,16 @@ def cmd_mem_report(args) -> int:
     (the number the text output's final ``peak`` line prints);
     ``model_peak_bytes``, the solver's modelled peak ``t_star``, equal to
     ``peak_bytes`` whenever the memory model and the simulation agree (the
-    corpus tests check they do on every path); ``limit_bytes``; and ``paths``,
-    each with its branch ``outcomes``, simulated ``peak_bytes`` and timeline
-    ``events``.
+    corpus tests check they do on every path); ``measured_peak_bytes``, the
+    ``tracemalloc`` peak of one ``run_planned`` on sampled inputs (seed 0),
+    allocated before tracing starts and so not counted; ``limit_bytes``; and
+    ``paths``, each with its branch ``outcomes``, simulated ``peak_bytes`` and
+    timeline ``events``.
     """
     prog = _load(args.program)
     params = _parse_params(args.params)
     result = plan(prog, args.memory_limit_mib, params)
+    measured = _measured_peak(result, sample_inputs(prog, params, np.random.default_rng(0)), params)
     hints = {fv.name: fv.total_bytes for fv in result.fvs if fv.forced}
     paths = []
     for seq in result.sequences:
@@ -354,7 +359,8 @@ def cmd_mem_report(args) -> int:
     peak = max(p["peak_bytes"] for p in paths)
     if args.json:
         print(json.dumps({"peak_bytes": peak, "limit_bytes": limit,
-                          "model_peak_bytes": result.solution.t_star, "paths": paths}))
+                          "model_peak_bytes": result.solution.t_star,
+                          "measured_peak_bytes": measured, "paths": paths}))
         return EXIT_OK
     for p in paths:
         arm = ", ".join(f"{k}={v}" for k, v in p["outcomes"]) or "straight-line"
@@ -369,7 +375,20 @@ def cmd_mem_report(args) -> int:
               f"({peak} B {verdict} {limit} B)")
     else:
         print(f"peak {peak / MIB:.2f} MiB ({peak} B, no limit)")
+    print(f"measured {measured} B against modelled {result.solution.t_star} B")
     return EXIT_OK
+
+
+def _measured_peak(result, inputs: dict, params) -> int:
+    """``tracemalloc`` peak bytes of one planned run; ``inputs`` exist
+    before tracing starts."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_planned(result, inputs, params)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def cmd_fmt(args) -> int:

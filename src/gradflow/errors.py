@@ -106,10 +106,13 @@ class PathExplosion(GradflowError):
 
 
 class Infeasible(GradflowError):
-    """No store/recompute assignment satisfies the memory limit."""
+    """No store/recompute assignment satisfies the memory limit.
+    ``min_peak_bytes`` is the least peak any plan reaches when ``exact``,
+    otherwise only a lower bound on it."""
 
-    def __init__(self, message: str, min_peak_bytes: int | None = None):
+    def __init__(self, message: str, min_peak_bytes: int | None = None, exact: bool = True):
         self.min_peak_bytes = min_peak_bytes
+        self.exact = exact
         super().__init__(message)
 
 

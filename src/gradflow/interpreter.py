@@ -24,6 +24,16 @@ output behind their batch dimensions. Intermediate and gradient arrays are
 zero-initialized on first touch, which is also what accumulation via
 ``sum`` conflict resolution assumes.
 
+Array lifetimes follow ``checkpointing``'s memory model. An input is copied
+only if the running program writes it (or its dtype differs); caller arrays
+are never mutated. A forward run drops its intermediates when it ends, so
+its ``env`` holds inputs, outputs and stored copies. A reverse run releases
+every rank >= 1 gradient, scratch array and stored copy, and every tape
+snapshot it reads, right after the compute node that touches it last; a last
+touch inside a loop or a branch arm releases after the enclosing top-level
+block, so no release fires inside one. Loop headers, branch conditions and
+map ranges count as touches. Scalars are never released.
+
 A ``Tape`` records what a later reverse pass may need: array snapshots keyed
 by ``(name, static version, loop coordinates)``, branch outcomes per label in
 execution order, and the iterate sequences of the loops around a recorded
@@ -74,6 +84,7 @@ from .ir import (
     simulate_header,
     uniform_int,
     visit_positions,
+    walk_blocks,
     written_descriptors,
 )
 from .symexpr import SOURCE_NAMESPACE, count_ops, eval_expr, free_names, python_source
@@ -195,6 +206,25 @@ def _compiled_tasklet(key: tuple) -> tuple[Callable, int]:
     return ns["kernel"], sum(count_ops(body) for _, _, body, _ in outs)
 
 
+def _release(entries):
+    for store, key in entries:
+        store.pop(key, None)
+
+
+def _graph_names(df: Dataflow) -> set[str]:
+    """Names a graph's edges carry and its map ranges read, nested maps
+    included."""
+    out = {e.data for e in df.edges}
+    for n in df.nodes:
+        if isinstance(n, MapNode):
+            out |= _map_names(n)
+    return out
+
+
+def _map_names(node: MapNode) -> set[str]:
+    return _graph_names(node.body).union(*(free_names(e) for r in node.ranges for e in r))
+
+
 def _copy_element(v):
     return np.array(v, copy=True) if isinstance(v, np.ndarray) else v
 
@@ -311,6 +341,79 @@ class Executor:
 
     def run(self):
         self._exec_region(self.program.region)
+
+    def run_reverse(self):
+        """Run the region, releasing each array and tape snapshot where
+        ``_release_points`` puts it."""
+        frees = self._release_points()
+        for i, block in enumerate(self.program.region):
+            if not isinstance(block, State):
+                self._exec_region((block,))
+                _release(frees.get((i, -1), ()))
+                continue
+            for j, node in enumerate(self._schedule(block.graph)):
+                if isinstance(node, AccessNode):
+                    self._visit_access(block.label, node)
+                else:
+                    self._exec_compute(node, block.graph)
+                    _release(frees.get((i, j), ()))
+
+    def _release_points(self) -> dict[tuple[int, int], list]:
+        """Where a reverse run releases what it holds, keyed by top-level
+        block index and the schedule position of the compute node that
+        touches a value last, or -1 for the end of a loop or branch holding
+        its last touch. Each entry lists ``(store, key)`` pairs: rank >= 1
+        gradients, scratch arrays and stored copies in ``env``, and the tape
+        snapshots of a forwarded name, released after the last read of any
+        name that shares them. One pass over the edges, on the cached
+        schedules."""
+        last: dict[str, tuple[int, int]] = {}
+        for i, block in enumerate(self.program.region):
+            if not isinstance(block, State):
+                names: set[str] = set()
+                for _, b in walk_blocks([block]):
+                    if isinstance(b, State):
+                        names |= _graph_names(b.graph)
+                    elif isinstance(b, LoopRegion):
+                        names |= header_names(b)
+                    else:
+                        names |= free_names(b.condition)
+                last.update(dict.fromkeys(names, (i, -1)))
+                continue
+            pos, latest = {}, {}
+            for j, node in enumerate(self._schedule(block.graph)):
+                if isinstance(node, AccessNode):
+                    continue
+                pos[node.id] = j
+                if isinstance(node, MapNode):
+                    latest.update(dict.fromkeys(_map_names(node), j))
+            for e in block.graph.edges:
+                # the compute end of the edge: a reader, else the writer
+                j = pos.get(e.dst)
+                if j is None:
+                    j = pos.get(e.src, -1)
+                if j > latest.get(e.data, -1):
+                    latest[e.data] = j
+            for name, j in latest.items():
+                last[name] = (i, j)
+
+        frees: dict[tuple[int, int], list] = {}
+        shared: dict[tuple[str, int], tuple[int, int]] = {}
+        for name, at in last.items():
+            entry = self.forwarding.get(name)
+            if entry is not None:
+                for c in entry.candidates:
+                    key = (entry.data, c.version)
+                    shared[key] = max(shared.get(key, at), at)
+                continue
+            d = self.program.descriptors.get(name)
+            if d is not None and d.rank and d.role in ("gradient", "intermediate", "stored-copy"):
+                frees.setdefault(at, []).append((self.env, name))
+        if shared and self.src_tape is not None:
+            for key in self.src_tape.values:
+                if key[:2] in shared:
+                    frees.setdefault(shared[key[:2]], []).append((self.src_tape.values, key))
+        return frees
 
     def _exec_region(self, region: list[Block]):
         for block in region:
@@ -554,12 +657,16 @@ class Executor:
 
 
 def _prepare_inputs(
-    program: Program, inputs: dict, params: dict, names=None
-) -> tuple[dict[str, np.ndarray], tuple[int, ...]]:
+    program: Program, inputs: dict, params: dict, running: Program | None = None
+) -> tuple[dict[str, np.ndarray], tuple[int, ...], set[str]]:
     """Check the inputs against ``program`` and decide the run's batch
     shape: the axes ahead of each input's declared shape, which every
-    batched input must share (``ShapeMismatch`` otherwise). Returns copies
-    of the inputs in ``names`` (all of them when None) and the batch."""
+    batched input must share (``ShapeMismatch`` otherwise). Returns the
+    inputs that ``running`` (default ``program``) declares, the batch, and
+    the names ``running`` writes. An input is copied only if ``running``
+    writes it; a batched run gives such an input the batch axes."""
+    running = running or program
+    written = written_descriptors(running)
     env: dict[str, np.ndarray] = {}
     batch: tuple[int, ...] = ()
     for name, value in inputs.items():
@@ -576,15 +683,16 @@ def _prepare_inputs(
         if lead and batch and lead != batch:
             raise ShapeMismatch(f"input '{name}' has batch shape {lead}, another input {batch}")
         batch = lead or batch
-        if names is None or name in names:
-            # the program may overwrite its inputs; never mutate caller arrays
-            env[name] = np.array(np.asarray(value, dtype=_DTYPE[desc.element_kind]), copy=True)
-    if batch:
-        # an input written in place may take a different value per sample
-        for name in written_descriptors(program) & env.keys():
-            if env[name].ndim == program.descriptors[name].rank:
-                env[name] = np.broadcast_to(env[name], batch + env[name].shape).copy()
-    return env, batch
+        if name in running.descriptors:
+            env[name] = np.asarray(value, dtype=_DTYPE[desc.element_kind])
+    for name in written & env.keys():
+        arr = env[name]
+        if batch and arr.ndim == running.descriptors[name].rank:
+            # an input written in place may take a different value per sample
+            env[name] = np.broadcast_to(arr, batch + arr.shape).copy()
+        else:
+            env[name] = np.array(arr, copy=True)  # never mutate caller arrays
+    return env, batch, written
 
 
 def run_forward(
@@ -597,9 +705,10 @@ def run_forward(
 ) -> RunResult:
     """Execute the program. ``record`` is None (no tape) or a set of
     ``(name, version)`` pairs to snapshot; ``vinfo`` is the program's
-    version analysis, computed when a tape needs it and none is given."""
+    version analysis, computed when a tape needs it and none is given. The
+    returned ``env`` holds the inputs, outputs and stored copies."""
     params = dict(params or {})
-    env, batch = _prepare_inputs(program, inputs, params)
+    env, batch, written = _prepare_inputs(program, inputs, params)
     tape = None
     if record is not None:
         tape = Tape()
@@ -607,12 +716,17 @@ def run_forward(
             vinfo = analyze_versions(program)
         for name, desc in program.descriptors.items():
             if desc.role == "input" and name in env and (name, 0) in record:
-                tape.values[(name, 0, ())] = np.array(env[name], copy=True)
+                # an input the program never writes is its own snapshot
+                snap = env[name]
+                tape.values[(name, 0, ())] = np.array(snap, copy=True) if name in written else snap
     ex = Executor(program, params, env, batch, tape=tape, record=record, vinfo=vinfo)
     ex.run()
     value = env.get(program.dependent)
     if value is None:
         raise UnboundName(f"dependent '{program.dependent}' was never written")
+    for name, desc in program.descriptors.items():
+        if desc.role == "intermediate":
+            env.pop(name, None)
     if tape is not None:
         tape.op_count = ex.op_count
     return RunResult(env=env, value=value, op_count=ex.op_count, tape=tape)
@@ -631,20 +745,25 @@ def run_backward(
 ) -> RunResult:
     """Run a reverse-mode program. ``inputs`` are the forward inputs (pristine
     arrays are read directly); ``extra_env`` carries materialized stored
-    copies from a planned forward run; everything else resolves via ``tape``
-    and the ``forwarding`` table. The batch shape is the forward inputs'
-    one, since the reverse program may read none of them."""
+    copies from a planned forward run and is emptied into the run;
+    everything else resolves via ``tape`` and the ``forwarding`` table. The
+    batch shape is the forward inputs' one, since the reverse program may
+    read none of them.
+
+    The run consumes what it holds: each stored copy, scratch array and
+    gradient other than an output is released after its last use, and each
+    tape snapshot the run reads is popped from ``tape.values`` after its
+    last read."""
     params = dict(params or {})
-    env, batch = _prepare_inputs(program, inputs, params, backward.descriptors)
+    env, batch, _ = _prepare_inputs(program, inputs, params, backward)
     if extra_env:
-        for k, v in extra_env.items():
-            if k in backward.descriptors:
-                env[k] = np.asarray(v)
+        env.update({k: np.asarray(v) for k, v in extra_env.items() if k in backward.descriptors})
+        extra_env.clear()  # the run's env holds the only reference
     seed_name = program.dependent + "__grad"
     if seed_name in backward.descriptors and seed_name not in env:
         env[seed_name] = np.full(batch, seed, dtype=_DTYPE[backward.descriptors[seed_name].element_kind])
     ex = Executor(backward, params, env, batch, src_tape=tape, forwarding=forwarding)
-    ex.run()
+    ex.run_reverse()
     return RunResult(env=env, value=env.get(seed_name), op_count=ex.op_count)
 
 

@@ -5,9 +5,11 @@ The running example is the three-product chain at N=3620 with a 500 MiB
 budget. All byte numbers derive from S = 3620^2 * 4 = 52,417,600.
 """
 
+import gc
 import itertools
 import random
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -589,3 +591,58 @@ def test_peel_past_the_last_iterate_allocates_nothing():
 def test_plan_of_a_runtime_header_over_a_carried_array_names_the_loop():
     with pytest.raises(UnresolvableTripCount, match="loop 'lp'"):
         plan(runtime_header_array_program(), None, {"n": 4})
+
+
+# ---------------------------------------------------------------------------
+# the executor holds what the plan models
+
+
+def _measured_peak(result, params, seed=0) -> int:
+    """``tracemalloc`` peak of one warmed-up ``run_planned``; the inputs
+    exist before tracing starts and are not counted."""
+    inputs = sample_inputs(result.forward, params, np.random.default_rng(seed))
+    run_planned(result, inputs, params)  # kernels compiled, caches filled
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_planned(result, inputs, params)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_measured_peak_is_the_modelled_peak_and_falls_with_the_budget():
+    # scaled_product_chain at N=96: one array is 36,864 B. The slack over the
+    # modelled peak t_star is derived, not fitted:
+    # - one temporary of the largest array: a library node's result exists
+    #   before it replaces or is added into its target, which the model
+    #   does not count;
+    # - the Python objects of a run (dicts, results, ndarray headers), whose
+    #   size does not depend on N: the measured peak of the same keep-all
+    #   run at N=2, where each array holds 16 B.
+    program = examples.build("scaled_product_chain")
+    params = {"N": 96}
+    size = 96 * 96 * 4
+    python_bytes = _measured_peak(plan(program, None, {"N": 2}), {"N": 2})
+    keep_all = plan(program, None, params).solution.t_star
+    peaks = []
+    for share in (None, 0.95, 0.8):
+        result = plan(program, None if share is None else share * keep_all / MIB, params)
+        measured = _measured_peak(result, params)
+        assert measured <= result.solution.t_star + size + python_bytes, (share, measured)
+        peaks.append((result.solution.t_star, measured))
+    assert [t for t, _ in peaks] == [11 * size, 10 * size, 8 * size]
+    measured = [m for _, m in peaks]
+    assert measured == sorted(measured, reverse=True)
+
+
+def test_infeasible_beyond_the_exact_floor_reports_a_lower_bound():
+    # k > 20: the floor is the per-row bound, so the message says "at least"
+    with pytest.raises(Infeasible) as exc:
+        plan(sin_chain(24), 1e-5, {})
+    assert not exc.value.exact and "at least" in str(exc.value)
+    fvs, seqs = _problem(sin_chain(24), {})
+    assert exc.value.min_peak_bytes == max(s.peak((0,) * 24) for s in seqs)
+    with pytest.raises(Infeasible) as small:
+        plan(sin_chain(8), 1e-5, {})
+    assert small.value.exact and "best achievable" in str(small.value)

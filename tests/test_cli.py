@@ -16,7 +16,7 @@ from gradflow import (
     serialize_program,
 )
 from gradflow.errors import ProgramSyntaxError, ValidationFailed
-from genprog import runtime_header_array_program, scalar_header_program
+from genprog import runtime_header_array_program, scalar_header_program, sin_chain
 
 
 @pytest.fixture
@@ -99,6 +99,15 @@ def test_plan_zero_limit_is_infeasible(foo_path, capsys):
                    "--params", "N=16") == 4
     err = capsys.readouterr().err
     assert "minimum achievable peak: 8192 bytes" in err
+
+
+def test_plan_infeasible_beyond_the_exact_floor_prints_a_lower_bound(tmp_path, capsys):
+    # 24 values: more than the exact floor enumerates, so only a bound is known
+    path = tmp_path / "chain.json"
+    path.write_text(serialize_program(sin_chain(24)))
+    assert run_cli("plan", path, "--memory-limit-mib", "0.00001") == 4
+    err = capsys.readouterr().err
+    assert "peak lower bound: " in err and "minimum achievable" not in err
 
 
 def test_plan_nothing_to_plan(tmp_path, capsys):
@@ -250,11 +259,26 @@ def test_mem_report_text_prints_exact_bytes(tmp_path, capsys):
     path.write_text(serialize_program(examples.build("branchy_scale")))
     assert run_cli("mem-report", path, "--params", "n=8") == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines == [
+    assert lines[:3] == [
         "path [pick=True]: peak 0.00 MiB (128 B)",
         "path [pick=False]: peak 0.00 MiB (128 B)",
         "peak 0.00 MiB (128 B, no limit)",
     ]
+    assert len(lines) == 4 and re.fullmatch(r"measured \d+ B against modelled 128 B", lines[3])
+
+
+def test_mem_report_shows_the_measured_peak(foo_path, capsys):
+    # N=96: one array is 36,864 B, so the arrays dominate the measured run
+    size = 96 * 96 * 4
+    assert run_cli("mem-report", foo_path, "--params", "N=96", "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["model_peak_bytes"] == 11 * size
+    assert doc["model_peak_bytes"] < doc["measured_peak_bytes"] < 13 * size
+    assert run_cli("mem-report", foo_path, "--params", "N=96") == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    got = re.fullmatch(r"measured (\d+) B against modelled (\d+) B", last)
+    assert got and int(got[2]) == 11 * size
+    assert 11 * size < int(got[1]) < 13 * size
 
 
 def test_mem_report_infeasible(foo_path, capsys):

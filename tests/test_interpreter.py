@@ -9,6 +9,8 @@ import gradflow.examples as examples
 from gradflow import (
     ProgramBuilder,
     build_backward,
+    build_memory_sequences,
+    collect_forwarded,
     count_flops,
     gradient,
     parse_program,
@@ -31,6 +33,8 @@ from gradflow.errors import (
     UnsupportedConstruct,
     UnsupportedLoop,
 )
+import genprog
+import gradflow.checkpointing as checkpointing
 import gradflow.interpreter as interpreter
 import gradflow.ir as ir
 from gradflow.interpreter import _compiled_tasklet
@@ -616,3 +620,183 @@ def test_tape_records_iterates_only_of_loops_around_recorded_writes(rng):
     res = gradient(p, sample_inputs(p, params, rng), params)
     loops = {l for key in res.bundle.required for l in res.bundle.vinfo.write_loops.get(key, ())}
     assert loops and set(res.forward.tape.iterate_records) == loops
+
+
+# ---------------------------------------------------------------------------
+# array lifetimes: what a run copies, keeps and releases
+
+
+def _reverse_env(program, inputs, params=None):
+    """Run ``program`` with a reverse run's releases; return its env."""
+    env = dict(inputs)
+    interpreter.Executor(program, dict(params or {}), env, ()).run_reverse()
+    return env
+
+
+def test_loop_header_scalar_and_branch_condition_array_stay_live():
+    # T's last edge is in 'init', but the branch condition reads it later; m
+    # is read only by the loop header
+    b = ProgramBuilder(())
+    b.array("X", ("4",), role="input", kind="real64")
+    b.array("T", ("4",), role="gradient", kind="real64")
+    b.scalar("m", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("init") as s:
+        s.library("ew_unary", {"x": "X"}, {"y": "T"}, op="scale", const=2.0)
+        s.tasklet(ins={}, outs={"o": ("m", ())}, body={"o": "3"})
+        s.tasklet(ins={}, outs={"o": ("O", ())}, body={"o": "0"})
+    with b.loop("i", "0", "m", label="lp"):
+        with b.state("step") as s:
+            s.tasklet(ins={"t": ("O", ())}, outs={"o": ("O", ())}, body={"o": "(add t 1)"})
+    with b.branch("(gt (idx T 1) 1)", label="pick") as br:
+        with br.then():
+            with b.state("hi") as s:
+                s.tasklet(ins={"t": ("O", ())}, outs={"o": ("O", ())}, body={"o": "(mul t 10)"})
+        with br.orelse():
+            with b.state("lo") as s:
+                s.tasklet(ins={"t": ("O", ())}, outs={"o": ("O", ())}, body={"o": "(sub t 100)"})
+    p = b.finish("O", ["X"])
+    x = np.array([0.5, 0.75, 1.0, 2.0])
+    env = _reverse_env(p, {"X": x})
+    assert env["O"] == 30.0 == run_forward(p, {"X": x}).value  # 3 visits, then arm
+    assert "T" not in env and env["m"] == 3.0  # released after the branch; scalars stay
+
+
+def test_gradient_accumulated_in_a_loop_is_released_after_the_loop():
+    # G is read after the loop; H only inside it, where each iteration reads
+    # the sum of the ones before: releasing either inside the loop restarts
+    # it from zero
+    b = ProgramBuilder(())
+    b.array("X", ("4",), role="input", kind="real64")
+    b.array("G", ("4",), role="gradient", kind="real64")
+    b.array("H", ("4",), role="gradient", kind="real64")
+    b.scalar("t", kind="real64")
+    b.scalar("u", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("i", "0", "3", label="lp"):
+        with b.state("acc") as s:
+            s.library("ew_binary", {"a": "G", "b": "X"}, {"c": "G"}, op="add")
+            s.library("ew_binary", {"a": "H", "b": "X"}, {"c": "H"}, op="add")
+            s.library("reduce_sum", {"x": "H"}, {"y": "t"})
+            s.tasklet(ins={"a": ("O", ()), "b": ("t", ())}, outs={"o": ("O", ())},
+                      body={"o": "(add a b)"})
+    with b.state("after") as s:
+        s.library("reduce_sum", {"x": "G"}, {"y": "u"})
+        s.tasklet(ins={"a": ("O", ()), "b": ("u", ())}, outs={"o": ("O", ())},
+                  body={"o": "(add a b)"})
+    p = b.finish("O", ["X"])
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    env = _reverse_env(p, {"X": x})
+    assert env["O"] == (1 + 2 + 3 + 3) * x.sum() == run_forward(p, {"X": x}).value
+    assert "G" not in env and "H" not in env
+
+
+def test_map_body_reads_keep_their_arrays_live():
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.array("T", ("n",), role="gradient", kind="real64")
+    b.array("P", ("n",), role="output", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+
+    def square(inner):
+        inner.tasklet(ins={"a": ("T", ("i",))}, outs={"o": ("P", ("i",))}, body={"o": "(mul a a)"})
+
+    with b.state("main") as s:
+        s.library("ew_unary", {"x": "X"}, {"y": "T"}, op="scale", const=2.0)
+        mid = s.map_node(("i",), (("0", "n", "1"),), square)
+        s.library("reduce_sum", {"x": "P"}, {"y": "O"})
+    p = b.finish("O", ["X"])
+    graph = p.region[0].graph
+    # only the body's edge reads T now; the release must still wait for it
+    graph.edges = [e for e in graph.edges if not (e.dst == mid and e.data == "T")]
+    x = np.array([0.5, 1.0, 1.5])
+    env = _reverse_env(p, {"X": x}, {"n": 3})
+    np.testing.assert_array_equal(env["P"], (2 * x) ** 2)
+    assert "T" not in env
+
+
+def _compute_ordinals(ex, program):
+    """(top-level block index, schedule position) -> ordinal of that compute
+    node among all compute nodes of a straight-line program."""
+    out, k = {}, 0
+    for i, state in enumerate(program.region):
+        for j, node in enumerate(ex._schedule(state.graph)):
+            if not isinstance(node, ir.AccessNode):
+                out[i, j] = k
+                k += 1
+    return out
+
+
+@pytest.mark.parametrize("program, params", [
+    (examples.build("scaled_product_chain"), {"N": 4}),
+    (examples.build("exp_sin_chain"), {"n": 5}),
+    (genprog.sin_chain(5, side=4), {}),
+], ids=["scaled_product_chain", "exp_sin_chain", "sin_chain"])
+def test_reverse_releases_where_the_memory_model_frees(program, params, rng):
+    # on a straight-line program each release point is the model's: the
+    # compute node that reads or writes the value last (checkpointing's own
+    # access lists), for exactly the names the model's backward frees
+    bundle = build_backward(program)
+    fvs = collect_forwarded(program, bundle, params)
+    (seq,) = build_memory_sequences(program, bundle, fvs, params)
+    bwd = bundle.backward
+    freed = [ev.label[len("free "):] for ev in seq.events if ev.label.startswith("free ")]
+    model = {n for n in freed if n in bwd.descriptors and bwd.descriptors[n].role != "output"}
+    accesses = [a for st in bwd.region for a in checkpointing._node_accesses(st.graph)]
+    want = {n: max(k for k, (r, w) in enumerate(accesses) if n in r | w) for n in model}
+
+    inputs = sample_inputs(program, params, rng)
+    fwd = run_forward(program, inputs, params, record=set(bundle.required), vinfo=bundle.vinfo)
+    ex = interpreter.Executor(bwd, params, {}, (), src_tape=fwd.tape, forwarding=bundle.forwarding)
+    ordinal = _compute_ordinals(ex, bwd)
+    owner = {(e.data, c.version): n for n, e in bundle.forwarding.items() for c in e.candidates}
+    got = {}
+    for at, entries in ex._release_points().items():
+        for _, key in entries:
+            n = key if isinstance(key, str) else owner[key[:2]]
+            if bwd.descriptors[n].rank:
+                got[n] = ordinal[at]
+    assert model and got == want
+
+
+def test_forward_env_holds_inputs_outputs_and_stored_copies(rng):
+    p, params = examples.build("scaled_product_chain"), {"N": 4}
+    result = plan(p, None, params)
+    inputs = sample_inputs(p, params, rng)
+    env = run_forward(result.forward, inputs, params).env
+    roles = {n: d.role for n, d in result.forward.descriptors.items()}
+    stored = {n for n, r in roles.items() if r == "stored-copy"}
+    assert stored and set(env) == set(inputs) | {"O"} | stored
+
+
+def test_only_inputs_the_program_writes_are_copied():
+    p = examples.build("exp_sin_chain")
+    x = np.linspace(0.5, 1.5, 5)
+    assert run_forward(p, {"X": x}, {"n": 5}).env["X"] is x
+    # X = sin(X) in place: the run works on a copy and leaves x alone
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("main") as s:
+        s.library("ew_unary", {"x": "X"}, {"y": "X"}, op="sin")
+        s.library("reduce_sum", {"x": "X"}, {"y": "O"})
+    q = b.finish("O", ["X"])
+    before = x.copy()
+    res = run_forward(q, {"X": x}, {"n": 5}, record={("X", 0)})
+    assert res.env["X"] is not x and np.array_equal(x, before)
+    np.testing.assert_array_equal(res.env["X"], np.sin(before))
+    np.testing.assert_array_equal(res.tape.values[("X", 0, ())], before)
+
+
+def test_reverse_run_consumes_the_snapshots_it_reads(rng):
+    p = genprog.sin_chain(4, side=4)
+    inputs = sample_inputs(p, {}, rng)
+    bundle = build_backward(p)
+    fwd = run_forward(p, inputs, {}, record=set(bundle.required), vinfo=bundle.vinfo)
+    assert len(fwd.tape.values) == len(bundle.forwarding) > 0
+    run_backward(p, bundle.backward, inputs, {}, tape=fwd.tape, forwarding=bundle.forwarding)
+    assert fwd.tape.values == {}
+    # a pristine input's own snapshot is the caller's array, not a copy
+    x = np.linspace(0.5, 1.5, 5)
+    tape = run_forward(examples.build("exp_sin_chain"), {"X": x}, {"n": 5}, record={("X", 0)}).tape
+    assert tape.values[("X", 0, ())] is x
