@@ -974,7 +974,8 @@ def run_planned(
     for fv in result.fvs:
         if fv.forced:
             forwarding[fv.name] = result.bundle.forwarding[fv.name]
-    fwd_run = run_forward(result.forward, inputs, params, record=keep)
+    # the planned program only adds copy-outs, which write no version in keep
+    fwd_run = run_forward(result.forward, inputs, params, record=keep, vinfo=result.bundle.vinfo)
     stored = {  # moved, so the reverse run's release frees them
         fv.name: fwd_run.env.pop(fv.name)
         for fv, v in zip(result.fvs, result.solution.assignment)

@@ -9,20 +9,24 @@ on this to evaluate thousands of perturbed inputs in a handful of
 vectorized passes.
 
 Execution is deterministic: states run in the schedule order, loops iterate
-their simulated header sequence, maps enumerate range products in order and
-run their body once per point. A loop's header is simulated once per
-distinct value of the names it reads, and memoized for the run. A tasklet
-runs as a compiled kernel: one generated Python function per tasklet
-structure (its edges, bodies and resolved shapes), cached for the whole
-process, so the reverse program that ``gradient()`` rebuilds on every call
-reuses the kernels of the previous one. The kernel inlines index
-arithmetic and bounds checks, reads an array without batch axes as
-``arr[i, j]`` and a batched one as ``arr[..., i, j]``. A library node runs
-once on whole arrays; an elementwise one evaluates its expression
-(``ir.library_expr``) with numpy, broadcasting rank-0 operands over the
-output behind their batch dimensions. Intermediate and gradient arrays are
-zero-initialized on first touch, which is also what accumulation via
-``sum`` conflict resolution assumes.
+their simulated header sequence and maps enumerate range products in order.
+A loop's header is simulated once per distinct value of the names it reads,
+and memoized for the run. Tasklets, maps and loop nests run as compiled
+nests: one generated Python function per nest structure (its loops, map
+ranges, edges, bodies and resolved shapes), cached for the whole process, so
+the reverse program that ``gradient()`` rebuilds on every call reuses the
+nests of the previous one. A tasklet alone is a nest of depth 0; a map is a
+``for`` per parameter around its body; a loop whose body holds only states
+of tasklets and maps, or further such loops, is a ``for`` per loop over its
+simulated iterates, with no branch, state-level library node, forwarded read
+or tape record inside. Any other loop runs block by block, its body's
+tasklets and maps still as nests. A nest inlines index arithmetic and bounds
+checks, reads an array without batch axes as ``arr[i, j]`` and a batched one
+as ``arr[..., i, j]``. A library node runs once on whole arrays; an
+elementwise one evaluates its expression (``ir.library_expr``) with numpy,
+broadcasting rank-0 operands over the output behind their batch dimensions.
+Intermediate and gradient arrays are zero-initialized on first touch, which
+is also what accumulation via ``sum`` conflict resolution assumes.
 
 Array lifetimes follow ``checkpointing``'s memory model. An input is copied
 only if the running program writes it (or its dtype differs); caller arrays
@@ -49,6 +53,7 @@ header and walks the iterates backwards.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -87,7 +92,7 @@ from .ir import (
     walk_blocks,
     written_descriptors,
 )
-from .symexpr import SOURCE_NAMESPACE, count_ops, eval_expr, free_names, python_source
+from .symexpr import SOURCE_NAMESPACE, Binary, Const, Name, Unary, count_ops, eval_expr, free_names, python_source
 from .versions import CUR, LAST, PREV, VersionInfo, analyze_versions
 
 _DTYPE = {"real32": np.float32, "real64": np.float64}
@@ -122,88 +127,178 @@ class _LoopCtx:
         return self.iterates[self.pos]
 
 
+_UNSET = object()  # a bind name missing at nest entry
+
+
 @functools.lru_cache(maxsize=4096)
-def _compiled_tasklet(key: tuple) -> tuple[Callable, int]:
-    """One generated Python function per tasklet structure, shared by every
-    executor. ``key`` is ``(ins, outs, shapes)``: ``ins`` holds ``(data,
-    subset, connector)`` per in-edge, ``outs`` ``(data, subset, body, wcr)``
-    per out-edge, and ``shapes`` each array's resolved shape. Returns the
-    function ``kernel(read, write, bind)`` and its operator count.
+def _compiled_tasklet(key: tuple) -> Callable:
+    """One generated Python function per nest structure, shared by every
+    executor. ``key`` is ``(item, shapes)``: ``shapes`` gives each array's
+    resolved shape (None: undeclared) and ``item`` is one of
+    ``("tasklet", ins, outs, ops)`` (``(data, subset, connector)`` per
+    in-edge, ``(data, subset, body, wcr)`` per out-edge), ``("map", id,
+    params, ranges, items)``, ``("loop", j, iterator, reversed, header,
+    items)`` (``header`` the names it reads) or ``("library", j, outs)``
+    (a library node in a map body). Returns ``nest(read, write, b,
+    iterates, loops, libs)``, which runs the nest and returns its operator
+    count: each level adds its tasklets' operators times its points.
 
-    The kernel runs the edges in the order the executor always has: each
-    in-edge's index dimension by dimension, then each out-edge's body
-    before its index. An index that is not an ``int`` goes through
+    A loop runs at the iterates ``visit_positions`` picks from
+    ``iterates(loops[j], ...)``, fetched on every entry when its header
+    reads an enclosing iterator or a name the nest writes, else once.
+    Iterators and map parameters are locals; any other name comes from
+    ``b`` at entry and raises ``UnboundName`` where ``eval_expr`` would. An
+    array is fetched by the first point that touches it, and again after a
+    library node writes it. A tasklet runs its edges in the executor's
+    order: each in-edge's index dimension by dimension, then each out-edge's
+    body before its index. An index that may not be an ``int`` goes through
     ``uniform_int``; every index is bounds-checked, and an index expression
-    repeated over a dimension of the same size is computed once. An array
-    without batch axes is read as ``arr[i, j]``, an immutable scalar; a
-    batched one as ``arr[..., i, j]``, copied, since a rank-0 read aliases
-    the array an output may overwrite.
+    repeated over a dimension of the same size, or a repeated body, is
+    computed once per point. An array without batch axes is read as
+    ``arr[i, j]``, an immutable scalar; a batched one as ``arr[..., i, j]``,
+    copied, since a rank-0 read aliases the array an output may overwrite.
     """
-    ins, outs, shapes = key
+    item, shapes = key
     shape = dict(shapes)
-    lines = ["def kernel(read, write, b):"]
-    emit = lines.append
-    arrays: dict[tuple, str] = {}
+    arrays = {name: f"a{k}" for k, name in enumerate(shape)}
+    entry = [f"{v} = None" for v in arrays.values()]
+    lines: list[str] = []
     bound: dict[str, str] = {}
-    indices: dict[tuple, str] = {}
-    conns: dict[str, str] = {}
+    fresh = itertools.count()
+    written = _item_writes(item)
 
-    def bound_name(name: str) -> str:
-        if name not in bound:
-            var = bound[name] = f"n{len(bound)}"
-            emit("    try:")
-            emit(f"        {var} = b[{name!r}]")
-            emit("    except KeyError:")
-            emit(f"        _unbound({name!r})")
-        return bound[name]
+    def emit(d: int, text: str):
+        lines.append("    " * d + text)
 
-    def array(data: str, fetch: str) -> str:
-        if (fetch, data) not in arrays:
-            var = arrays[(fetch, data)] = f"a{len(arrays)}"
-            emit(f"    {var} = {fetch}({data!r})")
-            emit(f"    {var}_flat = {var}.ndim == {len(shape[data])}")
-        return arrays[(fetch, data)]
+    def source(e, scope: dict) -> str:
+        def local(name: str) -> str:
+            if name in scope:
+                return scope[name]
+            if name not in bound:
+                bound[name] = f"n{len(bound)}"
+                entry.append(f"{bound[name]} = b.get({name!r}, _UNSET)")
+            return f"({bound[name]} if {bound[name]} is not _UNSET else _unbound({name!r}))"
+        return python_source(e, local)
 
-    def index(data: str, subset) -> str:
-        names = []
-        for k, e in enumerate(subset):
-            size = shape[data][k]
-            if (e, size) not in indices:
-                var = indices[(e, size)] = f"x{len(indices)}"
-                emit(f"    {var} = {python_source(e, bound_name)}")
-                what = "subset of '" + data + "'"
-                emit(f"    if {var}.__class__ is not int:")
-                emit(f"        {var} = uniform_int({var}, {what!r})")
-                emit(f"    if not 0 <= {var} < {size}:")
-                emit(f"        _out_of_bounds({data!r}, {var}, {size})")
-            names.append(indices[(e, size)])
-        return ", ".join(names)
+    def tasklet(it: tuple, scope: dict, d: int):
+        _, ins, outs, _ = it
+        missing = [data for data, *_ in ins + outs if shape[data] is None]
+        if missing:
+            return emit(d, f"_no_value({missing[0]!r})")
+        fetched: set[str] = set()
+        indices: dict[tuple, str] = {}
+        conns: dict[str, str] = {}
+        results: dict = {}
 
-    for data, subset, conn in ins:
-        arr = array(data, "read")
-        idx = index(data, subset)
-        var = conns[conn] = f"c{len(conns)}"
-        emit(f"    {var} = {arr}[{idx or '()'}] if {arr}_flat else _copy({arr}[..., {idx}])")
+        def access(data: str, subset, fetch: str) -> tuple[str, str]:
+            arr = arrays[data]
+            if data not in fetched:
+                fetched.add(data)
+                emit(d, f"if {arr} is None:")
+                emit(d + 1, f"{arr} = {fetch}({data!r})")
+                emit(d + 1, f"{arr}_flat = {arr}.ndim == {len(shape[data])}")
+            names = []
+            for k, e in enumerate(subset):
+                size = shape[data][k]
+                if (e, size) not in indices:
+                    var = scope.get(e.id) if isinstance(e, Name) else None
+                    if var is None:
+                        var = f"x{next(fresh)}"
+                        emit(d, f"{var} = {source(e, scope)}")
+                    if not _int_valued(e, scope):
+                        what = "subset of '" + data + "'"
+                        emit(d, f"if {var}.__class__ is not int:")
+                        emit(d + 1, f"{var} = uniform_int({var}, {what!r})")
+                    emit(d, f"if not 0 <= {var} < {size}:")
+                    emit(d + 1, f"_out_of_bounds({data!r}, {var}, {size})")
+                    indices[(e, size)] = var
+                names.append(indices[(e, size)])
+            return arr, ", ".join(names)
 
-    def connector(name: str) -> str:
-        # a body name with no in-edge raises where the body runs
-        return conns.get(name, f"_unbound({name!r})")
+        for data, subset, conn in ins:
+            arr, idx = access(data, subset, "read")
+            var = conns[conn] = f"c{next(fresh)}"
+            emit(d, f"{var} = {arr}[{idx or '()'}] if {arr}_flat else _copy({arr}[..., {idx}])")
+        for data, subset, body, wcr in outs:
+            res = results.get(body)
+            if res is None:  # a body name with no in-edge raises where the body runs
+                res = results[body] = f"r{next(fresh)}"
+                emit(d, f"{res} = {python_source(body, lambda n: conns.get(n, f'_unbound({n!r})'))}")
+            arr, idx = access(data, subset, "write")
+            op = "+=" if wcr == "sum" else "="
+            emit(d, f"if {arr}_flat:")
+            emit(d + 1, f"{arr}[{idx or '()'}] {op} {res}")
+            emit(d, "else:")
+            emit(d + 1, f"{arr}[..., {idx}] {op} {res}")
 
-    for k, (data, subset, body, wcr) in enumerate(outs):
-        emit(f"    r{k} = {python_source(body, connector)}")
-        arr = array(data, "write")
-        idx = index(data, subset)
-        op = "+=" if wcr == "sum" else "="
-        emit(f"    if {arr}_flat:")
-        emit(f"        {arr}[{idx or '()'}] {op} r{k}")
-        emit("    else:")
-        emit(f"        {arr}[..., {idx}] {op} r{k}")
+    def count(items: tuple, d: int, seq: str | None = None):
+        ops = sum(it[3] for it in items if it[0] == "tasklet")
+        if ops:
+            emit(d, f"ops += len({seq}) * {ops}" if seq else f"ops += {ops}")
+
+    def body(items: tuple, scope: dict, d: int):
+        start = len(lines)
+        for it in items:
+            emitters[it[0]](it, scope, d)
+        if len(lines) == start:
+            emit(d, "pass")
+
+    def mapping(it: tuple, scope: dict, d: int, k: int = 0):
+        _, mid, params, ranges, items = it
+        if k == len(params):
+            count(items, d)
+            return body(items, scope, d)
+        seq, var, last = f"g{next(fresh)}", f"i{next(fresh)}", k + 1 == len(params)
+        emit(d, f"{seq} = _map_range({mid!r}, {', '.join(source(e, scope) for e in ranges[k])})")
+        if last:
+            count(items, d, seq)
+        emit(d, f"for {var} in {seq}:")
+        inner = {**scope, params[k]: var}
+        if last:
+            body(items, inner, d + 1)
+        else:
+            mapping(it, inner, d + 1, k + 1)
+
+    def loop(it: tuple, scope: dict, d: int):
+        _, j, iterator, reverse, header, items = it
+        seq, var = f"s{j}", f"i{next(fresh)}"
+        passed = ", ".join(f"{n!r}: {scope[n]}" for n in header if n in scope)
+        call = f"iterates(loops[{j}], {{{passed}}})" if passed else f"iterates(loops[{j}])"
+        if not scope or any(n in scope or n in written for n in header):
+            emit(d, f"{seq} = {call}")
+        else:  # the same iterates at every entry
+            entry.append(f"{seq} = None")
+            emit(d, f"if {seq} is None:")
+            emit(d + 1, f"{seq} = {call}")
+        if reverse:
+            emit(d, f"p{j} = _visit(loops[{j}], len({seq}))")
+            count(items, d, f"p{j}")
+            emit(d, f"for q{j} in p{j}:")
+            emit(d + 1, f"{var} = {seq}[q{j}]")
+        else:
+            count(items, d, seq)
+            emit(d, f"for {var} in {seq}:")
+        body(items, {**scope, iterator: var}, d + 1)
+
+    def library(it: tuple, scope: dict, d: int):
+        _, j, outs = it
+        emit(d, f"libs[{j}]()")
+        for data in outs:  # a library node may replace the array
+            if data in arrays:
+                emit(d, f"{arrays[data]} = None")
+
+    emitters = {"tasklet": tasklet, "map": mapping, "loop": loop, "library": library}
+    count((item,), 1)
+    body((item,), {}, 1)
+    src = "\n".join(["def nest(read, write, b, iterates, loops, libs):", "    ops = 0"]
+                    + ["    " + s for s in entry] + lines + ["    return ops"])
     ns = {
         **SOURCE_NAMESPACE, "uniform_int": uniform_int, "_copy": _copy_element,
-        "_unbound": _unbound, "_out_of_bounds": _out_of_bounds,
+        "_unbound": _unbound, "_out_of_bounds": _out_of_bounds, "_no_value": _no_value,
+        "_map_range": _map_range, "_visit": visit_positions, "_UNSET": _UNSET,
     }
-    exec(compile("\n".join(lines), "<tasklet kernel>", "exec"), ns)
-    return ns["kernel"], sum(count_ops(body) for _, _, body, _ in outs)
+    exec(compile(src, "<nest kernel>", "exec"), ns)
+    return ns["nest"]
 
 
 def _release(entries):
@@ -231,6 +326,39 @@ def _copy_element(v):
 
 def _unbound(name: str):
     raise UnboundName(f"no binding for '{name}'")
+
+
+def _int_valued(e, scope: dict) -> bool:
+    """Whether an index expression always yields an ``int``: iterators and
+    integer constants under add, sub, mul and neg."""
+    if isinstance(e, Name):
+        return e.id in scope
+    if isinstance(e, Const):
+        return e.value.__class__ is int
+    if isinstance(e, Unary):
+        return e.op == "neg" and _int_valued(e.x, scope)
+    if isinstance(e, Binary):
+        return e.op in ("add", "sub", "mul") and _int_valued(e.x, scope) and _int_valued(e.y, scope)
+    return False
+
+
+def _no_value(name: str):
+    raise UnboundName(f"no value for input '{name}'")
+
+
+def _item_writes(item: tuple) -> set[str]:
+    """Arrays a nest item writes."""
+    if item[0] == "tasklet":
+        return {data for data, *_ in item[2]}
+    if item[0] == "library":
+        return set(item[2])
+    return set().union(*map(_item_writes, item[-1]))
+
+
+def _tasklet_ops(node: Tasklet, df: Dataflow) -> int:
+    """Operators of one run of a tasklet, summed over its out-edges'
+    bodies: the one count the executor and ``count_flops`` share."""
+    return sum(count_ops(node.body[e.src_conn]) for e in df.out_edges(node.id))
 
 
 def _out_of_bounds(data: str, i: int, size: int):
@@ -266,7 +394,7 @@ class Executor:
         self.branch_down: dict[str, int] = {}
         self.op_count = 0
         self._sched: dict[int, list] = {}
-        self._kernels: dict[tuple[int, str], tuple[Callable, int]] = {}
+        self._kernels: dict = {}  # compiled nests by loop id or (graph id, node id)
         self._header_names: dict[int, list[str]] = {}
         self._record_loops = set() if record is None else {
             label for key in record for label in vinfo.write_loops.get(key, ())
@@ -313,28 +441,26 @@ class Executor:
             return bool(flat[0])
         return bool(np.asarray(value).reshape(-1)[0]) if isinstance(value, np.ndarray) else bool(value)
 
-    def _loop_iterates(self, loop: LoopRegion) -> list[int]:
-        """The loop's simulated iterates. The header reads live bindings and
-        scalar arrays; the result is memoized on the values of the names it
-        reads, so a loop nested in another simulates once per distinct
-        header."""
+    def _loop_iterates(self, loop: LoopRegion, local: dict | None = None) -> list[int]:
+        """The loop's simulated iterates. The header reads live bindings (a
+        nest's iterators in ``local``) and scalar arrays; the result is
+        memoized on the values of the names it reads, so a loop nested in
+        another simulates once per distinct header."""
         names = self._header_names.get(id(loop))
         if names is None:
             names = self._header_names[id(loop)] = sorted(header_names(loop))
-        values, scalars = [], {}
+        extra = {} if local is None else local  # then the scalars the header reads
+        values = []
         for name in names:
-            if name in self.bind:
-                values.append(self.bind[name])
-                continue
-            desc = self.program.descriptors.get(name)
-            if name != loop.iterator and desc is not None and desc.rank == 0 and name in self.env:
-                scalars[name] = uniform_int(self.env[name], f"scalar '{name}' in a loop header")
-            values.append(scalars.get(name))
+            if name not in extra and name not in self.bind:
+                desc = self.program.descriptors.get(name)
+                if name != loop.iterator and desc is not None and desc.rank == 0 and name in self.env:
+                    extra[name] = uniform_int(self.env[name], f"scalar '{name}' in a loop header")
+            values.append(extra[name] if name in extra else self.bind.get(name))
         key = (id(loop), tuple(values))
         iterates = self._iterates.get(key)
         if iterates is None:
-            bind = {**self.bind, **scalars} if scalars else self.bind
-            iterates = self._iterates[key] = simulate_header(loop, bind)
+            iterates = self._iterates[key] = simulate_header(loop, {**self.bind, **extra} if extra else self.bind)
         return iterates
 
     # -- control flow --------------------------------------------------------
@@ -425,6 +551,10 @@ class Executor:
                 self._exec_branch(block)
 
     def _exec_loop(self, loop: LoopRegion):
+        if id(loop) not in self._kernels:
+            self._kernels[id(loop)] = self._nest(loop)
+        if self._kernels[id(loop)] is not None:
+            return self._run_nest(self._kernels[id(loop)])
         iterates = self._loop_iterates(loop)
         if self.tape is not None and self._records_iterates(loop):
             key = tuple(c.current for c in self.ctx_stack)
@@ -499,11 +629,17 @@ class Executor:
             else:
                 self._exec_compute(node, state.graph)
 
-    def _visit_access(self, state_label: str, node: AccessNode):
+    def _recorded_version(self, state_label: str, node: AccessNode) -> int | None:
+        """The version of ``node.data`` the tape records at this access
+        node, if any."""
         if self.tape is None or self.vinfo is None:
-            return
+            return None
         v = self.vinfo.write_version.get((state_label, node.id))
-        if v is None or (node.data, v) not in self.record:
+        return v if v is not None and (node.data, v) in self.record else None
+
+    def _visit_access(self, state_label: str, node: AccessNode):
+        v = self._recorded_version(state_label, node)
+        if v is None:
             return
         labels = self.vinfo.write_loops[(node.data, v)]
         coords = tuple(self.ctx[l].current for l in labels)
@@ -512,29 +648,17 @@ class Executor:
         )
 
     def _exec_compute(self, node, df: Dataflow):
-        if isinstance(node, Tasklet):
-            self._exec_tasklet(node, df)
-        elif isinstance(node, LibraryNode):
-            self._exec_library(node, df)
-        else:
-            self._exec_map(node, df)
-
-    def _exec_tasklet(self, node: Tasklet, df: Dataflow):
+        if isinstance(node, LibraryNode):
+            return self._exec_library(node, df)
         key = (id(df), node.id)
-        kernel = self._kernels.get(key)
-        if kernel is None:
-            kernel = self._kernels[key] = _compiled_tasklet(self._tasklet_key(node, df))
-        kernel[0](self.read_array, self.write_target, self.bind)
-        self.op_count += kernel[1]
+        nest = self._kernels.get(key)
+        if nest is None:
+            nest = self._kernels[key] = self._nest(node, df)
+        self._run_nest(nest)
 
-    def _tasklet_key(self, node: Tasklet, df: Dataflow) -> tuple:
-        ins = tuple((e.data, e.subset, e.dst_conn) for e in df.in_edges(node.id))
-        outs = tuple((e.data, e.subset, node.body[e.src_conn], e.wcr) for e in df.out_edges(node.id))
-        names = dict.fromkeys(e[0] for e in ins + outs)
-        for name in names:
-            if name not in self.program.descriptors:
-                raise UnboundName(f"no value for input '{name}'")
-        return ins, outs, tuple((name, self.shape_of(name)) for name in names)
+    def _run_nest(self, nest: tuple):
+        fn, loops, libs = nest
+        self.op_count += fn(self.read_array, self.write_target, self.bind, self._loop_iterates, loops, libs)
 
     def _exec_library(self, node: LibraryNode, df: Dataflow):
         ins = {e.dst_conn: self.read_array(e.data) for e in df.in_edges(node.id)}
@@ -584,29 +708,58 @@ class Executor:
                     out = np.broadcast_to(out, want).astype(dtype)
                 self.env[e.data] = np.array(out, copy=True) if out.base is not None else out
 
-    def _exec_map(self, node: MapNode, df: Dataflow):
-        order = self._schedule(node.body)
-        saved = {p: self.bind.get(p) for p in node.params if p in self.bind}
+    def _nest(self, root, df: Dataflow | None = None) -> tuple | None:
+        """The compiled nest of a tasklet or map in ``df``, or of a loop, with
+        the loops and library nodes it calls back. None for a loop whose
+        body holds a branch, a state-level library node, a read of a
+        forwarded name or a tape record: those run block by block."""
+        acc = ([], [], {})  # loops, library calls, array names
+        item = self._loop_item(root, acc) if df is None else self._compute_item(root, df, acc)
+        if item is None:
+            return None
+        loops, libs, names = acc
+        desc = self.program.descriptors
+        shapes = tuple((n, self.shape_of(n) if n in desc else None) for n in names)
+        return _compiled_tasklet((item, shapes)), tuple(loops), tuple(libs)
 
-        def run_level(k: int):
-            if k == len(node.params):
-                for inner in order:
-                    if not isinstance(inner, AccessNode):
-                        self._exec_compute(inner, node.body)
-                return
-            p = node.params[k]
-            for v in _map_range(node, *(eval_expr(e, self.bind) for e in node.ranges[k])):
-                self.bind[p] = v
-                run_level(k + 1)
+    def _compute_item(self, node, df: Dataflow, acc: tuple) -> tuple:
+        _, libs, names = acc
+        if isinstance(node, Tasklet):
+            ins = tuple((e.data, e.subset, e.dst_conn) for e in df.in_edges(node.id))
+            outs = tuple((e.data, e.subset, node.body[e.src_conn], e.wcr) for e in df.out_edges(node.id))
+            names.update(dict.fromkeys(e[0] for e in ins + outs))
+            return "tasklet", ins, outs, _tasklet_ops(node, df)
+        if isinstance(node, MapNode):
+            order = self._schedule(node.body)
+            items = tuple(self._compute_item(n, node.body, acc) for n in order if not isinstance(n, AccessNode))
+            return "map", node.id, node.params, node.ranges, items
+        libs.append(functools.partial(self._exec_library, node, df))
+        return "library", len(libs) - 1, tuple(e.data for e in df.out_edges(node.id))
 
-        try:
-            run_level(0)
-        finally:
-            for p in node.params:
-                if p in saved:
-                    self.bind[p] = saved[p]
+    def _loop_item(self, loop: LoopRegion, acc: tuple) -> tuple | None:
+        if self.tape is not None and self._records_iterates(loop):
+            return None
+        loops = acc[0]
+        loops.append(loop)
+        j, items = len(loops) - 1, []
+        for block in loop.body:
+            if isinstance(block, LoopRegion):
+                items.append(self._loop_item(block, acc))
+                if items[-1] is None:
+                    return None
+                continue
+            if isinstance(block, Conditional) or not self.forwarding.keys().isdisjoint(_graph_names(block.graph)):
+                return None
+            for node in self._schedule(block.graph):
+                if isinstance(node, AccessNode):
+                    if self._recorded_version(block.label, node) is not None:
+                        return None
+                elif isinstance(node, LibraryNode):
+                    return None
                 else:
-                    self.bind.pop(p, None)
+                    items.append(self._compute_item(node, block.graph, acc))
+        header = tuple(sorted(header_names(loop)))
+        return "loop", j, loop.iterator, loop.reverse_of is not None, header, tuple(items)
 
     # -- forwarded reads -----------------------------------------------------
 
@@ -796,7 +949,7 @@ def _graph_cost(df: Dataflow, program: Program, params: dict[str, int]) -> int:
     total = 0
     for node in df.nodes:
         if isinstance(node, Tasklet):
-            total += sum(count_ops(e) for e in node.body.values())
+            total += _tasklet_ops(node, df)
         elif isinstance(node, LibraryNode):
             total += _library_cost(node, df, lambda name: dimensions(program.descriptors[name], params))
         elif isinstance(node, MapNode):
@@ -830,13 +983,13 @@ def _library_cost(node: LibraryNode, df: Dataflow, shape_of: Callable[[str], tup
     return n * count_ops(library_expr(node))
 
 
-def _map_range(node: MapNode, start, stop, step) -> range:
+def _map_range(node_id: str, start, stop, step) -> range:
     """One map parameter's range from its evaluated start, stop and step."""
-    start = uniform_int(start, f"map '{node.id}' start")
-    stop = uniform_int(stop, f"map '{node.id}' stop")
-    step = uniform_int(step, f"map '{node.id}' step")
+    start = uniform_int(start, f"map '{node_id}' start")
+    stop = uniform_int(stop, f"map '{node_id}' stop")
+    step = uniform_int(step, f"map '{node_id}' step")
     if step <= 0:
-        raise DomainError(f"map '{node.id}' step must be positive, got {step}")
+        raise DomainError(f"map '{node_id}' step must be positive, got {step}")
     return range(start, stop, step)
 
 
@@ -848,7 +1001,7 @@ def _map_points(node: MapNode, params: dict[str, int]) -> int:
     def count(k: int, bind: dict[str, int]) -> int:
         if k == len(node.params):
             return 1
-        points = _map_range(node, *(eval_expr(e, bind) for e in node.ranges[k]))
+        points = _map_range(node.id, *(eval_expr(e, bind) for e in node.ranges[k]))
         if node.params[k] not in later[k]:
             return len(points) * count(k + 1, bind)
         return sum(count(k + 1, {**bind, node.params[k]: v}) for v in points)

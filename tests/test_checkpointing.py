@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import gradflow.checkpointing as checkpointing
 import gradflow.examples as examples
 from gradflow import (
     ProgramBuilder,
@@ -447,6 +448,47 @@ def test_replay_forced_history():
     assert np.array_equal(planned.grads["X"], plain.grads["X"])
 
 
+def _tape_bytes(tape):
+    return {k: (v.dtype.str, v.shape, v.tobytes()) for k, v in tape.values.items()}
+
+
+@pytest.mark.filterwarnings("ignore::gradflow.errors.NonDifferentiableOp")
+def test_run_planned_records_what_a_reanalysed_forward_run_records(monkeypatch):
+    # the planned forward program only adds copy-outs to the bundle's
+    # program, so the bundle's version analysis names the same snapshots
+    forward = checkpointing.run_forward
+    seen = []
+
+    def spy(program, inputs, params, **kw):
+        res = forward(program, inputs, params, **kw)
+        seen.append((program, kw, _tape_bytes(res.tape)))
+        return res
+
+    monkeypatch.setattr(checkpointing, "run_forward", spy)
+    cases = [(examples.build(n), examples.DEFAULT_PARAMS[n]) for n in sorted(examples.EXAMPLES)]
+    cases += [(make_loop_program(seed), {"n": 4}) for seed in range(50)]
+    checked = recorded = 0
+    for program, params in cases:
+        try:
+            keep_all = plan(program, None, params)
+        except (UnsupportedConstruct, UnsupportedLoop):
+            continue
+        fvs, seqs = _problem(program, params)
+        floor = _floor(fvs, seqs)
+        inputs = sample_inputs(program, params, np.random.default_rng(3))
+        limits = {None, floor, (floor + keep_all.solution.t_star) // 2} if fvs else {None}
+        for limit in limits:
+            result = keep_all if limit is None else plan(program, limit / MIB, params)
+            run_planned(result, inputs, params)
+            planned, kw, tape = seen.pop()
+            assert planned is result.forward and kw["vinfo"] is result.bundle.vinfo
+            reanalysed = forward(planned, inputs, params, record=kw["record"])
+            assert tape == _tape_bytes(reanalysed.tape), (program, limit)
+            checked += 1
+            recorded += bool(tape)
+    assert checked >= 60 and recorded >= 20
+
+
 # ---------------------------------------------------------------------------
 # the two memory routes agree exactly
 
@@ -611,9 +653,10 @@ def _measured_peak(result, params, seed=0) -> int:
         tracemalloc.stop()
 
 
-def test_measured_peak_is_the_modelled_peak_and_falls_with_the_budget():
-    # scaled_product_chain at N=96: one array is 36,864 B. The slack over the
-    # modelled peak t_star is derived, not fitted:
+@pytest.mark.parametrize("n", [96, 192])
+def test_measured_peak_is_the_modelled_peak_and_falls_with_the_budget(n):
+    # scaled_product_chain at N=n: one array is 4 n^2 B (36,864 B at 96).
+    # The slack over the modelled peak t_star is derived, not fitted:
     # - one temporary of the largest array: a library node's result exists
     #   before it replaces or is added into its target, which the model
     #   does not count;
@@ -621,8 +664,8 @@ def test_measured_peak_is_the_modelled_peak_and_falls_with_the_budget():
     #   size does not depend on N: the measured peak of the same keep-all
     #   run at N=2, where each array holds 16 B.
     program = examples.build("scaled_product_chain")
-    params = {"N": 96}
-    size = 96 * 96 * 4
+    params = {"N": n}
+    size = n * n * 4
     python_bytes = _measured_peak(plan(program, None, {"N": 2}), {"N": 2})
     keep_all = plan(program, None, params).solution.t_star
     peaks = []

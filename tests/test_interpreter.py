@@ -25,6 +25,7 @@ from gradflow import (
 from gradflow.errors import (
     BatchDivergence,
     DomainError,
+    GradflowError,
     NonTermination,
     OutOfBounds,
     ShapeMismatch,
@@ -620,6 +621,172 @@ def test_tape_records_iterates_only_of_loops_around_recorded_writes(rng):
     res = gradient(p, sample_inputs(p, params, rng), params)
     loops = {l for key in res.bundle.required for l in res.bundle.vinfo.write_loops.get(key, ())}
     assert loops and set(res.forward.tape.iterate_records) == loops
+
+
+# ---------------------------------------------------------------------------
+# loop nests and maps as generated functions: what a nest fetches, raises
+# and visits
+
+
+def _run_env(program, params, inputs=None):
+    """Run ``program`` on a fresh executor; return it and its env."""
+    env = dict(inputs or {})
+    ex = interpreter.Executor(program, params, env, ())
+    ex.run()
+    return ex, env
+
+
+def _ran_as_nest(ex, loop) -> bool:
+    return ex._kernels.get(id(loop)) is not None
+
+
+@pytest.mark.parametrize("scope", ["loops", "map"])
+def test_a_nest_that_runs_no_point_fetches_nothing(scope):
+    # X is missing and T and G are untouched: the first point would read X
+    # and zero-fill T and G, and there is none
+    b = ProgramBuilder(("n", "m"))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.array("T", ("n",), kind="real64")
+    b.array("G", ("n",), role="gradient", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+
+    def point(s):
+        s.tasklet(ins={"x": ("X", ("i",))}, outs={"t": ("T", ("i",))}, body={"t": "(sin x)"})
+        s.tasklet(ins={"t": ("T", ("i",))}, outs={"g": ("G", ("i",))}, body={"g": "t"}, wcr="sum")
+
+    with b.state("init") as s:
+        s.tasklet(ins={}, outs={"o": ("O", ())}, body={"o": "0"})
+    if scope == "loops":
+        with b.loop("k", "0", "m", label="outer"):
+            with b.loop("i", "0", "n", label="inner"):
+                with b.state("body") as s:
+                    point(s)
+    else:
+        with b.state("body") as s:
+            s.map_node(("k", "i"), (("0", "m", "1"), ("0", "n", "1")), point)
+    p = b.finish("O", ["X"])
+    ex, env = _run_env(p, {"n": 3, "m": 0})
+    assert set(env) == {"O"}
+    assert scope == "map" or _ran_as_nest(ex, p.region[1])
+    with pytest.raises(UnboundName, match="no value for input 'X'"):
+        _run_env(p, {"n": 3, "m": 1})
+
+
+def _two_deep(subset: str, bound: str, doc_subset: str | None = None):
+    """for i < 2: for j < bound: O += X[subset]; ``doc_subset`` replaces the
+    subset in the serialized program, past the builder's validation."""
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("i", "0", "2", label="outer"):
+        with b.loop("j", "0", bound, label="inner"):
+            with b.state("s") as s:
+                s.tasklet(ins={"a": ("X", (subset,))}, outs={"o": ("O", ())},
+                          body={"o": "a"}, wcr="sum")
+    p = b.finish("O", ["X"])
+    if doc_subset is None:
+        return p
+    doc = program_to_dict(p)
+    doc["region"][0]["body"][0]["body"][0]["edges"][0]["subset"] = [doc_subset]
+    return parse_program(json.dumps(doc))
+
+
+def _map_in_a_loop(step: str):
+    """for i < 2: map j in range(0, n, step): O += X[j]."""
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("i", "0", "2", label="outer"):
+        with b.state("s") as s:
+            s.map_node(("j",), (("0", "n", step),), lambda inner: inner.tasklet(
+                ins={"a": ("X", ("j",))}, outs={"o": ("O", ())}, body={"o": "a"}, wcr="sum"))
+    return b.finish("O", ["X"])
+
+
+def _header_scalar_batch():
+    """for i < 2: {m = X[i]; for j < m: O += 1}: the inner header reads a
+    scalar the outer body writes, which differs across a batch."""
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.scalar("m", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("i", "0", "2", label="outer"):
+        with b.state("set") as s:
+            s.tasklet(ins={"x": ("X", ("i",))}, outs={"o": ("m", ())}, body={"o": "x"})
+        with b.loop("j", "0", "m", label="inner"):
+            with b.state("s") as s:
+                s.tasklet(ins={"o": ("O", ())}, outs={"o": ("O", ())}, body={"o": "(add o 1)"})
+    return b.finish("O", ["X"])
+
+
+@pytest.mark.parametrize("make, x, error, msg", [
+    (lambda: _two_deep("j", "(add n 1)"), np.ones(3), OutOfBounds,
+     "'X' index 3 outside dimension of size 3"),
+    (lambda: _two_deep("(div j 2)", "n"), np.ones(3), DomainError,
+     "subset of 'X' evaluated to non-integer 0.5"),
+    (lambda: _two_deep("j", "n", doc_subset="k"), np.ones(3), UnboundName, "no binding for 'k'"),
+    (lambda: _map_in_a_loop("(sub 1 i)"), np.ones(3), DomainError,
+     "map '{map}' step must be positive, got 0"),
+    (lambda: _map_in_a_loop("(div 1 2)"), np.ones(3), DomainError,
+     "map '{map}' step evaluated to non-integer 0.5"),
+    (_header_scalar_batch, np.array([[1.0, 2.0, 0.0], [1.0, 3.0, 0.0]]), BatchDivergence,
+     "scalar 'm' in a loop header differs across the batch"),
+], ids=["bounds", "index", "unbound", "step", "step-int", "batch"])
+def test_errors_deep_in_a_nest_keep_their_class_and_message(make, x, error, msg):
+    program = make()
+    maps = [n.id for _, st in ir.walk_blocks(program.region) if isinstance(st, ir.State)
+            for n in st.graph.nodes if isinstance(n, ir.MapNode)]
+    with pytest.raises(error) as info:
+        run_forward(program, {"X": x}, {"n": 3})
+    assert str(info.value) == msg.format(map=maps[0] if maps else None)
+
+
+def test_inner_headers_that_read_the_nest_get_fresh_iterates(rng):
+    # triangular: the inner header reads the outer iterator
+    p = examples.build("triangular")
+    a = rng.uniform(0.4, 1.6, (5, 5))
+    ex, env = _run_env(p, {"n": 5}, {"A": a})
+    assert _ran_as_nest(ex, p.region[0])
+    assert env["acc"] == pytest.approx(np.square(np.tril(a)).sum(), rel=1e-14)
+    # the inner header reads m, which the outer body writes first
+    p = _header_scalar_batch()
+    ex, env = _run_env(p, {"n": 3}, {"X": np.array([2.0, 3.0, 0.0])})
+    assert _ran_as_nest(ex, p.region[0])
+    assert env["O"] == 5.0
+
+
+@pytest.mark.parametrize("skip, take, digits", [
+    (0, None, 54321), (1, 2, 43), (1, 1, 4), (4, None, 1), (5, None, 0), (0, 10, 54321),
+])
+def test_a_peeled_reversed_loop_visits_its_positions(skip, take, digits):
+    # O = 10 O + X[i] writes the visited iterates as digits, last first
+    b = ProgramBuilder(())
+    b.array("X", ("5",), role="input", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("i", "0", "5", label="lp"):
+        with b.state("s") as s:
+            s.tasklet(ins={"o": ("O", ()), "x": ("X", ("i",))}, outs={"o": ("O", ())},
+                      body={"o": "(add (mul o 10) x)"})
+    p = b.finish("O", ["X"])
+    loop = p.region[0]
+    loop.reverse_of, loop.skip, loop.take = "lp", skip, take
+    ex, env = _run_env(p, {}, {"X": np.arange(1.0, 6.0)})
+    assert _ran_as_nest(ex, loop)
+    assert env.get("O", 0.0) == digits
+
+
+def test_a_tasklet_with_no_out_edge_runs_and_writes_nothing(rng):
+    # the init tasklet T = 1 loses its only out-edge: it still runs, T stays
+    # zero, and the run and the cost model count the same operators
+    doc = program_to_dict(examples.build("doubling_gather"))
+    init = doc["region"][0]
+    init["edges"] = [e for e in init["edges"] if e["src"] != "t1"]
+    p = parse_program(json.dumps(doc))
+    inputs = sample_inputs(p, {}, rng)
+    res = run_forward(p, inputs, {})
+    assert res.value == 0.0 and res.op_count == count_flops(p, {})[()] == 4
+    with pytest.raises(GradflowError):
+        gradient(p, inputs, {})
 
 
 # ---------------------------------------------------------------------------
