@@ -9,9 +9,11 @@ and backward programs to execute the chosen plan.
 
 Accounting model: payload bytes only; scalars are free; inputs and the
 dependent live in the caller's context and are never counted. A forward
-transient is resident from its first write to the end of the forward pass; a
-gradient from its first touch to its last use. A kept value adds its bytes
-from production to its last backward use; a recomputed one adds its scratch
+transient is resident from its first write to the end of the forward pass.
+Backward, an array lives from the compute node that touches it first to the
+one that touches it last: ``ir.live_ranges`` over ``ir.node_accesses``, the
+rule that also gives rebuild scratch and the executor's releases. A kept
+value adds its bytes from production on; a recomputed one adds its scratch
 peak plus its bytes at first backward use and drops the scratch right after.
 Both passes follow one static walk per path (``ir.path_visits``). A loop
 body counts once (steady state); a loop that visits no iterate, such as a
@@ -63,6 +65,9 @@ from .ir import (
     State,
     Tasklet,
     copy_program,
+    graph_names,
+    live_ranges,
+    node_accesses,
     path_outcomes,
     path_visits,
     pristine_inputs,
@@ -407,37 +412,13 @@ def _recompute_plan(
 
 
 def _block_peak(state: State, descs: dict[str, DataDescriptor], params: dict[str, int], exclude: str) -> int:
-    """Scratch high-water mark of one state, the produced value excluded."""
-    order = schedule(state.graph)
-    byid = {n.id: n for n in state.graph.nodes}
-    touch: dict[str, tuple[int, int]] = {}  # name -> (first write pos, last use pos)
-    for pos, nid in enumerate(order):
-        if isinstance(byid[nid], AccessNode):
-            continue
-        for e in state.graph.in_edges(nid):
-            name = e.data
-            if name in touch:
-                touch[name] = (touch[name][0], pos)
-        for e in state.graph.out_edges(nid):
-            name = e.data
-            d = descs.get(name)
-            if d is None or d.rank == 0 or d.role != "intermediate" or name == exclude:
-                continue
-            first, _ = touch.get(name, (pos, pos))
-            touch[name] = (min(first, pos), pos)
-    sizes = {n: size_bytes(descs[n], params) for n in touch if n in descs and descs[n].role == "intermediate" and n != exclude and descs[n].rank}
-    cur = peak = 0
-    for pos, nid in enumerate(order):
-        if isinstance(byid[nid], AccessNode):
-            continue
-        for n, (first, _) in touch.items():
-            if first == pos and n in sizes:
-                cur += sizes[n]
-        peak = max(peak, cur)
-        for n, (_, last) in touch.items():
-            if last == pos and n in sizes:
-                cur -= sizes[n]
-    return peak
+    """Scratch high-water mark of one state, the produced value excluded:
+    the most bytes of rank >= 1 intermediates live at one compute node."""
+    sizes = {n: size_bytes(d, params) for n, d in descs.items() if d.rank and d.role == "intermediate" and n != exclude}
+    acc = node_accesses(state.graph)
+    touches = [acc[nid] for nid in schedule(state.graph) if nid in acc]
+    live = [(sizes[n], span) for n, span in live_ranges(enumerate(touches)).items() if n in sizes]
+    return max((sum(b for b, (first, last) in live if first <= k <= last) for k in range(len(touches))), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -495,57 +476,42 @@ class _SeqBuilder:
         for name, size in reversed(allocated):
             emit(f"free {name}", AffineBytes(const=-size))
 
-        # --- backward
-        linear = [
-            (state.label, reads, writes)
-            for state in self._path_states(self.backward, outcome)
-            for reads, writes in _node_accesses(state.graph)
-        ]
-        first_state: dict[int, str] = {}
-        last_use: dict[int, int] = {}
-        touch: dict[str, tuple[int, int]] = {}
-        fv_names = {fv.name: fv for fv in self.fvs}
-        for pos, (slabel, reads, writes) in enumerate(linear):
-            for name in reads:
-                fv = fv_names.get(name)
-                if fv is not None:
-                    first_state.setdefault(fv.index, slabel)
-                    last_use[fv.index] = pos
-            for name in reads | writes:
-                d = self.backward.descriptors.get(name)
-                if d is None or d.rank == 0 or d.role not in ("gradient", "intermediate", "output"):
-                    continue
-                first, _ = touch.get(name, (pos, pos))
-                touch[name] = (min(first, pos), pos)
+        # --- backward: each array lives from its first to its last touch
+        steps = []  # (state label, names one compute node touches)
+        for state in self._path_states(self.backward, outcome):
+            acc = node_accesses(state.graph)
+            steps += [(state.label, acc[nid]) for nid in schedule(state.graph) if nid in acc]
+        live = live_ranges(enumerate(names for _, names in steps))
+        descs = self.backward.descriptors
+        touch = {
+            name: span for name, span in live.items()
+            if name in descs and descs[name].rank and descs[name].role in ("gradient", "intermediate", "output")
+        }
         cur_state = None
-        galloc: set[str] = set()
-        for pos, (slabel, reads, writes) in enumerate(linear):
+        for pos, (slabel, names) in enumerate(steps):
             if slabel != cur_state:
                 cur_state = slabel
                 for fv in self.fvs:
-                    if fv.forced or first_state.get(fv.index) != slabel:
+                    if fv.forced or fv.name not in live or steps[live[fv.name][0]][0] != slabel:
                         continue
                     emit(f"recompute {fv.name}", AffineBytes(rec=((fv.index, fv.r_bytes + fv.size_bytes),)))
                     emit(f"drop scratch {fv.name}", AffineBytes(rec=((fv.index, -fv.r_bytes),)))
                     self._balance[fv.index] = self._balance.get(fv.index, ZERO).add(
                         AffineBytes(rec=((fv.index, fv.size_bytes),))
                     )
-            for name in sorted(reads | writes):
-                if name in galloc or name not in touch or touch[name][0] != pos:
-                    continue
-                galloc.add(name)
-                emit(f"alloc {name}", AffineBytes(const=size_bytes(self.backward.descriptors[name], self.params)))
-            for name in sorted(reads | writes):
-                if name in touch and touch[name][1] == pos and self.backward.descriptors[name].role != "output":
-                    emit(f"free {name}", AffineBytes(const=-size_bytes(self.backward.descriptors[name], self.params)))
+            for name in sorted(names):
+                if name in touch and touch[name][0] == pos:
+                    emit(f"alloc {name}", AffineBytes(const=size_bytes(descs[name], self.params)))
+            for name in sorted(names):
+                if name in touch and touch[name][1] == pos and descs[name].role != "output":
+                    emit(f"free {name}", AffineBytes(const=-size_bytes(descs[name], self.params)))
                     touch.pop(name)
             for fv in self.fvs:
-                if last_use.get(fv.index) == pos:
+                if fv.name in live and live[fv.name][1] == pos:
                     bal = self._balance.pop(fv.index, ZERO)
                     emit(f"free {fv.name}", bal.neg())
-        for name, (_first, _last) in sorted(touch.items()):
-            if name in galloc:
-                emit(f"free {name}", AffineBytes(const=-size_bytes(self.backward.descriptors[name], self.params)))
+        for name in sorted(touch):
+            emit(f"free {name}", AffineBytes(const=-size_bytes(descs[name], self.params)))
         for i in sorted(self._balance):
             fv = self.fvs[i]
             emit(f"free {fv.name}", self._balance[i].neg())
@@ -582,17 +548,6 @@ class _SeqBuilder:
                 delta = AffineBytes(store=((fv.index, fv.size_bytes),))
                 self._balance[fv.index] = self._balance.get(fv.index, ZERO).add(delta)
                 emit(f"keep {fv.name}", delta)
-
-
-def _node_accesses(graph: Dataflow) -> list[tuple[set[str], set[str]]]:
-    """(arrays read, arrays written) of each compute node, in schedule order."""
-    byid = {n.id: n for n in graph.nodes}
-    return [
-        ({e.data for e in graph.in_edges(nid) if isinstance(byid[e.src], AccessNode)},
-         {e.data for e in graph.out_edges(nid) if isinstance(byid[e.dst], AccessNode)})
-        for nid in schedule(graph)
-        if not isinstance(byid[nid], AccessNode)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -869,13 +824,10 @@ def apply_plan(
 
 
 def _first_use(region: list[Block], name: str):
-    """(containing region list, index) of the first state reading ``name``."""
+    """(containing region list, index) of the first state touching ``name``."""
     for i, block in enumerate(region):
         if isinstance(block, State):
-            if any(
-                isinstance(block.graph.node(e.src), AccessNode) and e.data == name
-                for e in block.graph.edges
-            ):
+            if name in graph_names(block.graph):
                 return region, i
         elif isinstance(block, LoopRegion):
             hit = _first_use(block.body, name)

@@ -33,10 +33,11 @@ only if the running program writes it (or its dtype differs); caller arrays
 are never mutated. A forward run drops its intermediates when it ends, so
 its ``env`` holds inputs, outputs and stored copies. A reverse run releases
 every rank >= 1 gradient, scratch array and stored copy, and every tape
-snapshot it reads, right after the compute node that touches it last; a last
-touch inside a loop or a branch arm releases after the enclosing top-level
-block, so no release fires inside one. Loop headers, branch conditions and
-map ranges count as touches. Scalars are never released.
+snapshot it reads, by the model's last-touch rule (``ir.live_ranges``):
+right after the compute node that touches it last; a last touch inside a
+loop or a branch arm releases after the enclosing top-level block, so no
+release fires inside one. Loop headers, branch conditions and map ranges
+count as touches. Scalars are never released.
 
 A ``Tape`` records what a later reverse pass may need: array snapshots keyed
 by ``(name, static version, loop coordinates)``, branch outcomes per label in
@@ -80,8 +81,11 @@ from .ir import (
     State,
     Tasklet,
     dimensions,
+    graph_names,
     header_names,
     library_expr,
+    live_ranges,
+    node_accesses,
     path_outcomes,
     path_visits,
     runtime_loop,
@@ -128,6 +132,8 @@ class _LoopCtx:
 
 
 _UNSET = object()  # a bind name missing at nest entry
+# numbers each compiled nest, so that profiles and tracebacks tell them apart
+_NEST_ORDINAL = itertools.count()
 
 
 @functools.lru_cache(maxsize=4096)
@@ -297,27 +303,16 @@ def _compiled_tasklet(key: tuple) -> Callable:
         "_unbound": _unbound, "_out_of_bounds": _out_of_bounds, "_no_value": _no_value,
         "_map_range": _map_range, "_visit": visit_positions, "_UNSET": _UNSET,
     }
-    exec(compile(src, "<nest kernel>", "exec"), ns)
+    # a map by its id, a loop by its iterator, a tasklet by what it writes
+    root = item[1] if item[0] == "map" else item[2] if item[0] == "loop" else ",".join(sorted(written))
+    filename = f"<nest {next(_NEST_ORDINAL)}: {item[0]} {root}>"
+    exec(compile(src, filename, "exec"), ns)
     return ns["nest"]
 
 
 def _release(entries):
     for store, key in entries:
         store.pop(key, None)
-
-
-def _graph_names(df: Dataflow) -> set[str]:
-    """Names a graph's edges carry and its map ranges read, nested maps
-    included."""
-    out = {e.data for e in df.edges}
-    for n in df.nodes:
-        if isinstance(n, MapNode):
-            out |= _map_names(n)
-    return out
-
-
-def _map_names(node: MapNode) -> set[str]:
-    return _graph_names(node.body).union(*(free_names(e) for r in node.ranges for e in r))
 
 
 def _copy_element(v):
@@ -470,7 +465,8 @@ class Executor:
 
     def run_reverse(self):
         """Run the region, releasing each array and tape snapshot where
-        ``_release_points`` puts it."""
+        ``_release_points`` puts it: after its last touch, by the rule the
+        memory model prices (``ir.live_ranges``)."""
         frees = self._release_points()
         for i, block in enumerate(self.program.region):
             if not isinstance(block, State):
@@ -491,41 +487,34 @@ class Executor:
         its last touch. Each entry lists ``(store, key)`` pairs: rank >= 1
         gradients, scratch arrays and stored copies in ``env``, and the tape
         snapshots of a forwarded name, released after the last read of any
-        name that shares them. One pass over the edges, on the cached
-        schedules."""
-        last: dict[str, tuple[int, int]] = {}
-        for i, block in enumerate(self.program.region):
-            if not isinstance(block, State):
+        name that shares them. A step of ``ir.live_ranges`` is one compute
+        node of a top-level state (``ir.node_accesses``, on the cached
+        schedule) or one whole top-level loop or branch."""
+        for block in self.program.region:  # schedule first: its scratch is gone before touches are held
+            if isinstance(block, State):
+                self._schedule(block.graph)
+
+        def steps():  # a generator, so one state's touches are held at a time
+            for i, block in enumerate(self.program.region):
+                if isinstance(block, State):
+                    acc = node_accesses(block.graph)
+                    for j, node in enumerate(self._schedule(block.graph)):
+                        if not isinstance(node, AccessNode):
+                            yield (i, j), acc[node.id]
+                    continue
                 names: set[str] = set()
                 for _, b in walk_blocks([block]):
                     if isinstance(b, State):
-                        names |= _graph_names(b.graph)
+                        names |= graph_names(b.graph)
                     elif isinstance(b, LoopRegion):
                         names |= header_names(b)
                     else:
                         names |= free_names(b.condition)
-                last.update(dict.fromkeys(names, (i, -1)))
-                continue
-            pos, latest = {}, {}
-            for j, node in enumerate(self._schedule(block.graph)):
-                if isinstance(node, AccessNode):
-                    continue
-                pos[node.id] = j
-                if isinstance(node, MapNode):
-                    latest.update(dict.fromkeys(_map_names(node), j))
-            for e in block.graph.edges:
-                # the compute end of the edge: a reader, else the writer
-                j = pos.get(e.dst)
-                if j is None:
-                    j = pos.get(e.src, -1)
-                if j > latest.get(e.data, -1):
-                    latest[e.data] = j
-            for name, j in latest.items():
-                last[name] = (i, j)
+                yield (i, -1), names
 
         frees: dict[tuple[int, int], list] = {}
         shared: dict[tuple[str, int], tuple[int, int]] = {}
-        for name, at in last.items():
+        for name, (_, at) in live_ranges(steps()).items():
             entry = self.forwarding.get(name)
             if entry is not None:
                 for c in entry.candidates:
@@ -748,7 +737,7 @@ class Executor:
                 if items[-1] is None:
                     return None
                 continue
-            if isinstance(block, Conditional) or not self.forwarding.keys().isdisjoint(_graph_names(block.graph)):
+            if isinstance(block, Conditional) or not self.forwarding.keys().isdisjoint(graph_names(block.graph)):
                 return None
             for node in self._schedule(block.graph):
                 if isinstance(node, AccessNode):
@@ -904,9 +893,10 @@ def run_backward(
     read none of them.
 
     The run consumes what it holds: each stored copy, scratch array and
-    gradient other than an output is released after its last use, and each
-    tape snapshot the run reads is popped from ``tape.values`` after its
-    last read."""
+    gradient other than an output is released after its last touch, and
+    each tape snapshot the run reads is popped from ``tape.values`` after
+    its last read: the last-touch rule of ``ir.live_ranges``, which the
+    memory model also prices."""
     params = dict(params or {})
     env, batch, _ = _prepare_inputs(program, inputs, params, backward)
     if extra_env:

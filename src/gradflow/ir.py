@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Any, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -462,6 +462,43 @@ def _range_names(df: Dataflow) -> set[str]:
     for n in df.nodes:
         if isinstance(n, MapNode):
             out |= _range_names(n.body).union(*(free_names(e) for r in n.ranges for e in r))
+    return out
+
+
+def graph_names(df: Dataflow) -> set[str]:
+    """Names a graph's edges carry and its map ranges read, nested maps
+    included."""
+    return {e.data for e in df.edges}.union(*node_accesses(df).values())
+
+
+def node_accesses(df: Dataflow) -> dict[str, list[str]]:
+    """The names each compute node of a graph reads or writes, each once, by
+    node id, from one pass over the edges; a map also touches every name its
+    body and its ranges do. Callers walk the nodes in their own schedule."""
+    out: dict[str, list[str]] = {}
+    for n in df.nodes:
+        if isinstance(n, MapNode):
+            out[n.id] = [*graph_names(n.body).union(*(free_names(e) for r in n.ranges for e in r))]
+        elif not isinstance(n, AccessNode):
+            out[n.id] = []
+    for e in df.edges:
+        names = out[e.dst] if e.dst in out else out.get(e.src)
+        if names is not None and e.data not in names:
+            names.append(e.data)
+    return out
+
+
+def live_ranges(steps: Iterable[tuple[Any, Iterable[str]]]) -> dict[str, tuple[Any, Any]]:
+    """The one last-touch rule: each name lives from the first to the end
+    of the last of ``steps`` that touches it. A step is ``(key, names)``:
+    the names one compute node (or one block run as a whole) touches, in
+    execution order. The memory model, a rebuild block's scratch peak and
+    the reverse executor's release table all follow it. Returns name ->
+    (first key, last key)."""
+    out: dict[str, tuple[Any, Any]] = {}
+    for key, names in steps:
+        for name in names:
+            out[name] = (out[name][0], key) if name in out else (key, key)
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpointing import ILPSolution, PathSequence, _block_peak
+from .checkpointing import ILPSolution, PathSequence
 from .errors import (
     BatchDivergence,
     GradflowError,
@@ -294,7 +294,7 @@ def simulate_memory(
             state = payload
             prod = next(iter(w for w in writes if backward.descriptors[w].role == "stored-copy"))
             size = size_bytes(backward.descriptors[prod], params)
-            scratch = _block_peak(state, backward.descriptors, params, exclude=prod)
+            scratch = _scratch_peak(state, backward, params, prod)
             emit(f"recompute {prod}", scratch + size)
             emit(f"drop scratch {prod}", -scratch)
             stored_live[prod] = size
@@ -318,6 +318,26 @@ def simulate_memory(
     if cur != 0:
         raise GradflowError(f"internal: simulation ends with {cur} resident bytes")
     return MemoryTimeline(tuple(events), peak)
+
+
+def _scratch_peak(state: State, program: Program, params: dict[str, int], produced: str) -> int:
+    """Peak bytes of the scratch arrays a rebuild block holds besides the
+    value it produces: each rank >= 1 intermediate from the node that
+    writes it first to the node that reads or writes it last."""
+    graph = state.graph
+    byid = {n.id: n for n in graph.nodes}
+    order = [nid for nid in schedule(graph) if not isinstance(byid[nid], AccessNode)]
+    last = {e.data: k for k, nid in enumerate(order) for e in graph.in_edges(nid) + graph.out_edges(nid)}
+    held: dict[str, int] = {}
+    peak = 0
+    for k, nid in enumerate(order):
+        for e in graph.out_edges(nid):
+            d = program.descriptors[e.data]
+            if e.data != produced and d.rank and d.role == "intermediate":
+                held.setdefault(e.data, size_bytes(d, params))
+        peak = max(peak, sum(held.values()))
+        held = {n: b for n, b in held.items() if last[n] > k}
+    return peak
 
 
 def _stored_names(program: Program) -> set[str]:

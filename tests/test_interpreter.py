@@ -35,7 +35,6 @@ from gradflow.errors import (
     UnsupportedLoop,
 )
 import genprog
-import gradflow.checkpointing as checkpointing
 import gradflow.interpreter as interpreter
 import gradflow.ir as ir
 from gradflow.interpreter import _compiled_tasklet
@@ -593,6 +592,17 @@ def test_a_second_gradient_compiles_no_kernel(rng):
     assert np.array_equal(second.grads["A"], first.grads["A"])
 
 
+def test_each_compiled_nest_has_its_own_code_filename(rng):
+    # a profile or a traceback tells nests apart by their code's filename
+    p, params = examples.build("double_read"), examples.DEFAULT_PARAMS["double_read"]
+    ex = interpreter.Executor(p, params, sample_inputs(p, params, rng), ())
+    ex.run()
+    names = [fn.__code__.co_filename for fn, _, _ in ex._kernels.values()]
+    mid = next(n.id for n in p.region[0].graph.nodes if isinstance(n, ir.MapNode))
+    assert len(set(names)) == 2
+    assert sorted(n.split(": ", 1)[1] for n in names) == [f"map {mid}>", "tasklet O>"]
+
+
 def test_loop_headers_simulate_once_per_distinct_header(monkeypatch, rng):
     calls = []
 
@@ -898,19 +908,24 @@ def _compute_ordinals(ex, program):
     (examples.build("scaled_product_chain"), {"N": 4}),
     (examples.build("exp_sin_chain"), {"n": 5}),
     (genprog.sin_chain(5, side=4), {}),
-], ids=["scaled_product_chain", "exp_sin_chain", "sin_chain"])
+    *((examples.build(n), examples.DEFAULT_PARAMS[n]) for n in ("double_read", "overwrite_chain", "matmul_sum")),
+], ids=["scaled_product_chain", "exp_sin_chain", "sin_chain", "double_read", "overwrite_chain", "matmul_sum"])
 def test_reverse_releases_where_the_memory_model_frees(program, params, rng):
     # on a straight-line program each release point is the model's: the
-    # compute node that reads or writes the value last (checkpointing's own
-    # access lists), for exactly the names the model's backward frees
+    # compute node that reads or writes the value last (ir.node_accesses,
+    # a map's body names included), for exactly the names the model's
+    # backward frees
     bundle = build_backward(program)
     fvs = collect_forwarded(program, bundle, params)
     (seq,) = build_memory_sequences(program, bundle, fvs, params)
     bwd = bundle.backward
     freed = [ev.label[len("free "):] for ev in seq.events if ev.label.startswith("free ")]
     model = {n for n in freed if n in bwd.descriptors and bwd.descriptors[n].role != "output"}
-    accesses = [a for st in bwd.region for a in checkpointing._node_accesses(st.graph)]
-    want = {n: max(k for k, (r, w) in enumerate(accesses) if n in r | w) for n in model}
+    accesses = []
+    for st in bwd.region:
+        touched = ir.node_accesses(st.graph)
+        accesses += [touched[nid] for nid in ir.schedule(st.graph) if nid in touched]
+    want = {n: max(k for k, names in enumerate(accesses) if n in names) for n in model}
 
     inputs = sample_inputs(program, params, rng)
     fwd = run_forward(program, inputs, params, record=set(bundle.required), vinfo=bundle.vinfo)
