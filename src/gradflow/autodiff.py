@@ -32,7 +32,9 @@ applied).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .errors import (
     DependentUnreachable,
@@ -55,7 +57,6 @@ from .ir import (
     Program,
     State,
     Tasklet,
-    copy_program,
     data_read,
     data_written,
     header_names,
@@ -63,6 +64,7 @@ from .ir import (
     library_expr,
     pristine_inputs,
     schedule,
+    splice,
     validate,
     walk_blocks,
     written_descriptors,
@@ -159,19 +161,16 @@ def _deriv(e: Expr, w: str, seed: Expr) -> Expr:
         if e.op == "mul":
             return Binary("add", Binary("mul", dx, y), Binary("mul", x, dy))
         if e.op == "div":
-            # x'/y - x*y'/y^2, without the term that vanishes: y*y can
-            # underflow to 0 where y itself does not
+            # x'/y - x*y'/y^2, without the term that vanishes; with both
+            # terms, (x' - (x/y)*y')/y: y*y can underflow to 0 where y
+            # itself does not
             if zx and zy:
                 return Const(0)
             if zy:
                 return Binary("div", dx, y)
             if zx:
                 return Unary("neg", Binary("div", Binary("mul", x, dy), Binary("mul", y, y)))
-            return Binary(
-                "sub",
-                Binary("div", dx, y),
-                Binary("div", Binary("mul", x, dy), Binary("mul", y, y)),
-            )
+            return Binary("div", Binary("sub", dx, Binary("mul", Binary("div", x, y), dy)), y)
         if e.op == "pow":
             if zx and zy:
                 return Const(0)
@@ -311,10 +310,11 @@ def extract_ccs(program: Program) -> CCS:
 
 def restrict_to_ccs(program: Program, ccs: CCS | None = None) -> Program:
     """Forward program with every compute node outside the slice removed.
-    The dependent's value is unchanged."""
+    The dependent's value is unchanged. Only the states that lose nodes are
+    built anew; ``program`` is left untouched."""
     ccs = ccs or extract_ccs(program)
-    out = copy_program(program)
-    for _, block in walk_blocks(out.region):
+    cut: dict[int, list[Block]] = {}
+    for _, block in walk_blocks(program.region):
         if not isinstance(block, State):
             continue
         df = block.graph
@@ -323,13 +323,15 @@ def restrict_to_ccs(program: Program, ccs: CCS | None = None) -> Program:
             for n in df.nodes
             if not isinstance(n, AccessNode) and (block.label, n.id) not in ccs.kept_union
         }
-        df.edges = [e for e in df.edges if e.src not in drop and e.dst not in drop]
-        df.nodes = [n for n in df.nodes if n.id not in drop]
-        touched = {e.src for e in df.edges} | {e.dst for e in df.edges}
-        df.nodes = [
-            n for n in df.nodes if not isinstance(n, AccessNode) or n.id in touched
+        edges = [e for e in df.edges if e.src not in drop and e.dst not in drop]
+        touched = {e.src for e in edges} | {e.dst for e in edges}
+        nodes = [
+            n for n in df.nodes
+            if n.id not in drop and (not isinstance(n, AccessNode) or n.id in touched)
         ]
-    return out
+        if len(nodes) < len(df.nodes):
+            cut[id(block)] = [State(block.label, Dataflow(nodes, edges))]
+    return replace(program, region=splice(program.region, cut))
 
 
 # ---------------------------------------------------------------------------
@@ -870,6 +872,17 @@ class GradientResult:
     backward: object
     bundle: BackwardBundle
 
+    @classmethod
+    def of(cls, program: Program, fwd, bwd, bundle: BackwardBundle) -> "GradientResult":
+        """The result of a forward and a reverse run of ``program``: each
+        independent's gradient is ``<ind>__grad`` from the reverse run, or
+        zeros shaped like the input where the reverse program writes none."""
+        grads = {}
+        for ind in program.independents:
+            got = bwd.env.get(grad_name(ind))
+            grads[ind] = np.zeros_like(np.asarray(fwd.env[ind])) if got is None else got
+        return cls(value=fwd.value, grads=grads, forward=fwd, backward=bwd, bundle=bundle)
+
 
 def gradient(
     program: Program,
@@ -881,8 +894,6 @@ def gradient(
     """Differentiate the dependent with respect to the independents at the
     given inputs, running forward (recording only what the adjoints need)
     and then the reverse program."""
-    import numpy as np
-
     from .interpreter import run_backward, run_forward
 
     bundle = build_backward(program)
@@ -891,10 +902,4 @@ def gradient(
         program, bundle.backward, inputs, params,
         tape=fwd.tape, forwarding=bundle.forwarding, seed=seed,
     )
-    grads = {}
-    for ind in program.independents:
-        got = bwd.env.get(grad_name(ind))
-        if got is None:
-            got = np.zeros_like(np.asarray(fwd.env[ind]))
-        grads[ind] = got
-    return GradientResult(value=fwd.value, grads=grads, forward=fwd, backward=bwd, bundle=bundle)
+    return GradientResult.of(program, fwd, bwd, bundle)

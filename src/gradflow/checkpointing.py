@@ -34,7 +34,6 @@ cheapest plans it returns the one that stores the earliest-produced values.
 from __future__ import annotations
 
 import bisect
-import copy
 import functools
 import heapq
 import itertools
@@ -43,7 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import BackwardBundle, GradientResult, build_backward, grad_name
+from .autodiff import BackwardBundle, GradientResult, build_backward
 from .errors import (
     GradflowError,
     Infeasible,
@@ -54,17 +53,14 @@ from .interpreter import count_flops, run_backward, run_forward
 from .ir import (
     AccessNode,
     Block,
-    Conditional,
     DataDescriptor,
     Dataflow,
     LibraryNode,
-    LoopRegion,
     MapNode,
     Memlet,
     Program,
     State,
     Tasklet,
-    copy_program,
     graph_names,
     live_ranges,
     node_accesses,
@@ -74,6 +70,7 @@ from .ir import (
     runtime_loop,
     schedule,
     size_bytes,
+    splice,
     validate_or_raise,
     walk_blocks,
 )
@@ -181,16 +178,11 @@ class ForwardedValue:
         return self.size_bytes * self.snapshots
 
 
-def _producer(state: State, access_id: str) -> str:
-    """Compute node that completes the given access instance (schedule-last
-    when conflict resolution merges several writers)."""
-    srcs = [e.src for e in state.graph.in_edges(access_id)]
-    if not srcs:
-        raise KeyError(access_id)
-    if len(srcs) == 1:
-        return srcs[0]
-    pos = {nid: i for i, nid in enumerate(schedule(state.graph))}
-    return max(srcs, key=pos.__getitem__)
+def _producer(state: State, access_id: str, order: dict[tuple[str, str], tuple[int, int]]) -> str:
+    """Compute node that completes the given access instance: of its
+    writers (several when conflict resolution merges them), the last in
+    program position ``order``."""
+    return max((e.src for e in state.graph.in_edges(access_id)), key=lambda nid: order[state.label, nid])
 
 
 def collect_forwarded(
@@ -232,7 +224,7 @@ def collect_forwarded(
         versions = tuple(c.version for c in entry.candidates)
         sites = [vinfo.write_site.get((entry.data, v)) for v in versions]
         # input snapshots sort ahead of everything
-        key = min((order[st, _producer(states[st], acc)] for st, acc in filter(None, sites)), default=(-1, -1))
+        key = min((order[st, _producer(states[st], acc, order)] for st, acc in filter(None, sites)), default=(-1, -1))
         raw.append((key, entry, versions, sites))
     raw.sort(key=lambda t: t[0])
 
@@ -254,7 +246,7 @@ def collect_forwarded(
         snapshots = 1
         if plannable:
             slabel, acc = vinfo.write_site[(entry.data, cand.version)]
-            site = (slabel, _producer(states[slabel], acc))
+            site = (slabel, _producer(states[slabel], acc, order))
             access = acc
             try:
                 rec_plan = _recompute_plan(
@@ -342,7 +334,7 @@ def _recompute_plan(
         if vinfo.write_loops.get((d, v)):
             raise IrrecomputableValue(f"'{d}' is produced inside a loop")
         slabel, acc = site
-        nid = _producer(states[slabel], acc)
+        nid = _producer(states[slabel], acc, order)
         node = states[slabel].graph.node(nid)
         for e in states[slabel].graph.in_edges(nid):
             src = states[slabel].graph.node(e.src)
@@ -787,57 +779,52 @@ def apply_plan(
     assignment,
 ) -> tuple[Program, Program]:
     """Materialize a plan: kept values gain a copy-out at their production
-    site; recomputed ones gain a rebuild block right before first use."""
-    fwd = copy_program(program)
-    bwd = copy_program(bundle.backward)
-    fstates = {b.label: b for _, b in walk_blocks(fwd.region) if isinstance(b, State)}
-
+    site; recomputed ones gain their rebuild block right before the first
+    backward state that reads them, in value order. ``program`` and
+    ``bundle`` are left untouched: each state that gains a copy-out is built
+    anew, and the returned programs share every other block with them."""
+    fstates = {b.label: b for _, b in walk_blocks(program.region) if isinstance(b, State)}
+    fdescs, bdescs = dict(program.descriptors), dict(bundle.backward.descriptors)
+    kept: dict[str, list[ForwardedValue]] = {}  # production state -> values
+    rebuilt: dict[int, list[Block]] = {}  # id of a first reader -> rebuilds, reader
     for fv, v in zip(fvs, assignment):
         if fv.forced:
             continue  # snapshots already live on the tape
         if v:
-            slabel, prod = fv.site
-            graph = fstates[slabel].graph
+            kept.setdefault(fv.site[0], []).append(fv)
+            base = program.descriptors[fv.data]
+            fdescs[fv.name] = DataDescriptor(fv.name, base.element_kind, base.shape, "stored-copy")
+        else:
+            for name, desc in fv.recompute.descriptors.items():
+                bdescs.setdefault(name, desc)
+            reader = _first_use(bundle.backward.region, fv.name)
+            if reader is None:
+                raise GradflowError(f"internal: '{fv.name}' is never read by the reverse program")
+            rebuilt.setdefault(id(reader), [reader]).insert(-1, fv.recompute.state)
+
+    grown: dict[int, list[Block]] = {}
+    for label, values in kept.items():
+        state = fstates[label]
+        nodes, edges = list(state.graph.nodes), list(state.graph.edges)
+        for fv in values:
             lib = LibraryNode(f"keep{fv.index}", "ew_unary", op="copy", group=f"store:{fv.index}")
             acc = AccessNode(f"keep{fv.index}_out", fv.name)
-            pos = max(
-                i for i, n in enumerate(graph.nodes) if n.id in (prod, fv.access)
-            )
-            graph.nodes[pos + 1 : pos + 1] = [lib, acc]
-            graph.edges.append(Memlet(fv.access, None, lib.id, "x", fv.data, None))
-            graph.edges.append(Memlet(lib.id, "y", acc.id, None, fv.name, None))
-            base = fwd.descriptors[fv.data]
-            fwd.descriptors[fv.name] = DataDescriptor(fv.name, base.element_kind, base.shape, "stored-copy")
-        else:
-            block = fv.recompute
-            for name, desc in block.descriptors.items():
-                bwd.descriptors.setdefault(name, desc)
-            spot = _first_use(bwd.region, fv.name)
-            if spot is None:
-                raise GradflowError(f"internal: '{fv.name}' is never read by the reverse program")
-            region, pos = spot
-            region.insert(pos, copy.deepcopy(block.state))
+            pos = max(i for i, n in enumerate(nodes) if n.id in (fv.site[1], fv.access))
+            nodes[pos + 1 : pos + 1] = [lib, acc]
+            edges += [Memlet(fv.access, None, lib.id, "x", fv.data, None),
+                      Memlet(lib.id, "y", acc.id, None, fv.name, None)]
+        grown[id(state)] = [State(label, Dataflow(nodes, edges))]
 
+    fwd = replace(program, descriptors=fdescs, region=splice(program.region, grown))
+    bwd = replace(bundle.backward, descriptors=bdescs, region=splice(bundle.backward.region, rebuilt))
     validate_or_raise(fwd)
     validate_or_raise(bwd)
     return fwd, bwd
 
 
-def _first_use(region: list[Block], name: str):
-    """(containing region list, index) of the first state touching ``name``."""
-    for i, block in enumerate(region):
-        if isinstance(block, State):
-            if name in graph_names(block.graph):
-                return region, i
-        elif isinstance(block, LoopRegion):
-            hit = _first_use(block.body, name)
-            if hit:
-                return hit
-        elif isinstance(block, Conditional):
-            hit = _first_use(block.then_body, name) or _first_use(block.else_body, name)
-            if hit:
-                return hit
-    return None
+def _first_use(region: list[Block], name: str) -> State | None:
+    """The first state in program order that touches ``name``."""
+    return next((b for _, b in walk_blocks(region) if isinstance(b, State) and name in graph_names(b.graph)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -937,13 +924,4 @@ def run_planned(
         result.forward, result.backward, inputs, params,
         tape=fwd_run.tape, forwarding=forwarding, seed=seed, extra_env=stored,
     )
-    grads = {}
-    for ind in result.forward.independents:
-        got = bwd_run.env.get(grad_name(ind))
-        if got is None:
-            got = np.zeros_like(np.asarray(fwd_run.env[ind]))
-        grads[ind] = got
-    return GradientResult(
-        value=fwd_run.value, grads=grads,
-        forward=fwd_run, backward=bwd_run, bundle=result.bundle,
-    )
+    return GradientResult.of(result.forward, fwd_run, bwd_run, result.bundle)

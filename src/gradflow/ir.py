@@ -16,12 +16,17 @@ Invariants enforced by :func:`validate`:
 * a loop body never writes the loop iterator or any name free in the header;
 * ``skip``/``take`` appear only on reversed loops, with skip >= 0, take >= 1;
 * branch conditions are comparisons over scalars, elements and parameters.
+
+A built ``Program`` is a value: no pass changes it. A pass that rewrites a
+few states builds those states anew and rebuilds the program around them
+with :func:`splice`, which shares every other state, graph and node.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Iterator, Union
 
 import numpy as np
@@ -40,6 +45,7 @@ from .symexpr import (
     Binary,
     Const,
     Expr,
+    Index,
     Name,
     Unary,
     contains_compare_or_index,
@@ -272,6 +278,22 @@ class Program:
     independents: tuple[str, ...]
 
 
+def splice(region: list[Block], states: dict[int, list[Block]]) -> list[Block]:
+    """``region`` with each state ``s`` for which ``states`` holds ``id(s)``
+    replaced by the blocks it maps to. Loops and branches are rebuilt around
+    their new bodies; every state, graph and node not replaced is shared."""
+    out: list[Block] = []
+    for block in region:
+        if isinstance(block, State):
+            out += states.get(id(block), (block,))
+        elif isinstance(block, LoopRegion):
+            out.append(replace(block, body=splice(block.body, states)))
+        else:
+            out.append(replace(block, then_body=splice(block.then_body, states),
+                               else_body=splice(block.else_body, states)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # traversal helpers
 
@@ -348,12 +370,8 @@ def schedule(df: Dataflow) -> list[str]:
             for p in producers:
                 add(prev, p)
 
-    ready = sorted((nid for nid in ids if indeg[nid] == 0), key=index.__getitem__)
+    heap = [i for i, nid in enumerate(ids) if indeg[nid] == 0]  # ascending, so a heap
     order: list[str] = []
-    import heapq
-
-    heap = [index[nid] for nid in ready]
-    heapq.heapify(heap)
     while heap:
         i = heapq.heappop(heap)
         nid = ids[i]
@@ -796,8 +814,6 @@ def _connectors(n: Node) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
 
 
 def _only_scalar_reads(expr: Expr) -> bool:
-    from .symexpr import Index, Unary
-
     if isinstance(expr, Index):
         return True
     if isinstance(expr, Unary):
@@ -810,8 +826,6 @@ def _only_scalar_reads(expr: Expr) -> bool:
 
 
 def _check_condition_indices(cond: Expr, program: Program, add, where: str):
-    from .symexpr import Index, Unary
-
     def walk(e: Expr):
         if isinstance(e, Index):
             desc = program.descriptors.get(e.base)
@@ -873,10 +887,3 @@ def pristine_inputs(program: Program) -> set[str]:
         for d in program.descriptors.values()
         if d.role == "input" and d.name not in written
     }
-
-
-def copy_program(program: Program) -> Program:
-    """Structural deep copy (expressions are immutable and shared)."""
-    import copy as _copy
-
-    return _copy.deepcopy(program)

@@ -37,41 +37,31 @@ UNARY_OPS = ("neg", "sin", "cos", "exp", "log", "sqrt", "tanh", "abs", "sign")
 COMPARE_OPS = ("lt", "gt", "le", "ge")
 
 
-class _Immutable:
-    """Expression nodes are frozen, so a copy, deep or not, is the node."""
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
-
-
 @dataclass(frozen=True)
-class Const(_Immutable):
+class Const:
     value: Union[int, float]
 
 
 @dataclass(frozen=True)
-class Name(_Immutable):
+class Name:
     id: str
 
 
 @dataclass(frozen=True)
-class Unary(_Immutable):
+class Unary:
     op: str
     x: "Expr"
 
 
 @dataclass(frozen=True)
-class Binary(_Immutable):
+class Binary:
     op: str
     x: "Expr"
     y: "Expr"
 
 
 @dataclass(frozen=True)
-class Index(_Immutable):
+class Index:
     """Element read inside a branch condition: base array + index expressions."""
 
     base: str

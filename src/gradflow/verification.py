@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,18 +80,9 @@ def finite_difference_gradient(
 
 
 def _promote64(program: Program) -> Program:
-    from dataclasses import replace
-
     if all(d.element_kind == "real64" for d in program.descriptors.values()):
         return program
-    wide = Program(
-        descriptors={n: replace(d, element_kind="real64") for n, d in program.descriptors.items()},
-        parameters=program.parameters,
-        region=program.region,
-        dependent=program.dependent,
-        independents=program.independents,
-    )
-    return wide
+    return replace(program, descriptors={n: replace(d, element_kind="real64") for n, d in program.descriptors.items()})
 
 
 def _fd_one(program, base, params, name, eps):

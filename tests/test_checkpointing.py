@@ -30,12 +30,13 @@ from gradflow import (
     plan,
     run_planned,
     sample_inputs,
+    serialize_program,
     simulate_memory,
     solve_ilp,
 )
 from gradflow.checkpointing import AffineBytes, MemoryEvent, MemoryRows, PathSequence
 from gradflow.errors import Infeasible, UnresolvableTripCount, UnsupportedConstruct, UnsupportedLoop
-from gradflow.ir import LoopRegion, simulate_header, visit_positions, walk_blocks
+from gradflow.ir import LoopRegion, State, simulate_header, visit_positions, walk_blocks
 from genprog import (
     make_chain_program,
     make_elementwise_program,
@@ -406,6 +407,40 @@ def test_plan_infeasible_when_limit_is_zero():
     with pytest.raises(Infeasible) as exc:
         plan(examples.build("scaled_product_chain"), 0, {"N": 16})
     assert exc.value.min_peak_bytes == 8 * 16 * 16 * 4
+
+
+def _states(program):
+    return {b.label: b for _, b in walk_blocks(program.region) if isinstance(b, State)}
+
+
+@pytest.mark.parametrize("name", [*sorted(examples.EXAMPLES), "sin_chain"])
+def test_plan_leaves_its_inputs_untouched_and_shares_unchanged_states(name):
+    if name == "sin_chain":
+        program, params = sin_chain(12), {}
+    else:
+        program, params = examples.build(name), examples.DEFAULT_PARAMS[name]
+    text = serialize_program(program)
+    keep_all = plan(program, None, params).solution.t_star
+    try:
+        plan(program, 0, params)
+        floor = 0
+    except Infeasible as exc:
+        floor = exc.min_peak_bytes
+    # no budget, halfway down to the floor, and the floor itself
+    for limit in (None, (floor + keep_all) // 2, floor):
+        result = plan(program, None if limit is None else limit / MIB, params)
+        assert serialize_program(program) == text, limit
+        bundle = result.bundle
+        assert serialize_program(bundle.backward) == serialize_program(build_backward(program).backward)
+        chosen = list(zip(result.fvs, result.solution.assignment))
+        copied = {fv.site[0] for fv, v in chosen if v and not fv.forced}
+        rebuilt = {fv.recompute.state.label: fv.recompute.state for fv, v in chosen if not v}
+        before = _states(program)
+        for label, state in _states(result.forward).items():
+            assert (state is before[label]) == (label not in copied), (limit, label)
+        before = _states(bundle.backward)
+        for label, state in _states(result.backward).items():
+            assert state is rebuilt.get(label, before.get(label)), (limit, label)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from gradflow import (
     run_forward,
     run_planned,
     sample_inputs,
+    serialize_program,
     simulate_memory,
 )
 from gradflow.errors import Infeasible, UnsupportedConstruct, UnsupportedLoop
@@ -49,8 +50,10 @@ def test_gradient_matches_finite_differences(name):
 def test_ccs_restriction_preserves_the_dependent(name):
     program, params, inputs = _inputs(name)
     full = run_forward(program, inputs, params).value
+    text = serialize_program(program)
     cut = run_forward(restrict_to_ccs(program), inputs, params).value
     assert full == cut  # bit-exact
+    assert serialize_program(program) == text  # the input is left untouched
 
 
 @pytest.mark.parametrize("name", sorted(examples.EXAMPLES))
