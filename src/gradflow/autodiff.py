@@ -242,9 +242,8 @@ def extract_ccs(program: Program) -> CCS:
     def sweep_state(state: State, tracked: set[str]) -> set[NodeRef]:
         kept: set[NodeRef] = set()
         df = state.graph
-        by_id = {n.id: n for n in df.nodes}
-        for nid in reversed(schedule(df)):
-            node = by_id[nid]
+        for node in reversed(schedule(df)):
+            nid = node.id
             if isinstance(node, AccessNode):
                 continue
             if _node_writes(df, nid) & tracked:
@@ -545,10 +544,9 @@ class _BackwardBuilder:
 
     def rev_state(self, state: State, kept: frozenset[NodeRef]) -> State | None:
         df = state.graph
-        by_id = {n.id: n for n in df.nodes}
         asm = _Assembler(self.fresh)
-        for nid in reversed(schedule(df)):
-            node = by_id[nid]
+        for node in reversed(schedule(df)):
+            nid = node.id
             if isinstance(node, AccessNode) or (state.label, nid) not in kept:
                 continue
             writes = _node_writes(df, nid)

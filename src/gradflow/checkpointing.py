@@ -39,6 +39,7 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .errors import (
     IrrecomputableValue,
     UnresolvableTripCount,
 )
-from .interpreter import count_flops, run_backward, run_forward
+from .interpreter import _node_cost, run_backward, run_forward
 from .ir import (
     AccessNode,
     Block,
@@ -149,12 +150,21 @@ class PathSequence:
 
 @dataclass
 class RecomputePlan:
-    """A self-contained block that rebuilds one value from pristine inputs."""
+    """A self-contained block that rebuilds one value from pristine inputs.
+    Its cost and scratch peak are known up front; the block itself, ``state``
+    and ``descriptors``, is built on demand (``apply_plan`` asks for those of
+    the values it recomputes) and then kept."""
 
-    state: State
-    descriptors: dict[str, DataDescriptor]
     flops: int
     peak_bytes: int  # scratch high-water mark, produced value excluded
+    build: Callable[[], tuple[State, dict[str, DataDescriptor]]] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def block(self) -> tuple[State, dict[str, DataDescriptor]]:
+        return self.build()
+
+    state = property(lambda self: self.block[0])
+    descriptors = property(lambda self: self.block[1])
 
 
 @dataclass
@@ -196,10 +206,19 @@ def collect_forwarded(
     pristine = pristine_inputs(program)
     states = {b.label: b for _, b in walk_blocks(program.region) if isinstance(b, State)}
     order = {  # (state, node) -> program position
-        (label, nid): (i, j)
+        (label, n.id): (i, j)
         for i, (label, st) in enumerate(states.items())
-        for j, nid in enumerate(schedule(st.graph))
+        for j, n in enumerate(schedule(st.graph))
     }
+
+    # per-call tables the rebuild closures share
+    accesses = functools.cache(lambda label: node_accesses(states[label].graph))
+    nbytes = functools.cache(lambda name: size_bytes(program.descriptors[name], params))
+
+    @functools.cache
+    def cost(label: str, nid: str) -> int:
+        graph = states[label].graph
+        return _node_cost(graph.node(nid), graph, program, params)
 
     @functools.cache
     def path_runs() -> list[list[tuple[str, int | None]]]:
@@ -230,8 +249,7 @@ def collect_forwarded(
 
     out: list[ForwardedValue] = []
     for idx, (_, entry, versions, sites) in enumerate(raw):
-        desc = program.descriptors[entry.data]
-        size = size_bytes(desc, params)
+        size = nbytes(entry.data)
         cand = entry.candidates[0]
         single = (
             len(entry.candidates) == 1
@@ -250,7 +268,8 @@ def collect_forwarded(
             access = acc
             try:
                 rec_plan = _recompute_plan(
-                    program, vinfo, pristine, states, order, entry.name, entry.data, cand.version, idx, params
+                    program, vinfo, pristine, states, order, accesses, cost, nbytes,
+                    entry.name, entry.data, cand.version, idx,
                 )
             except IrrecomputableValue as exc:
                 forced_reason = str(exc)
@@ -291,19 +310,17 @@ def _clone_node(node, fresh: str, rename: dict[str, str], group: str):
         return Tasklet(fresh, node.ins, node.outs, dict(node.body), group=group)
     if isinstance(node, LibraryNode):
         return replace(node, id=fresh, group=group)
-    if isinstance(node, MapNode):
-        body = Dataflow(
-            nodes=[
-                AccessNode(n.id, rename.get(n.data, n.data)) if isinstance(n, AccessNode) else n
-                for n in node.body.nodes
-            ],
-            edges=[
-                Memlet(e.src, e.src_conn, e.dst, e.dst_conn, rename.get(e.data, e.data), e.subset, e.wcr)
-                for e in node.body.edges
-            ],
-        )
-        return MapNode(fresh, node.params, node.ranges, body, group=group)
-    raise IrrecomputableValue(f"cannot replay node kind {type(node).__name__}")
+    body = Dataflow(
+        nodes=[
+            AccessNode(n.id, rename.get(n.data, n.data)) if isinstance(n, AccessNode) else n
+            for n in node.body.nodes
+        ],
+        edges=[
+            Memlet(e.src, e.src_conn, e.dst, e.dst_conn, rename.get(e.data, e.data), e.subset, e.wcr)
+            for e in node.body.edges
+        ],
+    )
+    return MapNode(fresh, node.params, node.ranges, body, group=group)
 
 
 def _recompute_plan(
@@ -312,15 +329,20 @@ def _recompute_plan(
     pristine: set[str],
     states: dict[str, State],
     order: dict[tuple[str, str], tuple[int, int]],
+    accesses: Callable[[str], dict[str, list[str]]],
+    cost: Callable[[str, str], int],
+    nbytes: Callable[[str], int],
     stored_name: str,
     data: str,
     version: int,
     fvid: int,
-    params: dict[str, int],
 ) -> RecomputePlan:
-    """Straight-line producer closure of (data, version), rebuilt as one
-    state that reads only pristine inputs and writes ``stored_name``.
-    ``order`` gives each (state, node) its program position."""
+    """Straight-line producer closure of (data, version), rebuilt on demand
+    (``_rebuild_block``) as one state that reads only pristine inputs and
+    writes ``stored_name``. ``order`` gives each (state, node) its program
+    position. The flops sum ``cost`` over the closure; the scratch peak is
+    ``ir.live_ranges`` over its ``accesses`` in program order, renamed as
+    the block renames them, with ``nbytes`` per array."""
 
     steps: dict[tuple[str, int], tuple[str, str]] = {}
     need = [(data, version)]
@@ -335,7 +357,6 @@ def _recompute_plan(
             raise IrrecomputableValue(f"'{d}' is produced inside a loop")
         slabel, acc = site
         nid = _producer(states[slabel], acc, order)
-        node = states[slabel].graph.node(nid)
         for e in states[slabel].graph.in_edges(nid):
             src = states[slabel].graph.node(e.src)
             if not isinstance(src, AccessNode):
@@ -351,10 +372,34 @@ def _recompute_plan(
     datas = [d for d, _ in steps]
     if len(set(datas)) != len(datas):
         raise IrrecomputableValue(f"closure of '{data}' touches several versions of one array")
+    if any(isinstance(states[s].graph.node(n), AccessNode) for s, n in steps.values()):
+        raise IrrecomputableValue("cannot replay node kind AccessNode")
 
     rename = {d: (stored_name if (d, v) == (data, version) else f"{d}__r{fvid}") for d, v in steps}
-    ordered = sorted(steps.items(), key=lambda kv: order[kv[1]])
+    ordered = sorted(steps.values(), key=order.__getitem__)
+    sizes: dict[str, int] = {}  # rank >= 1 scratch arrays
+    for slabel, nid in ordered:
+        for e in states[slabel].graph.out_edges(nid):
+            # side outputs of a multi-output node become scratch too
+            name = rename.setdefault(e.data, f"{e.data}__r{fvid}")
+            if name != stored_name and program.descriptors[e.data].rank and name not in sizes:
+                sizes[name] = nbytes(e.data)
+    flops = sum(cost(*site) for site in ordered)
+    touches = [[rename.get(n, n) for n in accesses(slabel)[nid]] for slabel, nid in ordered]
+    held = [0] * (len(touches) + 1)  # bytes that start, minus bytes that end, at each step
+    for name, (first, last) in live_ranges(enumerate(touches)).items():
+        if name in sizes:
+            held[first] += sizes[name]
+            held[last + 1] -= sizes[name]
+    peak = max(itertools.accumulate(held[:-1]), default=0)
+    build = functools.partial(_rebuild_block, program, pristine, states, ordered, rename, stored_name, fvid)
+    return RecomputePlan(flops, peak, build)
 
+
+def _rebuild_block(program: Program, pristine: set[str], states: dict[str, State], ordered: list[tuple[str, str]],
+                   rename: dict[str, str], stored_name: str, fvid: int) -> tuple[State, dict[str, DataDescriptor]]:
+    """The rebuild state of a closure's (state, node) steps in program
+    order, and its descriptors."""
     graph = Dataflow()
     acc_ids: dict[str, str] = {}
     descs: dict[str, DataDescriptor] = {}
@@ -367,14 +412,9 @@ def _recompute_plan(
             graph.nodes.append(AccessNode(nid, name))
         return nid
 
-    for k, ((d, v), (slabel, nid)) in enumerate(ordered):
+    for k, (slabel, nid) in enumerate(ordered):
         src_graph = states[slabel].graph
-        node = src_graph.node(nid)
-        in_ids = {e.src for e in src_graph.in_edges(nid)}
-        for e in src_graph.out_edges(nid):
-            # side outputs of a multi-output node become scratch too
-            rename.setdefault(e.data, f"{e.data}__r{fvid}")
-        clone = _clone_node(node, f"rn{k}", rename, f"rec:{fvid}")
+        clone = _clone_node(src_graph.node(nid), f"rn{k}", rename, f"rec:{fvid}")
         for e in src_graph.in_edges(nid):
             name = rename.get(e.data, e.data)
             graph.edges.append(Memlet(access_of(name), None, clone.id, e.dst_conn, name, e.subset, e.wcr))
@@ -382,35 +422,12 @@ def _recompute_plan(
                 descs.setdefault(e.data, program.descriptors[e.data])
         graph.nodes.append(clone)
         for e in src_graph.out_edges(nid):
-            if e.dst in in_ids:
-                continue
             name = rename[e.data]
             graph.edges.append(Memlet(clone.id, e.src_conn, access_of(name), None, name, e.subset, e.wcr))
             base = program.descriptors[e.data]
             role = "stored-copy" if name == stored_name else "intermediate"
             descs.setdefault(name, DataDescriptor(name, base.element_kind, base.shape, role))
-
-    st = State(label=f"rec_{stored_name}", graph=graph)
-    cost_prog = Program(
-        descriptors=dict(descs),
-        parameters=program.parameters,
-        region=[st],
-        dependent=stored_name,
-        independents=(),
-    )
-    flops = sum(count_flops(cost_prog, params).values())
-    peak = _block_peak(st, descs, params, exclude=stored_name)
-    return RecomputePlan(st, descs, flops, peak)
-
-
-def _block_peak(state: State, descs: dict[str, DataDescriptor], params: dict[str, int], exclude: str) -> int:
-    """Scratch high-water mark of one state, the produced value excluded:
-    the most bytes of rank >= 1 intermediates live at one compute node."""
-    sizes = {n: size_bytes(d, params) for n, d in descs.items() if d.rank and d.role == "intermediate" and n != exclude}
-    acc = node_accesses(state.graph)
-    touches = [acc[nid] for nid in schedule(state.graph) if nid in acc]
-    live = [(sizes[n], span) for n, span in live_ranges(enumerate(touches)).items() if n in sizes]
-    return max((sum(b for b, (first, last) in live if first <= k <= last) for k in range(len(touches))), default=0)
+    return State(label=f"rec_{stored_name}", graph=graph), descs
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +489,7 @@ class _SeqBuilder:
         steps = []  # (state label, names one compute node touches)
         for state in self._path_states(self.backward, outcome):
             acc = node_accesses(state.graph)
-            steps += [(state.label, acc[nid]) for nid in schedule(state.graph) if nid in acc]
+            steps += [(state.label, acc[n.id]) for n in schedule(state.graph) if n.id in acc]
         live = live_ranges(enumerate(names for _, names in steps))
         descs = self.backward.descriptors
         touch = {
@@ -523,10 +540,10 @@ class _SeqBuilder:
 
     def _fw_state(self, state: State, emit, allocated, seen):
         graph = state.graph
-        byid = {n.id: n for n in graph.nodes}
-        for nid in schedule(graph):
-            if isinstance(byid[nid], AccessNode):
+        for node in schedule(graph):
+            if isinstance(node, AccessNode):
                 continue
+            nid = node.id
             for e in graph.out_edges(nid):
                 d = self.program.descriptors.get(e.data)
                 if d is None or d.rank == 0 or d.role not in ("intermediate", "output"):
@@ -787,6 +804,7 @@ def apply_plan(
     fdescs, bdescs = dict(program.descriptors), dict(bundle.backward.descriptors)
     kept: dict[str, list[ForwardedValue]] = {}  # production state -> values
     rebuilt: dict[int, list[Block]] = {}  # id of a first reader -> rebuilds, reader
+    readers: dict[str, State] = {}  # name -> first backward state touching it, built on first need
     for fv, v in zip(fvs, assignment):
         if fv.forced:
             continue  # snapshots already live on the tape
@@ -797,7 +815,8 @@ def apply_plan(
         else:
             for name, desc in fv.recompute.descriptors.items():
                 bdescs.setdefault(name, desc)
-            reader = _first_use(bundle.backward.region, fv.name)
+            readers = readers or _first_readers(bundle.backward.region)
+            reader = readers.get(fv.name)
             if reader is None:
                 raise GradflowError(f"internal: '{fv.name}' is never read by the reverse program")
             rebuilt.setdefault(id(reader), [reader]).insert(-1, fv.recompute.state)
@@ -822,9 +841,10 @@ def apply_plan(
     return fwd, bwd
 
 
-def _first_use(region: list[Block], name: str) -> State | None:
-    """The first state in program order that touches ``name``."""
-    return next((b for _, b in walk_blocks(region) if isinstance(b, State) and name in graph_names(b.graph)), None)
+def _first_readers(region: list[Block]) -> dict[str, State]:
+    """Each name -> the first state in program order that touches it."""
+    states = [b for _, b in walk_blocks(region) if isinstance(b, State)]
+    return {name: b for b in reversed(states) for name in graph_names(b.graph)}
 
 
 # ---------------------------------------------------------------------------

@@ -388,7 +388,6 @@ class Executor:
         self.ctx_stack: list[_LoopCtx] = []
         self.branch_down: dict[str, int] = {}
         self.op_count = 0
-        self._sched: dict[int, list] = {}
         self._kernels: dict = {}  # compiled nests by loop id or (graph id, node id)
         self._header_names: dict[int, list[str]] = {}
         self._record_loops = set() if record is None else {
@@ -473,7 +472,7 @@ class Executor:
                 self._exec_region((block,))
                 _release(frees.get((i, -1), ()))
                 continue
-            for j, node in enumerate(self._schedule(block.graph)):
+            for j, node in enumerate(schedule(block.graph)):
                 if isinstance(node, AccessNode):
                     self._visit_access(block.label, node)
                 else:
@@ -492,13 +491,13 @@ class Executor:
         schedule) or one whole top-level loop or branch."""
         for block in self.program.region:  # schedule first: its scratch is gone before touches are held
             if isinstance(block, State):
-                self._schedule(block.graph)
+                schedule(block.graph)
 
         def steps():  # a generator, so one state's touches are held at a time
             for i, block in enumerate(self.program.region):
                 if isinstance(block, State):
                     acc = node_accesses(block.graph)
-                    for j, node in enumerate(self._schedule(block.graph)):
+                    for j, node in enumerate(schedule(block.graph)):
                         if not isinstance(node, AccessNode):
                             yield (i, j), acc[node.id]
                     continue
@@ -602,17 +601,8 @@ class Executor:
 
     # -- dataflow ------------------------------------------------------------
 
-    def _schedule(self, df: Dataflow) -> list:
-        key = id(df)
-        order = self._sched.get(key)
-        if order is None:
-            by_id = {n.id: n for n in df.nodes}
-            order = [by_id[nid] for nid in schedule(df)]
-            self._sched[key] = order
-        return order
-
     def _exec_state(self, state: State):
-        for node in self._schedule(state.graph):
+        for node in schedule(state.graph):
             if isinstance(node, AccessNode):
                 self._visit_access(state.label, node)
             else:
@@ -719,7 +709,7 @@ class Executor:
             names.update(dict.fromkeys(e[0] for e in ins + outs))
             return "tasklet", ins, outs, _tasklet_ops(node, df)
         if isinstance(node, MapNode):
-            order = self._schedule(node.body)
+            order = schedule(node.body)
             items = tuple(self._compute_item(n, node.body, acc) for n in order if not isinstance(n, AccessNode))
             return "map", node.id, node.params, node.ranges, items
         libs.append(functools.partial(self._exec_library, node, df))
@@ -739,7 +729,7 @@ class Executor:
                 continue
             if isinstance(block, Conditional) or not self.forwarding.keys().isdisjoint(graph_names(block.graph)):
                 return None
-            for node in self._schedule(block.graph):
+            for node in schedule(block.graph):
                 if isinstance(node, AccessNode):
                     if self._recorded_version(block.label, node) is not None:
                         return None
@@ -936,17 +926,19 @@ def count_flops(program: Program, params: dict[str, int]) -> dict[tuple, int]:
 
 
 def _graph_cost(df: Dataflow, program: Program, params: dict[str, int]) -> int:
-    total = 0
-    for node in df.nodes:
-        if isinstance(node, Tasklet):
-            total += _tasklet_ops(node, df)
-        elif isinstance(node, LibraryNode):
-            total += _library_cost(node, df, lambda name: dimensions(program.descriptors[name], params))
-        elif isinstance(node, MapNode):
-            body = _graph_cost(node.body, program, params)
-            if body:
-                total += body * _map_points(node, params)
-    return total
+    return sum(_node_cost(node, df, program, params) for node in df.nodes)
+
+
+def _node_cost(node, df: Dataflow, program: Program, params: dict[str, int]) -> int:
+    """Operations of one run of a node of ``df``; an access node costs 0."""
+    if isinstance(node, Tasklet):
+        return _tasklet_ops(node, df)
+    if isinstance(node, LibraryNode):
+        return _library_cost(node, df, lambda name: dimensions(program.descriptors[name], params))
+    if isinstance(node, MapNode):
+        body = _graph_cost(node.body, program, params)
+        return body * _map_points(node, params) if body else 0
+    return 0
 
 
 def _library_cost(node: LibraryNode, df: Dataflow, shape_of: Callable[[str], tuple[int, ...]]) -> int:

@@ -19,7 +19,9 @@ Invariants enforced by :func:`validate`:
 
 A built ``Program`` is a value: no pass changes it. A pass that rewrites a
 few states builds those states anew and rebuilds the program around them
-with :func:`splice`, which shares every other state, graph and node.
+with :func:`splice`, which shares every other state, graph and node. Each
+graph keeps its :func:`schedule` once computed, so a graph must not be
+edited after it is built.
 """
 
 from __future__ import annotations
@@ -205,6 +207,7 @@ class Memlet:
 class Dataflow:
     nodes: list[Node] = field(default_factory=list)
     edges: list[Memlet] = field(default_factory=list)
+    _order: tuple[Node, ...] | None = field(default=None, init=False, repr=False, compare=False)  # see schedule
 
     def node(self, node_id: str) -> Node:
         for n in self.nodes:
@@ -333,8 +336,9 @@ def path_outcomes(program: Program) -> list[dict[str, bool]]:
 # scheduling
 
 
-def schedule(df: Dataflow) -> list[str]:
-    """Topological order of node ids, deterministic (node-list tie-break).
+def schedule(df: Dataflow) -> tuple[Node, ...]:
+    """Topological order of the graph's nodes, deterministic (node-list
+    tie-break), computed on first use and kept with the graph.
 
     Beyond dataflow edges, consecutive access instances of the same array
     impose write-after-read/write-after-write order: everything attached to
@@ -342,6 +346,8 @@ def schedule(df: Dataflow) -> list[str]:
 
     Raises ValueError on a cycle.
     """
+    if df._order is not None:
+        return df._order
     ids = [n.id for n in df.nodes]
     index = {nid: i for i, nid in enumerate(ids)}
     succ: dict[str, set[str]] = {nid: set() for nid in ids}
@@ -371,18 +377,18 @@ def schedule(df: Dataflow) -> list[str]:
                 add(prev, p)
 
     heap = [i for i, nid in enumerate(ids) if indeg[nid] == 0]  # ascending, so a heap
-    order: list[str] = []
+    order: list[Node] = []
     while heap:
         i = heapq.heappop(heap)
-        nid = ids[i]
-        order.append(nid)
-        for m in succ[nid]:
+        order.append(df.nodes[i])
+        for m in succ[ids[i]]:
             indeg[m] -= 1
             if indeg[m] == 0:
                 heapq.heappush(heap, index[m])
     if len(order) != len(ids):
         raise ValueError("cycle in state dataflow graph")
-    return order
+    df._order = tuple(order)
+    return df._order
 
 
 # ---------------------------------------------------------------------------

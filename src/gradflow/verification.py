@@ -316,8 +316,7 @@ def _scratch_peak(state: State, program: Program, params: dict[str, int], produc
     value it produces: each rank >= 1 intermediate from the node that
     writes it first to the node that reads or writes it last."""
     graph = state.graph
-    byid = {n.id: n for n in graph.nodes}
-    order = [nid for nid in schedule(graph) if not isinstance(byid[nid], AccessNode)]
+    order = [n.id for n in schedule(graph) if not isinstance(n, AccessNode)]
     last = {e.data: k for k, nid in enumerate(order) for e in graph.in_edges(nid) + graph.out_edges(nid)}
     held: dict[str, int] = {}
     peak = 0
@@ -386,10 +385,10 @@ def _walk_forward(program, params, trace, emit, allocated, seen, stored_live):
     for st in _states_run(program, params, trace):
         graph = st.graph
         byid = {n.id: n for n in graph.nodes}
-        for nid in schedule(graph):
-            if isinstance(byid[nid], AccessNode):
+        for node in schedule(graph):
+            if isinstance(node, AccessNode):
                 continue
-            for e in graph.out_edges(nid):
+            for e in graph.out_edges(node.id):
                 if not isinstance(byid.get(e.dst), AccessNode) or e.data in seen:
                     continue
                 d = program.descriptors.get(e.data)
@@ -412,7 +411,7 @@ def _linearize(program: Program, params: dict[str, int], trace: dict[str, bool])
     for block in _states_run(program, params, trace):
         graph = block.graph
         byid = {n.id: n for n in graph.nodes}
-        compute = [nid for nid in schedule(graph) if not isinstance(byid[nid], AccessNode)]
+        compute = [n.id for n in schedule(graph) if not isinstance(n, AccessNode)]
         groups = {getattr(byid[n], "group", None) for n in compute}
         if compute and all(g and g.startswith("rec:") for g in groups):
             reads = {e.data for e in graph.edges if isinstance(byid.get(e.src), AccessNode)}

@@ -157,12 +157,10 @@ def analyze_versions(program: Program) -> VersionInfo:
                 resolve_branch(block, loops)
 
     def resolve_state(state: State, loops: tuple[str, ...]):
-        order = schedule(state.graph)
-        by_id = {n.id: n for n in state.graph.nodes}
-        for nid in order:
-            n = by_id[nid]
+        for n in schedule(state.graph):
             if not isinstance(n, AccessNode):
                 continue
+            nid = n.id
             v = info.write_version.get((state.label, nid))
             if v is not None:
                 info.killed[(state.label, nid)] = current.get(n.data, ReachSet(()))

@@ -36,11 +36,13 @@ from gradflow import (
 )
 from gradflow.checkpointing import AffineBytes, MemoryEvent, MemoryRows, PathSequence
 from gradflow.errors import Infeasible, UnresolvableTripCount, UnsupportedConstruct, UnsupportedLoop
-from gradflow.ir import LoopRegion, State, simulate_header, visit_positions, walk_blocks
+from gradflow.ir import LoopRegion, Program, State, simulate_header, visit_positions, walk_blocks
+from gradflow.verification import _scratch_peak
 from genprog import (
     make_chain_program,
     make_elementwise_program,
     make_loop_program,
+    make_map_program,
     runtime_header_array_program,
     sin_chain,
 )
@@ -115,6 +117,39 @@ def test_scalars_are_not_planned():
         assert all(len(f.versions) >= 1 for f in fvs)
         for f in fvs:
             assert f.size_bytes > 8
+
+
+def _oracle_programs():
+    for name in sorted(examples.EXAMPLES):
+        yield name, examples.build(name), examples.DEFAULT_PARAMS[name]
+    yield "sin_chain", sin_chain(12), {}
+    for make, seed in itertools.product(
+        (make_chain_program, make_loop_program, make_elementwise_program, make_map_program), range(20)
+    ):
+        yield f"{make.__name__}({seed})", make(seed), {"n": 4}
+
+
+@pytest.mark.filterwarnings("ignore::gradflow.errors.NonDifferentiableOp")
+def test_rebuild_cost_and_peak_match_the_built_block():
+    # c_flops and r_bytes come from per-(state, node) tables; the block is
+    # built on demand. Build it for every plannable value, kept or not, and
+    # count it as a program of its own: its flops, and the scratch peak of
+    # the memory oracle's walk, the produced value excluded.
+    checked = scratch = 0
+    for label, program, params in _oracle_programs():
+        try:
+            bundle = build_backward(program)
+        except (UnsupportedConstruct, UnsupportedLoop):
+            continue
+        for fv in collect_forwarded(program, bundle, params):
+            if fv.recompute is None:
+                continue
+            block = Program(dict(fv.recompute.descriptors), program.parameters, [fv.recompute.state], fv.name, ())
+            assert fv.c_flops == sum(count_flops(block, params).values()), (label, fv.name)
+            assert fv.r_bytes == _scratch_peak(fv.recompute.state, block, params, fv.name), (label, fv.name)
+            checked += 1
+            scratch += fv.r_bytes > 0
+    assert checked >= 100 and scratch >= 50, (checked, scratch)
 
 
 # ---------------------------------------------------------------------------

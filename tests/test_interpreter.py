@@ -883,9 +883,11 @@ def test_map_body_reads_keep_their_arrays_live():
         mid = s.map_node(("i",), (("0", "n", "1"),), square)
         s.library("reduce_sum", {"x": "P"}, {"y": "O"})
     p = b.finish("O", ["X"])
-    graph = p.region[0].graph
+    state = p.region[0]
     # only the body's edge reads T now; the release must still wait for it
-    graph.edges = [e for e in graph.edges if not (e.dst == mid and e.data == "T")]
+    edges = [e for e in state.graph.edges if not (e.dst == mid and e.data == "T")]
+    edited = ir.State(state.label, ir.Dataflow(list(state.graph.nodes), edges))
+    p = dataclasses.replace(p, region=ir.splice(p.region, {id(state): [edited]}))
     x = np.array([0.5, 1.0, 1.5])
     env = _reverse_env(p, {"X": x}, {"n": 3})
     np.testing.assert_array_equal(env["P"], (2 * x) ** 2)
@@ -897,7 +899,7 @@ def _compute_ordinals(ex, program):
     node among all compute nodes of a straight-line program."""
     out, k = {}, 0
     for i, state in enumerate(program.region):
-        for j, node in enumerate(ex._schedule(state.graph)):
+        for j, node in enumerate(ir.schedule(state.graph)):
             if not isinstance(node, ir.AccessNode):
                 out[i, j] = k
                 k += 1
@@ -924,7 +926,7 @@ def test_reverse_releases_where_the_memory_model_frees(program, params, rng):
     accesses = []
     for st in bwd.region:
         touched = ir.node_accesses(st.graph)
-        accesses += [touched[nid] for nid in ir.schedule(st.graph) if nid in touched]
+        accesses += [touched[n.id] for n in ir.schedule(st.graph) if n.id in touched]
     want = {n: max(k for k, names in enumerate(accesses) if n in names) for n in model}
 
     inputs = sample_inputs(program, params, rng)

@@ -3,18 +3,21 @@ from hypothesis import given, strategies as st
 
 import gradflow.examples as examples
 import gradflow.ir as ir
-from gradflow import size_bytes, validate
-from gradflow.errors import NonTermination
+from gradflow import plan, size_bytes, validate
+from gradflow.errors import Infeasible, NonTermination
 from gradflow.ir import (
     AccessNode,
     Conditional,
     DataDescriptor,
+    Dataflow,
     LoopRegion,
+    MapNode,
     State,
     path_visits,
     pristine_inputs,
     schedule,
     simulate_header,
+    walk_blocks,
 )
 from gradflow.symexpr import parse_sexpr
 
@@ -113,18 +116,18 @@ def _first_state(program):
 
 def test_schedule_is_topological_and_deterministic():
     g = _first_state(examples.build("scaled_product_chain")).graph
-    order = schedule(g)
+    order = [n.id for n in schedule(g)]
     assert sorted(order) == sorted(n.id for n in g.nodes)
     pos = {nid: i for i, nid in enumerate(order)}
     for e in g.edges:
         assert pos[e.src] < pos[e.dst]
-    assert schedule(g) == order
+    assert [n.id for n in schedule(Dataflow(list(g.nodes), list(g.edges)))] == order
 
 
 def test_schedule_orders_access_instances():
     # reading instance k of an array must precede writing instance k+1
     g = examples.build("two_array_pingpong").region[0].body[0].graph
-    order = schedule(g)
+    order = [n.id for n in schedule(g)]
     pos = {nid: i for i, nid in enumerate(order)}
     by_data = {}
     for n in g.nodes:
@@ -133,6 +136,36 @@ def test_schedule_orders_access_instances():
     assert len(by_data["A"]) == 2  # read instance, then overwrite instance
     first_a, second_a = by_data["A"]
     assert pos[first_a] < pos[second_a]
+
+
+def _graphs(df: Dataflow):
+    yield df
+    for n in df.nodes:
+        if isinstance(n, MapNode):
+            yield from _graphs(n.body)
+
+
+@pytest.mark.parametrize("name", sorted(examples.EXAMPLES))
+def test_schedule_is_kept_with_its_graph(name):
+    # plan() schedules every graph it reads or builds; each keeps its first
+    # order, which must still be the order of the graph as built, with no
+    # budget (copy-outs) and at the floor (rebuild blocks too)
+    program, params = examples.build(name), examples.DEFAULT_PARAMS[name]
+    try:
+        plan(program, 0, params)
+        floor = 0
+    except Infeasible as exc:
+        floor = exc.min_peak_bytes
+    results = [plan(program, limit, params) for limit in (None, floor / (1 << 20))]
+    programs = [program] + [p for r in results for p in (r.bundle.backward, r.forward, r.backward)]
+    for p in programs:
+        for _, block in walk_blocks(p.region):
+            if not isinstance(block, State):
+                continue
+            for g in _graphs(block.graph):
+                order = schedule(g)
+                assert isinstance(order, tuple) and schedule(g) is order
+                assert order == schedule(Dataflow(list(g.nodes), list(g.edges))), (name, block.label)
 
 
 # ---------------------------------------------------------------------------
