@@ -213,7 +213,7 @@ def _deriv(e: Expr, w: str, seed: Expr) -> Expr:
 # contributing computation slice
 
 
-@dataclass
+@dataclass(frozen=True)
 class CCS:
     tracked: frozenset[str]
     active: frozenset[str]
@@ -368,7 +368,7 @@ def _suffix_labels(region: list[Block], suffix: str):
 # backward construction
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackwardBundle:
     backward: Program
     forwarding: dict[str, ForwardingEntry]
@@ -858,6 +858,15 @@ def build_backward(program: Program, vinfo: VersionInfo | None = None) -> Backwa
     )
 
 
+def backward_of(program: Program) -> BackwardBundle:
+    """``build_backward(program)``, built on first use and kept with the
+    program, which is never changed. A build that raises keeps nothing."""
+    bundle = program._kept.get("bundle")
+    if bundle is None:
+        bundle = program._kept["bundle"] = build_backward(program)
+    return bundle
+
+
 # ---------------------------------------------------------------------------
 # one-call differentiation
 
@@ -891,10 +900,12 @@ def gradient(
 ) -> GradientResult:
     """Differentiate the dependent with respect to the independents at the
     given inputs, running forward (recording only what the adjoints need)
-    and then the reverse program."""
+    and then the reverse program. The reverse program is built on the first
+    call and kept with ``program`` (``backward_of``); later calls, and
+    ``plan()``, reuse it."""
     from .interpreter import run_backward, run_forward
 
-    bundle = build_backward(program)
+    bundle = backward_of(program)
     fwd = run_forward(program, inputs, params, record=set(bundle.required), vinfo=bundle.vinfo)
     bwd = run_backward(
         program, bundle.backward, inputs, params,

@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import BackwardBundle, GradientResult, build_backward
+from .autodiff import BackwardBundle, GradientResult, backward_of
 from .errors import (
     GradflowError,
     Infeasible,
@@ -167,7 +167,7 @@ class RecomputePlan:
     descriptors = property(lambda self: self.block[1])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForwardedValue:
     index: int
     name: str  # stored descriptor name the reverse pass reads
@@ -392,12 +392,14 @@ def _recompute_plan(
             held[first] += sizes[name]
             held[last + 1] -= sizes[name]
     peak = max(itertools.accumulate(held[:-1]), default=0)
-    build = functools.partial(_rebuild_block, program, pristine, states, ordered, rename, stored_name, fvid)
+    # the descriptors, not the program, so the program's kept values do not refer back to it
+    build = functools.partial(_rebuild_block, program.descriptors, pristine, states, ordered, rename, stored_name, fvid)
     return RecomputePlan(flops, peak, build)
 
 
-def _rebuild_block(program: Program, pristine: set[str], states: dict[str, State], ordered: list[tuple[str, str]],
-                   rename: dict[str, str], stored_name: str, fvid: int) -> tuple[State, dict[str, DataDescriptor]]:
+def _rebuild_block(descriptors: dict[str, DataDescriptor], pristine: set[str], states: dict[str, State],
+                   ordered: list[tuple[str, str]], rename: dict[str, str], stored_name: str,
+                   fvid: int) -> tuple[State, dict[str, DataDescriptor]]:
     """The rebuild state of a closure's (state, node) steps in program
     order, and its descriptors."""
     graph = Dataflow()
@@ -419,12 +421,12 @@ def _rebuild_block(program: Program, pristine: set[str], states: dict[str, State
             name = rename.get(e.data, e.data)
             graph.edges.append(Memlet(access_of(name), None, clone.id, e.dst_conn, name, e.subset, e.wcr))
             if e.data in pristine:
-                descs.setdefault(e.data, program.descriptors[e.data])
+                descs.setdefault(e.data, descriptors[e.data])
         graph.nodes.append(clone)
         for e in src_graph.out_edges(nid):
             name = rename[e.data]
             graph.edges.append(Memlet(clone.id, e.src_conn, access_of(name), None, name, e.subset, e.wcr))
-            base = program.descriptors[e.data]
+            base = descriptors[e.data]
             role = "stored-copy" if name == stored_name else "intermediate"
             descs.setdefault(name, DataDescriptor(name, base.element_kind, base.shape, role))
     return State(label=f"rec_{stored_name}", graph=graph), descs
@@ -867,11 +869,22 @@ def plan(
     limit_mib: float | None,
     params: dict[str, int] | None = None,
 ) -> PlanResult:
-    """Choose and apply a keep-or-recompute plan under ``limit_mib``."""
+    """Choose and apply a keep-or-recompute plan under ``limit_mib``.
+
+    What does not depend on the budget is kept with ``program``: its
+    backward bundle (``backward_of``) and, for the last parameter binding
+    planned, the forwarded values and memory sequences, whose rebuild blocks
+    are built once when a plan first recomputes them. Each call then only
+    poses, solves and applies the integer program."""
     params = dict(params or {})
-    bundle = build_backward(program)
-    fvs = collect_forwarded(program, bundle, params)
-    sequences = build_memory_sequences(program, bundle, fvs, params)
+    bundle = backward_of(program)
+    binding = tuple(sorted(params.items()))
+    kept = program._kept.get("planning")
+    if kept is None or kept[0] != binding:
+        fvs = collect_forwarded(program, bundle, params)
+        sequences = build_memory_sequences(program, bundle, fvs, params)
+        kept = program._kept["planning"] = (binding, tuple(fvs), tuple(sequences))
+    _, fvs, sequences = kept
     limit_bytes = None if limit_mib is None else int(limit_mib * (1 << 20))
     problem = build_ilp(fvs, sequences, limit_bytes)
     solution = solve_ilp(problem)
@@ -900,7 +913,7 @@ def plan(
         "events": len(problem.events),
         "paths_checked": problem.n_paths,
     }
-    return PlanResult(fwd, bwd, solution, report, bundle, fvs, sequences)
+    return PlanResult(fwd, bwd, solution, report, bundle, list(fvs), list(sequences))
 
 
 def run_planned(

@@ -12,6 +12,7 @@ import gc
 import json
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -215,7 +216,7 @@ def cmd_diff(args) -> int:
         for name in args.wrt:
             if name not in prog.descriptors:
                 raise UnboundName(f"--wrt '{name}' is not declared in the program")
-        prog.independents = tuple(args.wrt)
+        prog = replace(prog, independents=tuple(args.wrt))
     bundle = build_backward(prog)
     stem = args.out or str(Path(args.program).with_suffix(""))
     bwd_path = stem + ".bwd.json"

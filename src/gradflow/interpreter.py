@@ -14,8 +14,9 @@ A loop's header is simulated once per distinct value of the names it reads,
 and memoized for the run. Tasklets, maps and loop nests run as compiled
 nests: one generated Python function per nest structure (its loops, map
 ranges, edges, bodies and resolved shapes), cached for the whole process, so
-the reverse program that ``gradient()`` rebuilds on every call reuses the
-nests of the previous one. A tasklet alone is a nest of depth 0; a map is a
+a program built again, and the reverse program that ``gradient()`` builds
+for it (once per ``Program``, then kept with it), reuses the nests of the
+first build. A tasklet alone is a nest of depth 0; a map is a
 ``for`` per parameter around its body; a loop whose body holds only states
 of tasklets and maps, or further such loops, is a ``for`` per loop over its
 simulated iterates, with no branch, state-level library node, forwarded read

@@ -20,8 +20,12 @@ Invariants enforced by :func:`validate`:
 A built ``Program`` is a value: no pass changes it. A pass that rewrites a
 few states builds those states anew and rebuilds the program around them
 with :func:`splice`, which shares every other state, graph and node. Each
-graph keeps its :func:`schedule` once computed, so a graph must not be
-edited after it is built.
+graph keeps its :func:`schedule` once computed, and each program keeps the
+analyses that do not depend on a memory budget: its backward bundle
+(``autodiff.backward_of``) and, for the last parameter binding planned, its
+forwarded values and memory sequences (``checkpointing.plan``). So neither a
+graph nor a program may be edited after it is built; ``dataclasses.replace``
+makes a new program that starts with nothing kept.
 """
 
 from __future__ import annotations
@@ -279,6 +283,7 @@ class Program:
     region: list[Block]
     dependent: str
     independents: tuple[str, ...]
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # see the module docstring
 
 
 def splice(region: list[Block], states: dict[int, list[Block]]) -> list[Block]:

@@ -8,8 +8,11 @@ budget. All byte numbers derive from S = 3620^2 * 4 = 52,417,600.
 import gc
 import itertools
 import random
+import sys
 import time
 import tracemalloc
+import weakref
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +30,7 @@ from gradflow import (
     collect_forwarded,
     count_flops,
     gradient,
+    parse_program,
     plan,
     run_planned,
     sample_inputs,
@@ -476,6 +480,134 @@ def test_plan_leaves_its_inputs_untouched_and_shares_unchanged_states(name):
         before = _states(bundle.backward)
         for label, state in _states(result.backward).items():
             assert state is rebuilt.get(label, before.get(label)), (limit, label)
+
+
+# ---------------------------------------------------------------------------
+# the budget-free analyses are kept with the program
+
+
+def _count_calls(monkeypatch, *functions):
+    """Replace every binding of each function in the loaded gradflow modules
+    by a counting wrapper; returns function name -> calls."""
+    calls = dict.fromkeys((fn.__name__ for fn in functions), 0)
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "gradflow" or name.startswith("gradflow."):
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def _fresh(program):
+    return parse_program(serialize_program(program))
+
+
+def _plan_outputs(result, inputs, params):
+    replay = run_planned(result, inputs, params)
+    s = result.solution
+    return (s.assignment, s.objective_flops, s.t_star,
+            serialize_program(result.forward), serialize_program(result.backward),
+            [(k, np.asarray(v).dtype.str, np.asarray(v).tobytes())
+             for k, v in [("value", replay.value), *sorted(replay.grads.items())]])
+
+
+@pytest.mark.parametrize("name", [*sorted(examples.EXAMPLES), "sin_chain"])
+def test_a_second_gradient_or_plan_rebuilds_nothing(name, monkeypatch):
+    if name == "sin_chain":
+        program, params = sin_chain(12), {}
+    else:
+        program, params = examples.build(name), examples.DEFAULT_PARAMS[name]
+    inputs = sample_inputs(program, params, np.random.default_rng(5))
+    calls = _count_calls(monkeypatch, build_backward, collect_forwarded, build_memory_sequences)
+    once = {"build_backward": 1, "collect_forwarded": 1, "build_memory_sequences": 1}
+    first = gradient(program, inputs, params), plan(program, None, params)
+    assert calls == once
+    second = gradient(program, inputs, params), plan(program, None, params)
+    assert calls == once
+    assert second[0].bundle is second[1].bundle is first[0].bundle
+    assert np.array_equal(second[0].value, first[0].value)
+
+
+def test_budgets_in_any_order_plan_as_on_a_fresh_program():
+    program, params = sin_chain(12), {}
+    inputs = sample_inputs(program, params, np.random.default_rng(5))
+    keep_all = plan(_fresh(program), None, params).solution.t_star
+    with pytest.raises(Infeasible) as exc:
+        plan(_fresh(program), 0, params)
+    limits = [None, 0.8 * keep_all / MIB, 0.6 * keep_all / MIB, exc.value.min_peak_bytes / MIB]
+    want = {lim: _plan_outputs(plan(_fresh(program), lim, params), inputs, params) for lim in limits}
+    assert len({w[:3] for w in want.values()}) == 4  # four different plans
+    for lim in limits + limits[::-1]:
+        assert _plan_outputs(plan(program, lim, params), inputs, params) == want[lim], lim
+
+
+def test_parameter_bindings_never_share_kept_analyses():
+    program = examples.build("scaled_product_chain")
+    # ten arrays' worth forces the recompute of A0, so rebuild blocks are built
+    limit = {n: 10 * n * n * 4 / MIB for n in (8, 12)}
+    inputs = {n: sample_inputs(program, {"N": n}, np.random.default_rng(n)) for n in (8, 12)}
+    want = {n: _plan_outputs(plan(_fresh(program), limit[n], {"N": n}), inputs[n], {"N": n}) for n in (8, 12)}
+    seen = {8: [], 12: []}
+    for n in (8, 12, 8, 8, 12, 12, 8):
+        result = plan(program, limit[n], {"N": n})
+        assert _plan_outputs(result, inputs[n], {"N": n}) == want[n], n
+        assert {fv.size_bytes for fv in result.fvs} == {n * n * 4}
+        assert 0 in result.solution.assignment
+        seen[n] += [*result.fvs, *(fv.recompute.state for fv in result.fvs)]
+    assert not any(a is b for a in seen[8] for b in seen[12])
+
+
+def test_planned_and_replaced_programs_start_with_nothing_kept(monkeypatch):
+    program, params = sin_chain(12), {}
+    inputs = sample_inputs(program, params, np.random.default_rng(5))
+    result = plan(program, 0.6 * plan(program, None, params).solution.t_star / MIB, params)
+    run_planned(result, inputs, params)
+    assert program._kept
+    for made in (result.forward, result.backward, result.bundle.backward,
+                 replace(program, independents=("X",)), replace(program)):
+        assert made._kept == {}
+    calls = _count_calls(monkeypatch, build_backward)
+    gradient(replace(program), inputs, params)
+    assert calls == {"build_backward": 1}
+
+
+def test_a_program_out_of_use_is_freed_without_the_cycle_collector():
+    # nothing a program keeps refers back to it, so dropping the program
+    # frees it and its analyses at once, as before anything was kept
+    program = sin_chain(12)
+    inputs = sample_inputs(program, {}, np.random.default_rng(5))
+    gc.collect()
+    gc.disable()
+    try:
+        gradient(program, inputs, {})
+        result = plan(program, 0.6 * plan(program, None, {}).solution.t_star / MIB, {})
+        run_planned(result, inputs, {})
+        assert 0 in result.solution.assignment
+        del result
+        ref = weakref.ref(program)
+        del program
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_each_plan_result_owns_its_lists_of_shared_records():
+    program = sin_chain(12)
+    first = plan(program, None, {})
+    kept = list(first.fvs), list(first.sequences)
+    first.fvs.append(first.fvs[0])
+    first.sequences.clear()
+    second = plan(program, None, {})
+    assert (second.fvs, second.sequences) == kept
+    assert all(a is b for a, b in zip(second.fvs, kept[0]))
+    for record, attr in ((second.fvs[0], "c_flops"), (second.bundle, "backward"), (second.bundle.ccs, "active")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, attr, None)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,20 @@ def test_diff_wrt_overrides_independents(foo_path, tmp_path):
     assert "C__grad" in bwd.descriptors
 
 
+def test_diff_wrt_writes_what_declaring_the_independents_writes(foo_path, tmp_path):
+    # --wrt gives the program new independents without changing the loaded one
+    doc = json.loads(foo_path.read_text())
+    doc["independents"] = ["C", "D"]
+    declared = tmp_path / "declared.json"
+    declared.write_text(json.dumps(doc))
+    assert run_cli("diff", declared, "--out", tmp_path / "want") == 0
+    assert run_cli("diff", foo_path, "--wrt", "C", "--wrt", "D", "--out", tmp_path / "got") == 0
+    for suffix in (".bwd.json", ".fwdreq.json"):
+        want = (tmp_path / ("want" + suffix)).read_text()
+        assert (tmp_path / ("got" + suffix)).read_text() == want, suffix
+    assert "C__grad" in load_program(str(tmp_path / "got.bwd.json")).descriptors
+
+
 def test_diff_unknown_wrt_is_validation_error(foo_path, capsys):
     assert run_cli("diff", foo_path, "--wrt", "nope") == 2
 

@@ -580,13 +580,13 @@ def test_tasklet_reads_batched_and_unbatched_arrays_alike(rng):
 
 
 def test_a_second_gradient_compiles_no_kernel(rng):
-    # gradient() builds a fresh reverse program on every call; its kernels
-    # come from the module-wide cache
+    # a second build of the program gets a fresh reverse program from
+    # gradient(); its kernels come from the module-wide cache
     p, params = examples.build("seidel_stencil"), {"N": 8, "TSTEPS": 2}
     inputs = sample_inputs(p, params, rng)
     first = gradient(p, inputs, params)
     misses = _compiled_tasklet.cache_info().misses
-    second = gradient(p, inputs, params)
+    second = gradient(examples.build("seidel_stencil"), inputs, params)
     assert second.bundle.backward is not first.bundle.backward
     assert _compiled_tasklet.cache_info().misses == misses
     assert np.array_equal(second.grads["A"], first.grads["A"])
