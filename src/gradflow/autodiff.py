@@ -62,6 +62,7 @@ from .ir import (
     header_names,
     library_connectors,
     library_expr,
+    prepare_steps,
     pristine_inputs,
     schedule,
     splice,
@@ -860,10 +861,13 @@ def build_backward(program: Program, vinfo: VersionInfo | None = None) -> Backwa
 
 def backward_of(program: Program) -> BackwardBundle:
     """``build_backward(program)``, built on first use and kept with the
-    program, which is never changed. A build that raises keeps nothing."""
+    program, which is never changed. A build that raises keeps nothing. The
+    first use also prepares the library steps of the program and of its
+    backward (``ir.library_steps``)."""
     bundle = program._kept.get("bundle")
     if bundle is None:
         bundle = program._kept["bundle"] = build_backward(program)
+        prepare_steps(program.region + bundle.backward.region)
     return bundle
 
 

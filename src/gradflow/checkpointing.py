@@ -67,6 +67,7 @@ from .ir import (
     node_accesses,
     path_outcomes,
     path_visits,
+    prepare_steps,
     pristine_inputs,
     runtime_loop,
     schedule,
@@ -840,6 +841,11 @@ def apply_plan(
     bwd = replace(bundle.backward, descriptors=bdescs, region=splice(bundle.backward.region, rebuilt))
     validate_or_raise(fwd)
     validate_or_raise(bwd)
+    # here, so that a first run of the plan allocates no step; the states
+    # shared with the program and its backward (each reader, last in its
+    # list) were prepared with the bundle
+    prepare_steps([s for blocks in grown.values() for s in blocks]
+                  + [s for blocks in rebuilt.values() for s in blocks[:-1]])
     return fwd, bwd
 
 

@@ -23,8 +23,11 @@ simulated iterates, with no branch, state-level library node, forwarded read
 or tape record inside. Any other loop runs block by block, its body's
 tasklets and maps still as nests. A nest inlines index arithmetic and bounds
 checks, reads an array without batch axes as ``arr[i, j]`` and a batched one
-as ``arr[..., i, j]``. A library node runs once on whole arrays; an
-elementwise one evaluates its expression (``ir.library_expr``) with numpy,
+as ``arr[..., i, j]``. A library node runs once on whole arrays, from the
+step its graph keeps (``ir.library_steps``): the arrays of its in- and
+out-edges, and for an elementwise node its expression (``ir.library_expr``)
+compiled once and its operator count. The run adds the shapes, dtypes and
+batch: an elementwise node evaluates the compiled expression with numpy,
 broadcasting rank-0 operands over the output behind their batch dimensions.
 Intermediate and gradient arrays are zero-initialized on first touch, which
 is also what accumulation via ``sum`` conflict resolution assumes.
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -76,6 +80,7 @@ from .ir import (
     Conditional,
     Dataflow,
     LibraryNode,
+    LibraryStep,
     LoopRegion,
     MapNode,
     Program,
@@ -85,6 +90,7 @@ from .ir import (
     graph_names,
     header_names,
     library_expr,
+    library_steps,
     live_ranges,
     node_accesses,
     path_outcomes,
@@ -301,7 +307,7 @@ def _compiled_tasklet(key: tuple) -> Callable:
                     + ["    " + s for s in entry] + lines + ["    return ops"])
     ns = {
         **SOURCE_NAMESPACE, "uniform_int": uniform_int, "_copy": _copy_element,
-        "_unbound": _unbound, "_out_of_bounds": _out_of_bounds, "_no_value": _no_value,
+        "_out_of_bounds": _out_of_bounds, "_no_value": _no_value,
         "_map_range": _map_range, "_visit": visit_positions, "_UNSET": _UNSET,
     }
     # a map by its id, a loop by its iterator, a tasklet by what it writes
@@ -318,10 +324,6 @@ def _release(entries):
 
 def _copy_element(v):
     return np.array(v, copy=True) if isinstance(v, np.ndarray) else v
-
-
-def _unbound(name: str):
-    raise UnboundName(f"no binding for '{name}'")
 
 
 def _int_valued(e, scope: dict) -> bool:
@@ -638,12 +640,12 @@ class Executor:
 
     def _run_nest(self, nest: tuple):
         fn, loops, libs = nest
-        self.op_count += fn(self.read_array, self.write_target, self.bind, self._loop_iterates, loops, libs)
+        ops = fn(self.read_array, self.write_target, self.bind, self._loop_iterates, loops, libs)
+        self.op_count += ops  # after the call: a library node in the nest counts its own
 
     def _exec_library(self, node: LibraryNode, df: Dataflow):
-        ins = {e.dst_conn: self.read_array(e.data) for e in df.in_edges(node.id)}
-        out_edges = df.out_edges(node.id)
-        in_shapes = {e.dst_conn: self.shape_of(e.data) for e in df.in_edges(node.id)}
+        step = library_steps(df)[node.id]
+        ins = {conn: self.read_array(data) for conn, data in step.ins}
 
         if node.kind == "matmul":
             a, b = ins["a"], ins["b"]
@@ -658,11 +660,12 @@ class Executor:
             res = np.matmul(a, b)
         elif node.kind == "reduce_sum":
             x = ins["x"]
-            rank = len(in_shapes["x"])
+            rank = len(self.shape_of(dict(step.ins)["x"]))
             res = x.sum(axis=tuple(range(-rank, 0))) if rank else np.array(x, copy=True)
-        else:  # elementwise: the node's scalar expression on whole arrays
-            shape = self.shape_of(out_edges[0].data)
-            for conn, s in in_shapes.items():
+        else:  # elementwise: the node's compiled expression on whole arrays
+            shape = self.shape_of(step.outs[0][0])
+            for conn, data in step.ins:
+                s = self.shape_of(data)
                 if not s:
                     # rank 0 broadcasts; its batch axes stay leading
                     ins[conn] = ins[conn].reshape(ins[conn].shape + (1,) * len(shape))
@@ -670,23 +673,22 @@ class Executor:
                     raise ShapeMismatch(
                         f"'{node.id}': operand '{conn}' has shape {s}, output {shape}"
                     )
-            expr = library_expr(node)
-            res = np.asarray(eval_expr(expr, ins))
+            res = np.asarray(step.fn(ins) if step.fn is not None else eval_expr(library_expr(node), ins))
             if any(res is v for v in ins.values()):
                 res = np.array(res, copy=True)  # the output must not alias an input
-        self.op_count += _library_cost(node, df, self.shape_of)
+        self.op_count += _library_cost(node, step, self.shape_of)
 
-        for e in out_edges:
-            dtype = self._dtype(e.data)
-            if e.wcr == "sum":
-                tgt = self.write_target(e.data)
+        for data, wcr in step.outs:
+            dtype = self._dtype(data)
+            if wcr == "sum":
+                tgt = self.write_target(data)
                 tgt += res.astype(dtype, copy=False)
             else:
-                want = self.batch + self.shape_of(e.data)
+                want = self.batch + self.shape_of(data)
                 out = np.asarray(res, dtype=dtype)
                 if out.shape != want:
                     out = np.broadcast_to(out, want).astype(dtype)
-                self.env[e.data] = np.array(out, copy=True) if out.base is not None else out
+                self.env[data] = np.array(out, copy=True) if out.base is not None else out
 
     def _nest(self, root, df: Dataflow | None = None) -> tuple | None:
         """The compiled nest of a tasklet or map in ``df``, or of a loop, with
@@ -935,35 +937,30 @@ def _node_cost(node, df: Dataflow, program: Program, params: dict[str, int]) -> 
     if isinstance(node, Tasklet):
         return _tasklet_ops(node, df)
     if isinstance(node, LibraryNode):
-        return _library_cost(node, df, lambda name: dimensions(program.descriptors[name], params))
+        return _library_cost(node, library_steps(df)[node.id], lambda name: dimensions(program.descriptors[name], params))
     if isinstance(node, MapNode):
         body = _graph_cost(node.body, program, params)
         return body * _map_points(node, params) if body else 0
     return 0
 
 
-def _library_cost(node: LibraryNode, df: Dataflow, shape_of: Callable[[str], tuple[int, ...]]) -> int:
-    """Operations of one run of a library node, from the shapes ``shape_of``
-    gives its arrays: the one count the executor and ``count_flops`` share."""
-
-    def shape(conn: str) -> tuple[int, ...]:
-        for e in df.in_edges(node.id):
-            if e.dst_conn == conn:
-                return shape_of(e.data)
-        raise KeyError(conn)
-
+def _library_cost(node: LibraryNode, step: LibraryStep, shape_of: Callable[[str], tuple[int, ...]]) -> int:
+    """Operations of one run of a library node, from its step and the shapes
+    ``shape_of`` gives its arrays: the one count the executor and
+    ``count_flops`` share."""
     if node.kind == "matmul":
-        sa, sb = shape("a"), shape("b")
+        arrays = dict(step.ins)
+        sa, sb = shape_of(arrays["a"]), shape_of(arrays["b"])
         if node.ta:
             sa = sa[::-1]
         if node.tb:
             sb = sb[::-1]
         return 2 * sa[0] * sa[1] * sb[1]
     if node.kind == "reduce_sum":
-        sx = shape("x")
-        return int(np.prod(sx, dtype=np.int64)) if sx else 0
-    n = int(np.prod(shape_of(df.out_edges(node.id)[0].data), dtype=np.int64))
-    return n * count_ops(library_expr(node))
+        sx = shape_of(dict(step.ins)["x"])
+        return math.prod(sx) if sx else 0
+    n = math.prod(shape_of(step.outs[0][0]))
+    return n * (step.ops if step.ops is not None else count_ops(library_expr(node)))
 
 
 def _map_range(node_id: str, start, stop, step) -> range:

@@ -19,9 +19,11 @@ Invariants enforced by :func:`validate`:
 
 A built ``Program`` is a value: no pass changes it. A pass that rewrites a
 few states builds those states anew and rebuilds the program around them
-with :func:`splice`, which shares every other state, graph and node. Each
-graph keeps its :func:`schedule` once computed, and each program keeps the
-analyses that do not depend on a memory budget: its backward bundle
+with :func:`splice`, which shares every other state, graph and node. A
+built graph keeps its :func:`schedule` and its prepared library steps
+(:func:`library_steps`) once computed, so every program and every run that
+shares the graph shares them. Each program keeps the analyses that do not
+depend on a memory budget: its backward bundle
 (``autodiff.backward_of``) and, for the last parameter binding planned, its
 forwarded values and memory sequences (``checkpointing.plan``). So neither a
 graph nor a program may be edited after it is built; ``dataclasses.replace``
@@ -33,7 +35,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Iterator, Union
+from typing import Any, Callable, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -54,7 +56,9 @@ from .symexpr import (
     Index,
     Name,
     Unary,
+    compile_expr,
     contains_compare_or_index,
+    count_ops,
     eval_expr,
     free_names,
     is_condition,
@@ -140,6 +144,7 @@ class LibraryNode:
     tb: bool = False
     group: str | None = None
     expr: Expr | None = None
+    _step: "LibraryStep | None" = field(default=None, init=False, repr=False, compare=False)  # see library_steps
 
 
 @dataclass
@@ -212,6 +217,7 @@ class Dataflow:
     nodes: list[Node] = field(default_factory=list)
     edges: list[Memlet] = field(default_factory=list)
     _order: tuple[Node, ...] | None = field(default=None, init=False, repr=False, compare=False)  # see schedule
+    _steps: dict | None = field(default=None, init=False, repr=False, compare=False)  # see library_steps
 
     def node(self, node_id: str) -> Node:
         for n in self.nodes:
@@ -394,6 +400,71 @@ def schedule(df: Dataflow) -> tuple[Node, ...]:
         raise ValueError("cycle in state dataflow graph")
     df._order = tuple(order)
     return df._order
+
+
+@dataclass(frozen=True)
+class LibraryStep:
+    """What a run of a library node takes from its graph: ``(connector,
+    array)`` per in-edge and ``(array, wcr)`` per out-edge, in edge order.
+    An elementwise node also has ``fn``, its :func:`library_expr` compiled
+    over a dict of operands by connector (``symexpr.compile_expr``), and
+    ``ops``, the expression's operator count. Both stay None for a node
+    whose expression does not compile, so it fails where it runs or is
+    counted, as it did before it was prepared."""
+
+    ins: tuple[tuple[str, str], ...]
+    outs: tuple[tuple[str, str | None], ...]
+    fn: Callable[[dict], Any] | None = None
+    ops: int | None = None
+
+
+def library_steps(df: Dataflow) -> dict[str, LibraryStep]:
+    """The step of each library node of the graph, by node id, prepared on
+    first use from one pass over the edges and kept with the graph, as
+    :func:`schedule` keeps its order. Shapes, dtypes and the batch are not
+    part of a step, so every run and every program sharing the graph
+    shares it. A node also keeps its last step, which a graph that gives
+    the node the same edges (a state rebuilt around new nodes) reuses."""
+    if df._steps is not None:
+        return df._steps
+    libs = [n for n in df.nodes if isinstance(n, LibraryNode)]
+    ins: dict[str, list] = {n.id: [] for n in libs}
+    outs: dict[str, list] = {n.id: [] for n in libs}
+    for e in df.edges:
+        if e.dst in ins:
+            ins[e.dst].append((e.dst_conn, e.data))
+        if e.src in outs:
+            outs[e.src].append((e.data, e.wcr))
+    steps = {}
+    for n in libs:
+        step, n_ins, n_outs = n._step, tuple(ins[n.id]), tuple(outs[n.id])
+        if step is None or step.ins != n_ins or step.outs != n_outs:
+            fn = ops = None
+            if n.kind not in ("matmul", "reduce_sum"):
+                try:
+                    expr = library_expr(n)
+                    fn, ops = compile_expr(expr, {c for c, _ in n_ins}), count_ops(expr)
+                except (DomainError, TypeError):
+                    pass  # a malformed node fails where it runs or is counted
+            step = n._step = LibraryStep(n_ins, n_outs, fn, ops)
+        steps[n.id] = step
+    df._steps = steps
+    return steps
+
+
+def prepare_steps(region: list[Block]) -> None:
+    """Prepare the library steps of every graph in ``region``, map bodies
+    included, so that no run allocates them."""
+
+    def prepare(df: Dataflow):
+        library_steps(df)
+        for n in df.nodes:
+            if isinstance(n, MapNode):
+                prepare(n.body)
+
+    for _, block in walk_blocks(region):
+        if isinstance(block, State):
+            prepare(block.graph)
 
 
 # ---------------------------------------------------------------------------
@@ -745,9 +816,11 @@ def validate(program: Program) -> list[Diagnostic]:
         # connector wiring
         in_count: dict[tuple[str, str], int] = {}
         out_count: dict[tuple[str, str], int] = {}
+        dangling = False
         for e in df.edges:
             if e.src not in by_id or e.dst not in by_id:
                 add(Diagnostic("UnknownNode", f"edge references '{e.src}'->'{e.dst}'", where))
+                dangling = True
                 continue
             src, dst = by_id[e.src], by_id[e.dst]
             if isinstance(src, AccessNode) == isinstance(dst, AccessNode):
@@ -805,6 +878,8 @@ def validate(program: Program) -> list[Diagnostic]:
                 if out_count.get((n.id, c), 0) != 1:
                     add(Diagnostic("ArityMismatch", f"'{n.id}' output '{c}' has {out_count.get((n.id, c), 0)} edges", where))
 
+        if dangling:
+            return  # a graph with an edge to a missing node cannot be ordered
         try:
             schedule(df)
         except ValueError:

@@ -18,11 +18,13 @@ The whole-array elementwise library ops are defined by these expressions too
 (``ir.library_expr``), so the op and domain-check tables below are the only
 evaluators of scalar operators in the package; ``python_source`` turns an
 expression into Python that calls the same entries (add, sub, mul and neg
-are the plain operators the entries apply).
+are the plain operators the entries apply), and ``compile_expr`` compiles
+that once per expression text.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -199,9 +201,13 @@ def python_source(expr: Expr, local: Callable[[str], str]) -> str:
     ``local(name)`` naming the variable that holds each name's value.
     add/sub/mul/neg become operators inside the tree's own parentheses;
     every other op calls its table entry, ``B_<op>(x, y)`` or ``U_<op>(x)``
-    in :data:`SOURCE_NAMESPACE`, so its domain checks still run."""
+    in :data:`SOURCE_NAMESPACE`, so its domain checks still run. A constant
+    that is not a plain int or float (a numpy scalar, whose type takes part
+    in the arithmetic) raises TypeError."""
     if isinstance(expr, Const):
         v = expr.value
+        if v.__class__ not in (int, float):
+            raise TypeError(f"cannot compile {expr!r}")
         return repr(v) if math.isfinite(v) else f"float('{v!r}')"
     if isinstance(expr, Name):
         return local(expr.id)
@@ -215,10 +221,29 @@ def python_source(expr: Expr, local: Callable[[str], str]) -> str:
     raise TypeError(f"cannot compile {expr!r}")
 
 
+def _unbound(name: str):
+    raise UnboundName(f"no binding for '{name}'")
+
+
 SOURCE_NAMESPACE = {
     **{f"B_{op}": fn for op, fn in _BINARY_FNS.items()},
     **{f"U_{op}": fn for op, fn in _UNARY_FNS.items()},
+    "_unbound": _unbound,
 }
+
+
+def compile_expr(expr: Expr, names) -> Callable[[dict], Value]:
+    """A function of a dict of values by name that evaluates ``expr`` like
+    :func:`eval_expr`: a name outside ``names`` raises ``UnboundName`` where
+    it is read. Compiled through :func:`python_source`, once per source
+    text, which tells ``0.0`` from ``-0.0`` where expression equality does
+    not."""
+    return _compiled(python_source(expr, lambda n: f"v[{n!r}]" if n in names else f"_unbound({n!r})"))
+
+
+@functools.lru_cache(maxsize=4096)
+def _compiled(source: str) -> Callable[[dict], Value]:
+    return eval(compile(f"lambda v: {source}", "<library expression>", "eval"), dict(SOURCE_NAMESPACE))
 
 
 # ---------------------------------------------------------------------------

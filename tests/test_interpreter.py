@@ -19,6 +19,7 @@ from gradflow import (
     reverse_loop_header,
     run_backward,
     run_forward,
+    run_planned,
     sample_inputs,
     simulate_memory,
 )
@@ -984,3 +985,130 @@ def test_reverse_run_consumes_the_snapshots_it_reads(rng):
     x = np.linspace(0.5, 1.5, 5)
     tape = run_forward(examples.build("exp_sin_chain"), {"X": x}, {"n": 5}, record={("X", 0)}).tape
     assert tape.values[("X", 0, ())] is x
+
+
+# ---------------------------------------------------------------------------
+# prepared library steps: kept with each graph, shared by every run
+
+
+def _kept_steps(*programs) -> dict:
+    """id of each graph holding a library node, map bodies included -> the
+    id of its kept steps, or None before they are prepared."""
+    out = {}
+
+    def visit(df):
+        if any(isinstance(n, ir.LibraryNode) for n in df.nodes):
+            out[id(df)] = None if df._steps is None else id(df._steps)
+        for n in df.nodes:
+            if isinstance(n, ir.MapNode):
+                visit(n.body)
+
+    for program in programs:
+        for _, block in ir.walk_blocks(program.region):
+            if isinstance(block, ir.State):
+                visit(block.graph)
+    return out
+
+
+def _same_gradient(a, b):
+    assert np.array_equal(a.value, b.value)
+    assert a.grads.keys() == b.grads.keys()
+    for name in a.grads:
+        assert np.array_equal(a.grads[name], b.grads[name]), name
+
+
+@pytest.mark.parametrize("name", sorted(examples.EXAMPLES) + ["sin_chain"])
+def test_prepared_steps_give_every_run_the_same_results(name):
+    # the first gradient() prepares the steps of the program and its
+    # backward, both arms of a branch included, and plan() those of the
+    # graphs it builds; later runs and the planned replays reuse them, never
+    # prepare them again, and agree bit for bit with the first run, and the
+    # op counts with count_flops
+    build = (lambda: genprog.sin_chain(5)) if name == "sin_chain" else (lambda: examples.build(name))
+    fresh, program = build(), build()
+    params = {} if name == "sin_chain" else examples.DEFAULT_PARAMS[name]
+    kept = None
+    for inputs in _each_arm(program, params, 11):
+        first = gradient(program, inputs, params)
+        kept = kept or _kept_steps(program, first.bundle.backward)
+        assert None not in kept.values()
+        second = gradient(program, inputs, params)
+        _same_gradient(first, second)
+        assert (second.forward.op_count, second.backward.op_count) == (first.forward.op_count, first.backward.op_count)
+        _count_matches_run(program, params, inputs)
+        keep_all = plan(program, None, params)
+        budgets = [None, 0.6 * keep_all.solution.t_star / (1 << 20)] if name == "sin_chain" else [None]
+        for limit in budgets:
+            planned = plan(program, limit, params)
+            assert None not in _kept_steps(planned.forward, planned.backward).values()
+            replays = [run_planned(planned, inputs, params) for _ in range(2)]
+            for replay in replays:
+                _same_gradient(first, replay)
+            assert replays[0].forward.op_count == replays[1].forward.op_count
+            assert replays[0].backward.op_count == replays[1].backward.op_count
+    assert _kept_steps(program, first.bundle.backward) == kept
+    assert count_flops(program, params) == count_flops(fresh, params)
+    assert count_flops(first.bundle.backward, params) == count_flops(build_backward(fresh).backward, params)
+
+
+def test_prepared_steps_serve_batched_and_single_runs_alike(rng):
+    p = genprog.sin_chain(4, side=3)
+    xs = rng.uniform(0.4, 1.6, (2, 3, 3))
+    singles = [gradient(p, {"X": x}, {}) for x in xs]
+    batched = gradient(p, {"X": xs}, {})
+    assert np.array_equal(batched.value, np.stack([s.value for s in singles]))
+    assert np.array_equal(batched.grads["X"], np.stack([s.grads["X"] for s in singles]))
+    assert batched.forward.op_count == singles[0].forward.op_count
+    _same_gradient(gradient(p, {"X": xs[1]}, {}), singles[1])
+
+
+def _library_in_a_map():
+    """O = sum over i of sin(X)[i]^2, with the sin a library node in the
+    map body, so the body's nest calls it back at every point."""
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.array("Y", ("n",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+
+    def point(inner):
+        inner.library("ew_unary", {"x": "X"}, {"y": "Y"}, op="sin")
+        inner.tasklet(ins={"a": ("Y", ("i",))}, outs={"o": ("O", ())}, body={"o": "(mul a a)"}, wcr="sum")
+
+    with b.state("s") as s:
+        s.map_node(("i",), (("0", "n", "1"),), point)
+    return b.finish("O", ["X"])
+
+
+def test_a_library_node_in_a_map_body_runs_its_kept_step(rng):
+    p, x = _library_in_a_map(), rng.uniform(0.4, 1.6, 4)
+    runs = [run_forward(p, {"X": x}, {"n": 4}) for _ in range(2)]
+    body = next(n.body for n in p.region[0].graph.nodes if isinstance(n, ir.MapNode))
+    assert body._steps is not None
+    ref = 0.0
+    for v in np.sin(x):
+        ref += v * v
+    assert runs[0].value == runs[1].value == ref
+    # 4 points, each a sin over 4 elements and one multiply
+    assert runs[0].op_count == runs[1].op_count == count_flops(p, {"n": 4})[()] == 20
+
+
+def test_a_prepared_step_keeps_error_classes_and_messages():
+    shaped = _scaled_by_scalar("(add n 1)")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ShapeMismatch) as exc:
+            run_forward(shaped, {"X": np.ones(4), "s": 2.0}, {"n": 4})
+        messages.append(str(exc.value))
+    assert messages == ["'n1': operand 'a' has shape (4,), output (5,)"] * 2
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.array("Y", ("n",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("s") as s:
+        s.library("ew_unary", {"x": "X"}, {"y": "Y"}, op="log")
+        s.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+    logs = b.finish("O", ["X"])
+    for _ in range(2):
+        with pytest.raises(DomainError, match=r"^log of non-positive value$"):
+            gradient(logs, {"X": np.array([1.0, -2.0])}, {"n": 2})
+        assert gradient(logs, {"X": np.array([1.0, 2.0])}, {"n": 2}).value == math.log(2.0)

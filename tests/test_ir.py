@@ -1,10 +1,12 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
 import gradflow.examples as examples
 import gradflow.ir as ir
-from gradflow import plan, size_bytes, validate
-from gradflow.errors import Infeasible, NonTermination
+from gradflow import parse_program, plan, serialize_program, size_bytes, validate
+from gradflow.errors import Infeasible, NonTermination, ValidationFailed
 from gradflow.ir import (
     AccessNode,
     Conditional,
@@ -175,6 +177,17 @@ def test_schedule_is_kept_with_its_graph(name):
 def test_corpus_validates_clean():
     for name in examples.EXAMPLES:
         assert validate(examples.build(name)) == []
+
+
+def test_a_dangling_edge_is_reported_not_raised():
+    # parsed, so the graph has no kept schedule: validate must not order it
+    doc = json.loads(serialize_program(examples.scaled_product_chain()))
+    doc["region"][0]["edges"][0]["src"] = "nope"
+    program = parse_program(json.dumps(doc))
+    codes = [d.code for d in validate(program)]
+    assert "UnknownNode" in codes and "CycleInState" not in codes
+    with pytest.raises(ValidationFailed):
+        ir.validate_or_raise(program)
 
 
 def test_pristine_inputs():
