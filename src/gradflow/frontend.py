@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .errors import ProgramSyntaxError, UnsupportedLoop, ValidationFailed
 from .ir import (
     AccessNode,
@@ -33,7 +35,7 @@ from .ir import (
     peel_diagnostics,
     validate,
 )
-from .symexpr import Expr, parse_sexpr, to_sexpr
+from .symexpr import Binary, Const, Expr, Index, Unary, parse_sexpr, to_sexpr
 
 FORMAT_VERSION = 1
 
@@ -423,7 +425,7 @@ class ProgramBuilder:
         return f"{prefix}{self._counter}"
 
     def array(self, name: str, shape, role: str = "intermediate", kind: str = "real32") -> str:
-        exprs = tuple(parse_sexpr(s) if isinstance(s, str) else s for s in shape)
+        exprs = tuple(map(_built, shape))
         self.descriptors[name] = DataDescriptor(name, kind, exprs, role)
         return name
 
@@ -437,18 +439,14 @@ class ProgramBuilder:
 
     def loop(self, iterator: str, init, bound, cmp: str = "<", update=None,
              label: str | None = None) -> "_LoopCtx":
-        def ex(v):
-            return parse_sexpr(v) if isinstance(v, str) else v
-
         update = update if update is not None else f"(add {iterator} 1)"
         return _LoopCtx(
             self,
-            LoopRegion(label or self.fresh("l"), iterator, ex(init), ex(bound), cmp, ex(update)),
+            LoopRegion(label or self.fresh("l"), iterator, _built(init), _built(bound), cmp, _built(update)),
         )
 
     def branch(self, condition, label: str | None = None) -> "_BranchCtx":
-        cond = parse_sexpr(condition) if isinstance(condition, str) else condition
-        return _BranchCtx(self, Conditional(label or self.fresh("b"), cond))
+        return _BranchCtx(self, Conditional(label or self.fresh("b"), _built(condition)))
 
     # -- dataflow (valid only inside a state context) ------------------------
 
@@ -478,7 +476,7 @@ class ProgramBuilder:
                 body: dict[str, str], wcr: str | None = None, group: str | None = None) -> str:
         g = self._need_graph()
         nid = self.fresh("t")
-        parsed = {k: parse_sexpr(v) if isinstance(v, str) else v for k, v in body.items()}
+        parsed = {k: _built(v) for k, v in body.items()}
         read_nodes = {conn: self.read(data) for conn, (data, _) in ins.items()}
         g.nodes.append(Tasklet(nid, tuple(ins), tuple(outs), parsed, group))
         for conn, (data, subset) in ins.items():
@@ -514,9 +512,7 @@ class ProgramBuilder:
         build_body(inner)
         self._counter = inner._counter
         body = inner._graph
-        rng = tuple(
-            tuple(parse_sexpr(p) if isinstance(p, str) else p for p in r) for r in ranges
-        )
+        rng = tuple(tuple(map(_built, r)) for r in ranges)
         from .ir import data_read, data_written
 
         g.nodes.append(MapNode(nid, tuple(params), rng, body, group))
@@ -539,7 +535,24 @@ class ProgramBuilder:
 
 
 def _subset(subset) -> tuple[Expr, ...]:
-    return tuple(parse_sexpr(s) if isinstance(s, str) else s for s in subset)
+    return tuple(map(_built, subset))
+
+
+def _built(v) -> Expr:
+    """An expression given to the builder: s-expression text, or an
+    ``Expr`` whose numpy-scalar constants become the Python numbers
+    ``.item()`` gives (``validate`` rejects any other constant)."""
+    if isinstance(v, str):
+        return parse_sexpr(v)
+    if isinstance(v, Const):
+        return Const(v.value.item()) if isinstance(v.value, np.generic) else v
+    if isinstance(v, Unary):
+        return Unary(v.op, _built(v.x))
+    if isinstance(v, Binary):
+        return Binary(v.op, _built(v.x), _built(v.y))
+    if isinstance(v, Index):
+        return Index(v.base, tuple(map(_built, v.indices)))
+    return v
 
 
 class _StateCtx:

@@ -23,7 +23,14 @@ simulated iterates, with no branch, state-level library node, forwarded read
 or tape record inside. Any other loop runs block by block, its body's
 tasklets and maps still as nests. A nest inlines index arithmetic and bounds
 checks, reads an array without batch axes as ``arr[i, j]`` and a batched one
-as ``arr[..., i, j]``. A library node runs once on whole arrays, from the
+as ``arr[..., i, j]``. A loop or map nest whose arrays are all real64 and
+whose tasklet bodies use only add, sub, mul, neg, names and int or float
+constants (which round alike on Python floats and numpy scalars) reads and
+writes an array without batch axes whose buffer is C-contiguous through a
+flat memoryview of that buffer, at offsets whose outer share is summed once
+per outer iterate; a bounds check on an ``iterator ± const`` index becomes
+one min/max test where the loop's iterates are fetched, and a point whose
+test failed runs the checked path, which raises as before. A library node runs once on whole arrays, from the
 step its graph keeps (``ir.library_steps``): the arrays of its in- and
 out-edges, and for an elementwise node its expression (``ir.library_expr``)
 compiled once and its operator count. The run adds the shapes, dtypes and
@@ -146,15 +153,16 @@ _NEST_ORDINAL = itertools.count()
 @functools.lru_cache(maxsize=4096)
 def _compiled_tasklet(key: tuple) -> Callable:
     """One generated Python function per nest structure, shared by every
-    executor. ``key`` is ``(item, shapes)``: ``shapes`` gives each array's
-    resolved shape (None: undeclared) and ``item`` is one of
-    ``("tasklet", ins, outs, ops)`` (``(data, subset, connector)`` per
+    executor. ``key`` is ``(item, arrays)``: ``arrays`` gives each array's
+    resolved shape (None: undeclared) and element kind, and ``item`` is one
+    of ``("tasklet", ins, outs, ops)`` (``(data, subset, connector)`` per
     in-edge, ``(data, subset, body, wcr)`` per out-edge), ``("map", id,
     params, ranges, items)``, ``("loop", j, iterator, reversed, header,
     items)`` (``header`` the names it reads) or ``("library", j, outs)``
     (a library node in a map body). Returns ``nest(read, write, b,
     iterates, loops, libs)``, which runs the nest and returns its operator
-    count: each level adds its tasklets' operators times its points.
+    count: each level adds its tasklets' operators times its points. The
+    function keeps its generated text as ``nest.source``.
 
     A loop runs at the iterates ``visit_positions`` picks from
     ``iterates(loops[j], ...)``, fetched on every entry when its header
@@ -170,18 +178,45 @@ def _compiled_tasklet(key: tuple) -> Callable:
     computed once per point. An array without batch axes is read as
     ``arr[i, j]``, an immutable scalar; a batched one as ``arr[..., i, j]``,
     copied, since a rank-0 read aliases the array an output may overwrite.
+
+    Direct access: in a loop or map nest whose arrays are all real64 and
+    whose tasklet bodies are all exact (``_exact``: add, sub, mul and neg
+    round alike on Python floats and numpy scalars), fetching an array
+    without batch axes also takes its direct handle (``_view``): a flat
+    memoryview of its own C-contiguous buffer, or at rank 0 the array
+    itself. A point whose arrays all have one, and whose levels' hoisted
+    checks passed, reads and writes through the handles at flat offsets.
+    An ``iterator ± const`` index is checked per dimension where its
+    loop's iterates or its map's range are fetched, as one min/max test
+    per level, and its share of the offset is summed once per iterate of
+    the level that owns it. A constant index in range needs no check, and
+    any other index is computed and checked at the point as above. Every
+    other point runs the checked body above, so an error is raised at the
+    same point with the same message.
     """
-    item, shapes = key
-    shape = dict(shapes)
+    item, described = key
+    shape = {name: dims for name, dims, _ in described}
     arrays = {name: f"a{k}" for k, name in enumerate(shape)}
-    entry = [f"{v} = None" for v in arrays.values()]
-    lines: list[str] = []
+    views = {}
+    if item[0] != "tasklet" and all(kind == "real64" for *_, kind in described) and _exact_item(item):
+        views = {name: f"v{k}" for k, name in enumerate(shape)}
+    entry = [f"{v} = None" for v in (*arrays.values(), *views.values())]
+    lines: list = []  # source lines, and callables giving lines known once the whole nest is emitted
     bound: dict[str, str] = {}
     fresh = itertools.count()
     written = _item_writes(item)
+    # per level of a direct nest, by its iterator's variable: the enclosing
+    # level, the hoisted checks as (const, size) and the per-iterate lines
+    up: dict[str, str | None] = {}
+    checks: dict[str, list] = {}
+    per_iterate: dict[str, list] = {}
+    partials: dict[tuple, str] = {}
 
     def emit(d: int, text: str):
         lines.append("    " * d + text)
+
+    def later(d: int, make: Callable[[], list]):
+        lines.append(lambda: ["    " * d + text for text in make()])
 
     def source(e, scope: dict) -> str:
         def local(name: str) -> str:
@@ -193,11 +228,46 @@ def _compiled_tasklet(key: tuple) -> Callable:
             return f"({bound[name]} if {bound[name]} is not _UNSET else _unbound({name!r}))"
         return python_source(e, local)
 
-    def tasklet(it: tuple, scope: dict, d: int):
+    def index(e, size: int, data: str, scope: dict, indices: dict, d: int) -> str:
+        """The variable holding index ``e`` into a dimension of ``size``,
+        computed and checked once per point."""
+        if (e, size) not in indices:
+            var = scope.get(e.id) if isinstance(e, Name) else None
+            if var is None:
+                var = f"x{next(fresh)}"
+                emit(d, f"{var} = {source(e, scope)}")
+            if not _int_valued(e, scope):
+                what = "subset of '" + data + "'"
+                emit(d, f"if {var}.__class__ is not int:")
+                emit(d + 1, f"{var} = uniform_int({var}, {what!r})")
+            emit(d, f"if not 0 <= {var} < {size}:")
+            emit(d + 1, f"_out_of_bounds({data!r}, {var}, {size})")
+            indices[(e, size)] = var
+        return indices[(e, size)]
+
+    def result(body, conns: dict, results: dict, d: int, convert: bool = False) -> str:
+        res = results.get(body)
+        if res is None:  # a body name with no in-edge raises where the body runs
+            res = results[body] = f"r{next(fresh)}"
+            src = python_source(body, lambda n: conns.get(n, f"_unbound({n!r})"))
+            emit(d, f"{res} = float({src})" if convert else f"{res} = {src}")
+        return res
+
+    def tasklet(it: tuple, scope: dict, d: int, level: str | None):
         _, ins, outs, _ = it
         missing = [data for data, *_ in ins + outs if shape[data] is None]
         if missing:
             return emit(d, f"_no_value({missing[0]!r})")
+        if level is None:
+            return checked(it, scope, d)
+        touched = dict.fromkeys(data for data, *_ in ins + outs)
+        emit(d, f"if {' and '.join([f'ok_{level}'] + [f'{views[a]} is not None' for a in touched])}:")
+        direct(it, scope, d + 1, level)
+        emit(d, "else:")
+        checked(it, scope, d + 1)
+
+    def checked(it: tuple, scope: dict, d: int):
+        _, ins, outs, _ = it
         fetched: set[str] = set()
         indices: dict[tuple, str] = {}
         conns: dict[str, str] = {}
@@ -210,33 +280,16 @@ def _compiled_tasklet(key: tuple) -> Callable:
                 emit(d, f"if {arr} is None:")
                 emit(d + 1, f"{arr} = {fetch}({data!r})")
                 emit(d + 1, f"{arr}_flat = {arr}.ndim == {len(shape[data])}")
-            names = []
-            for k, e in enumerate(subset):
-                size = shape[data][k]
-                if (e, size) not in indices:
-                    var = scope.get(e.id) if isinstance(e, Name) else None
-                    if var is None:
-                        var = f"x{next(fresh)}"
-                        emit(d, f"{var} = {source(e, scope)}")
-                    if not _int_valued(e, scope):
-                        what = "subset of '" + data + "'"
-                        emit(d, f"if {var}.__class__ is not int:")
-                        emit(d + 1, f"{var} = uniform_int({var}, {what!r})")
-                    emit(d, f"if not 0 <= {var} < {size}:")
-                    emit(d + 1, f"_out_of_bounds({data!r}, {var}, {size})")
-                    indices[(e, size)] = var
-                names.append(indices[(e, size)])
-            return arr, ", ".join(names)
+                if views:
+                    emit(d + 1, f"{views[data]} = _view({arr}, {len(shape[data])})")
+            return arr, ", ".join(index(e, shape[data][k], data, scope, indices, d) for k, e in enumerate(subset))
 
         for data, subset, conn in ins:
             arr, idx = access(data, subset, "read")
             var = conns[conn] = f"c{next(fresh)}"
             emit(d, f"{var} = {arr}[{idx or '()'}] if {arr}_flat else _copy({arr}[..., {idx}])")
         for data, subset, body, wcr in outs:
-            res = results.get(body)
-            if res is None:  # a body name with no in-edge raises where the body runs
-                res = results[body] = f"r{next(fresh)}"
-                emit(d, f"{res} = {python_source(body, lambda n: conns.get(n, f'_unbound({n!r})'))}")
+            res = result(body, conns, results, d)
             arr, idx = access(data, subset, "write")
             op = "+=" if wcr == "sum" else "="
             emit(d, f"if {arr}_flat:")
@@ -244,45 +297,142 @@ def _compiled_tasklet(key: tuple) -> Callable:
             emit(d, "else:")
             emit(d + 1, f"{arr}[..., {idx}] {op} {res}")
 
+    def direct(it: tuple, scope: dict, d: int, level: str):
+        """A point through the direct handles, its hoisted checks passed:
+        what may still fail runs in the checked body's order."""
+        _, ins, outs, _ = it
+        indices: dict[tuple, str] = {}
+        offsets: dict[str, str] = {}
+        conns: dict[str, str] = {}
+        results: dict = {}
+
+        def element(data: str, subset) -> str:
+            dims = shape[data]
+            if not dims:
+                return f"{views[data]}[()]"
+            const, outer, terms = 0, [], []
+            for k, e in enumerate(subset):
+                size, stride = dims[k], math.prod(dims[k + 1:])
+                shift = _affine(e, scope)
+                if isinstance(e, Const) and e.value.__class__ is int and 0 <= e.value < size:
+                    const += e.value * stride
+                elif shift is not None:
+                    var, c = shift
+                    checks[var].append((c, size))
+                    const += c * stride
+                    if var == level:
+                        terms.append(_times(var, stride))
+                    else:
+                        outer.append((var, stride))
+                else:
+                    terms.append(_times(index(e, size, data, scope, indices, d), stride))
+            if outer:
+                terms.insert(0, partial(outer))
+            if len(terms) > 1:
+                text = " + ".join(terms)
+                if text not in offsets:
+                    offsets[text] = f"o{next(fresh)}"
+                    emit(d, f"{offsets[text]} = {text}")
+                terms = [offsets[text]]
+            if not terms:
+                return f"{views[data]}[{const}]"
+            return f"{views[data]}[{terms[0]}{const:+d}]" if const else f"{views[data]}[{terms[0]}]"
+
+        for data, subset, conn in ins:
+            ref = element(data, subset)
+            var = conns[conn] = f"c{next(fresh)}"
+            emit(d, f"{var} = {ref}")
+        for data, subset, body, wcr in outs:
+            # a body of constants alone may be an int: converted as a numpy
+            # store converts it, one too large for a double raises alike
+            res = result(body, conns, results, d, convert=not free_names(body))
+            emit(d, f"{element(data, subset)} {'+=' if wcr == 'sum' else '='} {res}")
+
+    def partial(terms: list) -> str:
+        """The variable holding the sum of ``(iterator, stride)`` terms of
+        enclosing levels: each partial sum is taken once per iterate of the
+        innermost level it reads."""
+        depth = {v: k for k, v in enumerate(up)}  # a level opens after the levels around it
+        var = None
+        terms = sorted(terms, key=lambda t: depth[t[0]])
+        for k, (v, stride) in enumerate(terms):
+            key = tuple(terms[: k + 1])
+            if key not in partials:
+                if var is None and stride == 1:
+                    partials[key] = v
+                else:
+                    partials[key] = f"h{next(fresh)}"
+                    term = _times(v, stride)
+                    per_iterate[v].append(f"{partials[key]} = {term if var is None else f'{var} + {term}'}")
+            var = partials[key]
+        return var
+
+    def open_level(var: str, level: str | None):
+        up[var], checks[var], per_iterate[var] = level, [], []
+
+    def bounded(var: str, test: str) -> str:
+        """``test`` with the bounds the iterates of ``var``'s level must keep
+        to for every check hoisted to it."""
+        return test.format(lo=max(-c for c, _ in checks[var]), hi=min(size - 1 - c for c, size in checks[var]))
+
+    def ok(var: str, test: str) -> list[str]:
+        """``ok_<var>``: every hoisted check of this level and the levels
+        around it passes."""
+        outer = f"ok_{up[var]}" if up[var] else "True"
+        return [f"ok_{var} = {outer} and {bounded(var, test)}" if checks[var] else f"ok_{var} = {outer}"]
+
     def count(items: tuple, d: int, seq: str | None = None):
         ops = sum(it[3] for it in items if it[0] == "tasklet")
         if ops:
             emit(d, f"ops += len({seq}) * {ops}" if seq else f"ops += {ops}")
 
-    def body(items: tuple, scope: dict, d: int):
+    def body(items: tuple, scope: dict, d: int, level: str | None):
         start = len(lines)
         for it in items:
-            emitters[it[0]](it, scope, d)
-        if len(lines) == start:
+            emitters[it[0]](it, scope, d, level)
+        if not any(isinstance(x, str) for x in lines[start:]):
             emit(d, "pass")
 
-    def mapping(it: tuple, scope: dict, d: int, k: int = 0):
+    def mapping(it: tuple, scope: dict, d: int, level: str | None, k: int = 0):
         _, mid, params, ranges, items = it
         if k == len(params):
             count(items, d)
-            return body(items, scope, d)
+            return body(items, scope, d, level)
         seq, var, last = f"g{next(fresh)}", f"i{next(fresh)}", k + 1 == len(params)
         emit(d, f"{seq} = _map_range({mid!r}, {', '.join(source(e, scope) for e in ranges[k])})")
+        if views:  # a range with a positive step: its first and last values bound it
+            open_level(var, level)
+            later(d, lambda: ok(var, f"(not {seq} or ({{lo}} <= {seq}[0] and {seq}[-1] <= {{hi}}))"))
         if last:
             count(items, d, seq)
         emit(d, f"for {var} in {seq}:")
-        inner = {**scope, params[k]: var}
+        if views:
+            later(d + 1, lambda: per_iterate[var])
+        inner, within = {**scope, params[k]: var}, var if views else None
         if last:
-            body(items, inner, d + 1)
+            body(items, inner, d + 1, within)
         else:
-            mapping(it, inner, d + 1, k + 1)
+            mapping(it, inner, d + 1, within, k + 1)
 
-    def loop(it: tuple, scope: dict, d: int):
+    def loop(it: tuple, scope: dict, d: int, level: str | None):
         _, j, iterator, reverse, header, items = it
         seq, var = f"s{j}", f"i{next(fresh)}"
         passed = ", ".join(f"{n!r}: {scope[n]}" for n in header if n in scope)
         call = f"iterates(loops[{j}], {{{passed}}})" if passed else f"iterates(loops[{j}])"
+        test = f"(not {seq} or ({{lo}} <= min({seq}) and max({seq}) <= {{hi}}))"
+        if views:
+            open_level(var, level)
         if not scope or any(n in scope or n in written for n in header):
             emit(d, f"{seq} = {call}")
+            if views:
+                later(d, lambda: ok(var, test))
         else:  # the same iterates at every entry
             entry.append(f"{seq} = None")
             emit(d, f"if {seq} is None:")
             emit(d + 1, f"{seq} = {call}")
+            if views:  # and the same test of them, kept in k<j>
+                later(d + 1, lambda: [f"k{j} = {bounded(var, test)}"] if checks[var] else [])
+                later(d, lambda: ok(var, f"k{j}"))
         if reverse:
             emit(d, f"p{j} = _visit(loops[{j}], len({seq}))")
             count(items, d, f"p{j}")
@@ -291,30 +441,91 @@ def _compiled_tasklet(key: tuple) -> Callable:
         else:
             count(items, d, seq)
             emit(d, f"for {var} in {seq}:")
-        body(items, {**scope, iterator: var}, d + 1)
+        if views:
+            later(d + 1, lambda: per_iterate[var])
+        body(items, {**scope, iterator: var}, d + 1, var if views else None)
 
-    def library(it: tuple, scope: dict, d: int):
+    def library(it: tuple, scope: dict, d: int, level: str | None):
         _, j, outs = it
         emit(d, f"libs[{j}]()")
         for data in outs:  # a library node may replace the array
             if data in arrays:
                 emit(d, f"{arrays[data]} = None")
+                if views:
+                    emit(d, f"{views[data]} = None")
 
     emitters = {"tasklet": tasklet, "map": mapping, "loop": loop, "library": library}
     count((item,), 1)
-    body((item,), {}, 1)
+    body((item,), {}, 1, None)
+    text = [s for x in lines for s in (x() if callable(x) else (x,))]
     src = "\n".join(["def nest(read, write, b, iterates, loops, libs):", "    ops = 0"]
-                    + ["    " + s for s in entry] + lines + ["    return ops"])
+                    + ["    " + s for s in entry] + text + ["    return ops"])
     ns = {
         **SOURCE_NAMESPACE, "uniform_int": uniform_int, "_copy": _copy_element,
         "_out_of_bounds": _out_of_bounds, "_no_value": _no_value,
         "_map_range": _map_range, "_visit": visit_positions, "_UNSET": _UNSET,
+        "_view": _view,
     }
     # a map by its id, a loop by its iterator, a tasklet by what it writes
     root = item[1] if item[0] == "map" else item[2] if item[0] == "loop" else ",".join(sorted(written))
     filename = f"<nest {next(_NEST_ORDINAL)}: {item[0]} {root}>"
     exec(compile(src, filename, "exec"), ns)
-    return ns["nest"]
+    nest = ns["nest"]
+    nest.source = src
+    return nest
+
+
+def _exact(e) -> bool:
+    """Whether ``e`` rounds alike on Python floats and on numpy float64
+    scalars: names and int or float constants under add, sub, mul and neg,
+    which IEEE 754 rounds the same in both."""
+    if isinstance(e, Name):
+        return True
+    if isinstance(e, Const):
+        return e.value.__class__ in (int, float)
+    if isinstance(e, Unary):
+        return e.op == "neg" and _exact(e.x)
+    if isinstance(e, Binary):
+        return e.op in ("add", "sub", "mul") and _exact(e.x) and _exact(e.y)
+    return False
+
+
+def _exact_item(item: tuple) -> bool:
+    """Whether every tasklet body of a nest item is ``_exact``."""
+    if item[0] == "tasklet":
+        return all(_exact(body) for _, _, body, _ in item[2])
+    return item[0] == "library" or all(map(_exact_item, item[-1]))
+
+
+def _affine(e, scope: dict) -> tuple[str, int] | None:
+    """``(variable, c)`` when index ``e`` is an iterator or map parameter
+    plus or minus an int constant ``c``, else None."""
+    if isinstance(e, Name):
+        return (scope[e.id], 0) if e.id in scope else None
+    if not isinstance(e, Binary) or e.op not in ("add", "sub"):
+        return None
+    x, y = (e.y, e.x) if e.op == "add" and isinstance(e.x, Const) else (e.x, e.y)
+    if isinstance(x, Name) and x.id in scope and isinstance(y, Const) and y.value.__class__ is int:
+        return scope[x.id], y.value if e.op == "add" else -y.value
+    return None
+
+
+def _times(var: str, stride: int) -> str:
+    return var if stride == 1 else f"{var} * {stride}"
+
+
+def _view(arr: np.ndarray, rank: int):
+    """The direct handle of a fetched array, or None when it has batch axes
+    or is not a C-contiguous float64 buffer: a flat memoryview of the
+    array's own buffer, so writes through it need no write-back, or at rank
+    0 the array itself (a view would cost more than it saves)."""
+    if arr.ndim != rank:
+        return None
+    if not rank:
+        return arr
+    if arr.dtype != np.float64 or not arr.flags.c_contiguous:
+        return None
+    return arr.data.cast("B").cast("d")
 
 
 def _release(entries):
@@ -701,8 +912,8 @@ class Executor:
             return None
         loops, libs, names = acc
         desc = self.program.descriptors
-        shapes = tuple((n, self.shape_of(n) if n in desc else None) for n in names)
-        return _compiled_tasklet((item, shapes)), tuple(loops), tuple(libs)
+        described = tuple((n, self.shape_of(n), desc[n].element_kind) if n in desc else (n, None, None) for n in names)
+        return _compiled_tasklet((item, described)), tuple(loops), tuple(libs)
 
     def _compute_item(self, node, df: Dataflow, acc: tuple) -> tuple:
         _, libs, names = acc

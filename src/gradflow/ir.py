@@ -60,6 +60,7 @@ from .symexpr import (
     contains_compare_or_index,
     count_ops,
     eval_expr,
+    foreign_constant,
     free_names,
     is_condition,
 )
@@ -660,6 +661,13 @@ def validate(program: Program) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     add = diags.append
 
+    def check_constants(expr: Expr, where: str, what: str):
+        """What a nest compiles (tasklet bodies, subsets, map ranges) needs
+        plain int or float constants: ``python_source`` writes no other."""
+        odd = foreign_constant(expr)
+        if odd is not None:
+            add(Diagnostic("BadConstant", f"{what} has constant {odd.value!r}, not an int or float", where))
+
     names = set(program.parameters)
     for pname in program.parameters:
         if program.parameters.count(pname) > 1:
@@ -782,6 +790,7 @@ def validate(program: Program) -> list[Diagnostic]:
                 for key, expr in n.body.items():
                     if key not in n.outs:
                         add(Diagnostic("ArityMismatch", f"tasklet '{n.id}' body for undeclared '{key}'", where))
+                    check_constants(expr, where, f"tasklet '{n.id}' body")
                     bad = free_names(expr) - set(n.ins)
                     if bad:
                         add(Diagnostic("UnboundName", f"tasklet '{n.id}' body uses {sorted(bad)}", where))
@@ -810,6 +819,7 @@ def validate(program: Program) -> list[Diagnostic]:
                         add(Diagnostic("DuplicateName", f"map '{n.id}' param '{p}' shadows", where))
                     for part in n.ranges[k] if k < len(n.ranges) else ():
                         check_scope(part, inner, where, f"map '{n.id}' range")
+                        check_constants(part, where, f"map '{n.id}' range")
                     inner.add(p)
                 check_graph(n.body, f"{where}/{n.id}", symbol_scope + n.params)
 
@@ -835,6 +845,7 @@ def validate(program: Program) -> list[Diagnostic]:
             if e.subset is not None:
                 for part in e.subset:
                     check_scope(part, scope, where, f"subset of '{e.data}'")
+                    check_constants(part, where, f"subset of '{e.data}'")
             if e.wcr not in (None, "sum"):
                 add(Diagnostic("BadSubset", f"unknown wcr '{e.wcr}'", where))
             comp, conn, is_in = (dst, e.dst_conn, True) if isinstance(src, AccessNode) else (src, e.src_conn, False)

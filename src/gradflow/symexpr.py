@@ -267,6 +267,22 @@ def free_names(expr: Expr) -> set[str]:
     raise TypeError(f"not an expression: {expr!r}")
 
 
+def foreign_constant(expr: Expr) -> Const | None:
+    """The first constant of the tree, left to right, whose value is not a
+    plain int or float, or None."""
+    if isinstance(expr, Name):
+        return None
+    if isinstance(expr, Const):
+        return None if expr.value.__class__ in (int, float) else expr
+    if isinstance(expr, Unary):
+        return foreign_constant(expr.x)
+    if isinstance(expr, Binary):
+        return foreign_constant(expr.x) or foreign_constant(expr.y)
+    if isinstance(expr, Index):
+        return next(filter(None, map(foreign_constant, expr.indices)), None)
+    raise TypeError(f"not an expression: {expr!r}")
+
+
 def count_ops(expr: Expr) -> int:
     """Operator applications in the tree; the unit for FLOP accounting."""
     if isinstance(expr, (Const, Name)):

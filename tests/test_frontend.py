@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,12 +12,14 @@ from gradflow import (
     build_backward,
     parse_program,
     program_to_dict,
+    run_forward,
     serialize_program,
     validate,
     validate_or_raise,
 )
 from gradflow.errors import GradflowError, ProgramSyntaxError, ValidationFailed
 from gradflow.ir import LoopRegion
+from gradflow.symexpr import Binary, Const, Name
 from genprog import ew_expr_program
 
 
@@ -120,6 +123,32 @@ def test_builder_rejects_invalid_program():
         s.library("reduce_sum", {"x": "X"}, {"y": "O"})
     with pytest.raises(ValidationFailed):
         b.finish("O", ["X", "missing"])
+
+
+def _half_map(body, lo="0") -> ProgramBuilder:
+    """Y[i] = body(X[i]) over a real32 map from ``lo``, then O = sum Y."""
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input")
+    b.array("Y", ("n",))
+    b.scalar("O", role="output")
+    with b.state("s") as s:
+        s.map_node(("i",), ((lo, "n", "1"),), lambda inner: inner.tasklet(
+            ins={"a": ("X", ("i",))}, outs={"o": ("Y", ("i",))}, body={"o": body}))
+        s.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+    return b
+
+
+def test_builder_turns_numpy_scalar_constants_into_python_numbers():
+    # a numpy scalar would take part in the arithmetic, and its repr is no
+    # valid source for a compiled nest
+    text = _half_map("(mul 0.5 a)").finish("O", ["X"])
+    given = _half_map(Binary("mul", Const(np.float64(0.5)), Name("a")), lo=Const(np.int64(0)))
+    program = given.finish("O", ["X"])
+    assert serialize_program(program) == serialize_program(text)
+    (m,) = [n for n in program.region[0].graph.nodes if n.id.startswith("m")]
+    assert m.ranges[0][0].value.__class__ is int
+    x = {"X": np.linspace(0.5, 1.5, 5, dtype=np.float32)}
+    assert run_forward(program, x, {"n": 5}).value == run_forward(text, x, {"n": 5}).value
 
 
 def _pingpong_backward_doc():

@@ -546,20 +546,247 @@ def _gather_program(bound: str):
     return b.finish("O", ["X"])
 
 
+# a loop header as document fields: the hoisted check of an iterator ± const
+# index fails on the last iterate, on a reversed loop, or on a doubling header
+_LAST_ITERATE = {"bound": "n"}
+_REVERSED = {"bound": "n", "reverse_of": "over"}
+_DOUBLING = {"init": "1", "bound": "(add n 2)", "update": "(mul i 2)"}
+
+
+def _gather_document(subset: str, bound) -> dict:
+    header = bound if isinstance(bound, dict) else {"bound": bound}
+    doc = program_to_dict(_gather_program(header["bound"]))
+    doc["region"][0].update(header)
+    # the builder validates, so the unbound subset goes in through the document
+    doc["region"][0]["body"][0]["edges"][0]["subset"] = [subset]
+    return doc
+
+
 @pytest.mark.parametrize("batch", [(), (2,)])
 @pytest.mark.parametrize("subset, bound, error, msg", [
     ("i", "(add n 1)", OutOfBounds, "'X' index 3 outside dimension of size 3"),
     ("(div i 2)", "n", DomainError, "subset of 'X' evaluated to non-integer 0.5"),
     ("k", "n", UnboundName, "no binding for 'k'"),
+    pytest.param("(add i 1)", _LAST_ITERATE, OutOfBounds, "'X' index 3 outside dimension of size 3",
+                 id="last-iterate"),
+    pytest.param("(sub i 1)", _REVERSED, OutOfBounds, "'X' index -1 outside dimension of size 3",
+                 id="reversed"),
+    pytest.param("i", _DOUBLING, OutOfBounds, "'X' index 4 outside dimension of size 3",
+                 id="doubling"),
 ])
 def test_compiled_tasklet_errors_keep_their_class_and_message(subset, bound, error, msg, batch):
-    doc = program_to_dict(_gather_program(bound))
-    # the builder validates, so the unbound subset goes in through the document
-    doc["region"][0]["body"][0]["edges"][0]["subset"] = [subset]
-    program = parse_program(json.dumps(doc))
+    program = parse_program(json.dumps(_gather_document(subset, bound)))
     with pytest.raises(error) as info:
         run_forward(program, {"X": np.ones(batch + (3,))}, {"n": 3})
     assert str(info.value) == msg
+
+
+@pytest.mark.parametrize("subset, bound, before", [
+    ("(add i 1)", _LAST_ITERATE, 10.0 + 100.0),  # i = 0, 1
+    ("(sub i 1)", _REVERSED, 10.0 + 1.0),  # i = 2, 1
+    ("i", _DOUBLING, 10.0 + 100.0),  # i = 1, 2
+])
+def test_a_failed_hoisted_check_raises_at_the_same_point(subset, bound, before):
+    # the partial sum left behind shows where the run stopped, with direct
+    # access (no batch axes) and with ndarray indexing (a batch of one)
+    program = parse_program(json.dumps(_gather_document(subset, bound)))
+    x = np.array([1.0, 10.0, 100.0])
+    for batch in ((), (1,)):
+        ex = interpreter.Executor(program, {"n": 3}, {"X": x.reshape(batch + (3,))}, batch)
+        with pytest.raises(OutOfBounds):
+            ex.run()
+        assert ex.env["O"].reshape(-1)[0] == before
+
+
+@pytest.mark.parametrize("subset, before", [(("i", "(add j 1)"), 2.0 + 3.0), (("(add i 1)", "j"), 39.0)])
+def test_each_dimension_is_checked_on_its_own(subset, before):
+    # A[i, j + 1] at the end of row 0 is a flat offset inside the buffer
+    # (row 1's first element), yet out of its own dimension; A[i + 1, j]
+    # fails where the outer loop's hoisted check says
+    b = ProgramBuilder(("n",))
+    b.array("A", ("n", "n"), role="input", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("i", "0", "n", label="rows"):
+        with b.loop("j", "0", "n", label="cols"):
+            with b.state("s") as s:
+                s.tasklet(ins={"a": ("A", subset)}, outs={"o": ("O", ())},
+                          body={"o": "a"}, wcr="sum")
+    p = b.finish("O", ["A"])
+    a = np.arange(1.0, 10.0).reshape(3, 3)
+    for batch in ((), (1,)):
+        ex = interpreter.Executor(p, {"n": 3}, {"A": a.reshape(batch + (3, 3))}, batch)
+        with pytest.raises(OutOfBounds, match=r"^'A' index 3 outside dimension of size 3$"):
+            ex.run()
+        assert ex.env["O"].reshape(-1)[0] == before
+
+
+def test_a_constant_body_too_large_for_a_double_raises_as_a_numpy_store_does():
+    # the second tasklet finds Y fetched, so its first point runs direct
+    big = str(10**200)
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.array("Y", ("n",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("i", "0", "n", label="over"):
+        with b.state("s") as s:
+            s.tasklet(ins={"x": ("X", ("i",))}, outs={"o": ("Y", ("i",))}, body={"o": "x"})
+            s.tasklet(ins={"y": ("Y", ("i",))}, outs={"o": ("Y", ("i",))}, body={"o": f"(mul {big} {big})"})
+    with b.state("sum") as s:
+        s.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+    p = b.finish("O", ["X"])
+    for batch in ((), (1,)):
+        with pytest.raises(OverflowError, match="^int too large to convert to float$"):
+            run_forward(p, {"X": np.ones(batch + (3,))}, {"n": 3})
+
+
+def _tasklet_bodies(program):
+    """Every tasklet body of the program, map bodies included."""
+    def graph(df):
+        for n in df.nodes:
+            if isinstance(n, ir.Tasklet):
+                yield from n.body.values()
+            elif isinstance(n, ir.MapNode):
+                yield from graph(n.body)
+    for _, block in ir.walk_blocks(program.region):
+        if isinstance(block, ir.State):
+            yield from graph(block.graph)
+
+
+# generated loop programs whose tasklet bodies are all exact, and every
+# generated map program: a map nest whose bodies are exact runs direct
+_GENERATED = [
+    (make_loop_program, seed) for seed in range(60)
+    if all(map(interpreter._exact, _tasklet_bodies(make_loop_program(seed))))
+] + [(make_map_program, seed) for seed in range(40)]
+
+
+def _outcome(p, inputs, params):
+    """What ``gradient`` gives, as arrays and op counts, or what it raises."""
+    try:
+        g = gradient(p, inputs, params)
+    except GradflowError as exc:
+        return type(exc), str(exc)
+    return g.value, g.grads, g.forward.op_count, g.backward.op_count
+
+
+@pytest.mark.parametrize("case", [*examples.EXAMPLES, *_GENERATED],
+                         ids=lambda c: c if isinstance(c, str) else f"{c[0].__name__}-{c[1]}")
+def test_direct_and_ndarray_access_agree(case):
+    # an unbatched run reads and writes exact real64 nests through direct
+    # handles; a batch of one indexes the same arrays as ndarrays
+    if isinstance(case, str):
+        p, params = examples.build(case), examples.DEFAULT_PARAMS[case]
+    else:
+        p, params = case[0](case[1]), {"n": 5}
+    inputs = sample_inputs(p, params, np.random.default_rng(5))
+    one = _outcome(p, inputs, params)
+    batch = _outcome(p, {k: np.asarray(v)[None] for k, v in inputs.items()}, params)
+    if isinstance(one[0], type):
+        assert batch == one
+        return
+    assert np.array_equal(batch[0][0], one[0])
+    assert batch[1].keys() == one[1].keys()
+    for name, g in one[1].items():
+        assert np.array_equal(batch[1][name][0], g)
+    assert batch[2:] == one[2:]
+
+
+def test_generated_map_programs_run_direct_nests(monkeypatch):
+    # the agreement above compares two access paths only where a direct nest runs
+    direct = 0
+    for make, seed in _GENERATED:
+        p = make(seed)
+        nests = _nests_of(monkeypatch, lambda: _outcome(p, sample_inputs(p, {"n": 5}), {"n": 5}))
+        direct += any("_view(" in fn.source for fn in nests)
+    assert direct >= 10
+
+
+def _nests_of(monkeypatch, run) -> list:
+    """The compiled nests that ``run()`` fetches, in order."""
+    made = []
+
+    def recording(key):
+        made.append(_compiled_tasklet(key))
+        return made[-1]
+
+    monkeypatch.setattr(interpreter, "_compiled_tasklet", recording)
+    run()
+    monkeypatch.undo()
+    return made
+
+
+def test_seidel_nests_take_the_direct_path_and_a_real32_nest_does_not(monkeypatch, rng):
+    p, params = examples.build("seidel_stencil"), {"N": 8, "TSTEPS": 2}
+    sweep, reverse = _nests_of(monkeypatch, lambda: gradient(p, sample_inputs(p, params, rng), params))
+    for fn in (sweep, reverse):
+        assert "v0 = _view(a0, 2)" in fn.source and "if ok_i" in fn.source
+    assert "_visit" in reverse.source and "_visit" not in sweep.source
+    # one offset per point, its row's share taken once per row
+    assert "= i1 * 8" in sweep.source and "v0[o4-8]" in sweep.source
+
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real32")
+    b.scalar("O", role="output", kind="real32")
+    with b.loop("i", "0", "n", label="over"):
+        with b.state("s") as s:
+            s.tasklet(ins={"a": ("X", ("i",))}, outs={"o": ("O", ())}, body={"o": "(mul a a)"}, wcr="sum")
+    p = b.finish("O", ["X"])
+    (nest,) = _nests_of(monkeypatch, lambda: run_forward(p, {"X": np.ones(4, np.float32)}, {"n": 4}))
+    assert "_view" not in nest.source and "ok_" not in nest.source
+
+
+def test_a_mixed_precision_nest_keeps_numpy_scalar_arithmetic(monkeypatch, rng):
+    # np.float32 * float stays float32 and np.float32 + np.float64 is
+    # float64: Python floats would round both in double
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real32")
+    b.array("Z", ("n",), role="input", kind="real64")
+    b.array("Y", ("n",), role="output", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("i", "0", "n", label="over"):
+        with b.state("s") as s:
+            s.tasklet(ins={"a": ("X", ("i",)), "z": ("Z", ("i",))}, outs={"o": ("Y", ("i",))},
+                      body={"o": "(add (mul a 0.1) z)"})
+    with b.state("r") as s:
+        s.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+    p = b.finish("O", ["X", "Z"])
+    x, z = rng.uniform(0.4, 1.6, 64).astype(np.float32), rng.uniform(0.4, 1.6, 64)
+    runs = []
+    nests = _nests_of(monkeypatch, lambda: runs.append(run_forward(p, {"X": x, "Z": z}, {"n": 64})))
+    want = np.array([xi * 0.1 + zi for xi, zi in zip(x, z)])  # numpy scalars, element by element
+    assert np.array_equal(runs[0].env["Y"], want)
+    assert not np.array_equal(want, x.astype(np.float64) * 0.1 + z)
+    assert nests and all("_view" not in fn.source for fn in nests)
+
+
+def _laid_out(x: np.ndarray, layout: str) -> np.ndarray:
+    """``x``'s values in another memory layout."""
+    if layout == "transposed":
+        return np.ascontiguousarray(x.T).T
+    if layout == "fortran":
+        return np.asfortranarray(x)
+    if layout == "strided":
+        wide = np.zeros((x.shape[0], 2 * x.shape[1]))
+        wide[:, ::2] = x
+        return wide[:, ::2]
+    out = x.copy()
+    out.flags.writeable = False
+    return out
+
+
+@pytest.mark.parametrize("layout", ["transposed", "fortran", "strided", "read-only"])
+@pytest.mark.parametrize("name", ["seidel_stencil", "triangular"])
+def test_a_caller_input_in_any_layout_gives_the_contiguous_gradient_and_is_never_written(name, layout):
+    # seidel_stencil writes its input (a copy) in place; triangular reads it
+    p, params = examples.build(name), examples.DEFAULT_PARAMS[name]
+    x = sample_inputs(p, params, np.random.default_rng(3))["A"]
+    given = _laid_out(x, layout)
+    before, writeable = given.copy(), given.flags.writeable
+    want = gradient(p, {"A": x}, params)
+    got = gradient(p, {"A": given}, params)
+    assert np.array_equal(got.value, want.value)
+    assert np.array_equal(got.grads["A"], want.grads["A"])
+    assert np.array_equal(given, before) and given.flags.writeable == writeable
 
 
 def test_tasklet_reads_batched_and_unbatched_arrays_alike(rng):
@@ -1090,6 +1317,36 @@ def test_a_library_node_in_a_map_body_runs_its_kept_step(rng):
     assert runs[0].value == runs[1].value == ref
     # 4 points, each a sin over 4 elements and one multiply
     assert runs[0].op_count == runs[1].op_count == count_flops(p, {"n": 4})[()] == 20
+
+
+def test_an_array_a_library_node_replaces_in_a_map_body_is_read_anew(rng):
+    # each point's library node replaces Y with half of Z, whose element 0
+    # the point before wrote; a handle to the old Y would read stale values
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.array("Y", ("n",), kind="real64")
+    b.array("Z", ("n",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+
+    def point(inner):
+        inner.library("ew_unary", {"x": "Z"}, {"y": "Y"}, op="scale", const=0.5)
+        inner.tasklet(ins={"y": ("Y", ("0",)), "z": ("Z", ("i",))}, outs={"o": ("Z", ("0",))},
+                      body={"o": "(add y z)"})
+
+    with b.state("copy") as s:
+        s.library("ew_unary", {"x": "X"}, {"y": "Z"}, op="copy")
+    with b.state("s") as s:
+        s.map_node(("i",), (("0", "n", "1"),), point)
+    with b.state("sum") as s:
+        s.library("reduce_sum", {"x": "Z"}, {"y": "O"})
+    p = b.finish("O", ["X"])
+    x = rng.uniform(0.4, 1.6, 5)
+    z = x.copy()
+    for i in range(5):
+        z[0] = 0.5 * z[0] + z[i]
+    for batch in ((), (1,)):
+        got = run_forward(p, {"X": x.reshape(batch + (5,))}, {"n": 5}).value
+        assert got.reshape(-1)[0] == z.sum()
 
 
 def test_a_prepared_step_keeps_error_classes_and_messages():

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +22,8 @@ from gradflow.ir import (
     simulate_header,
     walk_blocks,
 )
-from gradflow.symexpr import parse_sexpr
+from gradflow import ProgramBuilder
+from gradflow.symexpr import Binary, Const, Name, parse_sexpr
 
 
 def _desc(kind, shape):
@@ -188,6 +190,25 @@ def test_a_dangling_edge_is_reported_not_raised():
     assert "UnknownNode" in codes and "CycleInState" not in codes
     with pytest.raises(ValidationFailed):
         ir.validate_or_raise(program)
+
+
+def test_a_constant_that_is_no_int_or_float_is_reported():
+    # the builder turns numpy scalars into Python numbers; any other
+    # constant type in what a nest compiles fails validation instead of
+    # failing the nest compile
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("i", "0", "n", label="over"):
+        with b.state("s") as s:
+            s.tasklet(ins={"a": ("X", (Binary("add", Name("i"), Const(Fraction(0))),))}, outs={"o": ("O", ())},
+                      body={"o": Binary("mul", Const(Fraction(1, 2)), Name("a"))}, wcr="sum")
+    with pytest.raises(ValidationFailed) as info:
+        b.finish("O", ["X"])
+    assert [repr(d) for d in info.value.diagnostics] == [
+        "BadConstant: tasklet 't1' body has constant Fraction(1, 2), not an int or float [s]",
+        "BadConstant: subset of 'X' has constant Fraction(0, 1), not an int or float [s]",
+    ]
 
 
 def test_pristine_inputs():
