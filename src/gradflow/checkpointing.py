@@ -49,6 +49,7 @@ from .errors import (
     Infeasible,
     IrrecomputableValue,
     UnresolvableTripCount,
+    ValidationFailed,
 )
 from .interpreter import _node_cost, run_backward, run_forward
 from .ir import (
@@ -64,6 +65,7 @@ from .ir import (
     Tasklet,
     graph_names,
     live_ranges,
+    loops_around,
     node_accesses,
     path_outcomes,
     path_visits,
@@ -73,7 +75,7 @@ from .ir import (
     schedule,
     size_bytes,
     splice,
-    validate_or_raise,
+    validate_state,
     walk_blocks,
 )
 from .versions import VersionInfo
@@ -154,18 +156,21 @@ class RecomputePlan:
     """A self-contained block that rebuilds one value from pristine inputs.
     Its cost and scratch peak are known up front; the block itself, ``state``
     and ``descriptors``, is built on demand (``apply_plan`` asks for those of
-    the values it recomputes) and then kept."""
+    the values it recomputes), checked where it goes, right before
+    ``reader``, the first reverse state that touches the value, and then
+    kept. A build that raises keeps nothing."""
 
     flops: int
     peak_bytes: int  # scratch high-water mark, produced value excluded
-    build: Callable[[], tuple[State, dict[str, DataDescriptor]]] = field(repr=False, compare=False)
+    build: Callable[[], tuple[State, dict[str, DataDescriptor], State]] = field(repr=False, compare=False)
 
     @functools.cached_property
-    def block(self) -> tuple[State, dict[str, DataDescriptor]]:
+    def block(self) -> tuple[State, dict[str, DataDescriptor], State]:
         return self.build()
 
     state = property(lambda self: self.block[0])
     descriptors = property(lambda self: self.block[1])
+    reader = property(lambda self: self.block[2])
 
 
 @dataclass(frozen=True)
@@ -205,7 +210,7 @@ def collect_forwarded(
     production order. Scalars ride the tape for free and are skipped."""
     vinfo = bundle.vinfo
     pristine = pristine_inputs(program)
-    states = {b.label: b for _, b in walk_blocks(program.region) if isinstance(b, State)}
+    states = _states_of(program.region)
     order = {  # (state, node) -> program position
         (label, n.id): (i, j)
         for i, (label, st) in enumerate(states.items())
@@ -213,6 +218,7 @@ def collect_forwarded(
     }
 
     # per-call tables the rebuild closures share
+    place = _ReverseSites(bundle.backward).place
     accesses = functools.cache(lambda label: node_accesses(states[label].graph))
     nbytes = functools.cache(lambda name: size_bytes(program.descriptors[name], params))
 
@@ -269,7 +275,7 @@ def collect_forwarded(
             access = acc
             try:
                 rec_plan = _recompute_plan(
-                    program, vinfo, pristine, states, order, accesses, cost, nbytes,
+                    program, vinfo, pristine, states, order, accesses, cost, nbytes, place,
                     entry.name, entry.data, cand.version, idx,
                 )
             except IrrecomputableValue as exc:
@@ -333,6 +339,7 @@ def _recompute_plan(
     accesses: Callable[[str], dict[str, list[str]]],
     cost: Callable[[str, str], int],
     nbytes: Callable[[str], int],
+    place: Callable[..., tuple[State, dict[str, DataDescriptor], State]],
     stored_name: str,
     data: str,
     version: int,
@@ -340,10 +347,11 @@ def _recompute_plan(
 ) -> RecomputePlan:
     """Straight-line producer closure of (data, version), rebuilt on demand
     (``_rebuild_block``) as one state that reads only pristine inputs and
-    writes ``stored_name``. ``order`` gives each (state, node) its program
-    position. The flops sum ``cost`` over the closure; the scratch peak is
-    ``ir.live_ranges`` over its ``accesses`` in program order, renamed as
-    the block renames them, with ``nbytes`` per array."""
+    writes ``stored_name``, and checked where ``place`` puts it. ``order``
+    gives each (state, node) its program position. The flops sum ``cost``
+    over the closure; the scratch peak is ``ir.live_ranges`` over its
+    ``accesses`` in program order, renamed as the block renames them, with
+    ``nbytes`` per array."""
 
     steps: dict[tuple[str, int], tuple[str, str]] = {}
     need = [(data, version)]
@@ -395,7 +403,7 @@ def _recompute_plan(
     peak = max(itertools.accumulate(held[:-1]), default=0)
     # the descriptors, not the program, so the program's kept values do not refer back to it
     build = functools.partial(_rebuild_block, program.descriptors, pristine, states, ordered, rename, stored_name, fvid)
-    return RecomputePlan(flops, peak, build)
+    return RecomputePlan(flops, peak, functools.partial(place, stored_name, build))
 
 
 def _rebuild_block(descriptors: dict[str, DataDescriptor], pristine: set[str], states: dict[str, State],
@@ -431,6 +439,57 @@ def _rebuild_block(descriptors: dict[str, DataDescriptor], pristine: set[str], s
             role = "stored-copy" if name == stored_name else "intermediate"
             descs.setdefault(name, DataDescriptor(name, base.element_kind, base.shape, role))
     return State(label=f"rec_{stored_name}", graph=graph), descs
+
+
+class _ReverseSites:
+    """Where rebuild blocks go in one reverse program: each right before
+    the first state that touches its value. The tables are made at the
+    first placement and kept with the forwarded values."""
+
+    def __init__(self, backward: Program):
+        self.backward = backward
+
+    @functools.cached_property
+    def readers(self) -> dict[str, State]:
+        return _first_readers(self.backward.region)
+
+    @functools.cached_property
+    def labels(self) -> set[str]:
+        return {b.label for _, b in walk_blocks(self.backward.region)}
+
+    def place(self, name: str, build) -> tuple[State, dict[str, DataDescriptor], State]:
+        """The block ``build`` makes for the value stored as ``name``, its
+        descriptors and its reader, once the block is checked and prepared
+        in the reader's place."""
+        state, descs = build()
+        reader = self.readers.get(name)
+        if reader is None:
+            raise GradflowError(f"internal: '{name}' is never read by the reverse program")
+        bwd = self.backward
+        within = replace(bwd, descriptors={**descs, **bwd.descriptors})
+        new = [n for n in descs if n not in bwd.descriptors]
+        _check_and_prepare(within, state, loops_around(bwd.region, reader), self.labels, new)
+        return state, descs, reader
+
+
+def _states_of(region: list[Block]) -> dict[str, State]:
+    return {b.label: b for _, b in walk_blocks(region) if isinstance(b, State)}
+
+
+def _first_readers(region: list[Block]) -> dict[str, State]:
+    """Each name -> the first state in program order that touches it."""
+    states = [b for _, b in walk_blocks(region) if isinstance(b, State)]
+    return {name: b for b in reversed(states) for name in graph_names(b.graph)}
+
+
+def _check_and_prepare(program: Program, state: State, loops, labels, new) -> None:
+    """Check a state built into ``program`` where it will sit
+    (``ir.validate_state``), then prepare its library steps, so that no
+    run of a plan allocates them."""
+    diags = validate_state(program, state, loops, labels, new)
+    if diags:
+        raise ValidationFailed(diags)
+    prepare_steps([state])
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +633,30 @@ class ILPProblem:
     events: tuple[tuple[int, str, AffineBytes], ...]  # (path, label, total)
     limit_bytes: int | None
     n_paths: int
+    # what solve_ilp derives from the events alone, made on first need and
+    # shared with every problem ``under`` makes
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def under(self, limit_bytes: int | None) -> "ILPProblem":
+        """This problem under ``limit_bytes``, sharing its budget-free tables."""
+        other = ILPProblem(self.k, self.costs, self.fixed, self.events, limit_bytes, self.n_paths)
+        other._tables = self._tables
+        return other
+
+    @property
+    def keep_all_peak(self) -> int:
+        """The peak with every value stored."""
+        if "peak" not in self._tables:
+            self._tables["peak"] = max((t.const + sum(c for _, c in t.store) for _, _, t in self.events), default=0)
+        return self._tables["peak"]
+
+    @property
+    def rows(self) -> "MemoryRows":
+        """Every event total as a row, then the zero row that stands for the
+        peak of a path with no events."""
+        if "rows" not in self._tables:
+            self._tables["rows"] = MemoryRows.of([*(t for _, _, t in self.events), ZERO], self.k, self.fixed)
+        return self._tables["rows"]
 
 
 @dataclass
@@ -604,10 +687,6 @@ def build_ilp(
         limit_bytes=limit_bytes,
         n_paths=len(sequences),
     )
-
-
-def _peak(problem: ILPProblem, assignment) -> int:
-    return max((t.value(assignment) for _, _, t in problem.events), default=0)
 
 
 class MemoryRows:
@@ -710,14 +789,12 @@ def solve_ilp(problem: ILPProblem) -> ILPSolution:
     limit = problem.limit_bytes
     nodes = 1
 
-    all_store = tuple(1 for _ in range(k))
-    peak = _peak(problem, all_store)
+    peak = problem.keep_all_peak
     if limit is None or peak <= limit:
         ms = (time.perf_counter() - t0) * 1e3
-        return ILPSolution(all_store, 0, peak, nodes, ms)
+        return ILPSolution((1,) * k, 0, peak, nodes, ms)
 
-    # the zero row stands for the peak of a path with no events
-    full = MemoryRows.of([*(t for _, _, t in problem.events), ZERO], k, problem.fixed)
+    full = problem.rows
     rows = full.prune(limit)
     costs = problem.costs
     up_tail = np.zeros((len(rows.base), k + 1), dtype=np.int64)
@@ -802,12 +879,19 @@ def apply_plan(
     site; recomputed ones gain their rebuild block right before the first
     backward state that reads them, in value order. ``program`` and
     ``bundle`` are left untouched: each state that gains a copy-out is built
-    anew, and the returned programs share every other block with them."""
-    fstates = {b.label: b for _, b in walk_blocks(program.region) if isinstance(b, State)}
+    anew, and the returned programs share every other block with them.
+
+    Only the blocks built here are checked, each once, where it is built:
+    a rebuild block by ``RecomputePlan.block``, a state with copy-outs once
+    per (state, values kept there), kept with the planning analyses when
+    ``fvs`` are the ones ``plan()`` keeps. Every other block was checked
+    with the program and its backward (``backward_of``)."""
+    planning = program._kept.get("planning")
+    if planning is None or planning.fvs is not fvs:
+        planning = _Planning((), fvs, (), None, _states_of(program.region))  # not kept
     fdescs, bdescs = dict(program.descriptors), dict(bundle.backward.descriptors)
     kept: dict[str, list[ForwardedValue]] = {}  # production state -> values
     rebuilt: dict[int, list[Block]] = {}  # id of a first reader -> rebuilds, reader
-    readers: dict[str, State] = {}  # name -> first backward state touching it, built on first need
     for fv, v in zip(fvs, assignment):
         if fv.forced:
             continue  # snapshots already live on the tape
@@ -816,43 +900,63 @@ def apply_plan(
             base = program.descriptors[fv.data]
             fdescs[fv.name] = DataDescriptor(fv.name, base.element_kind, base.shape, "stored-copy")
         else:
-            for name, desc in fv.recompute.descriptors.items():
+            rec = fv.recompute
+            for name, desc in rec.descriptors.items():
                 bdescs.setdefault(name, desc)
-            readers = readers or _first_readers(bundle.backward.region)
-            reader = readers.get(fv.name)
-            if reader is None:
-                raise GradflowError(f"internal: '{fv.name}' is never read by the reverse program")
-            rebuilt.setdefault(id(reader), [reader]).insert(-1, fv.recompute.state)
+            rebuilt.setdefault(id(rec.reader), [rec.reader]).insert(-1, rec.state)
 
-    grown: dict[int, list[Block]] = {}
-    for label, values in kept.items():
-        state = fstates[label]
-        nodes, edges = list(state.graph.nodes), list(state.graph.edges)
-        for fv in values:
-            lib = LibraryNode(f"keep{fv.index}", "ew_unary", op="copy", group=f"store:{fv.index}")
-            acc = AccessNode(f"keep{fv.index}_out", fv.name)
-            pos = max(i for i, n in enumerate(nodes) if n.id in (fv.site[1], fv.access))
-            nodes[pos + 1 : pos + 1] = [lib, acc]
-            edges += [Memlet(fv.access, None, lib.id, "x", fv.data, None),
-                      Memlet(lib.id, "y", acc.id, None, fv.name, None)]
-        grown[id(state)] = [State(label, Dataflow(nodes, edges))]
-
+    grown = {
+        id(planning.states[label]): [planning.copy_out(program, fdescs, label, values)]
+        for label, values in kept.items()
+    }
     fwd = replace(program, descriptors=fdescs, region=splice(program.region, grown))
     bwd = replace(bundle.backward, descriptors=bdescs, region=splice(bundle.backward.region, rebuilt))
-    validate_or_raise(fwd)
-    validate_or_raise(bwd)
-    # here, so that a first run of the plan allocates no step; the states
-    # shared with the program and its backward (each reader, last in its
-    # list) were prepared with the bundle
-    prepare_steps([s for blocks in grown.values() for s in blocks]
-                  + [s for blocks in rebuilt.values() for s in blocks[:-1]])
     return fwd, bwd
 
 
-def _first_readers(region: list[Block]) -> dict[str, State]:
-    """Each name -> the first state in program order that touches it."""
-    states = [b for _, b in walk_blocks(region) if isinstance(b, State)]
-    return {name: b for b in reversed(states) for name in graph_names(b.graph)}
+def _copy_out_state(state: State, values: list[ForwardedValue]) -> State:
+    """``state`` with a copy of each of ``values`` right after the value is
+    produced, into the array it is stored as."""
+    nodes, edges = list(state.graph.nodes), list(state.graph.edges)
+    for fv in values:
+        lib = LibraryNode(f"keep{fv.index}", "ew_unary", op="copy", group=f"store:{fv.index}")
+        acc = AccessNode(f"keep{fv.index}_out", fv.name)
+        pos = max(i for i, n in enumerate(nodes) if n.id in (fv.site[1], fv.access))
+        nodes[pos + 1 : pos + 1] = [lib, acc]
+        edges += [Memlet(fv.access, None, lib.id, "x", fv.data, None),
+                  Memlet(lib.id, "y", acc.id, None, fv.name, None)]
+    return State(state.label, Dataflow(nodes, edges))
+
+
+@dataclass
+class _Planning:
+    """What ``plan()`` keeps with a program for the last parameter binding
+    it planned: the forwarded values, the memory sequences, the integer
+    program under no limit, the forward states by label, and each state
+    with copy-outs it built, by (label, value indices). Nothing here refers
+    back to the program."""
+
+    binding: tuple
+    fvs: tuple[ForwardedValue, ...]
+    sequences: tuple[PathSequence, ...]
+    problem: ILPProblem | None
+    states: dict[str, State]
+    copies: dict[tuple[str, tuple[int, ...]], State] = field(default_factory=dict)
+
+    def copy_out(self, program: Program, descriptors: dict[str, DataDescriptor],
+                 label: str, values: list[ForwardedValue]) -> State:
+        """State ``label`` of ``program`` with copy-outs of ``values``, whose
+        stored copies ``descriptors`` declares; built, checked in the
+        state's place and prepared once."""
+        key = label, tuple(fv.index for fv in values)
+        state = self.copies.get(key)
+        if state is None:
+            old = self.states[label]
+            state = _copy_out_state(old, values)
+            within = replace(program, descriptors=descriptors)
+            _check_and_prepare(within, state, loops_around(program.region, old), (), [fv.name for fv in values])
+            self.copies[key] = state
+        return state
 
 
 # ---------------------------------------------------------------------------
@@ -878,21 +982,26 @@ def plan(
     """Choose and apply a keep-or-recompute plan under ``limit_mib``.
 
     What does not depend on the budget is kept with ``program``: its
-    backward bundle (``backward_of``) and, for the last parameter binding
-    planned, the forwarded values and memory sequences, whose rebuild blocks
-    are built once when a plan first recomputes them. Each call then only
-    poses, solves and applies the integer program."""
+    backward bundle (``backward_of``, which validates the program once)
+    and, for the last parameter binding planned, the forwarded values, the
+    memory sequences, the integer program's budget-free part (``_Planning``)
+    and the blocks plans have built: each rebuild block and each state with
+    copy-outs is built and checked once, when a plan first needs it. Each
+    call then only poses the limit, solves and splices; neither program is
+    validated again as a whole."""
     params = dict(params or {})
     bundle = backward_of(program)
     binding = tuple(sorted(params.items()))
-    kept = program._kept.get("planning")
-    if kept is None or kept[0] != binding:
+    planning = program._kept.get("planning")
+    if planning is None or planning.binding != binding:
         fvs = collect_forwarded(program, bundle, params)
         sequences = build_memory_sequences(program, bundle, fvs, params)
-        kept = program._kept["planning"] = (binding, tuple(fvs), tuple(sequences))
-    _, fvs, sequences = kept
+        problem = build_ilp(fvs, sequences, None)
+        planning = program._kept["planning"] = _Planning(
+            binding, tuple(fvs), tuple(sequences), problem, _states_of(program.region))
+    fvs, sequences = planning.fvs, planning.sequences
     limit_bytes = None if limit_mib is None else int(limit_mib * (1 << 20))
-    problem = build_ilp(fvs, sequences, limit_bytes)
+    problem = planning.problem.under(limit_bytes)
     solution = solve_ilp(problem)
     fwd, bwd = apply_plan(program, bundle, fvs, solution.assignment)
     report = {

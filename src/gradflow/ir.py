@@ -7,7 +7,9 @@ A ``Program`` owns data descriptors and a tree of control-flow blocks. Each
 (explicit subset) or a whole array (subset ``None``, library nodes only), and
 may carry ``sum`` conflict resolution instead of overwriting.
 
-Invariants enforced by :func:`validate`:
+Invariants enforced by :func:`validate` (and, for one state built into a
+checked program, by :func:`validate_state`, which runs the same
+``check_*`` rules):
 
 * graphs are acyclic within a state, including write-after-read ordering
   between successive access instances of the same array;
@@ -17,15 +19,26 @@ Invariants enforced by :func:`validate`:
 * ``skip``/``take`` appear only on reversed loops, with skip >= 0, take >= 1;
 * branch conditions are comparisons over scalars, elements and parameters.
 
+Each program and block is checked once, where it is built:
+``ProgramBuilder.finish`` validates what it builds; ``autodiff.backward_of``
+validates a program before it differentiates it (so a parsed program is
+checked there, not by ``parse_program``); ``autodiff.build_backward``
+validates the reverse program it emits; and ``checkpointing`` checks each
+rebuild block (``RecomputePlan.block``) and each state that gains a
+copy-out with :func:`validate_state`, in the place it will sit, when it
+builds them. A planned program is those blocks spliced into checked
+programs, so ``plan()`` validates no whole program.
+
 A built ``Program`` is a value: no pass changes it. A pass that rewrites a
 few states builds those states anew and rebuilds the program around them
-with :func:`splice`, which shares every other state, graph and node. A
+with :func:`splice`, which shares every other block, graph and node. A
 built graph keeps its :func:`schedule` and its prepared library steps
 (:func:`library_steps`) once computed, so every program and every run that
 shares the graph shares them. Each program keeps the analyses that do not
 depend on a memory budget: its backward bundle
 (``autodiff.backward_of``) and, for the last parameter binding planned, its
-forwarded values and memory sequences (``checkpointing.plan``). So neither a
+forwarded values, memory sequences, the budget-free part of the integer
+program and the blocks plans built (``checkpointing.plan``). So neither a
 graph nor a program may be edited after it is built; ``dataclasses.replace``
 makes a new program that starts with nothing kept.
 """
@@ -295,18 +308,25 @@ class Program:
 
 def splice(region: list[Block], states: dict[int, list[Block]]) -> list[Block]:
     """``region`` with each state ``s`` for which ``states`` holds ``id(s)``
-    replaced by the blocks it maps to. Loops and branches are rebuilt around
-    their new bodies; every state, graph and node not replaced is shared."""
+    replaced by the blocks it maps to. A loop or branch is rebuilt around
+    its bodies only when one of them changed; every other block, and every
+    graph and node not replaced, is shared."""
     out: list[Block] = []
     for block in region:
         if isinstance(block, State):
             out += states.get(id(block), (block,))
         elif isinstance(block, LoopRegion):
-            out.append(replace(block, body=splice(block.body, states)))
+            body = splice(block.body, states)
+            out.append(block if _same(body, block.body) else replace(block, body=body))
         else:
-            out.append(replace(block, then_body=splice(block.then_body, states),
-                               else_body=splice(block.else_body, states)))
+            then, other = splice(block.then_body, states), splice(block.else_body, states)
+            same = _same(then, block.then_body) and _same(other, block.else_body)
+            out.append(block if same else replace(block, then_body=then, else_body=other))
     return out
+
+
+def _same(blocks: list[Block], old: list[Block]) -> bool:
+    return len(blocks) == len(old) and all(a is b for a, b in zip(blocks, old))
 
 
 # ---------------------------------------------------------------------------
@@ -657,35 +677,19 @@ def runtime_loop(region: list[Block], state: State, params: dict[str, int]) -> s
 
 
 def validate(program: Program) -> list[Diagnostic]:
-    """Structural checks. Returns diagnostics; empty list means valid."""
+    """Structural checks. Returns diagnostics; empty list means valid.
+
+    Each rule lives in one module-level ``check_*`` function, which
+    :func:`validate_state` also runs on a state built into a checked
+    program. None of them keeps a reference to ``program`` once it
+    returns."""
     diags: list[Diagnostic] = []
     add = diags.append
-
-    def check_constants(expr: Expr, where: str, what: str):
-        """What a nest compiles (tasklet bodies, subsets, map ranges) needs
-        plain int or float constants: ``python_source`` writes no other."""
-        odd = foreign_constant(expr)
-        if odd is not None:
-            add(Diagnostic("BadConstant", f"{what} has constant {odd.value!r}, not an int or float", where))
-
-    names = set(program.parameters)
     for pname in program.parameters:
         if program.parameters.count(pname) > 1:
             add(Diagnostic("DuplicateName", f"parameter '{pname}' repeated"))
     for dname, desc in program.descriptors.items():
-        if dname != desc.name:
-            add(Diagnostic("DuplicateName", f"descriptor key '{dname}' != name '{desc.name}'"))
-        if dname in program.parameters:
-            add(Diagnostic("DuplicateName", f"'{dname}' is both descriptor and parameter"))
-        if desc.element_kind not in ELEMENT_WIDTH:
-            add(Diagnostic("BadRole", f"'{dname}': unknown element kind '{desc.element_kind}'"))
-        if desc.role not in ROLES:
-            add(Diagnostic("BadRole", f"'{dname}': unknown role '{desc.role}'"))
-        for dim in desc.shape:
-            bad = free_names(dim) - set(program.parameters)
-            if bad:
-                add(Diagnostic("UnboundName", f"shape of '{dname}' uses {sorted(bad)}"))
-    names |= set(program.descriptors)
+        check_descriptor(program, dname, desc, add)
 
     dep = program.descriptors.get(program.dependent)
     if dep is None:
@@ -706,198 +710,268 @@ def validate(program: Program) -> list[Diagnostic]:
             add(Diagnostic("DuplicateName", f"block label '{label}' repeated"))
         seen_labels.add(label)
 
-    scalar_names = {d.name for d in program.descriptors.values() if d.rank == 0}
+    check_region(program, program.region, (), add)
+    return diags
 
-    def check_scope(expr: Expr, scope: set[str], where: str, what: str):
-        bad = free_names(expr) - scope
+
+def validate_state(
+    program: Program,
+    state: State,
+    loops: tuple[LoopRegion, ...] = (),
+    labels: Iterable[str] = (),
+    new: Iterable[str] = (),
+) -> list[Diagnostic]:
+    """What :func:`validate` checks of ``state``, a state built into the
+    region of a checked ``program`` inside ``loops`` (outermost first),
+    beside other blocks labelled ``labels``: the descriptors named ``new``,
+    which ``program`` holds with the state's other descriptors; a label no
+    other block has; no write to a name an enclosing loop header reads; and
+    the state's graph in the scope of the loops' iterators. Every other
+    block of ``program`` was checked where it was built."""
+    diags: list[Diagnostic] = []
+    add = diags.append
+    for name in new:
+        check_descriptor(program, name, program.descriptors[name], add)
+    if state.label in labels:
+        add(Diagnostic("DuplicateName", f"block label '{state.label}' repeated"))
+    written = data_written(state.graph)
+    for loop in loops:
+        check_header(loop, written, add)
+    check_graph(program, state.graph, state.label, tuple(loop.iterator for loop in loops), add)
+    return diags
+
+
+def loops_around(region: list[Block], state: State) -> tuple[LoopRegion, ...] | None:
+    """The loops of ``region`` around ``state``, outermost first; None when
+    ``state`` is not in ``region``."""
+    for block in region:
+        if block is state:
+            return ()
+        bodies = ((block.body,) if isinstance(block, LoopRegion)
+                  else (block.then_body, block.else_body) if isinstance(block, Conditional) else ())
+        for body in bodies:
+            inner = loops_around(body, state)
+            if inner is not None:
+                return (block, *inner) if isinstance(block, LoopRegion) else inner
+    return None
+
+
+def _check_constants(expr: Expr, where: str, what: str, add) -> None:
+    """What a nest compiles (tasklet bodies, subsets, map ranges) needs
+    plain int or float constants: ``python_source`` writes no other."""
+    odd = foreign_constant(expr)
+    if odd is not None:
+        add(Diagnostic("BadConstant", f"{what} has constant {odd.value!r}, not an int or float", where))
+
+
+def _check_scope(expr: Expr, scope: set[str], where: str, what: str, add) -> None:
+    bad = free_names(expr) - scope
+    if bad:
+        add(Diagnostic("UnboundName", f"{what} uses {sorted(bad)}", where))
+
+
+def _scalar_names(program: Program) -> set[str]:
+    return {d.name for d in program.descriptors.values() if d.rank == 0}
+
+
+def check_descriptor(program: Program, dname: str, desc: DataDescriptor, add) -> None:
+    if dname != desc.name:
+        add(Diagnostic("DuplicateName", f"descriptor key '{dname}' != name '{desc.name}'"))
+    if dname in program.parameters:
+        add(Diagnostic("DuplicateName", f"'{dname}' is both descriptor and parameter"))
+    if desc.element_kind not in ELEMENT_WIDTH:
+        add(Diagnostic("BadRole", f"'{dname}': unknown element kind '{desc.element_kind}'"))
+    if desc.role not in ROLES:
+        add(Diagnostic("BadRole", f"'{dname}': unknown role '{desc.role}'"))
+    for dim in desc.shape:
+        bad = free_names(dim) - set(program.parameters)
         if bad:
-            add(Diagnostic("UnboundName", f"{what} uses {sorted(bad)}", where))
+            add(Diagnostic("UnboundName", f"shape of '{dname}' uses {sorted(bad)}"))
 
-    def writes_in(region: list[Block]) -> set[str]:
-        out: set[str] = set()
-        for _, b in walk_blocks(region):
-            if isinstance(b, State):
-                out |= data_written(b.graph)
-        return out
 
-    def check_region(region: list[Block], iterators: tuple[str, ...]):
-        for block in region:
-            if isinstance(block, State):
-                check_state(block, iterators)
-            elif isinstance(block, LoopRegion):
-                check_loop(block, iterators)
-            elif isinstance(block, Conditional):
-                check_branch(block, iterators)
+def check_region(program: Program, region: list[Block], iterators: tuple[str, ...], add) -> None:
+    for block in region:
+        if isinstance(block, State):
+            check_graph(program, block.graph, block.label, iterators, add)
+        elif isinstance(block, LoopRegion):
+            check_loop(program, block, iterators, add)
+        elif isinstance(block, Conditional):
+            check_branch(program, block, iterators, add)
 
-    def check_loop(loop: LoopRegion, iterators: tuple[str, ...]):
-        where = loop.label
-        scope = set(program.parameters) | set(iterators) | scalar_names
-        for what, expr in (("init", loop.init), ("bound", loop.bound), ("update", loop.update)):
-            check_scope(expr, scope | {loop.iterator} if what == "update" else scope, where, f"loop {what}")
-        if loop.cmp not in ("<", ">"):
-            add(Diagnostic("BadLoop", f"comparison must be '<' or '>', got '{loop.cmp}'", where))
-        if loop.reverse_of is None and (loop.skip or loop.take is not None):
-            add(Diagnostic("BadLoop", "skip and take need a reversed loop (reverse_of)", where))
-        for d in peel_diagnostics(loop):
-            add(d)
-        mutated = writes_in(loop.body) & (header_names(loop) | {loop.iterator})
-        for m in sorted(mutated):
-            add(Diagnostic(
-                "HeaderMutation",
-                f"loop body writes '{m}' which the header of '{loop.label}' depends on",
-                where,
-            ))
-        check_region(loop.body, iterators + (loop.iterator,))
 
-    def check_branch(br: Conditional, iterators: tuple[str, ...]):
-        where = br.label
-        cond = br.condition
-        if br.trace_ref is not None:
-            # replayed branch: the condition is documentation, never evaluated
-            check_region(br.then_body, iterators)
-            check_region(br.else_body, iterators)
-            return
+def check_loop(program: Program, loop: LoopRegion, iterators: tuple[str, ...], add) -> None:
+    where = loop.label
+    scope = set(program.parameters) | set(iterators) | _scalar_names(program)
+    for what, expr in (("init", loop.init), ("bound", loop.bound), ("update", loop.update)):
+        _check_scope(expr, scope | {loop.iterator} if what == "update" else scope, where, f"loop {what}", add)
+    if loop.cmp not in ("<", ">"):
+        add(Diagnostic("BadLoop", f"comparison must be '<' or '>', got '{loop.cmp}'", where))
+    if loop.reverse_of is None and (loop.skip or loop.take is not None):
+        add(Diagnostic("BadLoop", "skip and take need a reversed loop (reverse_of)", where))
+    for d in peel_diagnostics(loop):
+        add(d)
+    written: set[str] = set()
+    for _, b in walk_blocks(loop.body):
+        if isinstance(b, State):
+            written |= data_written(b.graph)
+    check_header(loop, written, add)
+    check_region(program, loop.body, iterators + (loop.iterator,), add)
+
+
+def check_header(loop: LoopRegion, written: set[str], add) -> None:
+    """A name in ``written``, written in the loop's body, that the loop's
+    header reads or that is its iterator."""
+    for m in sorted(written & (header_names(loop) | {loop.iterator})):
+        add(Diagnostic(
+            "HeaderMutation",
+            f"loop body writes '{m}' which the header of '{loop.label}' depends on",
+            loop.label,
+        ))
+
+
+def check_branch(program: Program, br: Conditional, iterators: tuple[str, ...], add) -> None:
+    where = br.label
+    cond = br.condition
+    if br.trace_ref is None:  # a replayed branch never evaluates its condition
         if not is_condition(cond):
             add(Diagnostic("BadCondition", "condition root must be a comparison", where))
         else:
             for side in (cond.x, cond.y):
                 if contains_compare_or_index(side) and not _only_scalar_reads(side):
                     add(Diagnostic("BadCondition", "nested comparison in condition", where))
-            scope = set(program.parameters) | set(iterators) | scalar_names | set(program.descriptors)
-            check_scope(cond, scope, where, "condition")
+            scope = set(program.parameters) | set(iterators) | _scalar_names(program) | set(program.descriptors)
+            _check_scope(cond, scope, where, "condition", add)
             _check_condition_indices(cond, program, add, where)
-        check_region(br.then_body, iterators)
-        check_region(br.else_body, iterators)
+    check_region(program, br.then_body, iterators, add)
+    check_region(program, br.else_body, iterators, add)
 
-    def check_state(state: State, iterators: tuple[str, ...]):
-        check_graph(state.graph, state.label, iterators)
 
-    def check_graph(df: Dataflow, where: str, symbol_scope: tuple[str, ...]):
-        ids = [n.id for n in df.nodes]
-        if len(ids) != len(set(ids)):
-            add(Diagnostic("DuplicateName", "node ids repeated", where))
-            return
-        by_id = {n.id: n for n in df.nodes}
-        scope = set(program.parameters) | set(symbol_scope)
+def check_graph(program: Program, df: Dataflow, where: str, symbol_scope: tuple[str, ...], add) -> None:
+    """The checks of one graph, at ``where``, whose subsets and map ranges
+    may read the parameters and ``symbol_scope``; a map body is checked
+    with the map's parameters added."""
+    ids = [n.id for n in df.nodes]
+    if len(ids) != len(set(ids)):
+        add(Diagnostic("DuplicateName", "node ids repeated", where))
+        return
+    by_id = {n.id: n for n in df.nodes}
+    scope = set(program.parameters) | set(symbol_scope)
 
-        for n in df.nodes:
-            if isinstance(n, AccessNode) and n.data not in program.descriptors:
-                add(Diagnostic("UnknownData", f"access node '{n.id}' names '{n.data}'", where))
-            if isinstance(n, Tasklet):
-                for out in n.outs:
-                    if out not in n.body:
-                        add(Diagnostic("ArityMismatch", f"tasklet '{n.id}' missing body for '{out}'", where))
-                for key, expr in n.body.items():
-                    if key not in n.outs:
-                        add(Diagnostic("ArityMismatch", f"tasklet '{n.id}' body for undeclared '{key}'", where))
-                    check_constants(expr, where, f"tasklet '{n.id}' body")
-                    bad = free_names(expr) - set(n.ins)
-                    if bad:
-                        add(Diagnostic("UnboundName", f"tasklet '{n.id}' body uses {sorted(bad)}", where))
-                    if contains_compare_or_index(expr):
-                        add(Diagnostic("BadCondition", f"tasklet '{n.id}' body uses condition-only syntax", where))
-            if isinstance(n, LibraryNode):
-                if n.kind not in LIB_CONNECTORS:
-                    add(Diagnostic("BadLibrary", f"unknown library kind '{n.kind}'", where))
-                elif n.kind == "ew_unary" and n.op not in EW_UNARY_OPS:
-                    add(Diagnostic("BadLibrary", f"'{n.id}': unknown elementwise op '{n.op}'", where))
-                elif n.kind == "ew_binary" and n.op not in EW_BINARY_OPS:
-                    add(Diagnostic("BadLibrary", f"'{n.id}': unknown elementwise op '{n.op}'", where))
-                if n.kind == "ew_unary" and n.op == "scale" and n.const is None:
-                    add(Diagnostic("BadLibrary", f"'{n.id}': scale needs a constant", where))
-                if n.kind == "ew_expr":
-                    if n.expr is None:
-                        add(Diagnostic("BadLibrary", f"'{n.id}': ew_expr needs an expression", where))
-                    elif contains_compare_or_index(n.expr):
-                        add(Diagnostic("BadCondition", f"'{n.id}' expression uses condition-only syntax", where))
-            if isinstance(n, MapNode):
-                if len(n.params) != len(n.ranges):
-                    add(Diagnostic("ArityMismatch", f"map '{n.id}': {len(n.params)} params, {len(n.ranges)} ranges", where))
-                inner = set(scope)
-                for k, p in enumerate(n.params):
-                    if p in inner:
-                        add(Diagnostic("DuplicateName", f"map '{n.id}' param '{p}' shadows", where))
-                    for part in n.ranges[k] if k < len(n.ranges) else ():
-                        check_scope(part, inner, where, f"map '{n.id}' range")
-                        check_constants(part, where, f"map '{n.id}' range")
-                    inner.add(p)
-                check_graph(n.body, f"{where}/{n.id}", symbol_scope + n.params)
+    for n in df.nodes:
+        if isinstance(n, AccessNode) and n.data not in program.descriptors:
+            add(Diagnostic("UnknownData", f"access node '{n.id}' names '{n.data}'", where))
+        if isinstance(n, Tasklet):
+            for out in n.outs:
+                if out not in n.body:
+                    add(Diagnostic("ArityMismatch", f"tasklet '{n.id}' missing body for '{out}'", where))
+            for key, expr in n.body.items():
+                if key not in n.outs:
+                    add(Diagnostic("ArityMismatch", f"tasklet '{n.id}' body for undeclared '{key}'", where))
+                _check_constants(expr, where, f"tasklet '{n.id}' body", add)
+                bad = free_names(expr) - set(n.ins)
+                if bad:
+                    add(Diagnostic("UnboundName", f"tasklet '{n.id}' body uses {sorted(bad)}", where))
+                if contains_compare_or_index(expr):
+                    add(Diagnostic("BadCondition", f"tasklet '{n.id}' body uses condition-only syntax", where))
+        if isinstance(n, LibraryNode):
+            if n.kind not in LIB_CONNECTORS:
+                add(Diagnostic("BadLibrary", f"unknown library kind '{n.kind}'", where))
+            elif n.kind == "ew_unary" and n.op not in EW_UNARY_OPS:
+                add(Diagnostic("BadLibrary", f"'{n.id}': unknown elementwise op '{n.op}'", where))
+            elif n.kind == "ew_binary" and n.op not in EW_BINARY_OPS:
+                add(Diagnostic("BadLibrary", f"'{n.id}': unknown elementwise op '{n.op}'", where))
+            if n.kind == "ew_unary" and n.op == "scale" and n.const is None:
+                add(Diagnostic("BadLibrary", f"'{n.id}': scale needs a constant", where))
+            if n.kind == "ew_expr":
+                if n.expr is None:
+                    add(Diagnostic("BadLibrary", f"'{n.id}': ew_expr needs an expression", where))
+                elif contains_compare_or_index(n.expr):
+                    add(Diagnostic("BadCondition", f"'{n.id}' expression uses condition-only syntax", where))
+        if isinstance(n, MapNode):
+            if len(n.params) != len(n.ranges):
+                add(Diagnostic("ArityMismatch", f"map '{n.id}': {len(n.params)} params, {len(n.ranges)} ranges", where))
+            inner = set(scope)
+            for k, p in enumerate(n.params):
+                if p in inner:
+                    add(Diagnostic("DuplicateName", f"map '{n.id}' param '{p}' shadows", where))
+                for part in n.ranges[k] if k < len(n.ranges) else ():
+                    _check_scope(part, inner, where, f"map '{n.id}' range", add)
+                    _check_constants(part, where, f"map '{n.id}' range", add)
+                inner.add(p)
+            check_graph(program, n.body, f"{where}/{n.id}", symbol_scope + n.params, add)
 
-        # connector wiring
-        in_count: dict[tuple[str, str], int] = {}
-        out_count: dict[tuple[str, str], int] = {}
-        dangling = False
-        for e in df.edges:
-            if e.src not in by_id or e.dst not in by_id:
-                add(Diagnostic("UnknownNode", f"edge references '{e.src}'->'{e.dst}'", where))
-                dangling = True
-                continue
-            src, dst = by_id[e.src], by_id[e.dst]
-            if isinstance(src, AccessNode) == isinstance(dst, AccessNode):
-                add(Diagnostic("AccessEdge", f"edge '{e.src}'->'{e.dst}' must join access and compute", where))
-                continue
-            acc = src if isinstance(src, AccessNode) else dst
-            if e.data != acc.data:
-                add(Diagnostic("UnknownData", f"edge data '{e.data}' != access '{acc.data}'", where))
-            desc = program.descriptors.get(e.data)
-            if desc is not None and e.subset is not None and len(e.subset) != desc.rank:
-                add(Diagnostic("BadSubset", f"subset arity {len(e.subset)} != rank {desc.rank} for '{e.data}'", where))
+    # connector wiring
+    in_count: dict[tuple[str, str], int] = {}
+    out_count: dict[tuple[str, str], int] = {}
+    dangling = False
+    for e in df.edges:
+        if e.src not in by_id or e.dst not in by_id:
+            add(Diagnostic("UnknownNode", f"edge references '{e.src}'->'{e.dst}'", where))
+            dangling = True
+            continue
+        src, dst = by_id[e.src], by_id[e.dst]
+        if isinstance(src, AccessNode) == isinstance(dst, AccessNode):
+            add(Diagnostic("AccessEdge", f"edge '{e.src}'->'{e.dst}' must join access and compute", where))
+            continue
+        acc = src if isinstance(src, AccessNode) else dst
+        if e.data != acc.data:
+            add(Diagnostic("UnknownData", f"edge data '{e.data}' != access '{acc.data}'", where))
+        desc = program.descriptors.get(e.data)
+        if desc is not None and e.subset is not None and len(e.subset) != desc.rank:
+            add(Diagnostic("BadSubset", f"subset arity {len(e.subset)} != rank {desc.rank} for '{e.data}'", where))
+        if e.subset is not None:
+            for part in e.subset:
+                _check_scope(part, scope, where, f"subset of '{e.data}'", add)
+                _check_constants(part, where, f"subset of '{e.data}'", add)
+        if e.wcr not in (None, "sum"):
+            add(Diagnostic("BadSubset", f"unknown wcr '{e.wcr}'", where))
+        comp, conn, is_in = (dst, e.dst_conn, True) if isinstance(src, AccessNode) else (src, e.src_conn, False)
+        if isinstance(comp, MapNode):
+            # map edges declare whole-array dependencies; elements move
+            # via the body's own access nodes
+            if conn is not None:
+                add(Diagnostic("UnknownConnector", f"map '{comp.id}' takes no connectors", where))
             if e.subset is not None:
-                for part in e.subset:
-                    check_scope(part, scope, where, f"subset of '{e.data}'")
-                    check_constants(part, where, f"subset of '{e.data}'")
-            if e.wcr not in (None, "sum"):
-                add(Diagnostic("BadSubset", f"unknown wcr '{e.wcr}'", where))
-            comp, conn, is_in = (dst, e.dst_conn, True) if isinstance(src, AccessNode) else (src, e.src_conn, False)
-            if isinstance(comp, MapNode):
-                # map edges declare whole-array dependencies; elements move
-                # via the body's own access nodes
-                if conn is not None:
-                    add(Diagnostic("UnknownConnector", f"map '{comp.id}' takes no connectors", where))
-                if e.subset is not None:
-                    add(Diagnostic("BadSubset", f"map edge on '{comp.id}' must cover the whole array", where))
-                continue
-            declared = _connectors(comp)
-            if declared is not None:
-                pool = declared[0] if is_in else declared[1]
-                if conn not in pool:
-                    add(Diagnostic("UnknownConnector", f"'{comp.id}' has no connector '{conn}'", where))
-                else:
-                    (in_count if is_in else out_count)[(comp.id, conn)] = (
-                        (in_count if is_in else out_count).get((comp.id, conn), 0) + 1
-                    )
-            if isinstance(comp, Tasklet) and e.subset is None:
-                add(Diagnostic("BadSubset", f"tasklet edge on '{comp.id}' needs an element subset", where))
+                add(Diagnostic("BadSubset", f"map edge on '{comp.id}' must cover the whole array", where))
+            continue
+        declared = _connectors(comp)
+        if declared is not None:
+            pool = declared[0] if is_in else declared[1]
+            if conn not in pool:
+                add(Diagnostic("UnknownConnector", f"'{comp.id}' has no connector '{conn}'", where))
+            else:
+                (in_count if is_in else out_count)[(comp.id, conn)] = (
+                    (in_count if is_in else out_count).get((comp.id, conn), 0) + 1
+                )
+        if isinstance(comp, Tasklet) and e.subset is None:
+            add(Diagnostic("BadSubset", f"tasklet edge on '{comp.id}' needs an element subset", where))
 
-        for n in df.nodes:
-            if isinstance(n, MapNode):
-                ins_have = {e.data for e in df.in_edges(n.id)}
-                outs_have = {e.data for e in df.out_edges(n.id)}
-                if ins_have != data_read(n.body):
-                    add(Diagnostic("ArityMismatch", f"map '{n.id}' in-edges {sorted(ins_have)} != body reads {sorted(data_read(n.body))}", where))
-                if outs_have != data_written(n.body):
-                    add(Diagnostic("ArityMismatch", f"map '{n.id}' out-edges {sorted(outs_have)} != body writes {sorted(data_written(n.body))}", where))
-                continue
-            decl = _connectors(n)
-            if decl is None:
-                continue
-            ins, outs = decl
-            for c in ins:
-                if in_count.get((n.id, c), 0) != 1:
-                    add(Diagnostic("ArityMismatch", f"'{n.id}' input '{c}' has {in_count.get((n.id, c), 0)} edges", where))
-            for c in outs:
-                if out_count.get((n.id, c), 0) != 1:
-                    add(Diagnostic("ArityMismatch", f"'{n.id}' output '{c}' has {out_count.get((n.id, c), 0)} edges", where))
+    for n in df.nodes:
+        if isinstance(n, MapNode):
+            ins_have = {e.data for e in df.in_edges(n.id)}
+            outs_have = {e.data for e in df.out_edges(n.id)}
+            if ins_have != data_read(n.body):
+                add(Diagnostic("ArityMismatch", f"map '{n.id}' in-edges {sorted(ins_have)} != body reads {sorted(data_read(n.body))}", where))
+            if outs_have != data_written(n.body):
+                add(Diagnostic("ArityMismatch", f"map '{n.id}' out-edges {sorted(outs_have)} != body writes {sorted(data_written(n.body))}", where))
+            continue
+        decl = _connectors(n)
+        if decl is None:
+            continue
+        ins, outs = decl
+        for c in ins:
+            if in_count.get((n.id, c), 0) != 1:
+                add(Diagnostic("ArityMismatch", f"'{n.id}' input '{c}' has {in_count.get((n.id, c), 0)} edges", where))
+        for c in outs:
+            if out_count.get((n.id, c), 0) != 1:
+                add(Diagnostic("ArityMismatch", f"'{n.id}' output '{c}' has {out_count.get((n.id, c), 0)} edges", where))
 
-        if dangling:
-            return  # a graph with an edge to a missing node cannot be ordered
-        try:
-            schedule(df)
-        except ValueError:
-            add(Diagnostic("CycleInState", "dataflow graph has a cycle", where))
-
-    check_region(program.region, ())
-    return diags
+    if dangling:
+        return  # a graph with an edge to a missing node cannot be ordered
+    try:
+        schedule(df)
+    except ValueError:
+        add(Diagnostic("CycleInState", "dataflow graph has a cycle", where))
 
 
 def _connectors(n: Node) -> tuple[tuple[str, ...], tuple[str, ...]] | None:

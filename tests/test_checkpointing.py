@@ -39,8 +39,14 @@ from gradflow import (
     solve_ilp,
 )
 from gradflow.checkpointing import AffineBytes, MemoryEvent, MemoryRows, PathSequence
-from gradflow.errors import Infeasible, UnresolvableTripCount, UnsupportedConstruct, UnsupportedLoop
-from gradflow.ir import LoopRegion, Program, State, simulate_header, visit_positions, walk_blocks
+from gradflow.errors import (
+    Infeasible,
+    UnresolvableTripCount,
+    UnsupportedConstruct,
+    UnsupportedLoop,
+    ValidationFailed,
+)
+from gradflow.ir import LoopRegion, Program, State, simulate_header, validate, visit_positions, walk_blocks
 from gradflow.verification import _scratch_peak
 from genprog import (
     make_chain_program,
@@ -574,6 +580,78 @@ def test_planned_and_replaced_programs_start_with_nothing_kept(monkeypatch):
     calls = _count_calls(monkeypatch, build_backward)
     gradient(replace(program), inputs, params)
     assert calls == {"build_backward": 1}
+
+
+def _planned_cases():
+    for name in sorted(examples.EXAMPLES):
+        yield name, examples.build(name), examples.DEFAULT_PARAMS[name]
+    yield "sin_chain(5)", sin_chain(5), {}
+    for make, seed in itertools.product(
+        (make_loop_program, make_map_program, make_elementwise_program, make_chain_program), range(8)
+    ):
+        yield f"{make.__name__}({seed})", make(seed), {"n": 4}
+
+
+@pytest.mark.filterwarnings("ignore::gradflow.errors.NonDifferentiableOp")
+def test_every_planned_program_passes_the_whole_program_validation():
+    # plan() checks only the blocks it builds; the programs it splices
+    # them into must still pass validate as a whole
+    checked = set()
+    for label, program, params in _planned_cases():
+        try:
+            keep_all = plan(program, None, params).solution.t_star
+        except (UnsupportedConstruct, UnsupportedLoop):
+            continue
+        try:
+            plan(program, 0, params)
+            floor = 0
+        except Infeasible as exc:
+            floor = exc.min_peak_bytes
+        for limit in (None, 0.75 * keep_all, 0.5 * keep_all, floor):
+            try:
+                result = plan(program, None if limit is None else limit / MIB, params)
+            except Infeasible:
+                continue
+            assert validate(result.forward) == [], (label, limit)
+            assert validate(result.backward) == [], (label, limit)
+            checked.add(label)
+            if 0 in result.solution.assignment:
+                checked.add("recomputes")
+    assert len(checked) >= 40 and "recomputes" in checked, len(checked)
+
+
+def test_a_second_plan_builds_and_validates_nothing(monkeypatch):
+    program = sin_chain(12)
+    limit = 0.6 * plan(sin_chain(12), None, {}).solution.t_star / MIB
+    calls = _count_calls(monkeypatch, validate, checkpointing._rebuild_block, checkpointing._copy_out_state)
+    first = plan(program, limit, {})
+    stored = [v for fv, v in zip(first.fvs, first.solution.assignment) if not fv.forced]
+    assert 0 in stored and 1 in stored  # both kinds of block are built
+    # the program once (backward_of) and its backward once (build_backward)
+    assert calls["validate"] == 2 and calls["_rebuild_block"] and calls["_copy_out_state"], calls
+    built = dict(calls)
+    second = plan(program, limit, {})
+    assert calls == built
+    for a, b in ((first.forward, second.forward), (first.backward, second.backward)):
+        assert serialize_program(a) == serialize_program(b)
+
+
+@pytest.mark.parametrize("builder", ["_rebuild_block", "_copy_out_state"])
+def test_a_block_built_wrong_fails_the_plan_that_builds_it(builder, monkeypatch):
+    limit = 0.6 * plan(sin_chain(12), None, {}).solution.t_star / MIB
+    real = getattr(checkpointing, builder)
+
+    def one_edge_short(*args):
+        block = real(*args)
+        state = block[0] if isinstance(block, tuple) else block
+        state.graph.edges.pop()  # the last out-edge of the last node
+        return block
+
+    monkeypatch.setattr(checkpointing, builder, one_edge_short)
+    program = sin_chain(12)
+    for _ in range(2):  # a block that fails its check is not kept
+        with pytest.raises(ValidationFailed, match="ArityMismatch"):
+            plan(program, limit, {})
 
 
 def test_a_program_out_of_use_is_freed_without_the_cycle_collector():

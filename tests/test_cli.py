@@ -13,6 +13,7 @@ from gradflow import (
     cli,
     load_program,
     parse_program,
+    program_to_dict,
     serialize_program,
 )
 from gradflow.errors import ProgramSyntaxError, ValidationFailed
@@ -412,6 +413,20 @@ def test_negative_skip_in_a_parsed_program_is_a_validation_error(tmp_path, capsy
     path.write_text(text)
     assert run_cli("run", path, "--params", "trips=3") == 2
     assert "skip must be at least 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "plan"])
+def test_an_invalid_parsed_program_is_a_validation_error(command, tmp_path, capsys):
+    # doubling_gather's init tasklet loses its only out-edge: the file
+    # parses, and differentiating it fails validation, not the tape
+    doc = program_to_dict(examples.build("doubling_gather"))
+    init = doc["region"][0]
+    init["edges"] = [e for e in init["edges"] if e["src"] != "t1"]
+    path = tmp_path / "gather.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(command, path) == 2
+    err = capsys.readouterr().err
+    assert "ArityMismatch: 't1' output 'o' has 0 edges" in err and "Traceback" not in err
 
 
 def test_module_entry_point(foo_path):

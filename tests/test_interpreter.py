@@ -34,6 +34,7 @@ from gradflow.errors import (
     UnresolvableTripCount,
     UnsupportedConstruct,
     UnsupportedLoop,
+    ValidationFailed,
 )
 import genprog
 import gradflow.interpreter as interpreter
@@ -298,8 +299,8 @@ def test_domain_error_propagates():
 
 
 def test_unknown_elementwise_op_is_a_domain_error():
-    # parse_program does not validate, so the executor and the
-    # differentiator meet the unknown op themselves
+    # parse_program does not validate, so the executor meets the unknown op
+    # itself; gradient() validates the program before differentiating it
     b = ProgramBuilder(())
     b.array("X", ("3",), role="input", kind="real64")
     b.array("Y", ("3",), kind="real64")
@@ -309,9 +310,10 @@ def test_unknown_elementwise_op_is_a_domain_error():
         s.library("reduce_sum", {"x": "Y"}, {"y": "O"})
     text = json.dumps(program_to_dict(b.finish("O", ["X"]))).replace('"sin"', '"frob"')
     p = parse_program(text)
-    for call in (run_forward, gradient):
-        with pytest.raises(DomainError, match="unknown elementwise op 'frob'"):
-            call(p, {"X": np.ones(3)}, {})
+    with pytest.raises(DomainError, match="unknown elementwise op 'frob'"):
+        run_forward(p, {"X": np.ones(3)}, {})
+    with pytest.raises(ValidationFailed, match="BadLibrary: 'n1': unknown elementwise op 'frob'"):
+        gradient(p, {"X": np.ones(3)}, {})
 
 
 def test_library_copy_does_not_alias_its_input():
@@ -1015,7 +1017,8 @@ def test_a_peeled_reversed_loop_visits_its_positions(skip, take, digits):
 
 def test_a_tasklet_with_no_out_edge_runs_and_writes_nothing(rng):
     # the init tasklet T = 1 loses its only out-edge: it still runs, T stays
-    # zero, and the run and the cost model count the same operators
+    # zero, and the run and the cost model count the same operators; the
+    # differentiator refuses the program, which fails validation
     doc = program_to_dict(examples.build("doubling_gather"))
     init = doc["region"][0]
     init["edges"] = [e for e in init["edges"] if e["src"] != "t1"]
@@ -1023,7 +1026,7 @@ def test_a_tasklet_with_no_out_edge_runs_and_writes_nothing(rng):
     inputs = sample_inputs(p, {}, rng)
     res = run_forward(p, inputs, {})
     assert res.value == 0.0 and res.op_count == count_flops(p, {})[()] == 4
-    with pytest.raises(GradflowError):
+    with pytest.raises(ValidationFailed, match="ArityMismatch: 't1' output 'o' has 0 edges"):
         gradient(p, inputs, {})
 
 

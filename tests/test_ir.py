@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -179,6 +181,38 @@ def test_schedule_is_kept_with_its_graph(name):
 def test_corpus_validates_clean():
     for name in examples.EXAMPLES:
         assert validate(examples.build(name)) == []
+
+
+def test_a_program_dropped_after_validate_is_freed_without_the_cycle_collector():
+    # parsed, so validate is the only pass that has seen the program
+    program = parse_program(serialize_program(examples.build("seidel_stencil")))
+    gc.collect()
+    gc.disable()
+    try:
+        assert validate(program) == []
+        ref = weakref.ref(program)
+        del program
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_state_is_checked_in_the_place_it_is_built_for():
+    program = examples.build("seidel_stencil")
+    state, loops = next(
+        (b, ir.loops_around(program.region, b)) for _, b in walk_blocks(program.region)
+        if isinstance(b, State) and ir.loops_around(program.region, b)
+    )
+    assert ir.validate_state(program, state, loops) == []
+    # out of its loops, the subsets read iterators that are not in scope
+    assert {d.code for d in ir.validate_state(program, state)} == {"UnboundName"}
+    # beside a block of the same label
+    assert [d.code for d in ir.validate_state(program, state, loops, {state.label})] == ["DuplicateName"]
+    # inside a loop whose header reads what the state writes
+    (written, *_) = sorted(ir.data_written(state.graph))
+    header = LoopRegion("outer", "q", Name(written), Name("N"), "<", Name("q"))
+    codes = [d.code for d in ir.validate_state(program, state, (header, *loops))]
+    assert codes == ["HeaderMutation"]
 
 
 def test_a_dangling_edge_is_reported_not_raised():
