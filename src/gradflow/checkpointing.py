@@ -49,7 +49,6 @@ from .errors import (
     Infeasible,
     IrrecomputableValue,
     UnresolvableTripCount,
-    ValidationFailed,
 )
 from .interpreter import _node_cost, run_backward, run_forward
 from .ir import (
@@ -65,7 +64,6 @@ from .ir import (
     Tasklet,
     graph_names,
     live_ranges,
-    loops_around,
     node_accesses,
     path_outcomes,
     path_visits,
@@ -75,7 +73,7 @@ from .ir import (
     schedule,
     size_bytes,
     splice,
-    validate_state,
+    validate_or_raise,
     walk_blocks,
 )
 from .versions import VersionInfo
@@ -156,21 +154,19 @@ class RecomputePlan:
     """A self-contained block that rebuilds one value from pristine inputs.
     Its cost and scratch peak are known up front; the block itself, ``state``
     and ``descriptors``, is built on demand (``apply_plan`` asks for those of
-    the values it recomputes), checked where it goes, right before
-    ``reader``, the first reverse state that touches the value, and then
-    kept. A build that raises keeps nothing."""
+    the values it recomputes and checks it with the whole planned program)
+    and then kept. A build that raises keeps nothing."""
 
     flops: int
     peak_bytes: int  # scratch high-water mark, produced value excluded
-    build: Callable[[], tuple[State, dict[str, DataDescriptor], State]] = field(repr=False, compare=False)
+    build: Callable[[], tuple[State, dict[str, DataDescriptor]]] = field(repr=False, compare=False)
 
     @functools.cached_property
-    def block(self) -> tuple[State, dict[str, DataDescriptor], State]:
+    def block(self) -> tuple[State, dict[str, DataDescriptor]]:
         return self.build()
 
     state = property(lambda self: self.block[0])
     descriptors = property(lambda self: self.block[1])
-    reader = property(lambda self: self.block[2])
 
 
 @dataclass(frozen=True)
@@ -218,7 +214,6 @@ def collect_forwarded(
     }
 
     # per-call tables the rebuild closures share
-    place = _ReverseSites(bundle.backward).place
     accesses = functools.cache(lambda label: node_accesses(states[label].graph))
     nbytes = functools.cache(lambda name: size_bytes(program.descriptors[name], params))
 
@@ -275,7 +270,7 @@ def collect_forwarded(
             access = acc
             try:
                 rec_plan = _recompute_plan(
-                    program, vinfo, pristine, states, order, accesses, cost, nbytes, place,
+                    program, vinfo, pristine, states, order, accesses, cost, nbytes,
                     entry.name, entry.data, cand.version, idx,
                 )
             except IrrecomputableValue as exc:
@@ -339,7 +334,6 @@ def _recompute_plan(
     accesses: Callable[[str], dict[str, list[str]]],
     cost: Callable[[str, str], int],
     nbytes: Callable[[str], int],
-    place: Callable[..., tuple[State, dict[str, DataDescriptor], State]],
     stored_name: str,
     data: str,
     version: int,
@@ -347,11 +341,10 @@ def _recompute_plan(
 ) -> RecomputePlan:
     """Straight-line producer closure of (data, version), rebuilt on demand
     (``_rebuild_block``) as one state that reads only pristine inputs and
-    writes ``stored_name``, and checked where ``place`` puts it. ``order``
-    gives each (state, node) its program position. The flops sum ``cost``
-    over the closure; the scratch peak is ``ir.live_ranges`` over its
-    ``accesses`` in program order, renamed as the block renames them, with
-    ``nbytes`` per array."""
+    writes ``stored_name``. ``order`` gives each (state, node) its program
+    position. The flops sum ``cost`` over the closure; the scratch peak is
+    ``ir.live_ranges`` over its ``accesses`` in program order, renamed as
+    the block renames them, with ``nbytes`` per array."""
 
     steps: dict[tuple[str, int], tuple[str, str]] = {}
     need = [(data, version)]
@@ -403,7 +396,7 @@ def _recompute_plan(
     peak = max(itertools.accumulate(held[:-1]), default=0)
     # the descriptors, not the program, so the program's kept values do not refer back to it
     build = functools.partial(_rebuild_block, program.descriptors, pristine, states, ordered, rename, stored_name, fvid)
-    return RecomputePlan(flops, peak, functools.partial(place, stored_name, build))
+    return RecomputePlan(flops, peak, build)
 
 
 def _rebuild_block(descriptors: dict[str, DataDescriptor], pristine: set[str], states: dict[str, State],
@@ -441,37 +434,6 @@ def _rebuild_block(descriptors: dict[str, DataDescriptor], pristine: set[str], s
     return State(label=f"rec_{stored_name}", graph=graph), descs
 
 
-class _ReverseSites:
-    """Where rebuild blocks go in one reverse program: each right before
-    the first state that touches its value. The tables are made at the
-    first placement and kept with the forwarded values."""
-
-    def __init__(self, backward: Program):
-        self.backward = backward
-
-    @functools.cached_property
-    def readers(self) -> dict[str, State]:
-        return _first_readers(self.backward.region)
-
-    @functools.cached_property
-    def labels(self) -> set[str]:
-        return {b.label for _, b in walk_blocks(self.backward.region)}
-
-    def place(self, name: str, build) -> tuple[State, dict[str, DataDescriptor], State]:
-        """The block ``build`` makes for the value stored as ``name``, its
-        descriptors and its reader, once the block is checked and prepared
-        in the reader's place."""
-        state, descs = build()
-        reader = self.readers.get(name)
-        if reader is None:
-            raise GradflowError(f"internal: '{name}' is never read by the reverse program")
-        bwd = self.backward
-        within = replace(bwd, descriptors={**descs, **bwd.descriptors})
-        new = [n for n in descs if n not in bwd.descriptors]
-        _check_and_prepare(within, state, loops_around(bwd.region, reader), self.labels, new)
-        return state, descs, reader
-
-
 def _states_of(region: list[Block]) -> dict[str, State]:
     return {b.label: b for _, b in walk_blocks(region) if isinstance(b, State)}
 
@@ -480,16 +442,6 @@ def _first_readers(region: list[Block]) -> dict[str, State]:
     """Each name -> the first state in program order that touches it."""
     states = [b for _, b in walk_blocks(region) if isinstance(b, State)]
     return {name: b for b in reversed(states) for name in graph_names(b.graph)}
-
-
-def _check_and_prepare(program: Program, state: State, loops, labels, new) -> None:
-    """Check a state built into ``program`` where it will sit
-    (``ir.validate_state``), then prepare its library steps, so that no
-    run of a plan allocates them."""
-    diags = validate_state(program, state, loops, labels, new)
-    if diags:
-        raise ValidationFailed(diags)
-    prepare_steps([state])
 
 
 # ---------------------------------------------------------------------------
@@ -881,17 +833,15 @@ def apply_plan(
     ``bundle`` are left untouched: each state that gains a copy-out is built
     anew, and the returned programs share every other block with them.
 
-    Only the blocks built here are checked, each once, where it is built:
-    a rebuild block by ``RecomputePlan.block``, a state with copy-outs once
-    per (state, values kept there), kept with the planning analyses when
-    ``fvs`` are the ones ``plan()`` keeps. Every other block was checked
-    with the program and its backward (``backward_of``)."""
-    planning = program._kept.get("planning")
-    if planning is None or planning.fvs is not fvs:
-        planning = _Planning((), fvs, (), None, _states_of(program.region))  # not kept
+    Both returned programs are validated as a whole (``ValidationFailed``
+    if either is not valid) and their library steps prepared, so that no
+    run of the plan prepares them. ``plan()`` keeps the pair it gets for an
+    assignment and calls this once per assignment."""
+    fstates = _states_of(program.region)
     fdescs, bdescs = dict(program.descriptors), dict(bundle.backward.descriptors)
     kept: dict[str, list[ForwardedValue]] = {}  # production state -> values
     rebuilt: dict[int, list[Block]] = {}  # id of a first reader -> rebuilds, reader
+    readers: dict[str, State] = {}  # name -> first backward state touching it, built on first need
     for fv, v in zip(fvs, assignment):
         if fv.forced:
             continue  # snapshots already live on the tape
@@ -900,17 +850,20 @@ def apply_plan(
             base = program.descriptors[fv.data]
             fdescs[fv.name] = DataDescriptor(fv.name, base.element_kind, base.shape, "stored-copy")
         else:
-            rec = fv.recompute
-            for name, desc in rec.descriptors.items():
+            for name, desc in fv.recompute.descriptors.items():
                 bdescs.setdefault(name, desc)
-            rebuilt.setdefault(id(rec.reader), [rec.reader]).insert(-1, rec.state)
+            readers = readers or _first_readers(bundle.backward.region)
+            reader = readers.get(fv.name)
+            if reader is None:
+                raise GradflowError(f"internal: '{fv.name}' is never read by the reverse program")
+            rebuilt.setdefault(id(reader), [reader]).insert(-1, fv.recompute.state)
 
-    grown = {
-        id(planning.states[label]): [planning.copy_out(program, fdescs, label, values)]
-        for label, values in kept.items()
-    }
+    grown = {id(fstates[label]): [_copy_out_state(fstates[label], values)] for label, values in kept.items()}
     fwd = replace(program, descriptors=fdescs, region=splice(program.region, grown))
     bwd = replace(bundle.backward, descriptors=bdescs, region=splice(bundle.backward.region, rebuilt))
+    validate_or_raise(fwd)
+    validate_or_raise(bwd)
+    prepare_steps(fwd.region + bwd.region)
     return fwd, bwd
 
 
@@ -932,31 +885,14 @@ def _copy_out_state(state: State, values: list[ForwardedValue]) -> State:
 class _Planning:
     """What ``plan()`` keeps with a program for the last parameter binding
     it planned: the forwarded values, the memory sequences, the integer
-    program under no limit, the forward states by label, and each state
-    with copy-outs it built, by (label, value indices). Nothing here refers
-    back to the program."""
+    program under no limit, and the validated planned pair of each
+    assignment it has applied. Nothing here refers back to the program."""
 
     binding: tuple
     fvs: tuple[ForwardedValue, ...]
     sequences: tuple[PathSequence, ...]
-    problem: ILPProblem | None
-    states: dict[str, State]
-    copies: dict[tuple[str, tuple[int, ...]], State] = field(default_factory=dict)
-
-    def copy_out(self, program: Program, descriptors: dict[str, DataDescriptor],
-                 label: str, values: list[ForwardedValue]) -> State:
-        """State ``label`` of ``program`` with copy-outs of ``values``, whose
-        stored copies ``descriptors`` declares; built, checked in the
-        state's place and prepared once."""
-        key = label, tuple(fv.index for fv in values)
-        state = self.copies.get(key)
-        if state is None:
-            old = self.states[label]
-            state = _copy_out_state(old, values)
-            within = replace(program, descriptors=descriptors)
-            _check_and_prepare(within, state, loops_around(program.region, old), (), [fv.name for fv in values])
-            self.copies[key] = state
-        return state
+    problem: ILPProblem
+    pairs: dict[tuple[int, ...], tuple[Program, Program]] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -984,11 +920,11 @@ def plan(
     What does not depend on the budget is kept with ``program``: its
     backward bundle (``backward_of``, which validates the program once)
     and, for the last parameter binding planned, the forwarded values, the
-    memory sequences, the integer program's budget-free part (``_Planning``)
-    and the blocks plans have built: each rebuild block and each state with
-    copy-outs is built and checked once, when a plan first needs it. Each
-    call then only poses the limit, solves and splices; neither program is
-    validated again as a whole."""
+    memory sequences, the integer program's budget-free part and the
+    planned pair of each assignment applied (``_Planning``). Each call then
+    only poses the limit and solves; ``apply_plan`` builds and validates a
+    pair only for an assignment not seen before, and a pair that fails
+    validation is not kept."""
     params = dict(params or {})
     bundle = backward_of(program)
     binding = tuple(sorted(params.items()))
@@ -997,13 +933,15 @@ def plan(
         fvs = collect_forwarded(program, bundle, params)
         sequences = build_memory_sequences(program, bundle, fvs, params)
         problem = build_ilp(fvs, sequences, None)
-        planning = program._kept["planning"] = _Planning(
-            binding, tuple(fvs), tuple(sequences), problem, _states_of(program.region))
+        planning = program._kept["planning"] = _Planning(binding, tuple(fvs), tuple(sequences), problem)
     fvs, sequences = planning.fvs, planning.sequences
     limit_bytes = None if limit_mib is None else int(limit_mib * (1 << 20))
     problem = planning.problem.under(limit_bytes)
     solution = solve_ilp(problem)
-    fwd, bwd = apply_plan(program, bundle, fvs, solution.assignment)
+    pair = planning.pairs.get(solution.assignment)
+    if pair is None:
+        pair = planning.pairs[solution.assignment] = apply_plan(program, bundle, fvs, solution.assignment)
+    fwd, bwd = pair
     report = {
         "values": [
             {

@@ -492,6 +492,8 @@ class ProgramBuilder:
         g = self._need_graph()
         nid = self.fresh("n")
         read_nodes = {conn: self.read(data) for conn, data in ins.items()}
+        if isinstance(const, np.generic):
+            const = const.item()  # as _built converts an expression's constants
         g.nodes.append(LibraryNode(nid, kind, op=op, const=const, ta=ta, tb=tb, group=group))
         for conn, data in ins.items():
             g.edges.append(Memlet(read_nodes[conn], None, nid, conn, data, None))

@@ -7,9 +7,7 @@ A ``Program`` owns data descriptors and a tree of control-flow blocks. Each
 (explicit subset) or a whole array (subset ``None``, library nodes only), and
 may carry ``sum`` conflict resolution instead of overwriting.
 
-Invariants enforced by :func:`validate` (and, for one state built into a
-checked program, by :func:`validate_state`, which runs the same
-``check_*`` rules):
+Invariants enforced by :func:`validate`:
 
 * graphs are acyclic within a state, including write-after-read ordering
   between successive access instances of the same array;
@@ -19,15 +17,13 @@ checked program, by :func:`validate_state`, which runs the same
 * ``skip``/``take`` appear only on reversed loops, with skip >= 0, take >= 1;
 * branch conditions are comparisons over scalars, elements and parameters.
 
-Each program and block is checked once, where it is built:
+Each program is checked once, as a whole, where it is built:
 ``ProgramBuilder.finish`` validates what it builds; ``autodiff.backward_of``
 validates a program before it differentiates it (so a parsed program is
 checked there, not by ``parse_program``); ``autodiff.build_backward``
-validates the reverse program it emits; and ``checkpointing`` checks each
-rebuild block (``RecomputePlan.block``) and each state that gains a
-copy-out with :func:`validate_state`, in the place it will sit, when it
-builds them. A planned program is those blocks spliced into checked
-programs, so ``plan()`` validates no whole program.
+validates the reverse program it emits; and ``checkpointing.apply_plan``
+validates both planned programs it builds, which ``plan()`` keeps per
+assignment, so a repeated plan validates nothing.
 
 A built ``Program`` is a value: no pass changes it. A pass that rewrites a
 few states builds those states anew and rebuilds the program around them
@@ -38,9 +34,9 @@ shares the graph shares them. Each program keeps the analyses that do not
 depend on a memory budget: its backward bundle
 (``autodiff.backward_of``) and, for the last parameter binding planned, its
 forwarded values, memory sequences, the budget-free part of the integer
-program and the blocks plans built (``checkpointing.plan``). So neither a
-graph nor a program may be edited after it is built; ``dataclasses.replace``
-makes a new program that starts with nothing kept.
+program and the planned pair of each assignment (``checkpointing.plan``).
+So neither a graph nor a program may be edited after it is built;
+``dataclasses.replace`` makes a new program that starts with nothing kept.
 """
 
 from __future__ import annotations
@@ -158,7 +154,6 @@ class LibraryNode:
     tb: bool = False
     group: str | None = None
     expr: Expr | None = None
-    _step: "LibraryStep | None" = field(default=None, init=False, repr=False, compare=False)  # see library_steps
 
 
 @dataclass
@@ -444,8 +439,7 @@ def library_steps(df: Dataflow) -> dict[str, LibraryStep]:
     first use from one pass over the edges and kept with the graph, as
     :func:`schedule` keeps its order. Shapes, dtypes and the batch are not
     part of a step, so every run and every program sharing the graph
-    shares it. A node also keeps its last step, which a graph that gives
-    the node the same edges (a state rebuilt around new nodes) reuses."""
+    shares it."""
     if df._steps is not None:
         return df._steps
     libs = [n for n in df.nodes if isinstance(n, LibraryNode)]
@@ -458,17 +452,14 @@ def library_steps(df: Dataflow) -> dict[str, LibraryStep]:
             outs[e.src].append((e.data, e.wcr))
     steps = {}
     for n in libs:
-        step, n_ins, n_outs = n._step, tuple(ins[n.id]), tuple(outs[n.id])
-        if step is None or step.ins != n_ins or step.outs != n_outs:
-            fn = ops = None
-            if n.kind not in ("matmul", "reduce_sum"):
-                try:
-                    expr = library_expr(n)
-                    fn, ops = compile_expr(expr, {c for c, _ in n_ins}), count_ops(expr)
-                except (DomainError, TypeError):
-                    pass  # a malformed node fails where it runs or is counted
-            step = n._step = LibraryStep(n_ins, n_outs, fn, ops)
-        steps[n.id] = step
+        fn = ops = None
+        if n.kind not in ("matmul", "reduce_sum"):
+            try:
+                expr = library_expr(n)
+                fn, ops = compile_expr(expr, {c for c, _ in ins[n.id]}), count_ops(expr)
+            except (DomainError, TypeError):
+                pass  # a malformed node fails where it runs or is counted
+        steps[n.id] = LibraryStep(tuple(ins[n.id]), tuple(outs[n.id]), fn, ops)
     df._steps = steps
     return steps
 
@@ -679,10 +670,8 @@ def runtime_loop(region: list[Block], state: State, params: dict[str, int]) -> s
 def validate(program: Program) -> list[Diagnostic]:
     """Structural checks. Returns diagnostics; empty list means valid.
 
-    Each rule lives in one module-level ``check_*`` function, which
-    :func:`validate_state` also runs on a state built into a checked
-    program. None of them keeps a reference to ``program`` once it
-    returns."""
+    Each rule lives in one module-level ``check_*`` function. None of them
+    keeps a reference to ``program`` once it returns."""
     diags: list[Diagnostic] = []
     add = diags.append
     for pname in program.parameters:
@@ -712,48 +701,6 @@ def validate(program: Program) -> list[Diagnostic]:
 
     check_region(program, program.region, (), add)
     return diags
-
-
-def validate_state(
-    program: Program,
-    state: State,
-    loops: tuple[LoopRegion, ...] = (),
-    labels: Iterable[str] = (),
-    new: Iterable[str] = (),
-) -> list[Diagnostic]:
-    """What :func:`validate` checks of ``state``, a state built into the
-    region of a checked ``program`` inside ``loops`` (outermost first),
-    beside other blocks labelled ``labels``: the descriptors named ``new``,
-    which ``program`` holds with the state's other descriptors; a label no
-    other block has; no write to a name an enclosing loop header reads; and
-    the state's graph in the scope of the loops' iterators. Every other
-    block of ``program`` was checked where it was built."""
-    diags: list[Diagnostic] = []
-    add = diags.append
-    for name in new:
-        check_descriptor(program, name, program.descriptors[name], add)
-    if state.label in labels:
-        add(Diagnostic("DuplicateName", f"block label '{state.label}' repeated"))
-    written = data_written(state.graph)
-    for loop in loops:
-        check_header(loop, written, add)
-    check_graph(program, state.graph, state.label, tuple(loop.iterator for loop in loops), add)
-    return diags
-
-
-def loops_around(region: list[Block], state: State) -> tuple[LoopRegion, ...] | None:
-    """The loops of ``region`` around ``state``, outermost first; None when
-    ``state`` is not in ``region``."""
-    for block in region:
-        if block is state:
-            return ()
-        bodies = ((block.body,) if isinstance(block, LoopRegion)
-                  else (block.then_body, block.else_body) if isinstance(block, Conditional) else ())
-        for body in bodies:
-            inner = loops_around(body, state)
-            if inner is not None:
-                return (block, *inner) if isinstance(block, LoopRegion) else inner
-    return None
 
 
 def _check_constants(expr: Expr, where: str, what: str, add) -> None:
@@ -880,8 +827,11 @@ def check_graph(program: Program, df: Dataflow, where: str, symbol_scope: tuple[
                 add(Diagnostic("BadLibrary", f"'{n.id}': unknown elementwise op '{n.op}'", where))
             elif n.kind == "ew_binary" and n.op not in EW_BINARY_OPS:
                 add(Diagnostic("BadLibrary", f"'{n.id}': unknown elementwise op '{n.op}'", where))
-            if n.kind == "ew_unary" and n.op == "scale" and n.const is None:
-                add(Diagnostic("BadLibrary", f"'{n.id}': scale needs a constant", where))
+            if n.kind == "ew_unary" and n.op == "scale":
+                if n.const is None:
+                    add(Diagnostic("BadLibrary", f"'{n.id}': scale needs a constant", where))
+                else:
+                    _check_constants(Const(n.const), where, f"scale node '{n.id}'", add)
             if n.kind == "ew_expr":
                 if n.expr is None:
                     add(Diagnostic("BadLibrary", f"'{n.id}': ew_expr needs an expression", where))

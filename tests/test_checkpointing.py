@@ -564,7 +564,7 @@ def test_parameter_bindings_never_share_kept_analyses():
         assert _plan_outputs(result, inputs[n], {"N": n}) == want[n], n
         assert {fv.size_bytes for fv in result.fvs} == {n * n * 4}
         assert 0 in result.solution.assignment
-        seen[n] += [*result.fvs, *(fv.recompute.state for fv in result.fvs)]
+        seen[n] += [*result.fvs, *(fv.recompute.state for fv in result.fvs), result.forward, result.backward]
     assert not any(a is b for a in seen[8] for b in seen[12])
 
 
@@ -627,13 +627,30 @@ def test_a_second_plan_builds_and_validates_nothing(monkeypatch):
     first = plan(program, limit, {})
     stored = [v for fv, v in zip(first.fvs, first.solution.assignment) if not fv.forced]
     assert 0 in stored and 1 in stored  # both kinds of block are built
-    # the program once (backward_of) and its backward once (build_backward)
-    assert calls["validate"] == 2 and calls["_rebuild_block"] and calls["_copy_out_state"], calls
+    # the program (backward_of), its backward (build_backward) and the
+    # planned forward and backward (apply_plan), once each
+    assert calls["validate"] == 4 and calls["_rebuild_block"] and calls["_copy_out_state"], calls
     built = dict(calls)
     second = plan(program, limit, {})
     assert calls == built
     for a, b in ((first.forward, second.forward), (first.backward, second.backward)):
         assert serialize_program(a) == serialize_program(b)
+
+
+def test_a_repeated_plan_returns_the_kept_pair_of_its_assignment(monkeypatch):
+    program = sin_chain(12)
+    keep_all = plan(program, None, {}).solution.t_star
+    calls = _count_calls(monkeypatch, checkpointing.apply_plan, validate)
+    first = plan(program, 0.6 * keep_all / MIB, {})
+    assert calls == {"apply_plan": 1, "validate": 2}
+    again = plan(program, 0.6 * keep_all / MIB, {})
+    assert calls == {"apply_plan": 1, "validate": 2}
+    assert again.forward is first.forward and again.backward is first.backward
+    # then budgets B, A: B's assignment is new, A's pair is still kept
+    other = plan(program, 0.8 * keep_all / MIB, {})
+    assert other.solution.assignment != first.solution.assignment
+    assert plan(program, 0.6 * keep_all / MIB, {}).backward is first.backward
+    assert calls == {"apply_plan": 2, "validate": 4}
 
 
 @pytest.mark.parametrize("builder", ["_rebuild_block", "_copy_out_state"])

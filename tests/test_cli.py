@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import gradflow
 import gradflow.examples as examples
 from gradflow import (
     ProgramBuilder,
@@ -430,10 +432,13 @@ def test_an_invalid_parsed_program_is_a_validation_error(command, tmp_path, caps
 
 
 def test_module_entry_point(foo_path):
+    # the child imports the gradflow this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(gradflow.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "gradflow.cli", "plan", str(foo_path),
          "--memory-limit-mib", "500", "--params", "N=3620"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "A0: recompute" in proc.stdout

@@ -151,6 +151,32 @@ def test_builder_turns_numpy_scalar_constants_into_python_numbers():
     assert run_forward(program, x, {"n": 5}).value == run_forward(text, x, {"n": 5}).value
 
 
+def _scaled_sum(const):
+    """O = sum(const * X) over real32 X, the scale one library node."""
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input")
+    b.array("Y", ("n",))
+    b.scalar("O", role="output")
+    with b.state("s") as s:
+        s.library("ew_unary", {"x": "X"}, {"y": "Y"}, op="scale", const=const)
+        s.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+    return b.finish("O", ["X"])
+
+
+@pytest.mark.parametrize("const", [np.float64(0.1), np.float32(0.1)])
+def test_builder_turns_a_numpy_scalar_scale_constant_into_a_python_number(const):
+    # a numpy scalar const is no valid source for the node's compiled
+    # step, and a numpy real32 one is not JSON serializable
+    program, plain = _scaled_sum(const), _scaled_sum(const.item())
+    (scale,) = [n for n in program.region[0].graph.nodes if getattr(n, "op", None) == "scale"]
+    assert scale.const.__class__ is float
+    text = serialize_program(program)
+    assert text == serialize_program(plain)
+    x = {"X": np.linspace(0.5, 1.5, 5, dtype=np.float32)}
+    values = [np.asarray(run_forward(p, x, {"n": 5}).value) for p in (program, plain, parse_program(text))]
+    assert all(v.dtype == np.float32 and v.tobytes() == values[1].tobytes() for v in values)
+
+
 def _pingpong_backward_doc():
     """The reverse program of the pingpong kernel: a peel (skip 0, take 1)
     and the main reversed loop (skip 1)."""

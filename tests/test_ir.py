@@ -1,8 +1,10 @@
 import gc
 import json
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -197,24 +199,6 @@ def test_a_program_dropped_after_validate_is_freed_without_the_cycle_collector()
         gc.enable()
 
 
-def test_a_state_is_checked_in_the_place_it_is_built_for():
-    program = examples.build("seidel_stencil")
-    state, loops = next(
-        (b, ir.loops_around(program.region, b)) for _, b in walk_blocks(program.region)
-        if isinstance(b, State) and ir.loops_around(program.region, b)
-    )
-    assert ir.validate_state(program, state, loops) == []
-    # out of its loops, the subsets read iterators that are not in scope
-    assert {d.code for d in ir.validate_state(program, state)} == {"UnboundName"}
-    # beside a block of the same label
-    assert [d.code for d in ir.validate_state(program, state, loops, {state.label})] == ["DuplicateName"]
-    # inside a loop whose header reads what the state writes
-    (written, *_) = sorted(ir.data_written(state.graph))
-    header = LoopRegion("outer", "q", Name(written), Name("N"), "<", Name("q"))
-    codes = [d.code for d in ir.validate_state(program, state, (header, *loops))]
-    assert codes == ["HeaderMutation"]
-
-
 def test_a_dangling_edge_is_reported_not_raised():
     # parsed, so the graph has no kept schedule: validate must not order it
     doc = json.loads(serialize_program(examples.scaled_product_chain()))
@@ -242,6 +226,24 @@ def test_a_constant_that_is_no_int_or_float_is_reported():
     assert [repr(d) for d in info.value.diagnostics] == [
         "BadConstant: tasklet 't1' body has constant Fraction(1, 2), not an int or float [s]",
         "BadConstant: subset of 'X' has constant Fraction(0, 1), not an int or float [s]",
+    ]
+
+
+@pytest.mark.parametrize("const", [Fraction(1, 2), np.float32(0.5), "0.5"])
+def test_a_scale_node_whose_constant_is_no_int_or_float_is_reported(const):
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.array("Y", ("n",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("s") as s:
+        nid = s.library("ew_unary", {"x": "X"}, {"y": "Y"}, op="scale", const=0.5)
+        s.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+    program = b.finish("O", ["X"])
+    (state,) = program.region
+    nodes = [replace(n, const=const) if n.id == nid else n for n in state.graph.nodes]
+    hand_built = replace(program, region=[State("s", Dataflow(nodes, state.graph.edges))])
+    assert [repr(d) for d in validate(hand_built)] == [
+        f"BadConstant: scale node '{nid}' has constant {const!r}, not an int or float [s]",
     ]
 
 
