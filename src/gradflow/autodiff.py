@@ -80,7 +80,7 @@ from .symexpr import (
     free_names,
     simplify,
 )
-from .versions import ForwardingEntry, ReachSet, VersionInfo, analyze_versions
+from .versions import LAST, ForwardingEntry, ReachSet, VersionInfo, analyze_versions
 
 NodeRef = tuple[str, str]  # (state label, node id)
 
@@ -217,7 +217,6 @@ def _deriv(e: Expr, w: str, seed: Expr) -> Expr:
 
 @dataclass(frozen=True)
 class CCS:
-    tracked: frozenset[str]
     active: frozenset[str]
     kept_union: frozenset[NodeRef]
     # per loop label: kept sets of the distinct leading reverse passes;
@@ -302,7 +301,6 @@ def extract_ccs(program: Program) -> CCS:
             break
 
     return CCS(
-        tracked=frozenset(tracked),
         active=frozenset(active & tracked),
         kept_union=kept_union,
         loop_passes=loop_passes,
@@ -418,6 +416,7 @@ class _BackwardBuilder:
         self.used_inputs: set[str] = set()
         self.used_grads: set[str] = {program.dependent}
         self.temps: dict[str, DataDescriptor] = {}  # broadcast contributions
+        self.loops = {b.label: b for _, b in walk_blocks(program.region) if isinstance(b, LoopRegion)}
         self._n = 0
 
     def fresh(self, prefix: str) -> str:
@@ -445,6 +444,9 @@ class _BackwardBuilder:
         key = (data, rs.candidates)
         entry = self.entries.get(key)
         if entry is None:
+            # a read after a loop finds its last iterate by re-simulating the header
+            for label in sorted({l for c in rs.candidates for l, kind in c.directives if kind == LAST}):
+                self.read_header(self.loops[label])
             versions = tuple(c.version for c in rs.candidates)
             entry = ForwardingEntry(stored_name(data, versions), data, rs.candidates)
             self.entries[key] = entry
@@ -496,19 +498,23 @@ class _BackwardBuilder:
         if not passes or not any(passes):
             return []
         out = self._rev_loop_blocks(loop, passes)
-        if not out:
-            return out
-        # the reversed loop re-simulates the forward header, reading inputs
-        # as they are; a scalar the program writes no longer holds the value
-        # the forward header saw
+        if out:
+            self.read_header(loop)
+        return out
+
+    def read_header(self, loop: LoopRegion):
+        """Let the reverse program re-simulate the forward header of
+        ``loop``, as a reversed loop and a read after the loop both do: each
+        input the header reads joins the reverse program's inputs, and a
+        scalar the program writes, which no longer holds the value the
+        forward header saw, raises ``UnsupportedLoop``."""
         for name in sorted(header_names(loop) & set(self.p.descriptors)):
             if name not in self.pristine:
                 raise UnsupportedLoop(
                     f"loop '{loop.label}': its header reads '{name}', which the "
-                    "program writes, so the reversed header cannot recover it"
+                    "program writes, so the reverse pass cannot re-simulate it"
                 )
             self.used_inputs.add(name)
-        return out
 
     def _rev_loop_blocks(self, loop: LoopRegion, passes: list[frozenset[NodeRef]]) -> list[Block]:
         k = len(passes) - 1

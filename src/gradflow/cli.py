@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import build_backward, gradient
+from .autodiff import backward_of, gradient
 from .checkpointing import plan, run_planned
 from .errors import (
     BatchDivergence,
@@ -187,10 +187,6 @@ def _parse_params(items) -> dict[str, int]:
     return out
 
 
-def _load(path: str) -> Program:
-    return load_program(path)
-
-
 def _gather_inputs(program: Program, params, args) -> dict[str, np.ndarray]:
     given: dict[str, np.ndarray] = {}
     for item in args.input:
@@ -211,13 +207,13 @@ def _gather_inputs(program: Program, params, args) -> dict[str, np.ndarray]:
 
 
 def cmd_diff(args) -> int:
-    prog = _load(args.program)
+    prog = load_program(args.program)
     if args.wrt:
         for name in args.wrt:
             if name not in prog.descriptors:
                 raise UnboundName(f"--wrt '{name}' is not declared in the program")
         prog = replace(prog, independents=tuple(args.wrt))
-    bundle = build_backward(prog)
+    bundle = backward_of(prog)
     stem = args.out or str(Path(args.program).with_suffix(""))
     bwd_path = stem + ".bwd.json"
     req_path = stem + ".fwdreq.json"
@@ -246,7 +242,7 @@ def cmd_diff(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    prog = _load(args.program)
+    prog = load_program(args.program)
     params = _parse_params(args.params)
     result = plan(prog, args.memory_limit_mib, params)
     report = result.report
@@ -282,7 +278,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_run(args) -> int:
-    prog = _load(args.program)
+    prog = load_program(args.program)
     params = _parse_params(args.params)
     inputs = _gather_inputs(prog, params, args)
     res = gradient(prog, inputs, params)
@@ -310,7 +306,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    prog = _load(args.program)
+    prog = load_program(args.program)
     params = _parse_params(args.params)
     inputs = _gather_inputs(prog, params, args)
     eps = None if args.eps == "auto" else float(args.eps)
@@ -346,7 +342,7 @@ def cmd_mem_report(args) -> int:
     ``paths``, each with its branch ``outcomes``, simulated ``peak_bytes`` and
     timeline ``events``.
     """
-    prog = _load(args.program)
+    prog = load_program(args.program)
     params = _parse_params(args.params)
     result = plan(prog, args.memory_limit_mib, params)
     measured = _measured_peak(result, sample_inputs(prog, params, np.random.default_rng(0)), params)
@@ -393,7 +389,7 @@ def _measured_peak(result, inputs: dict, params) -> int:
 
 
 def cmd_fmt(args) -> int:
-    prog = _load(args.program)
+    prog = load_program(args.program)
     text = serialize_program(prog)
     if args.in_place:
         Path(args.program).write_text(text)

@@ -50,16 +50,16 @@ loop or a branch arm releases after the enclosing top-level block, so no
 release fires inside one. Loop headers, branch conditions and map ranges
 count as touches. Scalars are never released.
 
-A ``Tape`` records what a later reverse pass may need: array snapshots keyed
-by ``(name, static version, loop coordinates)``, branch outcomes per label in
-execution order, and the iterate sequences of the loops around a recorded
-write. A forward run records the ``(name, version)`` pairs of its ``record``
-set, or keeps no tape when ``record`` is None. Reverse-mode programs consume
-the tape through two mechanisms: forwarded value reads (resolved against
-snapshot candidates; a ``last`` candidate outside its loop reads the
-recorded iterates) and ``trace_ref`` conditionals (replay recorded outcomes
-backwards). A reversed loop needs no tape: it re-simulates its forward
-header and walks the iterates backwards.
+A ``Tape`` holds array snapshots keyed by ``(name, static version, loop
+coordinates)`` and branch outcomes per label in execution order. A forward
+run records the ``(name, version)`` pairs of its ``record`` set, or keeps no
+tape when ``record`` is None. Reverse-mode programs consume the tape through
+two mechanisms: forwarded value reads (resolved against snapshot candidates)
+and ``trace_ref`` conditionals (replay recorded outcomes backwards). Loop
+iterates are never taped: a reversed loop re-simulates its forward header
+and walks the iterates backwards, and a read after a loop that needs its
+last iterate re-simulates that forward loop's header, with the enclosing
+loops' iterators at the coordinates the read resolved for them.
 """
 
 from __future__ import annotations
@@ -120,8 +120,6 @@ _DTYPE = {"real32": np.float32, "real64": np.float64}
 class Tape:
     values: dict[tuple[str, int, tuple], np.ndarray] = field(default_factory=dict)
     branch_trace: dict[str, list[bool]] = field(default_factory=dict)
-    iterate_records: dict[str, dict[tuple, list[int]]] = field(default_factory=dict)
-    op_count: int = 0
 
 
 @dataclass
@@ -133,10 +131,9 @@ class RunResult:
 
 
 class _LoopCtx:
-    __slots__ = ("label", "iterates", "pos")
+    __slots__ = ("iterates", "pos")
 
-    def __init__(self, label: str, iterates: list[int], pos: int = 0):
-        self.label = label
+    def __init__(self, iterates: list[int], pos: int = 0):
         self.iterates = iterates
         self.pos = pos
 
@@ -528,11 +525,6 @@ def _view(arr: np.ndarray, rank: int):
     return arr.data.cast("B").cast("d")
 
 
-def _release(entries):
-    for store, key in entries:
-        store.pop(key, None)
-
-
 def _copy_element(v):
     return np.array(v, copy=True) if isinstance(v, np.ndarray) else v
 
@@ -587,6 +579,7 @@ class Executor:
         src_tape: Tape | None = None,
         forwarding: dict | None = None,
         vinfo: VersionInfo | None = None,
+        src_program: Program | None = None,
     ):
         self.program = program
         self.params = dict(params)
@@ -597,16 +590,14 @@ class Executor:
         self.src_tape = src_tape
         self.forwarding = forwarding or {}
         self.vinfo = vinfo
+        self.src_program = src_program  # the forward program a reverse run reads
         self.bind: dict = dict(self.params)  # params + live iterators
         self.ctx: dict[str, _LoopCtx] = {}
-        self.ctx_stack: list[_LoopCtx] = []
         self.branch_down: dict[str, int] = {}
         self.op_count = 0
+        self.frees: dict[int, list] = {}  # a reverse run's releases, see run_reverse
         self._kernels: dict = {}  # compiled nests by loop id or (graph id, node id)
         self._header_names: dict[int, list[str]] = {}
-        self._record_loops = set() if record is None else {
-            label for key in record for label in vinfo.write_loops.get(key, ())
-        }
         self._iterates: dict[tuple, list[int]] = {}
         self._shapes: dict[str, tuple[int, ...]] = {}
 
@@ -680,40 +671,31 @@ class Executor:
         """Run the region, releasing each array and tape snapshot where
         ``_release_points`` puts it: after its last touch, by the rule the
         memory model prices (``ir.live_ranges``)."""
-        frees = self._release_points()
-        for i, block in enumerate(self.program.region):
-            if not isinstance(block, State):
-                self._exec_region((block,))
-                _release(frees.get((i, -1), ()))
-                continue
-            for j, node in enumerate(schedule(block.graph)):
-                if isinstance(node, AccessNode):
-                    self._visit_access(block.label, node)
-                else:
-                    self._exec_compute(node, block.graph)
-                    _release(frees.get((i, j), ()))
+        self.frees = self._release_points()
+        self.run()
 
-    def _release_points(self) -> dict[tuple[int, int], list]:
-        """Where a reverse run releases what it holds, keyed by top-level
-        block index and the schedule position of the compute node that
-        touches a value last, or -1 for the end of a loop or branch holding
-        its last touch. Each entry lists ``(store, key)`` pairs: rank >= 1
-        gradients, scratch arrays and stored copies in ``env``, and the tape
-        snapshots of a forwarded name, released after the last read of any
-        name that shares them. A step of ``ir.live_ranges`` is one compute
-        node of a top-level state (``ir.node_accesses``, on the cached
-        schedule) or one whole top-level loop or branch."""
+    def _release_points(self) -> dict[int, list]:
+        """Where a reverse run releases what it holds, keyed by the ``id()``
+        of the top-level compute node that touches a value last, or of the
+        top-level loop or branch holding its last touch. Each entry lists
+        ``(store, key)`` pairs: rank >= 1 gradients, scratch arrays and
+        stored copies in ``env``, and the tape snapshots of a forwarded
+        name, released after the last read of any name that shares them. A
+        step of ``ir.live_ranges`` is one compute node of a top-level state
+        (``ir.node_accesses``, on the cached schedule) or one whole
+        top-level loop or branch."""
         for block in self.program.region:  # schedule first: its scratch is gone before touches are held
             if isinstance(block, State):
                 schedule(block.graph)
 
         def steps():  # a generator, so one state's touches are held at a time
-            for i, block in enumerate(self.program.region):
+            for block in self.program.region:
                 if isinstance(block, State):
                     acc = node_accesses(block.graph)
-                    for j, node in enumerate(schedule(block.graph)):
+                    for node in schedule(block.graph):
                         if not isinstance(node, AccessNode):
-                            yield (i, j), acc[node.id]
+                            at.append(id(node))
+                            yield len(at) - 1, acc[node.id]
                     continue
                 names: set[str] = set()
                 for _, b in walk_blocks([block]):
@@ -723,60 +705,53 @@ class Executor:
                         names |= header_names(b)
                     else:
                         names |= free_names(b.condition)
-                yield (i, -1), names
+                at.append(id(block))
+                yield len(at) - 1, names
 
-        frees: dict[tuple[int, int], list] = {}
-        shared: dict[tuple[str, int], tuple[int, int]] = {}
-        for name, (_, at) in live_ranges(steps()).items():
+        at: list[int] = []  # the id of each step's compute node or block, filled by steps()
+        frees: dict[int, list] = {}
+        shared: dict[tuple[str, int], int] = {}  # the step of the last read
+        for name, (_, last) in live_ranges(steps()).items():
             entry = self.forwarding.get(name)
             if entry is not None:
                 for c in entry.candidates:
                     key = (entry.data, c.version)
-                    shared[key] = max(shared.get(key, at), at)
+                    shared[key] = max(shared.get(key, last), last)
                 continue
             d = self.program.descriptors.get(name)
             if d is not None and d.rank and d.role in ("gradient", "intermediate", "stored-copy"):
-                frees.setdefault(at, []).append((self.env, name))
+                frees.setdefault(at[last], []).append((self.env, name))
         if shared and self.src_tape is not None:
             for key in self.src_tape.values:
                 if key[:2] in shared:
-                    frees.setdefault(shared[key[:2]], []).append((self.src_tape.values, key))
+                    frees.setdefault(at[shared[key[:2]]], []).append((self.src_tape.values, key))
         return frees
 
     def _exec_region(self, region: list[Block]):
         for block in region:
             if isinstance(block, State):
                 self._exec_state(block)
-            elif isinstance(block, LoopRegion):
+                continue
+            if isinstance(block, LoopRegion):
                 self._exec_loop(block)
             else:
                 self._exec_branch(block)
+            for store, key in self.frees.get(id(block), ()):  # a state releases per node
+                store.pop(key, None)
 
     def _exec_loop(self, loop: LoopRegion):
         if id(loop) not in self._kernels:
             self._kernels[id(loop)] = self._nest(loop)
         if self._kernels[id(loop)] is not None:
             return self._run_nest(self._kernels[id(loop)])
-        iterates = self._loop_iterates(loop)
-        if self.tape is not None and self._records_iterates(loop):
-            key = tuple(c.current for c in self.ctx_stack)
-            self.tape.iterate_records.setdefault(loop.label, {})[key] = list(iterates)
-        self._run_iterates(loop, iterates)
-
-    def _records_iterates(self, loop: LoopRegion) -> bool:
-        """Whether the tape keeps this forward loop's iterates. Only a
-        ``last`` candidate of a recorded value reads them, outside its
-        loop, so a loop is recorded only if it encloses a recorded write."""
-        return loop.reverse_of is None and loop.label in self._record_loops
+        self._run_iterates(loop, self._loop_iterates(loop))
 
     def _run_iterates(self, loop: LoopRegion, fwd: list[int]):
         """Run the body at the iterates ``visit_positions`` picks. A reversed
         loop's context is its forward loop's, so forwarded reads locate
         the snapshots the forward run took."""
         label = loop.reverse_of or loop.label
-        ctx = _LoopCtx(label, fwd)
-        self.ctx[label] = ctx
-        self.ctx_stack.append(ctx)
+        ctx = self.ctx[label] = _LoopCtx(fwd)
         had = loop.iterator in self.bind
         saved = self.bind.get(loop.iterator)
         try:
@@ -785,7 +760,6 @@ class Executor:
                 self.bind[loop.iterator] = fwd[pos]
                 self._exec_region(loop.body)
         finally:
-            self.ctx_stack.pop()
             del self.ctx[label]
             if had:
                 self.bind[loop.iterator] = saved
@@ -821,6 +795,8 @@ class Executor:
                 self._visit_access(state.label, node)
             else:
                 self._exec_compute(node, state.graph)
+                for store, key in self.frees.get(id(node), ()):
+                    store.pop(key, None)
 
     def _recorded_version(self, state_label: str, node: AccessNode) -> int | None:
         """The version of ``node.data`` the tape records at this access
@@ -930,8 +906,6 @@ class Executor:
         return "library", len(libs) - 1, tuple(e.data for e in df.out_edges(node.id))
 
     def _loop_item(self, loop: LoopRegion, acc: tuple) -> tuple | None:
-        if self.tape is not None and self._records_iterates(loop):
-            return None
         loops = acc[0]
         loops.append(loop)
         j, items = len(loops) - 1, []
@@ -974,7 +948,7 @@ class Executor:
 
     def _cand_coords(self, directives) -> tuple | None:
         coords: list[int] = []
-        for j, (label, kind) in enumerate(directives):
+        for label, kind in directives:
             ctx = self.ctx.get(label)
             if kind == CUR:
                 if ctx is None:
@@ -985,17 +959,20 @@ class Executor:
                     return None
                 coords.append(ctx.iterates[ctx.pos - 1])
             elif kind == LAST:
-                if ctx is not None:
-                    coords.append(ctx.iterates[-1])
-                else:
-                    recs = (self.src_tape.iterate_records if self.src_tape else {}).get(label)
-                    if not recs:
-                        return None
-                    seq = recs.get(tuple(coords[:j]))
-                    if not seq:
-                        return None
-                    coords.append(seq[-1])
+                if ctx is None:  # the loop has ended: its forward header re-simulated, with
+                    # the loops around it at the coordinates this read resolved for them
+                    loops = self._forward_loops
+                    outer = {loops[l].iterator: c for (l, _), c in zip(directives, coords)}
+                    ctx = _LoopCtx(self._loop_iterates(loops[label], outer))
+                if not ctx.iterates:
+                    return None
+                coords.append(ctx.iterates[-1])
         return tuple(coords)
+
+    @functools.cached_property
+    def _forward_loops(self) -> dict[str, LoopRegion]:
+        """The forward program's loops by label: one with no adjoint has no reversed copy."""
+        return {b.label: b for _, b in walk_blocks(self.src_program.region) if isinstance(b, LoopRegion)}
 
 
 # ---------------------------------------------------------------------------
@@ -1073,8 +1050,6 @@ def run_forward(
     for name, desc in program.descriptors.items():
         if desc.role == "intermediate":
             env.pop(name, None)
-    if tape is not None:
-        tape.op_count = ex.op_count
     return RunResult(env=env, value=value, op_count=ex.op_count, tape=tape)
 
 
@@ -1109,7 +1084,7 @@ def run_backward(
     seed_name = program.dependent + "__grad"
     if seed_name in backward.descriptors and seed_name not in env:
         env[seed_name] = np.full(batch, seed, dtype=_DTYPE[backward.descriptors[seed_name].element_kind])
-    ex = Executor(backward, params, env, batch, src_tape=tape, forwarding=forwarding)
+    ex = Executor(backward, params, env, batch, src_tape=tape, forwarding=forwarding, src_program=program)
     ex.run_reverse()
     return RunResult(env=env, value=env.get(seed_name), op_count=ex.op_count)
 

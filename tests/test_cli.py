@@ -431,6 +431,19 @@ def test_an_invalid_parsed_program_is_a_validation_error(command, tmp_path, caps
     assert "ArityMismatch: 't1' output 'o' has 0 edges" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["diff", "plan", "run"])
+def test_an_edge_to_a_missing_node_is_a_validation_error(command, tmp_path, capsys):
+    # the file parses; every command validates the program before it
+    # differentiates it
+    doc = program_to_dict(examples.build("exp_sin_chain"))
+    doc["region"][0]["edges"][0]["dst"] = "nope"
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(command, path, "--params", "n=4") == 2
+    err = capsys.readouterr().err
+    assert "'nope'" in err and "Traceback" not in err
+
+
 def test_module_entry_point(foo_path):
     # the child imports the gradflow this test imported, installed or not
     src = os.path.dirname(os.path.dirname(gradflow.__file__))

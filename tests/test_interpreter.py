@@ -533,7 +533,7 @@ def test_count_flops_of_a_runtime_header_names_the_loop():
 
 
 # ---------------------------------------------------------------------------
-# compiled tasklet kernels, memoized headers, pruned iterate records
+# compiled tasklet kernels and memoized headers
 
 
 def _gather_program(bound: str):
@@ -847,22 +847,6 @@ def test_loop_headers_simulate_once_per_distinct_header(monkeypatch, rng):
     assert sorted(calls) == ["cols", "rows", "time"]
 
 
-def test_tape_records_iterates_only_of_loops_around_recorded_writes(rng):
-    # seidel's reverse program reads no forward value: its tape keeps no
-    # iterates; recording the write inside all three loops keeps them all
-    p, params = examples.build("seidel_stencil"), {"N": 8, "TSTEPS": 2}
-    inputs = sample_inputs(p, params, rng)
-    assert gradient(p, inputs, params).forward.tape.iterate_records == {}
-    tape = run_forward(p, inputs, params, record={("A", 1)}).tape
-    assert set(tape.iterate_records) == {"time", "rows", "cols"}
-    # a recorded write inside the loop keeps that loop's iterates
-    p = examples.build("iterated_sin_map")
-    params = examples.DEFAULT_PARAMS["iterated_sin_map"]
-    res = gradient(p, sample_inputs(p, params, rng), params)
-    loops = {l for key in res.bundle.required for l in res.bundle.vinfo.write_loops.get(key, ())}
-    assert loops and set(res.forward.tape.iterate_records) == loops
-
-
 # ---------------------------------------------------------------------------
 # loop nests and maps as generated functions: what a nest fetches, raises
 # and visits
@@ -1126,13 +1110,13 @@ def test_map_body_reads_keep_their_arrays_live():
 
 
 def _compute_ordinals(ex, program):
-    """(top-level block index, schedule position) -> ordinal of that compute
-    node among all compute nodes of a straight-line program."""
+    """id of each compute node -> its ordinal among all compute nodes of a
+    straight-line program."""
     out, k = {}, 0
-    for i, state in enumerate(program.region):
-        for j, node in enumerate(ir.schedule(state.graph)):
+    for state in program.region:
+        for node in ir.schedule(state.graph):
             if not isinstance(node, ir.AccessNode):
-                out[i, j] = k
+                out[id(node)] = k
                 k += 1
     return out
 
