@@ -869,12 +869,14 @@ def build_backward(program: Program, vinfo: VersionInfo | None = None) -> Backwa
 def backward_of(program: Program) -> BackwardBundle:
     """``build_backward(program)``, built on first use and kept with the
     program, which is never changed. The first use validates the program
-    (``ValidationFailed`` if it is not valid) and prepares the library
-    steps of the program and of its backward (``ir.library_steps``). A
-    kept bundle stands for both checks; a build that raises keeps nothing."""
+    unless ``ProgramBuilder.finish`` did (``ValidationFailed`` if it is not
+    valid) and prepares the library steps of the program and of its
+    backward (``ir.library_steps``). A kept bundle stands for both checks;
+    a build that raises keeps nothing."""
     bundle = program._kept.get("bundle")
     if bundle is None:
-        validate_or_raise(program)
+        if "validated" not in program._kept:
+            validate_or_raise(program)
         bundle = program._kept["bundle"] = build_backward(program)
         prepare_steps(program.region + bundle.backward.region)
     return bundle

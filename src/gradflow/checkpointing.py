@@ -91,26 +91,6 @@ class AffineBytes:
     store: tuple[tuple[int, int], ...] = ()
     rec: tuple[tuple[int, int], ...] = ()
 
-    def add(self, other: "AffineBytes") -> "AffineBytes":
-        s = dict(self.store)
-        for i, c in other.store:
-            s[i] = s.get(i, 0) + c
-        r = dict(self.rec)
-        for i, c in other.rec:
-            r[i] = r.get(i, 0) + c
-        return AffineBytes(
-            self.const + other.const,
-            tuple(sorted((i, c) for i, c in s.items() if c)),
-            tuple(sorted((i, c) for i, c in r.items() if c)),
-        )
-
-    def neg(self) -> "AffineBytes":
-        return AffineBytes(
-            -self.const,
-            tuple((i, -c) for i, c in self.store),
-            tuple((i, -c) for i, c in self.rec),
-        )
-
     def value(self, assignment) -> int:
         n = self.const
         for i, c in self.store:
@@ -118,13 +98,6 @@ class AffineBytes:
         for i, c in self.rec:
             n += c * (1 - assignment[i])
         return n
-
-    @property
-    def is_zero(self) -> bool:
-        return self.const == 0 and not self.store and not self.rec
-
-
-ZERO = AffineBytes()
 
 
 @dataclass(frozen=True)
@@ -478,22 +451,36 @@ class _SeqBuilder:
 
     def path(self, outcome: dict[str, bool]) -> PathSequence:
         events: list[MemoryEvent] = []
-        self._cur = ZERO
-        self._balance: dict[int, AffineBytes] = {}
+        # the running total: a constant, and per value its store and
+        # recompute coefficients, which are also the bytes it holds
+        const = 0
+        store, rec = [0] * len(self.fvs), [0] * len(self.fvs)
+        terms = ((), ())  # the running total's sparse terms, as last frozen
 
         def emit(label: str, delta: AffineBytes):
-            if delta.is_zero:
-                return
-            self._cur = self._cur.add(delta)
-            events.append(MemoryEvent(label, delta, self._cur))
+            nonlocal const, terms
+            if not (delta.const or delta.store or delta.rec):
+                return  # a value's own event stays, even at zero bytes
+            const += delta.const
+            for i, c in delta.store:
+                store[i] += c
+            for i, c in delta.rec:
+                rec[i] += c
+            if delta.store or delta.rec:
+                terms = (tuple((i, c) for i, c in enumerate(store) if c),
+                         tuple((i, c) for i, c in enumerate(rec) if c))
+            events.append(MemoryEvent(label, delta, AffineBytes(const, *terms)))
+
+        def release(fv: ForwardedValue):
+            i = fv.index
+            emit(f"free {fv.name}", AffineBytes(store=((i, -store[i]),) if store[i] else (),
+                                                rec=((i, -rec[i]),) if rec[i] else ()))
 
         # --- forward
         allocated: list[tuple[str, int]] = []
         seen: set[str] = set()
         for fv in self.tape_held:
-            d = AffineBytes(store=((fv.index, fv.total_bytes),))
-            self._balance[fv.index] = self._balance.get(fv.index, ZERO).add(d)
-            emit(f"snapshot {fv.data}", d)
+            emit(f"snapshot {fv.data}", AffineBytes(store=((fv.index, fv.total_bytes),)))
         for state in self._path_states(self.program, outcome):
             self._fw_state(state, emit, allocated, seen)
         for name, size in reversed(allocated):
@@ -519,9 +506,6 @@ class _SeqBuilder:
                         continue
                     emit(f"recompute {fv.name}", AffineBytes(rec=((fv.index, fv.r_bytes + fv.size_bytes),)))
                     emit(f"drop scratch {fv.name}", AffineBytes(rec=((fv.index, -fv.r_bytes),)))
-                    self._balance[fv.index] = self._balance.get(fv.index, ZERO).add(
-                        AffineBytes(rec=((fv.index, fv.size_bytes),))
-                    )
             for name in sorted(names):
                 if name in touch and touch[name][0] == pos:
                     emit(f"alloc {name}", AffineBytes(const=size_bytes(descs[name], self.params)))
@@ -531,16 +515,13 @@ class _SeqBuilder:
                     touch.pop(name)
             for fv in self.fvs:
                 if fv.name in live and live[fv.name][1] == pos:
-                    bal = self._balance.pop(fv.index, ZERO)
-                    emit(f"free {fv.name}", bal.neg())
+                    release(fv)
         for name in sorted(touch):
             emit(f"free {name}", AffineBytes(const=-size_bytes(descs[name], self.params)))
-        for i in sorted(self._balance):
-            fv = self.fvs[i]
-            emit(f"free {fv.name}", self._balance[i].neg())
-        self._balance.clear()
-        if not self._cur.is_zero:
-            raise GradflowError(f"internal: path accounting leaks {self._cur}")
+        for fv in self.fvs:
+            release(fv)
+        if const:
+            raise GradflowError(f"internal: path accounting leaks {const} bytes")
         return PathSequence(tuple(sorted(outcome.items())), tuple(events))
 
     def _path_states(self, program: Program, outcome: dict[str, bool]) -> list[State]:
@@ -568,9 +549,7 @@ class _SeqBuilder:
                     allocated.append((e.data, size))
                     emit(f"alloc {e.data}", AffineBytes(const=size))
             for fv in self.store_sites.get((state.label, nid), ()):
-                delta = AffineBytes(store=((fv.index, fv.size_bytes),))
-                self._balance[fv.index] = self._balance.get(fv.index, ZERO).add(delta)
-                emit(f"keep {fv.name}", delta)
+                emit(f"keep {fv.name}", AffineBytes(store=((fv.index, fv.size_bytes),)))
 
 
 # ---------------------------------------------------------------------------
@@ -579,36 +558,18 @@ class _SeqBuilder:
 
 @dataclass
 class ILPProblem:
+    """The keep-or-recompute program: every field but ``limit_bytes`` is
+    budget-free, so ``plan()`` builds it once per parameter binding and
+    poses each limit on a copy of it."""
+
     k: int
     costs: tuple[int, ...]  # recompute flops per value
     fixed: dict[int, int]  # variables pinned (irrecomputable -> 1)
     events: tuple[tuple[int, str, AffineBytes], ...]  # (path, label, total)
     limit_bytes: int | None
     n_paths: int
-    # what solve_ilp derives from the events alone, made on first need and
-    # shared with every problem ``under`` makes
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def under(self, limit_bytes: int | None) -> "ILPProblem":
-        """This problem under ``limit_bytes``, sharing its budget-free tables."""
-        other = ILPProblem(self.k, self.costs, self.fixed, self.events, limit_bytes, self.n_paths)
-        other._tables = self._tables
-        return other
-
-    @property
-    def keep_all_peak(self) -> int:
-        """The peak with every value stored."""
-        if "peak" not in self._tables:
-            self._tables["peak"] = max((t.const + sum(c for _, c in t.store) for _, _, t in self.events), default=0)
-        return self._tables["peak"]
-
-    @property
-    def rows(self) -> "MemoryRows":
-        """Every event total as a row, then the zero row that stands for the
-        peak of a path with no events."""
-        if "rows" not in self._tables:
-            self._tables["rows"] = MemoryRows.of([*(t for _, _, t in self.events), ZERO], self.k, self.fixed)
-        return self._tables["rows"]
+    rows: MemoryRows  # every event total, then the zero row of a path with no events
+    keep_all_peak: int  # the peak with every value stored
 
 
 @dataclass
@@ -631,13 +592,17 @@ def build_ilp(
         for p, seq in enumerate(sequences)
         for ev in seq.events
     )
+    fixed = {fv.index: 1 for fv in fvs if fv.forced}
+    rows = MemoryRows.of([*(t for _, _, t in events), AffineBytes()], len(fvs), fixed)
     return ILPProblem(
         k=len(fvs),
         costs=tuple(fv.c_flops for fv in fvs),
-        fixed={fv.index: 1 for fv in fvs if fv.forced},
+        fixed=fixed,
         events=events,
         limit_bytes=limit_bytes,
         n_paths=len(sequences),
+        rows=rows,
+        keep_all_peak=int(rows.values([1] * len(fvs)).max()),
     )
 
 
@@ -918,13 +883,13 @@ def plan(
     """Choose and apply a keep-or-recompute plan under ``limit_mib``.
 
     What does not depend on the budget is kept with ``program``: its
-    backward bundle (``backward_of``, which validates the program once)
-    and, for the last parameter binding planned, the forwarded values, the
-    memory sequences, the integer program's budget-free part and the
-    planned pair of each assignment applied (``_Planning``). Each call then
-    only poses the limit and solves; ``apply_plan`` builds and validates a
-    pair only for an assignment not seen before, and a pair that fails
-    validation is not kept."""
+    backward bundle (``backward_of``) and, for the last parameter binding
+    planned, the forwarded values, the memory sequences, the integer
+    program with its memory rows and keep-all peak, and the planned pair
+    of each assignment applied (``_Planning``). Each call then only poses
+    the limit on a copy of that program and solves; ``apply_plan`` builds
+    and validates a pair only for an assignment not seen before, and a
+    pair that fails validation is not kept."""
     params = dict(params or {})
     bundle = backward_of(program)
     binding = tuple(sorted(params.items()))
@@ -936,7 +901,10 @@ def plan(
         planning = program._kept["planning"] = _Planning(binding, tuple(fvs), tuple(sequences), problem)
     fvs, sequences = planning.fvs, planning.sequences
     limit_bytes = None if limit_mib is None else int(limit_mib * (1 << 20))
-    problem = planning.problem.under(limit_bytes)
+    # the kept problem under this limit, built field by field: a
+    # dataclasses.replace costs about four times as much per plan()
+    p = planning.problem
+    problem = ILPProblem(p.k, p.costs, p.fixed, p.events, limit_bytes, p.n_paths, p.rows, p.keep_all_peak)
     solution = solve_ilp(problem)
     pair = planning.pairs.get(solution.assignment)
     if pair is None:
@@ -1001,10 +969,12 @@ def run_planned(
             forwarding[fv.name] = result.bundle.forwarding[fv.name]
     # the planned program only adds copy-outs, which write no version in keep
     fwd_run = run_forward(result.forward, inputs, params, record=keep, vinfo=result.bundle.vinfo)
-    stored = {  # moved, so the reverse run's release frees them
+    # moved, so the reverse run's release frees them; a copy-out in an arm
+    # the run did not take made none
+    stored = {
         fv.name: fwd_run.env.pop(fv.name)
         for fv, v in zip(result.fvs, result.solution.assignment)
-        if v and not fv.forced
+        if v and not fv.forced and fv.name in fwd_run.env
     }
     bwd_run = run_backward(
         result.forward, result.backward, inputs, params,

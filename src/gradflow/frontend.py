@@ -533,6 +533,7 @@ class ProgramBuilder:
         diags = validate(program)
         if diags:
             raise ValidationFailed(diags)
+        program._kept["validated"] = True  # so backward_of does not check it again
         return program
 
 

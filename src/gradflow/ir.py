@@ -18,9 +18,10 @@ Invariants enforced by :func:`validate`:
 * branch conditions are comparisons over scalars, elements and parameters.
 
 Each program is checked once, as a whole, where it is built:
-``ProgramBuilder.finish`` validates what it builds; ``autodiff.backward_of``
-validates a program before it differentiates it (so a parsed program is
-checked there, not by ``parse_program``); ``autodiff.build_backward``
+``ProgramBuilder.finish`` validates what it builds and marks it so;
+``autodiff.backward_of`` validates an unmarked program before it
+differentiates it (so a parsed program is checked there, not by
+``parse_program``); ``autodiff.build_backward``
 validates the reverse program it emits; and ``checkpointing.apply_plan``
 validates both planned programs it builds, which ``plan()`` keeps per
 assignment, so a repeated plan validates nothing.
@@ -425,8 +426,8 @@ class LibraryStep:
     An elementwise node also has ``fn``, its :func:`library_expr` compiled
     over a dict of operands by connector (``symexpr.compile_expr``), and
     ``ops``, the expression's operator count. Both stay None for a node
-    whose expression does not compile, so it fails where it runs or is
-    counted, as it did before it was prepared."""
+    whose expression does not compile: where it runs or is counted, the
+    expression is evaluated or counted there and raises its own error."""
 
     ins: tuple[tuple[str, str], ...]
     outs: tuple[tuple[str, str | None], ...]

@@ -10,7 +10,9 @@ parameter is 4. Each line hashes, in order:
 * the gradients and the forward and reverse op counts of ``gradient()``;
 * at no budget, 75% and 50% of the keep-all peak, and the floor (the
   ``min_peak_bytes`` of a 0-byte plan): the serialized planned programs,
-  the assignment, the objective, ``t_star`` and the replayed gradients;
+  the assignment, the objective, ``t_star``, the report without
+  ``solver_ms``, the memory sequences (each path's outcomes, then each
+  event's label, delta and total) and the replayed gradients;
 * the class and message of every error a step raises.
 
 Run from the repository root, on two checkouts, and diff the outputs:
@@ -81,6 +83,12 @@ def digest(program) -> str:
             h.update(serialize_program(result.backward).encode())
             s = result.solution
             h.update(f"{s.assignment} {s.objective_flops} {s.t_star}\n".encode())
+            report = {k: v for k, v in result.report.items() if k != "solver_ms"}
+            h.update(f"{report}\n".encode())
+            for seq in result.sequences:
+                h.update(f"path {seq.outcomes}\n".encode())
+                for e in seq.events:
+                    h.update(f"{e.label} {e.delta} {e.total}\n".encode())
             _arrays(h, run_planned(result, inputs, params).grads)
             return s.t_star
         return run
