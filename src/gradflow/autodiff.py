@@ -62,7 +62,6 @@ from .ir import (
     header_names,
     library_connectors,
     library_expr,
-    prepare_steps,
     pristine_inputs,
     schedule,
     splice,
@@ -870,15 +869,15 @@ def backward_of(program: Program) -> BackwardBundle:
     """``build_backward(program)``, built on first use and kept with the
     program, which is never changed. The first use validates the program
     unless ``ProgramBuilder.finish`` did (``ValidationFailed`` if it is not
-    valid) and prepares the library steps of the program and of its
-    backward (``ir.library_steps``). A kept bundle stands for both checks;
-    a build that raises keeps nothing."""
+    valid); a kept bundle stands for that check, and a build that raises
+    keeps nothing. What depends on the parameter binding is kept apart:
+    ``gradient()``'s run plans and ``plan()``'s analyses, which also
+    prepare the library steps their runs take (``ir.library_steps``)."""
     bundle = program._kept.get("bundle")
     if bundle is None:
         if "validated" not in program._kept:
             validate_or_raise(program)
         bundle = program._kept["bundle"] = build_backward(program)
-        prepare_steps(program.region + bundle.backward.region)
     return bundle
 
 
@@ -917,13 +916,22 @@ def gradient(
     given inputs, running forward (recording only what the adjoints need)
     and then the reverse program. The reverse program is built on the first
     call and kept with ``program`` (``backward_of``); later calls, and
-    ``plan()``, reuse it."""
-    from .interpreter import run_backward, run_forward
+    ``plan()``, reuse it. The run plans of both runs
+    (``interpreter.RunPlan``) are built on the first call under a parameter
+    binding, before the forward run, and kept with ``program`` for the last
+    binding run, so a later call under it prepares nothing."""
+    from .interpreter import binding_of, prepare_runs, prepared, run_backward, run_forward
 
     bundle = backward_of(program)
-    fwd = run_forward(program, inputs, params, record=set(bundle.required), vinfo=bundle.vinfo)
-    bwd = run_backward(
-        program, bundle.backward, inputs, params,
-        tape=fwd.tape, forwarding=bundle.forwarding, seed=seed,
-    )
+    runs = program._kept.get("runs")
+    if runs is None or runs[0].binding != binding_of(params or {}):
+        runs = program._kept["runs"] = prepare_runs(
+            program, bundle.backward, params, record=bundle.required, vinfo=bundle.vinfo, forwarding=bundle.forwarding,
+        )
+    with prepared(runs):
+        fwd = run_forward(program, inputs, params, record=bundle.required, vinfo=bundle.vinfo)
+        bwd = run_backward(
+            program, bundle.backward, inputs, params,
+            tape=fwd.tape, forwarding=bundle.forwarding, seed=seed,
+        )
     return GradientResult.of(program, fwd, bwd, bundle)

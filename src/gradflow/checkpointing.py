@@ -38,6 +38,7 @@ import functools
 import heapq
 import itertools
 import time
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -50,7 +51,7 @@ from .errors import (
     IrrecomputableValue,
     UnresolvableTripCount,
 )
-from .interpreter import _node_cost, run_backward, run_forward
+from .interpreter import _node_cost, binding_of, prepare_runs, prepared, run_backward, run_forward
 from .ir import (
     AccessNode,
     Block,
@@ -67,7 +68,6 @@ from .ir import (
     node_accesses,
     path_outcomes,
     path_visits,
-    prepare_steps,
     pristine_inputs,
     runtime_loop,
     schedule,
@@ -799,9 +799,9 @@ def apply_plan(
     anew, and the returned programs share every other block with them.
 
     Both returned programs are validated as a whole (``ValidationFailed``
-    if either is not valid) and their library steps prepared, so that no
-    run of the plan prepares them. ``plan()`` keeps the pair it gets for an
-    assignment and calls this once per assignment."""
+    if either is not valid). ``plan()`` calls this once per assignment it
+    holds a pair for, and builds the pair's run plans, which prepare what
+    its replays take."""
     fstates = _states_of(program.region)
     fdescs, bdescs = dict(program.descriptors), dict(bundle.backward.descriptors)
     kept: dict[str, list[ForwardedValue]] = {}  # production state -> values
@@ -828,7 +828,6 @@ def apply_plan(
     bwd = replace(bundle.backward, descriptors=bdescs, region=splice(bundle.backward.region, rebuilt))
     validate_or_raise(fwd)
     validate_or_raise(bwd)
-    prepare_steps(fwd.region + bwd.region)
     return fwd, bwd
 
 
@@ -846,18 +845,35 @@ def _copy_out_state(state: State, values: list[ForwardedValue]) -> State:
     return State(state.label, Dataflow(nodes, edges))
 
 
+@dataclass(eq=False)
+class _Pair:
+    """The validated planned pair of one assignment, with the run plans of
+    its replay under the binding planned (``interpreter.prepare_runs``)."""
+
+    forward: Program
+    backward: Program
+    runs: tuple
+
+
 @dataclass
 class _Planning:
     """What ``plan()`` keeps with a program for the last parameter binding
     it planned: the forwarded values, the memory sequences, the integer
-    program under no limit, and the validated planned pair of each
-    assignment it has applied. Nothing here refers back to the program."""
+    program under no limit, and the planned pair of each assignment while
+    a ``PlanResult`` holds it. Nothing here refers back to the program."""
 
     binding: tuple
     fvs: tuple[ForwardedValue, ...]
     sequences: tuple[PathSequence, ...]
     problem: ILPProblem
-    pairs: dict[tuple[int, ...], tuple[Program, Program]] = field(default_factory=dict)
+    pairs: dict[tuple[int, ...], weakref.ref] = field(default_factory=dict)  # to each _Pair, see _held
+
+
+def _held(pairs: dict, key: tuple, pair: _Pair) -> weakref.ref:
+    """A reference to ``pair`` that drops ``pairs[key]`` when the pair goes,
+    which is when no ``PlanResult`` holds it any more (a
+    ``WeakValueDictionary`` costs ``plan()`` more per lookup)."""
+    return weakref.ref(pair, lambda ref: pairs.pop(key) if pairs.get(key) is ref else None)
 
 
 # ---------------------------------------------------------------------------
@@ -873,6 +889,7 @@ class PlanResult:
     bundle: BackwardBundle = field(repr=False, default=None)
     fvs: list[ForwardedValue] = field(repr=False, default_factory=list)
     sequences: list[PathSequence] = field(repr=False, default_factory=list)
+    pair: _Pair | None = field(repr=False, default=None)
 
 
 def plan(
@@ -886,9 +903,10 @@ def plan(
     backward bundle (``backward_of``) and, for the last parameter binding
     planned, the forwarded values, the memory sequences, the integer
     program with its memory rows and keep-all peak, and the planned pair
-    of each assignment applied (``_Planning``). Each call then only poses
-    the limit on a copy of that program and solves; ``apply_plan`` builds
-    and validates a pair only for an assignment not seen before, and a
+    of each assignment applied, with the run plans of its replay, for as
+    long as a ``PlanResult`` holds it (``_Planning``). Each call then only
+    poses the limit on a copy of that program and solves; ``apply_plan``
+    builds and validates a pair only for an assignment not held, and a
     pair that fails validation is not kept."""
     params = dict(params or {})
     bundle = backward_of(program)
@@ -906,10 +924,14 @@ def plan(
     p = planning.problem
     problem = ILPProblem(p.k, p.costs, p.fixed, p.events, limit_bytes, p.n_paths, p.rows, p.keep_all_peak)
     solution = solve_ilp(problem)
-    pair = planning.pairs.get(solution.assignment)
+    held = planning.pairs.get(solution.assignment)
+    pair = held() if held is not None else None
     if pair is None:
-        pair = planning.pairs[solution.assignment] = apply_plan(program, bundle, fvs, solution.assignment)
-    fwd, bwd = pair
+        fwd, bwd = apply_plan(program, bundle, fvs, solution.assignment)
+        record, forwarding = _replayed(fvs, bundle, program)
+        pair = _Pair(fwd, bwd, prepare_runs(fwd, bwd, params, record=record, vinfo=bundle.vinfo, forwarding=forwarding))
+        planning.pairs[solution.assignment] = _held(planning.pairs, solution.assignment, pair)
+    fwd, bwd = pair.forward, pair.backward
     report = {
         "values": [
             {
@@ -934,7 +956,22 @@ def plan(
         "events": len(problem.events),
         "paths_checked": problem.n_paths,
     }
-    return PlanResult(fwd, bwd, solution, report, bundle, list(fvs), list(sequences))
+    return PlanResult(fwd, bwd, solution, report, bundle, list(fvs), list(sequences), pair)
+
+
+def _replayed(fvs, bundle: BackwardBundle, program: Program) -> tuple[frozenset, dict]:
+    """What a replay's forward run records, and the forwarding table of its
+    reverse run: the snapshots of scalar forwarded values and of loop
+    iterations (forced values), which the planned programs cannot carry."""
+    keep = {(fv.data, v) for fv in fvs if fv.forced for v in fv.versions}
+    scalars = {name: e for name, e in bundle.forwarding.items() if program.descriptors[e.data].rank == 0}
+    for e in scalars.values():
+        keep |= {(e.data, c.version) for c in e.candidates}
+    forwarding = dict(scalars)
+    for fv in fvs:
+        if fv.forced:
+            forwarding[fv.name] = bundle.forwarding[fv.name]
+    return frozenset(keep), forwarding
 
 
 def run_planned(
@@ -949,35 +986,26 @@ def run_planned(
 
     The forward run records only what the rewritten programs cannot carry:
     scalar values and loop-iteration snapshots. Kept arrays travel by name.
+    Both runs go by the run plans ``plan()`` built with the pair; under any
+    other parameter binding they are built anew for the call.
     """
-    keep = {
-        (fv.data, v)
-        for fv in result.fvs
-        if fv.forced
-        for v in fv.versions
-    }
-    scalars = {
-        name: e
-        for name, e in result.bundle.forwarding.items()
-        if result.forward.descriptors[e.data].rank == 0
-    }
-    for e in scalars.values():
-        keep |= {(e.data, c.version) for c in e.candidates}
-    forwarding = dict(scalars)
-    for fv in result.fvs:
-        if fv.forced:
-            forwarding[fv.name] = result.bundle.forwarding[fv.name]
-    # the planned program only adds copy-outs, which write no version in keep
-    fwd_run = run_forward(result.forward, inputs, params, record=keep, vinfo=result.bundle.vinfo)
-    # moved, so the reverse run's release frees them; a copy-out in an arm
-    # the run did not take made none
-    stored = {
-        fv.name: fwd_run.env.pop(fv.name)
-        for fv, v in zip(result.fvs, result.solution.assignment)
-        if v and not fv.forced and fv.name in fwd_run.env
-    }
-    bwd_run = run_backward(
-        result.forward, result.backward, inputs, params,
-        tape=fwd_run.tape, forwarding=forwarding, seed=seed, extra_env=stored,
-    )
+    runs = result.pair.runs if result.pair is not None else None
+    if runs is None or runs[0].binding != binding_of(params or {}):
+        record, forwarding = _replayed(result.fvs, result.bundle, result.forward)
+        runs = prepare_runs(result.forward, result.backward, params, record=record,
+                            vinfo=result.bundle.vinfo, forwarding=forwarding)
+    with prepared(runs):
+        # the planned program only adds copy-outs, which write no version in the record
+        fwd_run = run_forward(result.forward, inputs, params, record=runs[0].record, vinfo=result.bundle.vinfo)
+        # moved, so the reverse run's release frees them; a copy-out in an arm
+        # the run did not take made none
+        stored = {
+            fv.name: fwd_run.env.pop(fv.name)
+            for fv, v in zip(result.fvs, result.solution.assignment)
+            if v and not fv.forced and fv.name in fwd_run.env
+        }
+        bwd_run = run_backward(
+            result.forward, result.backward, inputs, params,
+            tape=fwd_run.tape, forwarding=runs[1].forwarding, seed=seed, extra_env=stored,
+        )
     return GradientResult.of(result.forward, fwd_run, bwd_run, result.bundle)

@@ -2,40 +2,39 @@
 
 Arrays are numpy; element kind fixes the dtype. Every array may carry extra
 *leading* batch dimensions on top of its declared shape, so a batch of
-inputs evaluates in one run; an input the program overwrites takes the
-batch dimensions of the others. Branch conditions must agree across the
-batch (``BatchDivergence`` otherwise); the finite-difference oracle leans
-on this to evaluate thousands of perturbed inputs in a handful of
-vectorized passes.
+inputs evaluates in one run (the finite-difference oracle's vectorized
+passes); an input the program overwrites takes the batch dimensions of the
+others, and branch conditions must agree across the batch
+(``BatchDivergence`` otherwise).
+
+A run goes by a ``RunPlan``: what depends only on the program and the
+parameter binding, built before the run. It holds each name's shape, the
+names the program writes, a step list per state (the tape records, library
+runs and compiled nests in schedule order), each loop's compiled nest, the
+iterates of each loop whose header reads only parameters, and a reverse
+run's release table. ``gradient()`` keeps its two plans with the program
+for the last binding it ran, and ``plan()`` keeps them with each planned
+pair; both hand them to ``run_forward`` and ``run_backward`` through
+``prepared``. Any other run builds its own plan. A header that reads a
+scalar or an enclosing iterator is simulated once per distinct value of the
+names it reads, memoized for the run.
 
 Execution is deterministic: states run in the schedule order, loops iterate
 their simulated header sequence and maps enumerate range products in order.
-A loop's header is simulated once per distinct value of the names it reads,
-and memoized for the run. Tasklets, maps and loop nests run as compiled
-nests: one generated Python function per nest structure (its loops, map
-ranges, edges, bodies and resolved shapes), cached for the whole process, so
-a program built again, and the reverse program that ``gradient()`` builds
-for it (once per ``Program``, then kept with it), reuses the nests of the
-first build. A tasklet alone is a nest of depth 0; a map is a
-``for`` per parameter around its body; a loop whose body holds only states
-of tasklets and maps, or further such loops, is a ``for`` per loop over its
-simulated iterates, with no branch, state-level library node, forwarded read
-or tape record inside. Any other loop runs block by block, its body's
-tasklets and maps still as nests. A nest inlines index arithmetic and bounds
-checks, reads an array without batch axes as ``arr[i, j]`` and a batched one
-as ``arr[..., i, j]``. A loop or map nest whose arrays are all real64 and
-whose tasklet bodies use only add, sub, mul, neg, names and int or float
-constants (which round alike on Python floats and numpy scalars) reads and
-writes an array without batch axes whose buffer is C-contiguous through a
-flat memoryview of that buffer, at offsets whose outer share is summed once
-per outer iterate; a bounds check on an ``iterator ± const`` index becomes
-one min/max test where the loop's iterates are fetched, and a point whose
-test failed runs the checked path, which raises as before. A library node runs once on whole arrays, from the
-step its graph keeps (``ir.library_steps``): the arrays of its in- and
-out-edges, and for an elementwise node its expression (``ir.library_expr``)
-compiled once and its operator count. The run adds the shapes, dtypes and
-batch: an elementwise node evaluates the compiled expression with numpy,
-broadcasting rank-0 operands over the output behind their batch dimensions.
+Tasklets, maps and loop nests run as compiled nests: one generated Python
+function per nest structure (its loops, map ranges, edges, bodies and
+resolved shapes), cached for the whole process. A tasklet alone is a nest
+of depth 0; a map is a ``for`` per parameter around its body; a loop whose
+body holds only states of tasklets and maps, or further such loops, is a
+``for`` per loop over its iterates in visit order, with no branch,
+state-level library node, forwarded read or tape record inside. Any other
+loop runs block by block. A nest inlines index arithmetic and bounds
+checks; a loop or map nest over real64 arrays whose tasklet bodies round
+alike on Python floats and numpy scalars reads and writes through flat
+memoryviews with hoisted bounds checks (``nests._compiled_tasklet``). A
+library node runs once on whole arrays, from the step its graph keeps
+(``ir.library_steps``) and its op count and operand checks, which the plan
+resolves; rank-0 operands broadcast behind their batch dimensions.
 Intermediate and gradient arrays are zero-initialized on first touch, which
 is also what accumulation via ``sum`` conflict resolution assumes.
 
@@ -46,41 +45,33 @@ its ``env`` holds inputs, outputs and stored copies. A reverse run releases
 every rank >= 1 gradient, scratch array and stored copy, and every tape
 snapshot it reads, by the model's last-touch rule (``ir.live_ranges``):
 right after the compute node that touches it last; a last touch inside a
-loop or a branch arm releases after the enclosing top-level block, so no
-release fires inside one. Loop headers, branch conditions and map ranges
-count as touches. Scalars are never released.
+loop or a branch arm releases after the enclosing top-level block. Loop
+headers, branch conditions and map ranges count as touches. Scalars are
+never released.
 
 A ``Tape`` holds array snapshots keyed by ``(name, static version, loop
 coordinates)`` and branch outcomes per label in execution order. A forward
 run records the ``(name, version)`` pairs of its ``record`` set, or keeps no
-tape when ``record`` is None. Reverse-mode programs consume the tape through
-two mechanisms: forwarded value reads (resolved against snapshot candidates)
-and ``trace_ref`` conditionals (replay recorded outcomes backwards). Loop
-iterates are never taped: a reversed loop re-simulates its forward header
-and walks the iterates backwards, and a read after a loop that needs its
-last iterate re-simulates that forward loop's header, with the enclosing
-loops' iterators at the coordinates the read resolved for them.
+tape when ``record`` is None. A reverse run reads the tape through
+forwarded value reads (resolved against snapshot candidates) and
+``trace_ref`` conditionals (recorded outcomes replayed backwards). Loop
+iterates are never taped: a reversed loop walks its forward header's
+iterates backwards, and a read after a loop that needs its last iterate
+re-simulates that forward loop's header, with the enclosing loops'
+iterators at the coordinates the read resolved for them.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BatchDivergence,
-    DomainError,
-    MissingTapeValue,
-    OutOfBounds,
-    ShapeMismatch,
-    UnboundName,
-    UnresolvableTripCount,
-)
+from .errors import BatchDivergence, MissingTapeValue, ShapeMismatch, UnboundName, UnresolvableTripCount
 from .ir import (
     AccessNode,
     Block,
@@ -110,7 +101,8 @@ from .ir import (
     walk_blocks,
     written_descriptors,
 )
-from .symexpr import SOURCE_NAMESPACE, Binary, Const, Name, Unary, count_ops, eval_expr, free_names, python_source
+from .nests import _compiled_tasklet, _map_range
+from .symexpr import count_ops, eval_expr, free_names
 from .versions import CUR, LAST, PREV, VersionInfo, analyze_versions
 
 _DTYPE = {"real32": np.float32, "real64": np.float64}
@@ -142,554 +134,210 @@ class _LoopCtx:
         return self.iterates[self.pos]
 
 
-_UNSET = object()  # a bind name missing at nest entry
-# numbers each compiled nest, so that profiles and tracebacks tell them apart
-_NEST_ORDINAL = itertools.count()
-
-
-@functools.lru_cache(maxsize=4096)
-def _compiled_tasklet(key: tuple) -> Callable:
-    """One generated Python function per nest structure, shared by every
-    executor. ``key`` is ``(item, arrays)``: ``arrays`` gives each array's
-    resolved shape (None: undeclared) and element kind, and ``item`` is one
-    of ``("tasklet", ins, outs, ops)`` (``(data, subset, connector)`` per
-    in-edge, ``(data, subset, body, wcr)`` per out-edge), ``("map", id,
-    params, ranges, items)``, ``("loop", j, iterator, reversed, header,
-    items)`` (``header`` the names it reads) or ``("library", j, outs)``
-    (a library node in a map body). Returns ``nest(read, write, b,
-    iterates, loops, libs)``, which runs the nest and returns its operator
-    count: each level adds its tasklets' operators times its points. The
-    function keeps its generated text as ``nest.source``.
-
-    A loop runs at the iterates ``visit_positions`` picks from
-    ``iterates(loops[j], ...)``, fetched on every entry when its header
-    reads an enclosing iterator or a name the nest writes, else once.
-    Iterators and map parameters are locals; any other name comes from
-    ``b`` at entry and raises ``UnboundName`` where ``eval_expr`` would. An
-    array is fetched by the first point that touches it, and again after a
-    library node writes it. A tasklet runs its edges in the executor's
-    order: each in-edge's index dimension by dimension, then each out-edge's
-    body before its index. An index that may not be an ``int`` goes through
-    ``uniform_int``; every index is bounds-checked, and an index expression
-    repeated over a dimension of the same size, or a repeated body, is
-    computed once per point. An array without batch axes is read as
-    ``arr[i, j]``, an immutable scalar; a batched one as ``arr[..., i, j]``,
-    copied, since a rank-0 read aliases the array an output may overwrite.
-
-    Direct access: in a loop or map nest whose arrays are all real64 and
-    whose tasklet bodies are all exact (``_exact``: add, sub, mul and neg
-    round alike on Python floats and numpy scalars), fetching an array
-    without batch axes also takes its direct handle (``_view``): a flat
-    memoryview of its own C-contiguous buffer, or at rank 0 the array
-    itself. A point whose arrays all have one, and whose levels' hoisted
-    checks passed, reads and writes through the handles at flat offsets.
-    An ``iterator ± const`` index is checked per dimension where its
-    loop's iterates or its map's range are fetched, as one min/max test
-    per level, and its share of the offset is summed once per iterate of
-    the level that owns it. A constant index in range needs no check, and
-    any other index is computed and checked at the point as above. Every
-    other point runs the checked body above, so an error is raised at the
-    same point with the same message.
-    """
-    item, described = key
-    shape = {name: dims for name, dims, _ in described}
-    arrays = {name: f"a{k}" for k, name in enumerate(shape)}
-    views = {}
-    if item[0] != "tasklet" and all(kind == "real64" for *_, kind in described) and _exact_item(item):
-        views = {name: f"v{k}" for k, name in enumerate(shape)}
-    entry = [f"{v} = None" for v in (*arrays.values(), *views.values())]
-    lines: list = []  # source lines, and callables giving lines known once the whole nest is emitted
-    bound: dict[str, str] = {}
-    fresh = itertools.count()
-    written = _item_writes(item)
-    # per level of a direct nest, by its iterator's variable: the enclosing
-    # level, the hoisted checks as (const, size) and the per-iterate lines
-    up: dict[str, str | None] = {}
-    checks: dict[str, list] = {}
-    per_iterate: dict[str, list] = {}
-    partials: dict[tuple, str] = {}
-
-    def emit(d: int, text: str):
-        lines.append("    " * d + text)
-
-    def later(d: int, make: Callable[[], list]):
-        lines.append(lambda: ["    " * d + text for text in make()])
-
-    def source(e, scope: dict) -> str:
-        def local(name: str) -> str:
-            if name in scope:
-                return scope[name]
-            if name not in bound:
-                bound[name] = f"n{len(bound)}"
-                entry.append(f"{bound[name]} = b.get({name!r}, _UNSET)")
-            return f"({bound[name]} if {bound[name]} is not _UNSET else _unbound({name!r}))"
-        return python_source(e, local)
-
-    def index(e, size: int, data: str, scope: dict, indices: dict, d: int) -> str:
-        """The variable holding index ``e`` into a dimension of ``size``,
-        computed and checked once per point."""
-        if (e, size) not in indices:
-            var = scope.get(e.id) if isinstance(e, Name) else None
-            if var is None:
-                var = f"x{next(fresh)}"
-                emit(d, f"{var} = {source(e, scope)}")
-            if not _int_valued(e, scope):
-                what = "subset of '" + data + "'"
-                emit(d, f"if {var}.__class__ is not int:")
-                emit(d + 1, f"{var} = uniform_int({var}, {what!r})")
-            emit(d, f"if not 0 <= {var} < {size}:")
-            emit(d + 1, f"_out_of_bounds({data!r}, {var}, {size})")
-            indices[(e, size)] = var
-        return indices[(e, size)]
-
-    def result(body, conns: dict, results: dict, d: int, convert: bool = False) -> str:
-        res = results.get(body)
-        if res is None:  # a body name with no in-edge raises where the body runs
-            res = results[body] = f"r{next(fresh)}"
-            src = python_source(body, lambda n: conns.get(n, f"_unbound({n!r})"))
-            emit(d, f"{res} = float({src})" if convert else f"{res} = {src}")
-        return res
-
-    def tasklet(it: tuple, scope: dict, d: int, level: str | None):
-        _, ins, outs, _ = it
-        missing = [data for data, *_ in ins + outs if shape[data] is None]
-        if missing:
-            return emit(d, f"_no_value({missing[0]!r})")
-        if level is None:
-            return checked(it, scope, d)
-        touched = dict.fromkeys(data for data, *_ in ins + outs)
-        emit(d, f"if {' and '.join([f'ok_{level}'] + [f'{views[a]} is not None' for a in touched])}:")
-        direct(it, scope, d + 1, level)
-        emit(d, "else:")
-        checked(it, scope, d + 1)
-
-    def checked(it: tuple, scope: dict, d: int):
-        _, ins, outs, _ = it
-        fetched: set[str] = set()
-        indices: dict[tuple, str] = {}
-        conns: dict[str, str] = {}
-        results: dict = {}
-
-        def access(data: str, subset, fetch: str) -> tuple[str, str]:
-            arr = arrays[data]
-            if data not in fetched:
-                fetched.add(data)
-                emit(d, f"if {arr} is None:")
-                emit(d + 1, f"{arr} = {fetch}({data!r})")
-                emit(d + 1, f"{arr}_flat = {arr}.ndim == {len(shape[data])}")
-                if views:
-                    emit(d + 1, f"{views[data]} = _view({arr}, {len(shape[data])})")
-            return arr, ", ".join(index(e, shape[data][k], data, scope, indices, d) for k, e in enumerate(subset))
-
-        for data, subset, conn in ins:
-            arr, idx = access(data, subset, "read")
-            var = conns[conn] = f"c{next(fresh)}"
-            emit(d, f"{var} = {arr}[{idx or '()'}] if {arr}_flat else _copy({arr}[..., {idx}])")
-        for data, subset, body, wcr in outs:
-            res = result(body, conns, results, d)
-            arr, idx = access(data, subset, "write")
-            op = "+=" if wcr == "sum" else "="
-            emit(d, f"if {arr}_flat:")
-            emit(d + 1, f"{arr}[{idx or '()'}] {op} {res}")
-            emit(d, "else:")
-            emit(d + 1, f"{arr}[..., {idx}] {op} {res}")
-
-    def direct(it: tuple, scope: dict, d: int, level: str):
-        """A point through the direct handles, its hoisted checks passed:
-        what may still fail runs in the checked body's order."""
-        _, ins, outs, _ = it
-        indices: dict[tuple, str] = {}
-        offsets: dict[str, str] = {}
-        conns: dict[str, str] = {}
-        results: dict = {}
-
-        def element(data: str, subset) -> str:
-            dims = shape[data]
-            if not dims:
-                return f"{views[data]}[()]"
-            const, outer, terms = 0, [], []
-            for k, e in enumerate(subset):
-                size, stride = dims[k], math.prod(dims[k + 1:])
-                shift = _affine(e, scope)
-                if isinstance(e, Const) and e.value.__class__ is int and 0 <= e.value < size:
-                    const += e.value * stride
-                elif shift is not None:
-                    var, c = shift
-                    checks[var].append((c, size))
-                    const += c * stride
-                    if var == level:
-                        terms.append(_times(var, stride))
-                    else:
-                        outer.append((var, stride))
-                else:
-                    terms.append(_times(index(e, size, data, scope, indices, d), stride))
-            if outer:
-                terms.insert(0, partial(outer))
-            if len(terms) > 1:
-                text = " + ".join(terms)
-                if text not in offsets:
-                    offsets[text] = f"o{next(fresh)}"
-                    emit(d, f"{offsets[text]} = {text}")
-                terms = [offsets[text]]
-            if not terms:
-                return f"{views[data]}[{const}]"
-            return f"{views[data]}[{terms[0]}{const:+d}]" if const else f"{views[data]}[{terms[0]}]"
-
-        for data, subset, conn in ins:
-            ref = element(data, subset)
-            var = conns[conn] = f"c{next(fresh)}"
-            emit(d, f"{var} = {ref}")
-        for data, subset, body, wcr in outs:
-            # a body of constants alone may be an int: converted as a numpy
-            # store converts it, one too large for a double raises alike
-            res = result(body, conns, results, d, convert=not free_names(body))
-            emit(d, f"{element(data, subset)} {'+=' if wcr == 'sum' else '='} {res}")
-
-    def partial(terms: list) -> str:
-        """The variable holding the sum of ``(iterator, stride)`` terms of
-        enclosing levels: each partial sum is taken once per iterate of the
-        innermost level it reads."""
-        depth = {v: k for k, v in enumerate(up)}  # a level opens after the levels around it
-        var = None
-        terms = sorted(terms, key=lambda t: depth[t[0]])
-        for k, (v, stride) in enumerate(terms):
-            key = tuple(terms[: k + 1])
-            if key not in partials:
-                if var is None and stride == 1:
-                    partials[key] = v
-                else:
-                    partials[key] = f"h{next(fresh)}"
-                    term = _times(v, stride)
-                    per_iterate[v].append(f"{partials[key]} = {term if var is None else f'{var} + {term}'}")
-            var = partials[key]
-        return var
-
-    def open_level(var: str, level: str | None):
-        up[var], checks[var], per_iterate[var] = level, [], []
-
-    def bounded(var: str, test: str) -> str:
-        """``test`` with the bounds the iterates of ``var``'s level must keep
-        to for every check hoisted to it."""
-        return test.format(lo=max(-c for c, _ in checks[var]), hi=min(size - 1 - c for c, size in checks[var]))
-
-    def ok(var: str, test: str) -> list[str]:
-        """``ok_<var>``: every hoisted check of this level and the levels
-        around it passes."""
-        outer = f"ok_{up[var]}" if up[var] else "True"
-        return [f"ok_{var} = {outer} and {bounded(var, test)}" if checks[var] else f"ok_{var} = {outer}"]
-
-    def count(items: tuple, d: int, seq: str | None = None):
-        ops = sum(it[3] for it in items if it[0] == "tasklet")
-        if ops:
-            emit(d, f"ops += len({seq}) * {ops}" if seq else f"ops += {ops}")
-
-    def body(items: tuple, scope: dict, d: int, level: str | None):
-        start = len(lines)
-        for it in items:
-            emitters[it[0]](it, scope, d, level)
-        if not any(isinstance(x, str) for x in lines[start:]):
-            emit(d, "pass")
-
-    def mapping(it: tuple, scope: dict, d: int, level: str | None, k: int = 0):
-        _, mid, params, ranges, items = it
-        if k == len(params):
-            count(items, d)
-            return body(items, scope, d, level)
-        seq, var, last = f"g{next(fresh)}", f"i{next(fresh)}", k + 1 == len(params)
-        emit(d, f"{seq} = _map_range({mid!r}, {', '.join(source(e, scope) for e in ranges[k])})")
-        if views:  # a range with a positive step: its first and last values bound it
-            open_level(var, level)
-            later(d, lambda: ok(var, f"(not {seq} or ({{lo}} <= {seq}[0] and {seq}[-1] <= {{hi}}))"))
-        if last:
-            count(items, d, seq)
-        emit(d, f"for {var} in {seq}:")
-        if views:
-            later(d + 1, lambda: per_iterate[var])
-        inner, within = {**scope, params[k]: var}, var if views else None
-        if last:
-            body(items, inner, d + 1, within)
-        else:
-            mapping(it, inner, d + 1, within, k + 1)
-
-    def loop(it: tuple, scope: dict, d: int, level: str | None):
-        _, j, iterator, reverse, header, items = it
-        seq, var = f"s{j}", f"i{next(fresh)}"
-        passed = ", ".join(f"{n!r}: {scope[n]}" for n in header if n in scope)
-        call = f"iterates(loops[{j}], {{{passed}}})" if passed else f"iterates(loops[{j}])"
-        test = f"(not {seq} or ({{lo}} <= min({seq}) and max({seq}) <= {{hi}}))"
-        if views:
-            open_level(var, level)
-        if not scope or any(n in scope or n in written for n in header):
-            emit(d, f"{seq} = {call}")
-            if views:
-                later(d, lambda: ok(var, test))
-        else:  # the same iterates at every entry
-            entry.append(f"{seq} = None")
-            emit(d, f"if {seq} is None:")
-            emit(d + 1, f"{seq} = {call}")
-            if views:  # and the same test of them, kept in k<j>
-                later(d + 1, lambda: [f"k{j} = {bounded(var, test)}"] if checks[var] else [])
-                later(d, lambda: ok(var, f"k{j}"))
-        if reverse:
-            emit(d, f"p{j} = _visit(loops[{j}], len({seq}))")
-            count(items, d, f"p{j}")
-            emit(d, f"for q{j} in p{j}:")
-            emit(d + 1, f"{var} = {seq}[q{j}]")
-        else:
-            count(items, d, seq)
-            emit(d, f"for {var} in {seq}:")
-        if views:
-            later(d + 1, lambda: per_iterate[var])
-        body(items, {**scope, iterator: var}, d + 1, var if views else None)
-
-    def library(it: tuple, scope: dict, d: int, level: str | None):
-        _, j, outs = it
-        emit(d, f"libs[{j}]()")
-        for data in outs:  # a library node may replace the array
-            if data in arrays:
-                emit(d, f"{arrays[data]} = None")
-                if views:
-                    emit(d, f"{views[data]} = None")
-
-    emitters = {"tasklet": tasklet, "map": mapping, "loop": loop, "library": library}
-    count((item,), 1)
-    body((item,), {}, 1, None)
-    text = [s for x in lines for s in (x() if callable(x) else (x,))]
-    src = "\n".join(["def nest(read, write, b, iterates, loops, libs):", "    ops = 0"]
-                    + ["    " + s for s in entry] + text + ["    return ops"])
-    ns = {
-        **SOURCE_NAMESPACE, "uniform_int": uniform_int, "_copy": _copy_element,
-        "_out_of_bounds": _out_of_bounds, "_no_value": _no_value,
-        "_map_range": _map_range, "_visit": visit_positions, "_UNSET": _UNSET,
-        "_view": _view,
-    }
-    # a map by its id, a loop by its iterator, a tasklet by what it writes
-    root = item[1] if item[0] == "map" else item[2] if item[0] == "loop" else ",".join(sorted(written))
-    filename = f"<nest {next(_NEST_ORDINAL)}: {item[0]} {root}>"
-    exec(compile(src, filename, "exec"), ns)
-    nest = ns["nest"]
-    nest.source = src
-    return nest
-
-
-def _exact(e) -> bool:
-    """Whether ``e`` rounds alike on Python floats and on numpy float64
-    scalars: names and int or float constants under add, sub, mul and neg,
-    which IEEE 754 rounds the same in both."""
-    if isinstance(e, Name):
-        return True
-    if isinstance(e, Const):
-        return e.value.__class__ in (int, float)
-    if isinstance(e, Unary):
-        return e.op == "neg" and _exact(e.x)
-    if isinstance(e, Binary):
-        return e.op in ("add", "sub", "mul") and _exact(e.x) and _exact(e.y)
-    return False
-
-
-def _exact_item(item: tuple) -> bool:
-    """Whether every tasklet body of a nest item is ``_exact``."""
-    if item[0] == "tasklet":
-        return all(_exact(body) for _, _, body, _ in item[2])
-    return item[0] == "library" or all(map(_exact_item, item[-1]))
-
-
-def _affine(e, scope: dict) -> tuple[str, int] | None:
-    """``(variable, c)`` when index ``e`` is an iterator or map parameter
-    plus or minus an int constant ``c``, else None."""
-    if isinstance(e, Name):
-        return (scope[e.id], 0) if e.id in scope else None
-    if not isinstance(e, Binary) or e.op not in ("add", "sub"):
-        return None
-    x, y = (e.y, e.x) if e.op == "add" and isinstance(e.x, Const) else (e.x, e.y)
-    if isinstance(x, Name) and x.id in scope and isinstance(y, Const) and y.value.__class__ is int:
-        return scope[x.id], y.value if e.op == "add" else -y.value
-    return None
-
-
-def _times(var: str, stride: int) -> str:
-    return var if stride == 1 else f"{var} * {stride}"
-
-
-def _view(arr: np.ndarray, rank: int):
-    """The direct handle of a fetched array, or None when it has batch axes
-    or is not a C-contiguous float64 buffer: a flat memoryview of the
-    array's own buffer, so writes through it need no write-back, or at rank
-    0 the array itself (a view would cost more than it saves)."""
-    if arr.ndim != rank:
-        return None
-    if not rank:
-        return arr
-    if arr.dtype != np.float64 or not arr.flags.c_contiguous:
-        return None
-    return arr.data.cast("B").cast("d")
-
-
-def _copy_element(v):
-    return np.array(v, copy=True) if isinstance(v, np.ndarray) else v
-
-
-def _int_valued(e, scope: dict) -> bool:
-    """Whether an index expression always yields an ``int``: iterators and
-    integer constants under add, sub, mul and neg."""
-    if isinstance(e, Name):
-        return e.id in scope
-    if isinstance(e, Const):
-        return e.value.__class__ is int
-    if isinstance(e, Unary):
-        return e.op == "neg" and _int_valued(e.x, scope)
-    if isinstance(e, Binary):
-        return e.op in ("add", "sub", "mul") and _int_valued(e.x, scope) and _int_valued(e.y, scope)
-    return False
-
-
-def _no_value(name: str):
-    raise UnboundName(f"no value for input '{name}'")
-
-
-def _item_writes(item: tuple) -> set[str]:
-    """Arrays a nest item writes."""
-    if item[0] == "tasklet":
-        return {data for data, *_ in item[2]}
-    if item[0] == "library":
-        return set(item[2])
-    return set().union(*map(_item_writes, item[-1]))
-
-
 def _tasklet_ops(node: Tasklet, df: Dataflow) -> int:
     """Operators of one run of a tasklet, summed over its out-edges'
     bodies: the one count the executor and ``count_flops`` share."""
     return sum(count_ops(node.body[e.src_conn]) for e in df.out_edges(node.id))
 
 
-def _out_of_bounds(data: str, i: int, size: int):
-    raise OutOfBounds(f"'{data}' index {i} outside dimension of size {size}")
+@dataclass(frozen=True, slots=True)
+class _LibraryRun:
+    """A library node as its runs take it: its graph's step, its op count
+    and, for an elementwise node, its operand checks (``_operand_checks``).
+    Either is None where preparing it raised: the run prepares it, and
+    raises, where an unprepared run would."""
+
+    node: LibraryNode
+    step: LibraryStep
+    cost: int | None
+    checks: tuple | None
 
 
-class Executor:
-    def __init__(
-        self,
-        program: Program,
-        params: dict[str, int],
-        env: dict[str, np.ndarray],
-        batch: tuple[int, ...],
-        *,
-        tape: Tape | None = None,
-        record=None,
-        src_tape: Tape | None = None,
-        forwarding: dict | None = None,
-        vinfo: VersionInfo | None = None,
-        src_program: Program | None = None,
-    ):
-        self.program = program
-        self.params = dict(params)
-        self.env = env
-        self.batch = batch
-        self.tape = tape
-        self.record = record
-        self.src_tape = src_tape
-        self.forwarding = forwarding or {}
-        self.vinfo = vinfo
-        self.src_program = src_program  # the forward program a reverse run reads
-        self.bind: dict = dict(self.params)  # params + live iterators
-        self.ctx: dict[str, _LoopCtx] = {}
-        self.branch_down: dict[str, int] = {}
-        self.op_count = 0
-        self.frees: dict[int, list] = {}  # a reverse run's releases, see run_reverse
-        self._kernels: dict = {}  # compiled nests by loop id or (graph id, node id)
-        self._header_names: dict[int, list[str]] = {}
-        self._iterates: dict[tuple, list[int]] = {}
-        self._shapes: dict[str, tuple[int, ...]] = {}
+_LATER = object()  # what preparing raised: the run prepares it where it is needed
 
-    # -- shared helpers ------------------------------------------------------
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or ``_LATER`` if it raises. A plan prepares ahead what
+    an unprepared run evaluates where it needs it; an error there is the
+    run's to raise, at that point, so the run prepares it again and
+    raises it (``RunPlan``)."""
+    try:
+        return fn(*args)
+    except Exception:
+        return _LATER
+
+
+def _visits(loop: LoopRegion, fwd: list[int]) -> list[int]:
+    """The iterates the loop's body runs at, in visit order (``visit_positions``)."""
+    return fwd if loop.reverse_of is None else [fwd[q] for q in visit_positions(loop, len(fwd))]
+
+
+def binding_of(params: dict) -> tuple:
+    """A parameter binding as a key: kept analyses and run plans are reused
+    only under an equal one."""
+    return tuple(sorted(params.items()))
+
+
+class RunPlan:
+    """What a run of ``program`` needs that depends only on the program and
+    the parameter binding (see the module docstring). ``record`` and
+    ``vinfo`` give a forward run its tape records; ``forwarding`` and
+    ``src_program`` (whose shapes a reverse run's inputs are checked
+    against) serve a reverse run. Whatever raises while the plan is built
+    is left out, and the run prepares it where it needs it and raises
+    there, as an unprepared run would. A plan refers to no program (``of``
+    is the ``id()`` of the one it runs), so a program that keeps plans is
+    freed without the cycle collector."""
+
+    def __init__(self, program: Program, params: dict[str, int], *, record=None,
+                 vinfo: VersionInfo | None = None, forwarding: dict | None = None,
+                 src_program: Program | None = None):
+        self.of, self.params, self.binding = id(program), dict(params), binding_of(params)
+        self.descriptors, self.region = program.descriptors, program.region
+        if record is not None and vinfo is None:
+            vinfo = analyze_versions(program)
+        self.record, self.vinfo, self.forwarding = record, vinfo, forwarding or {}
+        self.shapes = _shapes(program, self.params)
+        self.declared = self.shapes if src_program is None else _shapes(src_program, self.params)
+        self.written = written_descriptors(program)
+        desc = program.descriptors
+        self.scalars = tuple(name for name, d in desc.items() if d.rank == 0)
+        self.intermediates = tuple(name for name, d in desc.items() if d.role == "intermediate")
+        self.taped = tuple(n for n, d in desc.items() if d.role == "input" and record is not None and (n, 0) in record)
+        src = [b for _, b in walk_blocks(src_program.region) if isinstance(b, LoopRegion)] if src_program else []
+        self.forward_loops = {b.label: b for b in src}  # for a read after a loop that has ended
+        loops = [b for _, b in walk_blocks(program.region) if isinstance(b, LoopRegion)] + src
+        self.headers = {id(b): sorted(header_names(b)) for b in loops}
+        free = self.params.keys() - {b.iterator for b in loops}
+        self.iterates: dict[int, tuple[list[int], list[int]]] = {}
+        for b in loops:
+            if b.iterator not in self.params and header_names(b) - {b.iterator} <= free:
+                fwd = _attempt(simulate_header, b, self.params)
+                if fwd is not _LATER:
+                    self.iterates[id(b)] = fwd, _visits(b, fwd)
+        self.nests: dict = {}  # by loop id or (graph id, node id)
+        self.steps: dict[int, tuple] = {}  # by state id
+        self._prepare(program.region)
+        self.releases = _LATER if src_program is None else _attempt(self.release_table)
 
     def shape_of(self, name: str) -> tuple[int, ...]:
-        s = self._shapes.get(name)
-        if s is None:
-            s = self._shapes[name] = dimensions(self.program.descriptors[name], self.params)
-        return s
+        s = self.shapes.get(name)
+        return s if s is not None else dimensions(self.descriptors[name], self.params)
 
-    def _dtype(self, name: str):
-        return _DTYPE[self.program.descriptors[name].element_kind]
-
-    def read_array(self, name: str) -> np.ndarray:
-        arr = self.env.get(name)
-        if arr is not None:
-            return arr
-        if name in self.forwarding:
-            return self._fetch_forwarded(name)
-        desc = self.program.descriptors.get(name)
-        if desc is None or desc.role == "input":
-            raise UnboundName(f"no value for input '{name}'")
-        arr = np.zeros(self.batch + self.shape_of(name), dtype=self._dtype(name))
-        self.env[name] = arr
-        return arr
-
-    def write_target(self, name: str) -> np.ndarray:
-        arr = self.env.get(name)
-        if arr is None:
-            arr = np.zeros(self.batch + self.shape_of(name), dtype=self._dtype(name))
-            self.env[name] = arr
-        return arr
-
-    def _uniform_bool(self, value, where: str) -> bool:
-        if isinstance(value, np.ndarray) and value.size > 1:
-            flat = value.reshape(-1)
-            if not bool(np.all(flat == flat[0])):
-                raise BatchDivergence(f"condition of '{where}' differs across the batch")
-            return bool(flat[0])
-        return bool(np.asarray(value).reshape(-1)[0]) if isinstance(value, np.ndarray) else bool(value)
-
-    def _loop_iterates(self, loop: LoopRegion, local: dict | None = None) -> list[int]:
-        """The loop's simulated iterates. The header reads live bindings (a
-        nest's iterators in ``local``) and scalar arrays; the result is
-        memoized on the values of the names it reads, so a loop nested in
-        another simulates once per distinct header."""
-        names = self._header_names.get(id(loop))
-        if names is None:
-            names = self._header_names[id(loop)] = sorted(header_names(loop))
-        extra = {} if local is None else local  # then the scalars the header reads
-        values = []
-        for name in names:
-            if name not in extra and name not in self.bind:
-                desc = self.program.descriptors.get(name)
-                if name != loop.iterator and desc is not None and desc.rank == 0 and name in self.env:
-                    extra[name] = uniform_int(self.env[name], f"scalar '{name}' in a loop header")
-            values.append(extra[name] if name in extra else self.bind.get(name))
-        key = (id(loop), tuple(values))
-        iterates = self._iterates.get(key)
-        if iterates is None:
-            iterates = self._iterates[key] = simulate_header(loop, {**self.bind, **extra} if extra else self.bind)
-        return iterates
-
-    # -- control flow --------------------------------------------------------
-
-    def run(self):
-        self._exec_region(self.program.region)
-
-    def run_reverse(self):
-        """Run the region, releasing each array and tape snapshot where
-        ``_release_points`` puts it: after its last touch, by the rule the
-        memory model prices (``ir.live_ranges``)."""
-        self.frees = self._release_points()
-        self.run()
-
-    def _release_points(self) -> dict[int, list]:
-        """Where a reverse run releases what it holds, keyed by the ``id()``
-        of the top-level compute node that touches a value last, or of the
-        top-level loop or branch holding its last touch. Each entry lists
-        ``(store, key)`` pairs: rank >= 1 gradients, scratch arrays and
-        stored copies in ``env``, and the tape snapshots of a forwarded
-        name, released after the last read of any name that shares them. A
-        step of ``ir.live_ranges`` is one compute node of a top-level state
-        (``ir.node_accesses``, on the cached schedule) or one whole
-        top-level loop or branch."""
-        for block in self.program.region:  # schedule first: its scratch is gone before touches are held
+    def _prepare(self, region: list[Block]):
+        """Prepare the blocks of ``region`` that run block by block."""
+        for block in region:
             if isinstance(block, State):
-                schedule(block.graph)
+                steps = _attempt(self.state_steps, block)
+                if steps is not _LATER:
+                    self.steps[id(block)] = steps
+            elif isinstance(block, LoopRegion):
+                if _attempt(self.nest, block) is None:
+                    self._prepare(block.body)
+            else:
+                self._prepare(block.then_body + block.else_body)
 
-        def steps():  # a generator, so one state's touches are held at a time
-            for block in self.program.region:
+    def state_steps(self, state: State) -> tuple:
+        """One state's steps in schedule order, each ``(run, arg, key)``: the
+        run calls ``run(executor, arg)`` and then releases what the release
+        table holds under ``key``. A tape record at each access node whose
+        version the plan records, a compute node's library run or compiled
+        nest, or its nest compiled when it runs if compiling raised here."""
+        steps = []
+        for node in schedule(state.graph):
+            if isinstance(node, AccessNode):
+                v = self._recorded(state.label, node)
+                if v is not None:
+                    steps.append((Executor._record, (node.data, v, self.vinfo.write_loops[(node.data, v)]), None))
+            elif isinstance(node, LibraryNode):
+                steps.append((Executor._exec_library, self._library(node, state.graph), id(node)))
+            else:
+                nest = _attempt(self.nest, node, state.graph)
+                later = nest is _LATER
+                steps.append((Executor._nest_now, (node, state.graph), id(node)) if later
+                             else (Executor._run_nest, nest, id(node)))
+        return tuple(steps)
+
+    def _recorded(self, state_label: str, node: AccessNode) -> int | None:
+        """The version of ``node.data`` the tape records at this access node, if any."""
+        if self.record is None or self.vinfo is None:
+            return None
+        v = self.vinfo.write_version.get((state_label, node.id))
+        return v if v is not None and (node.data, v) in self.record else None
+
+    def _library(self, node: LibraryNode, df: Dataflow) -> _LibraryRun:
+        step = library_steps(df)[node.id]
+        cost = _attempt(_library_cost, node, step, self.shape_of)
+        checks = _LATER if node.kind in ("matmul", "reduce_sum") else _attempt(_operand_checks, node, step, self.shape_of)
+        return _LibraryRun(node, step, None if cost is _LATER else cost, None if checks is _LATER else checks)
+
+    def nest(self, root, df: Dataflow | None = None) -> tuple | None:
+        """The compiled nest of a tasklet or map in ``df``, or of a loop, with
+        the loops and library runs it calls back, kept in ``nests``. None
+        for a loop whose body holds a branch, a state-level library node, a
+        read of a forwarded name or a tape record: those run block by
+        block."""
+        acc = ([], [], {})  # loops, library runs, array names
+        item = self._loop_item(root, acc) if df is None else self._compute_item(root, df, acc)
+        nest = None
+        if item is not None:
+            loops, libs, names = acc
+            desc = self.descriptors
+            described = tuple((n, self.shape_of(n), desc[n].element_kind) if n in desc else (n, None, None) for n in names)
+            nest = _compiled_tasklet((item, described)), tuple(loops), tuple(libs)
+        self.nests[id(root) if df is None else (id(df), root.id)] = nest
+        return nest
+
+    def _compute_item(self, node, df: Dataflow, acc: tuple) -> tuple:
+        _, libs, names = acc
+        if isinstance(node, Tasklet):
+            ins = tuple((e.data, e.subset, e.dst_conn) for e in df.in_edges(node.id))
+            outs = tuple((e.data, e.subset, node.body[e.src_conn], e.wcr) for e in df.out_edges(node.id))
+            names.update(dict.fromkeys(e[0] for e in ins + outs))
+            return "tasklet", ins, outs, _tasklet_ops(node, df)
+        if isinstance(node, MapNode):
+            order = schedule(node.body)
+            items = tuple(self._compute_item(n, node.body, acc) for n in order if not isinstance(n, AccessNode))
+            return "map", node.id, node.params, node.ranges, items
+        libs.append(self._library(node, df))
+        return "library", len(libs) - 1, tuple(e.data for e in df.out_edges(node.id))
+
+    def _loop_item(self, loop: LoopRegion, acc: tuple) -> tuple | None:
+        loops = acc[0]
+        loops.append(loop)
+        j, items = len(loops) - 1, []
+        for block in loop.body:
+            if isinstance(block, LoopRegion):
+                items.append(self._loop_item(block, acc))
+                if items[-1] is None:
+                    return None
+                continue
+            if isinstance(block, Conditional) or not self.forwarding.keys().isdisjoint(graph_names(block.graph)):
+                return None
+            for node in schedule(block.graph):
+                if isinstance(node, AccessNode):
+                    if self._recorded(block.label, node) is not None:
+                        return None
+                elif isinstance(node, LibraryNode):
+                    return None
+                else:
+                    items.append(self._compute_item(node, block.graph, acc))
+        return "loop", j, loop.iterator, tuple(sorted(header_names(loop))), tuple(items)
+
+    def release_table(self) -> tuple[dict[int, tuple], frozenset]:
+        """A reverse run's release table (``releases``, built with a plan
+        that has a ``src_program``): by the ``id()`` of the top-level
+        compute node that touches a value last, or of the top-level loop or
+        branch holding its last touch, what is released there: names in
+        ``env`` (rank >= 1 gradients, scratch arrays and stored copies) and
+        ``(data, version)`` pairs, whose tape snapshots go after the last
+        read of any forwarded name that shares them; and the set of those
+        pairs. A step of ``ir.live_ranges`` is one compute node of a
+        top-level state (``ir.node_accesses``) or one whole top-level loop
+        or branch."""
+
+        def steps():
+            for block in self.region:
                 if isinstance(block, State):
                     acc = node_accesses(block.graph)
                     for node in schedule(block.graph):
@@ -718,14 +366,141 @@ class Executor:
                     key = (entry.data, c.version)
                     shared[key] = max(shared.get(key, last), last)
                 continue
-            d = self.program.descriptors.get(name)
+            d = self.descriptors.get(name)
             if d is not None and d.rank and d.role in ("gradient", "intermediate", "stored-copy"):
-                frees.setdefault(at[last], []).append((self.env, name))
+                frees.setdefault(at[last], []).append(name)
+        for key, last in shared.items():
+            frees.setdefault(at[last], []).append(key)
+        return {k: tuple(keys) for k, keys in frees.items()}, frozenset(shared)
+
+
+def _shapes(program: Program, params: dict[str, int]) -> dict[str, tuple[int, ...]]:
+    shapes = {name: _attempt(dimensions, desc, params) for name, desc in program.descriptors.items()}
+    return {name: s for name, s in shapes.items() if s is not _LATER}
+
+
+def _operand_checks(node: LibraryNode, step: LibraryStep, shape_of) -> tuple[tuple, str | None]:
+    """An elementwise node's operand checks, from shapes alone: ``(conn,
+    trailing ones)`` for each rank-0 operand ahead of the first operand
+    whose shape is not the output's, and that operand's ``ShapeMismatch``
+    message (None if there is none)."""
+    shape = shape_of(step.outs[0][0])
+    pads = []
+    for conn, data in step.ins:
+        s = shape_of(data)
+        if not s:
+            pads.append((conn, (1,) * len(shape)))
+        elif s != shape:
+            return tuple(pads), f"'{node.id}': operand '{conn}' has shape {s}, output {shape}"
+    return tuple(pads), None
+
+
+class Executor:
+    """One run of a program by its ``RunPlan``."""
+
+    def __init__(self, plan: RunPlan, env: dict[str, np.ndarray], batch: tuple[int, ...], *,
+                 tape: Tape | None = None, src_tape: Tape | None = None):
+        self.plan = plan
+        self.descriptors = plan.descriptors
+        self.shape_of = plan.shape_of
+        self.env = env
+        self.batch = batch
+        self.tape = tape
+        self.src_tape = src_tape  # the forward run's tape, which a reverse run reads
+        self.bind: dict = dict(plan.params)  # params + live iterators
+        self.ctx: dict[str, _LoopCtx] = {}
+        self.branch_down: dict[str, int] = {}
+        self.op_count = 0
+        self.frees: dict[int, tuple] = {}  # a reverse run's release table, see run_reverse
+        self.drops: dict[tuple[str, int], list] = {}  # the tape keys of each released (data, version)
+        self.memo: dict[tuple, list[int]] = {}  # iterates of headers that read scalars or iterators
+
+    # -- shared helpers ------------------------------------------------------
+
+    def _dtype(self, name: str):
+        return _DTYPE[self.descriptors[name].element_kind]
+
+    def read_array(self, name: str) -> np.ndarray:
+        arr = self.env.get(name)
+        if arr is not None:
+            return arr
+        if name in self.plan.forwarding:
+            return self._fetch_forwarded(name)
+        desc = self.descriptors.get(name)
+        if desc is None or desc.role == "input":
+            raise UnboundName(f"no value for input '{name}'")
+        arr = np.zeros(self.batch + self.shape_of(name), dtype=self._dtype(name))
+        self.env[name] = arr
+        return arr
+
+    def write_target(self, name: str) -> np.ndarray:
+        arr = self.env.get(name)
+        if arr is None:
+            arr = np.zeros(self.batch + self.shape_of(name), dtype=self._dtype(name))
+            self.env[name] = arr
+        return arr
+
+    def _uniform_bool(self, value, where: str) -> bool:
+        if isinstance(value, np.ndarray) and value.size > 1:
+            flat = value.reshape(-1)
+            if not bool(np.all(flat == flat[0])):
+                raise BatchDivergence(f"condition of '{where}' differs across the batch")
+            return bool(flat[0])
+        return bool(np.asarray(value).reshape(-1)[0]) if isinstance(value, np.ndarray) else bool(value)
+
+    def _loop_iterates(self, loop: LoopRegion, local: dict | None = None) -> list[int]:
+        """The loop's simulated iterates: the plan's for a header that reads
+        only parameters. Any other header reads live bindings (a nest's
+        iterators in ``local``) and scalar arrays, and is memoized for the
+        run on the values of the names it reads, so a loop nested in
+        another simulates once per distinct header."""
+        kept = self.plan.iterates.get(id(loop))
+        if kept is not None:
+            return kept[0]
+        extra = {} if local is None else local  # then the scalars the header reads
+        values = []
+        for name in self.plan.headers[id(loop)]:
+            if name not in extra and name not in self.bind:
+                desc = self.descriptors.get(name)
+                if name != loop.iterator and desc is not None and desc.rank == 0 and name in self.env:
+                    extra[name] = uniform_int(self.env[name], f"scalar '{name}' in a loop header")
+            values.append(extra[name] if name in extra else self.bind.get(name))
+        key = (id(loop), tuple(values))
+        iterates = self.memo.get(key)
+        if iterates is None:
+            iterates = self.memo[key] = simulate_header(loop, {**self.bind, **extra} if extra else self.bind)
+        return iterates
+
+    def _loop_visits(self, loop: LoopRegion, local: dict | None = None) -> list[int]:
+        """The iterates the loop's body runs at, in visit order: a nest runs ``for i in visits``."""
+        kept = self.plan.iterates.get(id(loop))
+        return kept[1] if kept is not None else _visits(loop, self._loop_iterates(loop, local))
+
+    # -- control flow --------------------------------------------------------
+
+    def run(self):
+        self._exec_region(self.plan.region)
+
+    def run_reverse(self):
+        """Run the region, releasing each array and tape snapshot where the
+        plan's release table puts it: after its last touch, by the rule the
+        memory model prices (``ir.live_ranges``). The tape keys of each
+        released ``(data, version)`` are found once, here."""
+        releases = self.plan.releases
+        self.frees, shared = self.plan.release_table() if releases is _LATER else releases
         if shared and self.src_tape is not None:
             for key in self.src_tape.values:
                 if key[:2] in shared:
-                    frees.setdefault(at[shared[key[:2]]], []).append((self.src_tape.values, key))
-        return frees
+                    self.drops.setdefault(key[:2], []).append(key)
+        self.run()
+
+    def _release(self, at: int):
+        for key in self.frees[at]:
+            if key.__class__ is str:
+                self.env.pop(key, None)
+            else:
+                for k in self.drops.pop(key, ()):
+                    self.src_tape.values.pop(k, None)
 
     def _exec_region(self, region: list[Block]):
         for block in region:
@@ -736,14 +511,14 @@ class Executor:
                 self._exec_loop(block)
             else:
                 self._exec_branch(block)
-            for store, key in self.frees.get(id(block), ()):  # a state releases per node
-                store.pop(key, None)
+            if id(block) in self.frees:  # a state releases per node
+                self._release(id(block))
 
     def _exec_loop(self, loop: LoopRegion):
-        if id(loop) not in self._kernels:
-            self._kernels[id(loop)] = self._nest(loop)
-        if self._kernels[id(loop)] is not None:
-            return self._run_nest(self._kernels[id(loop)])
+        nests = self.plan.nests
+        nest = nests[id(loop)] if id(loop) in nests else self.plan.nest(loop)
+        if nest is not None:
+            return self._run_nest(nest)
         self._run_iterates(loop, self._loop_iterates(loop))
 
     def _run_iterates(self, loop: LoopRegion, fwd: list[int]):
@@ -778,8 +553,8 @@ class Executor:
             outcome = outcomes[cursor]
         else:
             b = dict(self.bind)
-            for name, desc in self.program.descriptors.items():
-                if desc.rank == 0 and name in self.env:
+            for name in self.plan.scalars:
+                if name in self.env:
                     b[name] = self.env[name]
             raw = eval_expr(br.condition, b, self.env)
             outcome = self._uniform_bool(raw, br.label)
@@ -790,48 +565,30 @@ class Executor:
     # -- dataflow ------------------------------------------------------------
 
     def _exec_state(self, state: State):
-        for node in schedule(state.graph):
-            if isinstance(node, AccessNode):
-                self._visit_access(state.label, node)
-            else:
-                self._exec_compute(node, state.graph)
-                for store, key in self.frees.get(id(node), ()):
-                    store.pop(key, None)
+        steps = self.plan.steps.get(id(state))
+        if steps is None:  # preparing it raised: it raises here
+            steps = self.plan.state_steps(state)
+        frees = self.frees
+        for run, arg, key in steps:
+            run(self, arg)
+            if key in frees:
+                self._release(key)
 
-    def _recorded_version(self, state_label: str, node: AccessNode) -> int | None:
-        """The version of ``node.data`` the tape records at this access
-        node, if any."""
-        if self.tape is None or self.vinfo is None:
-            return None
-        v = self.vinfo.write_version.get((state_label, node.id))
-        return v if v is not None and (node.data, v) in self.record else None
-
-    def _visit_access(self, state_label: str, node: AccessNode):
-        v = self._recorded_version(state_label, node)
-        if v is None:
-            return
-        labels = self.vinfo.write_loops[(node.data, v)]
+    def _record(self, at: tuple):
+        data, v, labels = at
         coords = tuple(self.ctx[l].current for l in labels)
-        self.tape.values[(node.data, v, coords)] = np.array(
-            self.read_array(node.data), copy=True
-        )
+        self.tape.values[(data, v, coords)] = np.array(self.read_array(data), copy=True)
 
-    def _exec_compute(self, node, df: Dataflow):
-        if isinstance(node, LibraryNode):
-            return self._exec_library(node, df)
-        key = (id(df), node.id)
-        nest = self._kernels.get(key)
-        if nest is None:
-            nest = self._kernels[key] = self._nest(node, df)
-        self._run_nest(nest)
+    def _nest_now(self, at: tuple):
+        self._run_nest(self.plan.nest(*at))
 
     def _run_nest(self, nest: tuple):
         fn, loops, libs = nest
-        ops = fn(self.read_array, self.write_target, self.bind, self._loop_iterates, loops, libs)
+        ops = fn(self, loops, libs)
         self.op_count += ops  # after the call: a library node in the nest counts its own
 
-    def _exec_library(self, node: LibraryNode, df: Dataflow):
-        step = library_steps(df)[node.id]
+    def _exec_library(self, run: _LibraryRun):
+        node, step = run.node, run.step
         ins = {conn: self.read_array(data) for conn, data in step.ins}
 
         if node.kind == "matmul":
@@ -841,29 +598,24 @@ class Executor:
             if node.tb:
                 b = np.swapaxes(b, -1, -2)
             if a.shape[-1] != b.shape[-2]:
-                raise ShapeMismatch(
-                    f"matmul '{node.id}': inner dims {a.shape[-1]} vs {b.shape[-2]}"
-                )
+                raise ShapeMismatch(f"matmul '{node.id}': inner dims {a.shape[-1]} vs {b.shape[-2]}")
             res = np.matmul(a, b)
         elif node.kind == "reduce_sum":
             x = ins["x"]
             rank = len(self.shape_of(dict(step.ins)["x"]))
             res = x.sum(axis=tuple(range(-rank, 0))) if rank else np.array(x, copy=True)
         else:  # elementwise: the node's compiled expression on whole arrays
-            shape = self.shape_of(step.outs[0][0])
-            for conn, data in step.ins:
-                s = self.shape_of(data)
-                if not s:
-                    # rank 0 broadcasts; its batch axes stay leading
-                    ins[conn] = ins[conn].reshape(ins[conn].shape + (1,) * len(shape))
-                elif s != shape:
-                    raise ShapeMismatch(
-                        f"'{node.id}': operand '{conn}' has shape {s}, output {shape}"
-                    )
+            pads, mismatch = run.checks or _operand_checks(node, step, self.shape_of)
+            for conn, ones in pads:  # rank 0 broadcasts; its batch axes stay leading
+                ins[conn] = ins[conn].reshape(ins[conn].shape + ones)
+            if mismatch:
+                raise ShapeMismatch(mismatch)
             res = np.asarray(step.fn(ins) if step.fn is not None else eval_expr(library_expr(node), ins))
-            if any(res is v for v in ins.values()):
-                res = np.array(res, copy=True)  # the output must not alias an input
-        self.op_count += _library_cost(node, step, self.shape_of)
+            for v in ins.values():
+                if v is res:  # the output must not alias an input
+                    res = np.array(res, copy=True)
+                    break
+        self.op_count += run.cost if run.cost is not None else _library_cost(node, step, self.shape_of)
 
         for data, wcr in step.outs:
             dtype = self._dtype(data)
@@ -877,61 +629,10 @@ class Executor:
                     out = np.broadcast_to(out, want).astype(dtype)
                 self.env[data] = np.array(out, copy=True) if out.base is not None else out
 
-    def _nest(self, root, df: Dataflow | None = None) -> tuple | None:
-        """The compiled nest of a tasklet or map in ``df``, or of a loop, with
-        the loops and library nodes it calls back. None for a loop whose
-        body holds a branch, a state-level library node, a read of a
-        forwarded name or a tape record: those run block by block."""
-        acc = ([], [], {})  # loops, library calls, array names
-        item = self._loop_item(root, acc) if df is None else self._compute_item(root, df, acc)
-        if item is None:
-            return None
-        loops, libs, names = acc
-        desc = self.program.descriptors
-        described = tuple((n, self.shape_of(n), desc[n].element_kind) if n in desc else (n, None, None) for n in names)
-        return _compiled_tasklet((item, described)), tuple(loops), tuple(libs)
-
-    def _compute_item(self, node, df: Dataflow, acc: tuple) -> tuple:
-        _, libs, names = acc
-        if isinstance(node, Tasklet):
-            ins = tuple((e.data, e.subset, e.dst_conn) for e in df.in_edges(node.id))
-            outs = tuple((e.data, e.subset, node.body[e.src_conn], e.wcr) for e in df.out_edges(node.id))
-            names.update(dict.fromkeys(e[0] for e in ins + outs))
-            return "tasklet", ins, outs, _tasklet_ops(node, df)
-        if isinstance(node, MapNode):
-            order = schedule(node.body)
-            items = tuple(self._compute_item(n, node.body, acc) for n in order if not isinstance(n, AccessNode))
-            return "map", node.id, node.params, node.ranges, items
-        libs.append(functools.partial(self._exec_library, node, df))
-        return "library", len(libs) - 1, tuple(e.data for e in df.out_edges(node.id))
-
-    def _loop_item(self, loop: LoopRegion, acc: tuple) -> tuple | None:
-        loops = acc[0]
-        loops.append(loop)
-        j, items = len(loops) - 1, []
-        for block in loop.body:
-            if isinstance(block, LoopRegion):
-                items.append(self._loop_item(block, acc))
-                if items[-1] is None:
-                    return None
-                continue
-            if isinstance(block, Conditional) or not self.forwarding.keys().isdisjoint(graph_names(block.graph)):
-                return None
-            for node in schedule(block.graph):
-                if isinstance(node, AccessNode):
-                    if self._recorded_version(block.label, node) is not None:
-                        return None
-                elif isinstance(node, LibraryNode):
-                    return None
-                else:
-                    items.append(self._compute_item(node, block.graph, acc))
-        header = tuple(sorted(header_names(loop)))
-        return "loop", j, loop.iterator, loop.reverse_of is not None, header, tuple(items)
-
     # -- forwarded reads -----------------------------------------------------
 
     def _fetch_forwarded(self, name: str) -> np.ndarray:
-        entry = self.forwarding[name]
+        entry = self.plan.forwarding[name]
         if self.src_tape is None:
             raise MissingTapeValue(f"'{name}' requested but no tape is attached")
         for cand in entry.candidates:
@@ -961,7 +662,7 @@ class Executor:
             elif kind == LAST:
                 if ctx is None:  # the loop has ended: its forward header re-simulated, with
                     # the loops around it at the coordinates this read resolved for them
-                    loops = self._forward_loops
+                    loops = self.plan.forward_loops
                     outer = {loops[l].iterator: c for (l, _), c in zip(directives, coords)}
                     ctx = _LoopCtx(self._loop_iterates(loops[label], outer))
                 if not ctx.iterates:
@@ -969,27 +670,51 @@ class Executor:
                 coords.append(ctx.iterates[-1])
         return tuple(coords)
 
-    @functools.cached_property
-    def _forward_loops(self) -> dict[str, LoopRegion]:
-        """The forward program's loops by label: one with no adjoint has no reversed copy."""
-        return {b.label: b for _, b in walk_blocks(self.src_program.region) if isinstance(b, LoopRegion)}
-
 
 # ---------------------------------------------------------------------------
 # entry points
 
+_PREPARED: contextvars.ContextVar[tuple] = contextvars.ContextVar("prepared", default=())
 
-def _prepare_inputs(
-    program: Program, inputs: dict, params: dict, running: Program | None = None
-) -> tuple[dict[str, np.ndarray], tuple[int, ...], set[str]]:
+
+@contextlib.contextmanager
+def prepared(plans):
+    """Within the block, ``run_forward`` and ``run_backward`` run a program
+    from the one of ``plans`` built for it under the binding they are given,
+    so ``gradient()`` and ``run_planned()`` hand them their kept plans with
+    no parameter added; any other run builds its own."""
+    token = _PREPARED.set(tuple(plans))
+    try:
+        yield
+    finally:
+        _PREPARED.reset(token)
+
+
+def _plan_for(program: Program, params: dict[str, int], **how) -> RunPlan:
+    binding = binding_of(params)
+    for plan in _PREPARED.get():
+        if plan.of == id(program) and plan.binding == binding:
+            return plan
+    return RunPlan(program, params, **how)
+
+
+def prepare_runs(program: Program, backward: Program, params: dict[str, int] | None, *,
+                 record, vinfo: VersionInfo, forwarding: dict) -> tuple[RunPlan, RunPlan]:
+    """The run plans of a forward run of ``program`` that records
+    ``record`` and of the reverse run of ``backward`` that reads its tape
+    through ``forwarding``."""
+    params = dict(params or {})
+    return (RunPlan(program, params, record=record, vinfo=vinfo),
+            RunPlan(backward, params, forwarding=forwarding, src_program=program))
+
+
+def _prepare_inputs(program: Program, inputs: dict, plan: RunPlan) -> tuple[dict[str, np.ndarray], tuple[int, ...]]:
     """Check the inputs against ``program`` and decide the run's batch
     shape: the axes ahead of each input's declared shape, which every
     batched input must share (``ShapeMismatch`` otherwise). Returns the
-    inputs that ``running`` (default ``program``) declares, the batch, and
-    the names ``running`` writes. An input is copied only if ``running``
-    writes it; a batched run gives such an input the batch axes."""
-    running = running or program
-    written = written_descriptors(running)
+    inputs that the running program (``plan``'s) declares, and the batch.
+    An input is copied only if the running program writes it; a batched run
+    gives such an input the batch axes."""
     env: dict[str, np.ndarray] = {}
     batch: tuple[int, ...] = ()
     for name, value in inputs.items():
@@ -997,7 +722,9 @@ def _prepare_inputs(
         if desc is None:
             raise UnboundName(f"input '{name}' is not declared")
         shape = np.shape(value)
-        declared = dimensions(desc, params)
+        declared = plan.declared.get(name)
+        if declared is None:
+            declared = dimensions(desc, plan.params)
         if desc.rank and shape[len(shape) - desc.rank :] != declared:
             raise ShapeMismatch(
                 f"input '{name}': trailing shape {shape} does not end with {declared}"
@@ -1006,16 +733,16 @@ def _prepare_inputs(
         if lead and batch and lead != batch:
             raise ShapeMismatch(f"input '{name}' has batch shape {lead}, another input {batch}")
         batch = lead or batch
-        if name in running.descriptors:
+        if name in plan.descriptors:
             env[name] = np.asarray(value, dtype=_DTYPE[desc.element_kind])
-    for name in written & env.keys():
+    for name in plan.written & env.keys():
         arr = env[name]
-        if batch and arr.ndim == running.descriptors[name].rank:
+        if batch and arr.ndim == plan.descriptors[name].rank:
             # an input written in place may take a different value per sample
             env[name] = np.broadcast_to(arr, batch + arr.shape).copy()
         else:
             env[name] = np.array(arr, copy=True)  # never mutate caller arrays
-    return env, batch, written
+    return env, batch
 
 
 def run_forward(
@@ -1031,25 +758,23 @@ def run_forward(
     version analysis, computed when a tape needs it and none is given. The
     returned ``env`` holds the inputs, outputs and stored copies."""
     params = dict(params or {})
-    env, batch, written = _prepare_inputs(program, inputs, params)
+    plan = _plan_for(program, params, record=record, vinfo=vinfo)
+    env, batch = _prepare_inputs(program, inputs, plan)
     tape = None
-    if record is not None:
+    if plan.record is not None:
         tape = Tape()
-        if vinfo is None:
-            vinfo = analyze_versions(program)
-        for name, desc in program.descriptors.items():
-            if desc.role == "input" and name in env and (name, 0) in record:
+        for name in plan.taped:
+            if name in env:
                 # an input the program never writes is its own snapshot
                 snap = env[name]
-                tape.values[(name, 0, ())] = np.array(snap, copy=True) if name in written else snap
-    ex = Executor(program, params, env, batch, tape=tape, record=record, vinfo=vinfo)
+                tape.values[(name, 0, ())] = np.array(snap, copy=True) if name in plan.written else snap
+    ex = Executor(plan, env, batch, tape=tape)
     ex.run()
     value = env.get(program.dependent)
     if value is None:
         raise UnboundName(f"dependent '{program.dependent}' was never written")
-    for name, desc in program.descriptors.items():
-        if desc.role == "intermediate":
-            env.pop(name, None)
+    for name in plan.intermediates:
+        env.pop(name, None)
     return RunResult(env=env, value=value, op_count=ex.op_count, tape=tape)
 
 
@@ -1077,14 +802,15 @@ def run_backward(
     its last read: the last-touch rule of ``ir.live_ranges``, which the
     memory model also prices."""
     params = dict(params or {})
-    env, batch, _ = _prepare_inputs(program, inputs, params, backward)
+    plan = _plan_for(backward, params, forwarding=forwarding, src_program=program)
+    env, batch = _prepare_inputs(program, inputs, plan)
     if extra_env:
         env.update({k: np.asarray(v) for k, v in extra_env.items() if k in backward.descriptors})
         extra_env.clear()  # the run's env holds the only reference
     seed_name = program.dependent + "__grad"
     if seed_name in backward.descriptors and seed_name not in env:
         env[seed_name] = np.full(batch, seed, dtype=_DTYPE[backward.descriptors[seed_name].element_kind])
-    ex = Executor(backward, params, env, batch, src_tape=tape, forwarding=forwarding, src_program=program)
+    ex = Executor(plan, env, batch, src_tape=tape)
     ex.run_reverse()
     return RunResult(env=env, value=env.get(seed_name), op_count=ex.op_count)
 
@@ -1147,16 +873,6 @@ def _library_cost(node: LibraryNode, step: LibraryStep, shape_of: Callable[[str]
         return math.prod(sx) if sx else 0
     n = math.prod(shape_of(step.outs[0][0]))
     return n * (step.ops if step.ops is not None else count_ops(library_expr(node)))
-
-
-def _map_range(node_id: str, start, stop, step) -> range:
-    """One map parameter's range from its evaluated start, stop and step."""
-    start = uniform_int(start, f"map '{node_id}' start")
-    stop = uniform_int(stop, f"map '{node_id}' stop")
-    step = uniform_int(step, f"map '{node_id}' step")
-    if step <= 0:
-        raise DomainError(f"map '{node_id}' step must be positive, got {step}")
-    return range(start, stop, step)
 
 
 def _map_points(node: MapNode, params: dict[str, int]) -> int:

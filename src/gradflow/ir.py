@@ -33,10 +33,14 @@ built graph keeps its :func:`schedule` and its prepared library steps
 (:func:`library_steps`) once computed, so every program and every run that
 shares the graph shares them. Each program keeps the analyses that do not
 depend on a memory budget: its backward bundle
-(``autodiff.backward_of``) and, for the last parameter binding planned, its
-forwarded values, memory sequences, the budget-free part of the integer
-program and the planned pair of each assignment (``checkpointing.plan``).
-So neither a graph nor a program may be edited after it is built;
+(``autodiff.backward_of``); for the last parameter binding ``gradient()``
+ran, the run plans of its forward and reverse runs
+(``interpreter.RunPlan``); and, for the last parameter binding planned,
+its forwarded values, memory sequences, the budget-free part of the
+integer program and the planned pair of each assignment, with the run
+plans of its replay, while a ``PlanResult`` holds it
+(``checkpointing.plan``). Nothing a program keeps refers back to it. So
+neither a graph nor a program may be edited after it is built;
 ``dataclasses.replace`` makes a new program that starts with nothing kept.
 """
 
@@ -463,21 +467,6 @@ def library_steps(df: Dataflow) -> dict[str, LibraryStep]:
         steps[n.id] = LibraryStep(tuple(ins[n.id]), tuple(outs[n.id]), fn, ops)
     df._steps = steps
     return steps
-
-
-def prepare_steps(region: list[Block]) -> None:
-    """Prepare the library steps of every graph in ``region``, map bodies
-    included, so that no run allocates them."""
-
-    def prepare(df: Dataflow):
-        library_steps(df)
-        for n in df.nodes:
-            if isinstance(n, MapNode):
-                prepare(n.body)
-
-    for _, block in walk_blocks(region):
-        if isinstance(block, State):
-            prepare(block.graph)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,444 @@
+"""Compiled nests: one generated Python function per tasklet, map or loop
+nest structure, cached for the whole process (``_compiled_tasklet``).
+
+A nest inlines index arithmetic and bounds checks and runs its levels as
+plain ``for`` loops; ``interpreter.RunPlan`` builds the key of each nest
+from the program and the parameter binding, and the executor runs the
+function it gets. See ``_compiled_tasklet`` for what the generated code
+does, and the direct access a real64 nest with exact bodies takes.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+from typing import Callable
+
+import numpy as np
+
+from .errors import DomainError, OutOfBounds, UnboundName
+from .ir import uniform_int
+from .symexpr import SOURCE_NAMESPACE, Binary, Const, Name, Unary, free_names, python_source
+
+_UNSET = object()  # a bind name missing at nest entry
+# numbers each compiled nest, so that profiles and tracebacks tell them apart
+_NEST_ORDINAL = itertools.count()
+
+
+@functools.lru_cache(maxsize=4096)
+def _compiled_tasklet(key: tuple) -> Callable:
+    """One generated Python function per nest structure, shared by every
+    executor. ``key`` is ``(item, arrays)``: ``arrays`` gives each array's
+    resolved shape (None: undeclared) and element kind, and ``item`` is one
+    of ``("tasklet", ins, outs, ops)`` (``(data, subset, connector)`` per
+    in-edge, ``(data, subset, body, wcr)`` per out-edge), ``("map", id,
+    params, ranges, items)``, ``("loop", j, iterator, header, items)``
+    (``header`` the names it reads) or ``("library", j, outs)`` (a library
+    node in a map body, run as ``ex._exec_library(libs[j])``). Returns
+    ``nest(ex, loops, libs)``, which runs the nest on executor ``ex`` and
+    returns its operator count: each level adds its tasklets' operators
+    times its points. The function keeps its generated text as
+    ``nest.source``.
+
+    A loop runs ``for i in visits`` over ``ex._loop_visits(loops[j], ...)``,
+    its iterates in visit order, fetched on every entry when its header
+    reads an enclosing iterator or a name the nest writes, else once.
+    Iterators and map parameters are locals; any other name comes from
+    ``b`` at entry and raises ``UnboundName`` where ``eval_expr`` would. An
+    array is fetched by the first point that touches it, and again after a
+    library node writes it. A tasklet runs its edges in the executor's
+    order: each in-edge's index dimension by dimension, then each out-edge's
+    body before its index. An index that may not be an ``int`` goes through
+    ``uniform_int``; every index is bounds-checked, and an index expression
+    repeated over a dimension of the same size, or a repeated body, is
+    computed once per point. An array without batch axes is read as
+    ``arr[i, j]``, an immutable scalar; a batched one as ``arr[..., i, j]``,
+    copied, since a rank-0 read aliases the array an output may overwrite.
+
+    Direct access: in a loop or map nest whose arrays are all real64 and
+    whose tasklet bodies are all exact (``_exact``: add, sub, mul and neg
+    round alike on Python floats and numpy scalars), fetching an array
+    without batch axes also takes its direct handle (``_view``): a flat
+    memoryview of its own C-contiguous buffer, or at rank 0 the array
+    itself. A point whose arrays all have one, and whose levels' hoisted
+    checks passed, reads and writes through the handles at flat offsets.
+    An ``iterator ± const`` index is checked per dimension where its
+    loop's iterates or its map's range are fetched, as one min/max test
+    per level, and its share of the offset is summed once per iterate of
+    the level that owns it. A constant index in range needs no check, and
+    any other index is computed and checked at the point as above. Every
+    other point runs the checked body above, so an error is raised at the
+    same point with the same message.
+    """
+    item, described = key
+    shape = {name: dims for name, dims, _ in described}
+    arrays = {name: f"a{k}" for k, name in enumerate(shape)}
+    views = {}
+    if item[0] != "tasklet" and all(kind == "real64" for *_, kind in described) and _exact_item(item):
+        views = {name: f"v{k}" for k, name in enumerate(shape)}
+    entry = [f"{v} = None" for v in (*arrays.values(), *views.values())]
+    lines: list = []  # source lines, and callables giving lines known once the whole nest is emitted
+    bound: dict[str, str] = {}
+    fresh = itertools.count()
+    written = _item_writes(item)
+    # per level of a direct nest, by its iterator's variable: the enclosing
+    # level, the hoisted checks as (const, size) and the per-iterate lines
+    up: dict[str, str | None] = {}
+    checks: dict[str, list] = {}
+    per_iterate: dict[str, list] = {}
+    partials: dict[tuple, str] = {}
+
+    def emit(d: int, text: str):
+        lines.append("    " * d + text)
+
+    def later(d: int, make: Callable[[], list]):
+        lines.append(lambda: ["    " * d + text for text in make()])
+
+    def source(e, scope: dict) -> str:
+        def local(name: str) -> str:
+            if name in scope:
+                return scope[name]
+            if name not in bound:
+                bound[name] = f"n{len(bound)}"
+                entry.append(f"{bound[name]} = b.get({name!r}, _UNSET)")
+            return f"({bound[name]} if {bound[name]} is not _UNSET else _unbound({name!r}))"
+        return python_source(e, local)
+
+    def index(e, size: int, data: str, scope: dict, indices: dict, d: int) -> str:
+        """The variable holding index ``e`` into a dimension of ``size``,
+        computed and checked once per point."""
+        if (e, size) not in indices:
+            var = scope.get(e.id) if isinstance(e, Name) else None
+            if var is None:
+                var = f"x{next(fresh)}"
+                emit(d, f"{var} = {source(e, scope)}")
+            if not _int_valued(e, scope):
+                what = "subset of '" + data + "'"
+                emit(d, f"if {var}.__class__ is not int:")
+                emit(d + 1, f"{var} = uniform_int({var}, {what!r})")
+            emit(d, f"if not 0 <= {var} < {size}:")
+            emit(d + 1, f"_out_of_bounds({data!r}, {var}, {size})")
+            indices[(e, size)] = var
+        return indices[(e, size)]
+
+    def result(body, conns: dict, results: dict, d: int, convert: bool = False) -> str:
+        res = results.get(body)
+        if res is None:  # a body name with no in-edge raises where the body runs
+            res = results[body] = f"r{next(fresh)}"
+            src = python_source(body, lambda n: conns.get(n, f"_unbound({n!r})"))
+            emit(d, f"{res} = float({src})" if convert else f"{res} = {src}")
+        return res
+
+    def tasklet(it: tuple, scope: dict, d: int, level: str | None):
+        _, ins, outs, _ = it
+        missing = [data for data, *_ in ins + outs if shape[data] is None]
+        if missing:
+            return emit(d, f"_no_value({missing[0]!r})")
+        if level is None:
+            return checked(it, scope, d)
+        touched = dict.fromkeys(data for data, *_ in ins + outs)
+        emit(d, f"if {' and '.join([f'ok_{level}'] + [f'{views[a]} is not None' for a in touched])}:")
+        direct(it, scope, d + 1, level)
+        emit(d, "else:")
+        checked(it, scope, d + 1)
+
+    def checked(it: tuple, scope: dict, d: int):
+        _, ins, outs, _ = it
+        fetched: set[str] = set()
+        indices: dict[tuple, str] = {}
+        conns: dict[str, str] = {}
+        results: dict = {}
+
+        def access(data: str, subset, fetch: str) -> tuple[str, str]:
+            arr = arrays[data]
+            if data not in fetched:
+                fetched.add(data)
+                emit(d, f"if {arr} is None:")
+                emit(d + 1, f"{arr} = {fetch}({data!r})")
+                emit(d + 1, f"{arr}_flat = {arr}.ndim == {len(shape[data])}")
+                if views:
+                    emit(d + 1, f"{views[data]} = _view({arr}, {len(shape[data])})")
+            return arr, ", ".join(index(e, shape[data][k], data, scope, indices, d) for k, e in enumerate(subset))
+
+        for data, subset, conn in ins:
+            arr, idx = access(data, subset, "read")
+            var = conns[conn] = f"c{next(fresh)}"
+            emit(d, f"{var} = {arr}[{idx or '()'}] if {arr}_flat else _copy({arr}[..., {idx}])")
+        for data, subset, body, wcr in outs:
+            res = result(body, conns, results, d)
+            arr, idx = access(data, subset, "write")
+            op = "+=" if wcr == "sum" else "="
+            emit(d, f"if {arr}_flat:")
+            emit(d + 1, f"{arr}[{idx or '()'}] {op} {res}")
+            emit(d, "else:")
+            emit(d + 1, f"{arr}[..., {idx}] {op} {res}")
+
+    def direct(it: tuple, scope: dict, d: int, level: str):
+        """A point through the direct handles, its hoisted checks passed:
+        what may still fail runs in the checked body's order."""
+        _, ins, outs, _ = it
+        indices: dict[tuple, str] = {}
+        offsets: dict[str, str] = {}
+        conns: dict[str, str] = {}
+        results: dict = {}
+
+        def element(data: str, subset) -> str:
+            dims = shape[data]
+            if not dims:
+                return f"{views[data]}[()]"
+            const, outer, terms = 0, [], []
+            for k, e in enumerate(subset):
+                size, stride = dims[k], math.prod(dims[k + 1:])
+                shift = _affine(e, scope)
+                if isinstance(e, Const) and e.value.__class__ is int and 0 <= e.value < size:
+                    const += e.value * stride
+                elif shift is not None:
+                    var, c = shift
+                    checks[var].append((c, size))
+                    const += c * stride
+                    if var == level:
+                        terms.append(_times(var, stride))
+                    else:
+                        outer.append((var, stride))
+                else:
+                    terms.append(_times(index(e, size, data, scope, indices, d), stride))
+            if outer:
+                terms.insert(0, partial(outer))
+            if len(terms) > 1:
+                text = " + ".join(terms)
+                if text not in offsets:
+                    offsets[text] = f"o{next(fresh)}"
+                    emit(d, f"{offsets[text]} = {text}")
+                terms = [offsets[text]]
+            if not terms:
+                return f"{views[data]}[{const}]"
+            return f"{views[data]}[{terms[0]}{const:+d}]" if const else f"{views[data]}[{terms[0]}]"
+
+        for data, subset, conn in ins:
+            ref = element(data, subset)
+            var = conns[conn] = f"c{next(fresh)}"
+            emit(d, f"{var} = {ref}")
+        for data, subset, body, wcr in outs:
+            # a body of constants alone may be an int: converted as a numpy
+            # store converts it, one too large for a double raises alike
+            res = result(body, conns, results, d, convert=not free_names(body))
+            emit(d, f"{element(data, subset)} {'+=' if wcr == 'sum' else '='} {res}")
+
+    def partial(terms: list) -> str:
+        """The variable holding the sum of ``(iterator, stride)`` terms of
+        enclosing levels: each partial sum is taken once per iterate of the
+        innermost level it reads."""
+        depth = {v: k for k, v in enumerate(up)}  # a level opens after the levels around it
+        var = None
+        terms = sorted(terms, key=lambda t: depth[t[0]])
+        for k, (v, stride) in enumerate(terms):
+            key = tuple(terms[: k + 1])
+            if key not in partials:
+                if var is None and stride == 1:
+                    partials[key] = v
+                else:
+                    partials[key] = f"h{next(fresh)}"
+                    term = _times(v, stride)
+                    per_iterate[v].append(f"{partials[key]} = {term if var is None else f'{var} + {term}'}")
+            var = partials[key]
+        return var
+
+    def open_level(var: str, level: str | None):
+        up[var], checks[var], per_iterate[var] = level, [], []
+
+    def bounded(var: str, test: str) -> str:
+        """``test`` with the bounds the iterates of ``var``'s level must keep
+        to for every check hoisted to it."""
+        return test.format(lo=max(-c for c, _ in checks[var]), hi=min(size - 1 - c for c, size in checks[var]))
+
+    def ok(var: str, test: str) -> list[str]:
+        """``ok_<var>``: every hoisted check of this level and the levels
+        around it passes."""
+        outer = f"ok_{up[var]}" if up[var] else "True"
+        return [f"ok_{var} = {outer} and {bounded(var, test)}" if checks[var] else f"ok_{var} = {outer}"]
+
+    def count(items: tuple, d: int, seq: str | None = None):
+        ops = sum(it[3] for it in items if it[0] == "tasklet")
+        if ops:
+            emit(d, f"ops += len({seq}) * {ops}" if seq else f"ops += {ops}")
+
+    def body(items: tuple, scope: dict, d: int, level: str | None):
+        start = len(lines)
+        for it in items:
+            emitters[it[0]](it, scope, d, level)
+        if not any(isinstance(x, str) for x in lines[start:]):
+            emit(d, "pass")
+
+    def mapping(it: tuple, scope: dict, d: int, level: str | None, k: int = 0):
+        _, mid, params, ranges, items = it
+        if k == len(params):
+            count(items, d)
+            return body(items, scope, d, level)
+        seq, var, last = f"g{next(fresh)}", f"i{next(fresh)}", k + 1 == len(params)
+        emit(d, f"{seq} = _map_range({mid!r}, {', '.join(source(e, scope) for e in ranges[k])})")
+        if views:  # a range with a positive step: its first and last values bound it
+            open_level(var, level)
+            later(d, lambda: ok(var, f"(not {seq} or ({{lo}} <= {seq}[0] and {seq}[-1] <= {{hi}}))"))
+        if last:
+            count(items, d, seq)
+        emit(d, f"for {var} in {seq}:")
+        if views:
+            later(d + 1, lambda: per_iterate[var])
+        inner, within = {**scope, params[k]: var}, var if views else None
+        if last:
+            body(items, inner, d + 1, within)
+        else:
+            mapping(it, inner, d + 1, within, k + 1)
+
+    def loop(it: tuple, scope: dict, d: int, level: str | None):
+        _, j, iterator, header, items = it
+        seq, var = f"s{j}", f"i{next(fresh)}"
+        passed = ", ".join(f"{n!r}: {scope[n]}" for n in header if n in scope)
+        call = f"visits(loops[{j}], {{{passed}}})" if passed else f"visits(loops[{j}])"
+        test = f"(not {seq} or ({{lo}} <= min({seq}) and max({seq}) <= {{hi}}))"
+        if views:
+            open_level(var, level)
+        if not scope or any(n in scope or n in written for n in header):
+            emit(d, f"{seq} = {call}")
+            if views:
+                later(d, lambda: ok(var, test))
+        else:  # the same iterates at every entry
+            entry.append(f"{seq} = None")
+            emit(d, f"if {seq} is None:")
+            emit(d + 1, f"{seq} = {call}")
+            if views:  # and the same test of them, kept in k<j>
+                later(d + 1, lambda: [f"k{j} = {bounded(var, test)}"] if checks[var] else [])
+                later(d, lambda: ok(var, f"k{j}"))
+        count(items, d, seq)
+        emit(d, f"for {var} in {seq}:")
+        if views:
+            later(d + 1, lambda: per_iterate[var])
+        body(items, {**scope, iterator: var}, d + 1, var if views else None)
+
+    def library(it: tuple, scope: dict, d: int, level: str | None):
+        _, j, outs = it
+        emit(d, f"ex._exec_library(libs[{j}])")
+        for data in outs:  # a library node may replace the array
+            if data in arrays:
+                emit(d, f"{arrays[data]} = None")
+                if views:
+                    emit(d, f"{views[data]} = None")
+
+    emitters = {"tasklet": tasklet, "map": mapping, "loop": loop, "library": library}
+    count((item,), 1)
+    body((item,), {}, 1, None)
+    text = [s for x in lines for s in (x() if callable(x) else (x,))]
+    head = ["def nest(ex, loops, libs):", "    read, write, visits, b = ex.read_array, ex.write_target, ex._loop_visits, ex.bind"]
+    src = "\n".join(head + ["    ops = 0"]
+                    + ["    " + s for s in entry] + text + ["    return ops"])
+    ns = {
+        **SOURCE_NAMESPACE, "uniform_int": uniform_int, "_copy": _copy_element,
+        "_out_of_bounds": _out_of_bounds, "_no_value": _no_value,
+        "_map_range": _map_range, "_UNSET": _UNSET, "_view": _view,
+    }
+    # a map by its id, a loop by its iterator, a tasklet by what it writes
+    root = item[1] if item[0] == "map" else item[2] if item[0] == "loop" else ",".join(sorted(written))
+    filename = f"<nest {next(_NEST_ORDINAL)}: {item[0]} {root}>"
+    exec(compile(src, filename, "exec"), ns)
+    nest = ns["nest"]
+    nest.source = src
+    return nest
+
+
+def _exact(e) -> bool:
+    """Whether ``e`` rounds alike on Python floats and on numpy float64
+    scalars: names and int or float constants under add, sub, mul and neg,
+    which IEEE 754 rounds the same in both."""
+    if isinstance(e, Name):
+        return True
+    if isinstance(e, Const):
+        return e.value.__class__ in (int, float)
+    if isinstance(e, Unary):
+        return e.op == "neg" and _exact(e.x)
+    if isinstance(e, Binary):
+        return e.op in ("add", "sub", "mul") and _exact(e.x) and _exact(e.y)
+    return False
+
+
+def _exact_item(item: tuple) -> bool:
+    """Whether every tasklet body of a nest item is ``_exact``."""
+    if item[0] == "tasklet":
+        return all(_exact(body) for _, _, body, _ in item[2])
+    return item[0] == "library" or all(map(_exact_item, item[-1]))
+
+
+def _affine(e, scope: dict) -> tuple[str, int] | None:
+    """``(variable, c)`` when index ``e`` is an iterator or map parameter
+    plus or minus an int constant ``c``, else None."""
+    if isinstance(e, Name):
+        return (scope[e.id], 0) if e.id in scope else None
+    if not isinstance(e, Binary) or e.op not in ("add", "sub"):
+        return None
+    x, y = (e.y, e.x) if e.op == "add" and isinstance(e.x, Const) else (e.x, e.y)
+    if isinstance(x, Name) and x.id in scope and isinstance(y, Const) and y.value.__class__ is int:
+        return scope[x.id], y.value if e.op == "add" else -y.value
+    return None
+
+
+def _times(var: str, stride: int) -> str:
+    return var if stride == 1 else f"{var} * {stride}"
+
+
+def _view(arr: np.ndarray, rank: int):
+    """The direct handle of a fetched array, or None when it has batch axes
+    or is not a C-contiguous float64 buffer: a flat memoryview of the
+    array's own buffer, so writes through it need no write-back, or at rank
+    0 the array itself (a view would cost more than it saves)."""
+    if arr.ndim != rank:
+        return None
+    if not rank:
+        return arr
+    if arr.dtype != np.float64 or not arr.flags.c_contiguous:
+        return None
+    return arr.data.cast("B").cast("d")
+
+
+def _copy_element(v):
+    return np.array(v, copy=True) if isinstance(v, np.ndarray) else v
+
+
+def _int_valued(e, scope: dict) -> bool:
+    """Whether an index expression always yields an ``int``: iterators and
+    integer constants under add, sub, mul and neg."""
+    if isinstance(e, Name):
+        return e.id in scope
+    if isinstance(e, Const):
+        return e.value.__class__ is int
+    if isinstance(e, Unary):
+        return e.op == "neg" and _int_valued(e.x, scope)
+    if isinstance(e, Binary):
+        return e.op in ("add", "sub", "mul") and _int_valued(e.x, scope) and _int_valued(e.y, scope)
+    return False
+
+
+def _no_value(name: str):
+    raise UnboundName(f"no value for input '{name}'")
+
+
+def _item_writes(item: tuple) -> set[str]:
+    """Arrays a nest item writes."""
+    if item[0] == "tasklet":
+        return {data for data, *_ in item[2]}
+    if item[0] == "library":
+        return set(item[2])
+    return set().union(*map(_item_writes, item[-1]))
+
+
+def _out_of_bounds(data: str, i: int, size: int):
+    raise OutOfBounds(f"'{data}' index {i} outside dimension of size {size}")
+
+
+def _map_range(node_id: str, start, stop, step) -> range:
+    """One map parameter's range from its evaluated start, stop and step."""
+    start = uniform_int(start, f"map '{node_id}' start")
+    stop = uniform_int(stop, f"map '{node_id}' stop")
+    step = uniform_int(step, f"map '{node_id}' step")
+    if step <= 0:
+        raise DomainError(f"map '{node_id}' step must be positive, got {step}")
+    return range(start, stop, step)

@@ -7,12 +7,15 @@ The set: the 14 example kernels, ``sin_chain`` of 12, 14 and 16 values,
 parameter is 4. Each line hashes, in order:
 
 * the serialized ``restrict_to_ccs`` output;
-* the gradients and the forward and reverse op counts of ``gradient()``;
+* the gradients and the forward and reverse op counts of ``gradient()``,
+  called twice, so that what a program keeps across runs must give the
+  first run's outputs again;
 * at no budget, 75% and 50% of the keep-all peak, and the floor (the
   ``min_peak_bytes`` of a 0-byte plan): the serialized planned programs,
   the assignment, the objective, ``t_star``, the report without
   ``solver_ms``, the memory sequences (each path's outcomes, then each
-  event's label, delta and total) and the replayed gradients;
+  event's label, delta and total) and the gradients and forward and
+  reverse op counts of two ``run_planned()`` replays;
 * the class and message of every error a step raises.
 
 Run from the repository root, on two checkouts, and diff the outputs:
@@ -52,6 +55,12 @@ def _arrays(h, arrays: dict):
         h.update(a.tobytes())
 
 
+def _replay(h, res):
+    """Hash a gradient result: its gradients and its runs' op counts."""
+    _arrays(h, res.grads)
+    h.update(f"ops {res.forward.op_count} {res.backward.op_count}\n".encode())
+
+
 def _step(h, what: str, fn):
     """Hash what ``fn(h)`` adds, or the class and message of its error;
     returns ``fn``'s result, or None after an error."""
@@ -72,9 +81,8 @@ def digest(program) -> str:
         h.update(serialize_program(restrict_to_ccs(program)).encode())
 
     def grads(h):
-        res = gradient(program, inputs, params)
-        _arrays(h, res.grads)
-        h.update(f"ops {res.forward.op_count} {res.backward.op_count}\n".encode())
+        for _ in range(2):
+            _replay(h, gradient(program, inputs, params))
 
     def planned(limit_bytes):
         def run(h):
@@ -89,7 +97,8 @@ def digest(program) -> str:
                 h.update(f"path {seq.outcomes}\n".encode())
                 for e in seq.events:
                     h.update(f"{e.label} {e.delta} {e.total}\n".encode())
-            _arrays(h, run_planned(result, inputs, params).grads)
+            for _ in range(2):
+                _replay(h, run_planned(result, inputs, params))
             return s.t_star
         return run
 

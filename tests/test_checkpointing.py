@@ -20,6 +20,7 @@ import pytest
 
 import gradflow.checkpointing as checkpointing
 import gradflow.examples as examples
+import gradflow.ir as ir
 from gradflow import (
     ProgramBuilder,
     apply_plan,
@@ -41,6 +42,8 @@ from gradflow import (
 from gradflow.checkpointing import AffineBytes, MemoryEvent, MemoryRows, PathSequence
 from gradflow.errors import (
     Infeasible,
+    ShapeMismatch,
+    UnboundName,
     UnresolvableTripCount,
     UnsupportedConstruct,
     UnsupportedLoop,
@@ -729,6 +732,105 @@ def test_a_program_out_of_use_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_a_pair_is_kept_while_a_plan_result_holds_it(monkeypatch):
+    # _Planning.pairs grows only with the pairs its callers hold: a dropped
+    # result's pair, with its run plans, goes with it
+    program = sin_chain(12)
+    limit = 0.6 * plan(program, None, {}).solution.t_star / MIB
+    calls = _count_calls(monkeypatch, checkpointing.apply_plan)
+    first = plan(program, limit, {})
+    assert plan(program, limit, {}).pair is first.pair and calls == {"apply_plan": 1}
+    pairs = program._kept["planning"].pairs
+    del first
+    gc.collect()
+    assert len(pairs) == 0
+    again = plan(program, limit, {})
+    assert calls == {"apply_plan": 2} and [ref() for ref in pairs.values()] == [again.pair]
+
+
+# ---------------------------------------------------------------------------
+# run plans: built once per program and binding, before the run
+
+
+def _run_outputs(res) -> tuple:
+    arrays = [("value", res.value), *sorted(res.grads.items())]
+    return (res.forward.op_count, res.backward.op_count,
+            [(k, np.asarray(v).dtype.str, np.asarray(v).shape, np.asarray(v).tobytes()) for k, v in arrays])
+
+
+@pytest.mark.parametrize("name, share", [("seidel_stencil", None), ("scaled_product_chain", None), ("sin_chain", 0.6)])
+def test_a_second_run_prepares_nothing(name, share, monkeypatch):
+    # gradient() keeps its run plans with the program and plan() with the
+    # pair: a second gradient() and every run_planned() evaluate no shape,
+    # written set, last-touch table or parameter-only loop header
+    if name == "sin_chain":
+        program, params = sin_chain(12), {}
+    else:
+        program, params = examples.build(name), examples.DEFAULT_PARAMS[name]
+    inputs = sample_inputs(program, params, np.random.default_rng(5))
+    limit = None if share is None else share * plan(program, None, params).solution.t_star / MIB
+    result = plan(program, limit, params)
+    assert share is None or 0 in result.solution.assignment
+    first = gradient(program, inputs, params), run_planned(result, inputs, params)
+    assert any(isinstance(b, LoopRegion) for _, b in walk_blocks(program.region)) == (name == "seidel_stencil")
+    calls = _count_calls(monkeypatch, ir.dimensions, ir.written_descriptors, ir.live_ranges, simulate_header)
+    second = gradient(program, inputs, params), run_planned(result, inputs, params)
+    assert calls == dict.fromkeys(calls, 0)
+    assert [_run_outputs(r) for r in second] == [_run_outputs(r) for r in first]
+
+
+def test_alternating_bindings_run_as_fresh_programs_and_share_no_run_plan():
+    program = examples.build("scaled_product_chain")
+    limit = {n: 10 * n * n * 4 / MIB for n in (8, 12)}
+    inputs = {n: sample_inputs(program, {"N": n}, np.random.default_rng(n)) for n in (8, 12)}
+    want = {}
+    for n in (8, 12):
+        fresh, params = _fresh(program), {"N": n}
+        want[n] = _run_outputs(gradient(fresh, inputs[n], params)), _run_outputs(
+            run_planned(plan(fresh, limit[n], params), inputs[n], params))
+    seen = {8: [], 12: []}
+    for n in (8, 12, 8):
+        params = {"N": n}
+        got = _run_outputs(gradient(program, inputs[n], params))
+        runs = program._kept["runs"]
+        result = plan(program, limit[n], params)
+        assert 0 in result.solution.assignment
+        assert (got, _run_outputs(run_planned(result, inputs[n], params))) == want[n], n
+        assert all(r.binding == (("N", n),) for r in (*runs, *result.pair.runs))
+        seen[n] += [*runs, *result.pair.runs]
+    assert not any(a is b for a in seen[8] for b in seen[12])
+
+
+def test_a_header_that_reads_a_scalar_input_follows_each_run():
+    # the run plan keeps no iterates of a header that reads a scalar: each
+    # run simulates it from its own inputs
+    program, params = runtime_header_array_program(), {"n": 4}
+    x = np.random.default_rng(3).uniform(0.4, 1.6, 4)
+    for m in (3, 5, 3):
+        inputs = {"X": x, "m": np.float64(m)}
+        got = gradient(program, inputs, params)
+        assert got.forward.op_count == 8 + 4 * m  # the scale, m sins and the sum, on 4 elements
+        assert _run_outputs(got) == _run_outputs(gradient(_fresh(program), inputs, params)), m
+
+
+def test_run_planned_under_another_binding_builds_its_run_plans_for_the_call():
+    program = examples.build("scaled_product_chain")
+    result = plan(program, 10 * 8 * 8 * 4 / MIB, {"N": 8})
+    assert 0 in result.solution.assignment
+    small, large = (sample_inputs(program, {"N": n}, np.random.default_rng(n)) for n in (8, 12))
+    replay = run_planned(result, large, {"N": 12})
+    want = _run_outputs(gradient(_fresh(program), large, {"N": 12}))
+    assert _run_outputs(replay)[2] == want[2]  # a replay is bit-identical whatever it recomputes
+    assert replay.forward.op_count == count_flops(result.forward, {"N": 12})[()] == 1586
+    assert replay.backward.op_count == count_flops(result.backward, {"N": 12})[()] == 1728
+    with pytest.raises(ShapeMismatch, match=r"^input 'C': trailing shape \(8, 8\) does not end with \(12, 12\)$"):
+        run_planned(result, small, {"N": 12})
+    with pytest.raises(UnboundName, match="^no binding for 'N'$"):
+        run_planned(result, small, {})
+    assert all(r.binding == (("N", 8),) for r in result.pair.runs)
+    assert _run_outputs(run_planned(result, small, {"N": 8}))[2] == _run_outputs(gradient(_fresh(program), small, {"N": 8}))[2]
 
 
 def test_each_plan_result_owns_its_lists_of_shared_records():

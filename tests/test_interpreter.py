@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from gradflow.errors import (
 import genprog
 import gradflow.interpreter as interpreter
 import gradflow.ir as ir
+import gradflow.nests as nests
 from gradflow.interpreter import _compiled_tasklet
 from gradflow.ir import branch_labels, simulate_header
 from genprog import (
@@ -594,7 +596,7 @@ def test_a_failed_hoisted_check_raises_at_the_same_point(subset, bound, before):
     program = parse_program(json.dumps(_gather_document(subset, bound)))
     x = np.array([1.0, 10.0, 100.0])
     for batch in ((), (1,)):
-        ex = interpreter.Executor(program, {"n": 3}, {"X": x.reshape(batch + (3,))}, batch)
+        ex = interpreter.Executor(interpreter.RunPlan(program, {"n": 3}), {"X": x.reshape(batch + (3,))}, batch)
         with pytest.raises(OutOfBounds):
             ex.run()
         assert ex.env["O"].reshape(-1)[0] == before
@@ -616,7 +618,7 @@ def test_each_dimension_is_checked_on_its_own(subset, before):
     p = b.finish("O", ["A"])
     a = np.arange(1.0, 10.0).reshape(3, 3)
     for batch in ((), (1,)):
-        ex = interpreter.Executor(p, {"n": 3}, {"A": a.reshape(batch + (3, 3))}, batch)
+        ex = interpreter.Executor(interpreter.RunPlan(p, {"n": 3}), {"A": a.reshape(batch + (3, 3))}, batch)
         with pytest.raises(OutOfBounds, match=r"^'A' index 3 outside dimension of size 3$"):
             ex.run()
         assert ex.env["O"].reshape(-1)[0] == before
@@ -658,7 +660,7 @@ def _tasklet_bodies(program):
 # generated map program: a map nest whose bodies are exact runs direct
 _GENERATED = [
     (make_loop_program, seed) for seed in range(60)
-    if all(map(interpreter._exact, _tasklet_bodies(make_loop_program(seed))))
+    if all(map(nests._exact, _tasklet_bodies(make_loop_program(seed))))
 ] + [(make_map_program, seed) for seed in range(40)]
 
 
@@ -722,7 +724,9 @@ def test_seidel_nests_take_the_direct_path_and_a_real32_nest_does_not(monkeypatc
     sweep, reverse = _nests_of(monkeypatch, lambda: gradient(p, sample_inputs(p, params, rng), params))
     for fn in (sweep, reverse):
         assert "v0 = _view(a0, 2)" in fn.source and "if ok_i" in fn.source
-    assert "_visit" in reverse.source and "_visit" not in sweep.source
+    # a reversed loop runs over its kept visit order, as a forward one over its iterates
+    for fn in (sweep, reverse):
+        assert re.search(r"\n +for i\d+ in s\d+:", fn.source) and "for q" not in fn.source
     # one offset per point, its row's share taken once per row
     assert "= i1 * 8" in sweep.source and "v0[o4-8]" in sweep.source
 
@@ -825,9 +829,9 @@ def test_a_second_gradient_compiles_no_kernel(rng):
 def test_each_compiled_nest_has_its_own_code_filename(rng):
     # a profile or a traceback tells nests apart by their code's filename
     p, params = examples.build("double_read"), examples.DEFAULT_PARAMS["double_read"]
-    ex = interpreter.Executor(p, params, sample_inputs(p, params, rng), ())
+    ex = interpreter.Executor(interpreter.RunPlan(p, params), sample_inputs(p, params, rng), ())
     ex.run()
-    names = [fn.__code__.co_filename for fn, _, _ in ex._kernels.values()]
+    names = [fn.__code__.co_filename for fn, _, _ in ex.plan.nests.values()]
     mid = next(n.id for n in p.region[0].graph.nodes if isinstance(n, ir.MapNode))
     assert len(set(names)) == 2
     assert sorted(n.split(": ", 1)[1] for n in names) == [f"map {mid}>", "tasklet O>"]
@@ -855,13 +859,13 @@ def test_loop_headers_simulate_once_per_distinct_header(monkeypatch, rng):
 def _run_env(program, params, inputs=None):
     """Run ``program`` on a fresh executor; return it and its env."""
     env = dict(inputs or {})
-    ex = interpreter.Executor(program, params, env, ())
+    ex = interpreter.Executor(interpreter.RunPlan(program, params), env, ())
     ex.run()
     return ex, env
 
 
 def _ran_as_nest(ex, loop) -> bool:
-    return ex._kernels.get(id(loop)) is not None
+    return ex.plan.nests.get(id(loop)) is not None
 
 
 @pytest.mark.parametrize("scope", ["loops", "map"])
@@ -1021,7 +1025,7 @@ def test_a_tasklet_with_no_out_edge_runs_and_writes_nothing(rng):
 def _reverse_env(program, inputs, params=None):
     """Run ``program`` with a reverse run's releases; return its env."""
     env = dict(inputs)
-    interpreter.Executor(program, dict(params or {}), env, ()).run_reverse()
+    interpreter.Executor(interpreter.RunPlan(program, dict(params or {})), env, ()).run_reverse()
     return env
 
 
@@ -1109,7 +1113,7 @@ def test_map_body_reads_keep_their_arrays_live():
     assert "T" not in env
 
 
-def _compute_ordinals(ex, program):
+def _compute_ordinals(program):
     """id of each compute node -> its ordinal among all compute nodes of a
     straight-line program."""
     out, k = {}, 0
@@ -1127,7 +1131,7 @@ def _compute_ordinals(ex, program):
     (genprog.sin_chain(5, side=4), {}),
     *((examples.build(n), examples.DEFAULT_PARAMS[n]) for n in ("double_read", "overwrite_chain", "matmul_sum")),
 ], ids=["scaled_product_chain", "exp_sin_chain", "sin_chain", "double_read", "overwrite_chain", "matmul_sum"])
-def test_reverse_releases_where_the_memory_model_frees(program, params, rng):
+def test_reverse_releases_where_the_memory_model_frees(program, params):
     # on a straight-line program each release point is the model's: the
     # compute node that reads or writes the value last (ir.node_accesses,
     # a map's body names included), for exactly the names the model's
@@ -1144,14 +1148,12 @@ def test_reverse_releases_where_the_memory_model_frees(program, params, rng):
         accesses += [touched[n.id] for n in ir.schedule(st.graph) if n.id in touched]
     want = {n: max(k for k, names in enumerate(accesses) if n in names) for n in model}
 
-    inputs = sample_inputs(program, params, rng)
-    fwd = run_forward(program, inputs, params, record=set(bundle.required), vinfo=bundle.vinfo)
-    ex = interpreter.Executor(bwd, params, {}, (), src_tape=fwd.tape, forwarding=bundle.forwarding)
-    ordinal = _compute_ordinals(ex, bwd)
+    run_plan = interpreter.RunPlan(bwd, params, forwarding=bundle.forwarding, src_program=program)
+    ordinal = _compute_ordinals(bwd)
     owner = {(e.data, c.version): n for n, e in bundle.forwarding.items() for c in e.candidates}
     got = {}
-    for at, entries in ex._release_points().items():
-        for _, key in entries:
+    for at, entries in run_plan.releases[0].items():
+        for key in entries:
             n = key if isinstance(key, str) else owner[key[:2]]
             if bwd.descriptors[n].rank:
                 got[n] = ordinal[at]
