@@ -7,15 +7,15 @@ The set: the 14 example kernels, ``sin_chain`` of 12, 14 and 16 values,
 parameter is 4. Each line hashes, in order:
 
 * the serialized ``restrict_to_ccs`` output;
-* the gradients and the forward and reverse op counts of ``gradient()``,
-  called twice, so that what a program keeps across runs must give the
+* the value, the gradients and the forward and reverse op counts of
+  ``gradient()``, called twice, so that what a program keeps across runs must give the
   first run's outputs again;
 * at no budget, 75% and 50% of the keep-all peak, and the floor (the
   ``min_peak_bytes`` of a 0-byte plan): the serialized planned programs,
   the assignment, the objective, ``t_star``, the report without
   ``solver_ms``, the memory sequences (each path's outcomes, then each
-  event's label, delta and total) and the gradients and forward and
-  reverse op counts of two ``run_planned()`` replays;
+  event's label, delta and total) and the value, gradients and forward
+  and reverse op counts of two ``run_planned()`` replays;
 * the class and message of every error a step raises.
 
 Run from the repository root, on two checkouts, and diff the outputs:
@@ -56,7 +56,9 @@ def _arrays(h, arrays: dict):
 
 
 def _replay(h, res):
-    """Hash a gradient result: its gradients and its runs' op counts."""
+    """Hash a gradient result: its value, its gradients and its runs' op
+    counts."""
+    _arrays(h, {"": res.value})
     _arrays(h, res.grads)
     h.update(f"ops {res.forward.op_count} {res.backward.op_count}\n".encode())
 
