@@ -24,7 +24,8 @@ differentiates it (so a parsed program is checked there, not by
 ``parse_program``); ``autodiff.build_backward``
 validates the reverse program it emits; and ``checkpointing.apply_plan``
 validates both planned programs it builds, which ``plan()`` keeps per
-assignment, so a repeated plan validates nothing.
+assignment while a ``PlanResult`` holds them, so repeating a plan whose
+result is held validates nothing.
 
 A built ``Program`` is a value: no pass changes it. A pass that rewrites a
 few states builds those states anew and rebuilds the program around them
