@@ -8,11 +8,11 @@ others, and branch conditions must agree across the batch
 (``BatchDivergence`` otherwise).
 
 A run goes by a ``RunPlan``: what depends only on the program and the
-parameter binding, built before the run. It holds each name's shape, the
-names the program writes, a step list per state (the tape records, library
-runs and compiled nests in schedule order), each loop's compiled nest, the
-iterates of each loop whose header reads only parameters, and a reverse
-run's release table. ``gradient()`` keeps its two plans with the program
+parameter binding, built before the run. It holds each name's shape and
+dtype, the names the program writes, a step list per state (the tape
+records, library runs and compiled nests in schedule order), each loop's
+compiled nest, the iterates of each loop whose header reads only
+parameters, and a reverse run's release table. ``gradient()`` keeps its two plans with the program
 for the last binding it ran, and ``plan()`` keeps them with each planned
 pair; both hand them to ``run_forward`` and ``run_backward`` through
 ``prepared``. Any other run builds its own plan. A header that reads a
@@ -198,6 +198,7 @@ class RunPlan:
             vinfo = analyze_versions(program)
         self.record, self.vinfo, self.forwarding = record, vinfo, forwarding or {}
         self.shapes = _shapes(program, self.params)
+        self.dtypes = {n: _DTYPE[d.element_kind] for n, d in program.descriptors.items() if d.element_kind in _DTYPE}
         self.declared = self.shapes if src_program is None else _shapes(src_program, self.params)
         self.written = written_descriptors(program)
         desc = program.descriptors
@@ -418,7 +419,7 @@ class Executor:
     # -- shared helpers ------------------------------------------------------
 
     def _dtype(self, name: str):
-        return _DTYPE[self.descriptors[name].element_kind]
+        return self.plan.dtypes.get(name) or _DTYPE[self.descriptors[name].element_kind]
 
     def read_array(self, name: str) -> np.ndarray:
         arr = self.env.get(name)
