@@ -50,6 +50,7 @@ from .ir import (
     Conditional,
     DataDescriptor,
     Dataflow,
+    GraphBuilder,
     LibraryNode,
     LoopRegion,
     MapNode,
@@ -57,8 +58,6 @@ from .ir import (
     Program,
     State,
     Tasklet,
-    data_read,
-    data_written,
     header_names,
     library_connectors,
     library_expr,
@@ -376,33 +375,6 @@ class BackwardBundle:
     ccs: CCS
 
 
-class _Assembler:
-    """Per-state graph accumulation with access-instance tracking."""
-
-    def __init__(self, fresh):
-        self.df = Dataflow()
-        self.fresh = fresh
-        self.cur: dict[str, str] = {}
-
-    def read(self, data: str) -> str:
-        nid = self.cur.get(data)
-        if nid is None:
-            nid = self.fresh("a")
-            self.df.nodes.append(AccessNode(nid, data))
-            self.cur[data] = nid
-        return nid
-
-    def write(self, data: str) -> str:
-        nid = self.fresh("a")
-        self.df.nodes.append(AccessNode(nid, data))
-        self.cur[data] = nid
-        return nid
-
-    @property
-    def empty(self) -> bool:
-        return not any(not isinstance(n, AccessNode) for n in self.df.nodes)
-
-
 class _BackwardBuilder:
     def __init__(self, program: Program, vinfo: VersionInfo, ccs: CCS):
         self.p = program
@@ -551,7 +523,7 @@ class _BackwardBuilder:
 
     def rev_state(self, state: State, kept: frozenset[NodeRef]) -> State | None:
         df = state.graph
-        asm = _Assembler(self.fresh)
+        gb = GraphBuilder(self.fresh)
         for node in reversed(schedule(df)):
             nid = node.id
             if isinstance(node, AccessNode) or (state.label, nid) not in kept:
@@ -563,16 +535,15 @@ class _BackwardBuilder:
                 self.emit_tasklet_adjoint(
                     state.label, df, node,
                     site=lambda e: e.src if e.dst == node.id else e.dst,
-                    graph=asm.df, read=asm.read, write=asm.write, prefix="adj",
-                    where=f"tasklet '{node.id}'",
+                    gb=gb, read=gb.read, prefix="adj", where=f"tasklet '{node.id}'",
                 )
             elif isinstance(node, LibraryNode):
-                self.adj_library(asm, state, df, node)
+                self.adj_library(gb, state, df, node)
             else:
-                self.adj_map(asm, state, df, node)
-        if asm.empty:
+                self.adj_map(gb, state, df, node)
+        if all(isinstance(n, AccessNode) for n in gb.df.nodes):
             return None
-        return State(state.label + "__bwd", asm.df)
+        return State(state.label + "__bwd", gb.df)
 
     # -- adjoint emission ----------------------------------------------------
 
@@ -581,10 +552,10 @@ class _BackwardBuilder:
         return bool(rs.candidates)
 
     def emit_tasklet_adjoint(self, state_label: str, fwd_graph: Dataflow, node: Tasklet, *,
-                             site, graph: Dataflow, read, write, prefix: str,
+                             site, gb: GraphBuilder, read, prefix: str,
                              where: str) -> str | None:
         """Emit the adjoint tasklet of the forward tasklet ``node`` (which
-        lives in ``fwd_graph``) into ``graph``. Returns the adjoint's id, or
+        lives in ``fwd_graph``) into ``gb``. Returns the adjoint's id, or
         None when it would do nothing.
 
         The adjoint reads the gradient of every active output and the forward
@@ -598,9 +569,9 @@ class _BackwardBuilder:
 
         The caller places the adjoint. ``site(edge)`` is the state-level
         access instance behind a forward edge, for value sourcing and kill
-        lookup. ``read(data)`` and ``write(data)`` give the access node in
-        ``graph`` that an adjoint edge reads from or writes to; ``write`` is
-        called once per gradient array. ``prefix`` starts the adjoint's id.
+        lookup. ``read(data)`` gives the access node in ``gb`` that an
+        adjoint edge reads from; each gradient array it writes gets one
+        ``gb.write``. ``prefix`` starts the adjoint's id.
         """
         in_by_conn = {e.dst_conn: e for e in fwd_graph.in_edges(node.id)}
         outs_info = [e for e in fwd_graph.out_edges(node.id) if e.data in self.gradset]
@@ -672,7 +643,7 @@ class _BackwardBuilder:
 
         def dst_of(gdata: str) -> str:
             if gdata not in wdst:
-                wdst[gdata] = write(gdata)
+                wdst[gdata] = gb.write(gdata)
             return wdst[gdata]
 
         outs: list[str] = []
@@ -691,11 +662,11 @@ class _BackwardBuilder:
             gdata = self.grad_of(oe.data)
             edges.append(Memlet(tid, "_z", dst_of(gdata), None, gdata, oe.subset))
 
-        graph.nodes.append(Tasklet(tid, tuple(ins), tuple(outs), body))
-        graph.edges.extend(edges)
+        gb.df.nodes.append(Tasklet(tid, tuple(ins), tuple(outs), body))
+        gb.df.edges.extend(edges)
         return tid
 
-    def adj_library(self, asm: _Assembler, state: State, df: Dataflow, node: LibraryNode):
+    def adj_library(self, gb: GraphBuilder, state: State, df: Dataflow, node: LibraryNode):
         """Emit the adjoint of a library node: matmuls for a matmul, and one
         whole-array ``ew_expr`` node per active operand otherwise, holding
         the operand's derived contribution over the output gradient ``_g``
@@ -724,12 +695,7 @@ class _BackwardBuilder:
 
         def lib(kind: str, ins: dict[str, str], out_data: str, wcr, prefix="adjn", **attrs):
             adj = LibraryNode(self.fresh(prefix), kind, **attrs)
-            srcs = {c: asm.read(d) for c, d in ins.items()}
-            asm.df.nodes.append(adj)
-            for c, d in ins.items():
-                asm.df.edges.append(Memlet(srcs[c], None, adj.id, c, d, None))
-            asm.df.edges.append(Memlet(adj.id, library_connectors(adj)[1][0],
-                                       asm.write(out_data), None, out_data, None, wcr))
+            gb.library(adj, ins, {library_connectors(adj)[1][0]: out_data}, wcr)
 
         jobs = []  # (operand connector, adjoint kind, its inputs, its attributes)
         if node.kind == "matmul":
@@ -773,7 +739,7 @@ class _BackwardBuilder:
         if killed and not emitted_self:
             lib("ew_unary", {"x": g}, g, None, prefix="adjz", op="scale", const=0.0)
 
-    def adj_map(self, asm: _Assembler, state: State, df: Dataflow, node: MapNode):
+    def adj_map(self, gb: GraphBuilder, state: State, df: Dataflow, node: MapNode):
         computes = [n for n in node.body.nodes if not isinstance(n, AccessNode)]
         if len(computes) != 1 or not isinstance(computes[0], Tasklet):
             raise UnsupportedConstruct(
@@ -783,30 +749,14 @@ class _BackwardBuilder:
         # state-level access instances of the forward map, for value sourcing
         state_in_src = {e.data: e.src for e in df.in_edges(node.id)}
         state_out_dst = {e.data: e.dst for e in df.out_edges(node.id)}
-        body = Dataflow()
-
-        def access(data: str) -> str:  # a fresh body access node per use
-            aid = self.fresh("a")
-            body.nodes.append(AccessNode(aid, data))
-            return aid
-
+        body = GraphBuilder(self.fresh)
         tid = self.emit_tasklet_adjoint(
             state.label, node.body, fwd_t,
             site=lambda e: (state_in_src if e.dst == fwd_t.id else state_out_dst)[e.data],
-            graph=body, read=access, write=access, prefix="adjt", where=f"map '{node.id}'",
+            gb=body, read=body.write, prefix="adjt", where=f"map '{node.id}'",  # a body access node per use
         )
-        if tid is None:
-            return
-        mid = self.fresh("adjm")
-        asm.df.nodes.append(MapNode(mid, node.params, node.ranges, body))
-        for data in sorted(data_read(body)):
-            asm.df.edges.append(Memlet(asm.read(data), None, mid, None, data, None))
-        for data in sorted(data_written(body)):
-            wcrs = {e.wcr for e in body.edges if e.src == tid and e.data == data}
-            asm.df.edges.append(
-                Memlet(mid, None, asm.write(data), None, data, None,
-                       "sum" if wcrs == {"sum"} else None)
-            )
+        if tid is not None:
+            gb.map(MapNode(self.fresh("adjm"), node.params, node.ranges, body.df))
 
 
 def _sub_key(subset):

@@ -51,12 +51,13 @@ from .errors import (
     IrrecomputableValue,
     UnresolvableTripCount,
 )
-from .interpreter import _node_cost, binding_of, prepare_runs, prepared, run_backward, run_forward
+from .interpreter import RunPlan, _node_cost, binding_of, prepare_runs, prepared, run_backward, run_forward
 from .ir import (
     AccessNode,
     Block,
     DataDescriptor,
     Dataflow,
+    GraphBuilder,
     LibraryNode,
     MapNode,
     Memlet,
@@ -377,34 +378,25 @@ def _rebuild_block(descriptors: dict[str, DataDescriptor], pristine: set[str], s
                    fvid: int) -> tuple[State, dict[str, DataDescriptor]]:
     """The rebuild state of a closure's (state, node) steps in program
     order, and its descriptors."""
-    graph = Dataflow()
-    acc_ids: dict[str, str] = {}
+    ids = itertools.count()
+    gb = GraphBuilder(lambda _: f"rv{next(ids)}")
     descs: dict[str, DataDescriptor] = {}
-
-    def access_of(name: str) -> str:
-        nid = acc_ids.get(name)
-        if nid is None:
-            nid = f"rv{len(acc_ids)}"
-            acc_ids[name] = nid
-            graph.nodes.append(AccessNode(nid, name))
-        return nid
-
     for k, (slabel, nid) in enumerate(ordered):
         src_graph = states[slabel].graph
         clone = _clone_node(src_graph.node(nid), f"rn{k}", rename, f"rec:{fvid}")
         for e in src_graph.in_edges(nid):
             name = rename.get(e.data, e.data)
-            graph.edges.append(Memlet(access_of(name), None, clone.id, e.dst_conn, name, e.subset, e.wcr))
+            gb.df.edges.append(Memlet(gb.read(name), None, clone.id, e.dst_conn, name, e.subset, e.wcr))
             if e.data in pristine:
                 descs.setdefault(e.data, descriptors[e.data])
-        graph.nodes.append(clone)
+        gb.df.nodes.append(clone)
         for e in src_graph.out_edges(nid):
             name = rename[e.data]
-            graph.edges.append(Memlet(clone.id, e.src_conn, access_of(name), None, name, e.subset, e.wcr))
+            gb.df.edges.append(Memlet(clone.id, e.src_conn, gb.write(name), None, name, e.subset, e.wcr))
             base = descriptors[e.data]
             role = "stored-copy" if name == stored_name else "intermediate"
             descs.setdefault(name, DataDescriptor(name, base.element_kind, base.shape, role))
-    return State(label=f"rec_{stored_name}", graph=graph), descs
+    return State(label=f"rec_{stored_name}", graph=gb.df), descs
 
 
 def _states_of(region: list[Block]) -> dict[str, State]:
@@ -910,7 +902,7 @@ def plan(
     pair that fails validation is not kept."""
     params = dict(params or {})
     bundle = backward_of(program)
-    binding = tuple(sorted(params.items()))
+    binding = binding_of(params)
     planning = program._kept.get("planning")
     if planning is None or planning.binding != binding:
         fvs = collect_forwarded(program, bundle, params)
@@ -928,8 +920,7 @@ def plan(
     pair = held() if held is not None else None
     if pair is None:
         fwd, bwd = apply_plan(program, bundle, fvs, solution.assignment)
-        record, forwarding = _replayed(fvs, bundle, program)
-        pair = _Pair(fwd, bwd, prepare_runs(fwd, bwd, params, record=record, vinfo=bundle.vinfo, forwarding=forwarding))
+        pair = _Pair(fwd, bwd, _replay_runs(fvs, bundle, fwd, bwd, params))
         planning.pairs[solution.assignment] = _held(planning.pairs, solution.assignment, pair)
     fwd, bwd = pair.forward, pair.backward
     report = {
@@ -959,19 +950,23 @@ def plan(
     return PlanResult(fwd, bwd, solution, report, bundle, list(fvs), list(sequences), pair)
 
 
-def _replayed(fvs, bundle: BackwardBundle, program: Program) -> tuple[frozenset, dict]:
-    """What a replay's forward run records, and the forwarding table of its
-    reverse run: the snapshots of scalar forwarded values and of loop
-    iterations (forced values), which the planned programs cannot carry."""
+def _replay_runs(fvs, bundle: BackwardBundle, forward: Program, backward: Program,
+                 params: dict[str, int] | None) -> tuple[RunPlan, RunPlan]:
+    """The run plans of a replay of the planned pair ``forward`` and
+    ``backward``. Its forward run records, and its reverse run reads
+    through its forwarding table, only the snapshots of scalar forwarded
+    values and of loop iterations (forced values), which the planned
+    programs cannot carry."""
     keep = {(fv.data, v) for fv in fvs if fv.forced for v in fv.versions}
-    scalars = {name: e for name, e in bundle.forwarding.items() if program.descriptors[e.data].rank == 0}
+    scalars = {name: e for name, e in bundle.forwarding.items() if forward.descriptors[e.data].rank == 0}
     for e in scalars.values():
         keep |= {(e.data, c.version) for c in e.candidates}
     forwarding = dict(scalars)
     for fv in fvs:
         if fv.forced:
             forwarding[fv.name] = bundle.forwarding[fv.name]
-    return frozenset(keep), forwarding
+    return prepare_runs(forward, backward, params, record=frozenset(keep), vinfo=bundle.vinfo,
+                        forwarding=forwarding)
 
 
 def run_planned(
@@ -991,9 +986,7 @@ def run_planned(
     """
     runs = result.pair.runs if result.pair is not None else None
     if runs is None or runs[0].binding != binding_of(params or {}):
-        record, forwarding = _replayed(result.fvs, result.bundle, result.forward)
-        runs = prepare_runs(result.forward, result.backward, params, record=record,
-                            vinfo=result.bundle.vinfo, forwarding=forwarding)
+        runs = _replay_runs(result.fvs, result.bundle, result.forward, result.backward, params)
     with prepared(runs):
         # the planned program only adds copy-outs, which write no version in the record
         fwd_run = run_forward(result.forward, inputs, params, record=runs[0].record, vinfo=result.bundle.vinfo)

@@ -14,7 +14,9 @@ result of a parse is byte-for-byte idempotent.
 
 from __future__ import annotations
 
+import contextlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .ir import (
     Conditional,
     DataDescriptor,
     Dataflow,
+    GraphBuilder,
     LibraryNode,
     LoopRegion,
     MapNode,
@@ -403,12 +406,16 @@ def load_program(path: str) -> Program:
 
 
 class ProgramBuilder:
-    """Incremental construction with automatic node ids and map-edge wiring.
+    """Incremental construction with automatic node ids.
 
-    States accumulate; ``finish`` validates and returns the program. Tasklet
-    and library helpers take (data, subset) operand bindings and create the
-    access instances, reusing the current instance of an array for reads and
-    opening a fresh instance per write.
+    ``state``, ``loop`` and ``branch`` (with ``then`` and ``orelse``) are
+    context managers: each appends its block to the enclosing region when
+    its body does not raise; states do not nest. ``finish`` validates and
+    returns the program. The open state, and each map body, is assembled
+    by an ``ir.GraphBuilder``: the tasklet, library and map helpers take
+    (data, subset) operand bindings, read each array's current access
+    instance and open a fresh instance per write, and a map's edges to its
+    state follow from its body's reads and writes.
     """
 
     def __init__(self, parameters: tuple[str, ...] = ()):
@@ -417,8 +424,7 @@ class ProgramBuilder:
         self.region: list[Block] = []
         self._stack: list[list[Block]] = [self.region]
         self._counter = 0
-        self._graph: Dataflow | None = None
-        self._instances: dict[str, str] = {}
+        self._graph: GraphBuilder | None = None
 
     def fresh(self, prefix: str) -> str:
         self._counter += 1
@@ -434,97 +440,87 @@ class ProgramBuilder:
 
     # -- control flow -------------------------------------------------------
 
-    def state(self, label: str | None = None) -> "_StateCtx":
-        return _StateCtx(self, label or self.fresh("s"))
+    @contextlib.contextmanager
+    def _into(self, body: list[Block]):
+        """Let the blocks built in the with-body go into ``body``."""
+        self._stack.append(body)
+        try:
+            yield self
+        finally:
+            self._stack.pop()
 
+    @contextlib.contextmanager
+    def state(self, label: str | None = None):
+        label = label or self.fresh("s")
+        if self._graph is not None:
+            raise RuntimeError("states do not nest")
+        self._graph = GraphBuilder(self.fresh)
+        try:
+            yield self
+        finally:
+            graph, self._graph = self._graph, None
+        self._stack[-1].append(State(label, graph.df))
+
+    @contextlib.contextmanager
     def loop(self, iterator: str, init, bound, cmp: str = "<", update=None,
-             label: str | None = None) -> "_LoopCtx":
+             label: str | None = None):
         update = update if update is not None else f"(add {iterator} 1)"
-        return _LoopCtx(
-            self,
-            LoopRegion(label or self.fresh("l"), iterator, _built(init), _built(bound), cmp, _built(update)),
-        )
+        loop = LoopRegion(label or self.fresh("l"), iterator, _built(init), _built(bound), cmp, _built(update))
+        with self._into(loop.body):
+            yield loop
+        self._stack[-1].append(loop)
 
-    def branch(self, condition, label: str | None = None) -> "_BranchCtx":
-        return _BranchCtx(self, Conditional(label or self.fresh("b"), _built(condition)))
+    @contextlib.contextmanager
+    def branch(self, condition, label: str | None = None):
+        br = Conditional(label or self.fresh("b"), _built(condition))
+        yield SimpleNamespace(then=lambda: self._into(br.then_body), orelse=lambda: self._into(br.else_body))
+        self._stack[-1].append(br)
 
     # -- dataflow (valid only inside a state context) ------------------------
 
-    def _need_graph(self) -> Dataflow:
+    def _open(self) -> GraphBuilder:
         if self._graph is None:
             raise RuntimeError("dataflow helpers require an open state")
         return self._graph
 
     def read(self, data: str) -> str:
         """Current access instance for reading (created if absent)."""
-        g = self._need_graph()
-        if data not in self._instances:
-            nid = self.fresh("a")
-            g.nodes.append(AccessNode(nid, data))
-            self._instances[data] = nid
-        return self._instances[data]
+        return self._open().read(data)
 
     def write(self, data: str) -> str:
         """Fresh access instance for writing."""
-        g = self._need_graph()
-        nid = self.fresh("a")
-        g.nodes.append(AccessNode(nid, data))
-        self._instances[data] = nid
-        return nid
+        return self._open().write(data)
 
     def tasklet(self, ins: dict[str, tuple[str, tuple]], outs: dict[str, tuple[str, tuple]],
                 body: dict[str, str], wcr: str | None = None, group: str | None = None) -> str:
-        g = self._need_graph()
-        nid = self.fresh("t")
-        parsed = {k: _built(v) for k, v in body.items()}
-        read_nodes = {conn: self.read(data) for conn, (data, _) in ins.items()}
-        g.nodes.append(Tasklet(nid, tuple(ins), tuple(outs), parsed, group))
-        for conn, (data, subset) in ins.items():
-            g.edges.append(Memlet(read_nodes[conn], None, nid, conn, data, _subset(subset)))
-        for conn, (data, subset) in outs.items():
-            g.edges.append(Memlet(nid, conn, self.write(data), None, data, _subset(subset), wcr))
-        return nid
+        g = self._open()
+        node = Tasklet(self.fresh("t"), tuple(ins), tuple(outs), {k: _built(v) for k, v in body.items()}, group)
+        return g.library(node, {c: (d, _subset(s)) for c, (d, s) in ins.items()},
+                         {c: (d, _subset(s)) for c, (d, s) in outs.items()}, wcr)
 
     def library(self, kind: str, ins: dict[str, str], outs: dict[str, str],
                 op: str | None = None, const: float | None = None,
                 ta: bool = False, tb: bool = False, wcr: str | None = None,
                 group: str | None = None) -> str:
-        g = self._need_graph()
-        nid = self.fresh("n")
-        read_nodes = {conn: self.read(data) for conn, data in ins.items()}
+        g = self._open()
         if isinstance(const, np.generic):
             const = const.item()  # as _built converts an expression's constants
-        g.nodes.append(LibraryNode(nid, kind, op=op, const=const, ta=ta, tb=tb, group=group))
-        for conn, data in ins.items():
-            g.edges.append(Memlet(read_nodes[conn], None, nid, conn, data, None))
-        for conn, data in outs.items():
-            g.edges.append(Memlet(nid, conn, self.write(data), None, data, None, wcr))
-        return nid
+        return g.library(LibraryNode(self.fresh("n"), kind, op=op, const=const, ta=ta, tb=tb, group=group),
+                         ins, outs, wcr)
 
     def map_node(self, params, ranges, build_body, group: str | None = None) -> str:
-        """`build_body(inner)` populates a nested builder's open state; map
-        edges to the enclosing state are wired from the body's reads/writes."""
-        g = self._need_graph()
+        """``build_body(self)`` populates the map body, which is assembled
+        as a graph of its own while it runs; the map's edges to the
+        enclosing state are wired from the body's reads and writes."""
+        outer = self._open()
         nid = self.fresh("m")
-        inner = ProgramBuilder(self.parameters)
-        inner.descriptors = self.descriptors
-        inner._counter = self._counter
-        inner._graph = Dataflow()
-        inner._instances = {}
-        build_body(inner)
-        self._counter = inner._counter
-        body = inner._graph
+        self._graph = GraphBuilder(self.fresh)
+        try:
+            build_body(self)
+        finally:
+            body, self._graph = self._graph, outer
         rng = tuple(tuple(map(_built, r)) for r in ranges)
-        from .ir import data_read, data_written
-
-        g.nodes.append(MapNode(nid, tuple(params), rng, body, group))
-        for data in sorted(data_read(body)):
-            g.edges.append(Memlet(self.read(data), None, nid, None, data, None))
-        for data in sorted(data_written(body)):
-            wcrs = {e.wcr for e in body.edges if e.data == data and e.src_conn is not None}
-            g.edges.append(Memlet(nid, None, self.write(data), None, data, None,
-                                  "sum" if wcrs == {"sum"} else None))
-        return nid
+        return outer.map(MapNode(nid, tuple(params), rng, body.df, group))
 
     def finish(self, dependent: str, independents) -> Program:
         program = Program(
@@ -556,77 +552,3 @@ def _built(v) -> Expr:
     if isinstance(v, Index):
         return Index(v.base, tuple(map(_built, v.indices)))
     return v
-
-
-class _StateCtx:
-    def __init__(self, builder: ProgramBuilder, label: str):
-        self.builder = builder
-        self.label = label
-
-    def __enter__(self) -> ProgramBuilder:
-        b = self.builder
-        if b._graph is not None:
-            raise RuntimeError("states do not nest")
-        b._graph = Dataflow()
-        b._instances = {}
-        self._graph = b._graph
-        return b
-
-    def __exit__(self, exc_type, *rest):
-        b = self.builder
-        graph, b._graph = b._graph, None
-        b._instances = {}
-        if exc_type is None:
-            b._stack[-1].append(State(self.label, graph))
-        return False
-
-
-class _LoopCtx:
-    def __init__(self, builder: ProgramBuilder, loop: LoopRegion):
-        self.builder = builder
-        self.loop = loop
-
-    def __enter__(self) -> LoopRegion:
-        self.builder._stack.append(self.loop.body)
-        return self.loop
-
-    def __exit__(self, exc_type, *rest):
-        self.builder._stack.pop()
-        if exc_type is None:
-            self.builder._stack[-1].append(self.loop)
-        return False
-
-
-class _BranchCtx:
-    def __init__(self, builder: ProgramBuilder, br: Conditional):
-        self.builder = builder
-        self.br = br
-        self._arm = None
-
-    def __enter__(self) -> "_BranchCtx":
-        return self
-
-    def then(self) -> "_ArmCtx":
-        return _ArmCtx(self.builder, self.br.then_body)
-
-    def orelse(self) -> "_ArmCtx":
-        return _ArmCtx(self.builder, self.br.else_body)
-
-    def __exit__(self, exc_type, *rest):
-        if exc_type is None:
-            self.builder._stack[-1].append(self.br)
-        return False
-
-
-class _ArmCtx:
-    def __init__(self, builder: ProgramBuilder, body: list):
-        self.builder = builder
-        self.body = body
-
-    def __enter__(self) -> ProgramBuilder:
-        self.builder._stack.append(self.body)
-        return self.builder
-
-    def __exit__(self, exc_type, *rest):
-        self.builder._stack.pop()
-        return False

@@ -197,9 +197,10 @@ class RunPlan:
         if record is not None and vinfo is None:
             vinfo = analyze_versions(program)
         self.record, self.vinfo, self.forwarding = record, vinfo, forwarding or {}
-        self.shapes = _shapes(program, self.params)
+        evaluated: dict = {}
+        self.shapes = _shapes(program, self.params, evaluated)
         self.dtypes = {n: _DTYPE[d.element_kind] for n, d in program.descriptors.items() if d.element_kind in _DTYPE}
-        self.declared = self.shapes if src_program is None else _shapes(src_program, self.params)
+        self.declared = self.shapes if src_program is None else _shapes(src_program, self.params, evaluated)
         self.written = written_descriptors(program)
         desc = program.descriptors
         self.scalars = tuple(name for name, d in desc.items() if d.rank == 0)
@@ -375,9 +376,21 @@ class RunPlan:
         return {k: tuple(keys) for k, keys in frees.items()}, frozenset(shared)
 
 
-def _shapes(program: Program, params: dict[str, int]) -> dict[str, tuple[int, ...]]:
-    shapes = {name: _attempt(dimensions, desc, params) for name, desc in program.descriptors.items()}
-    return {name: s for name, s in shapes.items() if s is not _LATER}
+def _shapes(program: Program, params: dict[str, int], evaluated: dict) -> dict[str, tuple[int, ...]]:
+    """Each name's evaluated shape, leaving out a name whose shape raises.
+    ``evaluated`` keeps one tuple per declared shape that evaluated, so a
+    plan's names of one shape share it and a failing shape raises again,
+    with its own descriptor's name, where the run needs it."""
+    shapes = {}
+    for name, desc in program.descriptors.items():
+        s = evaluated.get(desc.shape)
+        if s is None:
+            s = _attempt(dimensions, desc, params)
+            if s is _LATER:
+                continue
+            evaluated[desc.shape] = s
+        shapes[name] = s
+    return shapes
 
 
 def _operand_checks(node: LibraryNode, step: LibraryStep, shape_of) -> tuple[tuple, str | None]:
@@ -430,9 +443,7 @@ class Executor:
         desc = self.descriptors.get(name)
         if desc is None or desc.role == "input":
             raise UnboundName(f"no value for input '{name}'")
-        arr = np.zeros(self.batch + self.shape_of(name), dtype=self._dtype(name))
-        self.env[name] = arr
-        return arr
+        return self.write_target(name)
 
     def write_target(self, name: str) -> np.ndarray:
         arr = self.env.get(name)

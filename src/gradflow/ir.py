@@ -17,6 +17,14 @@ Invariants enforced by :func:`validate`:
 * ``skip``/``take`` appear only on reversed loops, with skip >= 0, take >= 1;
 * branch conditions are comparisons over scalars, elements and parameters.
 
+Every pass that assembles graphs does so through :class:`GraphBuilder`:
+``frontend.ProgramBuilder`` for its states and map bodies, the reverse
+pass for the reversed states and their adjoint maps, and the planner for
+its rebuild blocks. It holds the two assembly rules: a read reuses the
+array's current access instance and a write opens a new one, and a map
+has one edge per array its body reads or writes, whose write edge
+carries ``sum`` only when every body write does.
+
 Each program is checked once, as a whole, where it is built:
 ``ProgramBuilder.finish`` validates what it builds and marks it so;
 ``autodiff.backward_of`` validates an unmarked program before it
@@ -245,6 +253,59 @@ class Dataflow:
 
     def out_edges(self, node_id: str) -> list[Memlet]:
         return [e for e in self.edges if e.src == node_id]
+
+
+class GraphBuilder:
+    """One graph under assembly, named by ``fresh(prefix)``, and the current
+    access instance of each array in it. A read reuses an array's current
+    instance, opening one if it has none; a write always opens a new one."""
+
+    def __init__(self, fresh: Callable[[str], str]):
+        self.fresh = fresh
+        self.df = Dataflow()
+        self.current: dict[str, str] = {}
+
+    def read(self, data: str) -> str:
+        nid = self.current.get(data)
+        return self.write(data) if nid is None else nid
+
+    def write(self, data: str) -> str:
+        nid = self.fresh("a")
+        self.df.nodes.append(AccessNode(nid, data))
+        self.current[data] = nid
+        return nid
+
+    def library(self, node: Node, ins: dict, outs: dict, wcr: str | None = None) -> str:
+        """Add ``node`` after the instances it reads, then its edges: ``ins``
+        and ``outs`` map each connector to an array (a whole-array edge) or
+        to an ``(array, subset)`` pair, and every write carries ``wcr``."""
+        ins = {c: _operand(b) for c, b in ins.items()}
+        outs = {c: _operand(b) for c, b in outs.items()}
+        srcs = {c: self.read(data) for c, (data, _) in ins.items()}
+        self.df.nodes.append(node)
+        for c, (data, subset) in ins.items():
+            self.df.edges.append(Memlet(srcs[c], None, node.id, c, data, subset))
+        for c, (data, subset) in outs.items():
+            self.df.edges.append(Memlet(node.id, c, self.write(data), None, data, subset, wcr))
+        return node.id
+
+    def map(self, node: MapNode) -> str:
+        """Add ``node`` with one edge per array its body reads and one per
+        array it writes; a write edge carries ``sum`` only when every body
+        write of that array does."""
+        body = node.body
+        self.df.nodes.append(node)
+        for data in sorted(data_read(body)):
+            self.df.edges.append(Memlet(self.read(data), None, node.id, None, data, None))
+        for data in sorted(data_written(body)):
+            wcrs = {e.wcr for e in body.edges if e.data == data and e.src_conn is not None}
+            self.df.edges.append(Memlet(node.id, None, self.write(data), None, data, None,
+                                        "sum" if wcrs == {"sum"} else None))
+        return node.id
+
+
+def _operand(binding) -> tuple[str, tuple[Expr, ...] | None]:
+    return binding if isinstance(binding, tuple) else (binding, None)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ The set: the 14 example kernels, ``sin_chain`` of 12, 14 and 16 values,
 ``make_elementwise_program`` and ``make_map_program`` seeds 0-39. Every
 parameter is 4. Each line hashes, in order:
 
+* the serialized program and the serialized reverse program of its
+  ``backward_of`` bundle, so that the graphs the builder and the reverse
+  pass assemble are pinned node by node;
 * the serialized ``restrict_to_ccs`` output;
 * the value, the gradients and the forward and reverse op counts of
   ``gradient()``, called twice, so that what a program keeps across runs must give the
@@ -31,7 +34,7 @@ import warnings
 import numpy as np
 
 from gradflow import examples, gradient, plan, run_planned, serialize_program
-from gradflow.autodiff import restrict_to_ccs
+from gradflow.autodiff import backward_of, restrict_to_ccs
 from gradflow.errors import Infeasible
 from gradflow.verification import sample_inputs
 from genprog import make_chain_program, make_elementwise_program, make_loop_program, make_map_program, sin_chain
@@ -79,6 +82,12 @@ def digest(program) -> str:
     inputs = sample_inputs(program, params, np.random.default_rng(0))
     h = hashlib.sha256()
 
+    def built(h):
+        h.update(serialize_program(program).encode())
+
+    def reverse(h):
+        h.update(serialize_program(backward_of(program).backward).encode())
+
     def restricted(h):
         h.update(serialize_program(restrict_to_ccs(program)).encode())
 
@@ -112,6 +121,8 @@ def digest(program) -> str:
         h.update(f"floor {least}\n".encode())
         return least
 
+    _step(h, "program", built)
+    _step(h, "reverse", reverse)
     _step(h, "ccs", restricted)
     _step(h, "gradient", grads)
     peak = _step(h, "keep-all", planned(None))

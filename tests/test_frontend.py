@@ -18,7 +18,7 @@ from gradflow import (
     validate_or_raise,
 )
 from gradflow.errors import GradflowError, ProgramSyntaxError, ValidationFailed
-from gradflow.ir import LoopRegion
+from gradflow.ir import AccessNode, LoopRegion
 from gradflow.symexpr import Binary, Const, Name
 from genprog import ew_expr_program
 
@@ -123,6 +123,57 @@ def test_builder_rejects_invalid_program():
         s.library("reduce_sum", {"x": "X"}, {"y": "O"})
     with pytest.raises(ValidationFailed):
         b.finish("O", ["X", "missing"])
+
+
+def test_builder_appends_a_block_only_when_its_body_does_not_raise():
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input")
+    b.scalar("O", role="output")
+    for block in (lambda: b.state("bad"), lambda: b.loop("i", "0", "n"), lambda: b.branch("(lt n 2)")):
+        with pytest.raises(ZeroDivisionError):
+            with block():
+                1 / 0
+    with pytest.raises(ZeroDivisionError):
+        with b.branch("(lt n 2)") as br:
+            with br.then():
+                1 / 0
+    assert b.region == []
+    with b.state("s") as s:
+        with pytest.raises(RuntimeError, match="states do not nest"):
+            with b.state():
+                pass
+        s.library("reduce_sum", {"x": "X"}, {"y": "O"})
+    with b.branch("(lt n 2)", label="pick") as br:
+        with br.then():
+            with b.loop("i", "0", "n", label="l"):
+                with b.state("t") as s:
+                    s.library("reduce_sum", {"x": "X"}, {"y": "O"})
+    assert [blk.label for blk in b.region] == ["s", "pick"]
+    assert [blk.label for blk in b.region[1].then_body] == ["l"]
+    assert [blk.label for blk in b.region[1].then_body[0].body] == ["t"]
+    assert b.region[1].else_body == []
+
+
+def test_a_map_write_edge_sums_only_when_every_body_write_does():
+    # Y is written in the body both with sum and plainly, Z only with sum
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input")
+    b.array("Y", ("n",))
+    b.array("Z", ("n",))
+
+    def body(inner):
+        for out, wcr in (("Y", "sum"), ("Y", None), ("Z", "sum")):
+            inner.tasklet(ins={"a": ("X", ("i",))}, outs={"o": (out, ("i",))}, body={"o": "a"}, wcr=wcr)
+
+    with b.state("s") as s:
+        mid = s.map_node(("i",), (("0", "n", "1"),), body)
+    (state,) = b.region
+    graph = state.graph
+    assert {e.data: e.wcr for e in graph.out_edges(mid)} == {"Y": None, "Z": "sum"}
+    assert [e.data for e in graph.in_edges(mid)] == ["X"]
+    (m,) = [n for n in graph.nodes if n.id == mid]
+    # in the body, the three reads share X's one instance and each write opens its own
+    assert sorted(n.data for n in m.body.nodes if isinstance(n, AccessNode)) == ["X", "Y", "Y", "Z"]
 
 
 def _half_map(body, lo="0") -> ProgramBuilder:
