@@ -818,9 +818,10 @@ def build_backward(program: Program, vinfo: VersionInfo | None = None) -> Backwa
 def backward_of(program: Program) -> BackwardBundle:
     """``build_backward(program)``, built on first use and kept with the
     program, which is never changed. The first use validates the program
-    unless ``ProgramBuilder.finish`` did (``ValidationFailed`` if it is not
-    valid); a kept bundle stands for that check, and a build that raises
-    keeps nothing. What depends on the parameter binding is kept apart:
+    unless it was validated where it entered (``ir.validate_or_raise``;
+    ``ValidationFailed`` if it is not valid); a kept bundle stands for that
+    check, and a build that raises keeps nothing. What depends on the
+    parameter binding is kept apart:
     ``gradient()``'s run plans and ``plan()``'s analyses, which also
     prepare the library steps their runs take (``ir.library_steps``)."""
     bundle = program._kept.get("bundle")

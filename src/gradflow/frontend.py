@@ -1,11 +1,13 @@
 """JSON program format: total parser, canonical serializer, builder.
 
-``parse_program`` accepts arbitrary bytes and either returns a ``Program`` or
-raises ``ProgramSyntaxError`` with a path into the document (``region/2/
-nodes/0/body/y``). It never raises anything else, with one exception: a loop
-of kind ``while`` is structurally valid but unsupported, and surfaces as
-``UnsupportedLoop`` so callers can distinguish "malformed" from "recognized
-but out of scope".
+``parse_program`` accepts arbitrary bytes and either returns a validated
+``Program`` or raises ``ProgramSyntaxError`` with a path into the document
+(``region/2/nodes/0/body/y``), or ``ValidationFailed`` for a well-formed
+document whose program breaks a rule of ``ir.validate``. It never raises
+anything else, with one exception: a loop of kind ``while`` is
+structurally valid but unsupported, and surfaces as ``UnsupportedLoop`` so
+callers can distinguish "malformed" from "recognized but out of scope".
+``parse_unvalidated`` is the same parse without the final validation.
 
 ``serialize_program`` is canonical: keys sorted, two-space indent, trailing
 newline, expressions re-rendered from their parsed form. Serializing the
@@ -20,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ProgramSyntaxError, UnsupportedLoop, ValidationFailed
+from .errors import ProgramSyntaxError, UnsupportedLoop
 from .ir import (
     AccessNode,
     Block,
@@ -35,8 +37,7 @@ from .ir import (
     Program,
     State,
     Tasklet,
-    peel_diagnostics,
-    validate,
+    validate_or_raise,
 )
 from .symexpr import Binary, Const, Expr, Index, Unary, parse_sexpr, to_sexpr
 
@@ -103,6 +104,12 @@ def _str_list(obj: dict, key: str, path: list, optional: bool = False) -> tuple[
 
 
 def parse_program(text: str | bytes) -> Program:
+    program = parse_unvalidated(text)
+    validate_or_raise(program)
+    return program
+
+
+def parse_unvalidated(text: str | bytes) -> Program:
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -254,7 +261,7 @@ def _parse_loop(rb: dict, p: list) -> LoopRegion:
     cmp = _get(rb, "cmp", p, str)
     if cmp not in ("<", ">"):
         _fail(p + ["cmp"], f"comparison must be '<' or '>', got '{cmp}'")
-    loop = LoopRegion(
+    return LoopRegion(
         label=_get(rb, "label", p, str),
         iterator=_get(rb, "iterator", p, str),
         init=_expr(_get(rb, "init", p, str), p + ["init"]),
@@ -266,12 +273,6 @@ def _parse_loop(rb: dict, p: list) -> LoopRegion:
         skip=_get(rb, "skip", p, int, optional=True, default=0),
         take=_get(rb, "take", p, int, optional=True),
     )
-    # a peel's skip and take index the simulated iterates: reject them here
-    # rather than fail on the index when the loop runs
-    diags = peel_diagnostics(loop)
-    if diags:
-        raise ValidationFailed(diags)
-    return loop
 
 
 def _parse_branch(rb: dict, p: list) -> Conditional:
@@ -526,10 +527,7 @@ class ProgramBuilder:
         program = Program(
             self.descriptors, self.parameters, self.region, dependent, tuple(independents)
         )
-        diags = validate(program)
-        if diags:
-            raise ValidationFailed(diags)
-        program._kept["validated"] = True  # so backward_of does not check it again
+        validate_or_raise(program)
         return program
 
 

@@ -7,12 +7,14 @@ passes); an input the program overwrites takes the batch dimensions of the
 others, and branch conditions must agree across the batch
 (``BatchDivergence`` otherwise).
 
-A run goes by a ``RunPlan``: what depends only on the program and the
-parameter binding, built before the run. It holds each name's shape and
-dtype, the names the program writes, a step list per state (the tape
-records, library runs and compiled nests in schedule order), each loop's
-compiled nest, the iterates of each loop whose header reads only
-parameters, and a reverse run's release table. ``gradient()`` keeps its two plans with the program
+A run goes by a ``RunPlan``: what depends only on the (validated) program
+and the parameter binding, built whole before the run. It holds each
+name's shape and dtype, the names the program writes, a step list per
+state (the tape records, library runs and compiled nests in schedule
+order), each loop's compiled nest, the iterates of each loop whose header
+reads only parameters, and a reverse run's release table; a binding under
+which any of them cannot be prepared fails the build, before any state
+runs. ``gradient()`` keeps its two plans with the program
 for the last binding it ran, and ``plan()`` keeps them with each planned
 pair; both hand them to ``run_forward`` and ``run_backward`` through
 ``prepared``. Any other run builds its own plan. A header that reads a
@@ -87,7 +89,6 @@ from .ir import (
     dimensions,
     graph_names,
     header_names,
-    library_expr,
     library_steps,
     live_ranges,
     node_accesses,
@@ -143,28 +144,13 @@ def _tasklet_ops(node: Tasklet, df: Dataflow) -> int:
 @dataclass(frozen=True, slots=True)
 class _LibraryRun:
     """A library node as its runs take it: its graph's step, its op count
-    and, for an elementwise node, its operand checks (``_operand_checks``).
-    Either is None where preparing it raised: the run prepares it, and
-    raises, where an unprepared run would."""
+    and, for an elementwise node, its operand checks (``_operand_checks``;
+    None for a matmul or a sum)."""
 
     node: LibraryNode
     step: LibraryStep
-    cost: int | None
+    cost: int
     checks: tuple | None
-
-
-_LATER = object()  # what preparing raised: the run prepares it where it is needed
-
-
-def _attempt(fn, *args):
-    """``fn(*args)``, or ``_LATER`` if it raises. A plan prepares ahead what
-    an unprepared run evaluates where it needs it; an error there is the
-    run's to raise, at that point, so the run prepares it again and
-    raises it (``RunPlan``)."""
-    try:
-        return fn(*args)
-    except Exception:
-        return _LATER
 
 
 def _visits(loop: LoopRegion, fwd: list[int]) -> list[int]:
@@ -183,11 +169,10 @@ class RunPlan:
     the parameter binding (see the module docstring). ``record`` and
     ``vinfo`` give a forward run its tape records; ``forwarding`` and
     ``src_program`` (whose shapes a reverse run's inputs are checked
-    against) serve a reverse run. Whatever raises while the plan is built
-    is left out, and the run prepares it where it needs it and raises
-    there, as an unprepared run would. A plan refers to no program (``of``
-    is the ``id()`` of the one it runs), so a program that keeps plans is
-    freed without the cycle collector."""
+    against) serve a reverse run. The plan is built whole: what cannot be
+    prepared under ``params`` raises here. A plan refers to no program
+    (``of`` is the ``id()`` of the one it runs), so a program that keeps
+    plans is freed without the cycle collector."""
 
     def __init__(self, program: Program, params: dict[str, int], *, record=None,
                  vinfo: VersionInfo | None = None, forwarding: dict | None = None,
@@ -199,7 +184,7 @@ class RunPlan:
         self.record, self.vinfo, self.forwarding = record, vinfo, forwarding or {}
         evaluated: dict = {}
         self.shapes = _shapes(program, self.params, evaluated)
-        self.dtypes = {n: _DTYPE[d.element_kind] for n, d in program.descriptors.items() if d.element_kind in _DTYPE}
+        self.dtypes = {n: _DTYPE[d.element_kind] for n, d in program.descriptors.items()}
         self.declared = self.shapes if src_program is None else _shapes(src_program, self.params, evaluated)
         self.written = written_descriptors(program)
         desc = program.descriptors
@@ -214,37 +199,33 @@ class RunPlan:
         self.iterates: dict[int, tuple[list[int], list[int]]] = {}
         for b in loops:
             if b.iterator not in self.params and header_names(b) - {b.iterator} <= free:
-                fwd = _attempt(simulate_header, b, self.params)
-                if fwd is not _LATER:
-                    self.iterates[id(b)] = fwd, _visits(b, fwd)
+                fwd = simulate_header(b, self.params)
+                self.iterates[id(b)] = fwd, _visits(b, fwd)
         self.nests: dict = {}  # by loop id or (graph id, node id)
         self.steps: dict[int, tuple] = {}  # by state id
         self._prepare(program.region)
-        self.releases = _LATER if src_program is None else _attempt(self.release_table)
+        self.releases = self._release_table()
 
     def shape_of(self, name: str) -> tuple[int, ...]:
-        s = self.shapes.get(name)
-        return s if s is not None else dimensions(self.descriptors[name], self.params)
+        return self.shapes[name]
 
     def _prepare(self, region: list[Block]):
         """Prepare the blocks of ``region`` that run block by block."""
         for block in region:
             if isinstance(block, State):
-                steps = _attempt(self.state_steps, block)
-                if steps is not _LATER:
-                    self.steps[id(block)] = steps
+                self.steps[id(block)] = self._state_steps(block)
             elif isinstance(block, LoopRegion):
-                if _attempt(self.nest, block) is None:
+                if self._nest(block) is None:
                     self._prepare(block.body)
             else:
                 self._prepare(block.then_body + block.else_body)
 
-    def state_steps(self, state: State) -> tuple:
+    def _state_steps(self, state: State) -> tuple:
         """One state's steps in schedule order, each ``(run, arg, key)``: the
         run calls ``run(executor, arg)`` and then releases what the release
         table holds under ``key``. A tape record at each access node whose
-        version the plan records, a compute node's library run or compiled
-        nest, or its nest compiled when it runs if compiling raised here."""
+        version the plan records, and a compute node's library run or
+        compiled nest."""
         steps = []
         for node in schedule(state.graph):
             if isinstance(node, AccessNode):
@@ -254,10 +235,7 @@ class RunPlan:
             elif isinstance(node, LibraryNode):
                 steps.append((Executor._exec_library, self._library(node, state.graph), id(node)))
             else:
-                nest = _attempt(self.nest, node, state.graph)
-                later = nest is _LATER
-                steps.append((Executor._nest_now, (node, state.graph), id(node)) if later
-                             else (Executor._run_nest, nest, id(node)))
+                steps.append((Executor._run_nest, self._nest(node, state.graph), id(node)))
         return tuple(steps)
 
     def _recorded(self, state_label: str, node: AccessNode) -> int | None:
@@ -269,11 +247,10 @@ class RunPlan:
 
     def _library(self, node: LibraryNode, df: Dataflow) -> _LibraryRun:
         step = library_steps(df)[node.id]
-        cost = _attempt(_library_cost, node, step, self.shape_of)
-        checks = _LATER if node.kind in ("matmul", "reduce_sum") else _attempt(_operand_checks, node, step, self.shape_of)
-        return _LibraryRun(node, step, None if cost is _LATER else cost, None if checks is _LATER else checks)
+        checks = None if node.kind in ("matmul", "reduce_sum") else _operand_checks(node, step, self.shape_of)
+        return _LibraryRun(node, step, _library_cost(node, step, self.shape_of), checks)
 
-    def nest(self, root, df: Dataflow | None = None) -> tuple | None:
+    def _nest(self, root, df: Dataflow | None = None) -> tuple | None:
         """The compiled nest of a tasklet or map in ``df``, or of a loop, with
         the loops and library runs it calls back, kept in ``nests``. None
         for a loop whose body holds a branch, a state-level library node, a
@@ -326,11 +303,11 @@ class RunPlan:
                     items.append(self._compute_item(node, block.graph, acc))
         return "loop", j, loop.iterator, tuple(sorted(header_names(loop))), tuple(items)
 
-    def release_table(self) -> tuple[dict[int, tuple], frozenset]:
-        """A reverse run's release table (``releases``, built with a plan
-        that has a ``src_program``): by the ``id()`` of the top-level
-        compute node that touches a value last, or of the top-level loop or
-        branch holding its last touch, what is released there: names in
+    def _release_table(self) -> tuple[dict[int, tuple], frozenset]:
+        """A reverse run's release table (``releases``): by the ``id()`` of
+        the top-level compute node that touches a value last, or of the
+        top-level loop or branch holding its last touch, what is released
+        there: names in
         ``env`` (rank >= 1 gradients, scratch arrays and stored copies) and
         ``(data, version)`` pairs, whose tape snapshots go after the last
         read of any forwarded name that shares them; and the set of those
@@ -377,18 +354,13 @@ class RunPlan:
 
 
 def _shapes(program: Program, params: dict[str, int], evaluated: dict) -> dict[str, tuple[int, ...]]:
-    """Each name's evaluated shape, leaving out a name whose shape raises.
-    ``evaluated`` keeps one tuple per declared shape that evaluated, so a
-    plan's names of one shape share it and a failing shape raises again,
-    with its own descriptor's name, where the run needs it."""
+    """Each name's evaluated shape. ``evaluated`` keeps one tuple per
+    declared shape, so a plan's names of one shape share it."""
     shapes = {}
     for name, desc in program.descriptors.items():
         s = evaluated.get(desc.shape)
         if s is None:
-            s = _attempt(dimensions, desc, params)
-            if s is _LATER:
-                continue
-            evaluated[desc.shape] = s
+            s = evaluated[desc.shape] = dimensions(desc, params)
         shapes[name] = s
     return shapes
 
@@ -432,7 +404,7 @@ class Executor:
     # -- shared helpers ------------------------------------------------------
 
     def _dtype(self, name: str):
-        return self.plan.dtypes.get(name) or _DTYPE[self.descriptors[name].element_kind]
+        return self.plan.dtypes[name]
 
     def read_array(self, name: str) -> np.ndarray:
         arr = self.env.get(name)
@@ -498,8 +470,7 @@ class Executor:
         plan's release table puts it: after its last touch, by the rule the
         memory model prices (``ir.live_ranges``). The tape keys of each
         released ``(data, version)`` are found once, here."""
-        releases = self.plan.releases
-        self.frees, shared = self.plan.release_table() if releases is _LATER else releases
+        self.frees, shared = self.plan.releases
         if shared and self.src_tape is not None:
             for key in self.src_tape.values:
                 if key[:2] in shared:
@@ -527,8 +498,7 @@ class Executor:
                 self._release(id(block))
 
     def _exec_loop(self, loop: LoopRegion):
-        nests = self.plan.nests
-        nest = nests[id(loop)] if id(loop) in nests else self.plan.nest(loop)
+        nest = self.plan.nests[id(loop)]
         if nest is not None:
             return self._run_nest(nest)
         self._run_iterates(loop, self._loop_iterates(loop))
@@ -577,11 +547,8 @@ class Executor:
     # -- dataflow ------------------------------------------------------------
 
     def _exec_state(self, state: State):
-        steps = self.plan.steps.get(id(state))
-        if steps is None:  # preparing it raised: it raises here
-            steps = self.plan.state_steps(state)
         frees = self.frees
-        for run, arg, key in steps:
+        for run, arg, key in self.plan.steps[id(state)]:
             run(self, arg)
             if key in frees:
                 self._release(key)
@@ -590,9 +557,6 @@ class Executor:
         data, v, labels = at
         coords = tuple(self.ctx[l].current for l in labels)
         self.tape.values[(data, v, coords)] = np.array(self.read_array(data), copy=True)
-
-    def _nest_now(self, at: tuple):
-        self._run_nest(self.plan.nest(*at))
 
     def _run_nest(self, nest: tuple):
         fn, loops, libs = nest
@@ -617,17 +581,17 @@ class Executor:
             rank = len(self.shape_of(dict(step.ins)["x"]))
             res = x.sum(axis=tuple(range(-rank, 0))) if rank else np.array(x, copy=True)
         else:  # elementwise: the node's compiled expression on whole arrays
-            pads, mismatch = run.checks or _operand_checks(node, step, self.shape_of)
+            pads, mismatch = run.checks
             for conn, ones in pads:  # rank 0 broadcasts; its batch axes stay leading
                 ins[conn] = ins[conn].reshape(ins[conn].shape + ones)
             if mismatch:
                 raise ShapeMismatch(mismatch)
-            res = np.asarray(step.fn(ins) if step.fn is not None else eval_expr(library_expr(node), ins))
+            res = np.asarray(step.fn(ins))
             for v in ins.values():
                 if v is res:  # the output must not alias an input
                     res = np.array(res, copy=True)
                     break
-        self.op_count += run.cost if run.cost is not None else _library_cost(node, step, self.shape_of)
+        self.op_count += run.cost
 
         for data, wcr in step.outs:
             dtype = self._dtype(data)
@@ -734,9 +698,7 @@ def _prepare_inputs(program: Program, inputs: dict, plan: RunPlan) -> tuple[dict
         if desc is None:
             raise UnboundName(f"input '{name}' is not declared")
         shape = np.shape(value)
-        declared = plan.declared.get(name)
-        if declared is None:
-            declared = dimensions(desc, plan.params)
+        declared = plan.declared[name]
         if desc.rank and shape[len(shape) - desc.rank :] != declared:
             raise ShapeMismatch(
                 f"input '{name}': trailing shape {shape} does not end with {declared}"
@@ -884,7 +846,7 @@ def _library_cost(node: LibraryNode, step: LibraryStep, shape_of: Callable[[str]
         sx = shape_of(dict(step.ins)["x"])
         return math.prod(sx) if sx else 0
     n = math.prod(shape_of(step.outs[0][0]))
-    return n * (step.ops if step.ops is not None else count_ops(library_expr(node)))
+    return n * step.ops
 
 
 def _map_points(node: MapNode, params: dict[str, int]) -> int:

@@ -16,6 +16,7 @@ Invariants enforced by :func:`validate`:
 * a loop body never writes the loop iterator or any name free in the header;
 * ``skip``/``take`` appear only on reversed loops, with skip >= 0, take >= 1;
 * branch conditions are comparisons over scalars, elements and parameters.
+* a matmul's operands are matrices (rank 2).
 
 Every pass that assembles graphs does so through :class:`GraphBuilder`:
 ``frontend.ProgramBuilder`` for its states and map bodies, the reverse
@@ -25,15 +26,16 @@ array's current access instance and a write opens a new one, and a map
 has one edge per array its body reads or writes, whose write edge
 carries ``sum`` only when every body write does.
 
-Each program is checked once, as a whole, where it is built:
-``ProgramBuilder.finish`` validates what it builds and marks it so;
-``autodiff.backward_of`` validates an unmarked program before it
-differentiates it (so a parsed program is checked there, not by
-``parse_program``); ``autodiff.build_backward``
-validates the reverse program it emits; and ``checkpointing.apply_plan``
-validates both planned programs it builds, which ``plan()`` keeps per
-assignment while a ``PlanResult`` holds them, so repeating a plan whose
-result is held validates nothing.
+Each program is checked once, as a whole, where it enters or is built,
+by :func:`validate_or_raise`, which marks a valid program so:
+``frontend.parse_program`` (and ``load_program``) and
+``ProgramBuilder.finish`` validate what they build, and everything after
+them trusts it; ``autodiff.backward_of`` validates an unmarked program
+(one made by ``dataclasses.replace``) before it differentiates it;
+``autodiff.build_backward`` validates the reverse program it emits; and
+``checkpointing.apply_plan`` validates both planned programs it builds,
+which ``plan()`` keeps per assignment while a ``PlanResult`` holds them,
+so repeating a plan whose result is held validates nothing.
 
 A built ``Program`` is a value: no pass changes it. A pass that rewrites a
 few states builds those states anew and rebuilds the program around them
@@ -491,9 +493,8 @@ class LibraryStep:
     array)`` per in-edge and ``(array, wcr)`` per out-edge, in edge order.
     An elementwise node also has ``fn``, its :func:`library_expr` compiled
     over a dict of operands by connector (``symexpr.compile_expr``), and
-    ``ops``, the expression's operator count. Both stay None for a node
-    whose expression does not compile: where it runs or is counted, the
-    expression is evaluated or counted there and raises its own error."""
+    ``ops``, the expression's operator count; a matmul or a sum has
+    neither."""
 
     ins: tuple[tuple[str, str], ...]
     outs: tuple[tuple[str, str | None], ...]
@@ -521,11 +522,8 @@ def library_steps(df: Dataflow) -> dict[str, LibraryStep]:
     for n in libs:
         fn = ops = None
         if n.kind not in ("matmul", "reduce_sum"):
-            try:
-                expr = library_expr(n)
-                fn, ops = compile_expr(expr, {c for c, _ in ins[n.id]}), count_ops(expr)
-            except (DomainError, TypeError):
-                pass  # a malformed node fails where it runs or is counted
+            expr = library_expr(n)  # validate refuses what raises here
+            fn, ops = compile_expr(expr, {c for c, _ in ins[n.id]}), count_ops(expr)
         steps[n.id] = LibraryStep(tuple(ins[n.id]), tuple(outs[n.id]), fn, ops)
     df._steps = steps
     return steps
@@ -590,17 +588,6 @@ def visit_positions(loop: LoopRegion, n: int) -> range:
     top = n - 1 - loop.skip
     stop = -1 if loop.take is None else max(-1, top - loop.take)
     return range(top, stop, -1)
-
-
-def peel_diagnostics(loop: LoopRegion) -> list[Diagnostic]:
-    """``BadLoop`` findings on a loop's ``skip`` and ``take``, which index
-    into its simulated iterates."""
-    out = []
-    if loop.skip < 0:
-        out.append(Diagnostic("BadLoop", f"skip must be at least 0, got {loop.skip}", loop.label))
-    if loop.take is not None and loop.take < 1:
-        out.append(Diagnostic("BadLoop", f"take must be at least 1, got {loop.take}", loop.label))
-    return out
 
 
 def header_names(loop: LoopRegion) -> set[str]:
@@ -807,8 +794,10 @@ def check_loop(program: Program, loop: LoopRegion, iterators: tuple[str, ...], a
         add(Diagnostic("BadLoop", f"comparison must be '<' or '>', got '{loop.cmp}'", where))
     if loop.reverse_of is None and (loop.skip or loop.take is not None):
         add(Diagnostic("BadLoop", "skip and take need a reversed loop (reverse_of)", where))
-    for d in peel_diagnostics(loop):
-        add(d)
+    if loop.skip < 0:  # skip and take index the simulated iterates
+        add(Diagnostic("BadLoop", f"skip must be at least 0, got {loop.skip}", where))
+    if loop.take is not None and loop.take < 1:
+        add(Diagnostic("BadLoop", f"take must be at least 1, got {loop.take}", where))
     written: set[str] = set()
     for _, b in walk_blocks(loop.body):
         if isinstance(b, State):
@@ -889,6 +878,8 @@ def check_graph(program: Program, df: Dataflow, where: str, symbol_scope: tuple[
                     add(Diagnostic("BadLibrary", f"'{n.id}': ew_expr needs an expression", where))
                 elif contains_compare_or_index(n.expr):
                     add(Diagnostic("BadCondition", f"'{n.id}' expression uses condition-only syntax", where))
+                else:
+                    _check_constants(n.expr, where, f"'{n.id}' expression", add)
         if isinstance(n, MapNode):
             if len(n.params) != len(n.ranges):
                 add(Diagnostic("ArityMismatch", f"map '{n.id}': {len(n.params)} params, {len(n.ranges)} ranges", where))
@@ -921,13 +912,15 @@ def check_graph(program: Program, df: Dataflow, where: str, symbol_scope: tuple[
         desc = program.descriptors.get(e.data)
         if desc is not None and e.subset is not None and len(e.subset) != desc.rank:
             add(Diagnostic("BadSubset", f"subset arity {len(e.subset)} != rank {desc.rank} for '{e.data}'", where))
+        comp, conn, is_in = (dst, e.dst_conn, True) if isinstance(src, AccessNode) else (src, e.src_conn, False)
+        if desc is not None and desc.rank != 2 and isinstance(comp, LibraryNode) and comp.kind == "matmul":
+            add(Diagnostic("BadLibrary", f"matmul '{comp.id}': operand '{conn}' has rank {desc.rank}, not 2", where))
         if e.subset is not None:
             for part in e.subset:
                 _check_scope(part, scope, where, f"subset of '{e.data}'", add)
                 _check_constants(part, where, f"subset of '{e.data}'", add)
         if e.wcr not in (None, "sum"):
             add(Diagnostic("BadSubset", f"unknown wcr '{e.wcr}'", where))
-        comp, conn, is_in = (dst, e.dst_conn, True) if isinstance(src, AccessNode) else (src, e.src_conn, False)
         if isinstance(comp, MapNode):
             # map edges declare whole-array dependencies; elements move
             # via the body's own access nodes
@@ -1038,9 +1031,12 @@ def data_read(df: Dataflow) -> set[str]:
 
 
 def validate_or_raise(program: Program) -> None:
+    """``ValidationFailed`` unless ``program`` is valid; a valid program is
+    marked so (``_kept``), and ``autodiff.backward_of`` trusts the mark."""
     diags = validate(program)
     if diags:
         raise ValidationFailed(diags)
+    program._kept["validated"] = True
 
 
 def written_descriptors(program: Program) -> set[str]:

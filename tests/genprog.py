@@ -28,7 +28,8 @@ import json
 import math
 import random
 
-from gradflow import ProgramBuilder, parse_program, program_to_dict
+from gradflow import ProgramBuilder, program_to_dict
+from gradflow.frontend import parse_unvalidated
 from gradflow.ir import EW_BINARY_OPS, EW_UNARY_OPS, Program
 
 MAX_SINS = 12
@@ -163,7 +164,8 @@ def runtime_header_array_program() -> Program:
 def ew_expr_program(expr: str) -> Program:
     """E = ``expr`` elementwise over inputs G (connector ``_g``) and X
     (connector ``x``), both [n] real64; O = sum E. Built through JSON, the
-    only spelling of a forward ``ew_expr`` node; not validated."""
+    only spelling of a forward ``ew_expr`` node; not validated
+    (``parse_unvalidated``), so an invalid expression reaches the caller."""
     b = ProgramBuilder(("n",))
     for name in ("G", "X"):
         b.array(name, ("n",), role="input", kind="real64")
@@ -181,7 +183,7 @@ def ew_expr_program(expr: str) -> Program:
         for end in ("src", "dst"):
             if e[end] == nid:
                 e[end + "_conn"] = rename[e[end + "_conn"]]
-    return parse_program(json.dumps(doc))
+    return parse_unvalidated(json.dumps(doc))
 
 
 def _unary_box(op: str, lo: float, hi: float, const: float):

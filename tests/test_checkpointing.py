@@ -607,8 +607,9 @@ def test_planned_and_replaced_programs_start_with_nothing_kept(monkeypatch):
     result = plan(program, 0.6 * plan(program, None, params).solution.t_star / MIB, params)
     run_planned(result, inputs, params)
     assert program._kept
-    for made in (result.forward, result.backward, result.bundle.backward,
-                 replace(program, independents=("X",)), replace(program)):
+    for made in (result.forward, result.backward):  # apply_plan validated them
+        assert made._kept == {"validated": True}
+    for made in (result.bundle.backward, replace(program, independents=("X",)), replace(program)):
         assert made._kept == {}
     calls = _count_calls(monkeypatch, build_backward)
     gradient(replace(program), inputs, params)

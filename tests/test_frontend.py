@@ -18,6 +18,7 @@ from gradflow import (
     validate_or_raise,
 )
 from gradflow.errors import GradflowError, ProgramSyntaxError, ValidationFailed
+from gradflow.frontend import parse_unvalidated
 from gradflow.ir import AccessNode, LoopRegion
 from gradflow.symexpr import Binary, Const, Name
 from genprog import ew_expr_program
@@ -264,13 +265,19 @@ def test_ew_expr_round_trips_and_takes_its_connectors_from_the_expression():
     assert '"expr": "(mul _g (sin x))"' in text
     assert serialize_program(parse_program(text)) == text
     # a free name with no edge is an unwired connector
-    diags = validate(ew_expr_program("(mul _g (sin z))"))
+    bad = ew_expr_program("(mul _g (sin z))")
+    diags = validate(bad)
     assert {d.code for d in diags} == {"UnknownConnector", "ArityMismatch"}
+    with pytest.raises(ValidationFailed, match="UnknownConnector"):
+        parse_program(serialize_program(bad))
 
 
 def test_ew_expr_rejects_condition_only_syntax():
-    diags = validate(ew_expr_program("(add _g (lt x 1))"))
+    bad = ew_expr_program("(add _g (lt x 1))")
+    diags = validate(bad)
     assert [d.code for d in diags] == ["BadCondition"]
+    with pytest.raises(ValidationFailed, match="BadCondition"):
+        parse_program(serialize_program(bad))
 
 
 @pytest.mark.parametrize("key", ["skip", "take"])
@@ -278,9 +285,11 @@ def test_skip_and_take_need_a_reversed_loop(key):
     doc, loops = _pingpong_backward_doc()
     del loops[0]["reverse_of"]
     loops[0][key] = 1
-    diags = validate(parse_program(json.dumps(doc)))
+    diags = validate(parse_unvalidated(json.dumps(doc)))
     assert [d.code for d in diags] == ["BadLoop"]
     assert "skip and take need a reversed loop" in diags[0].message
+    with pytest.raises(ValidationFailed, match="skip and take need a reversed loop"):
+        parse_program(json.dumps(doc))
 
 
 @pytest.mark.parametrize("key,value", [

@@ -24,6 +24,7 @@ from gradflow import (
     sample_inputs,
     simulate_memory,
 )
+from gradflow.frontend import parse_unvalidated
 from gradflow.errors import (
     BatchDivergence,
     DomainError,
@@ -301,8 +302,9 @@ def test_domain_error_propagates():
 
 
 def test_unknown_elementwise_op_is_a_domain_error():
-    # parse_program does not validate, so the executor meets the unknown op
-    # itself; gradient() validates the program before differentiating it
+    # parse_program refuses the unknown op; past validation
+    # (parse_unvalidated) the executor meets it itself, and gradient()
+    # validates the unmarked program before differentiating it
     b = ProgramBuilder(())
     b.array("X", ("3",), role="input", kind="real64")
     b.array("Y", ("3",), kind="real64")
@@ -311,7 +313,9 @@ def test_unknown_elementwise_op_is_a_domain_error():
         s.library("ew_unary", {"x": "X"}, {"y": "Y"}, op="sin")
         s.library("reduce_sum", {"x": "Y"}, {"y": "O"})
     text = json.dumps(program_to_dict(b.finish("O", ["X"]))).replace('"sin"', '"frob"')
-    p = parse_program(text)
+    with pytest.raises(ValidationFailed, match="BadLibrary: 'n1': unknown elementwise op 'frob'"):
+        parse_program(text)
+    p = parse_unvalidated(text)
     with pytest.raises(DomainError, match="unknown elementwise op 'frob'"):
         run_forward(p, {"X": np.ones(3)}, {})
     with pytest.raises(ValidationFailed, match="BadLibrary: 'n1': unknown elementwise op 'frob'"):
@@ -579,7 +583,11 @@ def _gather_document(subset: str, bound) -> dict:
                  id="doubling"),
 ])
 def test_compiled_tasklet_errors_keep_their_class_and_message(subset, bound, error, msg, batch):
-    program = parse_program(json.dumps(_gather_document(subset, bound)))
+    text = json.dumps(_gather_document(subset, bound))
+    if error is UnboundName:  # validation refuses the unbound subset where the document enters
+        with pytest.raises(ValidationFailed, match=r"UnboundName: subset of 'X' uses \['k'\]"):
+            parse_program(text)
+    program = parse_unvalidated(text)
     with pytest.raises(error) as info:
         run_forward(program, {"X": np.ones(batch + (3,))}, {"n": 3})
     assert str(info.value) == msg
@@ -916,7 +924,9 @@ def _two_deep(subset: str, bound: str, doc_subset: str | None = None):
         return p
     doc = program_to_dict(p)
     doc["region"][0]["body"][0]["body"][0]["edges"][0]["subset"] = [doc_subset]
-    return parse_program(json.dumps(doc))
+    with pytest.raises(ValidationFailed, match=f"UnboundName: subset of 'X' uses \\['{doc_subset}'\\]"):
+        parse_program(json.dumps(doc))
+    return parse_unvalidated(json.dumps(doc))
 
 
 def _map_in_a_loop(step: str):
@@ -1010,7 +1020,9 @@ def test_a_tasklet_with_no_out_edge_runs_and_writes_nothing(rng):
     doc = program_to_dict(examples.build("doubling_gather"))
     init = doc["region"][0]
     init["edges"] = [e for e in init["edges"] if e["src"] != "t1"]
-    p = parse_program(json.dumps(doc))
+    with pytest.raises(ValidationFailed, match="ArityMismatch: 't1' output 'o' has 0 edges"):
+        parse_program(json.dumps(doc))
+    p = parse_unvalidated(json.dumps(doc))
     inputs = sample_inputs(p, {}, rng)
     res = run_forward(p, inputs, {})
     assert res.value == 0.0 and res.op_count == count_flops(p, {})[()] == 4

@@ -10,13 +10,15 @@ from hypothesis import given, strategies as st
 
 import gradflow.examples as examples
 import gradflow.ir as ir
-from gradflow import parse_program, plan, serialize_program, size_bytes, validate
+from gradflow import parse_program, plan, program_to_dict, serialize_program, size_bytes, validate
 from gradflow.errors import Infeasible, NonTermination, ValidationFailed
+from gradflow.frontend import parse_unvalidated
 from gradflow.ir import (
     AccessNode,
     Conditional,
     DataDescriptor,
     Dataflow,
+    LibraryNode,
     LoopRegion,
     MapNode,
     State,
@@ -203,11 +205,26 @@ def test_a_dangling_edge_is_reported_not_raised():
     # parsed, so the graph has no kept schedule: validate must not order it
     doc = json.loads(serialize_program(examples.scaled_product_chain()))
     doc["region"][0]["edges"][0]["src"] = "nope"
-    program = parse_program(json.dumps(doc))
+    with pytest.raises(ValidationFailed, match="UnknownNode: edge references 'nope'"):
+        parse_program(json.dumps(doc))
+    program = parse_unvalidated(json.dumps(doc))
     codes = [d.code for d in validate(program)]
     assert "UnknownNode" in codes and "CycleInState" not in codes
     with pytest.raises(ValidationFailed):
         ir.validate_or_raise(program)
+
+
+@pytest.mark.parametrize("name, shape", [("A", ["d"]), ("B", ["d", "d", "d"]), ("C", [])])
+def test_a_matmul_operand_that_is_no_matrix_is_reported(name, shape):
+    # the op count and the run read two dimensions of each operand
+    doc = program_to_dict(examples.build("matmul_sum"))
+    next(d for d in doc["descriptors"] if d["name"] == name)["shape"] = shape
+    conn = {"A": "a", "B": "b", "C": "c"}[name]
+    with pytest.raises(ValidationFailed) as info:
+        parse_program(json.dumps(doc))
+    assert [repr(d) for d in info.value.diagnostics] == [
+        f"BadLibrary: matmul 'n1': operand '{conn}' has rank {len(shape)}, not 2 [prod]",
+    ]
 
 
 def test_a_constant_that_is_no_int_or_float_is_reported():
@@ -244,6 +261,25 @@ def test_a_scale_node_whose_constant_is_no_int_or_float_is_reported(const):
     hand_built = replace(program, region=[State("s", Dataflow(nodes, state.graph.edges))])
     assert [repr(d) for d in validate(hand_built)] == [
         f"BadConstant: scale node '{nid}' has constant {const!r}, not an int or float [s]",
+    ]
+
+
+def test_an_ew_expr_whose_constant_is_no_int_or_float_is_reported():
+    # its library step compiles the expression, which takes plain numbers
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.array("Y", ("n",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("s") as s:
+        nid = s.library("ew_unary", {"x": "X"}, {"y": "Y"}, op="sin")
+        s.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+    program = b.finish("O", ["X"])
+    (state,) = program.region
+    half = Binary("mul", Const(Fraction(1, 2)), Name("x"))
+    nodes = [LibraryNode(nid, "ew_expr", expr=half) if n.id == nid else n for n in state.graph.nodes]
+    hand_built = replace(program, region=[State("s", Dataflow(nodes, state.graph.edges))])
+    assert [repr(d) for d in validate(hand_built)] == [
+        f"BadConstant: '{nid}' expression has constant Fraction(1, 2), not an int or float [s]",
     ]
 
 
