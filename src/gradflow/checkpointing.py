@@ -22,13 +22,17 @@ tape holds (snapshots across loop iterations, or an input's value before it
 is overwritten in place) counts all its snapshots from the start of the
 forward pass: the most any path records.
 
-Solver: each event total is one memory row, affine in the store bits. Rows
-that never exceed the limit, and rows another row dominates, are dropped
-before the search; the rest are held as dense integer arrays. Best-first
-branch and bound decides the values in production order. Its key is the
-recompute flops paid so far plus a fractional-knapsack bound on the flops
-still to pay, computed exactly, then the decided bits; so among the
-cheapest plans it returns the one that stores the earliest-produced values.
+Solver: each event total is one memory row, affine in the store bits. The
+rows are dense int64 arrays for building, for the dominance test and for
+the infeasible floor. Rows that never exceed the limit, and rows another
+row dominates, are dropped before the search; the search reads the rest in
+Python ints. Best-first branch and bound decides the values in production
+order. Its key is the recompute flops paid so far plus a fractional-knapsack
+bound on the flops still to pay, computed exactly, then the decided bits;
+so among the cheapest plans it returns the one that stores the
+earliest-produced values. The dominance mask and the knapsack tables do not
+depend on the limit: they are built once per parameter binding, on first
+need, and kept with the rows.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import itertools
 import time
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -585,10 +589,11 @@ def build_ilp(
         for ev in seq.events
     )
     fixed = {fv.index: 1 for fv in fvs if fv.forced}
-    rows = MemoryRows.of([*(t for _, _, t in events), AffineBytes()], len(fvs), fixed)
+    costs = tuple(fv.c_flops for fv in fvs)
+    rows = MemoryRows.of([*(t for _, _, t in events), AffineBytes()], costs, fixed)
     return ILPProblem(
         k=len(fvs),
-        costs=tuple(fv.c_flops for fv in fvs),
+        costs=costs,
         fixed=fixed,
         events=events,
         limit_bytes=limit_bytes,
@@ -598,33 +603,60 @@ def build_ilp(
     )
 
 
+class SearchRow(NamedTuple):
+    """One memory row in Python ints, as the search reads it."""
+
+    index: int  # in its MemoryRows
+    top: int  # highest total under any assignment
+    low: int  # lowest total under any assignment
+    up: list[int]  # per value, the rise when it is stored
+    down: list[int]  # per value, the rise when it is recomputed
+    tail: list[int]  # suffix sums of ``up``, one per depth, then 0
+
+
 class MemoryRows:
     """Event totals as dense int64 rows over the plan bits: row e holds
     ``base[e] + delta[e] @ v`` bytes, where ``base`` is the total when every
-    value is recomputed and ``delta`` is store minus recompute bytes."""
+    value is recomputed and ``delta`` is store minus recompute bytes.
+    ``costs`` are the recompute flops per value.
 
-    def __init__(self, base: np.ndarray, delta: np.ndarray):
+    What the search reads does not depend on the limit, so it is built on
+    first need and kept with the rows: the rows no other row dominates, in
+    Python ints, and their knapsack tables per depth."""
+
+    def __init__(self, base: np.ndarray, delta: np.ndarray, costs: tuple[int, ...]):
         self.base = base
         self.delta = delta
+        self.costs = costs
         self.up = np.maximum(delta, 0)  # rise when the value is stored
         self.down = np.maximum(-delta, 0)  # rise when it is recomputed
+        self._undominated: list[SearchRow] | None = None
+        self._tables: dict[tuple[int, int], tuple] = {}  # (row, depth) -> table(row, depth)
 
     @classmethod
-    def of(cls, totals, k: int, fixed: dict[int, int]) -> "MemoryRows":
-        """Rows of the given totals, with the ``fixed`` values folded into
-        ``base``."""
-        base = np.array([t.const + sum(c for _, c in t.rec) for t in totals], dtype=np.int64)
-        delta = np.zeros((len(totals), k), dtype=np.int64)
-        store = [(e, i, c) for e, t in enumerate(totals) for i, c in t.store]
-        rec = [(e, i, -c) for e, t in enumerate(totals) for i, c in t.rec]
-        for terms in (store, rec):
-            if terms:
-                e, i, c = np.array(terms, dtype=np.int64).T
-                np.add.at(delta, (e, i), c)
+    def of(cls, totals, costs: tuple[int, ...], fixed: dict[int, int]) -> "MemoryRows":
+        """Rows of the given totals over ``len(costs)`` values, with the
+        ``fixed`` values folded into ``base``."""
+        k = len(costs)
+        base, rows, which = [], [], []  # per total its base and its delta in rows
+        terms = None
+        for t in totals:
+            if (t.store, t.rec) != terms:  # consecutive totals share their terms
+                terms, row = (t.store, t.rec), [0] * k
+                for i, c in t.store:
+                    row[i] += c
+                for i, c in t.rec:
+                    row[i] -= c
+                rows.append(row)
+                rec = sum(c for _, c in t.rec)
+            base.append(t.const + rec)
+            which.append(len(rows) - 1)
+        base = np.array(base, dtype=np.int64)
+        delta = np.array(rows, dtype=np.int64).reshape(len(rows), k)[which]
         for i, v in fixed.items():
             base += v * delta[:, i]
             delta[:, i] = 0
-        return cls(base, delta)
+        return cls(base, delta, costs)
 
     def values(self, assignment) -> np.ndarray:
         return self.base + self.delta @ np.asarray(assignment, dtype=np.int64)
@@ -633,41 +665,72 @@ class MemoryRows:
         """Lowest total each row reaches under any assignment."""
         return self.base - self.down.sum(axis=1)
 
-    def decide(self, low: np.ndarray, i: int, v: int) -> np.ndarray:
-        """``low`` once value i, undecided in it, is stored (v=1) or
-        recomputed (v=0)."""
-        return low + (self.up[:, i] if v else self.down[:, i])
-
-    def prune(self, limit: int) -> "MemoryRows":
+    def kept(self, limit: int) -> list[SearchRow]:
         """The rows that can exceed ``limit`` and that no other row
         dominates; of identical rows the first stays. Row b dominates row a
-        when it is at least a under every assignment."""
-        live = self.base + self.up.sum(axis=1) > limit
-        base, delta = self.base[live], self.delta[live]
+        when it is at least a under every assignment, so if a can exceed a
+        limit, b can too: masking the rows undominated among all of them
+        keeps what pruning the rows that can exceed the limit among
+        themselves keeps."""
+        if self._undominated is None:
+            self._undominated = [self._search_row(r) for r in np.flatnonzero(self._dominance()).tolist()]
+        return [row for row in self._undominated if row.top > limit]
+
+    def _dominance(self) -> np.ndarray:
+        """The mask of the rows no other row beats: a row beats another it
+        dominates unless that one dominates it back and comes first."""
+        base, delta = self.base, self.delta
         n, k = delta.shape
-        dom = np.empty((n, n), dtype=bool)  # dom[b, a]: b dominates a
+        keep = np.empty(n, dtype=bool)
         step = max(1, (1 << 20) // max(1, n * k))
         for lo in range(0, n, step):
-            a = slice(lo, lo + step)
-            gap = base - base[a, None] + np.minimum(delta - delta[a, None], 0).sum(axis=2)
-            dom[:, a] = (gap >= 0).T
-        earlier = np.triu(np.ones((n, n), dtype=bool), 1)  # earlier[b, a]: b < a
-        beaten = dom & (~dom.T | earlier)
-        np.fill_diagonal(beaten, False)
-        keep = ~beaten.any(axis=0)
-        return MemoryRows(base[keep], delta[keep])
+            a = np.arange(lo, min(lo + step, n))
+            diff = delta - delta[a, None]  # [a, b]: row b minus row a
+            over = base - base[a, None] + np.minimum(diff, 0).sum(axis=2) >= 0  # b dominates a
+            under = base[a, None] - base - np.maximum(diff, 0).sum(axis=2) >= 0  # a dominates b
+            beaten = over & (~under | (np.arange(n) < a[:, None]))
+            beaten[np.arange(len(a)), a] = False
+            keep[a] = ~beaten.any(axis=1)
+        return keep
 
-    def floor(self, free: list[int]) -> int:
-        """Exact least highest row over every assignment of the ``free``
-        values, enumerated as low-bit subsets against each high-bit one."""
-        d = self.delta[:, free]
+    def _search_row(self, r: int) -> SearchRow:
+        up, down = self.up[r].tolist(), self.down[r].tolist()
+        tail = [*itertools.accumulate(reversed(up), initial=0)][::-1]
+        base = int(self.base[r])
+        return SearchRow(r, base + tail[0], base - sum(down), up, down, tail)
+
+    def table(self, r: int, depth: int) -> tuple[list, list[int], list[int]]:
+        """Row r's undecided values whose recompute lowers it, as (flops,
+        bytes) cheapest per byte first, with running byte and flop sums."""
+        got = self._tables.get((r, depth))
+        if got is None:
+            got = self._tables[r, depth] = self._knapsack(r, depth)
+        return got
+
+    def _knapsack(self, r: int, depth: int) -> tuple[list, list[int], list[int]]:
+        up, costs = self.up[r].tolist(), self.costs
+        items = sorted(
+            ((costs[i], up[i]) for i in range(depth, len(up)) if up[i] > 0),
+            key=functools.cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]),  # exact ratios
+        )
+        return (
+            items,
+            list(itertools.accumulate(b for _, b in items)),
+            [0, *itertools.accumulate(c for c, _ in items)],
+        )
+
+    def floor(self, free: list[int], rows: list[int]) -> int:
+        """Exact least highest of ``rows`` over every assignment of the
+        ``free`` values, enumerated as low-bit subsets against each high-bit
+        one."""
+        d = self.delta[rows][:, free]
 
         def subset_sums(cols: np.ndarray) -> np.ndarray:
             bits = (np.arange(1 << cols.shape[1])[:, None] >> np.arange(cols.shape[1])) & 1
             return bits @ cols.T
 
         split = min(len(free), 12)
-        low = self.base + subset_sums(d[:, :split])
+        low = self.base[rows] + subset_sums(d[:, :split])
         return int(min((low + h).max(axis=1).min() for h in subset_sums(d[:, split:])))
 
 
@@ -676,16 +739,20 @@ def solve_ilp(problem: ILPProblem) -> ILPSolution:
     production order.
 
     Storing everything costs no flops, so it wins whenever it fits.
-    Otherwise the event totals become dense rows with the pinned values
-    folded in (``MemoryRows``), and only the rows that can bind stay: a row
-    whose highest value is within the limit never binds, and a dominated row
-    binds only where its dominator already does. A search node carries the
-    lowest total each kept row can still reach; a child costs one vector
-    update, and it is pruned when a row exceeds the limit. The heap key adds
-    to the flops paid so far an admissible bound on the flops still to pay:
-    for each kept row over the limit with every undecided value stored, the
-    fractional knapsack over the undecided values whose recompute lowers it,
-    rounded up in exact integers; the bound is the largest of these.
+    Otherwise only the memory rows that can bind stay (``MemoryRows.kept``):
+    a row whose highest value is within the limit never binds, and a
+    dominated row binds only where its dominator already does. The rows are
+    dense int64 arrays for building, for the dominance mask and for the
+    infeasible floor; the search reads each kept row in Python ints. A
+    search node carries, as a tuple, the lowest total each kept row can
+    still reach; a child adds one value's rise per row, and it is pruned
+    when a row exceeds the limit. The heap key adds to the flops paid so far
+    an admissible bound on the flops still to pay: for each kept row over
+    the limit with every undecided value stored, the fractional knapsack
+    over the undecided values whose recompute lowers it, rounded up in exact
+    integers; the bound is the largest of these. The dominance mask, the
+    Python rows and the knapsack tables do not depend on the limit, so they
+    are built once per ``MemoryRows``, on first need.
 
     Ties resolve to the assignment that stores the earliest-produced values:
     keys are ``(flops + bound, decided bits as 1 - v)``, every prefix of that
@@ -704,34 +771,20 @@ def solve_ilp(problem: ILPProblem) -> ILPSolution:
         return ILPSolution((1,) * k, 0, peak, nodes, ms)
 
     full = problem.rows
-    rows = full.prune(limit)
+    rows = full.kept(limit)
+    tails = [(row.index, row.tail) for row in rows]
+    table = full.table
     costs = problem.costs
-    up_tail = np.zeros((len(rows.base), k + 1), dtype=np.int64)
-    up_tail[:, :k] = np.cumsum(rows.up[:, ::-1], axis=1)[:, ::-1]
 
-    @functools.cache
-    def table(r: int, depth: int):
-        """Row r's undecided values whose recompute lowers it, as (flops,
-        bytes) cheapest per byte first, with running byte and flop sums."""
-        up = rows.up[r].tolist()
-        items = sorted(
-            ((costs[i], up[i]) for i in range(depth, k) if up[i] > 0),
-            key=functools.cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]),  # exact ratios
-        )
-        return (
-            items,
-            list(itertools.accumulate(b for _, b in items)),
-            [0, *itertools.accumulate(c for c, _ in items)],
-        )
-
-    def bound(depth: int, low: np.ndarray) -> int | None:
+    def bound(depth: int, low: tuple[int, ...]) -> int | None:
         """Least flops the undecided values still cost, None if no
         completion fits."""
-        shed = low + up_tail[:, depth] - limit  # bytes each row must lose
         best = 0
-        for r in np.flatnonzero(shed > 0).tolist():
+        for (r, tail), lo in zip(tails, low):
+            need = lo + tail[depth] - limit  # bytes the row must lose
+            if need <= 0:
+                continue
             items, cum_bytes, cum_flops = table(r, depth)
-            need = int(shed[r])
             j = bisect.bisect_left(cum_bytes, need)
             if j == len(items):
                 return None
@@ -740,7 +793,7 @@ def solve_ilp(problem: ILPProblem) -> ILPSolution:
             best = max(best, cum_flops[j] - (-c * rest // b))
         return best
 
-    low = rows.low()
+    low = tuple(row.low for row in rows)
     h = bound(0, low)
     heap = [] if h is None else [(h, (), 0, low)]
     while heap:
@@ -751,10 +804,10 @@ def solve_ilp(problem: ILPProblem) -> ILPSolution:
             assignment = tuple(1 - b for b in bits)
             t_star = int(full.values(assignment).max())
             ms = (time.perf_counter() - t0) * 1e3
-            return ILPSolution(assignment, obj, t_star, nodes, ms, len(rows.base))
+            return ILPSolution(assignment, obj, t_star, nodes, ms, len(rows))
         forced = problem.fixed.get(depth)
         for v in (1, 0) if forced is None else (forced,):
-            child = rows.decide(low, depth, v)
+            child = tuple(lo + (row.up if v else row.down)[depth] for row, lo in zip(rows, low))
             h = bound(depth + 1, child)
             if h is None:
                 continue
@@ -762,7 +815,7 @@ def solve_ilp(problem: ILPProblem) -> ILPSolution:
             heapq.heappush(heap, (paid + h, bits + (1 - v,), paid, child))
 
     if k <= 20:
-        best = rows.floor([i for i in range(k) if i not in problem.fixed])
+        best = full.floor([i for i in range(k) if i not in problem.fixed], [row.index for row in rows])
         raise Infeasible(
             f"no plan fits in {limit} bytes; the best achievable peak is {best} bytes",
             min_peak_bytes=best,

@@ -734,7 +734,9 @@ def validate(program: Program) -> list[Diagnostic]:
     seen_labels: set[str] = set()
     for path, block in walk_blocks(program.region):
         label = block.label
-        if label in seen_labels:
+        if not label:  # passes key branches and states by their label
+            add(Diagnostic("EmptyLabel", f"{type(block).__name__} block has an empty label", "/".join(path)))
+        elif label in seen_labels:
             add(Diagnostic("DuplicateName", f"block label '{label}' repeated"))
         seen_labels.add(label)
 

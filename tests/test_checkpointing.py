@@ -80,13 +80,15 @@ def test_affine_bytes_algebra():
     assert a.value((1, 1)) == 10 + 5
     assert a.value((0, 0)) == 10 + 3
     assert a.value((1, 0)) == 10 + 5 + 3
-    rows = MemoryRows.of([a], 2, {})
+    rows = MemoryRows.of([a], (0, 0), {})
     assert all(rows.values(v)[0] == a.value(v) for v in itertools.product((0, 1), repeat=2))
     # independent per-term minimum is a lower bound over all assignments
     low = rows.low()
     assert all(low[0] <= a.value(v) for v in itertools.product((0, 1), repeat=2))
-    # deciding a variable tightens the bound
-    assert rows.decide(low, 0, 1)[0] >= low[0]
+    # the search's view of the row: storing v0 raises the bound by 5,
+    # recomputing v1 by 3; the suffix sums of the rises when stored
+    (row,) = rows.kept(0)
+    assert row == (0, 18, 10, [5, 0], [0, 3], [5, 0, 0]) and row.low == low[0]
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +374,40 @@ def test_solver_agrees_with_brute_force_on_random_rows():
             ref = brute_force_plan(fvs, seqs, limit)
             assert (got.assignment, got.objective_flops, got.t_star) == \
                 (ref.assignment, ref.objective_flops, ref.t_star), (case, limit)
+
+
+def _pruned_per_limit(rows: MemoryRows, limit: int) -> list[int]:
+    """Reference: the rows that can exceed ``limit``, pruned of dominated
+    rows among themselves (of identical rows the first stays)."""
+    live = np.flatnonzero(rows.base + rows.up.sum(axis=1) > limit)
+    base, delta = rows.base[live], rows.delta[live]
+    n = len(live)
+    # dom[b, a]: b is at least a under every assignment
+    dom = base[:, None] - base[None, :] + np.minimum(delta[:, None] - delta[None, :], 0).sum(axis=2) >= 0
+    earlier = np.triu(np.ones((n, n), dtype=bool), 1)  # earlier[b, a]: b < a
+    beaten = dom & (~dom.T | earlier)
+    np.fill_diagonal(beaten, False)
+    return live[~beaten.any(axis=0)].tolist()
+
+
+def test_rows_kept_under_each_limit_match_a_per_limit_prune():
+    r = random.Random(11)
+    seen_dropped = 0
+    for case in range(150):
+        k = r.randint(0, 5)
+        pool = [AffineBytes(r.randint(0, 12), tuple((i, r.randint(-3, 6)) for i in range(k) if r.random() < 0.5),
+                            tuple((i, r.randint(-3, 6)) for i in range(k) if r.random() < 0.5))
+                for _ in range(r.randint(1, 6))]
+        # repeats give identical rows; constant shifts give dominated ones
+        totals = [replace(t, const=t.const + r.choice((0, 0, -2, 3))) for t in r.choices(pool, k=r.randint(1, 12))]
+        fixed = {i: 1 for i in range(k) if r.random() < 0.2}
+        rows = MemoryRows.of(totals, (1,) * k, fixed)
+        tops = (rows.base + rows.up.sum(axis=1)).tolist()
+        for limit in sorted({t + d for t in tops for d in (-1, 0)} | {min(rows.low().tolist()) - 1}):
+            want = _pruned_per_limit(rows, limit)
+            assert [row.index for row in rows.kept(limit)] == want, (case, limit)
+            seen_dropped += len(want) < sum(t > limit for t in tops)
+    assert seen_dropped  # the set holds limits where dominance drops rows
 
 
 @pytest.mark.parametrize("share", [0.8, 0.6])
@@ -669,6 +705,36 @@ def test_a_second_plan_builds_and_validates_nothing(monkeypatch):
     assert calls == built
     for a, b in ((first.forward, second.forward), (first.backward, second.backward)):
         assert serialize_program(a) == serialize_program(b)
+
+
+def test_solver_tables_are_built_once_per_binding(monkeypatch):
+    made = {"dominance": 0, "tables": []}
+    dominance, knapsack = MemoryRows._dominance, MemoryRows._knapsack
+
+    def counted_dominance(self):
+        made["dominance"] += 1
+        return dominance(self)
+
+    def counted_knapsack(self, r, depth):
+        made["tables"].append((id(self), r, depth))
+        return knapsack(self, r, depth)
+
+    monkeypatch.setattr(MemoryRows, "_dominance", counted_dominance)
+    monkeypatch.setattr(MemoryRows, "_knapsack", counted_knapsack)
+    program = sin_chain(12)
+    keep_all = plan(program, None, {}).solution.t_star
+    assert made == {"dominance": 0, "tables": []}  # keep-all fits: nothing is built
+    plan(program, 0.8 * keep_all / MIB, {})
+    assert made["dominance"] == 1 and made["tables"]
+    first = len(made["tables"])
+    plan(program, 0.8 * keep_all / MIB, {})
+    assert made["dominance"] == 1 and len(made["tables"]) == first
+    plan(program, 0.6 * keep_all / MIB, {})  # a second budget adds only tables it lacks
+    assert made["dominance"] == 1 and len(made["tables"]) > first
+    assert len(set(made["tables"])) == len(made["tables"])
+    plan(program, 0.8 * keep_all / MIB, {})
+    plan(program, 0.6 * keep_all / MIB, {})
+    assert made["dominance"] == 1 and len(set(made["tables"])) == len(made["tables"])
 
 
 def test_a_built_program_is_validated_once_where_it_is_built(monkeypatch):

@@ -431,6 +431,17 @@ def test_an_invalid_parsed_program_is_a_validation_error(command, tmp_path, caps
     assert "ArityMismatch: 't1' output 'o' has 0 edges" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["plan", "mem-report"])
+def test_an_empty_branch_label_is_a_validation_error(command, tmp_path, capsys):
+    doc = program_to_dict(examples.build("branchy_scale"))
+    doc["region"][0]["label"] = ""
+    path = tmp_path / "branchy.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(command, path, "--params", "n=8") == 2
+    err = capsys.readouterr().err
+    assert "EmptyLabel: Conditional block has an empty label" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["diff", "plan", "run"])
 def test_an_edge_to_a_missing_node_is_a_validation_error(command, tmp_path, capsys):
     # the file parses; every command validates the program before it

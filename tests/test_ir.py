@@ -283,6 +283,23 @@ def test_an_ew_expr_whose_constant_is_no_int_or_float_is_reported():
     ]
 
 
+def test_an_empty_block_label_is_reported():
+    # passes key a branch by its label, and the reverse branch refers to
+    # the forward one by it, so an empty label must not reach them
+    doc = program_to_dict(examples.build("branchy_scale"))
+    doc["region"][0]["label"] = ""
+    doc["region"][0]["then"][0]["label"] = ""
+    with pytest.raises(ValidationFailed) as info:
+        parse_program(json.dumps(doc))
+    assert [repr(d) for d in info.value.diagnostics] == [
+        "EmptyLabel: Conditional block has an empty label",
+        "EmptyLabel: State block has an empty label [/then]",
+    ]
+    program = parse_unvalidated(json.dumps(doc))
+    with pytest.raises(ValidationFailed, match="EmptyLabel"):
+        plan(program, None, examples.DEFAULT_PARAMS["branchy_scale"])
+
+
 def test_pristine_inputs():
     foo = examples.build("scaled_product_chain")
     assert pristine_inputs(foo) == {"C", "D"}

@@ -69,8 +69,7 @@ def _pipeline(text: str, params: dict):
     plan(program, None, params)
 
 
-def test_every_mutant_runs_through_or_raises_a_named_error():
-    rng = random.Random(3)
+def _gate(rng: random.Random):
     ran, named, bare = 0, 0, []
     for name in sorted(examples.EXAMPLES):
         doc = program_to_dict(examples.build(name))
@@ -87,3 +86,13 @@ def test_every_mutant_runs_through_or_raises_a_named_error():
     assert ran + named + len(bare) == len(examples.EXAMPLES) * MUTANTS_PER_KERNEL
     assert ran and named  # the set holds both kinds of mutant
     assert not bare, f"{len(bare)} bare exceptions, first: {bare[:5]}"
+
+
+def test_every_mutant_runs_through_or_raises_a_named_error():
+    _gate(random.Random(3))
+
+
+def test_a_second_draw_of_mutants_runs_through_or_raises_a_named_error():
+    # this draw sets branchy_scale's branch label to "", which validation
+    # must refuse: the path walk keys a branch by its label
+    _gate(random.Random(5))
