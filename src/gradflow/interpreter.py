@@ -9,34 +9,40 @@ others, and branch conditions must agree across the batch
 
 A run goes by a ``RunPlan``: what depends only on the (validated) program
 and the parameter binding, built whole before the run. It holds each
-name's shape and dtype, the names the program writes, a step list per
-state (the tape records, library runs and compiled nests in schedule
-order), each loop's compiled nest, the iterates of each loop whose header
-reads only parameters, and a reverse run's release table; a binding under
-which any of them cannot be prepared fails the build, before any state
-runs. ``gradient()`` keeps its two plans with the program
-for the last binding it ran, and ``plan()`` keeps them with each planned
-pair; both hand them to ``run_forward`` and ``run_backward`` through
-``prepared``. Any other run builds its own plan. A header that reads a
+name's shape and dtype, the names the program writes, each state's
+generated function with its arguments, each loop's compiled nest, the
+iterates of each loop whose header reads only parameters, and a reverse
+run's release table; a binding under which any of them cannot be prepared
+fails the build, before any state runs. ``gradient()`` keeps its two plans
+with the program for the last binding it ran, and ``plan()`` keeps them
+with each planned pair; both hand them to ``run_forward`` and
+``run_backward`` through ``prepared``. Any other run builds its own plan. A header that reads a
 scalar or an enclosing iterator is simulated once per distinct value of the
 names it reads, memoized for the run.
 
 Execution is deterministic: states run in the schedule order, loops iterate
 their simulated header sequence and maps enumerate range products in order.
-Tasklets, maps and loop nests run as compiled nests: one generated Python
-function per nest structure (its loops, map ranges, edges, bodies and
-resolved shapes), cached for the whole process. A tasklet alone is a nest
-of depth 0; a map is a ``for`` per parameter around its body; a loop whose
+Nothing in a state is interpreted. Each state runs as one generated Python
+function (``nests._compiled_state``), cached for the whole process by the
+state's structure: its nodes in schedule order, their arrays' names,
+resolved shapes and dtypes, and where a reverse run releases. The function
+inlines each library node, each tape record and each release, adds the
+state's op count once, and calls the compiled nest of each tasklet or map.
+A library node runs once on whole arrays, as code written from the step its
+graph keeps (``ir.library_steps``) with its op count and operand checks
+resolved by the plan; rank-0 operands broadcast behind their batch
+dimensions. One emitter writes that code for a state and for a map body
+alike (``nests._library_lines``). Tasklets, maps and loop nests run as
+compiled nests: one generated function per nest structure (its loops, map
+ranges, edges, bodies and resolved shapes). A tasklet alone is a nest of
+depth 0; a map is a ``for`` per parameter around its body; a loop whose
 body holds only states of tasklets and maps, or further such loops, is a
 ``for`` per loop over its iterates in visit order, with no branch,
 state-level library node, forwarded read or tape record inside. Any other
 loop runs block by block. A nest inlines index arithmetic and bounds
 checks; a loop or map nest over real64 arrays whose tasklet bodies round
 alike on Python floats and numpy scalars reads and writes through flat
-memoryviews with hoisted bounds checks (``nests._compiled_tasklet``). A
-library node runs once on whole arrays, from the step its graph keeps
-(``ir.library_steps``) and its op count and operand checks, which the plan
-resolves; rank-0 operands broadcast behind their batch dimensions.
+memoryviews with hoisted bounds checks (``nests._compiled_tasklet``).
 Intermediate and gradient arrays are zero-initialized on first touch, which
 is also what accumulation via ``sum`` conflict resolution assumes.
 
@@ -102,7 +108,7 @@ from .ir import (
     walk_blocks,
     written_descriptors,
 )
-from .nests import _compiled_tasklet, _map_range
+from .nests import _compiled_state, _compiled_tasklet, _map_range, library_item
 from .symexpr import count_ops, eval_expr, free_names
 from .versions import CUR, LAST, PREV, VersionInfo, analyze_versions
 
@@ -139,18 +145,6 @@ def _tasklet_ops(node: Tasklet, df: Dataflow) -> int:
     """Operators of one run of a tasklet, summed over its out-edges'
     bodies: the one count the executor and ``count_flops`` share."""
     return sum(count_ops(node.body[e.src_conn]) for e in df.out_edges(node.id))
-
-
-@dataclass(frozen=True, slots=True)
-class _LibraryRun:
-    """A library node as its runs take it: its graph's step, its op count
-    and, for an elementwise node, its operand checks (``_operand_checks``;
-    None for a matmul or a sum)."""
-
-    node: LibraryNode
-    step: LibraryStep
-    cost: int
-    checks: tuple | None
 
 
 def _visits(loop: LoopRegion, fwd: list[int]) -> list[int]:
@@ -201,10 +195,10 @@ class RunPlan:
             if b.iterator not in self.params and header_names(b) - {b.iterator} <= free:
                 fwd = simulate_header(b, self.params)
                 self.iterates[id(b)] = fwd, _visits(b, fwd)
-        self.nests: dict = {}  # by loop id or (graph id, node id)
-        self.steps: dict[int, tuple] = {}  # by state id
-        self._prepare(program.region)
         self.releases = self._release_table()
+        self.nests: dict = {}  # by loop id or (graph id, node id)
+        self.states: dict[int, tuple] = {}  # by state id
+        self._prepare(program.region)
 
     def shape_of(self, name: str) -> tuple[int, ...]:
         return self.shapes[name]
@@ -213,30 +207,37 @@ class RunPlan:
         """Prepare the blocks of ``region`` that run block by block."""
         for block in region:
             if isinstance(block, State):
-                self.steps[id(block)] = self._state_steps(block)
+                self.states[id(block)] = self._state(block)
             elif isinstance(block, LoopRegion):
                 if self._nest(block) is None:
                     self._prepare(block.body)
             else:
                 self._prepare(block.then_body + block.else_body)
 
-    def _state_steps(self, state: State) -> tuple:
-        """One state's steps in schedule order, each ``(run, arg, key)``: the
-        run calls ``run(executor, arg)`` and then releases what the release
-        table holds under ``key``. A tape record at each access node whose
-        version the plan records, and a compute node's library run or
-        compiled nest."""
-        steps = []
+    def _state(self, state: State) -> tuple:
+        """One state's compiled function (``nests._compiled_state``) and its
+        arguments, from its nodes in schedule order: a tape record at each
+        access node whose version the plan records, and a compute node's
+        library code or compiled nest, marked where the release table
+        releases after it."""
+        frees = self.releases[0]
+        key, args = [], []
         for node in schedule(state.graph):
             if isinstance(node, AccessNode):
                 v = self._recorded(state.label, node)
                 if v is not None:
-                    steps.append((Executor._record, (node.data, v, self.vinfo.write_loops[(node.data, v)]), None))
-            elif isinstance(node, LibraryNode):
-                steps.append((Executor._exec_library, self._library(node, state.graph), id(node)))
+                    key.append((("record", node.data, self.vinfo.write_loops[(node.data, v)]), False))
+                    args.append(v)
+                continue
+            at = id(node) if id(node) in frees else None
+            if isinstance(node, LibraryNode):
+                key.append((self._library(node, state.graph), at is not None))
+                args.append(at)
             else:
-                steps.append((Executor._run_nest, self._nest(node, state.graph), id(node)))
-        return tuple(steps)
+                writes = tuple(dict.fromkeys(e.data for e in state.graph.out_edges(node.id)))
+                key.append((("nest", writes), at is not None))
+                args.append((*self._nest(node, state.graph), at))
+        return _compiled_state(tuple(key)), tuple(args)
 
     def _recorded(self, state_label: str, node: AccessNode) -> int | None:
         """The version of ``node.data`` the tape records at this access node, if any."""
@@ -245,30 +246,28 @@ class RunPlan:
         v = self.vinfo.write_version.get((state_label, node.id))
         return v if v is not None and (node.data, v) in self.record else None
 
-    def _library(self, node: LibraryNode, df: Dataflow) -> _LibraryRun:
+    def _library(self, node: LibraryNode, df: Dataflow) -> tuple:
         step = library_steps(df)[node.id]
-        checks = None if node.kind in ("matmul", "reduce_sum") else _operand_checks(node, step, self.shape_of)
-        return _LibraryRun(node, step, _library_cost(node, step, self.shape_of), checks)
+        return library_item(node, step, self.shape_of, self.descriptors, _library_cost(node, step, self.shape_of))
 
     def _nest(self, root, df: Dataflow | None = None) -> tuple | None:
         """The compiled nest of a tasklet or map in ``df``, or of a loop, with
-        the loops and library runs it calls back, kept in ``nests``. None
-        for a loop whose body holds a branch, a state-level library node, a
-        read of a forwarded name or a tape record: those run block by
-        block."""
-        acc = ([], [], {})  # loops, library runs, array names
+        the loops it calls back, kept in ``nests``. None for a loop whose
+        body holds a branch, a state-level library node, a read of a
+        forwarded name or a tape record: those run block by block."""
+        acc = ([], {})  # loops, array names
         item = self._loop_item(root, acc) if df is None else self._compute_item(root, df, acc)
         nest = None
         if item is not None:
-            loops, libs, names = acc
+            loops, names = acc
             desc = self.descriptors
             described = tuple((n, self.shape_of(n), desc[n].element_kind) if n in desc else (n, None, None) for n in names)
-            nest = _compiled_tasklet((item, described)), tuple(loops), tuple(libs)
+            nest = _compiled_tasklet((item, described)), tuple(loops)
         self.nests[id(root) if df is None else (id(df), root.id)] = nest
         return nest
 
     def _compute_item(self, node, df: Dataflow, acc: tuple) -> tuple:
-        _, libs, names = acc
+        names = acc[1]
         if isinstance(node, Tasklet):
             ins = tuple((e.data, e.subset, e.dst_conn) for e in df.in_edges(node.id))
             outs = tuple((e.data, e.subset, node.body[e.src_conn], e.wcr) for e in df.out_edges(node.id))
@@ -278,8 +277,7 @@ class RunPlan:
             order = schedule(node.body)
             items = tuple(self._compute_item(n, node.body, acc) for n in order if not isinstance(n, AccessNode))
             return "map", node.id, node.params, node.ranges, items
-        libs.append(self._library(node, df))
-        return "library", len(libs) - 1, tuple(e.data for e in df.out_edges(node.id))
+        return self._library(node, df)
 
     def _loop_item(self, loop: LoopRegion, acc: tuple) -> tuple | None:
         loops = acc[0]
@@ -365,22 +363,6 @@ def _shapes(program: Program, params: dict[str, int], evaluated: dict) -> dict[s
     return shapes
 
 
-def _operand_checks(node: LibraryNode, step: LibraryStep, shape_of) -> tuple[tuple, str | None]:
-    """An elementwise node's operand checks, from shapes alone: ``(conn,
-    trailing ones)`` for each rank-0 operand ahead of the first operand
-    whose shape is not the output's, and that operand's ``ShapeMismatch``
-    message (None if there is none)."""
-    shape = shape_of(step.outs[0][0])
-    pads = []
-    for conn, data in step.ins:
-        s = shape_of(data)
-        if not s:
-            pads.append((conn, (1,) * len(shape)))
-        elif s != shape:
-            return tuple(pads), f"'{node.id}': operand '{conn}' has shape {s}, output {shape}"
-    return tuple(pads), None
-
-
 class Executor:
     """One run of a program by its ``RunPlan``."""
 
@@ -403,9 +385,6 @@ class Executor:
 
     # -- shared helpers ------------------------------------------------------
 
-    def _dtype(self, name: str):
-        return self.plan.dtypes[name]
-
     def read_array(self, name: str) -> np.ndarray:
         arr = self.env.get(name)
         if arr is not None:
@@ -420,7 +399,7 @@ class Executor:
     def write_target(self, name: str) -> np.ndarray:
         arr = self.env.get(name)
         if arr is None:
-            arr = np.zeros(self.batch + self.shape_of(name), dtype=self._dtype(name))
+            arr = np.zeros(self.batch + self.shape_of(name), dtype=self.plan.dtypes[name])
             self.env[name] = arr
         return arr
 
@@ -488,19 +467,22 @@ class Executor:
     def _exec_region(self, region: list[Block]):
         for block in region:
             if isinstance(block, State):
-                self._exec_state(block)
+                fn, args = self.plan.states[id(block)]
+                self.op_count += fn(self, args)  # it releases per node
                 continue
             if isinstance(block, LoopRegion):
                 self._exec_loop(block)
             else:
                 self._exec_branch(block)
-            if id(block) in self.frees:  # a state releases per node
+            if id(block) in self.frees:
                 self._release(id(block))
 
     def _exec_loop(self, loop: LoopRegion):
         nest = self.plan.nests[id(loop)]
         if nest is not None:
-            return self._run_nest(nest)
+            fn, loops = nest
+            self.op_count += fn(self, loops)
+            return
         self._run_iterates(loop, self._loop_iterates(loop))
 
     def _run_iterates(self, loop: LoopRegion, fwd: list[int]):
@@ -543,67 +525,6 @@ class Executor:
             if self.tape is not None:
                 self.tape.branch_trace.setdefault(br.label, []).append(outcome)
         self._exec_region(br.then_body if outcome else br.else_body)
-
-    # -- dataflow ------------------------------------------------------------
-
-    def _exec_state(self, state: State):
-        frees = self.frees
-        for run, arg, key in self.plan.steps[id(state)]:
-            run(self, arg)
-            if key in frees:
-                self._release(key)
-
-    def _record(self, at: tuple):
-        data, v, labels = at
-        coords = tuple(self.ctx[l].current for l in labels)
-        self.tape.values[(data, v, coords)] = np.array(self.read_array(data), copy=True)
-
-    def _run_nest(self, nest: tuple):
-        fn, loops, libs = nest
-        ops = fn(self, loops, libs)
-        self.op_count += ops  # after the call: a library node in the nest counts its own
-
-    def _exec_library(self, run: _LibraryRun):
-        node, step = run.node, run.step
-        ins = {conn: self.read_array(data) for conn, data in step.ins}
-
-        if node.kind == "matmul":
-            a, b = ins["a"], ins["b"]
-            if node.ta:
-                a = np.swapaxes(a, -1, -2)
-            if node.tb:
-                b = np.swapaxes(b, -1, -2)
-            if a.shape[-1] != b.shape[-2]:
-                raise ShapeMismatch(f"matmul '{node.id}': inner dims {a.shape[-1]} vs {b.shape[-2]}")
-            res = np.matmul(a, b)
-        elif node.kind == "reduce_sum":
-            x = ins["x"]
-            rank = len(self.shape_of(dict(step.ins)["x"]))
-            res = x.sum(axis=tuple(range(-rank, 0))) if rank else np.array(x, copy=True)
-        else:  # elementwise: the node's compiled expression on whole arrays
-            pads, mismatch = run.checks
-            for conn, ones in pads:  # rank 0 broadcasts; its batch axes stay leading
-                ins[conn] = ins[conn].reshape(ins[conn].shape + ones)
-            if mismatch:
-                raise ShapeMismatch(mismatch)
-            res = np.asarray(step.fn(ins))
-            for v in ins.values():
-                if v is res:  # the output must not alias an input
-                    res = np.array(res, copy=True)
-                    break
-        self.op_count += run.cost
-
-        for data, wcr in step.outs:
-            dtype = self._dtype(data)
-            if wcr == "sum":
-                tgt = self.write_target(data)
-                tgt += res.astype(dtype, copy=False)
-            else:
-                want = self.batch + self.shape_of(data)
-                out = np.asarray(res, dtype=dtype)
-                if out.shape != want:
-                    out = np.broadcast_to(out, want).astype(dtype)
-                self.env[data] = np.array(out, copy=True) if out.base is not None else out
 
     # -- forwarded reads -----------------------------------------------------
 

@@ -81,7 +81,6 @@ from .symexpr import (
     Index,
     Name,
     Unary,
-    compile_expr,
     contains_compare_or_index,
     count_ops,
     eval_expr,
@@ -491,14 +490,13 @@ def schedule(df: Dataflow) -> tuple[Node, ...]:
 class LibraryStep:
     """What a run of a library node takes from its graph: ``(connector,
     array)`` per in-edge and ``(array, wcr)`` per out-edge, in edge order.
-    An elementwise node also has ``fn``, its :func:`library_expr` compiled
-    over a dict of operands by connector (``symexpr.compile_expr``), and
-    ``ops``, the expression's operator count; a matmul or a sum has
-    neither."""
+    An elementwise node also has ``expr``, its :func:`library_expr` over
+    its connector names, and ``ops``, the expression's operator count; a
+    matmul or a sum has neither."""
 
     ins: tuple[tuple[str, str], ...]
     outs: tuple[tuple[str, str | None], ...]
-    fn: Callable[[dict], Any] | None = None
+    expr: Expr | None = None
     ops: int | None = None
 
 
@@ -520,11 +518,11 @@ def library_steps(df: Dataflow) -> dict[str, LibraryStep]:
             outs[e.src].append((e.data, e.wcr))
     steps = {}
     for n in libs:
-        fn = ops = None
+        expr = ops = None
         if n.kind not in ("matmul", "reduce_sum"):
             expr = library_expr(n)  # validate refuses what raises here
-            fn, ops = compile_expr(expr, {c for c, _ in ins[n.id]}), count_ops(expr)
-        steps[n.id] = LibraryStep(tuple(ins[n.id]), tuple(outs[n.id]), fn, ops)
+            ops = count_ops(expr)
+        steps[n.id] = LibraryStep(tuple(ins[n.id]), tuple(outs[n.id]), expr, ops)
     df._steps = steps
     return steps
 

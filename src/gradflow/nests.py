@@ -1,11 +1,17 @@
-"""Compiled nests: one generated Python function per tasklet, map or loop
-nest structure, cached for the whole process (``_compiled_tasklet``).
+"""Generated code: one Python function per state structure
+(``_compiled_state``) and one per tasklet, map or loop nest structure
+(``_compiled_tasklet``), each cached for the whole process.
 
-A nest inlines index arithmetic and bounds checks and runs its levels as
-plain ``for`` loops; ``interpreter.RunPlan`` builds the key of each nest
-from the program and the parameter binding, and the executor runs the
-function it gets. See ``_compiled_tasklet`` for what the generated code
-does, and the direct access a real64 nest with exact bodies takes.
+A state's function runs its nodes in schedule order: it inlines each
+library node, each tape record and each release, and calls the compiled
+nest of each tasklet or map. A nest inlines index arithmetic and bounds
+checks and runs its levels as plain ``for`` loops. One emitter writes a
+library node's code (``_library_lines``), for a state and for a map body
+alike. ``interpreter.RunPlan`` builds each key from the program and the
+parameter binding, and passes what is not structure (release keys, tape
+versions, nests and loops) to the function as data; the executor runs what
+it gets. See ``_compiled_tasklet`` for what a nest does, and the direct
+access a real64 nest with exact bodies takes.
 """
 
 from __future__ import annotations
@@ -17,13 +23,162 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, OutOfBounds, UnboundName
-from .ir import uniform_int
+from .errors import DomainError, OutOfBounds, ShapeMismatch, UnboundName
+from .ir import LibraryNode, LibraryStep, uniform_int
 from .symexpr import SOURCE_NAMESPACE, Binary, Const, Name, Unary, free_names, python_source
 
 _UNSET = object()  # a bind name missing at nest entry
-# numbers each compiled nest, so that profiles and tracebacks tell them apart
+# numbers each compiled nest and state, so that profiles and tracebacks tell them apart
 _NEST_ORDINAL = itertools.count()
+_STATE_ORDINAL = itertools.count()
+
+
+@functools.lru_cache(maxsize=4096)
+def _compiled_state(key: tuple) -> Callable:
+    """One generated Python function per state structure, shared by every
+    executor. ``key`` holds one ``(step, releases)`` per step of the state
+    in schedule order; ``step`` is ``("record", data, labels)`` (a tape
+    record at an access node, in the loops ``labels``), a library node's
+    item (``library_item``) or ``("nest", writes)`` (a tasklet or map,
+    writing the arrays ``writes``), and ``releases`` tells whether a reverse
+    run releases after it. Returns ``state(ex, args)``, which runs the state
+    on executor ``ex`` and returns its operator count, with ``args[j]``
+    the data of step ``j``: the version a record keys its snapshot by, a
+    library node's release key, or a nest's ``(nest, loops, release
+    key)``; a step that releases nothing has None for its key.
+
+    Each step is inlined in order: a record reads its array and stores a
+    copy in ``ex.tape``; a library node runs as ``_library_lines`` writes
+    it; a nest is called. A step that releases then calls ``ex._release``
+    with its key when the run has a release table (``ex.frees``). No local
+    holds an array past its step, so a release frees what it pops. The
+    library nodes' operators are one constant, to which each nest adds its
+    own. The function keeps its generated text as ``state.source``.
+    """
+    lines: list[str] = []
+    ops, written = 0, {}
+    for j, (step, releases) in enumerate(key):
+        if step[0] == "record":
+            _, data, labels = step
+            coords = "".join(f"ex.ctx[{label!r}].current, " for label in labels)
+            lines += [*_read("p0", data), f"ex.tape.values[({data!r}, args[{j}], ({coords}))] = np.array(p0, copy=True)",
+                      "p0 = None"]
+        elif step[0] == "library":
+            lines += _library_lines(step)
+            ops += step[-1]
+            written.update(dict.fromkeys(data for data, *_ in step[2]))
+        else:
+            lines.append(f"ops += args[{j}][0](ex, args[{j}][1])")
+            written.update(dict.fromkeys(step[1]))
+        if releases:
+            at = f"args[{j}][2]" if step[0] == "nest" else f"args[{j}]"
+            lines += ["if ex.frees:", f"    ex._release({at})"]
+    head = ["def state(ex, args):", "    env, batch = ex.env, ex.batch", f"    ops = {ops}"]
+    src = "\n".join(head + ["    " + s for s in lines] + ["    return ops"])
+    ns = dict(_NAMESPACE)
+    exec(compile(src, f"<state {next(_STATE_ORDINAL)}: writes {','.join(sorted(written))}>", "exec"), ns)
+    state = ns["state"]
+    state.source = src
+    return state
+
+
+def library_item(node: LibraryNode, step: LibraryStep, shape_of: Callable, descriptors: dict, cost: int) -> tuple:
+    """A library node's item: the key of its code (``_library_lines``),
+    from its graph's step and the shapes ``shape_of`` gives its arrays.
+    ``("library", ins, outs, how, cost)``: ``(connector, array)`` per
+    in-edge, ``(array, wcr, shape, element kind)`` per out-edge, ``cost``
+    its operators per run, and ``how`` one of ``("matmul", id, ta, tb)``,
+    ``("reduce_sum", rank)`` (the rank of ``x``) or ``("elementwise",
+    source, pads, mismatch)``: the node's expression as Python over its
+    operands (the k-th in-edge's is ``p<k>``) and its operand checks
+    (``_operand_checks``)."""
+    outs = tuple((data, wcr, shape_of(data), descriptors[data].element_kind) for data, wcr in step.outs)
+    if node.kind == "matmul":
+        how = ("matmul", node.id, node.ta, node.tb)
+    elif node.kind == "reduce_sum":
+        how = ("reduce_sum", len(shape_of(dict(step.ins)["x"])))
+    else:
+        operand = _operands(step.ins)
+        how = ("elementwise", python_source(step.expr, lambda n: operand.get(n, f"_unbound({n!r})")),
+               *_operand_checks(node, step, shape_of))
+    return "library", step.ins, outs, how, cost
+
+
+def _operands(ins: tuple) -> dict[str, str]:
+    """The local holding each connector's operand: ``p<k>`` for the last
+    in-edge ``k`` on it."""
+    return {conn: f"p{k}" for k, (conn, _) in enumerate(ins)}
+
+
+def _operand_checks(node: LibraryNode, step: LibraryStep, shape_of) -> tuple[tuple, str | None]:
+    """An elementwise node's operand checks, from shapes alone: ``(conn,
+    trailing ones)`` for each rank-0 operand ahead of the first operand
+    whose shape is not the output's, and that operand's ``ShapeMismatch``
+    message (None if there is none)."""
+    shape = shape_of(step.outs[0][0])
+    pads = []
+    for conn, data in step.ins:
+        s = shape_of(data)
+        if not s:
+            pads.append((conn, (1,) * len(shape)))
+        elif s != shape:
+            return tuple(pads), f"'{node.id}': operand '{conn}' has shape {s}, output {shape}"
+    return tuple(pads), None
+
+
+def _read(var: str, data: str) -> list[str]:
+    """Lines reading array ``data`` into ``var``: from ``env``, else through
+    ``ex.read_array`` (a forwarded value, a zero-initialized array or
+    ``UnboundName``)."""
+    return [f"{var} = env.get({data!r})", f"if {var} is None:", f"    {var} = ex.read_array({data!r})"]
+
+
+def _library_lines(item: tuple) -> list[str]:
+    """The code of one run of a library node on whole arrays, from its item
+    (``library_item``), for a state's function and a nest alike. It reads
+    each in-edge's array, in edge order. A matmul transposes as flagged and
+    checks the inner dimensions; a sum over all declared axes keeps the
+    batch axes; an elementwise node broadcasts its rank-0 operands behind
+    their batch axes, raises its ``ShapeMismatch`` and evaluates its
+    expression, copied if it aliases an operand. Each out-edge then adds
+    the result (``wcr="sum"``) or stores it, cast to the array's dtype and
+    broadcast to its batched shape, as an array of its own. The code counts
+    no operators, and ends by clearing its locals."""
+    _, ins, outs, how, _ = item
+    var = _operands(ins)
+    lines = [text for k, (_, data) in enumerate(ins) for text in _read(f"p{k}", data)]
+    if how[0] == "matmul":
+        _, node_id, ta, tb = how
+        a, b = var["a"], var["b"]
+        lines += [f"{x} = np.swapaxes({x}, -1, -2)" for x, flag in ((a, ta), (b, tb)) if flag]
+        lines += [f"if {a}.shape[-1] != {b}.shape[-2]:", f"    _inner_dims({node_id!r}, {a}, {b})",
+                  f"q = np.matmul({a}, {b})"]
+    elif how[0] == "reduce_sum":
+        x, rank = var["x"], how[1]
+        lines.append(f"q = {x}.sum(axis={tuple(range(-rank, 0))!r})" if rank else f"q = np.array({x}, copy=True)")
+    else:
+        _, source, pads, mismatch = how
+        lines += [f"{var[conn]} = {var[conn]}.reshape({var[conn]}.shape + {ones!r})" for conn, ones in pads]
+        if mismatch:
+            return lines + [f"raise ShapeMismatch({mismatch!r})"]
+        lines.append(f"q = np.asarray({source})")
+        if var:  # the output must not alias an input
+            lines += [f"if {' or '.join(f'q is {v}' for v in dict.fromkeys(var.values()))}:",
+                      "    q = np.array(q, copy=True)"]
+    for data, wcr, shape, kind in outs:
+        if wcr == "sum":
+            lines += [f"t = env.get({data!r})", "if t is None:", f"    t = ex.write_target({data!r})",
+                      f"t += q.astype({kind}, copy=False)"]
+        else:
+            want = f"batch + {shape!r}" if shape else "batch"
+            lines += [f"t = np.asarray(q, dtype={kind})", f"if t.shape != {want}:",
+                      f"    t = np.broadcast_to(t, {want}).astype({kind})",
+                      f"env[{data!r}] = np.array(t, copy=True) if t.base is not None else t"]
+    return lines + [" = ".join([*(f"p{k}" for k in range(len(ins))), "q", "t", "None"])]
+
+
+def _inner_dims(node_id: str, a: np.ndarray, b: np.ndarray):
+    raise ShapeMismatch(f"matmul '{node_id}': inner dims {a.shape[-1]} vs {b.shape[-2]}")
 
 
 @functools.lru_cache(maxsize=4096)
@@ -34,11 +189,11 @@ def _compiled_tasklet(key: tuple) -> Callable:
     of ``("tasklet", ins, outs, ops)`` (``(data, subset, connector)`` per
     in-edge, ``(data, subset, body, wcr)`` per out-edge), ``("map", id,
     params, ranges, items)``, ``("loop", j, iterator, header, items)``
-    (``header`` the names it reads) or ``("library", j, outs)`` (a library
-    node in a map body, run as ``ex._exec_library(libs[j])``). Returns
-    ``nest(ex, loops, libs)``, which runs the nest on executor ``ex`` and
-    returns its operator count: each level adds its tasklets' operators
-    times its points. The function keeps its generated text as
+    (``header`` the names it reads) or a library node's item in a map body
+    (``library_item``, inlined by ``_library_lines``). Returns ``nest(ex,
+    loops)``, which runs the nest on executor ``ex`` and returns its
+    operator count: each level adds its tasklets' and library nodes'
+    operators times its points. The function keeps its generated text as
     ``nest.source``.
 
     A loop runs ``for i in visits`` over ``ex._loop_visits(loops[j], ...)``,
@@ -259,7 +414,7 @@ def _compiled_tasklet(key: tuple) -> Callable:
         return [f"ok_{var} = {outer} and {bounded(var, test)}" if checks[var] else f"ok_{var} = {outer}"]
 
     def count(items: tuple, d: int, seq: str | None = None):
-        ops = sum(it[3] for it in items if it[0] == "tasklet")
+        ops = sum(it[-1] for it in items if it[0] in ("tasklet", "library"))
         if ops:
             emit(d, f"ops += len({seq}) * {ops}" if seq else f"ops += {ops}")
 
@@ -317,9 +472,9 @@ def _compiled_tasklet(key: tuple) -> Callable:
         body(items, {**scope, iterator: var}, d + 1, var if views else None)
 
     def library(it: tuple, scope: dict, d: int, level: str | None):
-        _, j, outs = it
-        emit(d, f"ex._exec_library(libs[{j}])")
-        for data in outs:  # a library node may replace the array
+        for text in _library_lines(it):
+            emit(d, text)
+        for data in dict.fromkeys(data for data, *_ in it[2]):  # a library node may replace the array
             if data in arrays:
                 emit(d, f"{arrays[data]} = None")
                 if views:
@@ -329,11 +484,12 @@ def _compiled_tasklet(key: tuple) -> Callable:
     count((item,), 1)
     body((item,), {}, 1, None)
     text = [s for x in lines for s in (x() if callable(x) else (x,))]
-    head = ["def nest(ex, loops, libs):", "    read, write, visits, b = ex.read_array, ex.write_target, ex._loop_visits, ex.bind"]
+    head = ["def nest(ex, loops):", "    read, write, visits, b = ex.read_array, ex.write_target, ex._loop_visits, ex.bind",
+            "    env, batch = ex.env, ex.batch"]
     src = "\n".join(head + ["    ops = 0"]
                     + ["    " + s for s in entry] + text + ["    return ops"])
     ns = {
-        **SOURCE_NAMESPACE, "uniform_int": uniform_int, "_copy": _copy_element,
+        **_NAMESPACE, "uniform_int": uniform_int, "_copy": _copy_element,
         "_out_of_bounds": _out_of_bounds, "_no_value": _no_value,
         "_map_range": _map_range, "_UNSET": _UNSET, "_view": _view,
     }
@@ -344,6 +500,11 @@ def _compiled_tasklet(key: tuple) -> Callable:
     nest = ns["nest"]
     nest.source = src
     return nest
+
+
+# what every generated function may call; dtypes by element kind
+_NAMESPACE = {**SOURCE_NAMESPACE, "np": np, "real32": np.float32, "real64": np.float64,
+              "ShapeMismatch": ShapeMismatch, "_inner_dims": _inner_dims}
 
 
 def _exact(e) -> bool:
@@ -423,10 +584,8 @@ def _no_value(name: str):
 
 def _item_writes(item: tuple) -> set[str]:
     """Arrays a nest item writes."""
-    if item[0] == "tasklet":
+    if item[0] in ("tasklet", "library"):
         return {data for data, *_ in item[2]}
-    if item[0] == "library":
-        return set(item[2])
     return set().union(*map(_item_writes, item[-1]))
 
 

@@ -18,13 +18,11 @@ The whole-array elementwise library ops are defined by these expressions too
 (``ir.library_expr``), so the op and domain-check tables below are the only
 evaluators of scalar operators in the package; ``python_source`` turns an
 expression into Python that calls the same entries (add, sub, mul and neg
-are the plain operators the entries apply), and ``compile_expr`` compiles
-that once per expression text.
+are the plain operators the entries apply), which generated code compiles.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -230,20 +228,6 @@ SOURCE_NAMESPACE = {
     **{f"U_{op}": fn for op, fn in _UNARY_FNS.items()},
     "_unbound": _unbound,
 }
-
-
-def compile_expr(expr: Expr, names) -> Callable[[dict], Value]:
-    """A function of a dict of values by name that evaluates ``expr`` like
-    :func:`eval_expr`: a name outside ``names`` raises ``UnboundName`` where
-    it is read. Compiled through :func:`python_source`, once per source
-    text, which tells ``0.0`` from ``-0.0`` where expression equality does
-    not."""
-    return _compiled(python_source(expr, lambda n: f"v[{n!r}]" if n in names else f"_unbound({n!r})"))
-
-
-@functools.lru_cache(maxsize=4096)
-def _compiled(source: str) -> Callable[[dict], Value]:
-    return eval(compile(f"lambda v: {source}", "<library expression>", "eval"), dict(SOURCE_NAMESPACE))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -839,10 +840,43 @@ def test_each_compiled_nest_has_its_own_code_filename(rng):
     p, params = examples.build("double_read"), examples.DEFAULT_PARAMS["double_read"]
     ex = interpreter.Executor(interpreter.RunPlan(p, params), sample_inputs(p, params, rng), ())
     ex.run()
-    names = [fn.__code__.co_filename for fn, _, _ in ex.plan.nests.values()]
+    names = [fn.__code__.co_filename for fn, _ in ex.plan.nests.values()]
     mid = next(n.id for n in p.region[0].graph.nodes if isinstance(n, ir.MapNode))
     assert len(set(names)) == 2
     assert sorted(n.split(": ", 1)[1] for n in names) == [f"map {mid}>", "tasklet O>"]
+
+
+def test_each_state_function_has_its_own_code_filename_and_source():
+    # a profile or a traceback tells states apart by what they write
+    p = genprog.sin_chain(3, side=4)
+    run_plan = interpreter.RunPlan(p, {})
+    fns = [run_plan.states[id(state)][0] for state in p.region]
+    names = [fn.__code__.co_filename for fn in fns]
+    assert len(set(names)) == len(p.region)
+    assert [n.split(": ", 1)[1] for n in names] == ["writes L>", "writes A0>", "writes A1>", "writes A2>", "writes O>"]
+    assert all(fn.source.startswith("def state(ex, args):") for fn in fns)
+    assert "U_sin(p0)" in fns[1].source and "_exec" not in fns[1].source
+
+
+@pytest.mark.parametrize("make, params, share", [
+    (lambda: genprog.sin_chain(5, side=4), {}, 0.6),
+    (lambda: examples.build("seidel_stencil"), {"N": 8, "TSTEPS": 2}, 1.0),  # no budget below keep-all fits
+], ids=["sin_chain", "seidel_stencil"])
+def test_a_second_build_compiles_no_state_function(make, params, share, rng):
+    # state functions are cached by structure, not by the program object:
+    # a rebuilt program's gradient(), plan() at a budget and replay reuse them
+    def runs(p):
+        inputs = sample_inputs(p, params, rng)
+        gradient(p, inputs, params)
+        keep_all = plan(p, None, params).solution.t_star
+        return run_planned(plan(p, share * keep_all / (1 << 20), params), inputs, params)
+
+    first = runs(make())
+    cache = nests._compiled_state.cache_info()
+    again = runs(make())
+    assert nests._compiled_state.cache_info().misses == cache.misses
+    assert nests._compiled_state.cache_info().hits > cache.hits
+    assert again.value.shape == first.value.shape
 
 
 def test_loop_headers_simulate_once_per_distinct_header(monkeypatch, rng):
@@ -1172,6 +1206,35 @@ def test_reverse_releases_where_the_memory_model_frees(program, params):
     assert model and got == want
 
 
+@pytest.mark.parametrize("share", [None, 0.6], ids=["gradient", "run_planned-60%"])
+def test_a_released_array_is_freed_at_once(monkeypatch, share):
+    # no local of the running code holds an array past the node that reads
+    # it last: what a release pops from env or the tape is dead right after
+    # the pop, without the cycle collector
+    p = genprog.sin_chain(5, side=4)
+    inputs = sample_inputs(p, {}, np.random.default_rng(0))
+    release = interpreter.Executor._release
+    checked = []
+
+    def watched(ex, at):
+        refs = []
+        for key in ex.frees[at]:
+            if key.__class__ is str:
+                refs += [weakref.ref(ex.env[key])] if key in ex.env else []
+            else:
+                refs += [weakref.ref(ex.src_tape.values[k]) for k in ex.drops.get(key, ())]
+        release(ex, at)
+        checked.extend(ref() is None for ref in refs)
+
+    monkeypatch.setattr(interpreter.Executor, "_release", watched)
+    if share is None:
+        gradient(p, inputs)
+    else:
+        keep_all = plan(p, None).solution.t_star
+        run_planned(plan(p, share * keep_all / (1 << 20)), inputs)
+    assert len(checked) >= 5 and all(checked)
+
+
 def test_forward_env_holds_inputs_outputs_and_stored_copies(rng):
     p, params = examples.build("scaled_product_chain"), {"N": 4}
     result = plan(p, None, params)
@@ -1348,6 +1411,46 @@ def test_an_array_a_library_node_replaces_in_a_map_body_is_read_anew(rng):
     for batch in ((), (1,)):
         got = run_forward(p, {"X": x.reshape(batch + (5,))}, {"n": 5}).value
         assert got.reshape(-1)[0] == z.sum()
+
+
+_LIBRARY_ERRORS = {
+    # kind, ins, outs, op, declared shapes, inputs at n=3, error, message
+    "operand-shape": ("ew_binary", {"a": "X", "b": "Z"}, {"c": "Y"}, "add", {"X": ("n",), "Z": ("(add n 1)",)},
+                      {"X": np.ones(3), "Z": np.ones(4)}, ShapeMismatch,
+                      r"^'n\d+': operand 'b' has shape \(4,\), output \(3,\)$"),
+    "matmul-inner": ("matmul", {"a": "X", "b": "Z"}, {"c": "Y"}, None, {"X": ("n", "n"), "Z": ("(add n 1)", "n")},
+                     {"X": np.ones((3, 3)), "Z": np.ones((4, 3))}, ShapeMismatch,
+                     r"^matmul 'n\d+': inner dims 3 vs 4$"),
+    "no-value": ("ew_unary", {"x": "X"}, {"y": "Y"}, "sin", {"X": ("n",)}, {}, UnboundName,
+                 r"^no value for input 'X'$"),
+    "log": ("ew_unary", {"x": "X"}, {"y": "Y"}, "log", {"X": ("n",)}, {"X": np.array([1.0, -2.0, 3.0])},
+            DomainError, r"^log of non-positive value$"),
+}
+
+
+@pytest.mark.parametrize("where, case", [
+    ("state", "matmul-inner"), ("state", "no-value"),
+    ("map", "operand-shape"), ("map", "matmul-inner"), ("map", "no-value"), ("map", "log"),
+])
+def test_a_library_node_keeps_its_error_class_and_message(where, case):
+    # the cases no other test covers, for a library node at the state level
+    # and in a map body
+    kind, ins, outs, op, shapes, inputs, error, msg = _LIBRARY_ERRORS[case]
+    b = ProgramBuilder(("n",))
+    for name, shape in shapes.items():
+        b.array(name, shape, role="input", kind="real64")
+    b.array("Y", shapes["X"], kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("s") as s:
+        if where == "state":
+            s.library(kind, ins, outs, op=op)
+        else:
+            s.map_node(("i",), (("0", "1", "1"),), lambda inner: inner.library(kind, ins, outs, op=op))
+    with b.state("sum") as s:
+        s.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+    p = b.finish("O", list(shapes))
+    with pytest.raises(error, match=msg):
+        run_forward(p, inputs, {"n": 3})
 
 
 def test_a_prepared_step_keeps_error_classes_and_messages():
