@@ -27,12 +27,12 @@ rows are dense int64 arrays for building, for the dominance test and for
 the infeasible floor. Rows that never exceed the limit, and rows another
 row dominates, are dropped before the search; the search reads the rest in
 Python ints. Best-first branch and bound decides the values in production
-order. Its key is the recompute flops paid so far plus a fractional-knapsack
-bound on the flops still to pay, computed exactly, then the decided bits;
-so among the cheapest plans it returns the one that stores the
-earliest-produced values. The dominance mask and the knapsack tables do not
-depend on the limit: they are built once per parameter binding, on first
-need, and kept with the rows.
+order. Its key is the recompute flops paid so far plus a bound on the flops
+still to pay (per row, the larger of a fractional-knapsack and a
+cardinality bound, computed exactly), then the decided bits; so among the
+cheapest plans it returns the one that stores the earliest-produced values.
+The dominance mask and the knapsack tables do not depend on the limit: they
+are built once per parameter binding, on first need, and kept with the rows.
 """
 
 from __future__ import annotations
@@ -699,15 +699,17 @@ class MemoryRows:
         base = int(self.base[r])
         return SearchRow(r, base + tail[0], base - sum(down), up, down, tail)
 
-    def table(self, r: int, depth: int) -> tuple[list, list[int], list[int]]:
+    def table(self, r: int, depth: int) -> tuple[list, list[int], list[int], list[int], list[int]]:
         """Row r's undecided values whose recompute lowers it, as (flops,
-        bytes) cheapest per byte first, with running byte and flop sums."""
+        bytes) cheapest per byte first, with running byte and flop sums;
+        then the running sums of their bytes, largest first, and of their
+        flops, cheapest first."""
         got = self._tables.get((r, depth))
         if got is None:
             got = self._tables[r, depth] = self._knapsack(r, depth)
         return got
 
-    def _knapsack(self, r: int, depth: int) -> tuple[list, list[int], list[int]]:
+    def _knapsack(self, r: int, depth: int) -> tuple:
         up, costs = self.up[r].tolist(), self.costs
         items = sorted(
             ((costs[i], up[i]) for i in range(depth, len(up)) if up[i] > 0),
@@ -717,6 +719,8 @@ class MemoryRows:
             items,
             list(itertools.accumulate(b for _, b in items)),
             [0, *itertools.accumulate(c for c, _ in items)],
+            list(itertools.accumulate(sorted((b for _, b in items), reverse=True))),
+            [0, *itertools.accumulate(sorted(c for c, _ in items))],
         )
 
     def floor(self, free: list[int], rows: list[int]) -> int:
@@ -734,6 +738,33 @@ class MemoryRows:
         return int(min((low + h).max(axis=1).min() for h in subset_sums(d[:, split:])))
 
 
+def search_bound(full: MemoryRows, rows: list[SearchRow], limit: int) -> Callable[[int, tuple], int | None]:
+    """The search's ``bound(depth, low)``: a lower bound on the flops the
+    undecided values still cost, None if some row alone cannot get under
+    ``limit``. ``low`` holds, per row of ``rows``, the lowest total it can
+    still reach."""
+    tails = [(row.index, row.tail) for row in rows]
+    table = full.table
+
+    def bound(depth: int, low: tuple[int, ...]) -> int | None:
+        best = 0
+        for (r, tail), lo in zip(tails, low):
+            need = lo + tail[depth] - limit  # bytes the row must lose
+            if need <= 0:
+                continue
+            items, cum_bytes, cum_flops, most_bytes, least_flops = table(r, depth)
+            j = bisect.bisect_left(cum_bytes, need)
+            if j == len(items):
+                return None
+            c, b = items[j]
+            rest = need - (cum_bytes[j - 1] if j else 0)
+            m = bisect.bisect_left(most_bytes, need) + 1  # fewest values that can lose it
+            best = max(best, cum_flops[j] - (-c * rest // b), least_flops[m])
+        return best
+
+    return bound
+
+
 def solve_ilp(problem: ILPProblem) -> ILPSolution:
     """Exact best-first branch and bound over the plan bits, decided in
     production order.
@@ -747,15 +778,21 @@ def solve_ilp(problem: ILPProblem) -> ILPSolution:
     search node carries, as a tuple, the lowest total each kept row can
     still reach; a child adds one value's rise per row, and it is pruned
     when a row exceeds the limit. The heap key adds to the flops paid so far
-    an admissible bound on the flops still to pay: for each kept row over
-    the limit with every undecided value stored, the fractional knapsack
-    over the undecided values whose recompute lowers it, rounded up in exact
-    integers; the bound is the largest of these. The dominance mask, the
-    Python rows and the knapsack tables do not depend on the limit, so they
-    are built once per ``MemoryRows``, on first need.
+    an admissible bound on the flops still to pay (``search_bound``). Each
+    kept row over the limit with every undecided value stored must lose
+    ``need`` bytes by recomputing undecided values whose recompute lowers
+    it, and gets two lower bounds on their flops: the fractional knapsack,
+    rounded up in exact integers, and the cardinality bound, the flops of
+    the ``m`` cheapest of those values, where ``m`` is the fewest that can
+    lose ``need`` bytes (largest first). The row's bound is the larger, and
+    the key's bound is the largest over the rows. The dominance mask, the
+    Python rows and the knapsack tables (both bounds' running sums) do not
+    depend on the limit, so they are built once per ``MemoryRows``, on
+    first need.
 
     Ties resolve to the assignment that stores the earliest-produced values:
-    keys are ``(flops + bound, decided bits as 1 - v)``, every prefix of that
+    keys are ``(flops + bound, decided bits as 1 - v)``. Both bounds are at
+    most the flops any fitting completion pays, so every prefix of that
     assignment has a key no larger than its own, and its key is smaller than
     any other complete assignment's, so it is the first complete node popped.
     The peak ``t_star`` is taken over every event row.
@@ -772,26 +809,8 @@ def solve_ilp(problem: ILPProblem) -> ILPSolution:
 
     full = problem.rows
     rows = full.kept(limit)
-    tails = [(row.index, row.tail) for row in rows]
-    table = full.table
+    bound = search_bound(full, rows, limit)
     costs = problem.costs
-
-    def bound(depth: int, low: tuple[int, ...]) -> int | None:
-        """Least flops the undecided values still cost, None if no
-        completion fits."""
-        best = 0
-        for (r, tail), lo in zip(tails, low):
-            need = lo + tail[depth] - limit  # bytes the row must lose
-            if need <= 0:
-                continue
-            items, cum_bytes, cum_flops = table(r, depth)
-            j = bisect.bisect_left(cum_bytes, need)
-            if j == len(items):
-                return None
-            c, b = items[j]
-            rest = need - (cum_bytes[j - 1] if j else 0)
-            best = max(best, cum_flops[j] - (-c * rest // b))
-        return best
 
     low = tuple(row.low for row in rows)
     h = bound(0, low)

@@ -16,10 +16,15 @@ parameter is 4. Each line hashes, in order:
 * at no budget, 75% and 50% of the keep-all peak, and the floor (the
   ``min_peak_bytes`` of a 0-byte plan): the serialized planned programs,
   the assignment, the objective, ``t_star``, the report without
-  ``solver_ms``, the memory sequences (each path's outcomes, then each
-  event's label, delta and total) and the value, gradients and forward
-  and reverse op counts of two ``run_planned()`` replays;
+  ``solver_ms`` and ``solver_nodes``, the memory sequences (each path's
+  outcomes, then each event's label, delta and total) and the value,
+  gradients and forward and reverse op counts of two ``run_planned()``
+  replays;
 * the class and message of every error a step raises.
+
+After the hash, each line lists the ``solver_nodes`` of every plan that
+was made, as plain text, so that a change which only cuts search nodes
+keeps every hash and shows each count it moves.
 
 Run from the repository root, on two checkouts, and diff the outputs:
 
@@ -95,15 +100,18 @@ def digest(program) -> str:
         for _ in range(2):
             _replay(h, gradient(program, inputs, params))
 
-    def planned(limit_bytes):
+    nodes = []  # (step, solver_nodes) per plan made
+
+    def planned(what, limit_bytes):
         def run(h):
             result = plan(program, None if limit_bytes is None else limit_bytes / (1 << 20), params)
             h.update(serialize_program(result.forward).encode())
             h.update(serialize_program(result.backward).encode())
             s = result.solution
             h.update(f"{s.assignment} {s.objective_flops} {s.t_star}\n".encode())
-            report = {k: v for k, v in result.report.items() if k != "solver_ms"}
+            report = {k: v for k, v in result.report.items() if k not in ("solver_ms", "solver_nodes")}
             h.update(f"{report}\n".encode())
+            nodes.append((what, result.report["solver_nodes"]))
             for seq in result.sequences:
                 h.update(f"path {seq.outcomes}\n".encode())
                 for e in seq.events:
@@ -125,14 +133,14 @@ def digest(program) -> str:
     _step(h, "reverse", reverse)
     _step(h, "ccs", restricted)
     _step(h, "gradient", grads)
-    peak = _step(h, "keep-all", planned(None))
+    peak = _step(h, "keep-all", planned("keep-all", None))
     if peak is not None:
         for share in (0.75, 0.5):
-            _step(h, f"{share}", planned(int(peak * share)))
+            _step(h, f"{share}", planned(f"{share}", int(peak * share)))
     least = _step(h, "floor", floor)
     if least is not None:
-        _step(h, "at floor", planned(least))
-    return h.hexdigest()
+        _step(h, "at floor", planned("at floor", least))
+    return f"{h.hexdigest()} solver_nodes " + ", ".join(f"{what} {n}" for what, n in nodes)
 
 
 def main():

@@ -376,6 +376,64 @@ def test_solver_agrees_with_brute_force_on_random_rows():
                 (ref.assignment, ref.objective_flops, ref.t_star), (case, limit)
 
 
+def test_search_bound_is_admissible_on_random_rows():
+    # every prefix the search can reach: the bound is at most the cheapest
+    # completion that fits, and None exactly when one kept row alone cannot
+    # get under the limit, so at a complete prefix exactly when it does
+    # not fit; rows are bounded one at a time, so a finite bound can still
+    # have no fitting completion
+    r = random.Random(7)
+    seen = {"bounded": 0, "none": 0, "no joint fit": 0, "pinned": 0}
+    for case in range(400):
+        fvs, seqs = _random_problem(r)
+        floor, keep = _floor(fvs, seqs), _keep_all(fvs, seqs)
+        for limit in sorted({floor - 1, floor, (floor + keep) // 2, keep}):
+            problem = build_ilp(fvs, seqs, limit)
+            full, k = problem.rows, problem.k
+            seen["pinned"] += bool(problem.fixed)
+            rows = full.kept(limit)
+            bound = checkpointing.search_bound(full, rows, limit)
+            every = np.array([a for a in itertools.product((0, 1), repeat=k)
+                              if all(a[i] == v for i, v in problem.fixed.items())], dtype=np.int64)
+            totals = full.base + every @ full.delta.T  # [assignment, row]
+            fits = totals.max(axis=1) <= limit
+            kept = totals[:, [row.index for row in rows]] <= limit
+            flops = (1 - every) * np.array(problem.costs, dtype=np.int64)
+
+            def walk(depth, low, match):
+                got = bound(depth, low)
+                assert (got is None) == (not kept[match].any(axis=0).all()), (case, limit, depth)
+                if depth == k:
+                    assert (got is None) == (not fits[match].any()), (case, limit)
+                if got is None:
+                    seen["none"] += 1
+                elif (match & fits).any():
+                    assert got <= flops[match & fits, depth:].sum(axis=1).min(), (case, limit, depth)
+                    seen["bounded"] += 1
+                else:
+                    seen["no joint fit"] += 1
+                for v in () if depth == k else (problem.fixed[depth],) if depth in problem.fixed else (1, 0):
+                    child = tuple(lo + (row.up if v else row.down)[depth] for row, lo in zip(rows, low))
+                    walk(depth + 1, child, match & (every[:, depth] == v))
+
+            walk(0, tuple(row.low for row in rows), np.ones(len(every), dtype=bool))
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("k", [12, 14, 16, 20, 24])
+def test_sin_chain_solves_in_k_plus_2_nodes(k):
+    # equal sizes and rising recompute costs: the cardinality bound prices
+    # the recompute prefix exactly, so the search pops only the answer's
+    # k + 1 prefixes, and its count starts at 1
+    fvs, seqs = _problem(sin_chain(k), {})
+    keep = _keep_all(fvs, seqs)
+    for share in (0.8, 0.7, 0.6):
+        sol = solve_ilp(build_ilp(fvs, seqs, int(share * keep)))
+        m = sol.assignment.count(0)
+        assert m and sol.assignment == (0,) * m + (1,) * (k - m), share
+        assert sol.nodes == k + 2, share
+
+
 def _pruned_per_limit(rows: MemoryRows, limit: int) -> list[int]:
     """Reference: the rows that can exceed ``limit``, pruned of dominated
     rows among themselves (of identical rows the first stays)."""

@@ -2,11 +2,14 @@
 
 Each mutant either goes through the whole public pipeline (parse, sample
 inputs, forward run, op count, gradient, unbudgeted plan) or raises a named
-``GradflowError`` subclass: never a bare exception from deep inside.
+``GradflowError`` subclass: never a bare exception from deep inside. A
+share of the same mutants goes through the command line's ``run``, which
+exits 0 or 2 and prints no traceback.
 """
 
 from __future__ import annotations
 
+import collections
 import copy
 import json
 import random
@@ -16,6 +19,7 @@ import numpy as np
 import gradflow.examples as examples
 from gradflow import (
     GradflowError,
+    cli,
     count_flops,
     gradient,
     parse_program,
@@ -96,3 +100,20 @@ def test_a_second_draw_of_mutants_runs_through_or_raises_a_named_error():
     # this draw sets branchy_scale's branch label to "", which validation
     # must refuse: the path walk keys a branch by its label
     _gate(random.Random(5))
+
+
+def test_every_tenth_mutant_runs_through_the_cli_or_exits_2(tmp_path, capsys):
+    # the first draw of the gate above, in the same order
+    rng = random.Random(3)
+    path = tmp_path / "mutant.json"
+    codes = collections.Counter()
+    for name in sorted(examples.EXAMPLES):
+        doc = program_to_dict(examples.build(name))
+        params = ",".join(f"{p}={v}" for p, v in examples.DEFAULT_PARAMS[name].items())
+        for k, m in enumerate(mutants(doc, rng, MUTANTS_PER_KERNEL)):
+            if k % 10 == 0:
+                path.write_text(json.dumps(m))
+                codes[cli.main(["run", str(path), "--params", params])] += 1
+    assert sum(codes.values()) == len(examples.EXAMPLES) * MUTANTS_PER_KERNEL // 10
+    assert set(codes) == {0, 2}, codes
+    assert "Traceback" not in capsys.readouterr().err
