@@ -65,7 +65,7 @@ from .ir import (
     schedule,
     splice,
     validate,
-    validate_or_raise,
+    validated,
     walk_blocks,
     written_descriptors,
 )
@@ -806,6 +806,7 @@ def build_backward(program: Program, vinfo: VersionInfo | None = None) -> Backwa
     diags = validate(backward)
     if diags:
         raise AssertionError(f"internal: backward program invalid: {diags[:5]}")
+    backward._kept["validated"] = True
     return BackwardBundle(
         backward=backward,
         forwarding=forwarding,
@@ -818,7 +819,7 @@ def build_backward(program: Program, vinfo: VersionInfo | None = None) -> Backwa
 def backward_of(program: Program) -> BackwardBundle:
     """``build_backward(program)``, built on first use and kept with the
     program, which is never changed. The first use validates the program
-    unless it was validated where it entered (``ir.validate_or_raise``;
+    unless it was validated where it entered (``ir.validated``;
     ``ValidationFailed`` if it is not valid); a kept bundle stands for that
     check, and a build that raises keeps nothing. What depends on the
     parameter binding is kept apart:
@@ -826,9 +827,7 @@ def backward_of(program: Program) -> BackwardBundle:
     prepare the library steps their runs take (``ir.library_steps``)."""
     bundle = program._kept.get("bundle")
     if bundle is None:
-        if "validated" not in program._kept:
-            validate_or_raise(program)
-        bundle = program._kept["bundle"] = build_backward(program)
+        bundle = program._kept["bundle"] = build_backward(validated(program))
     return bundle
 
 
@@ -870,8 +869,9 @@ def gradient(
     ``plan()``, reuse it. The run plans of both runs
     (``interpreter.RunPlan``) are built on the first call under a parameter
     binding, before the forward run, and kept with ``program`` for the last
-    binding run, so a later call under it prepares nothing."""
-    from .interpreter import binding_of, prepare_runs, prepared, run_backward, run_forward
+    binding run, so a later call under it prepares nothing; both runs get
+    their plan as ``run_plan``."""
+    from .interpreter import binding_of, prepare_runs, run_backward, run_forward
 
     bundle = backward_of(program)
     runs = program._kept.get("runs")
@@ -879,10 +879,6 @@ def gradient(
         runs = program._kept["runs"] = prepare_runs(
             program, bundle.backward, params, record=bundle.required, vinfo=bundle.vinfo, forwarding=bundle.forwarding,
         )
-    with prepared(runs):
-        fwd = run_forward(program, inputs, params, record=bundle.required, vinfo=bundle.vinfo)
-        bwd = run_backward(
-            program, bundle.backward, inputs, params,
-            tape=fwd.tape, forwarding=bundle.forwarding, seed=seed,
-        )
+    fwd = run_forward(program, inputs, params, run_plan=runs[0])
+    bwd = run_backward(program, bundle.backward, inputs, params, tape=fwd.tape, seed=seed, run_plan=runs[1])
     return GradientResult.of(program, fwd, bwd, bundle)

@@ -55,7 +55,7 @@ from .errors import (
     IrrecomputableValue,
     UnresolvableTripCount,
 )
-from .interpreter import RunPlan, _node_cost, binding_of, prepare_runs, prepared, run_backward, run_forward
+from .interpreter import RunPlan, _node_cost, binding_of, prepare_runs, run_backward, run_forward
 from .ir import (
     AccessNode,
     Block,
@@ -78,7 +78,6 @@ from .ir import (
     schedule,
     size_bytes,
     splice,
-    validate_or_raise,
     walk_blocks,
 )
 from .versions import VersionInfo
@@ -352,8 +351,6 @@ def _recompute_plan(
     datas = [d for d, _ in steps]
     if len(set(datas)) != len(datas):
         raise IrrecomputableValue(f"closure of '{data}' touches several versions of one array")
-    if any(isinstance(states[s].graph.node(n), AccessNode) for s, n in steps.values()):
-        raise IrrecomputableValue("cannot replay node kind AccessNode")
 
     rename = {d: (stored_name if (d, v) == (data, version) else f"{d}__r{fvid}") for d, v in steps}
     ordered = sorted(steps.values(), key=order.__getitem__)
@@ -554,18 +551,20 @@ class _SeqBuilder:
 
 @dataclass
 class ILPProblem:
-    """The keep-or-recompute program: every field but ``limit_bytes`` is
-    budget-free, so ``plan()`` builds it once per parameter binding and
-    poses each limit on a copy of it."""
+    """The keep-or-recompute program. It does not depend on the memory
+    budget, so ``plan()`` builds it once per parameter binding and passes
+    each limit to ``solve_ilp``. ``limit_bytes`` only records a limit the
+    caller of ``build_ilp`` names (perfbench's reference search reads it);
+    the solver does not read it."""
 
     k: int
     costs: tuple[int, ...]  # recompute flops per value
     fixed: dict[int, int]  # variables pinned (irrecomputable -> 1)
     events: tuple[tuple[int, str, AffineBytes], ...]  # (path, label, total)
-    limit_bytes: int | None
     n_paths: int
     rows: MemoryRows  # every event total, then the zero row of a path with no events
     keep_all_peak: int  # the peak with every value stored
+    limit_bytes: int | None = None
 
 
 @dataclass
@@ -581,7 +580,7 @@ class ILPSolution:
 def build_ilp(
     fvs: list[ForwardedValue],
     sequences: list[PathSequence],
-    limit_bytes: int | None,
+    limit_bytes: int | None = None,
 ) -> ILPProblem:
     events = tuple(
         (p, ev.label, ev.total)
@@ -596,10 +595,10 @@ def build_ilp(
         costs=costs,
         fixed=fixed,
         events=events,
-        limit_bytes=limit_bytes,
         n_paths=len(sequences),
         rows=rows,
         keep_all_peak=int(rows.values([1] * len(fvs)).max()),
+        limit_bytes=limit_bytes,
     )
 
 
@@ -765,9 +764,9 @@ def search_bound(full: MemoryRows, rows: list[SearchRow], limit: int) -> Callabl
     return bound
 
 
-def solve_ilp(problem: ILPProblem) -> ILPSolution:
+def solve_ilp(problem: ILPProblem, limit_bytes: int | None) -> ILPSolution:
     """Exact best-first branch and bound over the plan bits, decided in
-    production order.
+    production order, under ``limit_bytes`` (None: no limit).
 
     Storing everything costs no flops, so it wins whenever it fits.
     Otherwise only the memory rows that can bind stay (``MemoryRows.kept``):
@@ -798,8 +797,7 @@ def solve_ilp(problem: ILPProblem) -> ILPSolution:
     The peak ``t_star`` is taken over every event row.
     """
     t0 = time.perf_counter()
-    k = problem.k
-    limit = problem.limit_bytes
+    k, limit = problem.k, limit_bytes
     nodes = 1
 
     peak = problem.keep_all_peak
@@ -862,10 +860,10 @@ def apply_plan(
     ``bundle`` are left untouched: each state that gains a copy-out is built
     anew, and the returned programs share every other block with them.
 
-    Both returned programs are validated as a whole (``ValidationFailed``
-    if either is not valid). ``plan()`` calls this once per assignment it
-    holds a pair for, and builds the pair's run plans, which prepare what
-    its replays take."""
+    The returned programs are not validated here: ``plan()`` calls this
+    once per assignment it holds a pair for, and builds the pair's run
+    plans, which validate both programs as a whole (``ValidationFailed``
+    if either is not valid) before the pair is kept."""
     fstates = _states_of(program.region)
     fdescs, bdescs = dict(program.descriptors), dict(bundle.backward.descriptors)
     kept: dict[str, list[ForwardedValue]] = {}  # production state -> values
@@ -890,8 +888,6 @@ def apply_plan(
     grown = {id(fstates[label]): [_copy_out_state(fstates[label], values)] for label, values in kept.items()}
     fwd = replace(program, descriptors=fdescs, region=splice(program.region, grown))
     bwd = replace(bundle.backward, descriptors=bdescs, region=splice(bundle.backward.region, rebuilt))
-    validate_or_raise(fwd)
-    validate_or_raise(bwd)
     return fwd, bwd
 
 
@@ -969,9 +965,9 @@ def plan(
     program with its memory rows and keep-all peak, and the planned pair
     of each assignment applied, with the run plans of its replay, for as
     long as a ``PlanResult`` holds it (``_Planning``). Each call then only
-    poses the limit on a copy of that program and solves; ``apply_plan``
-    builds and validates a pair only for an assignment not held, and a
-    pair that fails validation is not kept."""
+    solves that program under its limit; ``apply_plan`` builds a pair only
+    for an assignment not held, its run plans validate it, and a pair that
+    fails validation is not kept."""
     params = dict(params or {})
     bundle = backward_of(program)
     binding = binding_of(params)
@@ -979,15 +975,11 @@ def plan(
     if planning is None or planning.binding != binding:
         fvs = collect_forwarded(program, bundle, params)
         sequences = build_memory_sequences(program, bundle, fvs, params)
-        problem = build_ilp(fvs, sequences, None)
+        problem = build_ilp(fvs, sequences)
         planning = program._kept["planning"] = _Planning(binding, tuple(fvs), tuple(sequences), problem)
-    fvs, sequences = planning.fvs, planning.sequences
+    fvs, sequences, problem = planning.fvs, planning.sequences, planning.problem
     limit_bytes = None if limit_mib is None else int(limit_mib * (1 << 20))
-    # the kept problem under this limit, built field by field: a
-    # dataclasses.replace costs about four times as much per plan()
-    p = planning.problem
-    problem = ILPProblem(p.k, p.costs, p.fixed, p.events, limit_bytes, p.n_paths, p.rows, p.keep_all_peak)
-    solution = solve_ilp(problem)
+    solution = solve_ilp(problem, limit_bytes)
     held = planning.pairs.get(solution.assignment)
     pair = held() if held is not None else None
     if pair is None:
@@ -1059,18 +1051,17 @@ def run_planned(
     runs = result.pair.runs if result.pair is not None else None
     if runs is None or runs[0].binding != binding_of(params or {}):
         runs = _replay_runs(result.fvs, result.bundle, result.forward, result.backward, params)
-    with prepared(runs):
-        # the planned program only adds copy-outs, which write no version in the record
-        fwd_run = run_forward(result.forward, inputs, params, record=runs[0].record, vinfo=result.bundle.vinfo)
-        # moved, so the reverse run's release frees them; a copy-out in an arm
-        # the run did not take made none
-        stored = {
-            fv.name: fwd_run.env.pop(fv.name)
-            for fv, v in zip(result.fvs, result.solution.assignment)
-            if v and not fv.forced and fv.name in fwd_run.env
-        }
-        bwd_run = run_backward(
-            result.forward, result.backward, inputs, params,
-            tape=fwd_run.tape, forwarding=runs[1].forwarding, seed=seed, extra_env=stored,
-        )
+    # the planned program only adds copy-outs, which write no version in the record
+    fwd_run = run_forward(result.forward, inputs, params, run_plan=runs[0])
+    # moved, so the reverse run's release frees them; a copy-out in an arm
+    # the run did not take made none
+    stored = {
+        fv.name: fwd_run.env.pop(fv.name)
+        for fv, v in zip(result.fvs, result.solution.assignment)
+        if v and not fv.forced and fv.name in fwd_run.env
+    }
+    bwd_run = run_backward(
+        result.forward, result.backward, inputs, params,
+        tape=fwd_run.tape, seed=seed, extra_env=stored, run_plan=runs[1],
+    )
     return GradientResult.of(result.forward, fwd_run, bwd_run, result.bundle)

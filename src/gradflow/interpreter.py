@@ -7,16 +7,18 @@ passes); an input the program overwrites takes the batch dimensions of the
 others, and branch conditions must agree across the batch
 (``BatchDivergence`` otherwise).
 
-A run goes by a ``RunPlan``: what depends only on the (validated) program
-and the parameter binding, built whole before the run. It holds each
+A run goes by a ``RunPlan``, the one door to execution: it validates an
+unmarked program (``ir.validated``) and holds what depends only on the
+program and the parameter binding, built whole before the run: each
 name's shape and dtype, the names the program writes, each state's
 generated function with its arguments, each loop's compiled nest, the
 iterates of each loop whose header reads only parameters, and a reverse
-run's release table; a binding under which any of them cannot be prepared
-fails the build, before any state runs. ``gradient()`` keeps its two plans
-with the program for the last binding it ran, and ``plan()`` keeps them
-with each planned pair; both hand them to ``run_forward`` and
-``run_backward`` through ``prepared``. Any other run builds its own plan. A header that reads a
+run's release table. A program that is not valid, or a binding under which
+any of them cannot be prepared, fails the build, before any state runs; so
+the run trusts a valid program. ``gradient()`` keeps its two plans with the
+program for the last binding it ran, and ``plan()`` keeps them with each
+planned pair; both pass them to ``run_forward`` and ``run_backward`` as
+``run_plan``. Any other run builds its own plan. A header that reads a
 scalar or an enclosing iterator is simulated once per distinct value of the
 names it reads, memoized for the run.
 
@@ -71,8 +73,6 @@ iterators at the coordinates the read resolved for them.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -104,6 +104,7 @@ from .ir import (
     schedule,
     simulate_header,
     uniform_int,
+    validated,
     visit_positions,
     walk_blocks,
     written_descriptors,
@@ -163,15 +164,17 @@ class RunPlan:
     the parameter binding (see the module docstring). ``record`` and
     ``vinfo`` give a forward run its tape records; ``forwarding`` and
     ``src_program`` (whose shapes a reverse run's inputs are checked
-    against) serve a reverse run. The plan is built whole: what cannot be
-    prepared under ``params`` raises here. A plan refers to no program
-    (``of`` is the ``id()`` of the one it runs), so a program that keeps
-    plans is freed without the cycle collector."""
+    against) serve a reverse run, and only a reverse run's plan has a
+    release table. The plan is built whole: an unmarked ``program`` that is
+    not valid (``ValidationFailed``) and what cannot be prepared under
+    ``params`` raise here. A plan refers to no program, so a program that
+    keeps plans is freed without the cycle collector."""
 
     def __init__(self, program: Program, params: dict[str, int], *, record=None,
                  vinfo: VersionInfo | None = None, forwarding: dict | None = None,
                  src_program: Program | None = None):
-        self.of, self.params, self.binding = id(program), dict(params), binding_of(params)
+        self.params, self.binding = dict(params), binding_of(params)
+        validated(program)
         self.descriptors, self.region = program.descriptors, program.region
         if record is not None and vinfo is None:
             vinfo = analyze_versions(program)
@@ -195,7 +198,7 @@ class RunPlan:
             if b.iterator not in self.params and header_names(b) - {b.iterator} <= free:
                 fwd = simulate_header(b, self.params)
                 self.iterates[id(b)] = fwd, _visits(b, fwd)
-        self.releases = self._release_table()
+        self.releases = self._release_table() if src_program else ({}, frozenset())
         self.nests: dict = {}  # by loop id or (graph id, node id)
         self.states: dict[int, tuple] = {}  # by state id
         self._prepare(program.region)
@@ -261,7 +264,7 @@ class RunPlan:
         if item is not None:
             loops, names = acc
             desc = self.descriptors
-            described = tuple((n, self.shape_of(n), desc[n].element_kind) if n in desc else (n, None, None) for n in names)
+            described = tuple((n, self.shape_of(n), desc[n].element_kind) for n in names)
             nest = _compiled_tasklet((item, described)), tuple(loops)
         self.nests[id(root) if df is None else (id(df), root.id)] = nest
         return nest
@@ -379,7 +382,7 @@ class Executor:
         self.ctx: dict[str, _LoopCtx] = {}
         self.branch_down: dict[str, int] = {}
         self.op_count = 0
-        self.frees: dict[int, tuple] = {}  # a reverse run's release table, see run_reverse
+        self.frees = plan.releases[0]  # a reverse run's release table, see run
         self.drops: dict[tuple[str, int], list] = {}  # the tape keys of each released (data, version)
         self.memo: dict[tuple, list[int]] = {}  # iterates of headers that read scalars or iterators
 
@@ -391,8 +394,7 @@ class Executor:
             return arr
         if name in self.plan.forwarding:
             return self._fetch_forwarded(name)
-        desc = self.descriptors.get(name)
-        if desc is None or desc.role == "input":
+        if self.descriptors[name].role == "input":
             raise UnboundName(f"no value for input '{name}'")
         return self.write_target(name)
 
@@ -442,19 +444,17 @@ class Executor:
     # -- control flow --------------------------------------------------------
 
     def run(self):
-        self._exec_region(self.plan.region)
-
-    def run_reverse(self):
-        """Run the region, releasing each array and tape snapshot where the
-        plan's release table puts it: after its last touch, by the rule the
-        memory model prices (``ir.live_ranges``). The tape keys of each
-        released ``(data, version)`` are found once, here."""
-        self.frees, shared = self.plan.releases
+        """Run the region. A reverse run releases each array and tape
+        snapshot where its plan's release table puts it: after its last
+        touch, by the rule the memory model prices (``ir.live_ranges``).
+        The tape keys of each released ``(data, version)`` are found once,
+        here."""
+        shared = self.plan.releases[1]
         if shared and self.src_tape is not None:
             for key in self.src_tape.values:
                 if key[:2] in shared:
                     self.drops.setdefault(key[:2], []).append(key)
-        self.run()
+        self._exec_region(self.plan.region)
 
     def _release(self, at: int):
         for key in self.frees[at]:
@@ -571,30 +571,6 @@ class Executor:
 # ---------------------------------------------------------------------------
 # entry points
 
-_PREPARED: contextvars.ContextVar[tuple] = contextvars.ContextVar("prepared", default=())
-
-
-@contextlib.contextmanager
-def prepared(plans):
-    """Within the block, ``run_forward`` and ``run_backward`` run a program
-    from the one of ``plans`` built for it under the binding they are given,
-    so ``gradient()`` and ``run_planned()`` hand them their kept plans with
-    no parameter added; any other run builds its own."""
-    token = _PREPARED.set(tuple(plans))
-    try:
-        yield
-    finally:
-        _PREPARED.reset(token)
-
-
-def _plan_for(program: Program, params: dict[str, int], **how) -> RunPlan:
-    binding = binding_of(params)
-    for plan in _PREPARED.get():
-        if plan.of == id(program) and plan.binding == binding:
-            return plan
-    return RunPlan(program, params, **how)
-
-
 def prepare_runs(program: Program, backward: Program, params: dict[str, int] | None, *,
                  record, vinfo: VersionInfo, forwarding: dict) -> tuple[RunPlan, RunPlan]:
     """The run plans of a forward run of ``program`` that records
@@ -647,13 +623,15 @@ def run_forward(
     *,
     record=None,
     vinfo: VersionInfo | None = None,
+    run_plan: RunPlan | None = None,
 ) -> RunResult:
     """Execute the program. ``record`` is None (no tape) or a set of
     ``(name, version)`` pairs to snapshot; ``vinfo`` is the program's
-    version analysis, computed when a tape needs it and none is given. The
-    returned ``env`` holds the inputs, outputs and stored copies."""
-    params = dict(params or {})
-    plan = _plan_for(program, params, record=record, vinfo=vinfo)
+    version analysis, computed when a tape needs it and none is given. A
+    ``run_plan`` built for ``program`` under ``params`` stands for both, and
+    the run builds none of its own. The returned ``env`` holds the inputs,
+    outputs and stored copies."""
+    plan = run_plan or RunPlan(program, dict(params or {}), record=record, vinfo=vinfo)
     env, batch = _prepare_inputs(program, inputs, plan)
     tape = None
     if plan.record is not None:
@@ -683,21 +661,22 @@ def run_backward(
     forwarding: dict | None = None,
     seed=1.0,
     extra_env: dict | None = None,
+    run_plan: RunPlan | None = None,
 ) -> RunResult:
     """Run a reverse-mode program. ``inputs`` are the forward inputs (pristine
     arrays are read directly); ``extra_env`` carries materialized stored
     copies from a planned forward run and is emptied into the run;
     everything else resolves via ``tape`` and the ``forwarding`` table. The
     batch shape is the forward inputs' one, since the reverse program may
-    read none of them.
+    read none of them. A ``run_plan`` built for ``backward`` under
+    ``params`` stands for ``forwarding``, as in ``run_forward``.
 
     The run consumes what it holds: each stored copy, scratch array and
     gradient other than an output is released after its last touch, and
     each tape snapshot the run reads is popped from ``tape.values`` after
     its last read: the last-touch rule of ``ir.live_ranges``, which the
     memory model also prices."""
-    params = dict(params or {})
-    plan = _plan_for(backward, params, forwarding=forwarding, src_program=program)
+    plan = run_plan or RunPlan(backward, dict(params or {}), forwarding=forwarding, src_program=program)
     env, batch = _prepare_inputs(program, inputs, plan)
     if extra_env:
         env.update({k: np.asarray(v) for k, v in extra_env.items() if k in backward.descriptors})
@@ -706,7 +685,7 @@ def run_backward(
     if seed_name in backward.descriptors and seed_name not in env:
         env[seed_name] = np.full(batch, seed, dtype=_DTYPE[backward.descriptors[seed_name].element_kind])
     ex = Executor(plan, env, batch, src_tape=tape)
-    ex.run_reverse()
+    ex.run()
     return RunResult(env=env, value=env.get(seed_name), op_count=ex.op_count)
 
 

@@ -26,16 +26,17 @@ array's current access instance and a write opens a new one, and a map
 has one edge per array its body reads or writes, whose write edge
 carries ``sum`` only when every body write does.
 
-Each program is checked once, as a whole, where it enters or is built,
-by :func:`validate_or_raise`, which marks a valid program so:
+Each program is checked once, as a whole, by :func:`validate_or_raise`,
+which marks a valid program so. It is checked where it enters:
 ``frontend.parse_program`` (and ``load_program``) and
-``ProgramBuilder.finish`` validate what they build, and everything after
-them trusts it; ``autodiff.backward_of`` validates an unmarked program
-(one made by ``dataclasses.replace``) before it differentiates it;
-``autodiff.build_backward`` validates the reverse program it emits; and
-``checkpointing.apply_plan`` validates both planned programs it builds,
-which ``plan()`` keeps per assignment while a ``PlanResult`` holds them,
-so repeating a plan whose result is held validates nothing.
+``ProgramBuilder.finish`` validate what they build, and
+``autodiff.build_backward`` marks the reverse program it has checked.
+An unmarked program (one made by ``dataclasses.replace`` or the
+``Program`` constructor, such as a planned pair) is checked where it is
+used, by :func:`validated`: ``autodiff.backward_of`` before it
+differentiates it and ``interpreter.RunPlan`` before it runs it. So
+everything past those doors trusts a valid program, and repeating a plan
+whose result is held validates nothing.
 
 A built ``Program`` is a value: no pass changes it. A pass that rewrites a
 few states builds those states anew and rebuilds the program around them
@@ -1032,11 +1033,18 @@ def data_read(df: Dataflow) -> set[str]:
 
 def validate_or_raise(program: Program) -> None:
     """``ValidationFailed`` unless ``program`` is valid; a valid program is
-    marked so (``_kept``), and ``autodiff.backward_of`` trusts the mark."""
+    marked so (``_kept``), and ``validated`` trusts the mark."""
     diags = validate(program)
     if diags:
         raise ValidationFailed(diags)
     program._kept["validated"] = True
+
+
+def validated(program: Program) -> Program:
+    """``program``, validated first unless it carries the mark."""
+    if "validated" not in program._kept:
+        validate_or_raise(program)
+    return program
 
 
 def written_descriptors(program: Program) -> set[str]:

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, OutOfBounds, ShapeMismatch, UnboundName
+from .errors import DomainError, OutOfBounds, ShapeMismatch
 from .ir import LibraryNode, LibraryStep, uniform_int
 from .symexpr import SOURCE_NAMESPACE, Binary, Const, Name, Unary, free_names, python_source
 
@@ -50,7 +50,7 @@ def _compiled_state(key: tuple) -> Callable:
     Each step is inlined in order: a record reads its array and stores a
     copy in ``ex.tape``; a library node runs as ``_library_lines`` writes
     it; a nest is called. A step that releases then calls ``ex._release``
-    with its key when the run has a release table (``ex.frees``). No local
+    with its key; only a reverse run's plan marks any. No local
     holds an array past its step, so a release frees what it pops. The
     library nodes' operators are one constant, to which each nest adds its
     own. The function keeps its generated text as ``state.source``.
@@ -72,7 +72,7 @@ def _compiled_state(key: tuple) -> Callable:
             written.update(dict.fromkeys(step[1]))
         if releases:
             at = f"args[{j}][2]" if step[0] == "nest" else f"args[{j}]"
-            lines += ["if ex.frees:", f"    ex._release({at})"]
+            lines.append(f"ex._release({at})")
     head = ["def state(ex, args):", "    env, batch = ex.env, ex.batch", f"    ops = {ops}"]
     src = "\n".join(head + ["    " + s for s in lines] + ["    return ops"])
     ns = dict(_NAMESPACE)
@@ -99,7 +99,7 @@ def library_item(node: LibraryNode, step: LibraryStep, shape_of: Callable, descr
         how = ("reduce_sum", len(shape_of(dict(step.ins)["x"])))
     else:
         operand = _operands(step.ins)
-        how = ("elementwise", python_source(step.expr, lambda n: operand.get(n, f"_unbound({n!r})")),
+        how = ("elementwise", python_source(step.expr, operand.__getitem__),
                *_operand_checks(node, step, shape_of))
     return "library", step.ins, outs, how, cost
 
@@ -185,7 +185,7 @@ def _inner_dims(node_id: str, a: np.ndarray, b: np.ndarray):
 def _compiled_tasklet(key: tuple) -> Callable:
     """One generated Python function per nest structure, shared by every
     executor. ``key`` is ``(item, arrays)``: ``arrays`` gives each array's
-    resolved shape (None: undeclared) and element kind, and ``item`` is one
+    resolved shape and element kind, and ``item`` is one
     of ``("tasklet", ins, outs, ops)`` (``(data, subset, connector)`` per
     in-edge, ``(data, subset, body, wcr)`` per out-edge), ``("map", id,
     params, ranges, items)``, ``("loop", j, iterator, header, items)``
@@ -279,17 +279,14 @@ def _compiled_tasklet(key: tuple) -> Callable:
 
     def result(body, conns: dict, results: dict, d: int, convert: bool = False) -> str:
         res = results.get(body)
-        if res is None:  # a body name with no in-edge raises where the body runs
+        if res is None:
             res = results[body] = f"r{next(fresh)}"
-            src = python_source(body, lambda n: conns.get(n, f"_unbound({n!r})"))
+            src = python_source(body, conns.__getitem__)
             emit(d, f"{res} = float({src})" if convert else f"{res} = {src}")
         return res
 
     def tasklet(it: tuple, scope: dict, d: int, level: str | None):
         _, ins, outs, _ = it
-        missing = [data for data, *_ in ins + outs if shape[data] is None]
-        if missing:
-            return emit(d, f"_no_value({missing[0]!r})")
         if level is None:
             return checked(it, scope, d)
         touched = dict.fromkeys(data for data, *_ in ins + outs)
@@ -490,7 +487,7 @@ def _compiled_tasklet(key: tuple) -> Callable:
                     + ["    " + s for s in entry] + text + ["    return ops"])
     ns = {
         **_NAMESPACE, "uniform_int": uniform_int, "_copy": _copy_element,
-        "_out_of_bounds": _out_of_bounds, "_no_value": _no_value,
+        "_out_of_bounds": _out_of_bounds,
         "_map_range": _map_range, "_UNSET": _UNSET, "_view": _view,
     }
     # a map by its id, a loop by its iterator, a tasklet by what it writes
@@ -576,10 +573,6 @@ def _int_valued(e, scope: dict) -> bool:
     if isinstance(e, Binary):
         return e.op in ("add", "sub", "mul") and _int_valued(e.x, scope) and _int_valued(e.y, scope)
     return False
-
-
-def _no_value(name: str):
-    raise UnboundName(f"no value for input '{name}'")
 
 
 def _item_writes(item: tuple) -> set[str]:

@@ -230,8 +230,7 @@ def test_branch_program_has_one_sequence_per_path():
 
 
 def _solve_foo(foo_plan, limit_bytes):
-    problem = build_ilp(foo_plan.fvs, foo_plan.sequences, limit_bytes)
-    return solve_ilp(problem)
+    return solve_ilp(build_ilp(foo_plan.fvs, foo_plan.sequences), limit_bytes)
 
 
 def test_unbounded_stores_everything(foo_plan):
@@ -277,7 +276,7 @@ def test_solver_agrees_with_brute_force_on_random_chains():
         for frac in (0.4, 0.8, 1.2):
             limit = int(store_all * frac)
             try:
-                got = solve_ilp(build_ilp(fvs, seqs, limit))
+                got = solve_ilp(build_ilp(fvs, seqs), limit)
             except Infeasible as e1:
                 with pytest.raises(Infeasible) as e2:
                     brute_force_plan(fvs, seqs, limit)
@@ -323,7 +322,7 @@ def test_solver_agrees_with_brute_force_on_random_programs():
         floor, keep = _floor(fvs, seqs), _keep_all(fvs, seqs)
         for limit in sorted({floor - 1, floor, (floor + keep) // 2, keep - 1}):
             try:
-                got = solve_ilp(build_ilp(fvs, seqs, limit))
+                got = solve_ilp(build_ilp(fvs, seqs), limit)
             except Infeasible as e1:
                 with pytest.raises(Infeasible) as e2:
                     brute_force_plan(fvs, seqs, limit)
@@ -366,7 +365,7 @@ def test_solver_agrees_with_brute_force_on_random_rows():
         floor, keep = _floor(fvs, seqs), _keep_all(fvs, seqs)
         for limit in sorted({floor - 1, floor, (floor + keep) // 2, keep}):
             try:
-                got = solve_ilp(build_ilp(fvs, seqs, limit))
+                got = solve_ilp(build_ilp(fvs, seqs), limit)
             except Infeasible as exc:
                 assert exc.min_peak_bytes == floor, (case, limit)
                 assert limit < floor
@@ -388,7 +387,7 @@ def test_search_bound_is_admissible_on_random_rows():
         fvs, seqs = _random_problem(r)
         floor, keep = _floor(fvs, seqs), _keep_all(fvs, seqs)
         for limit in sorted({floor - 1, floor, (floor + keep) // 2, keep}):
-            problem = build_ilp(fvs, seqs, limit)
+            problem = build_ilp(fvs, seqs)
             full, k = problem.rows, problem.k
             seen["pinned"] += bool(problem.fixed)
             rows = full.kept(limit)
@@ -428,7 +427,7 @@ def test_sin_chain_solves_in_k_plus_2_nodes(k):
     fvs, seqs = _problem(sin_chain(k), {})
     keep = _keep_all(fvs, seqs)
     for share in (0.8, 0.7, 0.6):
-        sol = solve_ilp(build_ilp(fvs, seqs, int(share * keep)))
+        sol = solve_ilp(build_ilp(fvs, seqs), int(share * keep))
         m = sol.assignment.count(0)
         assert m and sol.assignment == (0,) * m + (1,) * (k - m), share
         assert sol.nodes == k + 2, share
@@ -474,7 +473,7 @@ def test_sin_chain_of_24_values_solves_in_under_a_second(share):
     fvs, seqs = _problem(sin_chain(k), {})
     limit = int(share * _keep_all(fvs, seqs))
     t0 = time.perf_counter()
-    sol = solve_ilp(build_ilp(fvs, seqs, limit))
+    sol = solve_ilp(build_ilp(fvs, seqs), limit)
     assert time.perf_counter() - t0 < 1.0
     # equal sizes and rising recompute costs: recompute the shortest prefix
     # that fits
@@ -499,7 +498,7 @@ def test_infeasible_floor_of_16_values_in_under_half_a_second():
     assert exc.value.min_peak_bytes == max(s.peak((0,) * k) for s in seqs)
     fvs, seqs = _problem(sin_chain(10), {})
     with pytest.raises(Infeasible) as small:
-        solve_ilp(build_ilp(fvs, seqs, 10))
+        solve_ilp(build_ilp(fvs, seqs), 10)
     assert small.value.min_peak_bytes == _floor(fvs, seqs)
 
 
@@ -509,7 +508,7 @@ def test_solver_objective_matches_scipy_milp(k, share):
     optimize = pytest.importorskip("scipy.optimize")
     fvs, seqs = _problem(sin_chain(k), {})
     limit = int(share * _keep_all(fvs, seqs))
-    sol = solve_ilp(build_ilp(fvs, seqs, limit))
+    sol = solve_ilp(build_ilp(fvs, seqs), limit)
     # each event total is base + delta @ v over the store bits v
     totals = [ev.total for seq in seqs for ev in seq.events]
     base = np.array([t.const + sum(c for _, c in t.rec) for t in totals], dtype=float)
@@ -701,9 +700,10 @@ def test_planned_and_replaced_programs_start_with_nothing_kept(monkeypatch):
     result = plan(program, 0.6 * plan(program, None, params).solution.t_star / MIB, params)
     run_planned(result, inputs, params)
     assert program._kept
-    for made in (result.forward, result.backward):  # apply_plan validated them
+    # the planned pair's run plans validated it, and build_backward its reverse program
+    for made in (result.forward, result.backward, result.bundle.backward):
         assert made._kept == {"validated": True}
-    for made in (result.bundle.backward, replace(program, independents=("X",)), replace(program)):
+    for made in (replace(program, independents=("X",)), replace(program)):
         assert made._kept == {}
     calls = _count_calls(monkeypatch, build_backward)
     gradient(replace(program), inputs, params)
@@ -756,7 +756,7 @@ def test_a_second_plan_builds_and_validates_nothing(monkeypatch):
     stored = [v for fv, v in zip(first.fvs, first.solution.assignment) if not fv.forced]
     assert 0 in stored and 1 in stored  # both kinds of block are built
     # its backward (build_backward) and the planned forward and backward
-    # (apply_plan), once each; ProgramBuilder.finish checked the program
+    # (their run plans), once each; ProgramBuilder.finish checked the program
     assert calls["validate"] == 3 and calls["_rebuild_block"] and calls["_copy_out_state"], calls
     built = dict(calls)
     second = plan(program, limit, {})
@@ -1081,8 +1081,9 @@ def test_run_planned_records_what_a_reanalysed_forward_run_records(monkeypatch):
             result = keep_all if limit is None else plan(program, limit / MIB, params)
             run_planned(result, inputs, params)
             planned, kw, tape = seen.pop()
-            assert planned is result.forward and kw["vinfo"] is result.bundle.vinfo
-            reanalysed = forward(planned, inputs, params, record=kw["record"])
+            run_plan = kw["run_plan"]
+            assert planned is result.forward and run_plan.vinfo is result.bundle.vinfo
+            reanalysed = forward(planned, inputs, params, record=run_plan.record)
             assert tape == _tape_bytes(reanalysed.tape), (program, limit)
             checked += 1
             recorded += bool(tape)

@@ -302,10 +302,10 @@ def test_domain_error_propagates():
         run_forward(p, {"X": np.array([1.0, -2.0])}, {"n": 2})
 
 
-def test_unknown_elementwise_op_is_a_domain_error():
-    # parse_program refuses the unknown op; past validation
-    # (parse_unvalidated) the executor meets it itself, and gradient()
-    # validates the unmarked program before differentiating it
+def test_an_unknown_elementwise_op_fails_validation_at_every_door():
+    # parse_program refuses the unknown op; past it (parse_unvalidated), the
+    # run plan validates the unmarked program before it runs it, and
+    # gradient() before it differentiates it
     b = ProgramBuilder(())
     b.array("X", ("3",), role="input", kind="real64")
     b.array("Y", ("3",), kind="real64")
@@ -317,10 +317,9 @@ def test_unknown_elementwise_op_is_a_domain_error():
     with pytest.raises(ValidationFailed, match="BadLibrary: 'n1': unknown elementwise op 'frob'"):
         parse_program(text)
     p = parse_unvalidated(text)
-    with pytest.raises(DomainError, match="unknown elementwise op 'frob'"):
-        run_forward(p, {"X": np.ones(3)}, {})
-    with pytest.raises(ValidationFailed, match="BadLibrary: 'n1': unknown elementwise op 'frob'"):
-        gradient(p, {"X": np.ones(3)}, {})
+    for run in (run_forward, gradient):
+        with pytest.raises(ValidationFailed, match="BadLibrary: 'n1': unknown elementwise op 'frob'"):
+            run(p, {"X": np.ones(3)}, {})
 
 
 def test_library_copy_does_not_alias_its_input():
@@ -566,7 +565,6 @@ def _gather_document(subset: str, bound) -> dict:
     header = bound if isinstance(bound, dict) else {"bound": bound}
     doc = program_to_dict(_gather_program(header["bound"]))
     doc["region"][0].update(header)
-    # the builder validates, so the unbound subset goes in through the document
     doc["region"][0]["body"][0]["edges"][0]["subset"] = [subset]
     return doc
 
@@ -584,11 +582,10 @@ def _gather_document(subset: str, bound) -> dict:
                  id="doubling"),
 ])
 def test_compiled_tasklet_errors_keep_their_class_and_message(subset, bound, error, msg, batch):
-    text = json.dumps(_gather_document(subset, bound))
-    if error is UnboundName:  # validation refuses the unbound subset where the document enters
-        with pytest.raises(ValidationFailed, match=r"UnboundName: subset of 'X' uses \['k'\]"):
-            parse_program(text)
-    program = parse_unvalidated(text)
+    doc = _gather_document(subset, bound)
+    if error is UnboundName:  # a declared parameter the binding leaves out
+        doc["parameters"].append(subset)
+    program = parse_program(json.dumps(doc))
     with pytest.raises(error) as info:
         run_forward(program, {"X": np.ones(batch + (3,))}, {"n": 3})
     assert str(info.value) == msg
@@ -942,10 +939,9 @@ def test_a_nest_that_runs_no_point_fetches_nothing(scope):
         _run_env(p, {"n": 3, "m": 1})
 
 
-def _two_deep(subset: str, bound: str, doc_subset: str | None = None):
-    """for i < 2: for j < bound: O += X[subset]; ``doc_subset`` replaces the
-    subset in the serialized program, past the builder's validation."""
-    b = ProgramBuilder(("n",))
+def _two_deep(subset: str, bound: str, params=("n",)):
+    """for i < 2: for j < bound: O += X[subset], with parameters ``params``."""
+    b = ProgramBuilder(params)
     b.array("X", ("n",), role="input", kind="real64")
     b.scalar("O", role="output", kind="real64")
     with b.loop("i", "0", "2", label="outer"):
@@ -953,14 +949,7 @@ def _two_deep(subset: str, bound: str, doc_subset: str | None = None):
             with b.state("s") as s:
                 s.tasklet(ins={"a": ("X", (subset,))}, outs={"o": ("O", ())},
                           body={"o": "a"}, wcr="sum")
-    p = b.finish("O", ["X"])
-    if doc_subset is None:
-        return p
-    doc = program_to_dict(p)
-    doc["region"][0]["body"][0]["body"][0]["edges"][0]["subset"] = [doc_subset]
-    with pytest.raises(ValidationFailed, match=f"UnboundName: subset of 'X' uses \\['{doc_subset}'\\]"):
-        parse_program(json.dumps(doc))
-    return parse_unvalidated(json.dumps(doc))
+    return b.finish("O", ["X"])
 
 
 def _map_in_a_loop(step: str):
@@ -996,7 +985,7 @@ def _header_scalar_batch():
      "'X' index 3 outside dimension of size 3"),
     (lambda: _two_deep("(div j 2)", "n"), np.ones(3), DomainError,
      "subset of 'X' evaluated to non-integer 0.5"),
-    (lambda: _two_deep("j", "n", doc_subset="k"), np.ones(3), UnboundName, "no binding for 'k'"),
+    (lambda: _two_deep("k", "n", params=("n", "k")), np.ones(3), UnboundName, "no binding for 'k'"),
     (lambda: _map_in_a_loop("(sub 1 i)"), np.ones(3), DomainError,
      "map '{map}' step must be positive, got 0"),
     (lambda: _map_in_a_loop("(div 1 2)"), np.ones(3), DomainError,
@@ -1047,10 +1036,10 @@ def test_a_peeled_reversed_loop_visits_its_positions(skip, take, digits):
     assert env.get("O", 0.0) == digits
 
 
-def test_a_tasklet_with_no_out_edge_runs_and_writes_nothing(rng):
-    # the init tasklet T = 1 loses its only out-edge: it still runs, T stays
-    # zero, and the run and the cost model count the same operators; the
-    # differentiator refuses the program, which fails validation
+def test_a_tasklet_with_no_out_edge_fails_validation_before_it_runs(rng):
+    # the init tasklet T = 1 loses its only out-edge: past parse_program
+    # (parse_unvalidated), the run plan refuses the program before any state
+    # runs, and the differentiator before it differentiates it
     doc = program_to_dict(examples.build("doubling_gather"))
     init = doc["region"][0]
     init["edges"] = [e for e in init["edges"] if e["src"] != "t1"]
@@ -1058,10 +1047,69 @@ def test_a_tasklet_with_no_out_edge_runs_and_writes_nothing(rng):
         parse_program(json.dumps(doc))
     p = parse_unvalidated(json.dumps(doc))
     inputs = sample_inputs(p, {}, rng)
-    res = run_forward(p, inputs, {})
-    assert res.value == 0.0 and res.op_count == count_flops(p, {})[()] == 4
-    with pytest.raises(ValidationFailed, match="ArityMismatch: 't1' output 'o' has 0 edges"):
-        gradient(p, inputs, {})
+    for run in (run_forward, gradient):
+        with pytest.raises(ValidationFailed, match="ArityMismatch: 't1' output 'o' has 0 edges"):
+            run(p, inputs, {})
+
+
+# ---------------------------------------------------------------------------
+# the run plan: the one door to execution
+
+
+def _one_write_short(program):
+    """``program`` rebuilt by ``dataclasses.replace`` without the first write
+    edge of its first state, so it is not valid and carries no mark."""
+    state = next(b for b in program.region if isinstance(b, ir.State))
+    nodes = {n.id: n for n in state.graph.nodes}
+    drop = next(e for e in state.graph.edges if isinstance(nodes[e.dst], ir.AccessNode))
+    edges = [e for e in state.graph.edges if e is not drop]
+    edited = ir.State(state.label, ir.Dataflow(list(state.graph.nodes), edges))
+    return dataclasses.replace(program, region=ir.splice(program.region, {id(state): [edited]}))
+
+
+def test_an_invalid_replaced_program_fails_at_the_run_plan_before_any_state_runs(monkeypatch):
+    p, params = examples.build("scaled_product_chain"), {"N": 4}
+    inputs = sample_inputs(p, params, np.random.default_rng(0))
+    bundle = build_backward(p)
+    bad, bad_backward = _one_write_short(p), _one_write_short(bundle.backward)
+    ran = []
+    monkeypatch.setattr(interpreter.Executor, "run", ran.append)
+    for call in (
+        lambda: interpreter.RunPlan(bad, params),
+        lambda: run_forward(bad, inputs, params),
+        lambda: interpreter.RunPlan(bad_backward, params, forwarding=bundle.forwarding, src_program=p),
+        lambda: run_backward(p, bad_backward, inputs, params, forwarding=bundle.forwarding),
+    ):
+        with pytest.raises(ValidationFailed, match="ArityMismatch: "):
+            call()
+    assert ran == [] and bad._kept == bad_backward._kept == {}
+
+
+def test_a_run_under_a_kept_binding_builds_no_run_plan(monkeypatch):
+    # gradient() keeps its two plans for the last binding it ran, plan()
+    # those of its replay for the binding it planned; any other binding
+    # builds a forward and a reverse plan for the call
+    p = examples.build("scaled_product_chain")
+    rng = np.random.default_rng(1)
+    four, five = {"N": 4}, {"N": 5}
+    x4, x5 = sample_inputs(p, four, rng), sample_inputs(p, five, rng)
+    made = []
+    init = interpreter.RunPlan.__init__
+
+    def counted(self, program, *args, **kwargs):
+        made.append(program)
+        init(self, program, *args, **kwargs)
+
+    def built(call, *args):
+        made.clear()
+        call(*args)
+        return len(made)
+
+    monkeypatch.setattr(interpreter.RunPlan, "__init__", counted)
+    assert [built(gradient, p, x, n) for x, n in ((x4, four), (x4, four), (x5, five), (x5, five))] == [2, 0, 2, 0]
+    result = plan(p, None, four)
+    assert [built(run_planned, result, x, n) for x, n in ((x4, four), (x4, four), (x5, five))] == [0, 0, 2]
+    assert made == [result.forward, result.backward]
 
 
 # ---------------------------------------------------------------------------
@@ -1071,7 +1119,8 @@ def test_a_tasklet_with_no_out_edge_runs_and_writes_nothing(rng):
 def _reverse_env(program, inputs, params=None):
     """Run ``program`` with a reverse run's releases; return its env."""
     env = dict(inputs)
-    interpreter.Executor(interpreter.RunPlan(program, dict(params or {})), env, ()).run_reverse()
+    run_plan = interpreter.RunPlan(program, dict(params or {}), src_program=program)
+    interpreter.Executor(run_plan, env, ()).run()
     return env
 
 
@@ -1143,16 +1192,13 @@ def test_map_body_reads_keep_their_arrays_live():
     def square(inner):
         inner.tasklet(ins={"a": ("T", ("i",))}, outs={"o": ("P", ("i",))}, body={"o": "(mul a a)"})
 
+    # T is written by the first node and read last in the map's body: its
+    # release waits for the map
     with b.state("main") as s:
         s.library("ew_unary", {"x": "X"}, {"y": "T"}, op="scale", const=2.0)
-        mid = s.map_node(("i",), (("0", "n", "1"),), square)
+        s.map_node(("i",), (("0", "n", "1"),), square)
         s.library("reduce_sum", {"x": "P"}, {"y": "O"})
     p = b.finish("O", ["X"])
-    state = p.region[0]
-    # only the body's edge reads T now; the release must still wait for it
-    edges = [e for e in state.graph.edges if not (e.dst == mid and e.data == "T")]
-    edited = ir.State(state.label, ir.Dataflow(list(state.graph.nodes), edges))
-    p = dataclasses.replace(p, region=ir.splice(p.region, {id(state): [edited]}))
     x = np.array([0.5, 1.0, 1.5])
     env = _reverse_env(p, {"X": x}, {"n": 3})
     np.testing.assert_array_equal(env["P"], (2 * x) ** 2)
