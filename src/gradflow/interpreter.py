@@ -109,7 +109,7 @@ from .ir import (
     walk_blocks,
     written_descriptors,
 )
-from .nests import _compiled_state, _compiled_tasklet, _map_range, library_item
+from .nests import _compiled_state, _compiled_tasklet, _map_range, library_item, loop_step
 from .symexpr import count_ops, eval_expr, free_names
 from .versions import CUR, LAST, PREV, VersionInfo, analyze_versions
 
@@ -302,7 +302,7 @@ class RunPlan:
                     return None
                 else:
                     items.append(self._compute_item(node, block.graph, acc))
-        return "loop", j, loop.iterator, tuple(sorted(header_names(loop))), tuple(items)
+        return "loop", j, loop.iterator, tuple(sorted(header_names(loop))), loop_step(loop), tuple(items)
 
     def _release_table(self) -> tuple[dict[int, tuple], frozenset]:
         """A reverse run's release table (``releases``): by the ``id()`` of
@@ -698,8 +698,10 @@ def count_flops(program: Program, params: dict[str, int]) -> dict[tuple, int]:
     arm for the whole execution. A path is keyed like
     ``PathSequence.outcomes``: the sorted ``(label, arm)`` pairs of every
     branch, a reversed branch under the label of the forward branch it
-    replays; a branch-free program yields {(): total}. A loop whose trip
-    count needs runtime values raises UnresolvableTripCount."""
+    replays; a branch-free program yields {(): total}. An unmarked program
+    is validated first (``ValidationFailed``); a loop whose trip count
+    needs runtime values raises UnresolvableTripCount."""
+    validated(program)
     params = dict(params)
     out: dict[tuple, int] = {}
     for outcome in path_outcomes(program):

@@ -11,7 +11,12 @@ alike. ``interpreter.RunPlan`` builds each key from the program and the
 parameter binding, and passes what is not structure (release keys, tape
 versions, nests and loops) to the function as data; the executor runs what
 it gets. See ``_compiled_tasklet`` for what a nest does, and the direct
-access a real64 nest with exact bodies takes.
+access a real64 nest with exact bodies takes: there an innermost level of
+tasklets entered with its checks passed runs as one loop of direct points,
+which keeps each element it loads or stores in a local for the points
+after it (scalar replacement: Callahan, Carr and Kennedy, PLDI 1990), so a
+stencil sweep loads each element once. Stores, checks and the order of
+errors are those of the checked points.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, OutOfBounds, ShapeMismatch
-from .ir import LibraryNode, LibraryStep, uniform_int
+from .ir import LibraryNode, LibraryStep, LoopRegion, uniform_int
 from .symexpr import SOURCE_NAMESPACE, Binary, Const, Name, Unary, free_names, python_source
 
 _UNSET = object()  # a bind name missing at nest entry
@@ -188,8 +193,9 @@ def _compiled_tasklet(key: tuple) -> Callable:
     resolved shape and element kind, and ``item`` is one
     of ``("tasklet", ins, outs, ops)`` (``(data, subset, connector)`` per
     in-edge, ``(data, subset, body, wcr)`` per out-edge), ``("map", id,
-    params, ranges, items)``, ``("loop", j, iterator, header, items)``
-    (``header`` the names it reads) or a library node's item in a map body
+    params, ranges, items)``, ``("loop", j, iterator, header, step, items)``
+    (``header`` the names it reads, ``step`` its visits' even step, from
+    ``loop_step``) or a library node's item in a map body
     (``library_item``, inlined by ``_library_lines``). Returns ``nest(ex,
     loops)``, which runs the nest on executor ``ex`` and returns its
     operator count: each level adds its tasklets' and library nodes'
@@ -225,6 +231,29 @@ def _compiled_tasklet(key: tuple) -> Callable:
     any other index is computed and checked at the point as above. Every
     other point runs the checked body above, so an error is raised at the
     same point with the same message.
+
+    Direct loops: an innermost level inside another level, whose body is
+    tasklets alone (no library node, no deeper level), is entered through
+    one test, its level's ``ok_<iterator>`` and every handle it touches.
+    When that passes, all its iterates run as one loop of direct points
+    with no per-point test; else the level runs the per-point code above,
+    after which its points' locals are cleared. (A nest's outermost level
+    is entered once, before any handle is fetched, so it always runs the
+    per-point code.) In the direct loop a point keeps
+    each element of a tracked array (``_carries``: every access at
+    constant or ``iterator ± const`` indices through one offset term) in a
+    local: it reads an element it has touched from that local, and writes
+    a ``wcr="sum"`` update as ``u = v[o+c] + r; v[o+c] = u`` when the sum
+    is read again. When the level's iterates step evenly by a step known
+    here (a map's constant range step, a loop's ``loop_step``: +c for a
+    forward loop, -c reversed), an element read at constant ``c`` takes the
+    value the point before left at ``c + stride * step``, its offset term
+    having moved by that much; the first point's carried values are loaded
+    before the loop. Every store is kept, in order, and no load or local
+    can raise, so a direct loop writes the same arrays, counts the same
+    operators and raises the same error at the same point as the per-point
+    code. Distinct arrays never share a buffer a nest writes: a written
+    input is copied and every other written array is the run's own.
     """
     item, described = key
     shape = {name: dims for name, dims, _ in described}
@@ -236,6 +265,7 @@ def _compiled_tasklet(key: tuple) -> Callable:
     lines: list = []  # source lines, and callables giving lines known once the whole nest is emitted
     bound: dict[str, str] = {}
     fresh = itertools.count()
+    temps: list[str] = []  # a point's locals, in the order made
     written = _item_writes(item)
     # per level of a direct nest, by its iterator's variable: the enclosing
     # level, the hoisted checks as (const, size) and the per-iterate lines
@@ -249,6 +279,10 @@ def _compiled_tasklet(key: tuple) -> Callable:
 
     def later(d: int, make: Callable[[], list]):
         lines.append(lambda: ["    " * d + text for text in make()])
+
+    def temp(prefix: str) -> str:
+        temps.append(f"{prefix}{next(fresh)}")
+        return temps[-1]
 
     def source(e, scope: dict) -> str:
         def local(name: str) -> str:
@@ -266,7 +300,7 @@ def _compiled_tasklet(key: tuple) -> Callable:
         if (e, size) not in indices:
             var = scope.get(e.id) if isinstance(e, Name) else None
             if var is None:
-                var = f"x{next(fresh)}"
+                var = temp("x")
                 emit(d, f"{var} = {source(e, scope)}")
             if not _int_valued(e, scope):
                 what = "subset of '" + data + "'"
@@ -280,7 +314,7 @@ def _compiled_tasklet(key: tuple) -> Callable:
     def result(body, conns: dict, results: dict, d: int, convert: bool = False) -> str:
         res = results.get(body)
         if res is None:
-            res = results[body] = f"r{next(fresh)}"
+            res = results[body] = temp("r")
             src = python_source(body, conns.__getitem__)
             emit(d, f"{res} = float({src})" if convert else f"{res} = {src}")
         return res
@@ -315,7 +349,7 @@ def _compiled_tasklet(key: tuple) -> Callable:
 
         for data, subset, conn in ins:
             arr, idx = access(data, subset, "read")
-            var = conns[conn] = f"c{next(fresh)}"
+            var = conns[conn] = temp("c")
             emit(d, f"{var} = {arr}[{idx or '()'}] if {arr}_flat else _copy({arr}[..., {idx}])")
         for data, subset, body, wcr in outs:
             res = result(body, conns, results, d)
@@ -326,56 +360,112 @@ def _compiled_tasklet(key: tuple) -> Callable:
             emit(d, "else:")
             emit(d + 1, f"{arr}[..., {idx}] {op} {res}")
 
-    def direct(it: tuple, scope: dict, d: int, level: str):
+    def element(data: str, subset, scope: dict, level: str, d: int, indices: dict, offsets: dict) -> str:
+        """An element through its direct handle, at its flat offset: an
+        ``iterator ± const`` index is checked where its level's iterates are
+        fetched, any other index here (``index``)."""
+        dims = shape[data]
+        if not dims:
+            return f"{views[data]}[()]"
+        const, outer, terms = 0, [], []
+        for k, e in enumerate(subset):
+            size, stride = dims[k], math.prod(dims[k + 1:])
+            shift = _dim(e, size, scope)
+            if shift is None:
+                terms.append(_times(index(e, size, data, scope, indices, d), stride))
+                continue
+            var, c = shift
+            const += c * stride
+            if var is None:
+                continue
+            checks[var].append((c, size))
+            if var == level:
+                terms.append(_times(var, stride))
+            else:
+                outer.append((var, stride))
+        if outer:
+            terms.insert(0, partial(outer))
+        if len(terms) > 1:
+            text = " + ".join(terms)
+            if text not in offsets:
+                offsets[text] = temp("o")
+                emit(d, f"{offsets[text]} = {text}")
+            terms = [offsets[text]]
+        if not terms:
+            return f"{views[data]}[{const}]"
+        return f"{views[data]}[{terms[0]}{const:+d}]" if const else f"{views[data]}[{terms[0]}]"
+
+    def direct(it: tuple, scope: dict, d: int, level: str, carry: tuple | None = None):
         """A point through the direct handles, its hoisted checks passed:
-        what may still fail runs in the checked body's order."""
+        what may still fail runs in the checked body's order. In a carried
+        loop (``innermost``), ``carry`` is ``(tracked, kept, known,
+        offsets)``: each tracked array's constant offset by subset, the
+        elements a later access reads by ``(array, constant)``, the local
+        holding each such element's value, which a read takes in place of a
+        load and every access sets, and the offsets the point's tasklets
+        share."""
         _, ins, outs, _ = it
+        tracked, kept, known, offsets = carry or ({}, (), {}, {})
         indices: dict[tuple, str] = {}
-        offsets: dict[str, str] = {}
         conns: dict[str, str] = {}
         results: dict = {}
-
-        def element(data: str, subset) -> str:
-            dims = shape[data]
-            if not dims:
-                return f"{views[data]}[()]"
-            const, outer, terms = 0, [], []
-            for k, e in enumerate(subset):
-                size, stride = dims[k], math.prod(dims[k + 1:])
-                shift = _affine(e, scope)
-                if isinstance(e, Const) and e.value.__class__ is int and 0 <= e.value < size:
-                    const += e.value * stride
-                elif shift is not None:
-                    var, c = shift
-                    checks[var].append((c, size))
-                    const += c * stride
-                    if var == level:
-                        terms.append(_times(var, stride))
-                    else:
-                        outer.append((var, stride))
-                else:
-                    terms.append(_times(index(e, size, data, scope, indices, d), stride))
-            if outer:
-                terms.insert(0, partial(outer))
-            if len(terms) > 1:
-                text = " + ".join(terms)
-                if text not in offsets:
-                    offsets[text] = f"o{next(fresh)}"
-                    emit(d, f"{offsets[text]} = {text}")
-                terms = [offsets[text]]
-            if not terms:
-                return f"{views[data]}[{const}]"
-            return f"{views[data]}[{terms[0]}{const:+d}]" if const else f"{views[data]}[{terms[0]}]"
-
         for data, subset, conn in ins:
-            ref = element(data, subset)
-            var = conns[conn] = f"c{next(fresh)}"
-            emit(d, f"{var} = {ref}")
+            at = (data, tracked[data][subset]) if data in tracked else None
+            if at in known:
+                conns[conn] = known[at]
+                continue
+            var = conns[conn] = temp("c")
+            emit(d, f"{var} = {element(data, subset, scope, level, d, indices, offsets)}")
+            if at:
+                known[at] = var
         for data, subset, body, wcr in outs:
             # a body of constants alone may be an int: converted as a numpy
             # store converts it, one too large for a double raises alike
             res = result(body, conns, results, d, convert=not free_names(body))
-            emit(d, f"{element(data, subset)} {'+=' if wcr == 'sum' else '='} {res}")
+            ref = element(data, subset, scope, level, d, indices, offsets)
+            at = (data, tracked[data][subset]) if data in tracked else None
+            if wcr == "sum" and at not in known and at not in kept:
+                emit(d, f"{ref} += {res}")
+                continue
+            if wcr == "sum":  # as v[o] += r, from the element's value if known
+                res = f"{known.get(at, ref)} + {res}"
+                if at in kept:
+                    total = temp("u")
+                    emit(d, f"{total} = {res}")
+                    res = total
+            emit(d, f"{ref} = {res}")
+            if at in kept:
+                known[at] = res
+
+    def innermost(seq: str, var: str, scope: dict, d: int, items: tuple, step: int | None):
+        """The head of an innermost level of tasklets in a direct nest: when
+        its entry passes its hoisted checks and every handle it touches is
+        set, all its iterates run here as one loop of direct points, else
+        as per-point code in the ``else:`` arm the caller emits. When the
+        iterates step evenly by ``step``, each tracked element's value is
+        carried to the next point (``_carries``). The first point's carried
+        values are loaded before the loop, and every store stays."""
+        touched = dict.fromkeys(data for it in items for data, *_ in it[1] + it[2])
+        emit(d, f"if {' and '.join([f'ok_{var}'] + [f'{views[a]} is not None' for a in touched])}:")
+        tracked, kept, carried = _carries(items, shape, scope, var, step)
+        entering = {(data, c): f"e{next(fresh)}" for data, c, *_ in carried}
+        if carried:
+            emit(d + 1, f"if {seq}:")
+            emit(d + 2, f"{var} = {seq}[0]")
+            first: dict[str, str] = {}
+            for data, c, subset, _ in carried:
+                emit(d + 2, f"{entering[(data, c)]} = {element(data, subset, scope, var, d + 2, {}, first)}")
+        emit(d + 1, f"for {var} in {seq}:")
+        # a read from a local appends no hoisted check; the per-point code
+        # of the else: arm appends every one
+        known, offsets = dict(entering), {}
+        for it in items:
+            direct(it, scope, d + 2, var, (tracked, kept, known, offsets))
+        moves = [(entering[(data, c)], known[(data, c + shift)]) for data, c, _, shift in carried]
+        moves = [(to, at) for to, at in moves if to != at]
+        if moves:
+            emit(d + 2, f"{', '.join(to for to, _ in moves)} = {', '.join(at for _, at in moves)}")
+        emit(d, "else:")
 
     def partial(terms: list) -> str:
         """The variable holding the sum of ``(iterator, stride)`` terms of
@@ -422,6 +512,25 @@ def _compiled_tasklet(key: tuple) -> Callable:
         if not any(isinstance(x, str) for x in lines[start:]):
             emit(d, "pass")
 
+    def level_loop(seq: str, var: str, scope: dict, d: int, items: tuple, step: int | None, inner: Callable,
+                   level: str | None):
+        """``for var in seq:`` around the lines ``inner(depth)`` emits, in
+        the ``else:`` arm of an ``innermost`` head when the level holds only
+        tasklets of a direct nest and has an enclosing ``level``: a nest's
+        outermost level is entered once, before any point has fetched a
+        handle."""
+        fast = views and level and items and all(it[0] == "tasklet" for it in items)
+        if fast:
+            innermost(seq, var, scope, d, items, step)
+            d += 1
+        made = len(temps)
+        emit(d, f"for {var} in {seq}:")
+        if views:
+            later(d + 1, lambda: per_iterate[var])
+        inner(d + 1)
+        if fast and temps[made:]:  # so that a direct loop run later holds no more values than these points did
+            emit(d, " = ".join([*dict.fromkeys(temps[made:]), "None"]))
+
     def mapping(it: tuple, scope: dict, d: int, level: str | None, k: int = 0):
         _, mid, params, ranges, items = it
         if k == len(params):
@@ -434,17 +543,15 @@ def _compiled_tasklet(key: tuple) -> Callable:
             later(d, lambda: ok(var, f"(not {seq} or ({{lo}} <= {seq}[0] and {seq}[-1] <= {{hi}}))"))
         if last:
             count(items, d, seq)
-        emit(d, f"for {var} in {seq}:")
-        if views:
-            later(d + 1, lambda: per_iterate[var])
         inner, within = {**scope, params[k]: var}, var if views else None
+        step = ranges[k][2].value if isinstance(ranges[k][2], Const) and ranges[k][2].value.__class__ is int else None
         if last:
-            body(items, inner, d + 1, within)
+            level_loop(seq, var, inner, d, items, step, lambda e: body(items, inner, e, within), level)
         else:
-            mapping(it, inner, d + 1, within, k + 1)
+            level_loop(seq, var, inner, d, (), None, lambda e: mapping(it, inner, e, within, k + 1), level)
 
     def loop(it: tuple, scope: dict, d: int, level: str | None):
-        _, j, iterator, header, items = it
+        _, j, iterator, header, step, items = it
         seq, var = f"s{j}", f"i{next(fresh)}"
         passed = ", ".join(f"{n!r}: {scope[n]}" for n in header if n in scope)
         call = f"visits(loops[{j}], {{{passed}}})" if passed else f"visits(loops[{j}])"
@@ -463,10 +570,8 @@ def _compiled_tasklet(key: tuple) -> Callable:
                 later(d + 1, lambda: [f"k{j} = {bounded(var, test)}"] if checks[var] else [])
                 later(d, lambda: ok(var, f"k{j}"))
         count(items, d, seq)
-        emit(d, f"for {var} in {seq}:")
-        if views:
-            later(d + 1, lambda: per_iterate[var])
-        body(items, {**scope, iterator: var}, d + 1, var if views else None)
+        inner = {**scope, iterator: var}
+        level_loop(seq, var, inner, d, items, step, lambda e: body(items, inner, e, var if views else None), level)
 
     def library(it: tuple, scope: dict, d: int, level: str | None):
         for text in _library_lines(it):
@@ -537,6 +642,77 @@ def _affine(e, scope: dict) -> tuple[str, int] | None:
     if isinstance(x, Name) and x.id in scope and isinstance(y, Const) and y.value.__class__ is int:
         return scope[x.id], y.value if e.op == "add" else -y.value
     return None
+
+
+def _dim(e, size: int, scope: dict) -> tuple[str | None, int] | None:
+    """An index into a dimension of ``size`` as ``(variable, c)``: ``(None,
+    c)`` for an int constant in range, ``_affine``'s pair for ``iterator ±
+    const``, else None (computed and checked at the point)."""
+    if isinstance(e, Const) and e.value.__class__ is int and 0 <= e.value < size:
+        return None, e.value
+    return _affine(e, scope)
+
+
+def _carries(items: tuple, shape: dict, scope: dict, level: str, step: int | None) -> tuple[dict, set, list]:
+    """What a point of an innermost level of tasklets keeps in locals, as
+    ``(tracked, kept, carried)``. ``tracked`` holds each array of rank >= 1
+    whose every access in the point has constant or ``iterator ± const``
+    indices and the same offset term (the same iterators at the same
+    strides), with each subset's constant offset. ``carried`` holds
+    ``(array, c, subset, shift)`` for each tracked element that the point
+    reads before any store to it, and whose element at ``c + shift`` the
+    point touches too: that is the same element one point earlier,
+    ``shift`` being the level iterator's stride in the term times ``step``
+    (0 for a term without the iterator, whatever the visit order; with no
+    ``step``, only such terms carry). ``kept`` holds, by ``(array,
+    constant)``, each element whose value a later access reads: one the
+    point touches again, or one it carries to the next point. A level that
+    reads a rank-0 array tracks nothing: its values are numpy scalars, and
+    a local holding one would change the arithmetic of a later read, which
+    loads a Python float."""
+    if any(not shape[data] for it in items for data, *_ in it[1]):
+        return {}, set(), []
+    terms: dict[str, tuple | None] = {}
+    tracked: dict[str, dict] = {}
+    first: dict[str, dict[int, tuple]] = {}  # by array and constant: (read first, subset)
+    again = set()
+    for it in items:
+        for data, subset, reads in [(a, s, True) for a, s, _ in it[1]] + [(a, s, w == "sum") for a, s, _, w in it[2]]:
+            dims = shape[data]
+            parts = [_dim(e, dims[k], scope) for k, e in enumerate(subset)]
+            if not dims or None in parts:
+                terms[data] = None
+                continue
+            strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
+            term = tuple(sorted((v, st) for (v, _), st in zip(parts, strides) if v is not None))
+            if terms.setdefault(data, term) != term:
+                terms[data] = None
+            const = sum(c * st for (_, c), st in zip(parts, strides))
+            tracked.setdefault(data, {})[subset] = const
+            if const in first.setdefault(data, {}):
+                again.add((data, const))
+            first[data].setdefault(const, (reads, subset))
+    tracked = {data: at for data, at in tracked.items() if terms[data] is not None}
+    carried = []
+    for data in tracked:
+        stride = sum(st for v, st in terms[data] if v == level)
+        if stride and step is None:
+            continue
+        shift = stride * step if stride else 0
+        carried += [(data, c, subset, shift) for c, (reads, subset) in first[data].items()
+                    if reads and c + shift in first[data]]
+    kept = {(data, c + shift) for data, c, _, shift in carried} | {at for at in again if at[0] in tracked}
+    return tracked, kept, carried
+
+
+def loop_step(loop: LoopRegion) -> int | None:
+    """The even step of a loop's visits, when its update is ``iterator ±
+    const``: the constant, negated for a reversed loop, which runs its
+    forward iterates back to front; else None."""
+    shift = _affine(loop.update, {loop.iterator: loop.iterator})
+    if shift is None:
+        return None
+    return -shift[1] if loop.reverse_of is not None else shift[1]
 
 
 def _times(var: str, stride: int) -> str:

@@ -20,6 +20,11 @@ scalar input), for the same gates.
 ``make_map_program`` chains scalar tasklets, most inside maps: maps with
 ``sum`` conflict resolution, and in-place overwrites of map outputs,
 tasklet outputs and inputs, for the same gates.
+
+``make_stencil_program`` draws in-place neighbour sweeps over a square
+array in loop and map nests, with innermost steps of +1, -1 and +2 and a
+doubling header, for the same gates and for the direct access of exact
+real64 nests, which carries element values between consecutive points.
 """
 
 from __future__ import annotations
@@ -464,3 +469,108 @@ def make_map_program(seed: int) -> Program:
         for scalar in ("acc", "c") if has_c else ("acc",):
             s.tasklet(ins={"a": (scalar, ())}, outs={"o": ("O", ())}, body={"o": "a"}, wcr="sum")
     return b.finish("O", ["X0", "X1", "W"])
+
+
+_STENCIL_HEADERS = ("up", "down", "skip", "double")
+_STENCIL_STEPS = ("sweep", "sweep_sum", "transpose", "map_sum", "map_twice")
+_NEIGHBOURS = (("(sub i 1)", "j"), ("(add i 1)", "j"), ("i", "(sub j 1)"), ("i", "(add j 1)"))
+
+
+def _stencil_header(kind: str) -> tuple[str, str, str, str]:
+    """(init, bound, cmp, update) of a loop over j inside [1, n - 2]."""
+    if kind == "up":
+        return "1", "(sub n 1)", "<", "(add j 1)"
+    if kind == "down":
+        return "(sub n 2)", "0", ">", "(sub j 1)"
+    if kind == "skip":
+        return "1", "(sub n 1)", "<", "(add j 2)"
+    return "1", "(sub n 1)", "<", "(mul j 2)"
+
+
+def make_stencil_program(seed: int) -> Program:
+    """Inputs A and X ([n, n] real64); 1-3 steps over the interior, then
+    ``O = sum A`` plus the sums of B and C where a step writes them. Every
+    tasklet body is exact (add, sub, mul), so each nest runs direct.
+
+    Steps, each a loop over rows i in [1, n - 2] around a loop over j with
+    a drawn header (``_stencil_header``: steps +1, -1, +2 and doubling), or
+    a map over the same interior with a j step of 1 or 2:
+
+    * ``sweep``: A[i, j] = the mean of A[i, j] and some of its four
+      neighbours, in place, sometimes reading A[i, j] twice;
+    * ``sweep_sum``: A[i, j - 1] and A[i, j + 1] += multiples of A[i, j]
+      (``sum`` conflict resolution, in place), one tasklet each;
+    * ``transpose``: A[i, j] = (A[i, j - 1] + A[j + 1, i]) / 2, in place,
+      one array read through two index patterns. Not A[j, i]: the adjoint
+      clears A's gradient at [i, j] after adding into it at [j, i], which
+      on the diagonal loses that contribution;
+    * ``map_sum``: a map adding A[i, j - 1] / 2 + A[i, j] + A[i, j + 1] / 4
+      into B[i, j] (``sum``);
+    * ``map_twice``: a map writing C[i, j] = A[i, j] * X[i, j] + A[i, j] +
+      A[j, i], with A[i, j] read through two connectors.
+    """
+    r = random.Random(seed)
+    b = ProgramBuilder(("n",))
+    for name in ("A", "X"):
+        b.array(name, ("n", "n"), role="input", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    extra = []
+    interior = ("1", "(sub n 1)", "1")
+    for k in range(r.randint(1, 3)):
+        kind = r.choice(_STENCIL_STEPS)
+        if kind.startswith("map"):
+            out = "B" if kind == "map_sum" else "C"
+            if out not in extra:
+                b.array(out, ("n", "n"), kind="real64")
+                extra.append(out)
+            ranges = (interior, ("1", "(sub n 1)", r.choice(("1", "2"))))
+            with b.state(f"s{k}") as s:
+                s.map_node(("i", "j"), ranges, _stencil_point(kind, r))
+            continue
+        init, bound, cmp, update = _stencil_header(r.choice(_STENCIL_HEADERS))
+        with b.loop("i", "1", "(sub n 1)", label=f"rows{k}"):
+            with b.loop("j", init, bound, cmp=cmp, update=update, label=f"cols{k}"):
+                with b.state(f"s{k}") as s:
+                    _stencil_point(kind, r)(s)
+    with b.state("post") as s:
+        s.library("reduce_sum", {"x": "A"}, {"y": "O"})
+        for out in extra:
+            s.library("reduce_sum", {"x": out}, {"y": "O"}, wcr="sum")
+    return b.finish("O", ["A", "X"])
+
+
+def _stencil_point(kind: str, r: random.Random):
+    """A function adding the tasklets of one point of a
+    ``make_stencil_program`` step to a state or map body."""
+    if kind == "sweep":
+        reads = [("i", "j")] + r.sample(_NEIGHBOURS, r.randint(1, 4))
+        reads += [("i", "j")] * r.randint(0, 1)
+        ins = {f"c{k}": ("A", sub) for k, sub in enumerate(reads)}
+        body = f"(mul {1 / len(reads)!r} {_sum(list(ins))})"
+        return lambda s: s.tasklet(ins=ins, outs={"o": ("A", ("i", "j"))}, body={"o": body})
+    if kind == "sweep_sum":
+        def point(s):  # one write per tasklet: the builder opens an instance per write
+            s.tasklet(ins={"a": ("A", ("i", "j"))}, outs={"w": ("A", ("i", "(sub j 1)"))},
+                      body={"w": "(mul 0.25 a)"}, wcr="sum")
+            s.tasklet(ins={"a": ("A", ("i", "j"))}, outs={"e": ("A", ("i", "(add j 1)"))},
+                      body={"e": "(mul -0.125 a)"}, wcr="sum")
+        return point
+    if kind == "transpose":  # A[j + 1, i] is never A[i, j] (see the docstring above)
+        return lambda s: s.tasklet(
+            ins={"w": ("A", ("i", "(sub j 1)")), "t": ("A", ("(add j 1)", "i"))},
+            outs={"o": ("A", ("i", "j"))}, body={"o": "(mul 0.5 (add w t))"})
+    if kind == "map_sum":
+        return lambda s: s.tasklet(
+            ins={"w": ("A", ("i", "(sub j 1)")), "c": ("A", ("i", "j")), "e": ("A", ("i", "(add j 1)"))},
+            outs={"o": ("B", ("i", "j"))}, body={"o": "(add (mul 0.5 w) (add c (mul 0.25 e)))"}, wcr="sum")
+    return lambda s: s.tasklet(
+        ins={"a": ("A", ("i", "j")), "x": ("X", ("i", "j")), "b": ("A", ("i", "j")), "t": ("A", ("j", "i"))},
+        outs={"o": ("C", ("i", "j"))}, body={"o": "(add (mul a x) (add b t))"})
+
+
+def _sum(names: list[str]) -> str:
+    """``(add ...)`` over two or more names, nested from the left."""
+    total = names[0]
+    for name in names[1:]:
+        total = f"(add {total} {name})"
+    return total

@@ -56,6 +56,7 @@ from genprog import (
     make_elementwise_program,
     make_loop_program,
     make_map_program,
+    make_stencil_program,
     runtime_header_array_program,
     sin_chain,
 )
@@ -158,7 +159,10 @@ def test_rebuild_cost_and_peak_match_the_built_block():
         for fv in collect_forwarded(program, bundle, params):
             if fv.recompute is None:
                 continue
-            block = Program(dict(fv.recompute.descriptors), program.parameters, [fv.recompute.state], fv.name, ())
+            # a valid program, which count_flops asks for: the source program's
+            # scalar dependent stands in for the array the block produces
+            desc = {**fv.recompute.descriptors, program.dependent: program.descriptors[program.dependent]}
+            block = Program(desc, program.parameters, [fv.recompute.state], program.dependent, ())
             assert fv.c_flops == sum(count_flops(block, params).values()), (label, fv.name)
             assert fv.r_bytes == _scratch_peak(fv.recompute.state, block, params, fv.name), (label, fv.name)
             checked += 1
@@ -715,7 +719,8 @@ def _planned_cases():
         yield name, examples.build(name), examples.DEFAULT_PARAMS[name]
     yield "sin_chain(5)", sin_chain(5), {}
     for make, seed in itertools.product(
-        (make_loop_program, make_map_program, make_elementwise_program, make_chain_program), range(8)
+        (make_loop_program, make_map_program, make_elementwise_program, make_chain_program, make_stencil_program),
+        range(8),
     ):
         yield f"{make.__name__}({seed})", make(seed), {"n": 4}
 

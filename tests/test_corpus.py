@@ -1,6 +1,6 @@
 """Every built-in kernel, checked end to end: finite differences, slice
 restriction, planned replay, and the two independent memory accountings.
-Random elementwise, loop and map programs face the same gates."""
+Random elementwise, loop, map and stencil programs face the same gates."""
 
 import re
 
@@ -22,7 +22,7 @@ from gradflow import (
     simulate_memory,
 )
 from gradflow.errors import Infeasible, UnsupportedConstruct, UnsupportedLoop
-from genprog import make_elementwise_program, make_loop_program, make_map_program
+from genprog import make_elementwise_program, make_loop_program, make_map_program, make_stencil_program
 
 
 def _inputs(name, seed=101):
@@ -147,6 +147,17 @@ def test_random_map_programs_pass_the_corpus_gates(seed):
     # maps with sum conflict resolution, and in-place overwrites of map
     # outputs, tasklet outputs and inputs
     program = make_map_program(seed)
+    params = {"n": 4}
+    inputs = sample_inputs(program, params, np.random.default_rng(seed))
+    _assert_corpus_gates(program, params, inputs, gradient(program, inputs, params))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_random_stencil_programs_pass_the_corpus_gates(seed):
+    # in-place neighbour sweeps in loop and map nests, whose innermost
+    # levels carry element values between consecutive points
+    program = make_stencil_program(seed)
     params = {"n": 4}
     inputs = sample_inputs(program, params, np.random.default_rng(seed))
     _assert_corpus_gates(program, params, inputs, gradient(program, inputs, params))

@@ -49,6 +49,7 @@ from genprog import (
     make_elementwise_program,
     make_loop_program,
     make_map_program,
+    make_stencil_program,
     runtime_header_array_program,
 )
 
@@ -304,8 +305,8 @@ def test_domain_error_propagates():
 
 def test_an_unknown_elementwise_op_fails_validation_at_every_door():
     # parse_program refuses the unknown op; past it (parse_unvalidated), the
-    # run plan validates the unmarked program before it runs it, and
-    # gradient() before it differentiates it
+    # run plan validates the unmarked program before it runs it, gradient()
+    # before it differentiates it, and count_flops before it counts
     b = ProgramBuilder(())
     b.array("X", ("3",), role="input", kind="real64")
     b.array("Y", ("3",), kind="real64")
@@ -320,6 +321,8 @@ def test_an_unknown_elementwise_op_fails_validation_at_every_door():
     for run in (run_forward, gradient):
         with pytest.raises(ValidationFailed, match="BadLibrary: 'n1': unknown elementwise op 'frob'"):
             run(p, {"X": np.ones(3)}, {})
+    with pytest.raises(ValidationFailed, match="BadLibrary: 'n1': unknown elementwise op 'frob'"):
+        count_flops(p, {})
 
 
 def test_library_copy_does_not_alias_its_input():
@@ -663,11 +666,12 @@ def _tasklet_bodies(program):
 
 
 # generated loop programs whose tasklet bodies are all exact, and every
-# generated map program: a map nest whose bodies are exact runs direct
+# generated map and stencil program: a map nest whose bodies are exact runs
+# direct, and a stencil's innermost levels carry element values
 _GENERATED = [
     (make_loop_program, seed) for seed in range(60)
     if all(map(nests._exact, _tasklet_bodies(make_loop_program(seed))))
-] + [(make_map_program, seed) for seed in range(40)]
+] + [(make_map_program, seed) for seed in range(40)] + [(make_stencil_program, seed) for seed in range(40)]
 
 
 def _outcome(p, inputs, params):
@@ -734,7 +738,12 @@ def test_seidel_nests_take_the_direct_path_and_a_real32_nest_does_not(monkeypatc
     for fn in (sweep, reverse):
         assert re.search(r"\n +for i\d+ in s\d+:", fn.source) and "for q" not in fn.source
     # one offset per point, its row's share taken once per row
-    assert "= i1 * 8" in sweep.source and "v0[o4-8]" in sweep.source
+    assert "= i1 * 8" in sweep.source and re.search(r"v0\[o\d+-8\]", sweep.source)
+    # each point of a row's carried loop takes the element its neighbour
+    # loaded or stored: 3 loads where a point of the per-point code makes 5
+    for fn in (sweep, reverse):
+        carried, point = _direct_points(fn.source)
+        assert (_loads(carried), _loads(point)) == (3, 5)
 
     b = ProgramBuilder(("n",))
     b.array("X", ("n",), role="input", kind="real32")
@@ -745,6 +754,40 @@ def test_seidel_nests_take_the_direct_path_and_a_real32_nest_does_not(monkeypatc
     p = b.finish("O", ["X"])
     (nest,) = _nests_of(monkeypatch, lambda: run_forward(p, {"X": np.ones(4, np.float32)}, {"n": 4}))
     assert "_view" not in nest.source and "ok_" not in nest.source
+
+
+def _direct_points(source: str) -> tuple[list[str], list[str]]:
+    """The lines of one point of a nest's first carried loop (``for`` under
+    an ``if ok_...:`` head) and of its first per-point direct body (under a
+    per-point ``if ok_...:`` test)."""
+    lines = source.splitlines()
+
+    def block(at: int) -> list[str]:
+        depth = len(lines[at]) - len(lines[at].lstrip())
+        out = []
+        for line in lines[at + 1:]:
+            if len(line) - len(line.lstrip()) <= depth:
+                return out
+            out.append(line)
+        return out
+
+    heads = [k for k, line in enumerate(lines) if line.lstrip().startswith("if ok_")]
+    fast = block(heads[0])
+    loop = next(k for k, line in enumerate(fast) if line.lstrip().startswith("for "))
+    return block(lines.index(fast[loop], heads[0])), block(heads[1])
+
+
+def _loads(point: list[str]) -> int:
+    """Element loads through the handle ``v0`` in a point's lines: each
+    ``v0[`` on the right of ``=``, and each ``v0[...] +=``."""
+    count = 0
+    for line in point:
+        target, op, value = line.strip().partition(" = ")
+        if not op:
+            target, op, value = line.strip().partition(" += ")
+            count += target.count("v0[")
+        count += value.count("v0[")
+    return count
 
 
 def test_a_mixed_precision_nest_keeps_numpy_scalar_arithmetic(monkeypatch, rng):
