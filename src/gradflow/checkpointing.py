@@ -15,6 +15,8 @@ one that touches it last: ``ir.live_ranges`` over ``ir.node_accesses``, the
 rule that also gives rebuild scratch and the executor's releases. A kept
 value adds its bytes from production on; a recomputed one adds its scratch
 peak plus its bytes at first backward use and drops the scratch right after.
+``apply_plan`` lets one rebuild block write several recomputed values only
+where that moves no path's modelled peak, so the model stays exact.
 Both passes follow one static walk per path (``ir.path_visits``). A loop
 body counts once (steady state); a loop that visits no iterate, such as a
 zero-trip loop or a peel past the last iterate, counts nothing. A value the
@@ -80,7 +82,6 @@ from .ir import (
     splice,
     walk_blocks,
 )
-from .versions import VersionInfo
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +129,29 @@ class PathSequence:
 
 @dataclass
 class RecomputePlan:
-    """A self-contained block that rebuilds one value from pristine inputs.
-    Its cost and scratch peak are known up front; the block itself, ``state``
-    and ``descriptors``, is built on demand (``apply_plan`` asks for those of
+    """A self-contained block that rebuilds one value from pristine inputs:
+    its producer ``closure``, each (data, version) the value needs mapped to
+    the (state, node) that writes it, run in program order. Its cost and
+    scratch peak are known up front; the block itself, ``state`` and
+    ``descriptors``, is built on demand (``apply_plan`` asks for those of
     the values it recomputes and checks it with the whole planned program)
-    and then kept. A build that raises keeps nothing."""
+    and then kept. A build that raises keeps nothing.
+
+    One block can rebuild several values: ``build(guests)`` runs the same
+    nodes but writes each array of ``guests`` (data -> stored name) under
+    its stored name, not as scratch, and ``scratch(stored)`` is the scratch
+    peak when the arrays in ``stored`` are not scratch. ``apply_plan``
+    builds such a block anew for an assignment whose rebuilds it merges."""
 
     flops: int
     peak_bytes: int  # scratch high-water mark, produced value excluded
-    build: Callable[[], tuple[State, dict[str, DataDescriptor]]] = field(repr=False, compare=False)
+    closure: dict[tuple[str, int], tuple[str, str]] = field(repr=False, compare=False)
+    scratch: Callable[[set[str]], int] = field(repr=False, compare=False)
+    build: Callable[[dict[str, str]], tuple[State, dict[str, DataDescriptor]]] = field(repr=False, compare=False)
 
     @functools.cached_property
     def block(self) -> tuple[State, dict[str, DataDescriptor]]:
-        return self.build()
+        return self.build({})
 
     state = property(lambda self: self.block[0])
     descriptors = property(lambda self: self.block[1])
@@ -167,13 +178,6 @@ class ForwardedValue:
         return self.size_bytes * self.snapshots
 
 
-def _producer(state: State, access_id: str, order: dict[tuple[str, str], tuple[int, int]]) -> str:
-    """Compute node that completes the given access instance: of its
-    writers (several when conflict resolution merges them), the last in
-    program position ``order``."""
-    return max((e.src for e in state.graph.in_edges(access_id)), key=lambda nid: order[state.label, nid])
-
-
 def collect_forwarded(
     program: Program,
     bundle: BackwardBundle,
@@ -190,7 +194,7 @@ def collect_forwarded(
         for j, n in enumerate(schedule(st.graph))
     }
 
-    # per-call tables the rebuild closures share
+    # per-call tables the producer walks and the rebuild closures share
     accesses = functools.cache(lambda label: node_accesses(states[label].graph))
     nbytes = functools.cache(lambda name: size_bytes(program.descriptors[name], params))
 
@@ -214,6 +218,56 @@ def collect_forwarded(
             raise UnresolvableTripCount(f"loop '{loop}' needs runtime values to count snapshots")
         return sum(runs)
 
+    @functools.cache
+    def edges(label: str) -> tuple[dict[str, list[Memlet]], dict[str, list[Memlet]]]:
+        """State ``label``'s in- and out-edges by node id, in edge order."""
+        ins: dict[str, list[Memlet]] = {}
+        outs: dict[str, list[Memlet]] = {}
+        for e in states[label].graph.edges:
+            ins.setdefault(e.dst, []).append(e)
+            outs.setdefault(e.src, []).append(e)
+        return ins, outs
+
+    def producer(label: str, acc: str) -> str:
+        """The compute node that completes access instance ``acc``: of its
+        writers (several when conflict resolution merges them), the last in
+        program position."""
+        return max((e.src for e in edges(label)[0][acc]), key=lambda nid: order[label, nid])
+
+    closures: dict[tuple[str, int], dict[tuple[str, int], tuple[str, str]]] = {}
+
+    def closure(key: tuple[str, int]) -> dict[tuple[str, int], tuple[str, str]]:
+        """The straight-line producer closure of (data, version) ``key``:
+        each (data, version) it needs -> the (state, node) that writes it.
+        The walk takes each forwarded value's closure from ``closures``
+        once that value has been walked, so on a chain it is linear."""
+        steps: dict[tuple[str, int], tuple[str, str]] = {}
+        need = [key]
+        while need:
+            d, v = k = need.pop()
+            if k in steps or (d in pristine and v == 0):
+                continue
+            if k in closures:
+                steps.update(closures[k])
+                continue
+            site = vinfo.write_site.get(k)
+            if site is None:
+                raise IrrecomputableValue(f"'{d}' has no replayable producer")
+            if vinfo.write_loops.get(k):
+                raise IrrecomputableValue(f"'{d}' is produced inside a loop")
+            slabel, acc = site
+            nid = producer(slabel, acc)
+            for e in edges(slabel)[0].get(nid, ()):  # each from an access node
+                if e.data in pristine:
+                    continue
+                rs = vinfo.reads.get((slabel, e.src))
+                if rs is None or rs.branch_merged or len(rs.candidates) != 1 or rs.candidates[0].directives:
+                    raise IrrecomputableValue(f"'{e.data}' read at '{slabel}' has no single static version")
+                need.append((e.data, rs.candidates[0].version))
+            steps[k] = (slabel, nid)
+        closures[key] = steps
+        return steps
+
     raw = []
     for entry in bundle.forwarding.values():
         desc = program.descriptors[entry.data]
@@ -222,7 +276,7 @@ def collect_forwarded(
         versions = tuple(c.version for c in entry.candidates)
         sites = [vinfo.write_site.get((entry.data, v)) for v in versions]
         # input snapshots sort ahead of everything
-        key = min((order[st, _producer(states[st], acc, order)] for st, acc in filter(None, sites)), default=(-1, -1))
+        key = min((order[st, producer(st, acc)] for st, acc in filter(None, sites)), default=(-1, -1))
         raw.append((key, entry, versions, sites))
     raw.sort(key=lambda t: t[0])
 
@@ -243,12 +297,12 @@ def collect_forwarded(
         snapshots = 1
         if plannable:
             slabel, acc = vinfo.write_site[(entry.data, cand.version)]
-            site = (slabel, _producer(states[slabel], acc, order))
+            site = (slabel, producer(slabel, acc))
             access = acc
             try:
                 rec_plan = _recompute_plan(
-                    program, vinfo, pristine, states, order, accesses, cost, nbytes,
-                    entry.name, entry.data, cand.version, idx,
+                    program, pristine, states, order, edges, accesses, cost, nbytes,
+                    closure((entry.data, cand.version)), entry.name, entry.data, cand.version, idx,
                 )
             except IrrecomputableValue as exc:
                 forced_reason = str(exc)
@@ -304,81 +358,65 @@ def _clone_node(node, fresh: str, rename: dict[str, str], group: str):
 
 def _recompute_plan(
     program: Program,
-    vinfo: VersionInfo,
     pristine: set[str],
     states: dict[str, State],
     order: dict[tuple[str, str], tuple[int, int]],
+    edges: Callable[[str], tuple[dict[str, list[Memlet]], dict[str, list[Memlet]]]],
     accesses: Callable[[str], dict[str, list[str]]],
     cost: Callable[[str, str], int],
     nbytes: Callable[[str], int],
+    steps: dict[tuple[str, int], tuple[str, str]],
     stored_name: str,
     data: str,
     version: int,
     fvid: int,
 ) -> RecomputePlan:
-    """Straight-line producer closure of (data, version), rebuilt on demand
-    (``_rebuild_block``) as one state that reads only pristine inputs and
-    writes ``stored_name``. ``order`` gives each (state, node) its program
-    position. The flops sum ``cost`` over the closure; the scratch peak is
-    ``ir.live_ranges`` over its ``accesses`` in program order, renamed as
-    the block renames them, with ``nbytes`` per array."""
-
-    steps: dict[tuple[str, int], tuple[str, str]] = {}
-    need = [(data, version)]
-    while need:
-        d, v = need.pop()
-        if (d, v) in steps or (d in pristine and v == 0):
-            continue
-        site = vinfo.write_site.get((d, v))
-        if site is None:
-            raise IrrecomputableValue(f"'{d}' has no replayable producer")
-        if vinfo.write_loops.get((d, v)):
-            raise IrrecomputableValue(f"'{d}' is produced inside a loop")
-        slabel, acc = site
-        nid = _producer(states[slabel], acc, order)
-        for e in states[slabel].graph.in_edges(nid):
-            src = states[slabel].graph.node(e.src)
-            if not isinstance(src, AccessNode):
-                continue
-            if e.data in pristine:
-                continue
-            rs = vinfo.reads.get((slabel, e.src))
-            if rs is None or rs.branch_merged or len(rs.candidates) != 1 or rs.candidates[0].directives:
-                raise IrrecomputableValue(f"'{e.data}' read at '{slabel}' has no single static version")
-            need.append((e.data, rs.candidates[0].version))
-        steps[(d, v)] = (slabel, nid)
-
+    """The rebuild of (data, version) from its straight-line producer
+    closure ``steps``, built on demand (``_rebuild_block``) as one state
+    that reads only pristine inputs and writes ``stored_name``. ``order``
+    gives each (state, node) its program position and ``edges`` each
+    state's edges by node. The flops sum ``cost`` over the closure; the
+    scratch peak is ``ir.live_ranges`` over its ``accesses`` in program
+    order, with ``nbytes`` per array."""
     datas = [d for d, _ in steps]
     if len(set(datas)) != len(datas):
         raise IrrecomputableValue(f"closure of '{data}' touches several versions of one array")
 
     rename = {d: (stored_name if (d, v) == (data, version) else f"{d}__r{fvid}") for d, v in steps}
     ordered = sorted(steps.values(), key=order.__getitem__)
-    sizes: dict[str, int] = {}  # rank >= 1 scratch arrays
+    sizes: dict[str, int] = {}  # rank >= 1 arrays the steps write
     for slabel, nid in ordered:
-        for e in states[slabel].graph.out_edges(nid):
+        for e in edges(slabel)[1][nid]:
             # side outputs of a multi-output node become scratch too
-            name = rename.setdefault(e.data, f"{e.data}__r{fvid}")
-            if name != stored_name and program.descriptors[e.data].rank and name not in sizes:
-                sizes[name] = nbytes(e.data)
+            rename.setdefault(e.data, f"{e.data}__r{fvid}")
+            if program.descriptors[e.data].rank:
+                sizes.setdefault(e.data, nbytes(e.data))
     flops = sum(cost(*site) for site in ordered)
-    touches = [[rename.get(n, n) for n in accesses(slabel)[nid]] for slabel, nid in ordered]
-    held = [0] * (len(touches) + 1)  # bytes that start, minus bytes that end, at each step
-    for name, (first, last) in live_ranges(enumerate(touches)).items():
-        if name in sizes:
-            held[first] += sizes[name]
-            held[last + 1] -= sizes[name]
-    peak = max(itertools.accumulate(held[:-1]), default=0)
+    scratch = functools.partial(_scratch, [accesses(slabel)[nid] for slabel, nid in ordered], sizes)
     # the descriptors, not the program, so the program's kept values do not refer back to it
     build = functools.partial(_rebuild_block, program.descriptors, pristine, states, ordered, rename, stored_name, fvid)
-    return RecomputePlan(flops, peak, build)
+    return RecomputePlan(flops, scratch({data}), steps, scratch, build)
+
+
+def _scratch(touches: list[list[str]], sizes: dict[str, int], stored: set[str]) -> int:
+    """Peak bytes of the arrays of ``sizes`` not in ``stored``, each from
+    the first to the last of the steps (``touches``) that touches it."""
+    held = [0] * (len(touches) + 1)  # bytes that start, minus bytes that end, at each step
+    for name, (first, last) in live_ranges(enumerate(touches)).items():
+        if name in sizes and name not in stored:
+            held[first] += sizes[name]
+            held[last + 1] -= sizes[name]
+    return max(itertools.accumulate(held[:-1]), default=0)
 
 
 def _rebuild_block(descriptors: dict[str, DataDescriptor], pristine: set[str], states: dict[str, State],
                    ordered: list[tuple[str, str]], rename: dict[str, str], stored_name: str,
-                   fvid: int) -> tuple[State, dict[str, DataDescriptor]]:
+                   fvid: int, guests: dict[str, str]) -> tuple[State, dict[str, DataDescriptor]]:
     """The rebuild state of a closure's (state, node) steps in program
-    order, and its descriptors."""
+    order, and its descriptors. It writes ``stored_name`` and each array
+    of ``guests`` under its stored name; what else it writes is scratch."""
+    rename = {**rename, **guests}
+    stored = {stored_name, *guests.values()}
     ids = itertools.count()
     gb = GraphBuilder(lambda _: f"rv{next(ids)}")
     descs: dict[str, DataDescriptor] = {}
@@ -395,7 +433,7 @@ def _rebuild_block(descriptors: dict[str, DataDescriptor], pristine: set[str], s
             name = rename[e.data]
             gb.df.edges.append(Memlet(clone.id, e.src_conn, gb.write(name), None, name, e.subset, e.wcr))
             base = descriptors[e.data]
-            role = "stored-copy" if name == stored_name else "intermediate"
+            role = "stored-copy" if name in stored else "intermediate"
             descs.setdefault(name, DataDescriptor(name, base.element_kind, base.shape, role))
     return State(label=f"rec_{stored_name}", graph=gb.df), descs
 
@@ -404,10 +442,11 @@ def _states_of(region: list[Block]) -> dict[str, State]:
     return {b.label: b for _, b in walk_blocks(region) if isinstance(b, State)}
 
 
-def _first_readers(region: list[Block]) -> dict[str, State]:
-    """Each name -> the first state in program order that touches it."""
-    states = [b for _, b in walk_blocks(region) if isinstance(b, State)]
-    return {name: b for b in reversed(states) for name in graph_names(b.graph)}
+def _first_readers(region: list[Block]) -> dict[str, tuple[State, tuple[str, ...], int]]:
+    """Each name -> the first state in program order that touches it, the
+    labels of the blocks around that state, and its program position."""
+    states = list(enumerate((path, b) for path, b in walk_blocks(region) if isinstance(b, State)))
+    return {name: (b, path, pos) for pos, (path, b) in reversed(states) for name in graph_names(b.graph)}
 
 
 # ---------------------------------------------------------------------------
@@ -853,12 +892,20 @@ def apply_plan(
     bundle: BackwardBundle,
     fvs: list[ForwardedValue],
     assignment,
+    sequences: list[PathSequence],
 ) -> tuple[Program, Program]:
     """Materialize a plan: kept values gain a copy-out at their production
     site; recomputed ones gain their rebuild block right before the first
     backward state that reads them, in value order. ``program`` and
     ``bundle`` are left untouched: each state that gains a copy-out is built
     anew, and the returned programs share every other block with them.
+
+    One block rebuilds several values where it can (``_merged_rebuilds``):
+    a recomputed value whose producer closure holds other recomputed values
+    read first at or after its block, in the same block list, also writes
+    them under their stored names, and their own blocks go, when no path's
+    modelled peak in ``sequences`` moves. Such a block is built anew; every
+    other block is the value's kept ``RecomputePlan.state``.
 
     The returned programs are not validated here: ``plan()`` calls this
     once per assignment it holds a pair for, and builds the pair's run
@@ -867,8 +914,7 @@ def apply_plan(
     fstates = _states_of(program.region)
     fdescs, bdescs = dict(program.descriptors), dict(bundle.backward.descriptors)
     kept: dict[str, list[ForwardedValue]] = {}  # production state -> values
-    rebuilt: dict[int, list[Block]] = {}  # id of a first reader -> rebuilds, reader
-    readers: dict[str, State] = {}  # name -> first backward state touching it, built on first need
+    recomputed: list[ForwardedValue] = []
     for fv, v in zip(fvs, assignment):
         if fv.forced:
             continue  # snapshots already live on the tape
@@ -877,18 +923,96 @@ def apply_plan(
             base = program.descriptors[fv.data]
             fdescs[fv.name] = DataDescriptor(fv.name, base.element_kind, base.shape, "stored-copy")
         else:
-            for name, desc in fv.recompute.descriptors.items():
-                bdescs.setdefault(name, desc)
-            readers = readers or _first_readers(bundle.backward.region)
-            reader = readers.get(fv.name)
-            if reader is None:
+            recomputed.append(fv)
+
+    rebuilt: dict[int, list[Block]] = {}  # id of a first reader -> rebuilds, reader
+    if recomputed:
+        readers = _first_readers(bundle.backward.region)
+        for fv in recomputed:
+            if fv.name not in readers:
                 raise GradflowError(f"internal: '{fv.name}' is never read by the reverse program")
-            rebuilt.setdefault(id(reader), [reader]).insert(-1, fv.recompute.state)
+        guests = _merged_rebuilds(recomputed, readers, sequences, assignment)
+        hosted = {u.index for us in guests.values() for u in us}
+        for fv in recomputed:
+            if fv.index in hosted:
+                continue
+            us = guests.get(fv.index)
+            state, descs = fv.recompute.build({u.data: u.name for u in us}) if us else fv.recompute.block
+            for name, desc in descs.items():
+                bdescs.setdefault(name, desc)
+            reader = readers[fv.name][0]
+            rebuilt.setdefault(id(reader), [reader]).insert(-1, state)
 
     grown = {id(fstates[label]): [_copy_out_state(fstates[label], values)] for label, values in kept.items()}
     fwd = replace(program, descriptors=fdescs, region=splice(program.region, grown))
     bwd = replace(bundle.backward, descriptors=bdescs, region=splice(bundle.backward.region, rebuilt))
     return fwd, bwd
+
+
+def _merged_rebuilds(
+    recomputed: list[ForwardedValue],
+    readers: dict[str, tuple[State, tuple[str, ...], int]],
+    sequences: list[PathSequence],
+    assignment,
+) -> dict[int, list[ForwardedValue]]:
+    """Host value index -> the recomputed values its rebuild block also
+    writes, decided greedily: hosts by first reader, latest produced first,
+    and their guests in the same order. Value u joins host v's block when
+    (u's data, version) lies in v's closure, u's first reader sits at or
+    after v's in the same block list (so no loop or branch lies between
+    them), and every path of ``sequences`` keeps its peak at the
+    assignment: u's bytes are held from v's recompute event, u's own spike
+    goes, and v's spike counts the scratch of the merged block."""
+    lists: dict[tuple[str, ...], list[ForwardedValue]] = {}  # blocks around a first reader -> values
+    for fv in sorted(recomputed, key=lambda fv: (readers[fv.name][2], -fv.index)):
+        lists.setdefault(readers[fv.name][1], []).append(fv)
+    groups = [g for g in lists.values() if len(g) > 1]
+    if not groups:
+        return {}
+    # per path: its peak, each event's total under the merges so far, and each event's position
+    paths = []
+    for seq in sequences:
+        totals = [e.total.value(assignment) for e in seq.events]
+        paths.append((max(totals, default=0), totals, {e.label: i for i, e in enumerate(seq.events)}))
+
+    guests: dict[int, list[ForwardedValue]] = {}
+    hosted: set[int] = set()
+    for group in groups:
+        for a, v in enumerate(group):
+            if v.index in hosted:
+                continue
+            stored, scratch = {v.data}, v.r_bytes
+            for u in group[a + 1:]:
+                if u.index in hosted or (u.data, u.versions[0]) not in v.recompute.closure:
+                    continue
+                merged = v.recompute.scratch(stored | {u.data})
+                trial = [_with_guest(totals, at, v, u, merged - scratch) for _, totals, at in paths]
+                if any(t is None or max(t, default=0) != peak for t, (peak, _, _) in zip(trial, paths)):
+                    continue
+                for t, (_, totals, _) in zip(trial, paths):
+                    totals[:] = t
+                stored.add(u.data)
+                scratch = merged
+                hosted.add(u.index)
+                guests.setdefault(v.index, []).append(u)
+    return guests
+
+
+def _with_guest(totals: list[int], at: dict[str, int], v: ForwardedValue, u: ForwardedValue,
+                scratch: int) -> list[int] | None:
+    """One path's event totals once v's block also writes u and its
+    scratch peak changes by ``scratch`` bytes; None if the path rebuilds
+    only one of them."""
+    rv, ru = at.get(f"recompute {v.name}"), at.get(f"recompute {u.name}")
+    if rv is None or ru is None:
+        return totals if rv is ru else None
+    du = at[f"drop scratch {u.name}"]
+    out = list(totals)
+    out[rv] += scratch
+    spike = u.r_bytes + u.size_bytes
+    for e in range(min(rv, ru), max(rv, du)):
+        out[e] += u.size_bytes * (e >= rv) - spike * (e == ru) - u.size_bytes * (e >= du)
+    return out
 
 
 def _copy_out_state(state: State, values: list[ForwardedValue]) -> State:
@@ -967,7 +1091,13 @@ def plan(
     long as a ``PlanResult`` holds it (``_Planning``). Each call then only
     solves that program under its limit; ``apply_plan`` builds a pair only
     for an assignment not held, its run plans validate it, and a pair that
-    fails validation is not kept."""
+    fails validation is not kept.
+
+    The report's ``objective_flops`` is the model's recompute cost: each
+    recomputed value pays for its whole producer closure. Where one block
+    rebuilds several values (``apply_plan``), the replay runs each node of
+    their closures once, so the objective bounds what it recomputes from
+    above."""
     params = dict(params or {})
     bundle = backward_of(program)
     binding = binding_of(params)
@@ -983,7 +1113,7 @@ def plan(
     held = planning.pairs.get(solution.assignment)
     pair = held() if held is not None else None
     if pair is None:
-        fwd, bwd = apply_plan(program, bundle, fvs, solution.assignment)
+        fwd, bwd = apply_plan(program, bundle, fvs, solution.assignment, sequences)
         pair = _Pair(fwd, bwd, _replay_runs(fvs, bundle, fwd, bwd, params))
         planning.pairs[solution.assignment] = _held(planning.pairs, solution.assignment, pair)
     fwd, bwd = pair.forward, pair.backward
@@ -1045,6 +1175,9 @@ def run_planned(
 
     The forward run records only what the rewritten programs cannot carry:
     scalar values and loop-iteration snapshots. Kept arrays travel by name.
+    The reverse run rebuilds each recomputed value in a block before its
+    first reader; one block rebuilds several values of one chain where
+    ``apply_plan`` merged them, and each is freed after its last read.
     Both runs go by the run plans ``plan()`` built with the pair; under any
     other parameter binding they are built anew for the call.
     """

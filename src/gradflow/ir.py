@@ -850,6 +850,8 @@ def check_graph(program: Program, df: Dataflow, where: str, symbol_scope: tuple[
         if isinstance(n, AccessNode) and n.data not in program.descriptors:
             add(Diagnostic("UnknownData", f"access node '{n.id}' names '{n.data}'", where))
         if isinstance(n, Tasklet):
+            if not n.outs:
+                add(Diagnostic("ArityMismatch", f"tasklet '{n.id}' has no output", where))
             for out in n.outs:
                 if out not in n.body:
                     add(Diagnostic("ArityMismatch", f"tasklet '{n.id}' missing body for '{out}'", where))

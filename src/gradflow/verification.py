@@ -226,7 +226,9 @@ def simulate_memory(
 
     This consumes only the program structure: transients alive from first
     write to the end of the forward pass, kept copies until their last
-    backward use, rebuild blocks charged as one spike. ``trace`` picks the
+    backward use. A rebuild block is one spike, its scratch peak plus every
+    stored copy it writes (one block may rebuild several values), after
+    which each copy is held until its last backward read. ``trace`` picks the
     arm of each branch; ``stored_hints`` sizes values that travel on the
     tape rather than in a named array (bytes per name). The walk must end
     at zero resident bytes and never dip below.
@@ -282,13 +284,12 @@ def simulate_memory(
     galloc: set[str] = set()
     for pos, (kind, payload, reads, writes) in enumerate(linear):
         if kind == "rec":
-            state = payload
-            prod = next(iter(w for w in writes if backward.descriptors[w].role == "stored-copy"))
-            size = size_bytes(backward.descriptors[prod], params)
-            scratch = _scratch_peak(state, backward, params, prod)
-            emit(f"recompute {prod}", scratch + size)
-            emit(f"drop scratch {prod}", -scratch)
-            stored_live[prod] = size
+            copies = {w: size_bytes(backward.descriptors[w], params)
+                      for w in sorted(writes) if backward.descriptors[w].role == "stored-copy"}
+            scratch = _scratch_peak(payload, backward, params)
+            emit(f"recompute {', '.join(copies)}", scratch + sum(copies.values()))
+            emit(f"drop scratch {', '.join(copies)}", -scratch)
+            stored_live.update(copies)
             continue
         for name in sorted(reads | writes):
             if name in touch and touch[name][0] == pos and name not in galloc:
@@ -311,9 +312,9 @@ def simulate_memory(
     return MemoryTimeline(tuple(events), peak)
 
 
-def _scratch_peak(state: State, program: Program, params: dict[str, int], produced: str) -> int:
+def _scratch_peak(state: State, program: Program, params: dict[str, int]) -> int:
     """Peak bytes of the scratch arrays a rebuild block holds besides the
-    value it produces: each rank >= 1 intermediate from the node that
+    stored copies it writes: each rank >= 1 intermediate from the node that
     writes it first to the node that reads or writes it last."""
     graph = state.graph
     order = [n.id for n in schedule(graph) if not isinstance(n, AccessNode)]
@@ -323,7 +324,7 @@ def _scratch_peak(state: State, program: Program, params: dict[str, int], produc
     for k, nid in enumerate(order):
         for e in graph.out_edges(nid):
             d = program.descriptors[e.data]
-            if e.data != produced and d.rank and d.role == "intermediate":
+            if d.rank and d.role == "intermediate":
                 held.setdefault(e.data, size_bytes(d, params))
         peak = max(peak, sum(held.values()))
         held = {n: b for n, b in held.items() if last[n] > k}

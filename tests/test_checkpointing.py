@@ -29,7 +29,9 @@ from gradflow import (
     build_ilp,
     build_memory_sequences,
     collect_forwarded,
+    compare_gradients,
     count_flops,
+    finite_difference_gradient,
     gradient,
     parse_program,
     plan,
@@ -49,7 +51,16 @@ from gradflow.errors import (
     UnsupportedLoop,
     ValidationFailed,
 )
-from gradflow.ir import LoopRegion, Program, State, simulate_header, validate, visit_positions, walk_blocks
+from gradflow.ir import (
+    LoopRegion,
+    Program,
+    State,
+    dimensions,
+    simulate_header,
+    validate,
+    visit_positions,
+    walk_blocks,
+)
 from gradflow.verification import _scratch_peak
 from genprog import (
     make_chain_program,
@@ -164,7 +175,7 @@ def test_rebuild_cost_and_peak_match_the_built_block():
             desc = {**fv.recompute.descriptors, program.dependent: program.descriptors[program.dependent]}
             block = Program(desc, program.parameters, [fv.recompute.state], program.dependent, ())
             assert fv.c_flops == sum(count_flops(block, params).values()), (label, fv.name)
-            assert fv.r_bytes == _scratch_peak(fv.recompute.state, block, params, fv.name), (label, fv.name)
+            assert fv.r_bytes == _scratch_peak(fv.recompute.state, block, params), (label, fv.name)
             checked += 1
             scratch += fv.r_bytes > 0
     assert checked >= 100 and scratch >= 50, (checked, scratch)
@@ -601,6 +612,7 @@ def test_plan_leaves_its_inputs_untouched_and_shares_unchanged_states(name):
         floor = 0
     except Infeasible as exc:
         floor = exc.min_peak_bytes
+    merged = 0
     # no budget, halfway down to the floor, and the floor itself
     for limit in (None, (floor + keep_all) // 2, floor):
         result = plan(program, None if limit is None else limit / MIB, params)
@@ -609,13 +621,36 @@ def test_plan_leaves_its_inputs_untouched_and_shares_unchanged_states(name):
         assert serialize_program(bundle.backward) == serialize_program(build_backward(program).backward)
         chosen = list(zip(result.fvs, result.solution.assignment))
         copied = {fv.site[0] for fv, v in chosen if v and not fv.forced}
-        rebuilt = {fv.recompute.state.label: fv.recompute.state for fv, v in chosen if not v}
+        recomputed = {fv.name: fv for fv, v in chosen if not v}
         before = _states(program)
         for label, state in _states(result.forward).items():
             assert (state is before[label]) == (label not in copied), (limit, label)
+        # every backward state is shared but the rebuild blocks; a block that
+        # writes only its own value is the value's kept block, one that also
+        # writes other recomputed values of its closure is built anew from
+        # the same nodes, and each recomputed value is written by one block
         before = _states(bundle.backward)
+        writer = {}
         for label, state in _states(result.backward).items():
-            assert state is rebuilt.get(label, before.get(label)), (limit, label)
+            if label in before:
+                assert state is before[label], (limit, label)
+                continue
+            host = recomputed[label.removeprefix("rec_")]
+            names = {e.data for e in state.graph.edges
+                     if result.backward.descriptors[e.data].role == "stored-copy"}
+            assert host.name in names and names <= set(recomputed), (limit, label)
+            if names == {host.name}:
+                assert state is host.recompute.state, (limit, label)
+            else:
+                merged += 1
+                assert state is not host.recompute.state, (limit, label)
+                assert [n.id for n in state.graph.nodes] == [n.id for n in host.recompute.state.graph.nodes]
+                assert all((fv.data, fv.versions[0]) in host.recompute.closure
+                           for fv in map(recomputed.get, names)), (limit, label)
+            for copy in names:
+                assert writer.setdefault(copy, label) == label, (limit, copy)
+        assert set(writer) == set(recomputed), limit
+    assert (merged > 0) == (name == "sin_chain"), merged
 
 
 # ---------------------------------------------------------------------------
@@ -1106,9 +1141,122 @@ def test_simulated_peak_equals_model_on_every_config():
     seqs = build_memory_sequences(p, bundle, fvs, {"N": 64})
     (seq,) = seqs
     for v in itertools.product((0, 1), repeat=3):
-        fwd, bwd = apply_plan(p, bundle, fvs, v)
+        fwd, bwd = apply_plan(p, bundle, fvs, v, seqs)
         timeline = simulate_memory(fwd, bwd, {"N": 64})
         assert timeline.peak == seq.peak(v)
+
+
+# ---------------------------------------------------------------------------
+# one block rebuilds several recomputed values
+
+
+def _rebuild_blocks(program) -> dict[str, set[str]]:
+    """Each rebuild block of a planned reverse program -> the stored copies
+    it writes."""
+    return {
+        b.label: {e.data for e in b.graph.edges if program.descriptors[e.data].role == "stored-copy"}
+        for _, b in walk_blocks(program.region)
+        if isinstance(b, State) and b.label.startswith("rec_")
+    }
+
+
+def _assert_model_is_simulation(result, params):
+    hints = {fv.name: fv.total_bytes for fv in result.fvs if fv.forced}
+    for seq in result.sequences:
+        timeline = simulate_memory(result.forward, result.backward, params, dict(seq.outcomes), stored_hints=hints)
+        assert timeline.peak == seq.peak(result.solution.assignment), seq.outcomes
+
+
+def test_one_block_rebuilds_the_recomputed_sin_chain():
+    # at 60% of keep-all, sin_chain(12) recomputes L and A0-A8. A8's block
+    # writes all ten, each where the chain produces it; ten blocks of their
+    # own each ran the chain from X again (20,480 reverse ops, 14,080 of
+    # them rebuilds)
+    program = sin_chain(12)
+    result = plan(program, 0.6 * plan(program, None, {}).solution.t_star / MIB, {})
+    recomputed = {fv.name for fv, v in zip(result.fvs, result.solution.assignment) if not v}
+    assert len(recomputed) == 10
+    assert _rebuild_blocks(result.backward) == {"rec_A8__v1": recomputed}
+    inputs = sample_inputs(program, {}, np.random.default_rng(5))
+    plain, replay = gradient(program, inputs, {}), run_planned(result, inputs, {})
+    assert _run_outputs(replay)[2] == _run_outputs(plain)[2]
+    assert (plain.backward.op_count, replay.backward.op_count) == (6400, 6400 + 10 * 256)
+    _assert_model_is_simulation(result, {})
+
+
+@pytest.mark.filterwarnings("ignore::gradflow.errors.NonDifferentiableOp")
+def test_merged_rebuilds_pass_the_gates_on_random_chains():
+    # finite differences, a bit-identical replay and modelled == simulated
+    # peak on every path, at 75% and 50% of keep-all. Chain programs with
+    # inputs of at most 24 x 24 elements keep the finite differences small.
+    merged = {make_chain_program: 0, make_elementwise_program: 0}
+    for make, seeds, params in ((make_chain_program, 30, {}), (make_elementwise_program, 40, {"n": 4})):
+        for seed in range(seeds):
+            program = make(seed)
+            if any(np.prod(dimensions(program.descriptors[x], params)) > 576 for x in program.independents):
+                continue
+            inputs = sample_inputs(program, params, np.random.default_rng(3))
+            plain = gradient(program, inputs, params)
+            fd = finite_difference_gradient(program, inputs, params)
+            keep_all = plan(program, None, params).solution.t_star
+            for share in (0.75, 0.5):
+                try:
+                    result = plan(program, share * keep_all / MIB, params)
+                except Infeasible:
+                    continue
+                replay = run_planned(result, inputs, params)
+                assert _run_outputs(replay)[2] == _run_outputs(plain)[2], (make.__name__, seed, share)
+                report = compare_gradients(replay.grads, fd, tolerance=1e-5)
+                assert report["ok"], (make.__name__, seed, share, report)
+                _assert_model_is_simulation(result, params)
+                merged[make] += sum(len(names) > 1 for names in _rebuild_blocks(result.backward).values())
+    assert merged[make_chain_program] >= 5 and merged[make_elementwise_program] >= 2, merged
+
+
+def _gradients_beside_a_chain() -> Program:
+    """L = X / 2, A0 = sin L, A1 = sin A0, C = Y / 2, A2 = sin A1,
+    O = sum A2 + sum C, with X of n and Y of m elements. The reverse pass
+    holds C's and Y's gradients between the first reader of A1 and that of
+    A0."""
+    b = ProgramBuilder(("n", "m"))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.array("Y", ("m",), role="input", kind="real64")
+    for name, size in (("L", "n"), ("A0", "n"), ("A1", "n"), ("C", "m"), ("A2", "n")):
+        b.array(name, (size,), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    for label, x, y, op in (("s0", "X", "L", "scale"), ("s1", "L", "A0", "sin"), ("s2", "A0", "A1", "sin"),
+                            ("s3", "Y", "C", "scale"), ("s4", "A1", "A2", "sin")):
+        with b.state(label) as s:
+            s.library("ew_unary", {"x": x}, {"y": y}, op=op, const=0.5 if op == "scale" else None)
+    with b.state("s5") as s:
+        s.library("reduce_sum", {"x": "A2"}, {"y": "O"})
+    with b.state("s6") as s:
+        s.library("reduce_sum", {"x": "C"}, {"y": "O"}, wcr="sum")
+    return b.finish("O", ["X", "Y"])
+
+
+def test_a_rebuild_that_would_raise_the_peak_keeps_its_own_block():
+    # recomputing L, A0 and A1. With m = 64 the reverse pass sets the peak,
+    # when Y's gradient is allocated, so A0 cannot be held from A1's block
+    # on; L still joins A0's block. With m = 4 the forward pass sets it, A0
+    # joins A1's block, and L, held from there, would raise the peak.
+    program = _gradients_beside_a_chain()
+    recompute = (0, 0, 0)
+    for m, blocks in ((64, {"rec_A1__v1": {"A1__v1"}, "rec_A0__v1": {"A0__v1", "L__v1"}}),
+                      (4, {"rec_A1__v1": {"A1__v1", "A0__v1"}, "rec_L__v1": {"L__v1"}})):
+        params = {"n": 4, "m": m}
+        keep_all = plan(program, None, params)
+        assert [fv.name for fv in keep_all.fvs] == ["L__v1", "A0__v1", "A1__v1"]
+        (seq,) = keep_all.sequences
+        top = max(seq.events, key=lambda e: e.total.value(recompute))
+        assert (top.label == "alloc Y__grad") == (m == 64)
+        fwd, bwd = apply_plan(program, keep_all.bundle, keep_all.fvs, recompute, keep_all.sequences)
+        assert _rebuild_blocks(bwd) == blocks, m
+        result = replace(keep_all, forward=fwd, backward=bwd, pair=None,
+                         solution=replace(keep_all.solution, assignment=recompute))
+        _assert_model_is_simulation(result, params)
+        inputs = sample_inputs(program, params, np.random.default_rng(m))
+        assert _run_outputs(run_planned(result, inputs, params))[2] == _run_outputs(gradient(program, inputs, params))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -1305,6 +1453,17 @@ def test_measured_peak_is_the_modelled_peak_and_falls_with_the_budget(n):
     assert [t for t, _ in peaks] == [11 * size, 10 * size, 8 * size]
     measured = [m for _, m in peaks]
     assert measured == sorted(measured, reverse=True)
+
+
+def test_a_block_that_rebuilds_a_chain_runs_within_the_measured_peak_bound():
+    # the bound above: t_star, one temporary of one array (16 x 16 real64),
+    # and the Python objects of a keep-all run of the same chain at 2 x 2
+    program = sin_chain(12)
+    python_bytes = _measured_peak(plan(sin_chain(12, side=2), None, {}), {})
+    result = plan(program, 0.6 * plan(program, None, {}).solution.t_star / MIB, {})
+    assert [len(names) for names in _rebuild_blocks(result.backward).values()] == [10]
+    measured = _measured_peak(result, {})
+    assert measured <= result.solution.t_star + 16 * 16 * 8 + python_bytes, measured
 
 
 def test_infeasible_beyond_the_exact_floor_reports_a_lower_bound():

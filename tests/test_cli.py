@@ -431,6 +431,21 @@ def test_an_invalid_parsed_program_is_a_validation_error(command, tmp_path, caps
     assert "ArityMismatch: 't1' output 'o' has 0 edges" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "plan"])
+def test_a_tasklet_with_no_output_is_a_validation_error(command, tmp_path, capsys):
+    # doubling_gather's init tasklet loses its output, its body and its edge
+    doc = program_to_dict(examples.build("doubling_gather"))
+    init = doc["region"][0]
+    tasklet = next(n for n in init["nodes"] if n["id"] == "t1")
+    tasklet["outs"], tasklet["body"] = [], {}
+    init["edges"] = [e for e in init["edges"] if e["src"] != "t1"]
+    path = tmp_path / "gather.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(command, path) == 2
+    err = capsys.readouterr().err
+    assert "ArityMismatch: tasklet 't1' has no output" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["plan", "mem-report"])
 def test_an_empty_branch_label_is_a_validation_error(command, tmp_path, capsys):
     doc = program_to_dict(examples.build("branchy_scale"))

@@ -283,6 +283,19 @@ def test_an_ew_expr_whose_constant_is_no_int_or_float_is_reported():
     ]
 
 
+def test_a_tasklet_with_no_output_is_reported():
+    # it would run as dead code, and its adjoint would have nothing to read
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("s") as s:
+        s.tasklet(ins={"a": ("X", ("0",))}, outs={}, body={})
+        s.library("reduce_sum", {"x": "X"}, {"y": "O"})
+    with pytest.raises(ValidationFailed) as info:
+        b.finish("O", ["X"])
+    assert [repr(d) for d in info.value.diagnostics] == ["ArityMismatch: tasklet 't1' has no output [s]"]
+
+
 def test_an_empty_block_label_is_reported():
     # passes key a branch by its label, and the reverse branch refers to
     # the forward one by it, so an empty label must not reach them
