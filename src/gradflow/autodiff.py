@@ -570,8 +570,8 @@ class _BackwardBuilder:
         The caller places the adjoint. ``site(edge)`` is the state-level
         access instance behind a forward edge, for value sourcing and kill
         lookup. ``read(data)`` gives the access node in ``gb`` that an
-        adjoint edge reads from; each gradient array it writes gets one
-        ``gb.write``. ``prefix`` starts the adjoint's id.
+        adjoint edge reads from; its writes go through ``gb.write_edges``.
+        ``prefix`` starts the adjoint's id.
         """
         in_by_conn = {e.dst_conn: e for e in fwd_graph.in_edges(node.id)}
         outs_info = [e for e in fwd_graph.out_edges(node.id) if e.data in self.gradset]
@@ -638,32 +638,13 @@ class _BackwardBuilder:
                 contribs[merged[0]] = simplify(total)
             self_conns = set(merged[:1])
 
-        # one written access node per gradient array, shared by all its writes
-        wdst: dict[str, str] = {}
-
-        def dst_of(gdata: str) -> str:
-            if gdata not in wdst:
-                wdst[gdata] = gb.write(gdata)
-            return wdst[gdata]
-
-        outs: list[str] = []
-        body: dict[str, Expr] = {}
-        for conn, expr in contribs.items():
-            ie = in_by_conn[conn]
-            oconn = f"_d{conn}"
-            outs.append(oconn)
-            body[oconn] = expr
-            gdata = self.grad_of(ie.data)
-            wcr = None if conn in self_conns else "sum"
-            edges.append(Memlet(tid, oconn, dst_of(gdata), None, gdata, ie.subset, wcr))
-        for oe in clears:
-            outs.append("_z")
-            body["_z"] = Const(0)
-            gdata = self.grad_of(oe.data)
-            edges.append(Memlet(tid, "_z", dst_of(gdata), None, gdata, oe.subset))
-
-        gb.df.nodes.append(Tasklet(tid, tuple(ins), tuple(outs), body))
+        # (connector, expression, forward edge, wcr) per write
+        writes = [(f"_d{conn}", expr, in_by_conn[conn], None if conn in self_conns else "sum")
+                  for conn, expr in contribs.items()]
+        writes += [("_z", Const(0), oe, None) for oe in clears]
         gb.df.edges.extend(edges)
+        gb.write_edges(tid, [(c, self.grad_of(e.data), e.subset, wcr) for c, _, e, wcr in writes])
+        gb.df.nodes.append(Tasklet(tid, tuple(ins), tuple(c for c, *_ in writes), {c: x for c, x, *_ in writes}))
         return tid
 
     def adj_library(self, gb: GraphBuilder, state: State, df: Dataflow, node: LibraryNode):

@@ -415,8 +415,8 @@ class ProgramBuilder:
     returns the program. The open state, and each map body, is assembled
     by an ``ir.GraphBuilder``: the tasklet, library and map helpers take
     (data, subset) operand bindings, read each array's current access
-    instance and open a fresh instance per write, and a map's edges to its
-    state follow from its body's reads and writes.
+    instance and open one fresh instance per array a node writes, and a
+    map's edges to its state follow from its body's reads and writes.
     """
 
     def __init__(self, parameters: tuple[str, ...] = ()):

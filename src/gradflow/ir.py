@@ -260,7 +260,8 @@ class Dataflow:
 class GraphBuilder:
     """One graph under assembly, named by ``fresh(prefix)``, and the current
     access instance of each array in it. A read reuses an array's current
-    instance, opening one if it has none; a write always opens a new one."""
+    instance, opening one if it has none; a node's writes open one new
+    instance per array they write."""
 
     def __init__(self, fresh: Callable[[str], str]):
         self.fresh = fresh
@@ -287,9 +288,14 @@ class GraphBuilder:
         self.df.nodes.append(node)
         for c, (data, subset) in ins.items():
             self.df.edges.append(Memlet(srcs[c], None, node.id, c, data, subset))
-        for c, (data, subset) in outs.items():
-            self.df.edges.append(Memlet(node.id, c, self.write(data), None, data, subset, wcr))
+        self.write_edges(node.id, [(c, data, subset, wcr) for c, (data, subset) in outs.items()])
         return node.id
+
+    def write_edges(self, nid: str, outs: list[tuple]):
+        """Add node ``nid``'s write edges, one per ``(connector, array,
+        subset, wcr)`` in order, into one new instance per array."""
+        dst = {data: self.write(data) for data in dict.fromkeys(data for _, data, *_ in outs)}
+        self.df.edges += [Memlet(nid, c, dst[data], None, data, subset, wcr) for c, data, subset, wcr in outs]
 
     def map(self, node: MapNode) -> str:
         """Add ``node`` with one edge per array its body reads and one per

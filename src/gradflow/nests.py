@@ -15,8 +15,10 @@ access a real64 nest with exact bodies takes: there an innermost level of
 tasklets entered with its checks passed runs as one loop of direct points,
 which keeps each element it loads or stores in a local for the points
 after it (scalar replacement: Callahan, Carr and Kennedy, PLDI 1990), so a
-stencil sweep loads each element once. Stores, checks and the order of
-errors are those of the checked points.
+stencil sweep loads each element once and stores an element that the next
+point overwrites only after the last point. Checks and the order of errors
+are those of the checked points, and every array holds the same values
+when the loop ends.
 """
 
 from __future__ import annotations
@@ -249,11 +251,19 @@ def _compiled_tasklet(key: tuple) -> Callable:
     forward loop, -c reversed), an element read at constant ``c`` takes the
     value the point before left at ``c + stride * step``, its offset term
     having moved by that much; the first point's carried values are loaded
-    before the loop. Every store is kept, in order, and no load or local
-    can raise, so a direct loop writes the same arrays, counts the same
-    operators and raises the same error at the same point as the per-point
-    code. Distinct arrays never share a buffer a nest writes: a written
-    input is copied and every other written array is the run's own.
+    before the loop. A store ``v[o+c] = u`` (a kept sum's included, never a
+    ``v[o+c] += r``) is sunk when the point also writes ``c - shift``, the
+    element the next point writes, ``shift`` being ``stride * step`` or 0
+    for a term without the iterator: its value stays in a local, which
+    every read before the next write takes, and the last point's sunk
+    values are stored once after the loop. A level sinks only when every
+    index it reads or writes is checked at its entry: with exact bodies no
+    point then raises mid-loop. No load or local can raise, so a direct
+    loop counts the same operators and raises the same error at the same
+    point as the per-point code, and every array holds the same values when
+    the loop ends. Distinct arrays never share a buffer a nest writes: a
+    written input is copied and every other written array is the run's
+    own.
     """
     item, described = key
     shape = {name: dims for name, dims, _ in described}
@@ -399,13 +409,14 @@ def _compiled_tasklet(key: tuple) -> Callable:
         """A point through the direct handles, its hoisted checks passed:
         what may still fail runs in the checked body's order. In a carried
         loop (``innermost``), ``carry`` is ``(tracked, kept, known,
-        offsets)``: each tracked array's constant offset by subset, the
-        elements a later access reads by ``(array, constant)``, the local
-        holding each such element's value, which a read takes in place of a
-        load and every access sets, and the offsets the point's tasklets
-        share."""
+        offsets, flush)``: each tracked array's constant offset by subset,
+        the elements a later access reads by ``(array, constant)``, the
+        local holding each such element's value, which a read takes in
+        place of a load and every access sets, the offsets the point's
+        tasklets share, and by each sunk element (``_carries``) its store,
+        which the caller makes once after the loop."""
         _, ins, outs, _ = it
-        tracked, kept, known, offsets = carry or ({}, (), {}, {})
+        tracked, kept, known, offsets, flush = carry or ({}, (), {}, {}, {})
         indices: dict[tuple, str] = {}
         conns: dict[str, str] = {}
         results: dict = {}
@@ -429,11 +440,14 @@ def _compiled_tasklet(key: tuple) -> Callable:
                 continue
             if wcr == "sum":  # as v[o] += r, from the element's value if known
                 res = f"{known.get(at, ref)} + {res}"
-                if at in kept:
+                if at in kept or at in flush:
                     total = temp("u")
                     emit(d, f"{total} = {res}")
                     res = total
-            emit(d, f"{ref} = {res}")
+            if at in flush:
+                flush[at] = f"{ref} = {res}"
+            else:
+                emit(d, f"{ref} = {res}")
             if at in kept:
                 known[at] = res
 
@@ -444,10 +458,11 @@ def _compiled_tasklet(key: tuple) -> Callable:
         as per-point code in the ``else:`` arm the caller emits. When the
         iterates step evenly by ``step``, each tracked element's value is
         carried to the next point (``_carries``). The first point's carried
-        values are loaded before the loop, and every store stays."""
+        values are loaded before the loop, and the last point's sunk stores
+        are made after it."""
         touched = dict.fromkeys(data for it in items for data, *_ in it[1] + it[2])
         emit(d, f"if {' and '.join([f'ok_{var}'] + [f'{views[a]} is not None' for a in touched])}:")
-        tracked, kept, carried = _carries(items, shape, scope, var, step)
+        tracked, kept, carried, sunk = _carries(items, shape, scope, var, step)
         entering = {(data, c): f"e{next(fresh)}" for data, c, *_ in carried}
         if carried:
             emit(d + 1, f"if {seq}:")
@@ -458,13 +473,18 @@ def _compiled_tasklet(key: tuple) -> Callable:
         emit(d + 1, f"for {var} in {seq}:")
         # a read from a local appends no hoisted check; the per-point code
         # of the else: arm appends every one
-        known, offsets = dict(entering), {}
+        known, offsets, flush = dict(entering), {}, dict.fromkeys(sunk)
         for it in items:
-            direct(it, scope, d + 2, var, (tracked, kept, known, offsets))
+            direct(it, scope, d + 2, var, (tracked, kept, known, offsets, flush))
         moves = [(entering[(data, c)], known[(data, c + shift)]) for data, c, _, shift in carried]
         moves = [(to, at) for to, at in moves if to != at]
         if moves:
             emit(d + 2, f"{', '.join(to for to, _ in moves)} = {', '.join(at for _, at in moves)}")
+        stores = [text for text in flush.values() if text]  # a memory v[o+c] += r is never sunk
+        if stores:
+            emit(d + 1, f"if {seq}:")
+            for text in stores:
+                emit(d + 2, text)
         emit(d, "else:")
 
     def partial(terms: list) -> str:
@@ -653,9 +673,9 @@ def _dim(e, size: int, scope: dict) -> tuple[str | None, int] | None:
     return _affine(e, scope)
 
 
-def _carries(items: tuple, shape: dict, scope: dict, level: str, step: int | None) -> tuple[dict, set, list]:
+def _carries(items: tuple, shape: dict, scope: dict, level: str, step: int | None) -> tuple[dict, set, list, list]:
     """What a point of an innermost level of tasklets keeps in locals, as
-    ``(tracked, kept, carried)``. ``tracked`` holds each array of rank >= 1
+    ``(tracked, kept, carried, sunk)``. ``tracked`` holds each array of rank >= 1
     whose every access in the point has constant or ``iterator ± const``
     indices and the same offset term (the same iterators at the same
     strides), with each subset's constant offset. ``carried`` holds
@@ -669,17 +689,26 @@ def _carries(items: tuple, shape: dict, scope: dict, level: str, step: int | Non
     point touches again, or one it carries to the next point. A level that
     reads a rank-0 array tracks nothing: its values are numpy scalars, and
     a local holding one would change the arithmetic of a later read, which
-    loads a Python float."""
+    loads a Python float.
+
+    ``sunk`` holds, in the order first written, each tracked element the
+    point writes at ``c`` while it also writes ``c - shift``, the element
+    the next point then writes, when the array's ``shift`` is known and
+    every index of the level is checked at its entry, so that no point
+    raises mid-loop. Every read of such an element before that write takes a local:
+    the point's own reads, or the next point's carried value."""
     if any(not shape[data] for it in items for data, *_ in it[1]):
-        return {}, set(), []
+        return {}, set(), [], []
     terms: dict[str, tuple | None] = {}
     tracked: dict[str, dict] = {}
     first: dict[str, dict[int, tuple]] = {}  # by array and constant: (read first, subset)
     again = set()
+    hoisted = True
     for it in items:
         for data, subset, reads in [(a, s, True) for a, s, _ in it[1]] + [(a, s, w == "sum") for a, s, _, w in it[2]]:
             dims = shape[data]
             parts = [_dim(e, dims[k], scope) for k, e in enumerate(subset)]
+            hoisted = hoisted and None not in parts
             if not dims or None in parts:
                 terms[data] = None
                 continue
@@ -693,7 +722,9 @@ def _carries(items: tuple, shape: dict, scope: dict, level: str, step: int | Non
                 again.add((data, const))
             first[data].setdefault(const, (reads, subset))
     tracked = {data: at for data, at in tracked.items() if terms[data] is not None}
-    carried = []
+    writes = dict.fromkeys((data, tracked[data][subset]) for it in items for data, subset, *_ in it[2]
+                           if data in tracked)
+    carried, sunk = [], []
     for data in tracked:
         stride = sum(st for v, st in terms[data] if v == level)
         if stride and step is None:
@@ -701,8 +732,10 @@ def _carries(items: tuple, shape: dict, scope: dict, level: str, step: int | Non
         shift = stride * step if stride else 0
         carried += [(data, c, subset, shift) for c, (reads, subset) in first[data].items()
                     if reads and c + shift in first[data]]
+        if hoisted:
+            sunk += [at for at in writes if at[0] == data and (data, at[1] - shift) in writes]
     kept = {(data, c + shift) for data, c, _, shift in carried} | {at for at in again if at[0] in tracked}
-    return tracked, kept, carried
+    return tracked, kept, carried, sunk
 
 
 def loop_step(loop: LoopRegion) -> int | None:

@@ -472,7 +472,7 @@ def make_map_program(seed: int) -> Program:
 
 
 _STENCIL_HEADERS = ("up", "down", "skip", "double")
-_STENCIL_STEPS = ("sweep", "sweep_sum", "transpose", "map_sum", "map_twice")
+_STENCIL_STEPS = ("sweep", "sweep_sum", "transpose", "map_sum", "map_twice", "shift_write", "row_sum")
 _NEIGHBOURS = (("(sub i 1)", "j"), ("(add i 1)", "j"), ("i", "(sub j 1)"), ("i", "(add j 1)"))
 
 
@@ -507,7 +507,11 @@ def make_stencil_program(seed: int) -> Program:
     * ``map_sum``: a map adding A[i, j - 1] / 2 + A[i, j] + A[i, j + 1] / 4
       into B[i, j] (``sum``);
     * ``map_twice``: a map writing C[i, j] = A[i, j] * X[i, j] + A[i, j] +
-      A[j, i], with A[i, j] read through two connectors.
+      A[j, i], with A[i, j] read through two connectors;
+    * ``shift_write``: a ``sweep``, then A[i, j + 1] += a multiple of A[i,
+      j], so that one point writes two elements in place;
+    * ``row_sum``: B[i, 0] += A[i, j] * X[i, j] (``sum``), in a loop nest or
+      a map, so that every point of a row writes the same element.
     """
     r = random.Random(seed)
     b = ProgramBuilder(("n",))
@@ -518,11 +522,11 @@ def make_stencil_program(seed: int) -> Program:
     interior = ("1", "(sub n 1)", "1")
     for k in range(r.randint(1, 3)):
         kind = r.choice(_STENCIL_STEPS)
-        if kind.startswith("map"):
-            out = "B" if kind == "map_sum" else "C"
-            if out not in extra:
-                b.array(out, ("n", "n"), kind="real64")
-                extra.append(out)
+        out = {"map_sum": "B", "row_sum": "B", "map_twice": "C"}.get(kind)
+        if out and out not in extra:
+            b.array(out, ("n", "n"), kind="real64")
+            extra.append(out)
+        if kind.startswith("map") or kind == "row_sum" and r.random() < 0.5:
             ranges = (interior, ("1", "(sub n 1)", r.choice(("1", "2"))))
             with b.state(f"s{k}") as s:
                 s.map_node(("i", "j"), ranges, _stencil_point(kind, r))
@@ -542,14 +546,21 @@ def make_stencil_program(seed: int) -> Program:
 def _stencil_point(kind: str, r: random.Random):
     """A function adding the tasklets of one point of a
     ``make_stencil_program`` step to a state or map body."""
-    if kind == "sweep":
+    if kind in ("sweep", "shift_write"):
         reads = [("i", "j")] + r.sample(_NEIGHBOURS, r.randint(1, 4))
         reads += [("i", "j")] * r.randint(0, 1)
         ins = {f"c{k}": ("A", sub) for k, sub in enumerate(reads)}
         body = f"(mul {1 / len(reads)!r} {_sum(list(ins))})"
-        return lambda s: s.tasklet(ins=ins, outs={"o": ("A", ("i", "j"))}, body={"o": body})
+        shifted = f"(mul {r.choice((0.5, -0.25))!r} a)" if kind == "shift_write" else None
+
+        def point(s):
+            s.tasklet(ins=ins, outs={"o": ("A", ("i", "j"))}, body={"o": body})
+            if shifted:
+                s.tasklet(ins={"a": ("A", ("i", "j"))}, outs={"e": ("A", ("i", "(add j 1)"))},
+                          body={"e": shifted}, wcr="sum")
+        return point
     if kind == "sweep_sum":
-        def point(s):  # one write per tasklet: the builder opens an instance per write
+        def point(s):
             s.tasklet(ins={"a": ("A", ("i", "j"))}, outs={"w": ("A", ("i", "(sub j 1)"))},
                       body={"w": "(mul 0.25 a)"}, wcr="sum")
             s.tasklet(ins={"a": ("A", ("i", "j"))}, outs={"e": ("A", ("i", "(add j 1)"))},
@@ -559,6 +570,9 @@ def _stencil_point(kind: str, r: random.Random):
         return lambda s: s.tasklet(
             ins={"w": ("A", ("i", "(sub j 1)")), "t": ("A", ("(add j 1)", "i"))},
             outs={"o": ("A", ("i", "j"))}, body={"o": "(mul 0.5 (add w t))"})
+    if kind == "row_sum":
+        return lambda s: s.tasklet(ins={"a": ("A", ("i", "j")), "x": ("X", ("i", "j"))},
+                                   outs={"o": ("B", ("i", "0"))}, body={"o": "(mul a x)"}, wcr="sum")
     if kind == "map_sum":
         return lambda s: s.tasklet(
             ins={"w": ("A", ("i", "(sub j 1)")), "c": ("A", ("i", "j")), "e": ("A", ("i", "(add j 1)"))},

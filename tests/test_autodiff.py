@@ -28,6 +28,7 @@ from gradflow.ir import (
     LibraryNode,
     LoopRegion,
     MapNode,
+    Tasklet,
     simulate_header,
 )
 from gradflow.symexpr import parse_sexpr, to_sexpr
@@ -556,11 +557,17 @@ def _emitter_program(case):
 def test_tasklet_adjoint_emitter_paths(case, rng):
     p = _emitter_program(case)
     params = {"n": 5}
-    inputs = sample_inputs(p, params, rng)
     if case.endswith("two_outputs"):
         with pytest.raises(UnsupportedConstruct, match="multiple outputs"):
-            gradient(p, inputs, params)
+            gradient(p, sample_inputs(p, params, rng), params)
         return
+    _assert_fd_and_replay(p, params, rng)
+
+
+def _assert_fd_and_replay(p, params, rng):
+    """``gradient()`` matches finite differences, and a planned replay
+    gives it again bit for bit."""
+    inputs = sample_inputs(p, params, rng)
     ad = gradient(p, inputs, params)
     fd = finite_difference_gradient(p, inputs, params)
     report = compare_gradients(ad.grads, fd, tolerance=1e-5)
@@ -568,6 +575,45 @@ def test_tasklet_adjoint_emitter_paths(case, rng):
     replay = run_planned(plan(p, None, params), inputs, params)
     for k in ad.grads:
         assert np.array_equal(replay.grads[k], ad.grads[k]), k
+
+
+@pytest.mark.parametrize("scope", ["loop", "map"])
+def test_a_tasklet_adds_into_two_elements_of_one_array(scope, rng):
+    # the builder opens one access instance per array a node writes; the map
+    # writes B, since a map that reads and writes A in place would let its
+    # points see each other's writes
+    out = "A" if scope == "loop" else "B"
+    b = ProgramBuilder(("n",))
+    b.array("A", ("n", "n"), role="input", kind="real64")
+    b.array("B", ("n", "n"), kind="real64")
+    b.array("S", ("n", "n"), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+
+    def point(s):
+        s.tasklet(ins={"a": ("A", ("i", "j"))},
+                  outs={"w": (out, ("i", "(sub j 1)")), "e": (out, ("i", "(add j 1)"))},
+                  body={"w": "(mul 0.25 a)", "e": "(mul -0.5 a)"}, wcr="sum")
+
+    interior = ("1", "(sub n 1)", "1")
+    if scope == "map":
+        with b.state("s") as s:
+            s.map_node(("i", "j"), (interior, interior), point)
+    else:
+        with b.loop("i", *interior[:2], label="rows"):
+            with b.loop("j", *interior[:2], label="cols"):
+                with b.state("s") as s:
+                    point(s)
+    with b.state("post") as s:
+        s.library("ew_unary", {"x": "A"}, {"y": "S"}, op="sin")
+        s.library("reduce_sum", {"x": "S"}, {"y": "O"})
+        s.library("reduce_sum", {"x": "B"}, {"y": "O"}, wcr="sum")
+    p = b.finish("O", ["A"])
+    graph = p.region[0].graph if scope == "map" else p.region[0].body[0].body[0].graph
+    if scope == "map":
+        graph = next(n for n in graph.nodes if isinstance(n, MapNode)).body
+    (tasklet,) = [n for n in graph.nodes if isinstance(n, Tasklet)]
+    assert len({e.dst for e in graph.out_edges(tasklet.id)}) == 1
+    _assert_fd_and_replay(p, {"n": 5}, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -744,6 +744,13 @@ def test_seidel_nests_take_the_direct_path_and_a_real32_nest_does_not(monkeypatc
     for fn in (sweep, reverse):
         carried, point = _direct_points(fn.source)
         assert (_loads(carried), _loads(point)) == (3, 5)
+    # a reverse point stores 3 of its 5 elements: the next point overwrites
+    # A__grad[i, j] and A__grad[i, j - 1], so the last point's values of
+    # those two are stored once, after the loop, when it ran at all
+    assert [_stores(_direct_points(fn.source)[0]) for fn in (sweep, reverse)] == [1, 3]
+    flush = re.search(r"\n( +)for (i\d+) in (s\d+):\n(?:\1 .*\n)+\1if \3:\n((?:\1 .*\n)+)", reverse.source)
+    assert sorted(re.findall(r"^ +v0\[o\d+([-+]\d+)?\] = \w+$", flush[4], re.M)) == ["", "-1"]
+    assert not re.search(r"\n( +)for (i\d+) in (s\d+):\n(?:\1 .*\n)+\1if \3:\n", sweep.source)
 
     b = ProgramBuilder(("n",))
     b.array("X", ("n",), role="input", kind="real32")
@@ -775,6 +782,12 @@ def _direct_points(source: str) -> tuple[list[str], list[str]]:
     fast = block(heads[0])
     loop = next(k for k, line in enumerate(fast) if line.lstrip().startswith("for "))
     return block(lines.index(fast[loop], heads[0])), block(heads[1])
+
+
+def _stores(point: list[str]) -> int:
+    """Element stores through the handle ``v0`` in a point's lines: each
+    ``v0[...] =`` and each ``v0[...] +=``."""
+    return sum(line.strip().partition(" =")[0].removesuffix(" +").startswith("v0[") for line in point)
 
 
 def _loads(point: list[str]) -> int:
