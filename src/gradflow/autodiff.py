@@ -565,7 +565,12 @@ class _BackwardBuilder:
         that gradient instead; when several do, their partials merge into one
         replacement write. An output that killed a consumed value, and is not
         such a self-overwrite, clears its gradient. Either rule needs a single
-        active output; ``where`` names the node in that error.
+        active output; ``where`` names the node in that error. The replacing
+        write or the clear comes before the ``sum`` contributions, as the
+        adjoint of an overwrite reads, zeroes, then adds (Griewank and
+        Walther, "Evaluating Derivatives", 2008): a read that aliases the
+        written element, such as ``A[j, i]`` beside a write to ``A[i, j]``
+        where i == j, keeps its contribution.
 
         The caller places the adjoint. ``site(edge)`` is the state-level
         access instance behind a forward edge, for value sourcing and kill
@@ -638,10 +643,13 @@ class _BackwardBuilder:
                 contribs[merged[0]] = simplify(total)
             self_conns = set(merged[:1])
 
-        # (connector, expression, forward edge, wcr) per write
+        # (connector, expression, forward edge, wcr) per write; the replacing
+        # writes and the clears go first, so that a contribution to the
+        # element one replaces (a read aliasing the write) is added after it
         writes = [(f"_d{conn}", expr, in_by_conn[conn], None if conn in self_conns else "sum")
                   for conn, expr in contribs.items()]
         writes += [("_z", Const(0), oe, None) for oe in clears]
+        writes.sort(key=lambda w: w[3] == "sum")
         gb.df.edges.extend(edges)
         gb.write_edges(tid, [(c, self.grad_of(e.data), e.subset, wcr) for c, _, e, wcr in writes])
         gb.df.nodes.append(Tasklet(tid, tuple(ins), tuple(c for c, *_ in writes), {c: x for c, x, *_ in writes}))

@@ -500,10 +500,9 @@ def make_stencil_program(seed: int) -> Program:
       neighbours, in place, sometimes reading A[i, j] twice;
     * ``sweep_sum``: A[i, j - 1] and A[i, j + 1] += multiples of A[i, j]
       (``sum`` conflict resolution, in place), one tasklet each;
-    * ``transpose``: A[i, j] = (A[i, j - 1] + A[j + 1, i]) / 2, in place,
-      one array read through two index patterns. Not A[j, i]: the adjoint
-      clears A's gradient at [i, j] after adding into it at [j, i], which
-      on the diagonal loses that contribution;
+    * ``transpose``: A[i, j] = (A[i, j - 1] + A[j, i]) / 2, in place,
+      one array read through two index patterns, the second the written
+      element itself on the diagonal;
     * ``map_sum``: a map adding A[i, j - 1] / 2 + A[i, j] + A[i, j + 1] / 4
       into B[i, j] (``sum``);
     * ``map_twice``: a map writing C[i, j] = A[i, j] * X[i, j] + A[i, j] +
@@ -566,9 +565,9 @@ def _stencil_point(kind: str, r: random.Random):
             s.tasklet(ins={"a": ("A", ("i", "j"))}, outs={"e": ("A", ("i", "(add j 1)"))},
                       body={"e": "(mul -0.125 a)"}, wcr="sum")
         return point
-    if kind == "transpose":  # A[j + 1, i] is never A[i, j] (see the docstring above)
+    if kind == "transpose":
         return lambda s: s.tasklet(
-            ins={"w": ("A", ("i", "(sub j 1)")), "t": ("A", ("(add j 1)", "i"))},
+            ins={"w": ("A", ("i", "(sub j 1)")), "t": ("A", ("j", "i"))},
             outs={"o": ("A", ("i", "j"))}, body={"o": "(mul 0.5 (add w t))"})
     if kind == "row_sum":
         return lambda s: s.tasklet(ins={"a": ("A", ("i", "j")), "x": ("X", ("i", "j"))},

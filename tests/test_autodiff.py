@@ -577,6 +577,23 @@ def _assert_fd_and_replay(p, params, rng):
         assert np.array_equal(replay.grads[k], ad.grads[k]), k
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_read_aliasing_the_written_element_keeps_its_contribution(n, rng):
+    # on the diagonal A[j, i] is the element A[i, j] the tasklet overwrites:
+    # the adjoint clears A__grad[i, j] before it adds into A__grad[j, i]
+    b = ProgramBuilder(("n",))
+    b.array("A", ("n", "n"), role="input", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("i", "1", "(sub n 1)", label="rows"):
+        with b.loop("j", "1", "(sub n 1)", label="cols"):
+            with b.state("s") as s:
+                s.tasklet(ins={"w": ("A", ("i", "(sub j 1)")), "t": ("A", ("j", "i"))},
+                          outs={"o": ("A", ("i", "j"))}, body={"o": "(mul 0.5 (add w t))"})
+    with b.state("post") as s:
+        s.library("reduce_sum", {"x": "A"}, {"y": "O"})
+    _assert_fd_and_replay(b.finish("O", ["A"]), {"n": n}, rng)
+
+
 @pytest.mark.parametrize("scope", ["loop", "map"])
 def test_a_tasklet_adds_into_two_elements_of_one_array(scope, rng):
     # the builder opens one access instance per array a node writes; the map
