@@ -643,9 +643,8 @@ class _BackwardBuilder:
                 contribs[merged[0]] = simplify(total)
             self_conns = set(merged[:1])
 
-        # (connector, expression, forward edge, wcr) per write; the replacing
-        # writes and the clears go first, so that a contribution to the
-        # element one replaces (a read aliasing the write) is added after it
+        # (connector, expression, forward edge, wcr) per write: the replacing
+        # writes and the clears first, then the contributions
         writes = [(f"_d{conn}", expr, in_by_conn[conn], None if conn in self_conns else "sum")
                   for conn, expr in contribs.items()]
         writes += [("_z", Const(0), oe, None) for oe in clears]

@@ -625,9 +625,8 @@ def test_a_tasklet_adds_into_two_elements_of_one_array(scope, rng):
         s.library("reduce_sum", {"x": "S"}, {"y": "O"})
         s.library("reduce_sum", {"x": "B"}, {"y": "O"}, wcr="sum")
     p = b.finish("O", ["A"])
-    graph = p.region[0].graph if scope == "map" else p.region[0].body[0].body[0].graph
-    if scope == "map":
-        graph = next(n for n in graph.nodes if isinstance(n, MapNode)).body
+    graph = p.region[0].body[0].body[0].graph if scope == "loop" else next(
+        n.body for n in p.region[0].graph.nodes if isinstance(n, MapNode))
     (tasklet,) = [n for n in graph.nodes if isinstance(n, Tasklet)]
     assert len({e.dst for e in graph.out_edges(tasklet.id)}) == 1
     _assert_fd_and_replay(p, {"n": 5}, rng)
