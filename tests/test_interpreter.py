@@ -748,9 +748,10 @@ def test_seidel_nests_take_the_direct_path_and_a_real32_nest_does_not(monkeypatc
     # A__grad[i, j] and A__grad[i, j - 1], so the last point's values of
     # those two are stored once, after the loop, when it ran at all
     assert [_stores(_direct_points(fn.source)[0]) for fn in (sweep, reverse)] == [1, 3]
-    flush = re.search(r"\n( +)for (i\d+) in (s\d+):\n(?:\1 .*\n)+\1if \3:\n((?:\1 .*\n)+)", reverse.source)
-    assert sorted(re.findall(r"^ +v0\[o\d+([-+]\d+)?\] = \w+$", flush[4], re.M)) == ["", "-1"]
-    assert not re.search(r"\n( +)for (i\d+) in (s\d+):\n(?:\1 .*\n)+\1if \3:\n", sweep.source)
+    after = r"\n( +)for i\d+ in (s\d+):\n(?:\1 .*\n)+\1if \2:\n((?:\1 .*\n)+)"
+    flush = re.search(after, reverse.source)[3]
+    assert sorted(re.findall(r"^ +v0\[o\d+([-+]\d+)?\] = \w+$", flush, re.M)) == ["", "-1"]
+    assert not re.search(after, sweep.source)
 
     b = ProgramBuilder(("n",))
     b.array("X", ("n",), role="input", kind="real32")
@@ -786,8 +787,8 @@ def _direct_points(source: str) -> tuple[list[str], list[str]]:
 
 def _stores(point: list[str]) -> int:
     """Element stores through the handle ``v0`` in a point's lines: each
-    ``v0[...] =`` and each ``v0[...] +=``."""
-    return sum(line.strip().partition(" =")[0].removesuffix(" +").startswith("v0[") for line in point)
+    line that starts ``v0[``, a ``=`` or a ``+=``."""
+    return sum(line.lstrip().startswith("v0[") for line in point)
 
 
 def _loads(point: list[str]) -> int:
