@@ -10,7 +10,7 @@ others, and branch conditions must agree across the batch
 A run goes by a ``RunPlan``, the one door to execution: it validates an
 unmarked program (``ir.validated``) and holds what depends only on the
 program and the parameter binding, built whole before the run: each
-name's shape and dtype, the names the program writes, each state's
+name's shape and dtype, the names the program mutates, each state's
 generated function with its arguments, each loop's compiled nest, the
 iterates of each loop whose header reads only parameters, and a reverse
 run's release table. A program that is not valid, or a binding under which
@@ -48,10 +48,13 @@ memoryviews with hoisted bounds checks (``nests._compiled_tasklet``).
 Intermediate and gradient arrays are zero-initialized on first touch, which
 is also what accumulation via ``sum`` conflict resolution assumes.
 
-Array lifetimes follow ``checkpointing``'s memory model. An input is copied
-only if the running program writes it (or its dtype differs); caller arrays
-are never mutated. A forward run drops its intermediates when it ends, so
-its ``env`` holds inputs, outputs and stored copies. A reverse run releases
+Array lifetimes follow ``checkpointing``'s memory model. A name is
+*mutated* when a tasklet, a map or a ``wcr="sum"`` write may change its
+array in place (``ir.mutated_descriptors``); any other write is a library
+node's, which gives the name a new array. An input is copied only if the
+running program mutates it (or its dtype differs); caller arrays are never
+changed. A forward run drops its intermediates when it ends, so its
+``env`` holds inputs, outputs and stored copies. A reverse run releases
 every rank >= 1 gradient, scratch array and stored copy, and every tape
 snapshot it reads, by the model's last-touch rule (``ir.live_ranges``):
 right after the compute node that touches it last; a last touch inside a
@@ -62,13 +65,15 @@ never released.
 A ``Tape`` holds array snapshots keyed by ``(name, static version, loop
 coordinates)`` and branch outcomes per label in execution order. A forward
 run records the ``(name, version)`` pairs of its ``record`` set, or keeps no
-tape when ``record`` is None. A reverse run reads the tape through
-forwarded value reads (resolved against snapshot candidates) and
-``trace_ref`` conditionals (recorded outcomes replayed backwards). Loop
-iterates are never taped: a reversed loop walks its forward header's
-iterates backwards, and a read after a loop that needs its last iterate
-re-simulates that forward loop's header, with the enclosing loops'
-iterators at the coordinates the read resolved for them.
+tape when ``record`` is None. A snapshot is a copy only of a mutated name;
+any other is the array itself, which no later write changes, so an array
+the forward run holds and the tape keeps is held once. A reverse run reads
+the tape through forwarded value reads (resolved against snapshot
+candidates) and ``trace_ref`` conditionals (recorded outcomes replayed
+backwards). Loop iterates are never taped: a reversed loop walks its
+forward header's iterates backwards, and a read after a loop that needs
+its last iterate re-simulates that forward loop's header, with the
+enclosing loops' iterators at the coordinates the read resolved for them.
 """
 
 from __future__ import annotations
@@ -97,6 +102,7 @@ from .ir import (
     header_names,
     library_steps,
     live_ranges,
+    mutated_descriptors,
     node_accesses,
     path_outcomes,
     path_visits,
@@ -107,7 +113,6 @@ from .ir import (
     validated,
     visit_positions,
     walk_blocks,
-    written_descriptors,
 )
 from .nests import _compiled_state, _compiled_tasklet, _map_range, library_item, loop_step
 from .symexpr import count_ops, eval_expr, free_names
@@ -118,6 +123,10 @@ _DTYPE = {"real32": np.float32, "real64": np.float64}
 
 @dataclass
 class Tape:
+    """Snapshots by ``(name, version, loop coordinates)``: a copy of a
+    mutated name's array, else the array itself; and each branch's outcomes
+    in execution order."""
+
     values: dict[tuple[str, int, tuple], np.ndarray] = field(default_factory=dict)
     branch_trace: dict[str, list[bool]] = field(default_factory=dict)
 
@@ -161,14 +170,16 @@ def binding_of(params: dict) -> tuple:
 
 class RunPlan:
     """What a run of ``program`` needs that depends only on the program and
-    the parameter binding (see the module docstring). ``record`` and
-    ``vinfo`` give a forward run its tape records; ``forwarding`` and
-    ``src_program`` (whose shapes a reverse run's inputs are checked
-    against) serve a reverse run, and only a reverse run's plan has a
-    release table. The plan is built whole: an unmarked ``program`` that is
-    not valid (``ValidationFailed``) and what cannot be prepared under
-    ``params`` raise here. A plan refers to no program, so a program that
-    keeps plans is freed without the cycle collector."""
+    the parameter binding (see the module docstring). ``mutated`` holds the
+    names whose snapshots and inputs a run copies
+    (``ir.mutated_descriptors``). ``record`` and ``vinfo`` give a forward
+    run its tape records; ``forwarding`` and ``src_program`` (whose shapes
+    a reverse run's inputs are checked against) serve a reverse run, and
+    only a reverse run's plan has a release table. The plan is built whole:
+    an unmarked ``program`` that is not valid (``ValidationFailed``) and
+    what cannot be prepared under ``params`` raise here. A plan refers to
+    no program, so a program that keeps plans is freed without the cycle
+    collector."""
 
     def __init__(self, program: Program, params: dict[str, int], *, record=None,
                  vinfo: VersionInfo | None = None, forwarding: dict | None = None,
@@ -183,7 +194,7 @@ class RunPlan:
         self.shapes = _shapes(program, self.params, evaluated)
         self.dtypes = {n: _DTYPE[d.element_kind] for n, d in program.descriptors.items()}
         self.declared = self.shapes if src_program is None else _shapes(src_program, self.params, evaluated)
-        self.written = written_descriptors(program)
+        self.mutated = mutated_descriptors(program)
         desc = program.descriptors
         self.scalars = tuple(name for name, d in desc.items() if d.rank == 0)
         self.intermediates = tuple(name for name, d in desc.items() if d.role == "intermediate")
@@ -229,7 +240,8 @@ class RunPlan:
             if isinstance(node, AccessNode):
                 v = self._recorded(state.label, node)
                 if v is not None:
-                    key.append((("record", node.data, self.vinfo.write_loops[(node.data, v)]), False))
+                    loops = self.vinfo.write_loops[(node.data, v)]
+                    key.append((("record", node.data, loops, node.data in self.mutated), False))
                     args.append(v)
                 continue
             at = id(node) if id(node) in frees else None
@@ -586,8 +598,10 @@ def _prepare_inputs(program: Program, inputs: dict, plan: RunPlan) -> tuple[dict
     shape: the axes ahead of each input's declared shape, which every
     batched input must share (``ShapeMismatch`` otherwise). Returns the
     inputs that the running program (``plan``'s) declares, and the batch.
-    An input is copied only if the running program writes it; a batched run
-    gives such an input the batch axes."""
+    An input is copied only if the running program mutates it
+    (``plan.mutated``): one that a library node replaces is held as given,
+    since the write gives the name a new array. A batched run gives a
+    copied input the batch axes."""
     env: dict[str, np.ndarray] = {}
     batch: tuple[int, ...] = ()
     for name, value in inputs.items():
@@ -606,7 +620,7 @@ def _prepare_inputs(program: Program, inputs: dict, plan: RunPlan) -> tuple[dict
         batch = lead or batch
         if name in plan.descriptors:
             env[name] = np.asarray(value, dtype=_DTYPE[desc.element_kind])
-    for name in plan.written & env.keys():
+    for name in plan.mutated & env.keys():
         arr = env[name]
         if batch and arr.ndim == plan.descriptors[name].rank:
             # an input written in place may take a different value per sample
@@ -626,8 +640,11 @@ def run_forward(
     run_plan: RunPlan | None = None,
 ) -> RunResult:
     """Execute the program. ``record`` is None (no tape) or a set of
-    ``(name, version)`` pairs to snapshot; ``vinfo`` is the program's
-    version analysis, computed when a tape needs it and none is given. A
+    ``(name, version)`` pairs to snapshot, each a copy only if the program
+    mutates the name (``RunPlan.mutated``); else the snapshot is the array
+    itself, an input's version 0 the array the run was given. ``vinfo`` is
+    the program's version analysis, computed when a tape needs it and none
+    is given. A
     ``run_plan`` built for ``program`` under ``params`` stands for both, and
     the run builds none of its own. The returned ``env`` holds the inputs,
     outputs and stored copies."""
@@ -638,9 +655,8 @@ def run_forward(
         tape = Tape()
         for name in plan.taped:
             if name in env:
-                # an input the program never writes is its own snapshot
                 snap = env[name]
-                tape.values[(name, 0, ())] = np.array(snap, copy=True) if name in plan.written else snap
+                tape.values[(name, 0, ())] = np.array(snap, copy=True) if name in plan.mutated else snap
     ex = Executor(plan, env, batch, tape=tape)
     ex.run()
     value = env.get(program.dependent)

@@ -1064,6 +1064,30 @@ def written_descriptors(program: Program) -> set[str]:
     return out
 
 
+def mutated_descriptors(program: Program) -> set[str]:
+    """Names that a write may change in place: those written by a tasklet or
+    a map (map bodies included) or through ``wcr="sum"``. Any other write
+    is a library node's whole-array store, which gives its name a fresh
+    array (``nests._library_lines``), so an array held under a name that
+    is not mutated never changes."""
+    out: set[str] = set()
+
+    def graph(df: Dataflow):
+        by_id = {n.id: n for n in df.nodes}
+        for e in df.edges:
+            if isinstance(by_id.get(e.dst), AccessNode) and (
+                    e.wcr == "sum" or isinstance(by_id.get(e.src), (Tasklet, MapNode))):
+                out.add(e.data)
+        for n in df.nodes:
+            if isinstance(n, MapNode):
+                graph(n.body)
+
+    for _, block in walk_blocks(program.region):
+        if isinstance(block, State):
+            graph(block.graph)
+    return out
+
+
 def pristine_inputs(program: Program) -> set[str]:
     """Input-role descriptors never written: always readable, even backward."""
     written = written_descriptors(program)

@@ -23,6 +23,7 @@ when the loop ends.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -44,8 +45,8 @@ _STATE_ORDINAL = itertools.count()
 def _compiled_state(key: tuple) -> Callable:
     """One generated Python function per state structure, shared by every
     executor. ``key`` holds one ``(step, releases)`` per step of the state
-    in schedule order; ``step`` is ``("record", data, labels)`` (a tape
-    record at an access node, in the loops ``labels``), a library node's
+    in schedule order; ``step`` is ``("record", data, labels, copy)`` (a
+    tape record at an access node, in the loops ``labels``), a library node's
     item (``library_item``) or ``("nest", writes)`` (a tasklet or map,
     writing the arrays ``writes``), and ``releases`` tells whether a reverse
     run releases after it. Returns ``state(ex, args)``, which runs the state
@@ -54,8 +55,10 @@ def _compiled_state(key: tuple) -> Callable:
     library node's release key, or a nest's ``(nest, loops, release
     key)``; a step that releases nothing has None for its key.
 
-    Each step is inlined in order: a record reads its array and stores a
-    copy in ``ex.tape``; a library node runs as ``_library_lines`` writes
+    Each step is inlined in order: a record reads its array and stores it
+    in ``ex.tape``, as a copy when ``copy`` is set (``data`` is mutated,
+    ``ir.mutated_descriptors``), else the array itself, which no later
+    write changes; a library node runs as ``_library_lines`` writes
     it; a nest is called. A step that releases then calls ``ex._release``
     with its key; only a reverse run's plan marks any. No local
     holds an array past its step, so a release frees what it pops. The
@@ -66,10 +69,10 @@ def _compiled_state(key: tuple) -> Callable:
     ops, written = 0, {}
     for j, (step, releases) in enumerate(key):
         if step[0] == "record":
-            _, data, labels = step
+            _, data, labels, copy = step
             coords = "".join(f"ex.ctx[{label!r}].current, " for label in labels)
-            lines += [*_read("p0", data), f"ex.tape.values[({data!r}, args[{j}], ({coords}))] = np.array(p0, copy=True)",
-                      "p0 = None"]
+            snap = "np.array(p0, copy=True)" if copy else "p0"
+            lines += [*_read("p0", data), f"ex.tape.values[({data!r}, args[{j}], ({coords}))] = {snap}", "p0 = None"]
         elif step[0] == "library":
             lines += _library_lines(step)
             ops += step[-1]
@@ -256,13 +259,15 @@ def _compiled_tasklet(key: tuple) -> Callable:
     element the next point writes, ``shift`` being ``stride * step`` or 0
     for a term without the iterator: its value stays in a local, which
     every read before the next write takes, and the last point's sunk
-    values are stored once after the loop. A level sinks only when every
-    index it reads or writes is checked at its entry: with exact bodies no
-    point then raises mid-loop. No load or local can raise, so a direct
-    loop counts the same operators and raises the same error at the same
-    point as the per-point code, and every array holds the same values when
-    the loop ends. Distinct arrays never share a buffer a nest writes: a
-    written input is copied and every other written array is the run's
+    values are stored once after the loop. An element the point writes
+    more than once is stored once, with its last value. A level sinks or
+    drops a store only when every index it reads or writes is checked at
+    its entry: with exact bodies no point then raises mid-loop. No load or
+    local can raise, so a direct loop counts the same operators and raises
+    the same error at the same point as the per-point code, and every array
+    holds the same values when the loop ends. Distinct arrays never share a
+    buffer a nest writes: an input a nest writes is copied (a mutated name,
+    ``ir.mutated_descriptors``) and every other written array is the run's
     own.
     """
     item, described = key
@@ -409,14 +414,16 @@ def _compiled_tasklet(key: tuple) -> Callable:
         """A point through the direct handles, its hoisted checks passed:
         what may still fail runs in the checked body's order. In a carried
         loop (``innermost``), ``carry`` is ``(tracked, kept, known,
-        offsets, flush)``: each tracked array's constant offset by subset,
-        the elements a later access reads by ``(array, constant)``, the
-        local holding each such element's value, which a read takes in
+        offsets, flush, left)``: each tracked array's constant offset by
+        subset, the elements a later access reads by ``(array, constant)``,
+        the local holding each such element's value, which a read takes in
         place of a load and every access sets, the offsets the point's
-        tasklets share, and by each sunk element (``_carries``) its store,
-        which the caller makes once after the loop."""
+        tasklets share, by each sunk element (``_carries``) its store,
+        which the caller makes once after the loop, and by each element
+        the point writes again the stores still to come, which this one
+        leaves out."""
         _, ins, outs, _ = it
-        tracked, kept, known, offsets, flush = carry or ({}, (), {}, {}, {})
+        tracked, kept, known, offsets, flush, left = carry or ({}, (), {}, {}, {}, {})
         indices: dict[tuple, str] = {}
         conns: dict[str, str] = {}
         results: dict = {}
@@ -444,7 +451,9 @@ def _compiled_tasklet(key: tuple) -> Callable:
                     total = temp("u")
                     emit(d, f"{total} = {res}")
                     res = total
-            if at in flush:
+            if left.get(at):  # a later write of this point stores the element
+                left[at] -= 1
+            elif at in flush:
                 flush[at] = f"{ref} = {res}"
             else:
                 emit(d, f"{ref} = {res}")
@@ -462,7 +471,7 @@ def _compiled_tasklet(key: tuple) -> Callable:
         are made after it."""
         touched = dict.fromkeys(data for it in items for data, *_ in it[1] + it[2])
         emit(d, f"if {' and '.join([f'ok_{var}'] + [f'{views[a]} is not None' for a in touched])}:")
-        tracked, kept, carried, sunk = _carries(items, shape, scope, var, step)
+        tracked, kept, carried, sunk, left = _carries(items, shape, scope, var, step)
         entering = {(data, c): f"e{next(fresh)}" for data, c, *_ in carried}
         if carried:
             emit(d + 1, f"if {seq}:")
@@ -475,7 +484,7 @@ def _compiled_tasklet(key: tuple) -> Callable:
         # of the else: arm appends every one
         known, offsets, flush = dict(entering), {}, dict.fromkeys(sunk)
         for it in items:
-            direct(it, scope, d + 2, var, (tracked, kept, known, offsets, flush))
+            direct(it, scope, d + 2, var, (tracked, kept, known, offsets, flush, left))
         moves = [(entering[(data, c)], known[(data, c + shift)]) for data, c, _, shift in carried]
         moves = [(to, at) for to, at in moves if to != at]
         if moves:
@@ -673,9 +682,10 @@ def _dim(e, size: int, scope: dict) -> tuple[str | None, int] | None:
     return _affine(e, scope)
 
 
-def _carries(items: tuple, shape: dict, scope: dict, level: str, step: int | None) -> tuple[dict, set, list, list]:
+def _carries(items: tuple, shape: dict, scope: dict, level: str,
+             step: int | None) -> tuple[dict, set, list, list, dict]:
     """What a point of an innermost level of tasklets keeps in locals, as
-    ``(tracked, kept, carried, sunk)``. ``tracked`` holds each array of rank >= 1
+    ``(tracked, kept, carried, sunk, overwritten)``. ``tracked`` holds each array of rank >= 1
     whose every access in the point has constant or ``iterator ± const``
     indices and the same offset term (the same iterators at the same
     strides), with each subset's constant offset. ``carried`` holds
@@ -696,9 +706,13 @@ def _carries(items: tuple, shape: dict, scope: dict, level: str, step: int | Non
     the next point then writes, when the array's ``shift`` is known and
     every index of the level is checked at its entry, so that no point
     raises mid-loop. Every read of such an element before that write takes a local:
-    the point's own reads, or the next point's carried value."""
+    the point's own reads, or the next point's carried value. Under the
+    same checks, ``overwritten`` gives each tracked element the point
+    writes more than once the number of its stores that a later write of
+    the same point replaces: such an element is kept, so every read after
+    its first write takes a local, and only its last value is stored."""
     if any(not shape[data] for it in items for data, *_ in it[1]):
-        return {}, set(), [], []
+        return {}, set(), [], [], {}
     terms: dict[str, tuple | None] = {}
     tracked: dict[str, dict] = {}
     first: dict[str, dict[int, tuple]] = {}  # by array and constant: (read first, subset)
@@ -722,8 +736,8 @@ def _carries(items: tuple, shape: dict, scope: dict, level: str, step: int | Non
                 again.add((data, const))
             first[data].setdefault(const, (reads, subset))
     tracked = {data: at for data, at in tracked.items() if terms[data] is not None}
-    writes = dict.fromkeys((data, tracked[data][subset]) for it in items for data, subset, *_ in it[2]
-                           if data in tracked)
+    writes = collections.Counter((data, tracked[data][subset]) for it in items for data, subset, *_ in it[2]
+                                 if data in tracked)
     carried, sunk = [], []
     for data in tracked:
         stride = sum(st for v, st in terms[data] if v == level)
@@ -735,7 +749,8 @@ def _carries(items: tuple, shape: dict, scope: dict, level: str, step: int | Non
         if hoisted:
             sunk += [at for at in writes if at[0] == data and (data, at[1] - shift) in writes]
     kept = {(data, c + shift) for data, c, _, shift in carried} | {at for at in again if at[0] in tracked}
-    return tracked, kept, carried, sunk
+    overwritten = {at: n - 1 for at, n in writes.items() if n > 1} if hoisted else {}
+    return tracked, kept, carried, sunk, overwritten
 
 
 def loop_step(loop: LoopRegion) -> int | None:

@@ -21,7 +21,7 @@ from gradflow import (
     sample_inputs,
     simulate_memory,
 )
-from gradflow.errors import UnsupportedConstruct, UnsupportedLoop
+from gradflow.errors import Infeasible, UnsupportedConstruct, UnsupportedLoop
 from gradflow.ir import (
     EW_BINARY_OPS,
     EW_UNARY_OPS,
@@ -656,6 +656,50 @@ def test_loop_header_reading_a_written_scalar_is_unsupported(rng):
     for call in (lambda: gradient(p, inputs, {}), lambda: plan(p, None, {})):
         with pytest.raises(UnsupportedLoop, match="header reads 'm', which the program writes"):
             call()
+
+
+def _added_after_recorded(loop: bool):
+    """Y = sin(X); Z = Y * Y; then Y += X, or three iterates of Y +=
+    sin(Y), by a library node with ``wcr="sum"``; O = sum(Z) + sum(Y). Z's
+    adjoint needs Y as it was before the addition, which changes Y's
+    array in place."""
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    for name in ("Y", "Z"):
+        b.array(name, ("n",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("s") as s:
+        s.library("ew_unary", {"x": "X"}, {"y": "Y"}, op="sin")
+        s.library("ew_binary", {"a": "Y", "b": "Y"}, {"c": "Z"}, op="mul")
+    if loop:
+        with b.loop("i", "0", "3", label="lp"):
+            with b.state("add") as s:
+                s.library("ew_unary", {"x": "Y"}, {"y": "Y"}, op="sin", wcr="sum")
+    else:
+        with b.state("add") as s:
+            s.library("ew_unary", {"x": "X"}, {"y": "Y"}, op="copy", wcr="sum")
+    with b.state("post") as s:
+        s.library("reduce_sum", {"x": "Z"}, {"y": "O"})
+        s.library("reduce_sum", {"x": "Y"}, {"y": "O"}, wcr="sum")
+    return b.finish("O", ["X"])
+
+
+@pytest.mark.parametrize("loop", [False, True], ids=["once", "loop"])
+def test_a_library_sum_into_a_recorded_array_keeps_its_snapshot(loop, rng):
+    # a library sum adds into Y's own array: Y's snapshot must be a copy
+    p, params = _added_after_recorded(loop), {"n": 5}
+    inputs = {"X": rng.uniform(0.4, 1.6, 5)}
+    ad = gradient(p, inputs, params)
+    report = compare_gradients(ad.grads, finite_difference_gradient(p, inputs, params), tolerance=1e-5)
+    assert report["ok"], report
+    with pytest.raises(Infeasible) as exc:
+        plan(p, 0, params)
+    # at no budget and at the floor, which recomputes Y in the loop form
+    for limit in (None, exc.value.min_peak_bytes / (1 << 20)):
+        result = plan(p, limit, params)
+        assert (0 in result.solution.assignment) == (loop and limit is not None)
+        replay = run_planned(result, inputs, params)
+        assert np.array_equal(replay.grads["X"], ad.grads["X"]) and np.array_equal(replay.value, ad.value)
 
 
 def _read_after_loop(bound: str, written: bool = False):

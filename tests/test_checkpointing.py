@@ -20,6 +20,7 @@ import pytest
 
 import gradflow.checkpointing as checkpointing
 import gradflow.examples as examples
+import gradflow.interpreter as interpreter
 import gradflow.ir as ir
 from gradflow import (
     ProgramBuilder,
@@ -940,7 +941,8 @@ def test_a_second_run_prepares_nothing(name, share, monkeypatch):
     assert share is None or 0 in result.solution.assignment
     first = gradient(program, inputs, params), run_planned(result, inputs, params)
     assert any(isinstance(b, LoopRegion) for _, b in walk_blocks(program.region)) == (name == "seidel_stencil")
-    calls = _count_calls(monkeypatch, ir.dimensions, ir.written_descriptors, ir.live_ranges, simulate_header)
+    calls = _count_calls(monkeypatch, ir.dimensions, ir.written_descriptors, ir.mutated_descriptors, ir.live_ranges,
+                         simulate_header)
     second = gradient(program, inputs, params), run_planned(result, inputs, params)
     assert calls == dict.fromkeys(calls, 0)
     assert [_run_outputs(r) for r in second] == [_run_outputs(r) for r in first]
@@ -1464,6 +1466,36 @@ def test_a_block_that_rebuilds_a_chain_runs_within_the_measured_peak_bound():
     assert [len(names) for names in _rebuild_blocks(result.backward).values()] == [10]
     measured = _measured_peak(result, {})
     assert measured <= result.solution.t_star + 16 * 16 * 8 + python_bytes, measured
+
+
+def _forward_peak(monkeypatch, program) -> int:
+    """``tracemalloc`` peak of the forward run of one warmed-up
+    ``gradient()``; the inputs exist before tracing starts."""
+    inputs = sample_inputs(program, {}, np.random.default_rng(0))
+    gradient(program, inputs, {})
+    run, peaks = interpreter.run_forward, []
+
+    def traced(*args, **kwargs):
+        out = []
+        peaks.append(_traced_peak(lambda: out.append(run(*args, **kwargs))))
+        return out[0]
+
+    monkeypatch.setattr(interpreter, "run_forward", traced)
+    gradient(program, inputs, {})
+    monkeypatch.undo()
+    return peaks[0]
+
+
+def test_the_forward_run_of_a_gradient_holds_each_array_once(monkeypatch):
+    # sin_chain(12) at 16 x 16 real64: L and A0..A11 in env, their tape
+    # snapshots being the same arrays (a library node gives its name a new
+    # array, so none is copied), and one library result before it is
+    # stored: k + 2 arrays; the Python objects as measured at 2 x 2. Copied
+    # snapshots would hold the 12 taped arrays twice (58,640 B).
+    k = 12
+    python_bytes = _forward_peak(monkeypatch, sin_chain(k, side=2))
+    measured = _forward_peak(monkeypatch, sin_chain(k))
+    assert measured <= (k + 2) * 16 * 16 * 8 + python_bytes, (measured, python_bytes)
 
 
 def test_infeasible_beyond_the_exact_floor_reports_a_lower_bound():

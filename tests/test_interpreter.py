@@ -764,6 +764,37 @@ def test_seidel_nests_take_the_direct_path_and_a_real32_nest_does_not(monkeypatc
     assert "_view" not in nest.source and "ok_" not in nest.source
 
 
+def test_a_point_stores_an_element_it_writes_twice_once(monkeypatch, rng):
+    # a row sum into B[i, 0], a sweep of A[i, j] and a sum into A[i, j + 1]:
+    # the reverse point writes A__grad[i, j] from all three adjoints, and
+    # stores it once, with its last value
+    b = ProgramBuilder(("n",))
+    for name in ("A", "X"):
+        b.array(name, ("n", "n"), role="input", kind="real64")
+    b.array("B", ("n", "n"), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("i", "1", "(sub n 1)", label="rows"):
+        with b.loop("j", "1", "(sub n 1)", label="cols"):
+            with b.state("s") as s:
+                s.tasklet(ins={"a": ("A", ("i", "j")), "x": ("X", ("i", "j"))}, outs={"o": ("B", ("i", "0"))},
+                          body={"o": "(mul a x)"}, wcr="sum")
+                s.tasklet(ins={"c": ("A", ("i", "j")), "w": ("A", ("i", "(sub j 1)"))},
+                          outs={"o": ("A", ("i", "j"))}, body={"o": "(mul 0.5 (add c w))"})
+                s.tasklet(ins={"a": ("A", ("i", "j"))}, outs={"e": ("A", ("i", "(add j 1)"))},
+                          body={"e": "(mul -0.25 a)"}, wcr="sum")
+    with b.state("post") as s:
+        s.library("reduce_sum", {"x": "A"}, {"y": "O"})
+        s.library("reduce_sum", {"x": "B"}, {"y": "O"}, wcr="sum")
+    p, params = b.finish("O", ["A"]), {"n": 6}
+    inputs = sample_inputs(p, params, rng)
+    _, reverse = _nests_of(monkeypatch, lambda: gradient(p, inputs, params))
+    carried, _ = _direct_points(reverse.source)
+    assert "A__grad" in reverse.source and _stores(carried) == 1
+    one = _outcome(p, inputs, params)
+    batch = _outcome(p, {k: v[None] for k, v in inputs.items()}, params)
+    assert np.array_equal(batch[1]["A"][0], one[1]["A"]) and batch[2:] == one[2:]
+
+
 def _direct_points(source: str) -> tuple[list[str], list[str]]:
     """The lines of one point of a nest's first carried loop (``for`` under
     an ``if ok_...:`` head) and of its first per-point direct body (under a
@@ -1348,11 +1379,12 @@ def test_forward_env_holds_inputs_outputs_and_stored_copies(rng):
     assert stored and set(env) == set(inputs) | {"O"} | stored
 
 
-def test_only_inputs_the_program_writes_are_copied():
+def test_only_inputs_the_program_mutates_are_copied():
     p = examples.build("exp_sin_chain")
     x = np.linspace(0.5, 1.5, 5)
     assert run_forward(p, {"X": x}, {"n": 5}).env["X"] is x
-    # X = sin(X) in place: the run works on a copy and leaves x alone
+    # X = sin(X) by a library node gives X a new array: the run neither
+    # copies x nor changes it, and x is X's version-0 snapshot
     b = ProgramBuilder(("n",))
     b.array("X", ("n",), role="input", kind="real64")
     b.scalar("O", role="output", kind="real64")
@@ -1361,10 +1393,76 @@ def test_only_inputs_the_program_writes_are_copied():
         s.library("reduce_sum", {"x": "X"}, {"y": "O"})
     q = b.finish("O", ["X"])
     before = x.copy()
+    assert ir.written_descriptors(q) == {"X", "O"} and ir.mutated_descriptors(q) == set()
+    assert interpreter._prepare_inputs(q, {"X": x}, interpreter.RunPlan(q, {"n": 5}))[0]["X"] is x
     res = run_forward(q, {"X": x}, {"n": 5}, record={("X", 0)})
     assert res.env["X"] is not x and np.array_equal(x, before)
     np.testing.assert_array_equal(res.env["X"], np.sin(before))
-    np.testing.assert_array_equal(res.tape.values[("X", 0, ())], before)
+    assert res.tape.values[("X", 0, ())] is x
+    g = gradient(q, {"X": x}, {"n": 5})
+    assert np.array_equal(x, before)
+    np.testing.assert_array_equal(g.grads["X"], np.cos(before))
+    # seidel_stencil writes its input in place through tasklets: a copy
+    seidel, params = examples.build("seidel_stencil"), examples.DEFAULT_PARAMS["seidel_stencil"]
+    a = sample_inputs(seidel, params, np.random.default_rng(1))["A"]
+    assert "A" in ir.mutated_descriptors(seidel)
+    assert interpreter._prepare_inputs(seidel, {"A": a}, interpreter.RunPlan(seidel, params))[0]["A"] is not a
+
+
+def _snapshots_and_env(program, inputs, params) -> tuple[dict, dict]:
+    """The tape and the env of the forward run ``gradient()`` makes, read
+    before the run drops its intermediates."""
+    bundle = build_backward(program)
+    run_plan = interpreter.RunPlan(program, params, record=bundle.required, vinfo=bundle.vinfo)
+    env, batch = interpreter._prepare_inputs(program, inputs, run_plan)
+    tape = interpreter.Tape()
+    interpreter.Executor(run_plan, env, batch, tape=tape).run()
+    return tape.values, env
+
+
+def test_a_snapshot_is_its_array_unless_the_program_mutates_it(rng):
+    # sin_chain's arrays are each written once, by a library node: every
+    # snapshot is the array the run holds. Seidel's sweep writes A in place
+    # through tasklets: each snapshot of A, its version 0 and one per point
+    # of the sweep, is a copy of its own.
+    p = genprog.sin_chain(4, side=4)
+    snaps, env = _snapshots_and_env(p, sample_inputs(p, {}, rng), {})
+    assert len(snaps) == 4 and all(arr is env[name] for (name, _, _), arr in snaps.items())
+    p, params = examples.build("seidel_stencil"), {"N": 5, "TSTEPS": 2}
+    inputs = sample_inputs(p, params, rng)
+    fwd = run_forward(p, inputs, params, record={("A", 0), ("A", 1)})
+    snaps = list(fwd.tape.values.values())
+    assert len(snaps) == 1 + 2 * 3 * 3
+    assert len({id(a) for a in snaps + [fwd.env["A"], inputs["A"]]}) == len(snaps) + 2
+    assert np.array_equal(snaps[0], inputs["A"]) and np.array_equal(snaps[-1], fwd.env["A"])
+
+
+@pytest.mark.filterwarnings("ignore::gradflow.errors.NonDifferentiableOp")
+@pytest.mark.parametrize("case", [*examples.EXAMPLES, *((make, seed) for make, seeds in (
+    (make_loop_program, 12), (make_map_program, 8), (make_stencil_program, 8), (make_elementwise_program, 8))
+    for seed in range(seeds))], ids=lambda c: c if isinstance(c, str) else f"{c[0].__name__}-{c[1]}")
+def test_snapshots_taken_by_reference_give_the_gradients_of_copied_ones(case, monkeypatch):
+    # copying every snapshot and every written input, as when every written
+    # name counted as mutated, gives the same gradients bit for bit
+    def build():
+        if isinstance(case, str):
+            return examples.build(case), examples.DEFAULT_PARAMS[case]
+        p = case[0](case[1])
+        return p, {name: 5 for name in p.parameters}
+
+    p, params = build()
+    inputs = sample_inputs(p, params, np.random.default_rng(5))
+    before = {name: np.array(v, copy=True) for name, v in inputs.items()}
+    shipped = _outcome(p, inputs, params)
+    monkeypatch.setattr(interpreter, "mutated_descriptors", ir.written_descriptors)
+    copied = _outcome(build()[0], inputs, params)
+    assert all(np.array_equal(inputs[name], v) for name, v in before.items())
+    if isinstance(shipped[0], type):
+        assert copied == shipped
+        return
+    assert np.array_equal(copied[0], shipped[0]) and copied[1].keys() == shipped[1].keys()
+    assert all(np.array_equal(copied[1][name], g) for name, g in shipped[1].items())
+    assert copied[2:] == shipped[2:]
 
 
 def test_reverse_run_consumes_the_snapshots_it_reads(rng):
