@@ -1,10 +1,11 @@
-"""Print one hash line per program of the 217-program set, so that a change
+"""Print one hash line per program of the 257-program set, so that a change
 meant to keep every output identical is checked by one diff.
 
 The set: the 14 example kernels, ``sin_chain`` of 12, 14 and 16 values,
 ``make_chain_program`` and ``make_loop_program`` seeds 0-59 and
-``make_elementwise_program`` and ``make_map_program`` seeds 0-39. Every
-parameter is 4. Each line hashes, in order:
+``make_elementwise_program``, ``make_map_program`` and
+``make_stencil_program`` seeds 0-39. Every parameter is 4. Each line
+hashes, in order:
 
 * the serialized program and the serialized reverse program of its
   ``backward_of`` bundle, so that the graphs the builder and the reverse
@@ -42,7 +43,8 @@ from gradflow import examples, gradient, plan, run_planned, serialize_program
 from gradflow.autodiff import backward_of, restrict_to_ccs
 from gradflow.errors import Infeasible
 from gradflow.verification import sample_inputs
-from genprog import make_chain_program, make_elementwise_program, make_loop_program, make_map_program, sin_chain
+from genprog import (make_chain_program, make_elementwise_program, make_loop_program, make_map_program,
+                     make_stencil_program, sin_chain)
 
 
 def programs():
@@ -51,7 +53,7 @@ def programs():
     for k in (12, 14, 16):
         yield f"sin_chain({k})", sin_chain(k)
     for make, seeds in ((make_chain_program, 60), (make_loop_program, 60),
-                        (make_elementwise_program, 40), (make_map_program, 40)):
+                        (make_elementwise_program, 40), (make_map_program, 40), (make_stencil_program, 40)):
         for seed in range(seeds):
             yield f"{make.__name__}({seed})", make(seed)
 
