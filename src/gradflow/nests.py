@@ -11,14 +11,14 @@ alike. ``interpreter.RunPlan`` builds each key from the program and the
 parameter binding, and passes what is not structure (release keys, tape
 versions, nests and loops) to the function as data; the executor runs what
 it gets. See ``_compiled_tasklet`` for what a nest does, and the direct
-access a real64 nest with exact bodies takes: there an innermost level of
-tasklets entered with its checks passed runs as one loop of direct points,
-which keeps each element it loads or stores in a local for the points
-after it (scalar replacement: Callahan, Carr and Kennedy, PLDI 1990), so a
-stencil sweep loads each element once and stores an element that the next
-point overwrites only after the last point. Checks and the order of errors
-are those of the checked points, and every array holds the same values
-when the loop ends.
+access a real64 nest with exact bodies takes: there a level of tasklets
+whose indices its entry checks runs, when they pass, as one loop of direct
+points, which keeps each element it loads or stores in a local for the
+points after it (scalar replacement: Callahan, Carr and Kennedy, PLDI
+1990), so a stencil sweep loads each element once and stores an element
+that the next point overwrites only after the last point; else it runs
+checked points. Checks and the order of errors are those of the checked
+points, and every array holds the same values when the loop ends.
 """
 
 from __future__ import annotations
@@ -212,8 +212,8 @@ def _compiled_tasklet(key: tuple) -> Callable:
     reads an enclosing iterator or a name the nest writes, else once.
     Iterators and map parameters are locals; any other name comes from
     ``b`` at entry and raises ``UnboundName`` where ``eval_expr`` would. An
-    array is fetched by the first point that touches it, and again after a
-    library node writes it. A tasklet runs its edges in the executor's
+    array is fetched by the first point that touches it (or by a direct
+    level's entry, below), and again after a library node writes it. A tasklet runs its edges in the executor's
     order: each in-edge's index dimension by dimension, then each out-edge's
     body before its index. An index that may not be an ``int`` goes through
     ``uniform_int``; every index is bounds-checked, and an index expression
@@ -227,44 +227,44 @@ def _compiled_tasklet(key: tuple) -> Callable:
     round alike on Python floats and numpy scalars), fetching an array
     without batch axes also takes its direct handle (``_view``): a flat
     memoryview of its own C-contiguous buffer, or at rank 0 the array
-    itself. A point whose arrays all have one, and whose levels' hoisted
-    checks passed, reads and writes through the handles at flat offsets.
-    An ``iterator ± const`` index is checked per dimension where its
-    loop's iterates or its map's range are fetched, as one min/max test
-    per level, and its share of the offset is summed once per iterate of
-    the level that owns it. A constant index in range needs no check, and
-    any other index is computed and checked at the point as above. Every
-    other point runs the checked body above, so an error is raised at the
-    same point with the same message.
+    itself. A level is direct when its items are tasklets whose every index
+    is an int constant in range or ``iterator ± const`` (``_hoisted``). Each
+    ``iterator ± const`` index is checked per dimension where its loop's
+    iterates or its map's range are fetched, as one min/max test per level
+    that, with those of the levels around it, gives ``ok_<iterator>``; its
+    share of the offset is summed once per iterate of the level that owns
+    it. Every other tasklet runs checked points, as above.
 
-    Direct loops: an innermost level inside another level, whose body is
-    tasklets alone (no library node, no deeper level), is entered through
-    one test, its level's ``ok_<iterator>`` and every handle it touches.
-    When that passes, all its iterates run as one loop of direct points
-    with no per-point test; else the level runs the per-point code above,
-    after which its points' locals are cleared. (A nest's outermost level
-    is entered once, before any handle is fetched, so it always runs the
-    per-point code.) In the direct loop a point keeps
-    each element of a tracked array (``_carries``: every access at
-    constant or ``iterator ± const`` indices through one offset term) in a
-    local: it reads an element it has touched from that local, and writes
-    a ``wcr="sum"`` update as ``u = v[o+c] + r; v[o+c] = u`` when the sum
-    is read again. When the level's iterates step evenly by a step known
-    here (a map's constant range step, a loop's ``loop_step``: +c for a
-    forward loop, -c reversed), an element read at constant ``c`` takes the
-    value the point before left at ``c + stride * step``, its offset term
-    having moved by that much; the first point's carried values are loaded
-    before the loop. A store ``v[o+c] = u`` (a kept sum's included, never a
+    Direct loops: a direct level, a nest's outermost one included, is
+    entered through one test, its ``ok_<iterator>`` and every handle it
+    touches. Before that test, a level whose checks pass and that has
+    iterates fetches every array it touches, in its first point's order and
+    by that point's fetch, so a level with no iterates fetches nothing. A
+    level holding a body of constants alone fetches as its points do, since
+    its direct point converts the constant by ``float``, which may raise
+    before a later fetch would; it runs direct from its next entry on. When
+    the test passes, all its iterates run as one loop of direct points with
+    no per-point test; else the level runs checked points, after which their
+    locals are cleared. In the direct loop a point keeps each element of a
+    tracked array (``_carries``: every access through one offset term) in a
+    local: it reads an element it has touched from that local, and writes a
+    ``wcr="sum"`` update as ``u = v[o+c] + r; v[o+c] = u`` when the sum is
+    read again. When the level's iterates step evenly by a step known here
+    (a map's constant range step, a loop's ``loop_step``: +c for a forward
+    loop, -c reversed), an element read at constant ``c`` takes the value
+    the point before left at ``c + stride * step``, its offset term having
+    moved by that much; the first point's carried values are loaded before
+    the loop. A store ``v[o+c] = u`` (a kept sum's included, never a
     ``v[o+c] += r``) is sunk when the point also writes ``c - shift``, the
     element the next point writes, ``shift`` being ``stride * step`` or 0
-    for a term without the iterator: its value stays in a local, which
-    every read before the next write takes, and the last point's sunk
-    values are stored once after the loop. An element the point writes
-    more than once is stored once, with its last value. A level sinks or
-    drops a store only when every index it reads or writes is checked at
-    its entry: with exact bodies no point then raises mid-loop. No load or
+    for a term without the iterator: its value stays in a local, which every
+    read before the next write takes, and the last point's sunk values are
+    stored once after the loop. An element the point writes more than once
+    is stored once, with its last value. With every index checked at the
+    level's entry, a direct point raises only where a body of constants
+    alone is too large for a double, and then at the first point. No load or
     local can raise, so a direct loop counts the same operators and raises
-    the same error at the same point as the per-point code, and every array
+    the same error at the same point as checked points, and every array
     holds the same values when the loop ends. Distinct arrays never share a
     buffer a nest writes: an input a nest writes is copied (a mutated name,
     ``ir.mutated_descriptors``) and every other written array is the run's
@@ -334,32 +334,28 @@ def _compiled_tasklet(key: tuple) -> Callable:
             emit(d, f"{res} = float({src})" if convert else f"{res} = {src}")
         return res
 
-    def tasklet(it: tuple, scope: dict, d: int, level: str | None):
-        _, ins, outs, _ = it
-        if level is None:
-            return checked(it, scope, d)
-        touched = dict.fromkeys(data for data, *_ in ins + outs)
-        emit(d, f"if {' and '.join([f'ok_{level}'] + [f'{views[a]} is not None' for a in touched])}:")
-        direct(it, scope, d + 1, level)
-        emit(d, "else:")
-        checked(it, scope, d + 1)
+    def fetch(data: str, how: str, d: int):
+        """Fetch array ``data`` by ``how`` (``read`` or ``write``) if unset."""
+        arr = arrays[data]
+        emit(d, f"if {arr} is None:")
+        emit(d + 1, f"{arr} = {how}({data!r})")
+        emit(d + 1, f"{arr}_flat = {arr}.ndim == {len(shape[data])}")
+        if views:
+            emit(d + 1, f"{views[data]} = _view({arr}, {len(shape[data])})")
 
-    def checked(it: tuple, scope: dict, d: int):
+    def tasklet(it: tuple, scope: dict, d: int, level: str | None):
+        """A checked point of a tasklet."""
         _, ins, outs, _ = it
         fetched: set[str] = set()
         indices: dict[tuple, str] = {}
         conns: dict[str, str] = {}
         results: dict = {}
 
-        def access(data: str, subset, fetch: str) -> tuple[str, str]:
+        def access(data: str, subset, how: str) -> tuple[str, str]:
             arr = arrays[data]
             if data not in fetched:
                 fetched.add(data)
-                emit(d, f"if {arr} is None:")
-                emit(d + 1, f"{arr} = {fetch}({data!r})")
-                emit(d + 1, f"{arr}_flat = {arr}.ndim == {len(shape[data])}")
-                if views:
-                    emit(d + 1, f"{views[data]} = _view({arr}, {len(shape[data])})")
+                fetch(data, how, d)
             return arr, ", ".join(index(e, shape[data][k], data, scope, indices, d) for k, e in enumerate(subset))
 
         for data, subset, conn in ins:
@@ -375,28 +371,20 @@ def _compiled_tasklet(key: tuple) -> Callable:
             emit(d, "else:")
             emit(d + 1, f"{arr}[..., {idx}] {op} {res}")
 
-    def element(data: str, subset, scope: dict, level: str, d: int, indices: dict, offsets: dict) -> str:
-        """An element through its direct handle, at its flat offset: an
-        ``iterator ± const`` index is checked where its level's iterates are
-        fetched, any other index here (``index``)."""
+    def element(data: str, subset, scope: dict, level: str, d: int, offsets: dict) -> str:
+        """An element through its direct handle, at its flat offset, each
+        index of which its level's entry checked (``_hoisted``)."""
         dims = shape[data]
         if not dims:
             return f"{views[data]}[()]"
         const, outer, terms = 0, [], []
         for k, e in enumerate(subset):
-            size, stride = dims[k], math.prod(dims[k + 1:])
-            shift = _dim(e, size, scope)
-            if shift is None:
-                terms.append(_times(index(e, size, data, scope, indices, d), stride))
-                continue
-            var, c = shift
+            stride = math.prod(dims[k + 1:])
+            var, c = _dim(e, dims[k], scope)
             const += c * stride
-            if var is None:
-                continue
-            checks[var].append((c, size))
             if var == level:
                 terms.append(_times(var, stride))
-            else:
+            elif var is not None:
                 outer.append((var, stride))
         if outer:
             terms.insert(0, partial(outer))
@@ -410,66 +398,20 @@ def _compiled_tasklet(key: tuple) -> Callable:
             return f"{views[data]}[{const}]"
         return f"{views[data]}[{terms[0]}{const:+d}]" if const else f"{views[data]}[{terms[0]}]"
 
-    def direct(it: tuple, scope: dict, d: int, level: str, carry: tuple | None = None):
-        """A point through the direct handles, its hoisted checks passed:
-        what may still fail runs in the checked body's order. In a carried
-        loop (``innermost``), ``carry`` is ``(tracked, kept, known,
-        offsets, flush, left)``: each tracked array's constant offset by
-        subset, the elements a later access reads by ``(array, constant)``,
-        the local holding each such element's value, which a read takes in
-        place of a load and every access sets, the offsets the point's
-        tasklets share, by each sunk element (``_carries``) its store,
-        which the caller makes once after the loop, and by each element
-        the point writes again the stores still to come, which this one
-        leaves out."""
-        _, ins, outs, _ = it
-        tracked, kept, known, offsets, flush, left = carry or ({}, (), {}, {}, {}, {})
-        indices: dict[tuple, str] = {}
-        conns: dict[str, str] = {}
-        results: dict = {}
-        for data, subset, conn in ins:
-            at = (data, tracked[data][subset]) if data in tracked else None
-            if at in known:
-                conns[conn] = known[at]
-                continue
-            var = conns[conn] = temp("c")
-            emit(d, f"{var} = {element(data, subset, scope, level, d, indices, offsets)}")
-            if at:
-                known[at] = var
-        for data, subset, body, wcr in outs:
-            # a body of constants alone may be an int: converted as a numpy
-            # store converts it, one too large for a double raises alike
-            res = result(body, conns, results, d, convert=not free_names(body))
-            ref = element(data, subset, scope, level, d, indices, offsets)
-            at = (data, tracked[data][subset]) if data in tracked else None
-            if wcr == "sum" and at not in known and at not in kept:
-                emit(d, f"{ref} += {res}")
-                continue
-            if wcr == "sum":  # as v[o] += r, from the element's value if known
-                res = f"{known.get(at, ref)} + {res}"
-                if at in kept or at in flush:
-                    total = temp("u")
-                    emit(d, f"{total} = {res}")
-                    res = total
-            if left.get(at):  # a later write of this point stores the element
-                left[at] -= 1
-            elif at in flush:
-                flush[at] = f"{ref} = {res}"
-            else:
-                emit(d, f"{ref} = {res}")
-            if at in kept:
-                known[at] = res
-
     def innermost(seq: str, var: str, scope: dict, d: int, items: tuple, step: int | None):
-        """The head of an innermost level of tasklets in a direct nest: when
-        its entry passes its hoisted checks and every handle it touches is
-        set, all its iterates run here as one loop of direct points, else
-        as per-point code in the ``else:`` arm the caller emits. When the
-        iterates step evenly by ``step``, each tracked element's value is
-        carried to the next point (``_carries``). The first point's carried
-        values are loaded before the loop, and the last point's sunk stores
-        are made after it."""
-        touched = dict.fromkeys(data for it in items for data, *_ in it[1] + it[2])
+        """The head of a direct level ("Direct loops" above): its fetch at
+        entry, its one test and the loop of direct points that runs when the
+        test passes, carrying each tracked element's value to the next
+        point when the iterates step evenly by ``step``; the caller emits
+        the ``else:`` arm of checked points."""
+        touched: dict[str, str] = {}  # by array, the fetch of its first access
+        for _, ins, outs, _ in items:
+            for data, how in [(data, "read") for data, *_ in ins] + [(data, "write") for data, *_ in outs]:
+                touched.setdefault(data, how)
+        if all(free_names(body) for _, _, outs, _ in items for _, _, body, _ in outs):
+            emit(d, f"if {seq} and ok_{var}:")
+            for data, how in touched.items():
+                fetch(data, how, d + 1)
         emit(d, f"if {' and '.join([f'ok_{var}'] + [f'{views[a]} is not None' for a in touched])}:")
         tracked, kept, carried, sunk, left = _carries(items, shape, scope, var, step)
         entering = {(data, c): f"e{next(fresh)}" for data, c, *_ in carried}
@@ -478,22 +420,58 @@ def _compiled_tasklet(key: tuple) -> Callable:
             emit(d + 2, f"{var} = {seq}[0]")
             first: dict[str, str] = {}
             for data, c, subset, _ in carried:
-                emit(d + 2, f"{entering[(data, c)]} = {element(data, subset, scope, var, d + 2, {}, first)}")
+                emit(d + 2, f"{entering[(data, c)]} = {element(data, subset, scope, var, d + 2, first)}")
         emit(d + 1, f"for {var} in {seq}:")
-        # a read from a local appends no hoisted check; the per-point code
-        # of the else: arm appends every one
+        e = d + 2  # a point's depth
+        # by (array, constant), the local holding each element's value that
+        # a read takes in place of a load and every access sets; the offsets
+        # the point's tasklets share; each sunk element's store, made once
+        # after the loop (``left`` counts the stores a later write replaces)
         known, offsets, flush = dict(entering), {}, dict.fromkeys(sunk)
-        for it in items:
-            direct(it, scope, d + 2, var, (tracked, kept, known, offsets, flush, left))
+        for _, ins, outs, _ in items:
+            conns: dict[str, str] = {}
+            results: dict = {}
+            for data, subset, conn in ins:
+                at = (data, tracked[data][subset]) if data in tracked else None
+                if at in known:
+                    conns[conn] = known[at]
+                    continue
+                value = conns[conn] = temp("c")
+                emit(e, f"{value} = {element(data, subset, scope, var, e, offsets)}")
+                if at:
+                    known[at] = value
+            for data, subset, body, wcr in outs:
+                # a body of constants alone may be an int: converted as a numpy
+                # store converts it, one too large for a double raises alike
+                res = result(body, conns, results, e, convert=not free_names(body))
+                ref = element(data, subset, scope, var, e, offsets)
+                at = (data, tracked[data][subset]) if data in tracked else None
+                if wcr == "sum" and at not in known and at not in kept:
+                    emit(e, f"{ref} += {res}")
+                    continue
+                if wcr == "sum":  # as v[o] += r, from the element's value if known
+                    res = f"{known.get(at, ref)} + {res}"
+                    if at in kept or at in flush:
+                        total = temp("u")
+                        emit(e, f"{total} = {res}")
+                        res = total
+                if left.get(at):  # a later write of this point stores the element
+                    left[at] -= 1
+                elif at in flush:
+                    flush[at] = f"{ref} = {res}"
+                else:
+                    emit(e, f"{ref} = {res}")
+                if at in kept:
+                    known[at] = res
         moves = [(entering[(data, c)], known[(data, c + shift)]) for data, c, _, shift in carried]
         moves = [(to, at) for to, at in moves if to != at]
         if moves:
-            emit(d + 2, f"{', '.join(to for to, _ in moves)} = {', '.join(at for _, at in moves)}")
+            emit(e, f"{', '.join(to for to, _ in moves)} = {', '.join(at for _, at in moves)}")
         stores = [text for text in flush.values() if text]  # a memory v[o+c] += r is never sunk
         if stores:
             emit(d + 1, f"if {seq}:")
             for text in stores:
-                emit(d + 2, text)
+                emit(e, text)
         emit(d, "else:")
 
     def partial(terms: list) -> str:
@@ -541,15 +519,14 @@ def _compiled_tasklet(key: tuple) -> Callable:
         if not any(isinstance(x, str) for x in lines[start:]):
             emit(d, "pass")
 
-    def level_loop(seq: str, var: str, scope: dict, d: int, items: tuple, step: int | None, inner: Callable,
-                   level: str | None):
+    def level_loop(seq: str, var: str, scope: dict, d: int, items: tuple, step: int | None, inner: Callable):
         """``for var in seq:`` around the lines ``inner(depth)`` emits, in
-        the ``else:`` arm of an ``innermost`` head when the level holds only
-        tasklets of a direct nest and has an enclosing ``level``: a nest's
-        outermost level is entered once, before any point has fetched a
-        handle."""
-        fast = views and level and items and all(it[0] == "tasklet" for it in items)
-        if fast:
+        the ``else:`` arm of an ``innermost`` head when the level is direct
+        (``_hoisted``), whose checks it hoists to their levels."""
+        hoisted = _hoisted(items, shape, scope) if views else None
+        if hoisted is not None:
+            for v, c, size in hoisted:
+                checks[v].append((c, size))
             innermost(seq, var, scope, d, items, step)
             d += 1
         made = len(temps)
@@ -557,7 +534,7 @@ def _compiled_tasklet(key: tuple) -> Callable:
         if views:
             later(d + 1, lambda: per_iterate[var])
         inner(d + 1)
-        if fast and temps[made:]:  # so that a direct loop run later holds no more values than these points did
+        if hoisted is not None and temps[made:]:  # so a later direct loop holds no more values than these points
             emit(d, " = ".join([*dict.fromkeys(temps[made:]), "None"]))
 
     def mapping(it: tuple, scope: dict, d: int, level: str | None, k: int = 0):
@@ -572,12 +549,12 @@ def _compiled_tasklet(key: tuple) -> Callable:
             later(d, lambda: ok(var, f"(not {seq} or ({{lo}} <= {seq}[0] and {seq}[-1] <= {{hi}}))"))
         if last:
             count(items, d, seq)
-        inner, within = {**scope, params[k]: var}, var if views else None
+        inner = {**scope, params[k]: var}
         step = ranges[k][2].value if isinstance(ranges[k][2], Const) and ranges[k][2].value.__class__ is int else None
         if last:
-            level_loop(seq, var, inner, d, items, step, lambda e: body(items, inner, e, within), level)
+            level_loop(seq, var, inner, d, items, step, lambda e: body(items, inner, e, var))
         else:
-            level_loop(seq, var, inner, d, (), None, lambda e: mapping(it, inner, e, within, k + 1), level)
+            level_loop(seq, var, inner, d, (), None, lambda e: mapping(it, inner, e, var, k + 1))
 
     def loop(it: tuple, scope: dict, d: int, level: str | None):
         _, j, iterator, header, step, items = it
@@ -600,7 +577,7 @@ def _compiled_tasklet(key: tuple) -> Callable:
                 later(d, lambda: ok(var, f"k{j}"))
         count(items, d, seq)
         inner = {**scope, iterator: var}
-        level_loop(seq, var, inner, d, items, step, lambda e: body(items, inner, e, var if views else None), level)
+        level_loop(seq, var, inner, d, items, step, lambda e: body(items, inner, e, var))
 
     def library(it: tuple, scope: dict, d: int, level: str | None):
         for text in _library_lines(it):
@@ -682,13 +659,28 @@ def _dim(e, size: int, scope: dict) -> tuple[str | None, int] | None:
     return _affine(e, scope)
 
 
+def _hoisted(items: tuple, shape: dict, scope: dict) -> list[tuple] | None:
+    """A direct level's entry checks, when its items are tasklets whose every
+    index is ``_dim``'s: ``(variable, c, size)`` per ``iterator ± const``
+    index, else None. They come from every index, not from the loads a
+    point makes, since a carried point reads an element it has touched from
+    a local."""
+    if not items or any(it[0] != "tasklet" for it in items):
+        return None
+    dims = [(_dim(e, size, scope), size) for _, ins, outs, _ in items for data, subset, *_ in ins + outs
+            for e, size in zip(subset, shape[data])]
+    if any(dim is None for dim, _ in dims):
+        return None
+    return [(var, c, size) for (var, c), size in dims if var is not None]
+
+
 def _carries(items: tuple, shape: dict, scope: dict, level: str,
              step: int | None) -> tuple[dict, set, list, list, dict]:
-    """What a point of an innermost level of tasklets keeps in locals, as
-    ``(tracked, kept, carried, sunk, overwritten)``. ``tracked`` holds each array of rank >= 1
-    whose every access in the point has constant or ``iterator ± const``
-    indices and the same offset term (the same iterators at the same
-    strides), with each subset's constant offset. ``carried`` holds
+    """What a point of a direct level keeps in locals, as ``(tracked,
+    kept, carried, sunk, overwritten)``. ``tracked`` holds each array of
+    rank >= 1 whose every access in the point has the same offset term (the
+    same iterators at the same strides), with each subset's constant
+    offset. ``carried`` holds
     ``(array, c, subset, shift)`` for each tracked element that the point
     reads before any store to it, and whose element at ``c + shift`` the
     point touches too: that is the same element one point earlier,
@@ -703,29 +695,26 @@ def _carries(items: tuple, shape: dict, scope: dict, level: str,
 
     ``sunk`` holds, in the order first written, each tracked element the
     point writes at ``c`` while it also writes ``c - shift``, the element
-    the next point then writes, when the array's ``shift`` is known and
-    every index of the level is checked at its entry, so that no point
-    raises mid-loop. Every read of such an element before that write takes a local:
-    the point's own reads, or the next point's carried value. Under the
-    same checks, ``overwritten`` gives each tracked element the point
-    writes more than once the number of its stores that a later write of
-    the same point replaces: such an element is kept, so every read after
-    its first write takes a local, and only its last value is stored."""
+    the next point then writes, when the array's ``shift`` is known. Every
+    read of such an element before that write takes a local: the point's
+    own reads, or the next point's carried value. ``overwritten`` gives
+    each tracked element the point writes more than once the number of its
+    stores that a later write of the same point replaces: such an element
+    is kept, so every read after its first write takes a local, and only
+    its last value is stored."""
     if any(not shape[data] for it in items for data, *_ in it[1]):
         return {}, set(), [], [], {}
     terms: dict[str, tuple | None] = {}
     tracked: dict[str, dict] = {}
     first: dict[str, dict[int, tuple]] = {}  # by array and constant: (read first, subset)
     again = set()
-    hoisted = True
     for it in items:
         for data, subset, reads in [(a, s, True) for a, s, _ in it[1]] + [(a, s, w == "sum") for a, s, _, w in it[2]]:
             dims = shape[data]
-            parts = [_dim(e, dims[k], scope) for k, e in enumerate(subset)]
-            hoisted = hoisted and None not in parts
-            if not dims or None in parts:
+            if not dims:
                 terms[data] = None
                 continue
+            parts = [_dim(e, dims[k], scope) for k, e in enumerate(subset)]
             strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
             term = tuple(sorted((v, st) for (v, _), st in zip(parts, strides) if v is not None))
             if terms.setdefault(data, term) != term:
@@ -746,10 +735,9 @@ def _carries(items: tuple, shape: dict, scope: dict, level: str,
         shift = stride * step if stride else 0
         carried += [(data, c, subset, shift) for c, (reads, subset) in first[data].items()
                     if reads and c + shift in first[data]]
-        if hoisted:
-            sunk += [at for at in writes if at[0] == data and (data, at[1] - shift) in writes]
+        sunk += [at for at in writes if at[0] == data and (data, at[1] - shift) in writes]
     kept = {(data, c + shift) for data, c, _, shift in carried} | {at for at in again if at[0] in tracked}
-    overwritten = {at: n - 1 for at, n in writes.items() if n > 1} if hoisted else {}
+    overwritten = {at: n - 1 for at, n in writes.items() if n > 1}
     return tracked, kept, carried, sunk, overwritten
 
 

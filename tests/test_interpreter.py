@@ -633,8 +633,50 @@ def test_each_dimension_is_checked_on_its_own(subset, before):
         assert ex.env["O"].reshape(-1)[0] == before
 
 
+def _constant_body_program(fetched: bool):
+    """Y[i] = X[i], then Y[i] = 10**200 * 10**200, over i < n; then O = sum
+    Y. With ``fetched``, inside a one-trip loop after a loop copying X to
+    Y, so that the level finds Y fetched."""
+    big = str(10**200)
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.array("Y", ("n",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+
+    def over():
+        with b.loop("i", "0", "n", label="over"):
+            with b.state("s") as s:
+                s.tasklet(ins={"x": ("X", ("i",))}, outs={"o": ("Y", ("i",))}, body={"o": "x"})
+                s.tasklet(ins={"y": ("Y", ("i",))}, outs={"o": ("Y", ("i",))},
+                          body={"o": f"(mul {big} {big})"})
+
+    if fetched:
+        with b.loop("k", "0", "1", label="once"):
+            with b.loop("i", "0", "n", label="copy"):
+                with b.state("c") as s:
+                    s.tasklet(ins={"x": ("X", ("i",))}, outs={"o": ("Y", ("i",))}, body={"o": "x"})
+            over()
+    else:
+        over()
+    with b.state("sum") as s:
+        s.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+    return b.finish("O", ["X"])
+
+
 def test_a_constant_body_too_large_for_a_double_raises_as_a_numpy_store_does():
-    # the second tasklet finds Y fetched, so its first point runs direct
+    # a level holding a body of constants alone fetches its arrays as its
+    # points reach them, so its first entry runs checked; after a level of
+    # the same nest fetched Y, its first point runs direct and converts the
+    # constant as a numpy store would
+    for p in map(_constant_body_program, (False, True)):
+        for batch in ((), (1,)):
+            with pytest.raises(OverflowError, match="^int too large to convert to float$"):
+                run_forward(p, {"X": np.ones(batch + (3,))}, {"n": 3})
+
+
+def test_a_constant_too_large_for_a_double_raises_before_a_later_fetch():
+    # the first tasklet stores 10**200 * 10**200 and the second reads X,
+    # which is missing: the store raises first, unbatched and batched alike
     big = str(10**200)
     b = ProgramBuilder(("n",))
     b.array("X", ("n",), role="input", kind="real64")
@@ -642,14 +684,53 @@ def test_a_constant_body_too_large_for_a_double_raises_as_a_numpy_store_does():
     b.scalar("O", role="output", kind="real64")
     with b.loop("i", "0", "n", label="over"):
         with b.state("s") as s:
-            s.tasklet(ins={"x": ("X", ("i",))}, outs={"o": ("Y", ("i",))}, body={"o": "x"})
-            s.tasklet(ins={"y": ("Y", ("i",))}, outs={"o": ("Y", ("i",))}, body={"o": f"(mul {big} {big})"})
-    with b.state("sum") as s:
-        s.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+            s.tasklet(ins={}, outs={"o": ("Y", ("i",))}, body={"o": f"(mul {big} {big})"})
+            s.tasklet(ins={"x": ("X", ("i",))}, outs={"o": ("O", ())}, body={"o": "x"}, wcr="sum")
     p = b.finish("O", ["X"])
     for batch in ((), (1,)):
+        ex = interpreter.Executor(interpreter.RunPlan(p, {"n": 3}), {}, batch)
         with pytest.raises(OverflowError, match="^int too large to convert to float$"):
-            run_forward(p, {"X": np.ones(batch + (3,))}, {"n": 3})
+            ex.run()
+
+
+def test_a_level_whose_checks_fail_fetches_only_what_its_points_fetch():
+    # X[i + 3] is out of range at the first point, which raises before it
+    # reads Z, which is missing: the level's entry fetches nothing
+    b = ProgramBuilder(("n",))
+    for name in ("X", "Z"):
+        b.array(name, ("n",), role="input", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("i", "0", "n", label="over"):
+        with b.state("s") as s:
+            s.tasklet(ins={"x": ("X", ("(add i 3)",)), "z": ("Z", ("i",))}, outs={"o": ("O", ())},
+                      body={"o": "(add x z)"}, wcr="sum")
+    p = b.finish("O", ["X", "Z"])
+    for batch in ((), (1,)):
+        ex = interpreter.Executor(interpreter.RunPlan(p, {"n": 3}), {"X": np.ones(batch + (3,))}, batch)
+        with pytest.raises(OutOfBounds, match=r"^'X' index 3 outside dimension of size 3$"):
+            ex.run()
+
+
+def test_a_read_served_from_a_local_keeps_its_own_dimensions_check():
+    # A[i + 1, j] and A[i, j + 3] share a flat offset at n = 3, so a carried
+    # point would read the second from the first's local; the level's entry
+    # checks j + 3 against its own dimension all the same, and the first
+    # point raises after adding A[1, 0]
+    b = ProgramBuilder(("n",))
+    b.array("A", ("n", "n"), role="input", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("i", "0", "(sub n 1)", label="rows"):
+        with b.loop("j", "0", "n", label="cols"):
+            with b.state("s") as s:
+                for subset in (("(add i 1)", "j"), ("i", "(add j 3)")):
+                    s.tasklet(ins={"a": ("A", subset)}, outs={"o": ("O", ())}, body={"o": "a"}, wcr="sum")
+    p = b.finish("O", ["A"])
+    a = np.arange(1.0, 10.0).reshape(3, 3)
+    for batch in ((), (1,)):
+        ex = interpreter.Executor(interpreter.RunPlan(p, {"n": 3}), {"A": a.reshape(batch + (3, 3))}, batch)
+        with pytest.raises(OutOfBounds, match=r"^'A' index 3 outside dimension of size 3$"):
+            ex.run()
+        assert ex.env["O"].reshape(-1)[0] == 4.0
 
 
 def _tasklet_bodies(program):
@@ -740,10 +821,10 @@ def test_seidel_nests_take_the_direct_path_and_a_real32_nest_does_not(monkeypatc
     # one offset per point, its row's share taken once per row
     assert "= i1 * 8" in sweep.source and re.search(r"v0\[o\d+-8\]", sweep.source)
     # each point of a row's carried loop takes the element its neighbour
-    # loaded or stored: 3 loads where a point of the per-point code makes 5
+    # loaded or stored: 3 loads where a checked point reads 5 elements
     for fn in (sweep, reverse):
         carried, point = _direct_points(fn.source)
-        assert (_loads(carried), _loads(point)) == (3, 5)
+        assert (_loads(carried), _loads(point, "a0")) == (3, 5)
     # a reverse point stores 3 of its 5 elements: the next point overwrites
     # A__grad[i, j] and A__grad[i, j - 1], so the last point's values of
     # those two are stored once, after the loop, when it ran at all
@@ -762,6 +843,47 @@ def test_seidel_nests_take_the_direct_path_and_a_real32_nest_does_not(monkeypatc
     p = b.finish("O", ["X"])
     (nest,) = _nests_of(monkeypatch, lambda: run_forward(p, {"X": np.ones(4, np.float32)}, {"n": 4}))
     assert "_view" not in nest.source and "ok_" not in nest.source
+
+
+def _sweep_1d():
+    """One loop over the interior of A ([n] real64): A[i] = (A[i - 1] +
+    2 A[i] + A[i + 1]) / 4 in place; then O = sum A."""
+    b = ProgramBuilder(("n",))
+    b.array("A", ("n",), role="input", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("i", "1", "(sub n 1)", label="sweep"):
+        with b.state("s") as s:
+            s.tasklet(ins={"w": ("A", ("(sub i 1)",)), "c": ("A", ("i",)), "e": ("A", ("(add i 1)",))},
+                      outs={"o": ("A", ("i",))}, body={"o": "(mul 0.25 (add (add w c) (add c e)))"})
+    with b.state("post") as s:
+        s.library("reduce_sum", {"x": "A"}, {"y": "O"})
+    return b.finish("O", ["A"])
+
+
+@pytest.mark.parametrize("make", [lambda: make_map_program(0), _sweep_1d], ids=["make_map_program-0", "sweep"])
+def test_a_one_level_nest_runs_one_direct_loop(monkeypatch, make):
+    # a nest's only level is entered through one ok_ test, which heads its
+    # carried loop, and no point of it tests again
+    p, params = make(), {"n": 64}
+    inputs = sample_inputs(p, params, np.random.default_rng(0))
+    made = _nests_of(monkeypatch, lambda: gradient(p, inputs, params))
+    direct = [fn for fn in made if "_view(" in fn.source]
+    assert len(direct) >= 2
+    for fn in direct:
+        lines = fn.source.splitlines()
+        (head,) = [k for k, line in enumerate(lines) if line.lstrip().startswith("if ok_")]
+        loop = _level_loop(lines, head)
+        assert len(lines[loop]) - len(lines[loop].lstrip()) == len(lines[head]) - len(lines[head].lstrip()) + 4
+        var = lines[loop].split()[1]
+        for k, line in enumerate(lines):
+            if line.lstrip().startswith(f"for {var} in "):
+                assert not any(x.lstrip().startswith("if ok_") for x in _block(lines, k))
+    one = _outcome(p, inputs, params)
+    batch = _outcome(p, {k: np.asarray(v)[None] for k, v in inputs.items()}, params)
+    assert np.array_equal(batch[0][0], one[0]) and batch[1].keys() == one[1].keys()
+    for name, g in one[1].items():
+        assert np.array_equal(batch[1][name][0], g)
+    assert batch[2:] == one[2:]
 
 
 def test_a_point_stores_an_element_it_writes_twice_once(monkeypatch, rng):
@@ -795,25 +917,31 @@ def test_a_point_stores_an_element_it_writes_twice_once(monkeypatch, rng):
     assert np.array_equal(batch[1]["A"][0], one[1]["A"]) and batch[2:] == one[2:]
 
 
+def _block(lines: list[str], at: int) -> list[str]:
+    """The lines indented under ``lines[at]``."""
+    depth = len(lines[at]) - len(lines[at].lstrip())
+    out = []
+    for line in lines[at + 1:]:
+        if len(line) - len(line.lstrip()) <= depth:
+            return out
+        out.append(line)
+    return out
+
+
+def _level_loop(lines: list[str], at: int) -> int:
+    """The line of the first ``for`` in the block under ``lines[at]``."""
+    return next(k for k in range(at + 1, at + 1 + len(_block(lines, at))) if lines[k].lstrip().startswith("for "))
+
+
 def _direct_points(source: str) -> tuple[list[str], list[str]]:
-    """The lines of one point of a nest's first carried loop (``for`` under
-    an ``if ok_...:`` head) and of its first per-point direct body (under a
-    per-point ``if ok_...:`` test)."""
+    """The lines of one point of a nest's first carried loop (the ``for``
+    under an ``if ok_...:`` head) and of one checked point of the same
+    level (the ``for`` in the head's ``else:`` arm)."""
     lines = source.splitlines()
-
-    def block(at: int) -> list[str]:
-        depth = len(lines[at]) - len(lines[at].lstrip())
-        out = []
-        for line in lines[at + 1:]:
-            if len(line) - len(line.lstrip()) <= depth:
-                return out
-            out.append(line)
-        return out
-
-    heads = [k for k, line in enumerate(lines) if line.lstrip().startswith("if ok_")]
-    fast = block(heads[0])
-    loop = next(k for k, line in enumerate(fast) if line.lstrip().startswith("for "))
-    return block(lines.index(fast[loop], heads[0])), block(heads[1])
+    head = next(k for k, line in enumerate(lines) if line.lstrip().startswith("if ok_"))
+    arm = head + 1 + len(_block(lines, head))
+    assert lines[arm].strip() == "else:"
+    return _block(lines, _level_loop(lines, head)), _block(lines, _level_loop(lines, arm))
 
 
 def _stores(point: list[str]) -> int:
@@ -822,16 +950,18 @@ def _stores(point: list[str]) -> int:
     return sum(line.lstrip().startswith("v0[") for line in point)
 
 
-def _loads(point: list[str]) -> int:
-    """Element loads through the handle ``v0`` in a point's lines: each
-    ``v0[`` on the right of ``=``, and each ``v0[...] +=``."""
+def _loads(point: list[str], handle: str = "v0") -> int:
+    """Element loads through ``handle`` in a point's lines: each
+    ``handle[`` on the right of ``=``, and each ``handle[...] +=``, but no
+    indexing behind batch axes (``a0[..., i]``)."""
+    element = re.compile(rf"\b{handle}\[(?!\.\.\.)")
     count = 0
     for line in point:
         target, op, value = line.strip().partition(" = ")
         if not op:
             target, op, value = line.strip().partition(" += ")
-            count += target.count("v0[")
-        count += value.count("v0[")
+            count += len(element.findall(target))
+        count += len(element.findall(value))
     return count
 
 
@@ -995,10 +1125,14 @@ def _ran_as_nest(ex, loop) -> bool:
     return ex.plan.nests.get(id(loop)) is not None
 
 
-@pytest.mark.parametrize("scope", ["loops", "map"])
-def test_a_nest_that_runs_no_point_fetches_nothing(scope):
+@pytest.mark.parametrize("scope, body", [
+    pytest.param(scope, body, id=scope if body == "(sin x)" else f"{scope}-exact")
+    for scope in ("loops", "map", "loop", "one-level map") for body in ("(sin x)", "(mul x x)")
+])
+def test_a_nest_that_runs_no_point_fetches_nothing(scope, body):
     # X is missing and T and G are untouched: the first point would read X
-    # and zero-fill T and G, and there is none
+    # and zero-fill T and G, and there is none; an exact body makes a
+    # direct nest, whose levels fetch at entry only when they have iterates
     b = ProgramBuilder(("n", "m"))
     b.array("X", ("n",), role="input", kind="real64")
     b.array("T", ("n",), kind="real64")
@@ -1006,7 +1140,7 @@ def test_a_nest_that_runs_no_point_fetches_nothing(scope):
     b.scalar("O", role="output", kind="real64")
 
     def point(s):
-        s.tasklet(ins={"x": ("X", ("i",))}, outs={"t": ("T", ("i",))}, body={"t": "(sin x)"})
+        s.tasklet(ins={"x": ("X", ("i",))}, outs={"t": ("T", ("i",))}, body={"t": body})
         s.tasklet(ins={"t": ("T", ("i",))}, outs={"g": ("G", ("i",))}, body={"g": "t"}, wcr="sum")
 
     with b.state("init") as s:
@@ -1016,15 +1150,24 @@ def test_a_nest_that_runs_no_point_fetches_nothing(scope):
             with b.loop("i", "0", "n", label="inner"):
                 with b.state("body") as s:
                     point(s)
-    else:
+    elif scope == "map":
         with b.state("body") as s:
             s.map_node(("k", "i"), (("0", "m", "1"), ("0", "n", "1")), point)
+    elif scope == "loop":
+        with b.loop("i", "0", "n", label="over"):
+            with b.state("body") as s:
+                point(s)
+    else:
+        with b.state("body") as s:
+            s.map_node(("i",), (("0", "n", "1"),), point)
     p = b.finish("O", ["X"])
-    ex, env = _run_env(p, {"n": 3, "m": 0})
+    # the two-level nests run no point at m = 0, the one-level ones at n = 0
+    two = scope in ("loops", "map")
+    ex, env = _run_env(p, {"n": 3, "m": 0} if two else {"n": 0, "m": 0})
     assert set(env) == {"O"}
-    assert scope == "map" or _ran_as_nest(ex, p.region[1])
+    assert "map" in scope or _ran_as_nest(ex, p.region[1])
     with pytest.raises(UnboundName, match="no value for input 'X'"):
-        _run_env(p, {"n": 3, "m": 1})
+        _run_env(p, {"n": 3, "m": 1} if two else {"n": 1, "m": 0})
 
 
 def _two_deep(subset: str, bound: str, params=("n",)):
