@@ -210,17 +210,18 @@ def _compiled_tasklet(key: tuple) -> Callable:
     A loop runs ``for i in visits`` over ``ex._loop_visits(loops[j], ...)``,
     its iterates in visit order, fetched on every entry when its header
     reads an enclosing iterator or a name the nest writes, else once.
-    Iterators and map parameters are locals; any other name comes from
-    ``b`` at entry and raises ``UnboundName`` where ``eval_expr`` would. An
-    array is fetched by the first point that touches it (or by a direct
-    level's entry, below), and again after a library node writes it. A tasklet runs its edges in the executor's
-    order: each in-edge's index dimension by dimension, then each out-edge's
-    body before its index. An index that may not be an ``int`` goes through
-    ``uniform_int``; every index is bounds-checked, and an index expression
-    repeated over a dimension of the same size, or a repeated body, is
-    computed once per point. An array without batch axes is read as
-    ``arr[i, j]``, an immutable scalar; a batched one as ``arr[..., i, j]``,
-    copied, since a rank-0 read aliases the array an output may overwrite.
+    Iterators and map parameters are locals; any other name comes from ``b``
+    at entry and raises ``UnboundName`` where ``eval_expr`` would. An array
+    is fetched by the first point that touches it (or by a direct level's
+    entry, below), and again after a library node writes it. A tasklet runs
+    its edges in the executor's order: each in-edge's index dimension by
+    dimension, then each out-edge's body before its index. An index that may
+    not be an ``int`` goes through ``uniform_int``; every index is
+    bounds-checked, and an index expression repeated over a dimension of the
+    same size, or a repeated body, is computed once per point. An array
+    without batch axes is read as ``arr[i, j]``, an immutable scalar; a
+    batched one as ``arr[..., i, j]``, copied, since a rank-0 read aliases
+    the array an output may overwrite.
 
     Direct access: in a loop or map nest whose arrays are all real64 and
     whose tasklet bodies are all exact (``_exact``: add, sub, mul and neg
