@@ -46,7 +46,6 @@ from .errors import (
     PathExplosion,
     ProgramSyntaxError,
     ShapeMismatch,
-    ToleranceExceeded,
     UnboundName,
     UnresolvableTripCount,
     UnsupportedConstruct,

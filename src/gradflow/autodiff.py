@@ -201,10 +201,20 @@ def _deriv(e: Expr, w: str, seed: Expr) -> Expr:
             wx = hi if e.op == "max" else lo
             wy = lo if e.op == "max" else hi
             return Binary("add", Binary("mul", wx, dx), Binary("mul", wy, dy))
-        if e.op in ("idiv", "mod"):
+        if e.op == "idiv":
             if not (zx and zy):
                 _warn_ae(e.op)
             return Const(0)
+        if e.op == "mod":
+            # x mod y = x - y*idiv(x, y): x' - idiv(x, y)*y' almost
+            # everywhere, without the term that vanishes
+            if zx and zy:
+                return Const(0)
+            _warn_ae(e.op)
+            if zy:
+                return dx
+            q = Binary("mul", Binary("idiv", x, y), dy)
+            return Unary("neg", q) if zx else Binary("sub", dx, q)
         raise UnsupportedConstruct(f"no derivative rule for '{e.op}'")
     raise UnsupportedConstruct("conditions are not differentiable")
 
@@ -349,19 +359,6 @@ def reverse_loop_header(loop: LoopRegion) -> LoopRegion:
     )
 
 
-def _suffix_labels(region: list[Block], suffix: str):
-    """Rename every block label in a region copy; reversal back-references
-    (``reverse_of``, ``trace_ref``) keep pointing at the forward program and
-    are left alone."""
-    for b in region:
-        b.label = b.label + suffix
-        if isinstance(b, LoopRegion):
-            _suffix_labels(b.body, suffix)
-        elif isinstance(b, Conditional):
-            _suffix_labels(b.then_body, suffix)
-            _suffix_labels(b.else_body, suffix)
-
-
 # ---------------------------------------------------------------------------
 # backward construction
 
@@ -383,7 +380,6 @@ class _BackwardBuilder:
         self.pristine = pristine_inputs(program)
         self.gradset = set(ccs.active) | {program.dependent}
         self.entries: dict[tuple, ForwardingEntry] = {}
-        self.entry_data: dict[str, str] = {}  # stored name -> forward array
         self.used_inputs: set[str] = set()
         self.used_grads: set[str] = {program.dependent}
         self.temps: dict[str, DataDescriptor] = {}  # broadcast contributions
@@ -421,22 +417,11 @@ class _BackwardBuilder:
             versions = tuple(c.version for c in rs.candidates)
             entry = ForwardingEntry(stored_name(data, versions), data, rs.candidates)
             self.entries[key] = entry
-            self.entry_data[entry.name] = data
         return entry.name
 
     def grad_of(self, data: str) -> str:
         self.used_grads.add(data)
         return grad_name(data)
-
-    def base_desc(self, data: str) -> DataDescriptor:
-        """Forward descriptor giving the shape of any backward data name."""
-        d = self.p.descriptors.get(data)
-        if d is not None:
-            return d
-        base = self.entry_data.get(data)
-        if base is None and data.endswith("__grad"):
-            base = data[: -len("__grad")]
-        return self.p.descriptors[base]
 
     # -- region reversal -----------------------------------------------------
 
@@ -508,8 +493,10 @@ class _BackwardBuilder:
                 # the p-th reversed iterate alone
                 peel = reverse_loop_header(loop)
                 peel.label, peel.skip, peel.take = f"{loop.label}__peel{p}", p, 1
-                # nested labels must stay unique across the peeled copies
-                _suffix_labels(body, f"__p{p}")
+                # state labels must stay unique across the peeled copies; a
+                # flat body reverses to states alone
+                for b in body:
+                    b.label += f"__p{p}"
                 peel.body = body
                 out.append(peel)
         body = self.rev_region(loop.body, steady)
@@ -712,15 +699,15 @@ class _BackwardBuilder:
                     jobs.append((conn, "ew_expr", ins, dict(expr=adj)))
 
         emitted_self = False
-        out_desc = self.base_desc(out_e.data)
+        out_desc = self.p.descriptors[out_e.data]
         for conn, kind, ins, attrs in sorted(jobs, key=lambda j: is_self(j[0])):  # self last
             emitted_self |= is_self(conn)
             data = in_by_conn[conn].data
-            if kind == "ew_expr" and out_desc.rank and not self.base_desc(data).rank:
+            if kind == "ew_expr" and out_desc.rank and not self.p.descriptors[data].rank:
                 # a rank-0 operand broadcast over the output: its gradient
                 # is the sum of the contributions at every output element
                 tmp = self.fresh(f"{grad_name(data)}_bcast")
-                self.temps[tmp] = DataDescriptor(tmp, self.base_desc(data).element_kind, out_desc.shape, "gradient")
+                self.temps[tmp] = DataDescriptor(tmp, self.p.descriptors[data].element_kind, out_desc.shape, "gradient")
                 lib(kind, ins, tmp, None, **attrs)
                 kind, ins, attrs = "reduce_sum", {"x": tmp}, {}
             lib(kind, ins, self.grad_of(data), None if is_self(conn) else "sum", **attrs)
@@ -859,14 +846,16 @@ def gradient(
     binding, before the forward run, and kept with ``program`` for the last
     binding run, so a later call under it prepares nothing; both runs get
     their plan as ``run_plan``."""
-    from .interpreter import binding_of, prepare_runs, run_backward, run_forward
+    from .interpreter import RunPlan, binding_of, run_backward, run_forward
 
     bundle = backward_of(program)
     runs = program._kept.get("runs")
     if runs is None or runs[0].binding != binding_of(params or {}):
-        runs = program._kept["runs"] = prepare_runs(
-            program, bundle.backward, params, record=bundle.required, vinfo=bundle.vinfo, forwarding=bundle.forwarding,
+        params = params or {}
+        runs = program._kept["runs"] = (
+            RunPlan(program, params, record=bundle.required, vinfo=bundle.vinfo),
+            RunPlan(bundle.backward, params, forwarding=bundle.forwarding, src_program=program),
         )
-    fwd = run_forward(program, inputs, params, run_plan=runs[0])
-    bwd = run_backward(program, bundle.backward, inputs, params, tape=fwd.tape, seed=seed, run_plan=runs[1])
+    fwd = run_forward(program, inputs, run_plan=runs[0])
+    bwd = run_backward(program, bundle.backward, inputs, tape=fwd.tape, seed=seed, run_plan=runs[1])
     return GradientResult.of(program, fwd, bwd, bundle)

@@ -57,7 +57,7 @@ from .errors import (
     IrrecomputableValue,
     UnresolvableTripCount,
 )
-from .interpreter import RunPlan, _node_cost, binding_of, prepare_runs, run_backward, run_forward
+from .interpreter import RunPlan, _node_cost, binding_of, run_backward, run_forward
 from .ir import (
     AccessNode,
     Block,
@@ -1032,7 +1032,7 @@ def _copy_out_state(state: State, values: list[ForwardedValue]) -> State:
 @dataclass(eq=False)
 class _Pair:
     """The validated planned pair of one assignment, with the run plans of
-    its replay under the binding planned (``interpreter.prepare_runs``)."""
+    its replay under the binding planned (``_replay_runs``)."""
 
     forward: Program
     backward: Program
@@ -1159,8 +1159,9 @@ def _replay_runs(fvs, bundle: BackwardBundle, forward: Program, backward: Progra
     for fv in fvs:
         if fv.forced:
             forwarding[fv.name] = bundle.forwarding[fv.name]
-    return prepare_runs(forward, backward, params, record=frozenset(keep), vinfo=bundle.vinfo,
-                        forwarding=forwarding)
+    params = params or {}
+    return (RunPlan(forward, params, record=frozenset(keep), vinfo=bundle.vinfo),
+            RunPlan(backward, params, forwarding=forwarding, src_program=forward))
 
 
 def run_planned(
@@ -1185,7 +1186,7 @@ def run_planned(
     if runs is None or runs[0].binding != binding_of(params or {}):
         runs = _replay_runs(result.fvs, result.bundle, result.forward, result.backward, params)
     # the planned program only adds copy-outs, which write no version in the record
-    fwd_run = run_forward(result.forward, inputs, params, run_plan=runs[0])
+    fwd_run = run_forward(result.forward, inputs, run_plan=runs[0])
     # moved, so the reverse run's release frees them; a copy-out in an arm
     # the run did not take made none
     stored = {
@@ -1194,7 +1195,7 @@ def run_planned(
         if v and not fv.forced and fv.name in fwd_run.env
     }
     bwd_run = run_backward(
-        result.forward, result.backward, inputs, params,
+        result.forward, result.backward, inputs,
         tape=fwd_run.tape, seed=seed, extra_env=stored, run_plan=runs[1],
     )
     return GradientResult.of(result.forward, fwd_run, bwd_run, result.bundle)

@@ -1,8 +1,8 @@
 """Command line: differentiate, plan, run, verify and inspect programs.
 
-Exit codes: 0 success, 1 I/O failure, 2 invalid program or inputs,
-3 unsupported construct, 4 memory limit infeasible, 5 gradient tolerance
-exceeded.
+Exit codes: 0 success, 1 I/O failure, 5 gradient tolerance exceeded
+(verify); a package error exits with the ``exit_code`` its type declares
+(``gradflow.errors``).
 """
 
 from __future__ import annotations
@@ -19,27 +19,7 @@ import numpy as np
 
 from .autodiff import backward_of, gradient
 from .checkpointing import plan, run_planned
-from .errors import (
-    BatchDivergence,
-    DependentUnreachable,
-    DomainError,
-    GradflowError,
-    Infeasible,
-    MissingTapeValue,
-    NegativeResident,
-    NoFixpoint,
-    NonTermination,
-    OutOfBounds,
-    PathExplosion,
-    ProgramSyntaxError,
-    ShapeMismatch,
-    ToleranceExceeded,
-    UnboundName,
-    UnresolvableTripCount,
-    UnsupportedConstruct,
-    UnsupportedLoop,
-    ValidationFailed,
-)
+from .errors import GradflowError, Infeasible, ProgramSyntaxError, UnboundName
 from .frontend import load_program, serialize_program
 from .ir import Program
 from .verification import (
@@ -52,31 +32,7 @@ from .verification import (
 
 EXIT_OK = 0
 EXIT_IO = 1
-EXIT_VALIDATION = 2
-EXIT_UNSUPPORTED = 3
-EXIT_INFEASIBLE = 4
 EXIT_TOLERANCE = 5
-
-_VALIDATION_ERRORS = (
-    ProgramSyntaxError,
-    ValidationFailed,
-    ShapeMismatch,
-    UnboundName,
-    OutOfBounds,
-    DomainError,
-    NonTermination,
-    MissingTapeValue,
-    NegativeResident,
-    DependentUnreachable,
-)
-_UNSUPPORTED_ERRORS = (
-    UnsupportedLoop,
-    UnsupportedConstruct,
-    NoFixpoint,
-    PathExplosion,
-    UnresolvableTripCount,
-    BatchDivergence,
-)
 
 MIB = 1 << 20
 
@@ -88,30 +44,15 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except Infeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        if exc.min_peak_bytes is not None:
+    except GradflowError as exc:
+        print(f"{exc.kind}: {exc}", file=sys.stderr)
+        if isinstance(exc, Infeasible) and exc.min_peak_bytes is not None:
             what = "minimum achievable peak" if exc.exact else "peak lower bound"
             print(
                 f"{what}: {exc.min_peak_bytes} bytes ({exc.min_peak_bytes / MIB:.2f} MiB)",
                 file=sys.stderr,
             )
-        return EXIT_INFEASIBLE
-    except ToleranceExceeded as exc:
-        print(f"tolerance exceeded: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _UNSUPPORTED_ERRORS as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except GradflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return exc.exit_code
 
 
 def _parser() -> argparse.ArgumentParser:

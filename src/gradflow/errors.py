@@ -1,8 +1,12 @@
 """Exception types raised across the package.
 
-Every error condition has a named type so callers (and the CLI exit-code
-mapping) can distinguish I/O problems, validation failures, unsupported
-constructs, infeasible planning and tolerance violations.
+Every error condition has a named type so callers can tell validation
+failures, unsupported constructs and infeasible planning apart. Each type
+also declares what the command line does with it: ``exit_code`` is the
+exit status and ``kind`` the prefix of the stderr line. They are 2
+``error`` (an invalid program or inputs) unless a type overrides them,
+3 ``unsupported`` for a construct outside what this implementation handles,
+and 4 ``infeasible`` for a memory limit no plan meets.
 """
 
 from __future__ import annotations
@@ -10,6 +14,8 @@ from __future__ import annotations
 
 class GradflowError(Exception):
     """Base class for all package errors."""
+
+    exit_code, kind = 2, "error"
 
 
 class ProgramSyntaxError(GradflowError):
@@ -80,6 +86,8 @@ class MissingTapeValue(GradflowError):
 class UnresolvableTripCount(GradflowError):
     """A trip count was required statically but parameters were missing."""
 
+    exit_code, kind = 3, "unsupported"
+
 
 class DependentUnreachable(GradflowError):
     """The dependent variable is never written; its gradient slice is empty."""
@@ -88,13 +96,19 @@ class DependentUnreachable(GradflowError):
 class UnsupportedLoop(GradflowError):
     """Loop shape outside the supported reversal classes."""
 
+    exit_code, kind = 3, "unsupported"
+
 
 class UnsupportedConstruct(GradflowError):
     """A recognized construct this implementation deliberately rejects."""
 
+    exit_code, kind = 3, "unsupported"
+
 
 class NoFixpoint(GradflowError):
     """Loop tracking analysis failed to stabilize within its bound."""
+
+    exit_code, kind = 3, "unsupported"
 
 
 class IrrecomputableValue(GradflowError):
@@ -104,11 +118,15 @@ class IrrecomputableValue(GradflowError):
 class PathExplosion(GradflowError):
     """Control-flow path enumeration exceeded the 2**16 cap."""
 
+    exit_code, kind = 3, "unsupported"
+
 
 class Infeasible(GradflowError):
     """No store/recompute assignment satisfies the memory limit.
     ``min_peak_bytes`` is the least peak any plan reaches when ``exact``,
     otherwise only a lower bound on it."""
+
+    exit_code, kind = 4, "infeasible"
 
     def __init__(self, message: str, min_peak_bytes: int | None = None, exact: bool = True):
         self.min_peak_bytes = min_peak_bytes
@@ -120,13 +138,11 @@ class NegativeResident(GradflowError):
     """A memory timeline went below zero: the event model is inconsistent."""
 
 
-class ToleranceExceeded(GradflowError):
-    """A verification comparison exceeded its error budget."""
-
-
 class NonDifferentiableOp(UserWarning):
     """Almost-everywhere derivative convention applied (abs/min/max/mod/...)."""
 
 
 class BatchDivergence(GradflowError):
     """A branch condition disagreed across the transparent batch axis."""
+
+    exit_code, kind = 3, "unsupported"

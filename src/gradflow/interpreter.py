@@ -18,9 +18,12 @@ any of them cannot be prepared, fails the build, before any state runs; so
 the run trusts a valid program. ``gradient()`` keeps its two plans with the
 program for the last binding it ran, and ``plan()`` keeps them with each
 planned pair; both pass them to ``run_forward`` and ``run_backward`` as
-``run_plan``. Any other run builds its own plan. A header that reads a
-scalar or an enclosing iterator is simulated once per distinct value of the
-names it reads, memoized for the run.
+``run_plan``. A plan is the only place a run's tape is configured: what a
+forward run records (``record``, ``vinfo``) and the table a reverse run
+reads it through (``forwarding``). A forward run given no plan builds its
+own, which records nothing; a reverse run always takes one. A header
+that reads a scalar or an enclosing iterator is simulated once per
+distinct value of the names it reads, memoized for the run.
 
 Execution is deterministic: states run in the schedule order, loops iterate
 their simulated header sequence and maps enumerate range products in order.
@@ -583,16 +586,6 @@ class Executor:
 # ---------------------------------------------------------------------------
 # entry points
 
-def prepare_runs(program: Program, backward: Program, params: dict[str, int] | None, *,
-                 record, vinfo: VersionInfo, forwarding: dict) -> tuple[RunPlan, RunPlan]:
-    """The run plans of a forward run of ``program`` that records
-    ``record`` and of the reverse run of ``backward`` that reads its tape
-    through ``forwarding``."""
-    params = dict(params or {})
-    return (RunPlan(program, params, record=record, vinfo=vinfo),
-            RunPlan(backward, params, forwarding=forwarding, src_program=program))
-
-
 def _prepare_inputs(program: Program, inputs: dict, plan: RunPlan) -> tuple[dict[str, np.ndarray], tuple[int, ...]]:
     """Check the inputs against ``program`` and decide the run's batch
     shape: the axes ahead of each input's declared shape, which every
@@ -635,20 +628,16 @@ def run_forward(
     inputs: dict,
     params: dict[str, int] | None = None,
     *,
-    record=None,
-    vinfo: VersionInfo | None = None,
     run_plan: RunPlan | None = None,
 ) -> RunResult:
-    """Execute the program. ``record`` is None (no tape) or a set of
-    ``(name, version)`` pairs to snapshot, each a copy only if the program
-    mutates the name (``RunPlan.mutated``); else the snapshot is the array
-    itself, an input's version 0 the array the run was given. ``vinfo`` is
-    the program's version analysis, computed when a tape needs it and none
-    is given. A
-    ``run_plan`` built for ``program`` under ``params`` stands for both, and
-    the run builds none of its own. The returned ``env`` holds the inputs,
-    outputs and stored copies."""
-    plan = run_plan or RunPlan(program, dict(params or {}), record=record, vinfo=vinfo)
+    """Execute the program by ``run_plan``, built for ``program``; without
+    one, by a plan built here under ``params`` that records nothing; with
+    one, ``params`` is not read. A plan whose ``record`` is a set of
+    ``(name, version)`` pairs keeps a tape of them, each a copy only if the
+    program mutates the name (``RunPlan.mutated``); else the snapshot is
+    the array itself, an input's version 0 the array the run was given.
+    The returned ``env`` holds the inputs, outputs and stored copies."""
+    plan = run_plan or RunPlan(program, dict(params or {}))
     env, batch = _prepare_inputs(program, inputs, plan)
     tape = None
     if plan.record is not None:
@@ -671,36 +660,33 @@ def run_backward(
     program: Program,
     backward: Program,
     inputs: dict,
-    params: dict[str, int] | None = None,
     *,
+    run_plan: RunPlan,
     tape: Tape | None = None,
-    forwarding: dict | None = None,
     seed=1.0,
     extra_env: dict | None = None,
-    run_plan: RunPlan | None = None,
 ) -> RunResult:
-    """Run a reverse-mode program. ``inputs`` are the forward inputs (pristine
-    arrays are read directly); ``extra_env`` carries materialized stored
-    copies from a planned forward run and is emptied into the run;
-    everything else resolves via ``tape`` and the ``forwarding`` table. The
-    batch shape is the forward inputs' one, since the reverse program may
-    read none of them. A ``run_plan`` built for ``backward`` under
-    ``params`` stands for ``forwarding``, as in ``run_forward``.
+    """Run the reverse-mode program ``backward`` of ``program`` by
+    ``run_plan``, built for ``backward`` with ``src_program=program`` and
+    the ``forwarding`` table through which the run reads ``tape``.
+    ``inputs`` are the forward inputs (pristine arrays are read directly);
+    ``extra_env`` carries materialized stored copies from a planned forward
+    run and is emptied into the run. The batch shape is the forward inputs'
+    one, since the reverse program may read none of them.
 
     The run consumes what it holds: each stored copy, scratch array and
     gradient other than an output is released after its last touch, and
     each tape snapshot the run reads is popped from ``tape.values`` after
     its last read: the last-touch rule of ``ir.live_ranges``, which the
     memory model also prices."""
-    plan = run_plan or RunPlan(backward, dict(params or {}), forwarding=forwarding, src_program=program)
-    env, batch = _prepare_inputs(program, inputs, plan)
+    env, batch = _prepare_inputs(program, inputs, run_plan)
     if extra_env:
         env.update({k: np.asarray(v) for k, v in extra_env.items() if k in backward.descriptors})
         extra_env.clear()  # the run's env holds the only reference
     seed_name = program.dependent + "__grad"
     if seed_name in backward.descriptors and seed_name not in env:
         env[seed_name] = np.full(batch, seed, dtype=_DTYPE[backward.descriptors[seed_name].element_kind])
-    ex = Executor(plan, env, batch, src_tape=tape)
+    ex = Executor(run_plan, env, batch, src_tape=tape)
     ex.run()
     return RunResult(env=env, value=env.get(seed_name), op_count=ex.op_count)
 

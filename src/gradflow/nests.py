@@ -328,10 +328,13 @@ def _compiled_tasklet(key: tuple) -> Callable:
         return indices[(e, size)]
 
     def result(body, conns: dict, results: dict, d: int, convert: bool = False) -> str:
-        res = results.get(body)
+        """The local holding ``body``'s value, computed once per distinct
+        source in ``results``: each local a point reads is set once per
+        point, so one source is one value."""
+        src = python_source(body, conns.__getitem__)
+        res = results.get((src, convert))
         if res is None:
-            res = results[body] = temp("r")
-            src = python_source(body, conns.__getitem__)
+            res = results[(src, convert)] = temp("r")
             emit(d, f"{res} = float({src})" if convert else f"{res} = {src}")
         return res
 
@@ -426,12 +429,12 @@ def _compiled_tasklet(key: tuple) -> Callable:
         e = d + 2  # a point's depth
         # by (array, constant), the local holding each element's value that
         # a read takes in place of a load and every access sets; the offsets
-        # the point's tasklets share; each sunk element's store, made once
-        # after the loop (``left`` counts the stores a later write replaces)
-        known, offsets, flush = dict(entering), {}, dict.fromkeys(sunk)
+        # and results the point's tasklets share; each sunk element's store,
+        # made once after the loop (``left`` counts the stores a later write
+        # replaces)
+        known, offsets, results, flush = dict(entering), {}, {}, dict.fromkeys(sunk)
         for _, ins, outs, _ in items:
             conns: dict[str, str] = {}
-            results: dict = {}
             for data, subset, conn in ins:
                 at = (data, tracked[data][subset]) if data in tracked else None
                 if at in known:

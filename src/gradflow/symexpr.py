@@ -280,20 +280,6 @@ def count_ops(expr: Expr) -> int:
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Name):
-        return mapping.get(expr.id, expr)
-    if isinstance(expr, Unary):
-        return Unary(expr.op, substitute(expr.x, mapping))
-    if isinstance(expr, Binary):
-        return Binary(expr.op, substitute(expr.x, mapping), substitute(expr.y, mapping))
-    if isinstance(expr, Index):
-        return Index(expr.base, tuple(substitute(e, mapping) for e in expr.indices))
-    raise TypeError(f"not an expression: {expr!r}")
-
-
 def simplify(expr: Expr) -> Expr:
     """Constant folding plus 0/1 identities, applied bottom-up."""
     if isinstance(expr, (Const, Name, Index)):

@@ -1,10 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradflow.examples as examples
+import gradflow.interpreter as interpreter
 from gradflow import (
     ProgramBuilder,
     build_backward,
@@ -21,7 +23,7 @@ from gradflow import (
     sample_inputs,
     simulate_memory,
 )
-from gradflow.errors import Infeasible, UnsupportedConstruct, UnsupportedLoop
+from gradflow.errors import Infeasible, NonDifferentiableOp, UnsupportedConstruct, UnsupportedLoop
 from gradflow.ir import (
     EW_BINARY_OPS,
     EW_UNARY_OPS,
@@ -464,6 +466,55 @@ def test_ew_expr_with_a_connector_named_like_the_seed(rng):
     assert report["ok"], report
 
 
+def _tasklet_expr_program(expr: str):
+    """E[i] = ``expr`` over G[i] (connector ``_g``) and X[i] (connector
+    ``x``) by a tasklet in a map; O = sum E: ``ew_expr_program``'s program
+    with a tasklet in place of the library node."""
+    b = ProgramBuilder(("n",))
+    for name in ("G", "X"):
+        b.array(name, ("n",), role="input", kind="real64")
+    b.array("E", ("n",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("s") as s:
+        s.map_node(("i",), (("0", "n", "1"),), lambda inner: inner.tasklet(
+            ins={"_g": ("G", ("i",)), "x": ("X", ("i",))}, outs={"y": ("E", ("i",))}, body={"y": expr}))
+        s.library("reduce_sum", {"x": "E"}, {"y": "O"})
+    return b.finish("O", ["G", "X"])
+
+
+# 3x/g, 5.5/g and xg/2 stay at least 0.1 from an integer at these inputs,
+# so no finite-difference step crosses a jump of mod or idiv
+_G, _X = np.array([0.4, 0.9, 0.35, 0.6, 1.7]), np.array([0.5, 0.7, 1.1, 1.3, 1.5])
+# expression (each reads both connectors, as an ew_expr must) -> (gradients
+# of G and X, the op warned as not differentiable everywhere)
+_EXPR_GRADS = {
+    "(mod (mul 3 x) _g)": ((-np.floor(3 * _X / _G), np.full(5, 3.0)), "mod"),
+    "(mod (mul x _g) 2)": ((_X, _G), "mod"),
+    "(add x (mod 5.5 _g))": ((-np.floor(5.5 / _G), np.ones(5)), "mod"),
+    "(add x (idiv (mul 3 x) _g))": ((np.zeros(5), np.ones(5)), "idiv"),
+    "(pow x _g)": ((_X**_G * np.log(_X), _G * _X ** (_G - 1)), None),
+}
+
+
+@pytest.mark.parametrize("form", ["tasklet", "ew_expr"])
+@pytest.mark.parametrize("expr", sorted(_EXPR_GRADS))
+def test_a_binary_op_sends_its_derivative_almost_everywhere(expr, form):
+    # mod's derivative is x' - idiv(x, y)*y', idiv's is 0, and pow with an
+    # active exponent takes the general rule
+    p = _tasklet_expr_program(expr) if form == "tasklet" else ew_expr_program(expr)
+    params, inputs = {"n": 5}, {"G": _G, "X": _X}
+    (want_g, want_x), op = _EXPR_GRADS[expr]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ad = gradient(p, inputs, params)
+    warned = {str(w.message).split("'")[1] for w in caught if issubclass(w.category, NonDifferentiableOp)}
+    assert warned == ({op} if op else set())
+    np.testing.assert_allclose(ad.grads["G"], want_g, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(ad.grads["X"], want_x, rtol=1e-12, atol=0)
+    report = compare_gradients(ad.grads, finite_difference_gradient(p, inputs, params), tolerance=1e-5)
+    assert report["ok"], report
+
+
 def _broadcast_program(kind: str, op: str):
     """Y[n] = op(X, s) or Y[n] = op(s), with the scalar input s broadcast
     over Y, and O = sum(Y)."""
@@ -819,5 +870,6 @@ def test_reversal_without_tape_matches_gradient(rng):
 
     bundle = build_backward(p)
     assert bundle.forwarding == {}
-    bwd = run_backward(p, bundle.backward, {"A": a}, {}, tape=None, forwarding={})
+    run_plan = interpreter.RunPlan(bundle.backward, {}, forwarding={}, src_program=p)
+    bwd = run_backward(p, bundle.backward, {"A": a}, tape=None, run_plan=run_plan)
     np.testing.assert_array_equal(bwd.env["A__grad"], grads["A"])

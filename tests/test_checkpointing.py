@@ -56,12 +56,14 @@ from gradflow.ir import (
     LoopRegion,
     Program,
     State,
+    Tasklet,
     dimensions,
     simulate_header,
     validate,
     visit_positions,
     walk_blocks,
 )
+from gradflow.symexpr import parse_sexpr
 from gradflow.verification import _scratch_peak
 from genprog import (
     make_chain_program,
@@ -1101,8 +1103,8 @@ def test_run_planned_records_what_a_reanalysed_forward_run_records(monkeypatch):
     forward = checkpointing.run_forward
     seen = []
 
-    def spy(program, inputs, params, **kw):
-        res = forward(program, inputs, params, **kw)
+    def spy(program, inputs, **kw):
+        res = forward(program, inputs, **kw)
         seen.append((program, kw, _tape_bytes(res.tape)))
         return res
 
@@ -1125,7 +1127,7 @@ def test_run_planned_records_what_a_reanalysed_forward_run_records(monkeypatch):
             planned, kw, tape = seen.pop()
             run_plan = kw["run_plan"]
             assert planned is result.forward and run_plan.vinfo is result.bundle.vinfo
-            reanalysed = forward(planned, inputs, params, record=run_plan.record)
+            reanalysed = forward(planned, inputs, run_plan=interpreter.RunPlan(planned, params, record=run_plan.record))
             assert tape == _tape_bytes(reanalysed.tape), (program, limit)
             checked += 1
             recorded += bool(tape)
@@ -1184,6 +1186,42 @@ def test_one_block_rebuilds_the_recomputed_sin_chain():
     assert _run_outputs(replay)[2] == _run_outputs(plain)[2]
     assert (plain.backward.op_count, replay.backward.op_count) == (6400, 6400 + 10 * 256)
     _assert_model_is_simulation(result, {})
+
+
+def _tasklet_headed_chain():
+    """Y[0] = sin(X[0]) by a state-level tasklet, then A = sin Y, B = sin A
+    and C = sin B by library nodes; O = sum C."""
+    b = ProgramBuilder(())
+    b.array("X", ("4",), role="input", kind="real64")
+    for name in "YABC":
+        b.array(name, ("4",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("chain") as s:
+        s.tasklet(ins={"x": ("X", ("0",))}, outs={"y": ("Y", ("0",))}, body={"y": "(sin x)"})
+        for src, dst in ("YA", "AB", "BC"):
+            s.library("ew_unary", {"x": src}, {"y": dst}, op="sin")
+        s.library("reduce_sum", {"x": "C"}, {"y": "O"})
+    return b.finish("O", ["X"])
+
+
+def test_a_rebuild_block_clones_a_state_level_tasklet(rng):
+    # under each peak some assignment reaches, the plan recomputes Y where
+    # it can, and Y's rebuild block runs a copy of the tasklet that wrote it
+    p = _tasklet_headed_chain()
+    inputs = sample_inputs(p, {}, rng)
+    plain = gradient(p, inputs, {})
+    fvs, seqs = _problem(p, {})
+    peaks = {max(s.peak(v) for s in seqs) for v in itertools.product((0, 1), repeat=len(fvs))}
+    results = [plan(p, peak / MIB, {}) for peak in sorted(peaks)]
+    assert [r.solution.assignment for r in results] == [(0, 0, 1), (0, 1, 1), (1, 1, 1)]
+    for result in results:
+        assert simulate_memory(result.forward, result.backward, {}).peak == result.solution.t_star
+        assert _run_outputs(run_planned(result, inputs, {}))[2] == _run_outputs(plain)[2]
+        rebuilt = _rebuild_blocks(result.backward)
+        assert ("Y__v1" in set().union(*rebuilt.values())) == (result.solution.assignment[0] == 0)
+        tasklets = [n for _, b in walk_blocks(result.backward.region) if b.label in rebuilt
+                    for n in b.graph.nodes if isinstance(n, Tasklet)]
+        assert [t.body for t in tasklets] == [{"y": parse_sexpr("(sin x)")}] * bool(rebuilt)
 
 
 @pytest.mark.filterwarnings("ignore::gradflow.errors.NonDifferentiableOp")

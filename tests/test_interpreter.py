@@ -13,7 +13,9 @@ from gradflow import (
     build_backward,
     build_memory_sequences,
     collect_forwarded,
+    compare_gradients,
     count_flops,
+    finite_difference_gradient,
     gradient,
     parse_program,
     plan,
@@ -152,15 +154,22 @@ def test_batched_run_matches_individual_runs(rng):
     assert np.shape(batched) == (3,)
 
 
+def _recorded_runs(p, bundle, inputs, params):
+    """A forward run of ``p`` recording what ``bundle`` needs, then the
+    reverse run reading its tape, each by a plan built here."""
+    fwd = run_forward(p, inputs, run_plan=interpreter.RunPlan(p, params, record=set(bundle.required),
+                                                              vinfo=bundle.vinfo))
+    reverse = interpreter.RunPlan(bundle.backward, params, forwarding=bundle.forwarding, src_program=p)
+    return fwd, run_backward(p, bundle.backward, inputs, tape=fwd.tape, run_plan=reverse)
+
+
 def test_batched_backward_matches_individual_gradients(rng):
     # the reverse program broadcasts O's rank-0 gradient, which carries the
     # batch axis, over the elements of Z
     p = examples.build("exp_sin_chain")
     xs = rng.uniform(0.4, 1.6, (3, 9))
     bundle = build_backward(p)
-    fwd = run_forward(p, {"X": xs}, {"n": 9}, record=set(bundle.required), vinfo=bundle.vinfo)
-    bwd = run_backward(p, bundle.backward, {"X": xs}, {"n": 9},
-                       tape=fwd.tape, forwarding=bundle.forwarding)
+    fwd, bwd = _recorded_runs(p, bundle, {"X": xs}, {"n": 9})
     singles = [gradient(p, {"X": x}, {"n": 9}).grads["X"] for x in xs]
     assert np.array_equal(bwd.env["X__grad"], np.stack(singles))
 
@@ -179,9 +188,7 @@ def test_batched_backward_takes_the_batch_from_the_forward_inputs(name, params, 
     samples = [sample_inputs(p, params, rng) for _ in range(3)]
     batch = {k: np.stack([s[k] for s in samples]) for k in samples[0]}
     bundle = build_backward(p)
-    fwd = run_forward(p, batch, params, record=set(bundle.required), vinfo=bundle.vinfo)
-    bwd = run_backward(p, bundle.backward, batch, params,
-                       tape=fwd.tape, forwarding=bundle.forwarding)
+    fwd, bwd = _recorded_runs(p, bundle, batch, params)
     singles = [gradient(p, s, params).grads for s in samples]
     for ind in p.independents:
         got = bwd.env[ind + "__grad"]
@@ -269,6 +276,21 @@ def test_a_dimension_that_is_not_a_size_is_rejected_everywhere(dim, bad):
         count_flops(p, {"N": 5})
     with pytest.raises(UnresolvableTripCount, match=match):
         plan(p, None, {"N": 5})
+
+
+def test_count_flops_enumerates_a_map_range_that_reads_an_earlier_parameter():
+    # j runs from i: the points of the triangle, 15 at n=5, not 5 * 5
+    b = ProgramBuilder(("n",))
+    b.array("A", ("n", "n"), role="input", kind="real64")
+    b.array("Y", ("n", "n"), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("s") as st:
+        st.map_node(("i", "j"), (("0", "n", "1"), ("i", "n", "1")), lambda inner: inner.tasklet(
+            ins={"a": ("A", ("i", "j"))}, outs={"y": ("Y", ("i", "j"))}, body={"y": "(mul a a)"}))
+        st.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+    p = b.finish("O", ["A"])
+    assert count_flops(p, {"n": 5}) == {(): 15 + 25}
+    assert run_forward(p, {"A": np.ones((5, 5))}, {"n": 5}).op_count == 15 + 25
 
 
 def test_missing_parameter(rng):
@@ -860,6 +882,40 @@ def _sweep_1d():
     return b.finish("O", ["A"])
 
 
+def test_a_direct_point_reads_a_fixed_element_next_to_its_own(monkeypatch, rng):
+    # Y[i] = X[i] * (X[0] + 1): the direct point loads X[0] at a constant offset
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.array("Y", ("n",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("i", "0", "n", label="scale"):
+        with b.state("s") as s:
+            s.tasklet(ins={"a": ("X", ("i",)), "c": ("X", ("0",))}, outs={"y": ("Y", ("i",))},
+                      body={"y": "(mul a (add c 1))"})
+    with b.state("post") as s:
+        s.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+    p, params = b.finish("O", ["X"]), {"n": 5}
+    inputs = sample_inputs(p, params, rng)
+    forward = _nests_of(monkeypatch, lambda: run_forward(p, inputs, params))[0]
+    assert [line.split(" = ")[1] for line in _direct_points(forward.source)[0][:2]] == ["v0[i0]", "v0[0]"]
+    one = _outcome(p, inputs, params)
+    batch = _outcome(p, {k: np.asarray(v)[None] for k, v in inputs.items()}, params)
+    assert np.array_equal(batch[0][0], one[0]) and np.array_equal(batch[1]["X"][0], one[1]["X"])
+    assert batch[2:] == one[2:]
+    report = compare_gradients(one[1], finite_difference_gradient(p, inputs, params), tolerance=1e-5)
+    assert report["ok"], report
+
+
+def test_a_direct_point_computes_each_distinct_expression_once(monkeypatch, rng):
+    # double_read's reverse map adds X[i] * P__grad[i] to X__grad[i] once
+    # per read of X[i]; the point loads X[i] once, so one product serves both
+    p, params = examples.build("double_read"), examples.DEFAULT_PARAMS["double_read"]
+    nests = _nests_of(monkeypatch, lambda: gradient(p, sample_inputs(p, params, rng), params))
+    (reverse,) = [fn for fn in nests if "'adjm17'" in fn.source]
+    carried, _ = _direct_points(reverse.source)
+    assert [line.strip() for line in carried if "(c3 * c2)" in line] == ["r4 = (c3 * c2)"]
+
+
 @pytest.mark.parametrize("make", [lambda: make_map_program(0), _sweep_1d], ids=["make_map_program-0", "sweep"])
 def test_a_one_level_nest_runs_one_direct_loop(monkeypatch, make):
     # a nest's only level is entered through one ok_ test, which heads its
@@ -1309,7 +1365,6 @@ def test_an_invalid_replaced_program_fails_at_the_run_plan_before_any_state_runs
         lambda: interpreter.RunPlan(bad, params),
         lambda: run_forward(bad, inputs, params),
         lambda: interpreter.RunPlan(bad_backward, params, forwarding=bundle.forwarding, src_program=p),
-        lambda: run_backward(p, bad_backward, inputs, params, forwarding=bundle.forwarding),
     ):
         with pytest.raises(ValidationFailed, match="ArityMismatch: "):
             call()
@@ -1538,7 +1593,7 @@ def test_only_inputs_the_program_mutates_are_copied():
     before = x.copy()
     assert ir.written_descriptors(q) == {"X", "O"} and ir.mutated_descriptors(q) == set()
     assert interpreter._prepare_inputs(q, {"X": x}, interpreter.RunPlan(q, {"n": 5}))[0]["X"] is x
-    res = run_forward(q, {"X": x}, {"n": 5}, record={("X", 0)})
+    res = run_forward(q, {"X": x}, run_plan=interpreter.RunPlan(q, {"n": 5}, record={("X", 0)}))
     assert res.env["X"] is not x and np.array_equal(x, before)
     np.testing.assert_array_equal(res.env["X"], np.sin(before))
     assert res.tape.values[("X", 0, ())] is x
@@ -1573,7 +1628,7 @@ def test_a_snapshot_is_its_array_unless_the_program_mutates_it(rng):
     assert len(snaps) == 4 and all(arr is env[name] for (name, _, _), arr in snaps.items())
     p, params = examples.build("seidel_stencil"), {"N": 5, "TSTEPS": 2}
     inputs = sample_inputs(p, params, rng)
-    fwd = run_forward(p, inputs, params, record={("A", 0), ("A", 1)})
+    fwd = run_forward(p, inputs, run_plan=interpreter.RunPlan(p, params, record={("A", 0), ("A", 1)}))
     snaps = list(fwd.tape.values.values())
     assert len(snaps) == 1 + 2 * 3 * 3
     assert len({id(a) for a in snaps + [fwd.env["A"], inputs["A"]]}) == len(snaps) + 2
@@ -1612,13 +1667,16 @@ def test_reverse_run_consumes_the_snapshots_it_reads(rng):
     p = genprog.sin_chain(4, side=4)
     inputs = sample_inputs(p, {}, rng)
     bundle = build_backward(p)
-    fwd = run_forward(p, inputs, {}, record=set(bundle.required), vinfo=bundle.vinfo)
+    fwd = run_forward(p, inputs, run_plan=interpreter.RunPlan(p, {}, record=set(bundle.required),
+                                                              vinfo=bundle.vinfo))
     assert len(fwd.tape.values) == len(bundle.forwarding) > 0
-    run_backward(p, bundle.backward, inputs, {}, tape=fwd.tape, forwarding=bundle.forwarding)
+    reverse = interpreter.RunPlan(bundle.backward, {}, forwarding=bundle.forwarding, src_program=p)
+    run_backward(p, bundle.backward, inputs, tape=fwd.tape, run_plan=reverse)
     assert fwd.tape.values == {}
     # a pristine input's own snapshot is the caller's array, not a copy
     x = np.linspace(0.5, 1.5, 5)
-    tape = run_forward(examples.build("exp_sin_chain"), {"X": x}, {"n": 5}, record={("X", 0)}).tape
+    q = examples.build("exp_sin_chain")
+    tape = run_forward(q, {"X": x}, run_plan=interpreter.RunPlan(q, {"n": 5}, record={("X", 0)})).tape
     assert tape.values[("X", 0, ())] is x
 
 

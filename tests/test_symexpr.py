@@ -11,7 +11,6 @@ from gradflow.symexpr import (
     is_condition,
     parse_sexpr,
     simplify,
-    substitute,
     to_sexpr,
 )
 
@@ -55,12 +54,6 @@ def test_free_names():
     assert free_names(parse_sexpr("(add (mul x y) (sin x))")) == {"x", "y"}
     assert free_names(parse_sexpr("3.5")) == set()
     assert free_names(parse_sexpr("(idx A i j)")) == {"A", "i", "j"}
-
-
-def test_substitute():
-    e = parse_sexpr("(add x (mul x y))")
-    out = substitute(e, {"x": parse_sexpr("(sub z 1)")})
-    assert to_sexpr(out) == "(add (sub z 1) (mul (sub z 1) y))"
 
 
 # ---------------------------------------------------------------------------
