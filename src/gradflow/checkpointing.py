@@ -10,6 +10,9 @@ and backward programs to execute the chosen plan.
 Accounting model: payload bytes only; scalars are free; inputs and the
 dependent live in the caller's context and are never counted. A forward
 transient is resident from its first write to the end of the forward pass.
+That charge is an upper bound on what the executor holds: a forward run
+frees each intermediate after its last touch, unless its tape holds the
+array itself.
 Backward, an array lives from the compute node that touches it first to the
 one that touches it last: ``ir.live_ranges`` over ``ir.node_accesses``, the
 rule that also gives rebuild scratch and the executor's releases. A kept

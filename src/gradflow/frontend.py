@@ -39,7 +39,7 @@ from .ir import (
     Tasklet,
     validate_or_raise,
 )
-from .symexpr import Binary, Const, Expr, Index, Unary, parse_sexpr, to_sexpr
+from .symexpr import Binary, Const, Expr, Index, Name, Unary, parse_sexpr, to_sexpr
 
 FORMAT_VERSION = 1
 
@@ -536,11 +536,14 @@ def _subset(subset) -> tuple[Expr, ...]:
 
 
 def _built(v) -> Expr:
-    """An expression given to the builder: s-expression text, or an
-    ``Expr`` whose numpy-scalar constants become the Python numbers
-    ``.item()`` gives (``validate`` rejects any other constant)."""
+    """An expression given to the builder: s-expression text, a number
+    (a ``Const``), or an ``Expr`` whose numpy-scalar constants become the
+    Python numbers ``.item()`` gives (``validate`` rejects any other
+    constant). Anything else raises ``ProgramSyntaxError``."""
     if isinstance(v, str):
         return parse_sexpr(v)
+    if isinstance(v, (int, float, np.generic)):
+        v = Const(v)
     if isinstance(v, Const):
         return Const(v.value.item()) if isinstance(v.value, np.generic) else v
     if isinstance(v, Unary):
@@ -549,4 +552,6 @@ def _built(v) -> Expr:
         return Binary(v.op, _built(v.x), _built(v.y))
     if isinstance(v, Index):
         return Index(v.base, tuple(map(_built, v.indices)))
-    return v
+    if isinstance(v, Name):
+        return v
+    raise ProgramSyntaxError(f"not an expression: {v!r}")

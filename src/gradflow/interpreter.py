@@ -12,8 +12,8 @@ unmarked program (``ir.validated``) and holds what depends only on the
 program and the parameter binding, built whole before the run: each
 name's shape and dtype, the names the program mutates, each state's
 generated function with its arguments, each loop's compiled nest, the
-iterates of each loop whose header reads only parameters, and a reverse
-run's release table. A program that is not valid, or a binding under which
+iterates of each loop whose header reads only parameters, and the run's
+release table. A program that is not valid, or a binding under which
 any of them cannot be prepared, fails the build, before any state runs; so
 the run trusts a valid program. ``gradient()`` keeps its two plans with the
 program for the last binding it ran, and ``plan()`` keeps them with each
@@ -30,7 +30,7 @@ their simulated header sequence and maps enumerate range products in order.
 Nothing in a state is interpreted. Each state runs as one generated Python
 function (``nests._compiled_state``), cached for the whole process by the
 state's structure: its nodes in schedule order, their arrays' names,
-resolved shapes and dtypes, and where a reverse run releases. The function
+resolved shapes and dtypes, and where the run releases. The function
 inlines each library node, each tape record and each release, adds the
 state's op count once, and calls the compiled nest of each tasklet or map.
 A library node runs once on whole arrays, as code written from the step its
@@ -56,14 +56,16 @@ Array lifetimes follow ``checkpointing``'s memory model. A name is
 array in place (``ir.mutated_descriptors``); any other write is a library
 node's, which gives the name a new array. An input is copied only if the
 running program mutates it (or its dtype differs); caller arrays are never
-changed. A forward run drops its intermediates when it ends, so its
-``env`` holds inputs, outputs and stored copies. A reverse run releases
-every rank >= 1 gradient, scratch array and stored copy, and every tape
-snapshot it reads, by the model's last-touch rule (``ir.live_ranges``):
-right after the compute node that touches it last; a last touch inside a
-loop or a branch arm releases after the enclosing top-level block. Loop
-headers, branch conditions and map ranges count as touches. Scalars are
-never released.
+changed. Both passes release by one last-touch rule (``ir.live_ranges``):
+right after the compute node that touches an array last; a last touch
+inside a loop or a branch arm releases after the enclosing top-level
+block. Loop headers, branch conditions, map ranges and tape records count
+as touches. A forward run releases every rank >= 1 intermediate except one
+its tape holds as the array itself, which popping would not free; it keeps
+stored copies and outputs, so its ``env`` ends with inputs, outputs and
+stored copies. A reverse run releases every rank >= 1 gradient, scratch
+array and stored copy, and every tape snapshot it reads. Scalars are never
+released.
 
 A ``Tape`` holds array snapshots keyed by ``(name, static version, loop
 coordinates)`` and branch outcomes per label in execution order. A forward
@@ -177,8 +179,8 @@ class RunPlan:
     names whose snapshots and inputs a run copies
     (``ir.mutated_descriptors``). ``record`` and ``vinfo`` give a forward
     run its tape records; ``forwarding`` and ``src_program`` (whose shapes
-    a reverse run's inputs are checked against) serve a reverse run, and
-    only a reverse run's plan has a release table. The plan is built whole:
+    a reverse run's inputs are checked against) serve a reverse run. Both
+    runs have a release table (``releases``). The plan is built whole:
     an unmarked ``program`` that is not valid (``ValidationFailed``) and
     what cannot be prepared under ``params`` raise here. A plan refers to
     no program, so a program that keeps plans is freed without the cycle
@@ -212,7 +214,12 @@ class RunPlan:
             if b.iterator not in self.params and header_names(b) - {b.iterator} <= free:
                 fwd = simulate_header(b, self.params)
                 self.iterates[id(b)] = fwd, _visits(b, fwd)
-        self.releases = self._release_table() if src_program else ({}, frozenset())
+        if src_program is None:  # a forward run keeps stored copies and what its tape holds
+            by_reference = {n for n, _ in record or ()} - self.mutated
+            released = {n for n in self.intermediates if desc[n].rank and n not in by_reference}
+        else:
+            released = {n for n, d in desc.items() if d.rank and d.role in ("gradient", "intermediate", "stored-copy")}
+        self.releases = self._release_table(released)
         self.nests: dict = {}  # by loop id or (graph id, node id)
         self.states: dict[int, tuple] = {}  # by state id
         self._prepare(program.region)
@@ -240,14 +247,14 @@ class RunPlan:
         frees = self.releases[0]
         key, args = [], []
         for node in schedule(state.graph):
+            at = id(node) if id(node) in frees else None
             if isinstance(node, AccessNode):
                 v = self._recorded(state.label, node)
                 if v is not None:
                     loops = self.vinfo.write_loops[(node.data, v)]
-                    key.append((("record", node.data, loops, node.data in self.mutated), False))
-                    args.append(v)
+                    key.append((("record", node.data, loops, node.data in self.mutated), at is not None))
+                    args.append((v, at))
                 continue
-            at = id(node) if id(node) in frees else None
             if isinstance(node, LibraryNode):
                 key.append((self._library(node, state.graph), at is not None))
                 args.append(at)
@@ -319,17 +326,18 @@ class RunPlan:
                     items.append(self._compute_item(node, block.graph, acc))
         return "loop", j, loop.iterator, tuple(sorted(header_names(loop))), loop_step(loop), tuple(items)
 
-    def _release_table(self) -> tuple[dict[int, tuple], frozenset]:
-        """A reverse run's release table (``releases``): by the ``id()`` of
-        the top-level compute node that touches a value last, or of the
-        top-level loop or branch holding its last touch, what is released
-        there: names in
-        ``env`` (rank >= 1 gradients, scratch arrays and stored copies) and
-        ``(data, version)`` pairs, whose tape snapshots go after the last
-        read of any forwarded name that shares them; and the set of those
-        pairs. A step of ``ir.live_ranges`` is one compute node of a
-        top-level state (``ir.node_accesses``) or one whole top-level loop
-        or branch."""
+    def _release_table(self, released: set[str]) -> tuple[dict[int, tuple], frozenset]:
+        """The run's release table (``releases``): by the ``id()`` of the
+        top-level compute node or tape record that touches a value last, or
+        of the top-level loop or branch holding its last touch, what is
+        released there: the names of ``released`` in ``env`` (a forward
+        run's rank >= 1 intermediates that its tape holds by copy or not at
+        all; a reverse run's rank >= 1 gradients, scratch arrays and stored
+        copies) and ``(data, version)`` pairs, whose tape snapshots go
+        after the last read of any forwarded name that shares them; and the
+        set of those pairs. A step of ``ir.live_ranges`` is one compute node
+        of a top-level state (``ir.node_accesses``), one tape record there,
+        or one whole top-level loop or branch."""
 
         def steps():
             for block in self.region:
@@ -337,8 +345,13 @@ class RunPlan:
                     acc = node_accesses(block.graph)
                     for node in schedule(block.graph):
                         if not isinstance(node, AccessNode):
-                            at.append(id(node))
-                            yield len(at) - 1, acc[node.id]
+                            names = acc[node.id]
+                        elif self._recorded(block.label, node) is not None:
+                            names = (node.data,)  # a tape record reads the array
+                        else:
+                            continue
+                        at.append(id(node))
+                        yield len(at) - 1, names
                     continue
                 names: set[str] = set()
                 for _, b in walk_blocks([block]):
@@ -361,8 +374,7 @@ class RunPlan:
                     key = (entry.data, c.version)
                     shared[key] = max(shared.get(key, last), last)
                 continue
-            d = self.descriptors.get(name)
-            if d is not None and d.rank and d.role in ("gradient", "intermediate", "stored-copy"):
+            if name in released:
                 frees.setdefault(at[last], []).append(name)
         for key, last in shared.items():
             frees.setdefault(at[last], []).append(key)
@@ -397,7 +409,7 @@ class Executor:
         self.ctx: dict[str, _LoopCtx] = {}
         self.branch_down: dict[str, int] = {}
         self.op_count = 0
-        self.frees = plan.releases[0]  # a reverse run's release table, see run
+        self.frees = plan.releases[0]  # the release table, see run
         self.drops: dict[tuple[str, int], list] = {}  # the tape keys of each released (data, version)
         self.memo: dict[tuple, list[int]] = {}  # iterates of headers that read scalars or iterators
 
@@ -459,11 +471,10 @@ class Executor:
     # -- control flow --------------------------------------------------------
 
     def run(self):
-        """Run the region. A reverse run releases each array and tape
-        snapshot where its plan's release table puts it: after its last
-        touch, by the rule the memory model prices (``ir.live_ranges``).
-        The tape keys of each released ``(data, version)`` are found once,
-        here."""
+        """Run the region. The run releases each array and tape snapshot
+        where its plan's release table puts it: after its last touch
+        (``ir.live_ranges``). The tape keys of each released ``(data,
+        version)`` are found once, here."""
         shared = self.plan.releases[1]
         if shared and self.src_tape is not None:
             for key in self.src_tape.values:
@@ -636,7 +647,9 @@ def run_forward(
     ``(name, version)`` pairs keeps a tape of them, each a copy only if the
     program mutates the name (``RunPlan.mutated``); else the snapshot is
     the array itself, an input's version 0 the array the run was given.
-    The returned ``env`` holds the inputs, outputs and stored copies."""
+    The run frees each intermediate after its last touch, or when it ends
+    if the tape holds it by reference; the returned ``env`` holds the
+    inputs, outputs and stored copies."""
     plan = run_plan or RunPlan(program, dict(params or {}))
     env, batch = _prepare_inputs(program, inputs, plan)
     tape = None

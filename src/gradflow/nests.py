@@ -48,19 +48,20 @@ def _compiled_state(key: tuple) -> Callable:
     in schedule order; ``step`` is ``("record", data, labels, copy)`` (a
     tape record at an access node, in the loops ``labels``), a library node's
     item (``library_item``) or ``("nest", writes)`` (a tasklet or map,
-    writing the arrays ``writes``), and ``releases`` tells whether a reverse
-    run releases after it. Returns ``state(ex, args)``, which runs the state
+    writing the arrays ``writes``), and ``releases`` tells whether the run
+    releases after it. Returns ``state(ex, args)``, which runs the state
     on executor ``ex`` and returns its operator count, with ``args[j]``
-    the data of step ``j``: the version a record keys its snapshot by, a
-    library node's release key, or a nest's ``(nest, loops, release
-    key)``; a step that releases nothing has None for its key.
+    the data of step ``j``: a record's ``(version its snapshot is keyed
+    by, release key)``, a library node's release key, or a nest's ``(nest,
+    loops, release key)``; a step that releases nothing has None for its
+    key.
 
     Each step is inlined in order: a record reads its array and stores it
     in ``ex.tape``, as a copy when ``copy`` is set (``data`` is mutated,
     ``ir.mutated_descriptors``), else the array itself, which no later
     write changes; a library node runs as ``_library_lines`` writes
     it; a nest is called. A step that releases then calls ``ex._release``
-    with its key; only a reverse run's plan marks any. No local
+    with its key, in a forward and a reverse run alike. No local
     holds an array past its step, so a release frees what it pops. The
     library nodes' operators are one constant, to which each nest adds its
     own. The function keeps its generated text as ``state.source``.
@@ -72,7 +73,7 @@ def _compiled_state(key: tuple) -> Callable:
             _, data, labels, copy = step
             coords = "".join(f"ex.ctx[{label!r}].current, " for label in labels)
             snap = "np.array(p0, copy=True)" if copy else "p0"
-            lines += [*_read("p0", data), f"ex.tape.values[({data!r}, args[{j}], ({coords}))] = {snap}", "p0 = None"]
+            lines += [*_read("p0", data), f"ex.tape.values[({data!r}, args[{j}][0], ({coords}))] = {snap}", "p0 = None"]
         elif step[0] == "library":
             lines += _library_lines(step)
             ops += step[-1]
@@ -81,7 +82,7 @@ def _compiled_state(key: tuple) -> Callable:
             lines.append(f"ops += args[{j}][0](ex, args[{j}][1])")
             written.update(dict.fromkeys(step[1]))
         if releases:
-            at = f"args[{j}][2]" if step[0] == "nest" else f"args[{j}]"
+            at = f"args[{j}]" if step[0] == "library" else f"args[{j}][-1]"
             lines.append(f"ex._release({at})")
     head = ["def state(ex, args):", "    env, batch = ex.env, ex.batch", f"    ops = {ops}"]
     src = "\n".join(head + ["    " + s for s in lines] + ["    return ops"])

@@ -206,7 +206,7 @@ def python_source(expr: Expr, local: Callable[[str], str]) -> str:
         v = expr.value
         if v.__class__ not in (int, float):
             raise TypeError(f"cannot compile {expr!r}")
-        return repr(v) if math.isfinite(v) else f"float('{v!r}')"
+        return repr(v) if v.__class__ is int or math.isfinite(v) else f"float('{v!r}')"
     if isinstance(expr, Name):
         return local(expr.id)
     if isinstance(expr, Unary):

@@ -1470,7 +1470,7 @@ def test_a_fresh_plan_runs_first_at_the_peak_of_a_second_run():
 
 
 @pytest.mark.parametrize("n", [96, 192])
-def test_measured_peak_is_the_modelled_peak_and_falls_with_the_budget(n):
+def test_measured_peak_is_within_the_modelled_peak_and_the_backward_floor(n):
     # scaled_product_chain at N=n: one array is 4 n^2 B (36,864 B at 96).
     # The slack over the modelled peak t_star is derived, not fitted:
     # - one temporary of the largest array: a library node's result exists
@@ -1479,6 +1479,12 @@ def test_measured_peak_is_the_modelled_peak_and_falls_with_the_budget(n):
     # - the Python objects of a run (dicts, results, ndarray headers), whose
     #   size does not depend on N: the measured peak of the same keep-all
     #   run at N=2, where each array holds 16 B.
+    # The forward run frees each transient after its last touch, which the
+    # model's forward charge (each transient to the end of the pass) does
+    # not see; so at every budget the backward pass sets the measured peak.
+    # Its floor is 7 arrays under each of the 8 assignments, so the
+    # measured peak is at most 7 arrays, one temporary and the Python
+    # objects.
     program = examples.build("scaled_product_chain")
     params = {"N": n}
     size = n * n * 4
@@ -1489,10 +1495,9 @@ def test_measured_peak_is_the_modelled_peak_and_falls_with_the_budget(n):
         result = plan(program, None if share is None else share * keep_all / MIB, params)
         measured = _measured_peak(result, params)
         assert measured <= result.solution.t_star + size + python_bytes, (share, measured)
-        peaks.append((result.solution.t_star, measured))
-    assert [t for t, _ in peaks] == [11 * size, 10 * size, 8 * size]
-    measured = [m for _, m in peaks]
-    assert measured == sorted(measured, reverse=True)
+        assert measured <= 7 * size + size + python_bytes, (share, measured)
+        peaks.append(result.solution.t_star)
+    assert peaks == [11 * size, 10 * size, 8 * size]
 
 
 def test_a_block_that_rebuilds_a_chain_runs_within_the_measured_peak_bound():

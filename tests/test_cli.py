@@ -285,17 +285,24 @@ def test_mem_report_text_prints_exact_bytes(tmp_path, capsys):
 
 
 def test_mem_report_shows_the_measured_peak(foo_path, capsys):
-    # N=96: one array is 36,864 B, so the arrays dominate the measured run
+    # N=96: one array is 36,864 B, so the arrays dominate the measured run.
+    # The model charges each forward transient to the end of the pass, the
+    # run frees it after its last touch: the measured peak is at most the
+    # backward floor of 7 arrays, one library temporary and the Python
+    # objects, measured as the same report's peak at N=2
     size = 96 * 96 * 4
+    assert run_cli("mem-report", foo_path, "--params", "N=2", "--json") == 0
+    python_bytes = json.loads(capsys.readouterr().out)["measured_peak_bytes"]
     assert run_cli("mem-report", foo_path, "--params", "N=96", "--json") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["model_peak_bytes"] == 11 * size
-    assert doc["model_peak_bytes"] < doc["measured_peak_bytes"] < 13 * size
+    assert doc["measured_peak_bytes"] <= doc["model_peak_bytes"]
+    assert doc["measured_peak_bytes"] <= 7 * size + size + python_bytes
     assert run_cli("mem-report", foo_path, "--params", "N=96") == 0
     last = capsys.readouterr().out.splitlines()[-1]
     got = re.fullmatch(r"measured (\d+) B against modelled (\d+) B", last)
     assert got and int(got[2]) == 11 * size
-    assert 11 * size < int(got[1]) < 13 * size
+    assert int(got[1]) <= min(11 * size, 7 * size + size + python_bytes)
 
 
 def test_mem_report_infeasible(foo_path, capsys):

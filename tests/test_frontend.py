@@ -203,6 +203,33 @@ def test_builder_turns_numpy_scalar_constants_into_python_numbers():
     assert run_forward(program, x, {"n": 5}).value == run_forward(text, x, {"n": 5}).value
 
 
+def _number_loop(init, body):
+    """O = sum of ``body`` over X[i], i from ``init`` below n."""
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("i", init, "n", label="lp"):
+        with b.state("s") as s:
+            s.tasklet(ins={"x": ("X", ("i",))}, outs={"o": ("O", ())}, body={"o": body}, wcr="sum")
+    return b
+
+
+def test_builder_turns_a_number_operand_into_a_constant():
+    # an int or float given where an expression goes is a Const, at any
+    # depth of an Expr; anything else that is not an expression is refused
+    # by name when it is given, not later by validate
+    text = _number_loop("0", "(mul 2.5 x)").finish("O", ["X"])
+    given = _number_loop(0, Binary("mul", 2.5, Name("x"))).finish("O", ["X"])
+    assert serialize_program(given) == serialize_program(text)
+    assert given.region[0].init == Const(0) and given.region[0].init.value.__class__ is int
+    x = {"X": np.linspace(0.5, 1.5, 5)}
+    assert run_forward(given, x, {"n": 5}).value == run_forward(text, x, {"n": 5}).value == 2.5 * x["X"].sum()
+    with pytest.raises(ProgramSyntaxError, match=r"^not an expression: \[0\]$"):
+        _number_loop([0], "x")
+    with pytest.raises(ProgramSyntaxError, match=r"^not an expression: None$"):
+        _number_loop("0", Binary("mul", None, Name("x")))
+
+
 def _scaled_sum(const):
     """O = sum(const * X) over real32 X, the scale one library node."""
     b = ProgramBuilder(("n",))

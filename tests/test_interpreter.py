@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import json
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -713,6 +715,25 @@ def test_a_constant_too_large_for_a_double_raises_before_a_later_fetch():
         ex = interpreter.Executor(interpreter.RunPlan(p, {"n": 3}), {}, batch)
         with pytest.raises(OverflowError, match="^int too large to convert to float$"):
             ex.run()
+
+
+def test_a_zero_trip_nest_with_an_int_constant_beyond_a_double_builds_and_runs():
+    # 10**400 is written as Python source as it is; a float conversion to
+    # test its finiteness would raise OverflowError while the run plan is
+    # built, before any point could store it
+    b = ProgramBuilder(("n",))
+    b.array("Y", ("n",), kind="real64")
+    b.array("X", ("n",), role="input", kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.loop("i", "0", "n", label="over"):
+        with b.state("s") as s:
+            s.tasklet(ins={}, outs={"o": ("Y", ("i",))}, body={"o": str(10**400)})
+    with b.state("sum") as s:
+        s.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+    p = b.finish("O", ["X"])
+    assert run_forward(p, {"X": np.ones(0)}, {"n": 0}).value == 0.0
+    with pytest.raises(OverflowError, match="^int too large to convert to float$"):
+        run_forward(p, {"X": np.ones(3)}, {"n": 3})
 
 
 def test_a_level_whose_checks_fail_fetches_only_what_its_points_fetch():
@@ -1546,7 +1567,7 @@ def test_a_released_array_is_freed_at_once(monkeypatch, share):
     p = genprog.sin_chain(5, side=4)
     inputs = sample_inputs(p, {}, np.random.default_rng(0))
     release = interpreter.Executor._release
-    checked = []
+    checked = {"forward": [], "reverse": []}
 
     def watched(ex, at):
         refs = []
@@ -1556,7 +1577,7 @@ def test_a_released_array_is_freed_at_once(monkeypatch, share):
             else:
                 refs += [weakref.ref(ex.src_tape.values[k]) for k in ex.drops.get(key, ())]
         release(ex, at)
-        checked.extend(ref() is None for ref in refs)
+        checked["forward" if ex.tape is not None else "reverse"].extend(ref() is None for ref in refs)
 
     monkeypatch.setattr(interpreter.Executor, "_release", watched)
     if share is None:
@@ -1564,7 +1585,74 @@ def test_a_released_array_is_freed_at_once(monkeypatch, share):
     else:
         keep_all = plan(p, None).solution.t_star
         run_planned(plan(p, share * keep_all / (1 << 20)), inputs)
-    assert len(checked) >= 5 and all(checked)
+    # gradient()'s forward run tapes A0..A3 by reference and frees only A4
+    assert len(checked["forward"]) >= 1 and len(checked["reverse"]) >= 5
+    assert all(checked["forward"] + checked["reverse"])
+
+
+def _released(run_plan) -> set:
+    return {key for keys in run_plan.releases[0].values() for key in keys}
+
+
+def test_a_forward_plan_frees_no_array_its_tape_holds_by_reference():
+    # gradient()'s forward run of sin_chain(4) tapes L, A0, A1 and A2 as the
+    # arrays themselves (a library node writes each): popping one from env
+    # would free nothing, so only A3, which no reverse node reads, goes
+    p = genprog.sin_chain(4, side=4)
+    bundle = build_backward(p)
+    recorded = interpreter.RunPlan(p, {}, record=bundle.required, vinfo=bundle.vinfo)
+    assert {n for n, _ in bundle.required} - recorded.mutated == {"L", "A0", "A1", "A2"}
+    assert _released(recorded) == {"A3"}
+    assert _released(interpreter.RunPlan(p, {})) == {"L", "A0", "A1", "A2", "A3"}
+
+
+def test_a_tape_record_is_a_touch_of_the_array_it_copies():
+    # a tasklet writes T, so T's snapshot is a copy, taken at the access node
+    # after its writer; no node reads T later, so the record is its last
+    # touch and T is released after it, not after the writer
+    b = ProgramBuilder(())
+    b.array("X", ("2",), role="input", kind="real64")
+    b.array("T", ("2",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.state("main") as s:
+        s.tasklet(ins={"a": ("X", ("0",))}, outs={"o": ("T", ("0",))}, body={"o": "(sin a)"})
+        s.tasklet(ins={"a": ("X", ("1",))}, outs={"o": ("O", ())}, body={"o": "(mul a a)"})
+    p = b.finish("O", ["X"])
+    run_plan = interpreter.RunPlan(p, {}, record={("T", 1)})
+    assert "T" in run_plan.mutated and _released(run_plan) == {"T"}
+    x = np.array([0.5, 2.0])
+    res = run_forward(p, {"X": x}, run_plan=run_plan)
+    np.testing.assert_array_equal(res.tape.values[("T", 1, ())], [np.sin(0.5), 0.0])
+    assert "T" not in res.env
+
+
+def _planned_forward_peak(k: int, side: int, share: float) -> tuple[int, int]:
+    """The values a plan of ``sin_chain(k, side=side)`` at ``share`` of its
+    keep-all peak stores, and the ``tracemalloc`` peak of its warmed-up
+    forward run; the inputs exist before tracing starts."""
+    p = genprog.sin_chain(k, side=side)
+    result = plan(p, share * plan(p, None, {}).solution.t_star / (1 << 20), {})
+    inputs = sample_inputs(p, {}, np.random.default_rng(0))
+    run_planned(result, inputs)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_forward(result.forward, inputs, run_plan=result.pair.runs[0])
+        return sum(result.solution.assignment), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_planned_forward_run_holds_its_kept_copies_and_two_transients():
+    # sin_chain(12) at 80% of keep-all, arrays of 16 x 16 real64: each kept
+    # copy, the array a sin reads and the one it writes, and one library
+    # result before it is stored; the Python objects as measured at 2 x 2.
+    # Holding all 13 transients to the end of the run peaks at 46,392 B,
+    # about 20 KB over this bound.
+    _, python_bytes = _planned_forward_peak(12, 2, 0.8)
+    kept, measured = _planned_forward_peak(12, 16, 0.8)
+    assert 0 < kept < 12
+    assert measured <= (kept + 2 + 1) * 16 * 16 * 8 + python_bytes, (measured, python_bytes)
 
 
 def test_forward_env_holds_inputs_outputs_and_stored_copies(rng):

@@ -6,10 +6,12 @@ from hypothesis import given, strategies as st
 from gradflow import derivative
 from gradflow.errors import DomainError, ProgramSyntaxError, UnboundName
 from gradflow.symexpr import (
+    Const,
     eval_expr,
     free_names,
     is_condition,
     parse_sexpr,
+    python_source,
     simplify,
     to_sexpr,
 )
@@ -180,3 +182,11 @@ def test_div_derivative_drops_the_vanishing_term():
     assert to_sexpr(derivative(parse_sexpr("(div y y)"), "x")) == "0"
     # with both terms, y*y is never formed: 3/x - 3x/(x*x) divided by 0 here
     assert eval_expr(derivative(parse_sexpr("(div (mul x 3) x)"), "x"), {"x": 1e-200}) == 0.0
+
+
+def test_python_source_writes_any_int_constant_and_non_finite_floats():
+    # an int is exact at any size: no float conversion tests it
+    assert python_source(Const(10**400), str) == str(10**400)
+    assert eval(python_source(Const(10**400), str)) == 10**400
+    assert [python_source(Const(v), str) for v in (2.5, math.inf, -math.inf)] == \
+        ["2.5", "float('inf')", "float('-inf')"]
