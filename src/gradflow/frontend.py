@@ -537,12 +537,13 @@ def _subset(subset) -> tuple[Expr, ...]:
 
 def _built(v) -> Expr:
     """An expression given to the builder: s-expression text, a number
-    (a ``Const``), or an ``Expr`` whose numpy-scalar constants become the
-    Python numbers ``.item()`` gives (``validate`` rejects any other
-    constant). Anything else raises ``ProgramSyntaxError``."""
+    other than a bool (a ``Const``), or an ``Expr`` whose numpy-scalar
+    constants become the Python numbers ``.item()`` gives (``validate``
+    rejects any other constant). Anything else raises
+    ``ProgramSyntaxError``."""
     if isinstance(v, str):
         return parse_sexpr(v)
-    if isinstance(v, (int, float, np.generic)):
+    if isinstance(v, (int, float, np.number)) and not isinstance(v, bool):
         v = Const(v)
     if isinstance(v, Const):
         return Const(v.value.item()) if isinstance(v.value, np.generic) else v

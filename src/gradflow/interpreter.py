@@ -242,7 +242,7 @@ class RunPlan:
         """One state's compiled function (``nests._compiled_state``) and its
         arguments, from its nodes in schedule order: a tape record at each
         access node whose version the plan records, and a compute node's
-        library code or compiled nest, marked where the release table
+        library code or compiled nest, each marked where the release table
         releases after it."""
         frees = self.releases[0]
         key, args = [], []

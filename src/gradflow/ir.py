@@ -648,7 +648,7 @@ def live_ranges(steps: Iterable[tuple[Any, Iterable[str]]]) -> dict[str, tuple[A
     of the last of ``steps`` that touches it. A step is ``(key, names)``:
     the names one compute node (or one block run as a whole) touches, in
     execution order. The memory model, a rebuild block's scratch peak and
-    the reverse executor's release table all follow it. Returns name ->
+    the executor's release tables all follow it. Returns name ->
     (first key, last key)."""
     out: dict[str, tuple[Any, Any]] = {}
     for key, names in steps:

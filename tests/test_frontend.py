@@ -220,12 +220,15 @@ def test_builder_turns_a_number_operand_into_a_constant():
     # by name when it is given, not later by validate
     text = _number_loop("0", "(mul 2.5 x)").finish("O", ["X"])
     given = _number_loop(0, Binary("mul", 2.5, Name("x"))).finish("O", ["X"])
-    assert serialize_program(given) == serialize_program(text)
+    numpy = _number_loop(np.int64(0), Binary("mul", np.float64(2.5), Name("x"))).finish("O", ["X"])
+    assert serialize_program(given) == serialize_program(numpy) == serialize_program(text)
     assert given.region[0].init == Const(0) and given.region[0].init.value.__class__ is int
     x = {"X": np.linspace(0.5, 1.5, 5)}
-    assert run_forward(given, x, {"n": 5}).value == run_forward(text, x, {"n": 5}).value == 2.5 * x["X"].sum()
+    assert run_forward(given, x, {"n": 5}).value == run_forward(text, x, {"n": 5}).value
     with pytest.raises(ProgramSyntaxError, match=r"^not an expression: \[0\]$"):
         _number_loop([0], "x")
+    with pytest.raises(ProgramSyntaxError, match=r"^not an expression: True$"):
+        _number_loop(True, "x")
     with pytest.raises(ProgramSyntaxError, match=r"^not an expression: None$"):
         _number_loop("0", Binary("mul", None, Name("x")))
 
