@@ -23,7 +23,13 @@ hashes, in order:
   replays;
 * the class and message of every error a step raises.
 
-After the hash, each line lists the ``solver_nodes`` of every plan that
+A second hash covers only the plan outcomes: per budget, the assignment,
+the objective, ``t_star``, the value, gradients and op counts of the
+replays, the floor, and every error those steps raise. A change that moves
+the planned programs or the memory events but not what a plan decides or
+computes moves the first hash of a line and keeps the second.
+
+After the hashes, each line lists the ``solver_nodes`` of every plan that
 was made, as plain text, so that a change which only cuts search nodes
 keeps every hash and shows each count it moves.
 
@@ -65,6 +71,17 @@ def _arrays(h, arrays: dict):
         h.update(a.tobytes())
 
 
+class _Both:
+    """Two hashes updated as one."""
+
+    def __init__(self, *hs):
+        self.hs = hs
+
+    def update(self, data: bytes):
+        for h in self.hs:
+            h.update(data)
+
+
 def _replay(h, res):
     """Hash a gradient result: its value, its gradients and its runs' op
     counts."""
@@ -87,7 +104,8 @@ def _step(h, what: str, fn):
 def digest(program) -> str:
     params = {p: 4 for p in program.parameters}
     inputs = sample_inputs(program, params, np.random.default_rng(0))
-    h = hashlib.sha256()
+    h, o = hashlib.sha256(), hashlib.sha256()  # every output; the plan outcomes
+    both = _Both(h, o)
 
     def built(h):
         h.update(serialize_program(program).encode())
@@ -105,12 +123,12 @@ def digest(program) -> str:
     nodes = []  # (step, solver_nodes) per plan made
 
     def planned(what, limit_bytes):
-        def run(h):
+        def run(both):
             result = plan(program, None if limit_bytes is None else limit_bytes / (1 << 20), params)
             h.update(serialize_program(result.forward).encode())
             h.update(serialize_program(result.backward).encode())
             s = result.solution
-            h.update(f"{s.assignment} {s.objective_flops} {s.t_star}\n".encode())
+            both.update(f"{s.assignment} {s.objective_flops} {s.t_star}\n".encode())
             report = {k: v for k, v in result.report.items() if k not in ("solver_ms", "solver_nodes")}
             h.update(f"{report}\n".encode())
             nodes.append((what, result.report["solver_nodes"]))
@@ -119,30 +137,30 @@ def digest(program) -> str:
                 for e in seq.events:
                     h.update(f"{e.label} {e.delta} {e.total}\n".encode())
             for _ in range(2):
-                _replay(h, run_planned(result, inputs, params))
+                _replay(both, run_planned(result, inputs, params))
             return s.t_star
         return run
 
-    def floor(h):
+    def floor(both):
         try:
             least = plan(program, 0, params).solution.t_star
         except Infeasible as exc:
             least = exc.min_peak_bytes
-        h.update(f"floor {least}\n".encode())
+        both.update(f"floor {least}\n".encode())
         return least
 
     _step(h, "program", built)
     _step(h, "reverse", reverse)
     _step(h, "ccs", restricted)
     _step(h, "gradient", grads)
-    peak = _step(h, "keep-all", planned("keep-all", None))
+    peak = _step(both, "keep-all", planned("keep-all", None))
     if peak is not None:
         for share in (0.75, 0.5):
-            _step(h, f"{share}", planned(f"{share}", int(peak * share)))
-    least = _step(h, "floor", floor)
+            _step(both, f"{share}", planned(f"{share}", int(peak * share)))
+    least = _step(both, "floor", floor)
     if least is not None:
-        _step(h, "at floor", planned("at floor", least))
-    return f"{h.hexdigest()} solver_nodes " + ", ".join(f"{what} {n}" for what, n in nodes)
+        _step(both, "at floor", planned("at floor", least))
+    return f"{h.hexdigest()} outcomes {o.hexdigest()} solver_nodes " + ", ".join(f"{what} {n}" for what, n in nodes)
 
 
 def main():
