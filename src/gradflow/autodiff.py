@@ -25,8 +25,8 @@ The pipeline:
 
 Gradient buffers are named ``<data>__grad``; forwarded values are read
 through ``<data>__v<version>`` descriptors resolved against the forward
-tape (or against materialized copies once a store/recompute plan is
-applied).
+tape; a store/recompute plan writes each value it recomputes under its
+descriptor in a rebuild block instead.
 """
 
 from __future__ import annotations
@@ -810,7 +810,7 @@ def backward_of(program: Program) -> BackwardBundle:
 # one-call differentiation
 
 
-@dataclass
+@dataclass(slots=True)
 class GradientResult:
     value: object
     grads: dict[str, object]

@@ -1,31 +1,32 @@
 """Keep-or-recompute planning for reverse runs under a peak-memory budget.
 
 The reverse pass consumes values the forward pass produced. Each one can
-either stay resident from its production until its last backward use, or be
+either stay on the forward run's tape until its last backward use, or be
 recomputed from program inputs right before it is needed. This module prices
 both options per value, poses the choice as a small 0/1 program over
-per-path memory-event sequences, solves it exactly, and rewrites the forward
-and backward programs to execute the chosen plan.
+per-path memory-event sequences, solves it exactly, and rewrites the
+backward program to execute the chosen plan.
 
 Accounting model: payload bytes only; scalars are free; inputs and the
 dependent live in the caller's context and are never counted. A forward
 transient is resident from its first write to the end of the forward pass.
-That charge is an upper bound on what the executor holds: a forward run
-frees each intermediate after its last touch, unless its tape holds the
-array itself.
+Every value the plan does not recompute travels on the tape, as in
+``gradient()``, and counts all its snapshots from the start of every path
+to its last backward read: one for a value produced once, the most any
+path records for snapshots across loop iterations. Both charges are an
+upper bound on what the executor holds: a forward run frees each
+intermediate after its last touch, and tapes an array it does not mutate
+by reference, so a kept value and its transient are one array.
 Backward, an array lives from the compute node that touches it first to the
 one that touches it last: ``ir.live_ranges`` over ``ir.node_accesses``, the
-rule that also gives rebuild scratch and the executor's releases. A kept
-value adds its bytes from production on; a recomputed one adds its scratch
-peak plus its bytes at first backward use and drops the scratch right after.
-``apply_plan`` lets one rebuild block write several recomputed values only
-where that moves no path's modelled peak, so the model stays exact.
-Both passes follow one static walk per path (``ir.path_visits``). A loop
-body counts once (steady state); a loop that visits no iterate, such as a
-zero-trip loop or a peel past the last iterate, counts nothing. A value the
-tape holds (snapshots across loop iterations, or an input's value before it
-is overwritten in place) counts all its snapshots from the start of the
-forward pass: the most any path records.
+rule that also gives rebuild scratch and the executor's releases. A
+recomputed value adds its scratch peak plus its bytes at first backward use
+and drops the scratch right after. ``apply_plan`` lets one rebuild block
+write several recomputed values only where that moves no path's modelled
+peak, so the model stays exact. Both passes follow one static walk per
+path (``ir.path_visits``). A loop body counts once (steady state); a loop
+that visits no iterate, such as a zero-trip loop or a peel past the last
+iterate, counts nothing.
 
 Solver: each event total is one memory row, affine in the store bits. The
 rows are dense int64 arrays for building, for the dominance test and for
@@ -169,7 +170,6 @@ class ForwardedValue:
     size_bytes: int  # one snapshot
     snapshots: int  # snapshots held over the whole run
     site: tuple[str, str] | None  # (state, producer node) when plannable
-    access: str | None  # access instance at the production site
     forced: bool
     forced_reason: str | None
     recompute: RecomputePlan | None
@@ -294,14 +294,13 @@ def collect_forwarded(
         )
         # an input's own value (version 0) has no producer to recompute
         plannable = single and (entry.data, cand.version) in vinfo.write_site
-        site = access = None
+        site = None
         forced_reason = None
         rec_plan = None
         snapshots = 1
         if plannable:
             slabel, acc = vinfo.write_site[(entry.data, cand.version)]
             site = (slabel, producer(slabel, acc))
-            access = acc
             try:
                 rec_plan = _recompute_plan(
                     program, pristine, states, order, edges, accesses, cost, nbytes,
@@ -326,7 +325,6 @@ def collect_forwarded(
                 size_bytes=size,
                 snapshots=snapshots,
                 site=site,
-                access=access,
                 forced=rec_plan is None,
                 forced_reason=forced_reason,
                 recompute=rec_plan,
@@ -474,15 +472,6 @@ class _SeqBuilder:
         self.backward = bundle.backward
         self.fvs = fvs
         self.params = params
-        # store events fire right after the node that completes the value;
-        # tape-held snapshots are charged in full when the path starts
-        self.store_sites: dict[tuple[str, str], list[ForwardedValue]] = {}
-        self.tape_held: list[ForwardedValue] = []
-        for fv in fvs:
-            if fv.site is not None:
-                self.store_sites.setdefault(fv.site, []).append(fv)
-            else:
-                self.tape_held.append(fv)
 
     def path(self, outcome: dict[str, bool]) -> PathSequence:
         events: list[MemoryEvent] = []
@@ -511,14 +500,23 @@ class _SeqBuilder:
             emit(f"free {fv.name}", AffineBytes(store=((i, -store[i]),) if store[i] else (),
                                                 rec=((i, -rec[i]),) if rec[i] else ()))
 
-        # --- forward
-        allocated: list[tuple[str, int]] = []
-        seen: set[str] = set()
-        for fv in self.tape_held:
-            emit(f"snapshot {fv.data}", AffineBytes(store=((fv.index, fv.total_bytes),)))
+        # --- forward: what the tape keeps is charged in full when the path
+        # starts, each transient from its first write to the end of the pass
+        for fv in self.fvs:
+            emit(f"snapshot {fv.name}", AffineBytes(store=((fv.index, fv.total_bytes),)))
+        allocated: dict[str, int] = {}
         for state in self._path_states(self.program, outcome):
-            self._fw_state(state, emit, allocated, seen)
-        for name, size in reversed(allocated):
+            graph = state.graph
+            for node in schedule(graph):
+                if isinstance(node, AccessNode):
+                    continue
+                for e in graph.out_edges(node.id):
+                    d = self.program.descriptors.get(e.data)
+                    if d is None or d.rank == 0 or d.role not in ("intermediate", "output") or e.data in allocated:
+                        continue
+                    allocated[e.data] = size_bytes(d, self.params)
+                    emit(f"alloc {e.data}", AffineBytes(const=allocated[e.data]))
+        for name, size in reversed(allocated.items()):
             emit(f"free {name}", AffineBytes(const=-size))
 
         # --- backward: each array lives from its first to its last touch
@@ -565,26 +563,6 @@ class _SeqBuilder:
         not at all."""
         ran = {st.label for st, _, _ in path_visits(program.region, outcome, self.params)}
         return [b for _, b in walk_blocks(program.region) if isinstance(b, State) and b.label in ran]
-
-    # forward side
-
-    def _fw_state(self, state: State, emit, allocated, seen):
-        graph = state.graph
-        for node in schedule(graph):
-            if isinstance(node, AccessNode):
-                continue
-            nid = node.id
-            for e in graph.out_edges(nid):
-                d = self.program.descriptors.get(e.data)
-                if d is None or d.rank == 0 or d.role not in ("intermediate", "output"):
-                    continue
-                if e.data not in seen:
-                    seen.add(e.data)
-                    size = size_bytes(d, self.params)
-                    allocated.append((e.data, size))
-                    emit(f"alloc {e.data}", AffineBytes(const=size))
-            for fv in self.store_sites.get((state.label, nid), ()):
-                emit(f"keep {fv.name}", AffineBytes(store=((fv.index, fv.size_bytes),)))
 
 
 # ---------------------------------------------------------------------------
@@ -897,11 +875,12 @@ def apply_plan(
     assignment,
     sequences: list[PathSequence],
 ) -> tuple[Program, Program]:
-    """Materialize a plan: kept values gain a copy-out at their production
-    site; recomputed ones gain their rebuild block right before the first
-    backward state that reads them, in value order. ``program`` and
-    ``bundle`` are left untouched: each state that gains a copy-out is built
-    anew, and the returned programs share every other block with them.
+    """Materialize a plan as its forward and reverse programs. The forward
+    program is ``program`` itself: what the plan keeps travels on the tape,
+    as in ``gradient()``. Each recomputed value gains its rebuild block
+    right before the first backward state that reads it, in value order.
+    ``bundle`` is left untouched: the planned reverse program shares every
+    block with the bundle's but the block lists that gain a rebuild.
 
     One block rebuilds several values where it can (``_merged_rebuilds``):
     a recomputed value whose producer closure holds other recomputed values
@@ -910,23 +889,12 @@ def apply_plan(
     modelled peak in ``sequences`` moves. Such a block is built anew; every
     other block is the value's kept ``RecomputePlan.state``.
 
-    The returned programs are not validated here: ``plan()`` calls this
-    once per assignment it holds a pair for, and builds the pair's run
-    plans, which validate both programs as a whole (``ValidationFailed``
-    if either is not valid) before the pair is kept."""
-    fstates = _states_of(program.region)
-    fdescs, bdescs = dict(program.descriptors), dict(bundle.backward.descriptors)
-    kept: dict[str, list[ForwardedValue]] = {}  # production state -> values
-    recomputed: list[ForwardedValue] = []
-    for fv, v in zip(fvs, assignment):
-        if fv.forced:
-            continue  # snapshots already live on the tape
-        if v:
-            kept.setdefault(fv.site[0], []).append(fv)
-            base = program.descriptors[fv.data]
-            fdescs[fv.name] = DataDescriptor(fv.name, base.element_kind, base.shape, "stored-copy")
-        else:
-            recomputed.append(fv)
+    The reverse program is not validated here: ``plan()`` calls this once
+    per assignment it holds a pair for, and builds the pair's run plans,
+    which validate it as a whole (``ValidationFailed`` if it is not valid)
+    before the pair is kept."""
+    bdescs = dict(bundle.backward.descriptors)
+    recomputed = [fv for fv, v in zip(fvs, assignment) if not v]
 
     rebuilt: dict[int, list[Block]] = {}  # id of a first reader -> rebuilds, reader
     if recomputed:
@@ -946,10 +914,8 @@ def apply_plan(
             reader = readers[fv.name][0]
             rebuilt.setdefault(id(reader), [reader]).insert(-1, state)
 
-    grown = {id(fstates[label]): [_copy_out_state(fstates[label], values)] for label, values in kept.items()}
-    fwd = replace(program, descriptors=fdescs, region=splice(program.region, grown))
     bwd = replace(bundle.backward, descriptors=bdescs, region=splice(bundle.backward.region, rebuilt))
-    return fwd, bwd
+    return program, bwd
 
 
 def _merged_rebuilds(
@@ -1016,20 +982,6 @@ def _with_guest(totals: list[int], at: dict[str, int], v: ForwardedValue, u: For
     for e in range(min(rv, ru), max(rv, du)):
         out[e] += u.size_bytes * (e >= rv) - spike * (e == ru) - u.size_bytes * (e >= du)
     return out
-
-
-def _copy_out_state(state: State, values: list[ForwardedValue]) -> State:
-    """``state`` with a copy of each of ``values`` right after the value is
-    produced, into the array it is stored as."""
-    nodes, edges = list(state.graph.nodes), list(state.graph.edges)
-    for fv in values:
-        lib = LibraryNode(f"keep{fv.index}", "ew_unary", op="copy", group=f"store:{fv.index}")
-        acc = AccessNode(f"keep{fv.index}_out", fv.name)
-        pos = max(i for i, n in enumerate(nodes) if n.id in (fv.site[1], fv.access))
-        nodes[pos + 1 : pos + 1] = [lib, acc]
-        edges += [Memlet(fv.access, None, lib.id, "x", fv.data, None),
-                  Memlet(lib.id, "y", acc.id, None, fv.name, None)]
-    return State(state.label, Dataflow(nodes, edges))
 
 
 @dataclass(eq=False)
@@ -1117,7 +1069,7 @@ def plan(
     pair = held() if held is not None else None
     if pair is None:
         fwd, bwd = apply_plan(program, bundle, fvs, solution.assignment, sequences)
-        pair = _Pair(fwd, bwd, _replay_runs(fvs, bundle, fwd, bwd, params))
+        pair = _Pair(fwd, bwd, _replay_runs(fvs, solution.assignment, bundle, fwd, bwd, params))
         planning.pairs[solution.assignment] = _held(planning.pairs, solution.assignment, pair)
     fwd, bwd = pair.forward, pair.backward
     report = {
@@ -1147,23 +1099,19 @@ def plan(
     return PlanResult(fwd, bwd, solution, report, bundle, list(fvs), list(sequences), pair)
 
 
-def _replay_runs(fvs, bundle: BackwardBundle, forward: Program, backward: Program,
+def _replay_runs(fvs, assignment, bundle: BackwardBundle, forward: Program, backward: Program,
                  params: dict[str, int] | None) -> tuple[RunPlan, RunPlan]:
     """The run plans of a replay of the planned pair ``forward`` and
-    ``backward``. Its forward run records, and its reverse run reads
-    through its forwarding table, only the snapshots of scalar forwarded
-    values and of loop iterations (forced values), which the planned
-    programs cannot carry."""
-    keep = {(fv.data, v) for fv in fvs if fv.forced for v in fv.versions}
-    scalars = {name: e for name, e in bundle.forwarding.items() if forward.descriptors[e.data].rank == 0}
-    for e in scalars.values():
-        keep |= {(e.data, c.version) for c in e.candidates}
-    forwarding = dict(scalars)
-    for fv in fvs:
-        if fv.forced:
-            forwarding[fv.name] = bundle.forwarding[fv.name]
+    ``backward`` of ``assignment``. One rule gives both what its forward run
+    records and what its reverse run reads through its forwarding table:
+    every forwarded value but those the assignment recomputes, which the
+    reverse program rebuilds. A plan that keeps everything records what
+    ``gradient()`` records."""
+    recomputed = {fv.name for fv, v in zip(fvs, assignment) if not v}
+    forwarding = {name: e for name, e in bundle.forwarding.items() if name not in recomputed}
+    record = frozenset((e.data, c.version) for e in forwarding.values() for c in e.candidates)
     params = params or {}
-    return (RunPlan(forward, params, record=frozenset(keep), vinfo=bundle.vinfo),
+    return (RunPlan(forward, params, record=record, vinfo=bundle.vinfo),
             RunPlan(backward, params, forwarding=forwarding, src_program=forward))
 
 
@@ -1177,28 +1125,20 @@ def run_planned(
     """Execute a planned forward/backward pair; returns the same result shape
     as ``gradient``.
 
-    The forward run records only what the rewritten programs cannot carry:
-    scalar values and loop-iteration snapshots. Kept arrays travel by name.
-    The reverse run rebuilds each recomputed value in a block before its
-    first reader; one block rebuilds several values of one chain where
-    ``apply_plan`` merged them, and each is freed after its last read.
-    Both runs go by the run plans ``plan()`` built with the pair; under any
-    other parameter binding they are built anew for the call.
+    The forward run is a run of the program that records every forwarded
+    value the plan keeps, as ``gradient()`` does: the array itself unless
+    the program mutates its name. The reverse run reads those from the tape,
+    releasing each snapshot after its last read, and rebuilds each
+    recomputed value in a block before its first reader; one block rebuilds
+    several values of one chain where ``apply_plan`` merged them, and each
+    is freed after its last read. Both runs go by the run plans ``plan()``
+    built with the pair; under any other parameter binding they are built
+    anew for the call.
     """
     runs = result.pair.runs if result.pair is not None else None
     if runs is None or runs[0].binding != binding_of(params or {}):
-        runs = _replay_runs(result.fvs, result.bundle, result.forward, result.backward, params)
-    # the planned program only adds copy-outs, which write no version in the record
+        runs = _replay_runs(result.fvs, result.solution.assignment, result.bundle, result.forward, result.backward,
+                            params)
     fwd_run = run_forward(result.forward, inputs, run_plan=runs[0])
-    # moved, so the reverse run's release frees them; a copy-out in an arm
-    # the run did not take made none
-    stored = {
-        fv.name: fwd_run.env.pop(fv.name)
-        for fv, v in zip(result.fvs, result.solution.assignment)
-        if v and not fv.forced and fv.name in fwd_run.env
-    }
-    bwd_run = run_backward(
-        result.forward, result.backward, inputs,
-        tape=fwd_run.tape, seed=seed, extra_env=stored, run_plan=runs[1],
-    )
+    bwd_run = run_backward(result.forward, result.backward, inputs, tape=fwd_run.tape, seed=seed, run_plan=runs[1])
     return GradientResult.of(result.forward, fwd_run, bwd_run, result.bundle)

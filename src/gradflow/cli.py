@@ -278,8 +278,8 @@ def cmd_mem_report(args) -> int:
     ``model_peak_bytes``, the solver's modelled peak ``t_star``, equal to
     ``peak_bytes`` whenever the memory model and the simulation agree (the
     corpus tests check they do on every path); ``measured_peak_bytes``, the
-    ``tracemalloc`` peak of one ``run_planned`` on sampled inputs (seed 0),
-    allocated before tracing starts and so not counted; ``limit_bytes``; and
+    ``tracemalloc`` peak of a warm ``run_planned`` on sampled inputs (seed
+    0), allocated before tracing starts and so not counted; ``limit_bytes``; and
     ``paths``, each with its branch ``outcomes``, simulated ``peak_bytes`` and
     timeline ``events``.
     """
@@ -318,8 +318,11 @@ def cmd_mem_report(args) -> int:
 
 
 def _measured_peak(result, inputs: dict, params) -> int:
-    """``tracemalloc`` peak bytes of one planned run; ``inputs`` exist
+    """``tracemalloc`` peak bytes of a warm planned run: one untraced run
+    first builds what the process caches (each state's generated function),
+    so the figure does not depend on what ran before. ``inputs`` exist
     before tracing starts."""
+    run_planned(result, inputs, params)
     gc.collect()
     tracemalloc.start()
     try:

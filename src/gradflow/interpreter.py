@@ -62,10 +62,11 @@ inside a loop or a branch arm releases after the enclosing top-level
 block. Loop headers, branch conditions, map ranges and tape records count
 as touches. A forward run releases every rank >= 1 intermediate except one
 its tape holds as the array itself, which popping would not free; it keeps
-stored copies and outputs, so its ``env`` ends with inputs, outputs and
-stored copies. A reverse run releases every rank >= 1 gradient, scratch
-array and stored copy, and every tape snapshot it reads. Scalars are never
-released.
+outputs, so its ``env`` ends with inputs and outputs. A reverse run
+releases every rank >= 1 gradient, scratch array and rebuilt value, and
+every tape snapshot it reads: one taken outside any loop by its tape key,
+the snapshots of a value taken in a loop by the keys the run finds on the
+tape when it starts. Scalars are never released.
 
 A ``Tape`` holds array snapshots keyed by ``(name, static version, loop
 coordinates)`` and branch outcomes per label in execution order. A forward
@@ -126,7 +127,7 @@ from .versions import CUR, LAST, PREV, VersionInfo, analyze_versions
 _DTYPE = {"real32": np.float32, "real64": np.float64}
 
 
-@dataclass
+@dataclass(slots=True)
 class Tape:
     """Snapshots by ``(name, version, loop coordinates)``: a copy of a
     mutated name's array, else the array itself; and each branch's outcomes
@@ -136,7 +137,7 @@ class Tape:
     branch_trace: dict[str, list[bool]] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class RunResult:
     env: dict[str, np.ndarray]
     value: np.ndarray
@@ -179,8 +180,11 @@ class RunPlan:
     names whose snapshots and inputs a run copies
     (``ir.mutated_descriptors``). ``record`` and ``vinfo`` give a forward
     run its tape records; ``forwarding`` and ``src_program`` (whose shapes
-    a reverse run's inputs are checked against) serve a reverse run. Both
-    runs have a release table (``releases``). The plan is built whole:
+    a reverse run's inputs are checked against) serve a reverse run; the
+    two plans of a planned replay take both from one rule
+    (``checkpointing._replay_runs``), and with nothing recomputed they
+    record and read what ``gradient()``'s do. Both runs have a release
+    table (``releases``). The plan is built whole:
     an unmarked ``program`` that is not valid (``ValidationFailed``) and
     what cannot be prepared under ``params`` raise here. A plan refers to
     no program, so a program that keeps plans is freed without the cycle
@@ -214,7 +218,7 @@ class RunPlan:
             if b.iterator not in self.params and header_names(b) - {b.iterator} <= free:
                 fwd = simulate_header(b, self.params)
                 self.iterates[id(b)] = fwd, _visits(b, fwd)
-        if src_program is None:  # a forward run keeps stored copies and what its tape holds
+        if src_program is None:  # a forward run keeps outputs and what its tape holds
             by_reference = {n for n, _ in record or ()} - self.mutated
             released = {n for n in self.intermediates if desc[n].rank and n not in by_reference}
         else:
@@ -332,12 +336,15 @@ class RunPlan:
         of the top-level loop or branch holding its last touch, what is
         released there: the names of ``released`` in ``env`` (a forward
         run's rank >= 1 intermediates that its tape holds by copy or not at
-        all; a reverse run's rank >= 1 gradients, scratch arrays and stored
-        copies) and ``(data, version)`` pairs, whose tape snapshots go
-        after the last read of any forwarded name that shares them; and the
-        set of those pairs. A step of ``ir.live_ranges`` is one compute node
-        of a top-level state (``ir.node_accesses``), one tape record there,
-        or one whole top-level loop or branch."""
+        all; a reverse run's rank >= 1 gradients, scratch arrays and rebuilt
+        values) and the tape snapshots of each ``(data, version)`` after the
+        last read of any forwarded name that shares them: a snapshot taken
+        outside any loop by its tape key ``(data, version, ())``, the
+        snapshots taken in a loop by the pair, whose keys the run collects
+        from the tape (``Executor.drops``); and the set of those pairs. A
+        step of ``ir.live_ranges`` is one compute node of a top-level state
+        (``ir.node_accesses``), one tape record there, or one whole
+        top-level loop or branch."""
 
         def steps():
             for block in self.region:
@@ -366,19 +373,20 @@ class RunPlan:
 
         at: list[int] = []  # the id of each step's compute node or block, filled by steps()
         frees: dict[int, list] = {}
-        shared: dict[tuple[str, int], int] = {}  # the step of the last read
+        shared: dict[tuple, int] = {}  # the step of the last read
         for name, (_, last) in live_ranges(steps()).items():
             entry = self.forwarding.get(name)
             if entry is not None:
                 for c in entry.candidates:
-                    key = (entry.data, c.version)
+                    # a snapshot taken outside any loop has one tape key
+                    key = (entry.data, c.version) if c.directives else (entry.data, c.version, ())
                     shared[key] = max(shared.get(key, last), last)
                 continue
             if name in released:
                 frees.setdefault(at[last], []).append(name)
         for key, last in shared.items():
             frees.setdefault(at[last], []).append(key)
-        return {k: tuple(keys) for k, keys in frees.items()}, frozenset(shared)
+        return {k: tuple(keys) for k, keys in frees.items()}, frozenset(k for k in shared if len(k) == 2)
 
 
 def _shapes(program: Program, params: dict[str, int], evaluated: dict) -> dict[str, tuple[int, ...]]:
@@ -394,7 +402,13 @@ def _shapes(program: Program, params: dict[str, int], evaluated: dict) -> dict[s
 
 
 class Executor:
-    """One run of a program by its ``RunPlan``."""
+    """One run of a program by its ``RunPlan``. It, the ``Tape`` and the
+    run results keep their fields in slots: CPython sizes an instance dict
+    by the instances of its class made before, so the bytes a run allocates
+    would shrink over a process's first few dozen runs."""
+
+    __slots__ = ("plan", "descriptors", "shape_of", "env", "batch", "tape", "src_tape", "bind", "ctx",
+                 "branch_down", "op_count", "frees", "drops", "memo")
 
     def __init__(self, plan: RunPlan, env: dict[str, np.ndarray], batch: tuple[int, ...], *,
                  tape: Tape | None = None, src_tape: Tape | None = None):
@@ -410,7 +424,7 @@ class Executor:
         self.branch_down: dict[str, int] = {}
         self.op_count = 0
         self.frees = plan.releases[0]  # the release table, see run
-        self.drops: dict[tuple[str, int], list] = {}  # the tape keys of each released (data, version)
+        self.drops: dict[tuple[str, int], list] = {}  # the tape keys of each (data, version) taken in a loop
         self.memo: dict[tuple, list[int]] = {}  # iterates of headers that read scalars or iterators
 
     # -- shared helpers ------------------------------------------------------
@@ -473,8 +487,9 @@ class Executor:
     def run(self):
         """Run the region. The run releases each array and tape snapshot
         where its plan's release table puts it: after its last touch
-        (``ir.live_ranges``). The tape keys of each released ``(data,
-        version)`` are found once, here."""
+        (``ir.live_ranges``). A snapshot taken outside any loop goes by its
+        own tape key; the keys of each ``(data, version)`` taken in a loop
+        are found once, here."""
         shared = self.plan.releases[1]
         if shared and self.src_tape is not None:
             for key in self.src_tape.values:
@@ -486,6 +501,8 @@ class Executor:
         for key in self.frees[at]:
             if key.__class__ is str:
                 self.env.pop(key, None)
+            elif len(key) == 3:
+                self.src_tape.values.pop(key, None)
             else:
                 for k in self.drops.pop(key, ()):
                     self.src_tape.values.pop(k, None)
@@ -649,7 +666,9 @@ def run_forward(
     the array itself, an input's version 0 the array the run was given.
     The run frees each intermediate after its last touch, or when it ends
     if the tape holds it by reference; the returned ``env`` holds the
-    inputs, outputs and stored copies."""
+    inputs and outputs. A planned replay (``checkpointing.run_planned``)
+    is such a run of the program itself, whose plan records what the
+    store/recompute plan keeps."""
     plan = run_plan or RunPlan(program, dict(params or {}))
     env, batch = _prepare_inputs(program, inputs, plan)
     tape = None
@@ -677,25 +696,21 @@ def run_backward(
     run_plan: RunPlan,
     tape: Tape | None = None,
     seed=1.0,
-    extra_env: dict | None = None,
 ) -> RunResult:
     """Run the reverse-mode program ``backward`` of ``program`` by
     ``run_plan``, built for ``backward`` with ``src_program=program`` and
-    the ``forwarding`` table through which the run reads ``tape``.
-    ``inputs`` are the forward inputs (pristine arrays are read directly);
-    ``extra_env`` carries materialized stored copies from a planned forward
-    run and is emptied into the run. The batch shape is the forward inputs'
-    one, since the reverse program may read none of them.
+    the ``forwarding`` table through which the run reads ``tape``: every
+    forwarded value, or for a planned replay each one the plan keeps.
+    ``inputs`` are the forward inputs (pristine arrays are read directly).
+    The batch shape is the forward inputs' one, since the reverse program
+    may read none of them.
 
-    The run consumes what it holds: each stored copy, scratch array and
+    The run consumes what it holds: each rebuilt value, scratch array and
     gradient other than an output is released after its last touch, and
     each tape snapshot the run reads is popped from ``tape.values`` after
     its last read: the last-touch rule of ``ir.live_ranges``, which the
     memory model also prices."""
     env, batch = _prepare_inputs(program, inputs, run_plan)
-    if extra_env:
-        env.update({k: np.asarray(v) for k, v in extra_env.items() if k in backward.descriptors})
-        extra_env.clear()  # the run's env holds the only reference
     seed_name = program.dependent + "__grad"
     if seed_name in backward.descriptors and seed_name not in env:
         env[seed_name] = np.full(batch, seed, dtype=_DTYPE[backward.descriptors[seed_name].element_kind])

@@ -222,16 +222,19 @@ def simulate_memory(
     *,
     stored_hints: dict[str, int] | None = None,
 ) -> MemoryTimeline:
-    """Walk a rewritten forward/backward pair and meter resident bytes.
+    """Walk a planned forward/backward pair and meter resident bytes.
 
     This consumes only the program structure: transients alive from first
-    write to the end of the forward pass, kept copies until their last
-    backward use. A rebuild block is one spike, its scratch peak plus every
-    stored copy it writes (one block may rebuild several values), after
-    which each copy is held until its last backward read. ``trace`` picks the
-    arm of each branch; ``stored_hints`` sizes values that travel on the
-    tape rather than in a named array (bytes per name). The walk must end
-    at zero resident bytes and never dip below.
+    write to the end of the forward pass; each stored copy the reverse
+    program reads and no program writes, a value the tape carries, from the
+    start of the path to its last backward read, on every path. A rebuild
+    block is one spike, its scratch peak plus every stored copy it writes
+    (one block may rebuild several values), after which each copy is held
+    until its last backward read. A stored copy the forward program writes
+    is held from that write. ``trace`` picks the arm of each branch;
+    ``stored_hints`` sizes the values the tape carries (bytes per name, all
+    snapshots of a value taken in a loop). The walk must end at zero
+    resident bytes and never dip below.
     """
     params = dict(params or {})
     trace = dict(trace or {})

@@ -551,13 +551,50 @@ def test_solver_objective_matches_scipy_milp(k, share):
 # plan application
 
 
-def test_applied_forward_copies_stored_values(foo_plan):
-    graph = foo_plan.forward.region[0].graph
-    copies = [n for n in graph.nodes
-              if getattr(n, "group", "") and n.group.startswith("store:")]
-    assert len(copies) == 2
-    assert {foo_plan.forward.descriptors[d].role
-            for d in ("A1__v1", "A2__v1")} == {"stored-copy"}
+def test_the_planned_forward_is_the_program():
+    # what a plan keeps travels on the tape, so no budget rewrites the forward
+    program = examples.build("scaled_product_chain")
+    for limit in (None, 10 * 16 * 16 * 4 / MIB, 8 * 16 * 16 * 4 / MIB):
+        result = plan(program, limit, {"N": 16})
+        assert result.forward is program, limit
+    assert 0 in result.solution.assignment
+
+
+def test_a_kept_value_is_its_forward_array_on_the_tape_unless_its_name_is_mutated(rng):
+    # scaled_product_chain's values are library results; make_map_program(0)
+    # keeps R0, which a map writes in place, so its snapshot is a copy
+    seen = {}
+    for program, params in ((examples.build("scaled_product_chain"), {"N": 4}), (make_map_program(0), {"n": 4})):
+        result = plan(program, None, params)
+        run_plan = result.pair.runs[0]
+        env, batch = interpreter._prepare_inputs(program, sample_inputs(program, params, rng), run_plan)
+        by_reference = {}
+
+        class Witness(dict):
+            def __setitem__(self, key, arr):
+                by_reference[key] = arr is env.get(key[0])
+                super().__setitem__(key, arr)
+
+        interpreter.Executor(run_plan, env, batch, tape=interpreter.Tape(values=Witness())).run()
+        for fv in result.fvs:
+            if not fv.forced:
+                mutated = fv.data in run_plan.mutated
+                assert by_reference[(fv.data, fv.versions[0], ())] != mutated, fv.name
+                seen[mutated] = fv.name
+    assert seen == {False: "A2__v1", True: "R0__v1"}
+
+
+def test_a_keep_all_replay_records_what_gradient_records(rng):
+    cases = [(examples.build(name), examples.DEFAULT_PARAMS[name]) for name in sorted(examples.EXAMPLES)]
+    for program, params in [*cases, (sin_chain(5), {})]:
+        result = plan(program, None, params)
+        inputs = sample_inputs(program, params, rng)
+        gradient(program, inputs, params)
+        recorded = result.pair.runs[0].record
+        assert recorded == result.bundle.required == program._kept["runs"][0].record
+        tapes = [interpreter.run_forward(program, inputs, run_plan=runs[0]).tape.values.keys()
+                 for runs in (result.pair.runs, program._kept["runs"])]
+        assert tapes[0] == tapes[1] and {k[:2] for k in tapes[0]} == recorded
 
 
 def test_applied_backward_recomputes_first_value(foo_plan):
@@ -622,12 +659,8 @@ def test_plan_leaves_its_inputs_untouched_and_shares_unchanged_states(name):
         assert serialize_program(program) == text, limit
         bundle = result.bundle
         assert serialize_program(bundle.backward) == serialize_program(build_backward(program).backward)
-        chosen = list(zip(result.fvs, result.solution.assignment))
-        copied = {fv.site[0] for fv, v in chosen if v and not fv.forced}
-        recomputed = {fv.name: fv for fv, v in chosen if not v}
-        before = _states(program)
-        for label, state in _states(result.forward).items():
-            assert (state is before[label]) == (label not in copied), (limit, label)
+        assert result.forward is program, limit
+        recomputed = {fv.name: fv for fv, v in zip(result.fvs, result.solution.assignment) if not v}
         # every backward state is shared but the rebuild blocks; a block that
         # writes only its own value is the value's kept block, one that also
         # writes other recomputed values of its closure is built anew from
@@ -732,7 +765,8 @@ def test_parameter_bindings_never_share_kept_analyses():
         assert _plan_outputs(result, inputs[n], {"N": n}) == want[n], n
         assert {fv.size_bytes for fv in result.fvs} == {n * n * 4}
         assert 0 in result.solution.assignment
-        seen[n] += [*result.fvs, *(fv.recompute.state for fv in result.fvs), result.forward, result.backward]
+        assert result.forward is program
+        seen[n] += [*result.fvs, *(fv.recompute.state for fv in result.fvs), result.backward]
     assert not any(a is b for a in seen[8] for b in seen[12])
 
 
@@ -741,9 +775,9 @@ def test_planned_and_replaced_programs_start_with_nothing_kept(monkeypatch):
     inputs = sample_inputs(program, params, np.random.default_rng(5))
     result = plan(program, 0.6 * plan(program, None, params).solution.t_star / MIB, params)
     run_planned(result, inputs, params)
-    assert program._kept
+    assert program._kept and result.forward is program
     # the planned pair's run plans validated it, and build_backward its reverse program
-    for made in (result.forward, result.backward, result.bundle.backward):
+    for made in (result.backward, result.bundle.backward):
         assert made._kept == {"validated": True}
     for made in (replace(program, independents=("X",)), replace(program)):
         assert made._kept == {}
@@ -794,13 +828,13 @@ def test_every_planned_program_passes_the_whole_program_validation():
 def test_a_second_plan_builds_and_validates_nothing(monkeypatch):
     program = sin_chain(12)
     limit = 0.6 * plan(sin_chain(12), None, {}).solution.t_star / MIB
-    calls = _count_calls(monkeypatch, validate, checkpointing._rebuild_block, checkpointing._copy_out_state)
+    calls = _count_calls(monkeypatch, validate, checkpointing._rebuild_block)
     first = plan(program, limit, {})
-    stored = [v for fv, v in zip(first.fvs, first.solution.assignment) if not fv.forced]
-    assert 0 in stored and 1 in stored  # both kinds of block are built
-    # its backward (build_backward) and the planned forward and backward
-    # (their run plans), once each; ProgramBuilder.finish checked the program
-    assert calls["validate"] == 3 and calls["_rebuild_block"] and calls["_copy_out_state"], calls
+    assert first.forward is program and 0 in first.solution.assignment
+    # its backward (build_backward) and the planned backward (its run plan),
+    # once each; ProgramBuilder.finish checked the program, which is the
+    # planned forward
+    assert calls["validate"] == 2 and calls["_rebuild_block"], calls
     built = dict(calls)
     second = plan(program, limit, {})
     assert calls == built
@@ -853,29 +887,27 @@ def test_a_repeated_plan_returns_the_kept_pair_of_its_assignment(monkeypatch):
     keep_all = plan(program, None, {}).solution.t_star
     calls = _count_calls(monkeypatch, checkpointing.apply_plan, validate)
     first = plan(program, 0.6 * keep_all / MIB, {})
-    assert calls == {"apply_plan": 1, "validate": 2}
+    assert calls == {"apply_plan": 1, "validate": 1}  # the planned backward
     again = plan(program, 0.6 * keep_all / MIB, {})
-    assert calls == {"apply_plan": 1, "validate": 2}
-    assert again.forward is first.forward and again.backward is first.backward
+    assert calls == {"apply_plan": 1, "validate": 1}
+    assert again.forward is first.forward is program and again.backward is first.backward
     # then budgets B, A: B's assignment is new, A's pair is still kept
     other = plan(program, 0.8 * keep_all / MIB, {})
     assert other.solution.assignment != first.solution.assignment
     assert plan(program, 0.6 * keep_all / MIB, {}).backward is first.backward
-    assert calls == {"apply_plan": 2, "validate": 4}
+    assert calls == {"apply_plan": 2, "validate": 2}
 
 
-@pytest.mark.parametrize("builder", ["_rebuild_block", "_copy_out_state"])
-def test_a_block_built_wrong_fails_the_plan_that_builds_it(builder, monkeypatch):
+def test_a_block_built_wrong_fails_the_plan_that_builds_it(monkeypatch):
     limit = 0.6 * plan(sin_chain(12), None, {}).solution.t_star / MIB
-    real = getattr(checkpointing, builder)
+    real = checkpointing._rebuild_block
 
     def one_edge_short(*args):
         block = real(*args)
-        state = block[0] if isinstance(block, tuple) else block
-        state.graph.edges.pop()  # the last out-edge of the last node
+        block[0].graph.edges.pop()  # the last out-edge of the last node
         return block
 
-    monkeypatch.setattr(checkpointing, builder, one_edge_short)
+    monkeypatch.setattr(checkpointing, "_rebuild_block", one_edge_short)
     program = sin_chain(12)
     for _ in range(2):  # a block that fails its check is not kept
         with pytest.raises(ValidationFailed, match="ArityMismatch"):
@@ -1058,7 +1090,7 @@ def test_replay_forced_history():
 
 def _arm_copy_out_program():
     """if s < 0.5 {Y = sin X; Z = Y*Y; O = sum Z} else {O = sum X}: a kept
-    Y is copied out in the then arm only."""
+    Y is recorded in the then arm only."""
     b = ProgramBuilder(())
     b.array("X", ("4",), role="input", kind="real64")
     b.scalar("s", role="input", kind="real64")
@@ -1086,10 +1118,13 @@ def test_replay_of_a_value_kept_in_an_arm_the_run_does_not_take():
         plain, planned = gradient(p, inputs), run_planned(result, inputs)
         assert planned.value == plain.value
         assert planned.grads["X"].tobytes() == plain.grads["X"].tobytes(), s
+    # a kept value is charged from the start of every path, as a tape-held
+    # snapshot is: the else path holds Y's 32 B besides X's gradient
+    peaks = {}
     for seq in result.sequences:
         timeline = simulate_memory(result.forward, result.backward, {}, dict(seq.outcomes))
-        assert timeline.peak == seq.peak(result.solution.assignment), seq.outcomes
-    assert {seq.outcomes for seq in result.sequences} == {(("pick", True),), (("pick", False),)}
+        peaks[seq.outcomes] = seq.peak(result.solution.assignment), timeline.peak
+    assert peaks == {(("pick", True),): (96, 96), (("pick", False),): (64, 64)}
 
 
 def _tape_bytes(tape):
@@ -1098,8 +1133,8 @@ def _tape_bytes(tape):
 
 @pytest.mark.filterwarnings("ignore::gradflow.errors.NonDifferentiableOp")
 def test_run_planned_records_what_a_reanalysed_forward_run_records(monkeypatch):
-    # the planned forward program only adds copy-outs to the bundle's
-    # program, so the bundle's version analysis names the same snapshots
+    # the planned forward program is the bundle's program, so the bundle's
+    # version analysis names the same snapshots
     forward = checkpointing.run_forward
     seen = []
 

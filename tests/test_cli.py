@@ -106,9 +106,10 @@ def test_plan_json_report(foo_path, capsys):
 def test_plan_emits_rewritten_programs(foo_path, tmp_path, capsys):
     assert run_cli("plan", foo_path, "--memory-limit-mib", "500",
                    "--params", "N=3620", "--emit", tmp_path / "out") == 0
-    fwd = load_program(str(tmp_path / "out.fwd.json"))
-    load_program(str(tmp_path / "out.bwd.json"))
-    assert "A1__v1" in fwd.descriptors  # the stored copy travels with the program
+    # the planned forward is the program as given: kept values travel on the tape
+    assert (tmp_path / "out.fwd.json").read_text() == serialize_program(load_program(str(foo_path)))
+    bwd = load_program(str(tmp_path / "out.bwd.json"))
+    assert bwd.region[0].label == "rec_A0__v1"  # the rebuild of the recomputed value
 
 
 def test_plan_zero_limit_is_infeasible(foo_path, capsys):
@@ -239,12 +240,14 @@ def test_mem_report_json_peak_is_max_over_paths(tmp_path, capsys):
 
 
 def _uneven_branch_program():
-    # the else arm keeps one more array alive than the then arm, so the two
-    # paths peak differently and the larger peak is not on the first path
+    # the else arm writes two more transients than the then arm, so the two
+    # paths peak differently and the larger peak is not on the first path;
+    # a scale's adjoint forwards nothing, so no kept value is charged on both
     b = ProgramBuilder(("n",))
     b.array("X", ("n",), role="input", kind="real64")
     b.scalar("s", role="input", kind="real64")
     b.array("T", ("n",), kind="real64")
+    b.array("U", ("n",), kind="real64")
     b.array("Y", ("n",), kind="real64")
     b.scalar("O", role="output", kind="real64")
     with b.branch("(lt s 0.5)", label="pick") as br:
@@ -253,8 +256,9 @@ def _uneven_branch_program():
                 st.library("ew_unary", {"x": "X"}, {"y": "Y"}, op="scale", const=2.0)
         with br.orelse():
             with b.state("heavy") as st:
-                st.library("ew_unary", {"x": "X"}, {"y": "T"}, op="sin")
-                st.library("ew_unary", {"x": "T"}, {"y": "Y"}, op="sin")
+                st.library("ew_unary", {"x": "X"}, {"y": "T"}, op="scale", const=3.0)
+                st.library("ew_unary", {"x": "T"}, {"y": "U"}, op="scale", const=0.5)
+                st.library("ew_unary", {"x": "U"}, {"y": "Y"}, op="scale", const=2.0)
     with b.state("tail") as st:
         st.library("reduce_sum", {"x": "Y"}, {"y": "O"})
     return b.finish("O", ["X"])
@@ -268,6 +272,16 @@ def test_mem_report_json_peak_is_not_the_first_path(tmp_path, capsys):
     peaks = [p["peak_bytes"] for p in doc["paths"]]
     assert len(peaks) == 2 and peaks[0] < peaks[1]
     assert doc["peak_bytes"] == max(peaks) == doc["model_peak_bytes"]
+
+
+def test_mem_report_measures_a_warm_run(foo_path, capsys):
+    # N=37 is a shape no other test runs, so the first report is the first
+    # run of its generated state functions; both reports measure a warm run
+    peaks = []
+    for _ in range(2):
+        assert run_cli("mem-report", foo_path, "--params", "N=37", "--json") == 0
+        peaks.append(json.loads(capsys.readouterr().out)["measured_peak_bytes"])
+    assert peaks[0] == peaks[1]
 
 
 def test_mem_report_text_prints_exact_bytes(tmp_path, capsys):

@@ -1645,7 +1645,7 @@ def _planned_forward_peak(k: int, side: int, share: float) -> tuple[int, int]:
 
 def test_a_planned_forward_run_holds_its_kept_copies_and_two_transients():
     # sin_chain(12) at 80% of keep-all, arrays of 16 x 16 real64: each kept
-    # copy, the array a sin reads and the one it writes, and one library
+    # array, the array a sin reads and the one it writes, and one library
     # result before it is stored; the Python objects as measured at 2 x 2.
     # Holding all 13 transients to the end of the run peaks at 46,392 B,
     # about 20 KB over this bound.
@@ -1655,14 +1655,16 @@ def test_a_planned_forward_run_holds_its_kept_copies_and_two_transients():
     assert measured <= (kept + 2 + 1) * 16 * 16 * 8 + python_bytes, (measured, python_bytes)
 
 
-def test_forward_env_holds_inputs_outputs_and_stored_copies(rng):
+def test_a_planned_forward_run_ends_with_inputs_and_outputs_and_tapes_what_it_keeps(rng):
+    # the planned forward is the program itself: its env ends with the
+    # inputs and outputs, and each value the plan keeps is on the tape
     p, params = examples.build("scaled_product_chain"), {"N": 4}
-    result = plan(p, None, params)
+    result = plan(p, 10 * 4 * 4 * 4 / (1 << 20), params)
     inputs = sample_inputs(p, params, rng)
-    env = run_forward(result.forward, inputs, params).env
-    roles = {n: d.role for n, d in result.forward.descriptors.items()}
-    stored = {n for n, r in roles.items() if r == "stored-copy"}
-    assert stored and set(env) == set(inputs) | {"O"} | stored
+    fwd = run_forward(result.forward, inputs, run_plan=result.pair.runs[0])
+    kept = {(fv.data, fv.versions[0], ()) for fv, v in zip(result.fvs, result.solution.assignment) if v}
+    assert result.forward is p and set(fwd.env) == set(inputs) | {"O"}
+    assert 0 in result.solution.assignment and kept and set(fwd.tape.values) == kept
 
 
 def test_only_inputs_the_program_mutates_are_copied():
