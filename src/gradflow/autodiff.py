@@ -44,6 +44,7 @@ from .errors import (
     UnsupportedConstruct,
     UnsupportedLoop,
 )
+from .interpreter import RunPlan, binding_of, run_backward, run_forward
 from .ir import (
     AccessNode,
     Block,
@@ -367,7 +368,6 @@ def reverse_loop_header(loop: LoopRegion) -> LoopRegion:
 class BackwardBundle:
     backward: Program
     forwarding: dict[str, ForwardingEntry]
-    required: frozenset[tuple[str, int]]
     vinfo: VersionInfo
     ccs: CCS
 
@@ -739,6 +739,9 @@ def _sub_key(subset):
 
 
 def build_backward(program: Program, vinfo: VersionInfo | None = None) -> BackwardBundle:
+    for name, d in program.descriptors.items():
+        if d.role == "stored-copy":
+            raise UnsupportedConstruct(f"'{name}' is declared 'stored-copy', the role of a forwarded value")
     vinfo = vinfo or analyze_versions(program)
     ccs = extract_ccs(program)
     builder = _BackwardBuilder(program, vinfo, ccs)
@@ -764,12 +767,10 @@ def build_backward(program: Program, vinfo: VersionInfo | None = None) -> Backwa
     for data in sorted(builder.used_inputs):
         descriptors[data] = program.descriptors[data]
     forwarding: dict[str, ForwardingEntry] = {}
-    required: set[tuple[str, int]] = set()
     for entry in builder.entries.values():
         d = program.descriptors[entry.data]
         descriptors[entry.name] = DataDescriptor(entry.name, d.element_kind, d.shape, "stored-copy")
         forwarding[entry.name] = entry
-        required |= {(entry.data, c.version) for c in entry.candidates}
 
     backward = Program(
         descriptors=descriptors,
@@ -782,28 +783,44 @@ def build_backward(program: Program, vinfo: VersionInfo | None = None) -> Backwa
     if diags:
         raise AssertionError(f"internal: backward program invalid: {diags[:5]}")
     backward._kept["validated"] = True
-    return BackwardBundle(
-        backward=backward,
-        forwarding=forwarding,
-        required=frozenset(required),
-        vinfo=vinfo,
-        ccs=ccs,
-    )
+    return BackwardBundle(backward=backward, forwarding=forwarding, vinfo=vinfo, ccs=ccs)
 
 
 def backward_of(program: Program) -> BackwardBundle:
     """``build_backward(program)``, built on first use and kept with the
     program, which is never changed. The first use validates the program
     unless it was validated where it entered (``ir.validated``;
-    ``ValidationFailed`` if it is not valid); a kept bundle stands for that
-    check, and a build that raises keeps nothing. What depends on the
-    parameter binding is kept apart:
-    ``gradient()``'s run plans and ``plan()``'s analyses, which also
-    prepare the library steps their runs take (``ir.library_steps``)."""
+    ``ValidationFailed`` if it is not valid) and refuses one that declares
+    a ``stored-copy`` array (``UnsupportedConstruct``); a kept bundle
+    stands for those checks, and a build that raises keeps nothing. What
+    depends on the parameter binding is kept apart: ``gradient()``'s run
+    plans and ``plan()``'s analyses, which also prepare the library steps
+    their runs take (``ir.library_steps``)."""
     bundle = program._kept.get("bundle")
     if bundle is None:
         bundle = program._kept["bundle"] = build_backward(validated(program))
     return bundle
+
+
+def _recorded(forwarding: dict[str, ForwardingEntry]) -> frozenset[tuple[str, int]]:
+    """The ``(data, version)`` pairs a forward run records so that a reverse
+    run can read each entry of ``forwarding``: every candidate of each."""
+    return frozenset((e.data, c.version) for e in forwarding.values() for c in e.candidates)
+
+
+def _replay_plans(program: Program, backward: Program, bundle: BackwardBundle, params: dict[str, int] | None,
+                  recomputed=frozenset()) -> tuple[RunPlan, RunPlan]:
+    """The run plans of a replay of ``program`` whose reverse program is
+    ``backward``: ``bundle.backward`` itself, or a planned reverse program
+    that rebuilds the forwarded values named in ``recomputed``. One rule
+    gives both what the forward run records and the table the reverse run
+    reads the tape through: every forwarding entry of ``bundle`` but the
+    recomputed ones. ``gradient()`` recomputes nothing; ``plan()`` passes
+    its assignment's recomputed values."""
+    forwarding = {name: e for name, e in bundle.forwarding.items() if name not in recomputed}
+    params = params or {}
+    return (RunPlan(program, params, record=_recorded(forwarding), vinfo=bundle.vinfo),
+            RunPlan(backward, params, forwarding=forwarding, src_program=program))
 
 
 # ---------------------------------------------------------------------------
@@ -818,16 +835,21 @@ class GradientResult:
     backward: object
     bundle: BackwardBundle
 
-    @classmethod
-    def of(cls, program: Program, fwd, bwd, bundle: BackwardBundle) -> "GradientResult":
-        """The result of a forward and a reverse run of ``program``: each
-        independent's gradient is ``<ind>__grad`` from the reverse run, or
-        zeros shaped like the input where the reverse program writes none."""
-        grads = {}
-        for ind in program.independents:
-            got = bwd.env.get(grad_name(ind))
-            grads[ind] = np.zeros_like(np.asarray(fwd.env[ind])) if got is None else got
-        return cls(value=fwd.value, grads=grads, forward=fwd, backward=bwd, bundle=bundle)
+
+def _replay(program: Program, backward: Program, bundle: BackwardBundle, runs: tuple[RunPlan, RunPlan],
+            inputs: dict, seed) -> GradientResult:
+    """A forward run of ``program`` and a reverse run of ``backward`` by
+    ``runs`` (``_replay_plans``): the one runner of ``gradient()`` and
+    ``checkpointing.run_planned``. Each independent's gradient is
+    ``<ind>__grad`` from the reverse run, or zeros shaped like the input
+    where the reverse program writes none."""
+    fwd = run_forward(program, inputs, run_plan=runs[0])
+    bwd = run_backward(program, backward, inputs, tape=fwd.tape, seed=seed, run_plan=runs[1])
+    grads = {}
+    for ind in program.independents:
+        got = bwd.env.get(grad_name(ind))
+        grads[ind] = np.zeros_like(np.asarray(fwd.env[ind])) if got is None else got
+    return GradientResult(value=fwd.value, grads=grads, forward=fwd, backward=bwd, bundle=bundle)
 
 
 def gradient(
@@ -841,21 +863,12 @@ def gradient(
     given inputs, running forward (recording only what the adjoints need)
     and then the reverse program. The reverse program is built on the first
     call and kept with ``program`` (``backward_of``); later calls, and
-    ``plan()``, reuse it. The run plans of both runs
-    (``interpreter.RunPlan``) are built on the first call under a parameter
+    ``plan()``, reuse it. The run plans of both runs (``_replay_plans``,
+    with nothing recomputed) are built on the first call under a parameter
     binding, before the forward run, and kept with ``program`` for the last
-    binding run, so a later call under it prepares nothing; both runs get
-    their plan as ``run_plan``."""
-    from .interpreter import RunPlan, binding_of, run_backward, run_forward
-
+    binding run, so a later call under it prepares nothing."""
     bundle = backward_of(program)
     runs = program._kept.get("runs")
     if runs is None or runs[0].binding != binding_of(params or {}):
-        params = params or {}
-        runs = program._kept["runs"] = (
-            RunPlan(program, params, record=bundle.required, vinfo=bundle.vinfo),
-            RunPlan(bundle.backward, params, forwarding=bundle.forwarding, src_program=program),
-        )
-    fwd = run_forward(program, inputs, run_plan=runs[0])
-    bwd = run_backward(program, bundle.backward, inputs, tape=fwd.tape, seed=seed, run_plan=runs[1])
-    return GradientResult.of(program, fwd, bwd, bundle)
+        runs = program._kept["runs"] = _replay_plans(program, bundle.backward, bundle, params)
+    return _replay(program, bundle.backward, bundle, runs, inputs, seed)

@@ -54,14 +54,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .autodiff import BackwardBundle, GradientResult, backward_of
+from .autodiff import BackwardBundle, GradientResult, _replay, _replay_plans, backward_of
 from .errors import (
     GradflowError,
     Infeasible,
     IrrecomputableValue,
     UnresolvableTripCount,
 )
-from .interpreter import RunPlan, _node_cost, binding_of, run_backward, run_forward
+from .interpreter import _node_cost, binding_of
 from .ir import (
     AccessNode,
     Block,
@@ -169,7 +169,6 @@ class ForwardedValue:
     versions: tuple[int, ...]
     size_bytes: int  # one snapshot
     snapshots: int  # snapshots held over the whole run
-    site: tuple[str, str] | None  # (state, producer node) when plannable
     forced: bool
     forced_reason: str | None
     recompute: RecomputePlan | None
@@ -294,13 +293,10 @@ def collect_forwarded(
         )
         # an input's own value (version 0) has no producer to recompute
         plannable = single and (entry.data, cand.version) in vinfo.write_site
-        site = None
         forced_reason = None
         rec_plan = None
         snapshots = 1
         if plannable:
-            slabel, acc = vinfo.write_site[(entry.data, cand.version)]
-            site = (slabel, producer(slabel, acc))
             try:
                 rec_plan = _recompute_plan(
                     program, pristine, states, order, edges, accesses, cost, nbytes,
@@ -324,7 +320,6 @@ def collect_forwarded(
                 versions=versions,
                 size_bytes=size,
                 snapshots=snapshots,
-                site=site,
                 forced=rec_plan is None,
                 forced_reason=forced_reason,
                 recompute=rec_plan,
@@ -869,18 +864,19 @@ def solve_ilp(problem: ILPProblem, limit_bytes: int | None) -> ILPSolution:
 
 
 def apply_plan(
-    program: Program,
     bundle: BackwardBundle,
     fvs: list[ForwardedValue],
     assignment,
     sequences: list[PathSequence],
-) -> tuple[Program, Program]:
-    """Materialize a plan as its forward and reverse programs. The forward
-    program is ``program`` itself: what the plan keeps travels on the tape,
-    as in ``gradient()``. Each recomputed value gains its rebuild block
-    right before the first backward state that reads it, in value order.
-    ``bundle`` is left untouched: the planned reverse program shares every
-    block with the bundle's but the block lists that gain a rebuild.
+) -> Program:
+    """Materialize a plan as its reverse program; the forward program is
+    the program ``bundle`` was built from, and what the plan keeps travels
+    on the tape, as in ``gradient()``. Each recomputed value gains its
+    rebuild block right before the first backward state that reads it, in
+    value order. With nothing recomputed the reverse program is
+    ``bundle.backward`` itself; otherwise ``bundle`` is left untouched, and
+    the planned reverse program shares every block with the bundle's but
+    the block lists that gain a rebuild.
 
     One block rebuilds several values where it can (``_merged_rebuilds``):
     a recomputed value whose producer closure holds other recomputed values
@@ -889,33 +885,31 @@ def apply_plan(
     modelled peak in ``sequences`` moves. Such a block is built anew; every
     other block is the value's kept ``RecomputePlan.state``.
 
-    The reverse program is not validated here: ``plan()`` calls this once
-    per assignment it holds a pair for, and builds the pair's run plans,
-    which validate it as a whole (``ValidationFailed`` if it is not valid)
-    before the pair is kept."""
-    bdescs = dict(bundle.backward.descriptors)
+    A rebuilt reverse program is not validated here: ``plan()`` calls this
+    once per assignment it holds a pair for, and builds the pair's run
+    plans, which validate it as a whole (``ValidationFailed`` if it is not
+    valid) before the pair is kept."""
     recomputed = [fv for fv, v in zip(fvs, assignment) if not v]
-
+    if not recomputed:
+        return bundle.backward
+    bdescs = dict(bundle.backward.descriptors)
     rebuilt: dict[int, list[Block]] = {}  # id of a first reader -> rebuilds, reader
-    if recomputed:
-        readers = _first_readers(bundle.backward.region)
-        for fv in recomputed:
-            if fv.name not in readers:
-                raise GradflowError(f"internal: '{fv.name}' is never read by the reverse program")
-        guests = _merged_rebuilds(recomputed, readers, sequences, assignment)
-        hosted = {u.index for us in guests.values() for u in us}
-        for fv in recomputed:
-            if fv.index in hosted:
-                continue
-            us = guests.get(fv.index)
-            state, descs = fv.recompute.build({u.data: u.name for u in us}) if us else fv.recompute.block
-            for name, desc in descs.items():
-                bdescs.setdefault(name, desc)
-            reader = readers[fv.name][0]
-            rebuilt.setdefault(id(reader), [reader]).insert(-1, state)
-
-    bwd = replace(bundle.backward, descriptors=bdescs, region=splice(bundle.backward.region, rebuilt))
-    return program, bwd
+    readers = _first_readers(bundle.backward.region)
+    for fv in recomputed:
+        if fv.name not in readers:
+            raise GradflowError(f"internal: '{fv.name}' is never read by the reverse program")
+    guests = _merged_rebuilds(recomputed, readers, sequences, assignment)
+    hosted = {u.index for us in guests.values() for u in us}
+    for fv in recomputed:
+        if fv.index in hosted:
+            continue
+        us = guests.get(fv.index)
+        state, descs = fv.recompute.build({u.data: u.name for u in us}) if us else fv.recompute.block
+        for name, desc in descs.items():
+            bdescs.setdefault(name, desc)
+        reader = readers[fv.name][0]
+        rebuilt.setdefault(id(reader), [reader]).insert(-1, state)
+    return replace(bundle.backward, descriptors=bdescs, region=splice(bundle.backward.region, rebuilt))
 
 
 def _merged_rebuilds(
@@ -986,10 +980,10 @@ def _with_guest(totals: list[int], at: dict[str, int], v: ForwardedValue, u: For
 
 @dataclass(eq=False)
 class _Pair:
-    """The validated planned pair of one assignment, with the run plans of
-    its replay under the binding planned (``_replay_runs``)."""
+    """The validated planned reverse program of one assignment, with the
+    run plans of its replay under the binding planned
+    (``autodiff._replay_plans``); the forward program is the program."""
 
-    forward: Program
     backward: Program
     runs: tuple
 
@@ -1043,10 +1037,12 @@ def plan(
     planned, the forwarded values, the memory sequences, the integer
     program with its memory rows and keep-all peak, and the planned pair
     of each assignment applied, with the run plans of its replay, for as
-    long as a ``PlanResult`` holds it (``_Planning``). Each call then only
-    solves that program under its limit; ``apply_plan`` builds a pair only
+    long as a ``PlanResult`` holds it (``_Planning``). The forward program
+    of every pair is ``program`` itself. Each call then only solves that
+    program under its limit; ``apply_plan`` builds a reverse program only
     for an assignment not held, its run plans validate it, and a pair that
-    fails validation is not kept.
+    fails validation is not kept. A plan that recomputes nothing has the
+    bundle's reverse program, which was validated where it was built.
 
     The report's ``objective_flops`` is the model's recompute cost: each
     recomputed value pays for its whole producer closure. Where one block
@@ -1068,10 +1064,10 @@ def plan(
     held = planning.pairs.get(solution.assignment)
     pair = held() if held is not None else None
     if pair is None:
-        fwd, bwd = apply_plan(program, bundle, fvs, solution.assignment, sequences)
-        pair = _Pair(fwd, bwd, _replay_runs(fvs, solution.assignment, bundle, fwd, bwd, params))
+        bwd = apply_plan(bundle, fvs, solution.assignment, sequences)
+        recomputed = {fv.name for fv, v in zip(fvs, solution.assignment) if not v}
+        pair = _Pair(bwd, _replay_plans(program, bwd, bundle, params, recomputed))
         planning.pairs[solution.assignment] = _held(planning.pairs, solution.assignment, pair)
-    fwd, bwd = pair.forward, pair.backward
     report = {
         "values": [
             {
@@ -1096,23 +1092,7 @@ def plan(
         "events": len(problem.events),
         "paths_checked": problem.n_paths,
     }
-    return PlanResult(fwd, bwd, solution, report, bundle, list(fvs), list(sequences), pair)
-
-
-def _replay_runs(fvs, assignment, bundle: BackwardBundle, forward: Program, backward: Program,
-                 params: dict[str, int] | None) -> tuple[RunPlan, RunPlan]:
-    """The run plans of a replay of the planned pair ``forward`` and
-    ``backward`` of ``assignment``. One rule gives both what its forward run
-    records and what its reverse run reads through its forwarding table:
-    every forwarded value but those the assignment recomputes, which the
-    reverse program rebuilds. A plan that keeps everything records what
-    ``gradient()`` records."""
-    recomputed = {fv.name for fv, v in zip(fvs, assignment) if not v}
-    forwarding = {name: e for name, e in bundle.forwarding.items() if name not in recomputed}
-    record = frozenset((e.data, c.version) for e in forwarding.values() for c in e.candidates)
-    params = params or {}
-    return (RunPlan(forward, params, record=record, vinfo=bundle.vinfo),
-            RunPlan(backward, params, forwarding=forwarding, src_program=forward))
+    return PlanResult(program, pair.backward, solution, report, bundle, list(fvs), list(sequences), pair)
 
 
 def run_planned(
@@ -1121,9 +1101,9 @@ def run_planned(
     params: dict[str, int] | None = None,
     *,
     seed=1.0,
-):
+) -> GradientResult:
     """Execute a planned forward/backward pair; returns the same result shape
-    as ``gradient``.
+    as ``gradient``, by the same runner (``autodiff._replay``).
 
     The forward run is a run of the program that records every forwarded
     value the plan keeps, as ``gradient()`` does: the array itself unless
@@ -1137,8 +1117,6 @@ def run_planned(
     """
     runs = result.pair.runs if result.pair is not None else None
     if runs is None or runs[0].binding != binding_of(params or {}):
-        runs = _replay_runs(result.fvs, result.solution.assignment, result.bundle, result.forward, result.backward,
-                            params)
-    fwd_run = run_forward(result.forward, inputs, run_plan=runs[0])
-    bwd_run = run_backward(result.forward, result.backward, inputs, tape=fwd_run.tape, seed=seed, run_plan=runs[1])
-    return GradientResult.of(result.forward, fwd_run, bwd_run, result.bundle)
+        recomputed = {fv.name for fv, v in zip(result.fvs, result.solution.assignment) if not v}
+        runs = _replay_plans(result.forward, result.backward, result.bundle, params, recomputed)
+    return _replay(result.forward, result.backward, result.bundle, runs, inputs, seed)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import backward_of, gradient
+from .autodiff import _recorded, backward_of, gradient
 from .checkpointing import plan, run_planned
 from .errors import GradflowError, Infeasible, ProgramSyntaxError, UnboundName
 from .frontend import load_program, serialize_program
@@ -160,7 +160,7 @@ def cmd_diff(args) -> int:
     req_path = stem + ".fwdreq.json"
     Path(bwd_path).write_text(serialize_program(bundle.backward))
     manifest = {
-        "required": sorted([data, version] for data, version in bundle.required),
+        "required": sorted([data, version] for data, version in _recorded(bundle.forwarding)),
         "entries": [
             {
                 "name": e.name,

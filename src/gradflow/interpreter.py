@@ -15,12 +15,14 @@ generated function with its arguments, each loop's compiled nest, the
 iterates of each loop whose header reads only parameters, and the run's
 release table. A program that is not valid, or a binding under which
 any of them cannot be prepared, fails the build, before any state runs; so
-the run trusts a valid program. ``gradient()`` keeps its two plans with the
-program for the last binding it ran, and ``plan()`` keeps them with each
-planned pair; both pass them to ``run_forward`` and ``run_backward`` as
-``run_plan``. A plan is the only place a run's tape is configured: what a
-forward run records (``record``, ``vinfo``) and the table a reverse run
-reads it through (``forwarding``). A forward run given no plan builds its
+the run trusts a valid program. One rule builds the two plans of a replay
+(``autodiff._replay_plans``) and one runner runs them
+(``autodiff._replay``), for ``gradient()``, which keeps its plans with the
+program for the last binding it ran, and for ``checkpointing.run_planned``,
+whose plans ``plan()`` keeps with each planned pair. A plan is the only
+place a run's tape is configured: what a forward run records (``record``,
+``vinfo``) and the table a reverse run reads it through
+(``forwarding``). A forward run given no plan builds its
 own, which records nothing; a reverse run always takes one. A header
 that reads a scalar or an enclosing iterator is simulated once per
 distinct value of the names it reads, memoized for the run.
@@ -180,10 +182,9 @@ class RunPlan:
     names whose snapshots and inputs a run copies
     (``ir.mutated_descriptors``). ``record`` and ``vinfo`` give a forward
     run its tape records; ``forwarding`` and ``src_program`` (whose shapes
-    a reverse run's inputs are checked against) serve a reverse run; the
-    two plans of a planned replay take both from one rule
-    (``checkpointing._replay_runs``), and with nothing recomputed they
-    record and read what ``gradient()``'s do. Both runs have a release
+    a reverse run's inputs are checked against) serve a reverse run. The
+    two plans of a replay, ``gradient()``'s or a planned one, take both
+    from one rule (``autodiff._replay_plans``). Both runs have a release
     table (``releases``). The plan is built whole:
     an unmarked ``program`` that is not valid (``ValidationFailed``) and
     what cannot be prepared under ``params`` raise here. A plan refers to
@@ -666,9 +667,10 @@ def run_forward(
     the array itself, an input's version 0 the array the run was given.
     The run frees each intermediate after its last touch, or when it ends
     if the tape holds it by reference; the returned ``env`` holds the
-    inputs and outputs. A planned replay (``checkpointing.run_planned``)
-    is such a run of the program itself, whose plan records what the
-    store/recompute plan keeps."""
+    inputs and outputs. ``gradient()`` and a planned replay
+    (``checkpointing.run_planned``) make such a run of the program itself,
+    by a plan that records what the reverse program reads from the tape
+    (``autodiff._replay_plans``)."""
     plan = run_plan or RunPlan(program, dict(params or {}))
     env, batch = _prepare_inputs(program, inputs, plan)
     tape = None

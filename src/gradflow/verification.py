@@ -226,15 +226,15 @@ def simulate_memory(
 
     This consumes only the program structure: transients alive from first
     write to the end of the forward pass; each stored copy the reverse
-    program reads and no program writes, a value the tape carries, from the
-    start of the path to its last backward read, on every path. A rebuild
-    block is one spike, its scratch peak plus every stored copy it writes
-    (one block may rebuild several values), after which each copy is held
-    until its last backward read. A stored copy the forward program writes
-    is held from that write. ``trace`` picks the arm of each branch;
-    ``stored_hints`` sizes the values the tape carries (bytes per name, all
-    snapshots of a value taken in a loop). The walk must end at zero
-    resident bytes and never dip below.
+    program reads and no rebuild block writes, a value the tape carries,
+    from the start of the path to its last backward read, on every path
+    (the forward program declares no stored copy: ``backward_of`` refuses
+    one). A rebuild block is one spike, its scratch peak plus every stored
+    copy it writes (one block may rebuild several values), after which
+    each copy is held until its last backward read. ``trace`` picks the
+    arm of each branch; ``stored_hints`` sizes the values the tape carries
+    (bytes per name, all snapshots of a value taken in a loop). The walk
+    must end at zero resident bytes and never dip below.
     """
     params = dict(params or {})
     trace = dict(trace or {})
@@ -254,7 +254,7 @@ def simulate_memory(
     stored_live: dict[str, int] = {}
 
     # values resolved from the recording rather than a named array
-    produced = _produced_names(forward) | _produced_names(backward)
+    produced = _produced_names(backward)
     for name, d in backward.descriptors.items():
         if d.role != "stored-copy" or d.rank == 0 or name in produced:
             continue
@@ -265,7 +265,7 @@ def simulate_memory(
     # forward
     allocated: list[tuple[str, int]] = []
     seen: set[str] = set()
-    _walk_forward(forward, params, trace, emit, allocated, seen, stored_live)
+    _walk_forward(forward, params, trace, emit, allocated, seen)
     for name, size in reversed(allocated):
         emit(f"free {name}", -size)
 
@@ -385,7 +385,7 @@ def _states_run(program: Program, params: dict[str, int], trace: dict[str, bool]
     return [b for _, b in walk_blocks(program.region) if isinstance(b, State) and b.label in ran]
 
 
-def _walk_forward(program, params, trace, emit, allocated, seen, stored_live):
+def _walk_forward(program, params, trace, emit, allocated, seen):
     for st in _states_run(program, params, trace):
         graph = st.graph
         byid = {n.id: n for n in graph.nodes}
@@ -396,14 +396,7 @@ def _walk_forward(program, params, trace, emit, allocated, seen, stored_live):
                 if not isinstance(byid.get(e.dst), AccessNode) or e.data in seen:
                     continue
                 d = program.descriptors.get(e.data)
-                if d is None or d.rank == 0:
-                    continue
-                if d.role == "stored-copy":
-                    seen.add(e.data)
-                    size = size_bytes(d, params)
-                    stored_live[e.data] = size
-                    emit(f"keep {e.data}", size)
-                elif d.role in ("intermediate", "output"):
+                if d is not None and d.rank and d.role in ("intermediate", "output"):
                     seen.add(e.data)
                     size = size_bytes(d, params)
                     allocated.append((e.data, size))

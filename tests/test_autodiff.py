@@ -21,8 +21,11 @@ from gradflow import (
     run_forward,
     run_planned,
     sample_inputs,
+    serialize_program,
     simulate_memory,
 )
+from gradflow import cli
+from gradflow.autodiff import _recorded, backward_of
 from gradflow.errors import Infeasible, NonDifferentiableOp, UnsupportedConstruct, UnsupportedLoop
 from gradflow.ir import (
     EW_BINARY_OPS,
@@ -77,18 +80,42 @@ def test_ccs_loop_needs_warmup_pass():
 
 def test_forwarded_versions_for_the_planner_example():
     b = build_backward(examples.build("scaled_product_chain"))
-    assert sorted(b.required) == [("A0", 1), ("A1", 1), ("A2", 1)]
+    assert sorted(_recorded(b.forwarding)) == [("A0", 1), ("A1", 1), ("A2", 1)]
 
 
 def test_forwarded_versions_elementwise_chain():
     # sin consumes exp's output; exp's own adjoint reuses the pristine input
     b = build_backward(examples.build("exp_sin_chain"))
-    assert sorted(b.required) == [("Y", 1)]
+    assert sorted(_recorded(b.forwarding)) == [("Y", 1)]
 
 
 def test_forwarded_versions_inplace_loop():
     b = build_backward(examples.build("iterated_sin_map"))
-    assert sorted(b.required) == [("X", 0), ("X", 1)]
+    assert sorted(_recorded(b.forwarding)) == [("X", 0), ("X", 1)]
+
+
+def test_a_program_declaring_a_stored_copy_is_refused(tmp_path, capsys):
+    # 'stored-copy' is the role of the reverse program's forwarded values;
+    # the memory model charges none in a forward program (it planned this
+    # one at 192 B while simulate_memory, holding S from its write, saw 256 B)
+    b = ProgramBuilder(())
+    b.array("X", ("8",), role="input", kind="real64")
+    b.array("S", ("8",), role="stored-copy", kind="real64")
+    b.array("Y", ("8",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    for label, x, y in (("s0", "X", "S"), ("s1", "S", "Y")):
+        with b.state(label) as st:
+            st.library("ew_unary", {"x": x}, {"y": y}, op="sin")
+    with b.state("s2") as st:
+        st.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+    program = b.finish("O", ["X"])
+    for call in (lambda: backward_of(program), lambda: plan(program, None)):
+        with pytest.raises(UnsupportedConstruct, match="'S' is declared 'stored-copy'"):
+            call()
+    path = tmp_path / "stored.json"
+    path.write_text(serialize_program(program))
+    assert cli.main(["run", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("unsupported: 'S'")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import gradflow.autodiff as autodiff
 import gradflow.checkpointing as checkpointing
 import gradflow.examples as examples
 import gradflow.interpreter as interpreter
@@ -227,7 +228,8 @@ def test_every_event_total_is_the_running_sum_of_the_deltas():
                     assert [i for i, _ in terms] == sorted({i for i, _ in terms})
                     assert all(c for _, c in terms)
         seen["paths"] += len(seqs) > 1
-        seen["tape-held"] += any(fv.site is None for fv in fvs)
+        # not plannable: an input overwritten in place, or a history across loop iterations
+        seen["tape-held"] += any((fv.forced_reason or "").startswith(("input '", "value history")) for fv in fvs)
         seen["zero-byte snapshot"] += any(e.label.startswith("snapshot") and e.delta.value((1,) * k) == 0
                                           for seq in seqs for e in seq.events)
     assert all(seen.values()), seen
@@ -584,17 +586,25 @@ def test_a_kept_value_is_its_forward_array_on_the_tape_unless_its_name_is_mutate
     assert seen == {False: "A2__v1", True: "R0__v1"}
 
 
-def test_a_keep_all_replay_records_what_gradient_records(rng):
+def test_a_keep_all_replay_records_what_gradient_records(monkeypatch, rng):
+    # a plan that recomputes nothing has the bundle's reverse program, which
+    # was validated where it was built, and its replay records, reads and
+    # computes what gradient() does, bit for bit
     cases = [(examples.build(name), examples.DEFAULT_PARAMS[name]) for name in sorted(examples.EXAMPLES)]
+    calls = _count_calls(monkeypatch, validate)
     for program, params in [*cases, (sin_chain(5), {})]:
-        result = plan(program, None, params)
         inputs = sample_inputs(program, params, rng)
-        gradient(program, inputs, params)
-        recorded = result.pair.runs[0].record
-        assert recorded == result.bundle.required == program._kept["runs"][0].record
-        tapes = [interpreter.run_forward(program, inputs, run_plan=runs[0]).tape.values.keys()
-                 for runs in (result.pair.runs, program._kept["runs"])]
-        assert tapes[0] == tapes[1] and {k[:2] for k in tapes[0]} == recorded
+        plain = gradient(program, inputs, params)
+        validated = calls["validate"]
+        result = plan(program, None, params)
+        assert calls["validate"] == validated, program
+        assert result.backward is autodiff.backward_of(program).backward and 0 not in result.solution.assignment
+        ours, its = result.pair.runs, program._kept["runs"]
+        assert ours[0].record == its[0].record == autodiff._recorded(result.bundle.forwarding)
+        assert ours[1].forwarding == its[1].forwarding == result.bundle.forwarding
+        tapes = [interpreter.run_forward(program, inputs, run_plan=runs[0]).tape.values.keys() for runs in (ours, its)]
+        assert tapes[0] == tapes[1] and {k[:2] for k in tapes[0]} == ours[0].record
+        assert _run_outputs(run_planned(result, inputs, params)) == _run_outputs(plain)
 
 
 def test_applied_backward_recomputes_first_value(foo_plan):
@@ -1135,7 +1145,7 @@ def _tape_bytes(tape):
 def test_run_planned_records_what_a_reanalysed_forward_run_records(monkeypatch):
     # the planned forward program is the bundle's program, so the bundle's
     # version analysis names the same snapshots
-    forward = checkpointing.run_forward
+    forward = autodiff.run_forward
     seen = []
 
     def spy(program, inputs, **kw):
@@ -1143,7 +1153,7 @@ def test_run_planned_records_what_a_reanalysed_forward_run_records(monkeypatch):
         seen.append((program, kw, _tape_bytes(res.tape)))
         return res
 
-    monkeypatch.setattr(checkpointing, "run_forward", spy)
+    monkeypatch.setattr(autodiff, "run_forward", spy)
     cases = [(examples.build(n), examples.DEFAULT_PARAMS[n]) for n in sorted(examples.EXAMPLES)]
     cases += [(make_loop_program(seed), {"n": 4}) for seed in range(50)]
     checked = recorded = 0
@@ -1180,8 +1190,7 @@ def test_simulated_peak_equals_model_on_every_config():
     seqs = build_memory_sequences(p, bundle, fvs, {"N": 64})
     (seq,) = seqs
     for v in itertools.product((0, 1), repeat=3):
-        fwd, bwd = apply_plan(p, bundle, fvs, v, seqs)
-        timeline = simulate_memory(fwd, bwd, {"N": 64})
+        timeline = simulate_memory(p, apply_plan(bundle, fvs, v, seqs), {"N": 64})
         assert timeline.peak == seq.peak(v)
 
 
@@ -1325,13 +1334,57 @@ def test_a_rebuild_that_would_raise_the_peak_keeps_its_own_block():
         (seq,) = keep_all.sequences
         top = max(seq.events, key=lambda e: e.total.value(recompute))
         assert (top.label == "alloc Y__grad") == (m == 64)
-        fwd, bwd = apply_plan(program, keep_all.bundle, keep_all.fvs, recompute, keep_all.sequences)
+        bwd = apply_plan(keep_all.bundle, keep_all.fvs, recompute, keep_all.sequences)
         assert _rebuild_blocks(bwd) == blocks, m
-        result = replace(keep_all, forward=fwd, backward=bwd, pair=None,
+        result = replace(keep_all, backward=bwd, pair=None,
                          solution=replace(keep_all.solution, assignment=recompute))
         _assert_model_is_simulation(result, params)
         inputs = sample_inputs(program, params, np.random.default_rng(m))
         assert _run_outputs(run_planned(result, inputs, params))[2] == _run_outputs(gradient(program, inputs, params))[2]
+
+
+def _arm_chain_program():
+    """if s < 0.5 {L = 0.5 X; A0 = sin L; A1 = sin A0; A2 = sin A1; O = sum A2}
+    else {O = sum X}, over [4] real64: a chain read only in one arm."""
+    b = ProgramBuilder(())
+    b.array("X", ("4",), role="input", kind="real64")
+    b.scalar("s", role="input", kind="real64")
+    for name in ("L", "A0", "A1", "A2"):
+        b.array(name, ("4",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.branch("(lt s 0.5)", label="pick") as br:
+        with br.then():
+            for label, x, y, op in (("s0", "X", "L", "scale"), ("s1", "L", "A0", "sin"),
+                                    ("s2", "A0", "A1", "sin"), ("s3", "A1", "A2", "sin")):
+                with b.state(label) as st:
+                    st.library("ew_unary", {"x": x}, {"y": y}, op=op, const=0.5 if op == "scale" else None)
+            with b.state("sum_a") as st:
+                st.library("reduce_sum", {"x": "A2"}, {"y": "O"})
+        with br.orelse():
+            with b.state("sum_x") as st:
+                st.library("reduce_sum", {"x": "X"}, {"y": "O"})
+    return b.finish("O", ["X"])
+
+
+def test_a_chain_rebuilt_in_one_arm_merges_and_the_other_path_keeps_its_peak():
+    # keep-all peaks at 224 B; at 160 B the plan recomputes L and A0, and
+    # A0's block in the reversed then arm also writes L. The else path
+    # rebuilds neither value, so the merge leaves its events as they are.
+    program = _arm_chain_program()
+    assert plan(program, None).solution.t_star == 224
+    result = plan(program, 160 / MIB)
+    assert [fv.name for fv in result.fvs] == ["L__v1", "A0__v1", "A1__v1"]
+    assert result.solution.assignment == (0, 0, 1)
+    assert _rebuild_blocks(result.backward) == {"rec_A0__v1": {"L__v1", "A0__v1"}}
+    other = {seq.outcomes: seq for seq in result.sequences}[(("pick", False),)]
+    assert not any(e.label.startswith("recompute") for e in other.events)
+    assert {seq.outcomes: seq.peak(result.solution.assignment) for seq in result.sequences} == \
+        {(("pick", True),): 160, (("pick", False),): 64}
+    _assert_model_is_simulation(result, {})
+    for s in (0.1, 0.9):
+        inputs = {"X": np.linspace(0.2, 1.4, 4), "s": s}
+        planned, plain = _run_outputs(run_planned(result, inputs)), _run_outputs(gradient(program, inputs))
+        assert planned[0] == plain[0] and planned[2] == plain[2], s  # the reverse run also recomputes
 
 
 # ---------------------------------------------------------------------------
@@ -1551,14 +1604,14 @@ def _forward_peak(monkeypatch, program) -> int:
     ``gradient()``; the inputs exist before tracing starts."""
     inputs = sample_inputs(program, {}, np.random.default_rng(0))
     gradient(program, inputs, {})
-    run, peaks = interpreter.run_forward, []
+    run, peaks = autodiff.run_forward, []
 
     def traced(*args, **kwargs):
         out = []
         peaks.append(_traced_peak(lambda: out.append(run(*args, **kwargs))))
         return out[0]
 
-    monkeypatch.setattr(interpreter, "run_forward", traced)
+    monkeypatch.setattr(autodiff, "run_forward", traced)
     gradient(program, inputs, {})
     monkeypatch.undo()
     return peaks[0]

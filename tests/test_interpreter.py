@@ -46,6 +46,7 @@ from gradflow.errors import (
 import genprog
 import gradflow.interpreter as interpreter
 import gradflow.ir as ir
+from gradflow.autodiff import _recorded, _replay_plans
 import gradflow.nests as nests
 from gradflow.interpreter import _compiled_tasklet
 from gradflow.ir import branch_labels, simulate_header
@@ -159,9 +160,8 @@ def test_batched_run_matches_individual_runs(rng):
 def _recorded_runs(p, bundle, inputs, params):
     """A forward run of ``p`` recording what ``bundle`` needs, then the
     reverse run reading its tape, each by a plan built here."""
-    fwd = run_forward(p, inputs, run_plan=interpreter.RunPlan(p, params, record=set(bundle.required),
-                                                              vinfo=bundle.vinfo))
-    reverse = interpreter.RunPlan(bundle.backward, params, forwarding=bundle.forwarding, src_program=p)
+    forward, reverse = _replay_plans(p, bundle.backward, bundle, params)
+    fwd = run_forward(p, inputs, run_plan=forward)
     return fwd, run_backward(p, bundle.backward, inputs, tape=fwd.tape, run_plan=reverse)
 
 
@@ -1600,8 +1600,8 @@ def test_a_forward_plan_frees_no_array_its_tape_holds_by_reference():
     # would free nothing, so only A3, which no reverse node reads, goes
     p = genprog.sin_chain(4, side=4)
     bundle = build_backward(p)
-    recorded = interpreter.RunPlan(p, {}, record=bundle.required, vinfo=bundle.vinfo)
-    assert {n for n, _ in bundle.required} - recorded.mutated == {"L", "A0", "A1", "A2"}
+    recorded = interpreter.RunPlan(p, {}, record=_recorded(bundle.forwarding), vinfo=bundle.vinfo)
+    assert {n for n, _ in recorded.record} - recorded.mutated == {"L", "A0", "A1", "A2"}
     assert _released(recorded) == {"A3"}
     assert _released(interpreter.RunPlan(p, {})) == {"L", "A0", "A1", "A2", "A3"}
 
@@ -1701,7 +1701,7 @@ def _snapshots_and_env(program, inputs, params) -> tuple[dict, dict]:
     """The tape and the env of the forward run ``gradient()`` makes, read
     before the run drops its intermediates."""
     bundle = build_backward(program)
-    run_plan = interpreter.RunPlan(program, params, record=bundle.required, vinfo=bundle.vinfo)
+    run_plan = interpreter.RunPlan(program, params, record=_recorded(bundle.forwarding), vinfo=bundle.vinfo)
     env, batch = interpreter._prepare_inputs(program, inputs, run_plan)
     tape = interpreter.Tape()
     interpreter.Executor(run_plan, env, batch, tape=tape).run()
@@ -1757,10 +1757,9 @@ def test_reverse_run_consumes_the_snapshots_it_reads(rng):
     p = genprog.sin_chain(4, side=4)
     inputs = sample_inputs(p, {}, rng)
     bundle = build_backward(p)
-    fwd = run_forward(p, inputs, run_plan=interpreter.RunPlan(p, {}, record=set(bundle.required),
-                                                              vinfo=bundle.vinfo))
+    forward, reverse = _replay_plans(p, bundle.backward, bundle, {})
+    fwd = run_forward(p, inputs, run_plan=forward)
     assert len(fwd.tape.values) == len(bundle.forwarding) > 0
-    reverse = interpreter.RunPlan(bundle.backward, {}, forwarding=bundle.forwarding, src_program=p)
     run_backward(p, bundle.backward, inputs, tape=fwd.tape, run_plan=reverse)
     assert fwd.tape.values == {}
     # a pristine input's own snapshot is the caller's array, not a copy
