@@ -793,9 +793,10 @@ def backward_of(program: Program) -> BackwardBundle:
     ``ValidationFailed`` if it is not valid) and refuses one that declares
     a ``stored-copy`` array (``UnsupportedConstruct``); a kept bundle
     stands for those checks, and a build that raises keeps nothing. What
-    depends on the parameter binding is kept apart: ``gradient()``'s run
-    plans and ``plan()``'s analyses, which also prepare the library steps
-    their runs take (``ir.library_steps``)."""
+    depends on the parameter binding is kept apart: a replay's run plans
+    with its reverse program (``_replay_plans``) and ``plan()``'s analyses
+    with the program; the plans also prepare the library steps their runs
+    take (``ir.library_steps``)."""
     bundle = program._kept.get("bundle")
     if bundle is None:
         bundle = program._kept["bundle"] = build_backward(validated(program))
@@ -808,19 +809,26 @@ def _recorded(forwarding: dict[str, ForwardingEntry]) -> frozenset[tuple[str, in
     return frozenset((e.data, c.version) for e in forwarding.values() for c in e.candidates)
 
 
-def _replay_plans(program: Program, backward: Program, bundle: BackwardBundle, params: dict[str, int] | None,
-                  recomputed=frozenset()) -> tuple[RunPlan, RunPlan]:
+def _replay_plans(program: Program, backward: Program, bundle: BackwardBundle,
+                  params: dict[str, int] | None) -> tuple[RunPlan, RunPlan]:
     """The run plans of a replay of ``program`` whose reverse program is
     ``backward``: ``bundle.backward`` itself, or a planned reverse program
-    that rebuilds the forwarded values named in ``recomputed``. One rule
+    that rebuilds some forwarded values under their stored names. One rule
     gives both what the forward run records and the table the reverse run
-    reads the tape through: every forwarding entry of ``bundle`` but the
-    recomputed ones. ``gradient()`` recomputes nothing; ``plan()`` passes
-    its assignment's recomputed values."""
-    forwarding = {name: e for name, e in bundle.forwarding.items() if name not in recomputed}
+    reads the tape through: every forwarding entry of ``bundle`` that
+    ``backward`` does not write (a bundle's own reverse program writes
+    none). The plans are built on the first replay under a parameter
+    binding and kept with ``backward`` for the last binding run, so a
+    later replay under it prepares nothing."""
     params = params or {}
-    return (RunPlan(program, params, record=_recorded(forwarding), vinfo=bundle.vinfo),
+    runs = backward._kept.get("runs")
+    if runs is None or runs[0].binding != binding_of(params):
+        written = written_descriptors(backward)
+        forwarding = {name: e for name, e in bundle.forwarding.items() if name not in written}
+        runs = backward._kept["runs"] = (
+            RunPlan(program, params, record=_recorded(forwarding), vinfo=bundle.vinfo),
             RunPlan(backward, params, forwarding=forwarding, src_program=program))
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -836,13 +844,14 @@ class GradientResult:
     bundle: BackwardBundle
 
 
-def _replay(program: Program, backward: Program, bundle: BackwardBundle, runs: tuple[RunPlan, RunPlan],
-            inputs: dict, seed) -> GradientResult:
+def _replay(program: Program, backward: Program, bundle: BackwardBundle, inputs: dict,
+            params: dict[str, int] | None, seed) -> GradientResult:
     """A forward run of ``program`` and a reverse run of ``backward`` by
-    ``runs`` (``_replay_plans``): the one runner of ``gradient()`` and
-    ``checkpointing.run_planned``. Each independent's gradient is
-    ``<ind>__grad`` from the reverse run, or zeros shaped like the input
-    where the reverse program writes none."""
+    their run plans under ``params`` (``_replay_plans``): the one runner of
+    ``gradient()`` and ``checkpointing.run_planned``. Each independent's
+    gradient is ``<ind>__grad`` from the reverse run, or zeros shaped like
+    the input where the reverse program writes none."""
+    runs = _replay_plans(program, backward, bundle, params)
     fwd = run_forward(program, inputs, run_plan=runs[0])
     bwd = run_backward(program, backward, inputs, tape=fwd.tape, seed=seed, run_plan=runs[1])
     grads = {}
@@ -863,12 +872,8 @@ def gradient(
     given inputs, running forward (recording only what the adjoints need)
     and then the reverse program. The reverse program is built on the first
     call and kept with ``program`` (``backward_of``); later calls, and
-    ``plan()``, reuse it. The run plans of both runs (``_replay_plans``,
-    with nothing recomputed) are built on the first call under a parameter
-    binding, before the forward run, and kept with ``program`` for the last
-    binding run, so a later call under it prepares nothing."""
+    ``plan()``, reuse it. The run plans of both runs (``_replay_plans``)
+    are kept with that reverse program for the last binding run, so a later
+    call under it, or a keep-all ``run_planned()``, prepares nothing."""
     bundle = backward_of(program)
-    runs = program._kept.get("runs")
-    if runs is None or runs[0].binding != binding_of(params or {}):
-        runs = program._kept["runs"] = _replay_plans(program, bundle.backward, bundle, params)
-    return _replay(program, bundle.backward, bundle, runs, inputs, seed)
+    return _replay(program, bundle.backward, bundle, inputs, params, seed)

@@ -886,9 +886,9 @@ def apply_plan(
     other block is the value's kept ``RecomputePlan.state``.
 
     A rebuilt reverse program is not validated here: ``plan()`` calls this
-    once per assignment it holds a pair for, and builds the pair's run
-    plans, which validate it as a whole (``ValidationFailed`` if it is not
-    valid) before the pair is kept."""
+    once per assignment it holds a reverse program for, and builds its run
+    plans (``autodiff._replay_plans``), which validate it as a whole
+    (``ValidationFailed`` if it is not valid) before it is held."""
     recomputed = [fv for fv, v in zip(fvs, assignment) if not v]
     if not recomputed:
         return bundle.backward
@@ -978,35 +978,29 @@ def _with_guest(totals: list[int], at: dict[str, int], v: ForwardedValue, u: For
     return out
 
 
-@dataclass(eq=False)
-class _Pair:
-    """The validated planned reverse program of one assignment, with the
-    run plans of its replay under the binding planned
-    (``autodiff._replay_plans``); the forward program is the program."""
-
-    backward: Program
-    runs: tuple
-
-
 @dataclass
 class _Planning:
     """What ``plan()`` keeps with a program for the last parameter binding
     it planned: the forwarded values, the memory sequences, the integer
-    program under no limit, and the planned pair of each assignment while
-    a ``PlanResult`` holds it. Nothing here refers back to the program."""
+    program under no limit, and the validated reverse program of each
+    assignment while a ``PlanResult`` holds it, which keeps the run plans
+    of its replay (``autodiff._replay_plans``). Nothing here refers back to
+    the program."""
 
     binding: tuple
     fvs: tuple[ForwardedValue, ...]
     sequences: tuple[PathSequence, ...]
     problem: ILPProblem
-    pairs: dict[tuple[int, ...], weakref.ref] = field(default_factory=dict)  # to each _Pair, see _held
+    pairs: dict[tuple[int, ...], weakref.ref] = field(default_factory=dict)  # to each reverse program, see _held
 
 
-def _held(pairs: dict, key: tuple, pair: _Pair) -> weakref.ref:
-    """A reference to ``pair`` that drops ``pairs[key]`` when the pair goes,
-    which is when no ``PlanResult`` holds it any more (a
-    ``WeakValueDictionary`` costs ``plan()`` more per lookup)."""
-    return weakref.ref(pair, lambda ref: pairs.pop(key) if pairs.get(key) is ref else None)
+def _held(pairs: dict, key: tuple, backward: Program) -> weakref.ref:
+    """A reference to the reverse program ``backward`` that drops
+    ``pairs[key]`` when that program goes, which is when no ``PlanResult``
+    holds it any more; the bundle's own reverse program, which a keep-all
+    plan has, goes with the program (a ``WeakValueDictionary`` costs
+    ``plan()`` more per lookup)."""
+    return weakref.ref(backward, lambda ref: pairs.pop(key) if pairs.get(key) is ref else None)
 
 
 # ---------------------------------------------------------------------------
@@ -1022,7 +1016,6 @@ class PlanResult:
     bundle: BackwardBundle = field(repr=False, default=None)
     fvs: list[ForwardedValue] = field(repr=False, default_factory=list)
     sequences: list[PathSequence] = field(repr=False, default_factory=list)
-    pair: _Pair | None = field(repr=False, default=None)
 
 
 def plan(
@@ -1035,14 +1028,16 @@ def plan(
     What does not depend on the budget is kept with ``program``: its
     backward bundle (``backward_of``) and, for the last parameter binding
     planned, the forwarded values, the memory sequences, the integer
-    program with its memory rows and keep-all peak, and the planned pair
-    of each assignment applied, with the run plans of its replay, for as
-    long as a ``PlanResult`` holds it (``_Planning``). The forward program
-    of every pair is ``program`` itself. Each call then only solves that
-    program under its limit; ``apply_plan`` builds a reverse program only
-    for an assignment not held, its run plans validate it, and a pair that
-    fails validation is not kept. A plan that recomputes nothing has the
-    bundle's reverse program, which was validated where it was built.
+    program with its memory rows and keep-all peak, and the reverse
+    program of each assignment applied, for as long as a ``PlanResult``
+    holds it (``_Planning``). The forward program of every plan is
+    ``program`` itself. Each call then only solves that program under its
+    limit; ``apply_plan`` builds a reverse program only for an assignment
+    not held, and the run plans of its replay (``autodiff._replay_plans``,
+    kept with that reverse program) validate it, so one that fails
+    validation is not held. A plan that recomputes nothing has the
+    bundle's reverse program, which was validated where it was built, and
+    after ``gradient()`` under the same binding shares its run plans.
 
     The report's ``objective_flops`` is the model's recompute cost: each
     recomputed value pays for its whole producer closure. Where one block
@@ -1062,12 +1057,11 @@ def plan(
     limit_bytes = None if limit_mib is None else int(limit_mib * (1 << 20))
     solution = solve_ilp(problem, limit_bytes)
     held = planning.pairs.get(solution.assignment)
-    pair = held() if held is not None else None
-    if pair is None:
+    bwd = held() if held is not None else None
+    if bwd is None:
         bwd = apply_plan(bundle, fvs, solution.assignment, sequences)
-        recomputed = {fv.name for fv, v in zip(fvs, solution.assignment) if not v}
-        pair = _Pair(bwd, _replay_plans(program, bwd, bundle, params, recomputed))
-        planning.pairs[solution.assignment] = _held(planning.pairs, solution.assignment, pair)
+        _replay_plans(program, bwd, bundle, params)
+        planning.pairs[solution.assignment] = _held(planning.pairs, solution.assignment, bwd)
     report = {
         "values": [
             {
@@ -1092,7 +1086,7 @@ def plan(
         "events": len(problem.events),
         "paths_checked": problem.n_paths,
     }
-    return PlanResult(program, pair.backward, solution, report, bundle, list(fvs), list(sequences), pair)
+    return PlanResult(program, bwd, solution, report, bundle, list(fvs), list(sequences))
 
 
 def run_planned(
@@ -1111,12 +1105,10 @@ def run_planned(
     releasing each snapshot after its last read, and rebuilds each
     recomputed value in a block before its first reader; one block rebuilds
     several values of one chain where ``apply_plan`` merged them, and each
-    is freed after its last read. Both runs go by the run plans ``plan()``
-    built with the pair; under any other parameter binding they are built
-    anew for the call.
+    is freed after its last read. Both runs go by the run plans kept with
+    the reverse program for the last binding run (``autodiff._replay_plans``):
+    ``plan()`` built them under its binding, and a call under another
+    binding builds them once for it. A plan that recomputes nothing has the
+    bundle's reverse program, so it shares ``gradient()``'s run plans.
     """
-    runs = result.pair.runs if result.pair is not None else None
-    if runs is None or runs[0].binding != binding_of(params or {}):
-        recomputed = {fv.name for fv, v in zip(result.fvs, result.solution.assignment) if not v}
-        runs = _replay_plans(result.forward, result.backward, result.bundle, params, recomputed)
-    return _replay(result.forward, result.backward, result.bundle, runs, inputs, seed)
+    return _replay(result.forward, result.backward, result.bundle, inputs, params, seed)

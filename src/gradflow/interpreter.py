@@ -16,10 +16,9 @@ iterates of each loop whose header reads only parameters, and the run's
 release table. A program that is not valid, or a binding under which
 any of them cannot be prepared, fails the build, before any state runs; so
 the run trusts a valid program. One rule builds the two plans of a replay
-(``autodiff._replay_plans``) and one runner runs them
-(``autodiff._replay``), for ``gradient()``, which keeps its plans with the
-program for the last binding it ran, and for ``checkpointing.run_planned``,
-whose plans ``plan()`` keeps with each planned pair. A plan is the only
+(``autodiff._replay_plans``) and keeps them with its reverse program for
+the last binding it ran, and one runner runs them (``autodiff._replay``),
+for ``gradient()`` and for ``checkpointing.run_planned``. A plan is the only
 place a run's tape is configured: what a forward run records (``record``,
 ``vinfo``) and the table a reverse run reads it through
 (``forwarding``). A forward run given no plan builds its
@@ -184,12 +183,12 @@ class RunPlan:
     run its tape records; ``forwarding`` and ``src_program`` (whose shapes
     a reverse run's inputs are checked against) serve a reverse run. The
     two plans of a replay, ``gradient()``'s or a planned one, take both
-    from one rule (``autodiff._replay_plans``). Both runs have a release
-    table (``releases``). The plan is built whole:
-    an unmarked ``program`` that is not valid (``ValidationFailed``) and
-    what cannot be prepared under ``params`` raise here. A plan refers to
-    no program, so a program that keeps plans is freed without the cycle
-    collector."""
+    from one rule (``autodiff._replay_plans``), which keeps them with the
+    replay's reverse program. Both runs have a release table
+    (``releases``). The plan is built whole: an unmarked ``program`` that
+    is not valid (``ValidationFailed``) and what cannot be prepared under
+    ``params`` raise here. A plan refers to no program, so a program that
+    keeps plans is freed without the cycle collector."""
 
     def __init__(self, program: Program, params: dict[str, int], *, record=None,
                  vinfo: VersionInfo | None = None, forwarding: dict | None = None,

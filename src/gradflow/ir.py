@@ -32,9 +32,9 @@ which marks a valid program so. It is checked where it enters:
 ``ProgramBuilder.finish`` validate what they build, and
 ``autodiff.build_backward`` marks the reverse program it has checked.
 An unmarked program (one made by ``dataclasses.replace`` or the
-``Program`` constructor, such as a planned pair) is checked where it is
-used, by :func:`validated`: ``autodiff.backward_of`` before it
-differentiates it and ``interpreter.RunPlan`` before it runs it. So
+``Program`` constructor, such as a planned reverse program) is checked
+where it is used, by :func:`validated`: ``autodiff.backward_of`` before
+it differentiates it and ``interpreter.RunPlan`` before it runs it. So
 everything past those doors trusts a valid program, and repeating a plan
 whose result is held validates nothing.
 
@@ -45,13 +45,13 @@ built graph keeps its :func:`schedule` and its prepared library steps
 (:func:`library_steps`) once computed, so every program and every run that
 shares the graph shares them. Each program keeps the analyses that do not
 depend on a memory budget: its backward bundle
-(``autodiff.backward_of``); for the last parameter binding ``gradient()``
-ran, the run plans of its forward and reverse runs
-(``interpreter.RunPlan``); and, for the last parameter binding planned,
-its forwarded values, memory sequences, the budget-free part of the
-integer program and the planned pair of each assignment, with the run
-plans of its replay, while a ``PlanResult`` holds it
-(``checkpointing.plan``). Nothing a program keeps refers back to it. So
+(``autodiff.backward_of``); for the last parameter binding planned, its
+forwarded values, memory sequences, the budget-free part of the integer
+program and the planned reverse program of each assignment, while a
+``PlanResult`` holds it (``checkpointing.plan``); and, as a replay's
+reverse program, the run plans of that replay's forward and reverse runs
+(``interpreter.RunPlan``) for the last parameter binding it ran under
+(``autodiff._replay_plans``). Nothing a program keeps refers back to it. So
 neither a graph nor a program may be edited after it is built;
 ``dataclasses.replace`` makes a new program that starts with nothing kept.
 """

@@ -568,7 +568,7 @@ def test_a_kept_value_is_its_forward_array_on_the_tape_unless_its_name_is_mutate
     seen = {}
     for program, params in ((examples.build("scaled_product_chain"), {"N": 4}), (make_map_program(0), {"n": 4})):
         result = plan(program, None, params)
-        run_plan = result.pair.runs[0]
+        run_plan = result.backward._kept["runs"][0]
         env, batch = interpreter._prepare_inputs(program, sample_inputs(program, params, rng), run_plan)
         by_reference = {}
 
@@ -588,23 +588,28 @@ def test_a_kept_value_is_its_forward_array_on_the_tape_unless_its_name_is_mutate
 
 def test_a_keep_all_replay_records_what_gradient_records(monkeypatch, rng):
     # a plan that recomputes nothing has the bundle's reverse program, which
-    # was validated where it was built, and its replay records, reads and
-    # computes what gradient() does, bit for bit
+    # was validated where it was built and keeps gradient()'s run plans, so
+    # its replay builds none and records, reads and computes what
+    # gradient() does, bit for bit
     cases = [(examples.build(name), examples.DEFAULT_PARAMS[name]) for name in sorted(examples.EXAMPLES)]
     calls = _count_calls(monkeypatch, validate)
+    built = _count_run_plans(monkeypatch)
     for program, params in [*cases, (sin_chain(5), {})]:
         inputs = sample_inputs(program, params, rng)
         plain = gradient(program, inputs, params)
-        validated = calls["validate"]
+        its = autodiff.backward_of(program).backward._kept.get("runs")
+        validated, before = calls["validate"], built["RunPlan"]
         result = plan(program, None, params)
-        assert calls["validate"] == validated, program
+        assert calls["validate"] == validated and built["RunPlan"] == before, program
         assert result.backward is autodiff.backward_of(program).backward and 0 not in result.solution.assignment
-        ours, its = result.pair.runs, program._kept["runs"]
+        ours = result.backward._kept["runs"]
+        assert ours is its, program
         assert ours[0].record == its[0].record == autodiff._recorded(result.bundle.forwarding)
         assert ours[1].forwarding == its[1].forwarding == result.bundle.forwarding
         tapes = [interpreter.run_forward(program, inputs, run_plan=runs[0]).tape.values.keys() for runs in (ours, its)]
         assert tapes[0] == tapes[1] and {k[:2] for k in tapes[0]} == ours[0].record
         assert _run_outputs(run_planned(result, inputs, params)) == _run_outputs(plain)
+        assert result.backward._kept["runs"] is its and built["RunPlan"] == before, program
 
 
 def test_applied_backward_recomputes_first_value(foo_plan):
@@ -720,6 +725,19 @@ def _count_calls(monkeypatch, *functions):
     return calls
 
 
+def _count_run_plans(monkeypatch) -> dict:
+    """Count the ``RunPlan``s built from now on; returns {"RunPlan": count}."""
+    built = {"RunPlan": 0}
+    init = interpreter.RunPlan.__init__
+
+    def counted(self, *args, **kwargs):
+        built["RunPlan"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(interpreter.RunPlan, "__init__", counted)
+    return built
+
+
 def _fresh(program):
     return parse_program(serialize_program(program))
 
@@ -785,10 +803,12 @@ def test_planned_and_replaced_programs_start_with_nothing_kept(monkeypatch):
     inputs = sample_inputs(program, params, np.random.default_rng(5))
     result = plan(program, 0.6 * plan(program, None, params).solution.t_star / MIB, params)
     run_planned(result, inputs, params)
-    assert program._kept and result.forward is program
-    # the planned pair's run plans validated it, and build_backward its reverse program
+    assert program._kept and "runs" not in program._kept and result.forward is program
+    # each reverse program keeps its replay's run plans, which validated the
+    # planned one; build_backward validated the bundle's
     for made in (result.backward, result.bundle.backward):
-        assert made._kept == {"validated": True}
+        assert made._kept.keys() == {"validated", "runs"} and made._kept["validated"] is True
+        assert all(r.binding == () for r in made._kept["runs"])
     for made in (replace(program, independents=("X",)), replace(program)):
         assert made._kept == {}
     calls = _count_calls(monkeypatch, build_backward)
@@ -829,6 +849,12 @@ def test_every_planned_program_passes_the_whole_program_validation():
                 continue
             assert validate(result.forward) == [], (label, limit)
             assert validate(result.backward) == [], (label, limit)
+            # what the replay reads through the tape is what the plan does
+            # not recompute, and the bundle's reverse program writes none
+            recomputed = {fv.name for fv, v in zip(result.fvs, result.solution.assignment) if not v}
+            _, reverse = autodiff._replay_plans(program, result.backward, result.bundle, params)
+            assert reverse.forwarding.keys() == result.bundle.forwarding.keys() - recomputed, (label, limit)
+            assert not ir.written_descriptors(result.bundle.backward) & result.bundle.forwarding.keys(), label
             checked.add(label)
             if 0 in result.solution.assignment:
                 checked.add("recomputes")
@@ -945,19 +971,20 @@ def test_a_program_out_of_use_is_freed_without_the_cycle_collector():
 
 
 def test_a_pair_is_kept_while_a_plan_result_holds_it(monkeypatch):
-    # _Planning.pairs grows only with the pairs its callers hold: a dropped
-    # result's pair, with its run plans, goes with it
+    # _Planning.pairs grows only with the planned reverse programs its
+    # callers hold: a dropped result's, with its run plans, goes with it
     program = sin_chain(12)
-    limit = 0.6 * plan(program, None, {}).solution.t_star / MIB
+    limit = 0.6 * plan(sin_chain(12), None, {}).solution.t_star / MIB
     calls = _count_calls(monkeypatch, checkpointing.apply_plan)
     first = plan(program, limit, {})
-    assert plan(program, limit, {}).pair is first.pair and calls == {"apply_plan": 1}
+    assert plan(program, limit, {}).backward is first.backward and calls == {"apply_plan": 1}
+    assert first.backward._kept["runs"]
     pairs = program._kept["planning"].pairs
     del first
     gc.collect()
     assert len(pairs) == 0
     again = plan(program, limit, {})
-    assert calls == {"apply_plan": 2} and [ref() for ref in pairs.values()] == [again.pair]
+    assert calls == {"apply_plan": 2} and [ref() for ref in pairs.values()] == [again.backward]
 
 
 # ---------------------------------------------------------------------------
@@ -1005,12 +1032,13 @@ def test_alternating_bindings_run_as_fresh_programs_and_share_no_run_plan():
     for n in (8, 12, 8):
         params = {"N": n}
         got = _run_outputs(gradient(program, inputs[n], params))
-        runs = program._kept["runs"]
+        runs = autodiff.backward_of(program).backward._kept["runs"]
         result = plan(program, limit[n], params)
         assert 0 in result.solution.assignment
         assert (got, _run_outputs(run_planned(result, inputs[n], params))) == want[n], n
-        assert all(r.binding == (("N", n),) for r in (*runs, *result.pair.runs))
-        seen[n] += [*runs, *result.pair.runs]
+        planned = result.backward._kept["runs"]
+        assert all(r.binding == (("N", n),) for r in (*runs, *planned))
+        seen[n] += [*runs, *planned]
     assert not any(a is b for a in seen[8] for b in seen[12])
 
 
@@ -1026,22 +1054,27 @@ def test_a_header_that_reads_a_scalar_input_follows_each_run():
         assert _run_outputs(got) == _run_outputs(gradient(_fresh(program), inputs, params)), m
 
 
-def test_run_planned_under_another_binding_builds_its_run_plans_for_the_call():
+def test_run_planned_keeps_its_run_plans_for_the_last_binding_run(monkeypatch):
     program = examples.build("scaled_product_chain")
     result = plan(program, 10 * 8 * 8 * 4 / MIB, {"N": 8})
     assert 0 in result.solution.assignment
     small, large = (sample_inputs(program, {"N": n}, np.random.default_rng(n)) for n in (8, 12))
-    replay = run_planned(result, large, {"N": 12})
-    want = _run_outputs(gradient(_fresh(program), large, {"N": 12}))
-    assert _run_outputs(replay)[2] == want[2]  # a replay is bit-identical whatever it recomputes
-    assert replay.forward.op_count == count_flops(result.forward, {"N": 12})[()] == 1586
-    assert replay.backward.op_count == count_flops(result.backward, {"N": 12})[()] == 1728
+    want = {n: _run_outputs(gradient(_fresh(program), inputs, {"N": n})) for n, inputs in ((8, small), (12, large))}
+    built = _count_run_plans(monkeypatch)
+    replays = [run_planned(result, large, {"N": 12}) for _ in range(3)]
+    assert built == {"RunPlan": 2}  # the first call builds both; the next two reuse them
+    for replay in replays:
+        assert _run_outputs(replay)[2] == want[12][2]  # a replay is bit-identical whatever it recomputes
+        assert replay.forward.op_count == count_flops(result.forward, {"N": 12})[()] == 1586
+        assert replay.backward.op_count == count_flops(result.backward, {"N": 12})[()] == 1728
     with pytest.raises(ShapeMismatch, match=r"^input 'C': trailing shape \(8, 8\) does not end with \(12, 12\)$"):
         run_planned(result, small, {"N": 12})
     with pytest.raises(UnboundName, match="^no binding for 'N'$"):
         run_planned(result, small, {})
-    assert all(r.binding == (("N", 8),) for r in result.pair.runs)
-    assert _run_outputs(run_planned(result, small, {"N": 8}))[2] == _run_outputs(gradient(_fresh(program), small, {"N": 8}))[2]
+    assert all(r.binding == (("N", 12),) for r in result.backward._kept["runs"])  # a build that raises keeps nothing
+    built["RunPlan"] = 0
+    assert _run_outputs(run_planned(result, small, {"N": 8}))[2] == want[8][2]
+    assert built == {"RunPlan": 2}
 
 
 def test_each_plan_result_owns_its_lists_of_shared_records():
@@ -1336,7 +1369,7 @@ def test_a_rebuild_that_would_raise_the_peak_keeps_its_own_block():
         assert (top.label == "alloc Y__grad") == (m == 64)
         bwd = apply_plan(keep_all.bundle, keep_all.fvs, recompute, keep_all.sequences)
         assert _rebuild_blocks(bwd) == blocks, m
-        result = replace(keep_all, backward=bwd, pair=None,
+        result = replace(keep_all, backward=bwd,
                          solution=replace(keep_all.solution, assignment=recompute))
         _assert_model_is_simulation(result, params)
         inputs = sample_inputs(program, params, np.random.default_rng(m))

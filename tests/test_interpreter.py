@@ -1637,7 +1637,7 @@ def _planned_forward_peak(k: int, side: int, share: float) -> tuple[int, int]:
     gc.collect()
     tracemalloc.start()
     try:
-        run_forward(result.forward, inputs, run_plan=result.pair.runs[0])
+        run_forward(result.forward, inputs, run_plan=result.backward._kept["runs"][0])
         return sum(result.solution.assignment), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1661,7 +1661,7 @@ def test_a_planned_forward_run_ends_with_inputs_and_outputs_and_tapes_what_it_ke
     p, params = examples.build("scaled_product_chain"), {"N": 4}
     result = plan(p, 10 * 4 * 4 * 4 / (1 << 20), params)
     inputs = sample_inputs(p, params, rng)
-    fwd = run_forward(result.forward, inputs, run_plan=result.pair.runs[0])
+    fwd = run_forward(result.forward, inputs, run_plan=result.backward._kept["runs"][0])
     kept = {(fv.data, fv.versions[0], ()) for fv, v in zip(result.fvs, result.solution.assignment) if v}
     assert result.forward is p and set(fwd.env) == set(inputs) | {"O"}
     assert 0 in result.solution.assignment and kept and set(fwd.tape.values) == kept
