@@ -316,11 +316,11 @@ def extract_ccs(program: Program) -> CCS:
     )
 
 
-def restrict_to_ccs(program: Program, ccs: CCS | None = None) -> Program:
+def restrict_to_ccs(program: Program) -> Program:
     """Forward program with every compute node outside the slice removed.
     The dependent's value is unchanged. Only the states that lose nodes are
     built anew; ``program`` is left untouched."""
-    ccs = ccs or extract_ccs(program)
+    ccs = extract_ccs(program)
     cut: dict[int, list[Block]] = {}
     for _, block in walk_blocks(program.region):
         if not isinstance(block, State):
@@ -738,11 +738,11 @@ def _sub_key(subset):
     return None if subset is None else tuple(subset)
 
 
-def build_backward(program: Program, vinfo: VersionInfo | None = None) -> BackwardBundle:
+def build_backward(program: Program) -> BackwardBundle:
     for name, d in program.descriptors.items():
         if d.role == "stored-copy":
             raise UnsupportedConstruct(f"'{name}' is declared 'stored-copy', the role of a forwarded value")
-    vinfo = vinfo or analyze_versions(program)
+    vinfo = analyze_versions(program)
     ccs = extract_ccs(program)
     builder = _BackwardBuilder(program, vinfo, ccs)
     region = builder.rev_region(program.region, ccs.kept_union)
@@ -853,7 +853,7 @@ def _replay(program: Program, backward: Program, bundle: BackwardBundle, inputs:
     the input where the reverse program writes none."""
     runs = _replay_plans(program, backward, bundle, params)
     fwd = run_forward(program, inputs, run_plan=runs[0])
-    bwd = run_backward(program, backward, inputs, tape=fwd.tape, seed=seed, run_plan=runs[1])
+    bwd = run_backward(runs[1], inputs, tape=fwd.tape, seed=seed)
     grads = {}
     for ind in program.independents:
         got = bwd.env.get(grad_name(ind))

@@ -14,8 +14,10 @@ name's shape and dtype, the names the program mutates, each state's
 generated function with its arguments, each loop's compiled nest, the
 iterates of each loop whose header reads only parameters, and the run's
 release table. A program that is not valid, or a binding under which
-any of them cannot be prepared, fails the build, before any state runs; so
-the run trusts a valid program. One rule builds the two plans of a replay
+any of them cannot be prepared, such as a library node whose operand
+shapes do not fit (``ShapeMismatch``), fails the build before any state
+runs, even where the run would not reach it; so the run trusts a valid
+program. One rule builds the two plans of a replay
 (``autodiff._replay_plans``) and keeps them with its reverse program for
 the last binding it ran, and one runner runs them (``autodiff._replay``),
 for ``gradient()`` and for ``checkpointing.run_planned``. A plan is the only
@@ -35,8 +37,8 @@ resolved shapes and dtypes, and where the run releases. The function
 inlines each library node, each tape record and each release, adds the
 state's op count once, and calls the compiled nest of each tasklet or map.
 A library node runs once on whole arrays, as code written from the step its
-graph keeps (``ir.library_steps``) with its op count and operand checks
-resolved by the plan; rank-0 operands broadcast behind their batch
+graph keeps (``ir.library_steps``) with its op count resolved by the
+plan; it checks no shape, and rank-0 operands broadcast behind their batch
 dimensions. One emitter writes that code for a state and for a map body
 alike (``nests._library_lines``). Tasklets, maps and loop nests run as
 compiled nests: one generated function per nest structure (its loops, map
@@ -177,17 +179,19 @@ def binding_of(params: dict) -> tuple:
 
 class RunPlan:
     """What a run of ``program`` needs that depends only on the program and
-    the parameter binding (see the module docstring). ``mutated`` holds the
-    names whose snapshots and inputs a run copies
+    the parameter binding (see the module docstring), ``dependent`` (a
+    forward run's value, a reverse run's seed) included. ``mutated`` holds
+    the names whose snapshots and inputs a run copies
     (``ir.mutated_descriptors``). ``record`` and ``vinfo`` give a forward
     run its tape records; ``forwarding`` and ``src_program`` (whose shapes
-    a reverse run's inputs are checked against) serve a reverse run. The
-    two plans of a replay, ``gradient()``'s or a planned one, take both
-    from one rule (``autodiff._replay_plans``), which keeps them with the
-    replay's reverse program. Both runs have a release table
+    a reverse run's inputs are checked against, ``declared``) serve a
+    reverse run. The two plans of a replay, ``gradient()``'s or a planned
+    one, take both from one rule (``autodiff._replay_plans``), which keeps
+    them with the replay's reverse program. Both runs have a release table
     (``releases``). The plan is built whole: an unmarked ``program`` that
     is not valid (``ValidationFailed``) and what cannot be prepared under
-    ``params`` raise here. A plan refers to no program, so a program that
+    ``params`` (``ShapeMismatch`` from ``nests.library_item``, among
+    others) raise here. A plan refers to no program, so a program that
     keeps plans is freed without the cycle collector."""
 
     def __init__(self, program: Program, params: dict[str, int], *, record=None,
@@ -195,7 +199,7 @@ class RunPlan:
                  src_program: Program | None = None):
         self.params, self.binding = dict(params), binding_of(params)
         validated(program)
-        self.descriptors, self.region = program.descriptors, program.region
+        self.descriptors, self.region, self.dependent = program.descriptors, program.region, program.dependent
         if record is not None and vinfo is None:
             vinfo = analyze_versions(program)
         self.record, self.vinfo, self.forwarding = record, vinfo, forwarding or {}
@@ -614,36 +618,37 @@ class Executor:
 # ---------------------------------------------------------------------------
 # entry points
 
-def _prepare_inputs(program: Program, inputs: dict, plan: RunPlan) -> tuple[dict[str, np.ndarray], tuple[int, ...]]:
-    """Check the inputs against ``program`` and decide the run's batch
+def _prepare_inputs(plan: RunPlan, inputs: dict) -> tuple[dict[str, np.ndarray], tuple[int, ...]]:
+    """Check the inputs against the shapes ``plan.declared`` holds (the
+    forward program's, for a reverse run) and decide the run's batch
     shape: the axes ahead of each input's declared shape, which every
     batched input must share (``ShapeMismatch`` otherwise). Returns the
-    inputs that the running program (``plan``'s) declares, and the batch.
-    An input is copied only if the running program mutates it
-    (``plan.mutated``): one that a library node replaces is held as given,
-    since the write gives the name a new array. A batched run gives a
-    copied input the batch axes."""
+    inputs that the running program declares, as arrays of its dtypes
+    (``plan.dtypes``), and the batch. An input is copied only if the
+    running program mutates it (``plan.mutated``): one that a library node
+    replaces is held as given, since the write gives the name a new array.
+    A batched run gives a copied input the batch axes."""
     env: dict[str, np.ndarray] = {}
     batch: tuple[int, ...] = ()
     for name, value in inputs.items():
-        desc = program.descriptors.get(name)
-        if desc is None:
+        declared = plan.declared.get(name)
+        if declared is None:
             raise UnboundName(f"input '{name}' is not declared")
         shape = np.shape(value)
-        declared = plan.declared[name]
-        if desc.rank and shape[len(shape) - desc.rank :] != declared:
+        lead = shape[: len(shape) - len(declared)]
+        if declared and shape[len(lead):] != declared:
             raise ShapeMismatch(
                 f"input '{name}': trailing shape {shape} does not end with {declared}"
             )
-        lead = shape[: len(shape) - desc.rank]
         if lead and batch and lead != batch:
             raise ShapeMismatch(f"input '{name}' has batch shape {lead}, another input {batch}")
         batch = lead or batch
-        if name in plan.descriptors:
-            env[name] = np.asarray(value, dtype=_DTYPE[desc.element_kind])
+        dtype = plan.dtypes.get(name)
+        if dtype is not None:
+            env[name] = np.asarray(value, dtype=dtype)
     for name in plan.mutated & env.keys():
         arr = env[name]
-        if batch and arr.ndim == plan.descriptors[name].rank:
+        if batch and arr.ndim == len(plan.shapes[name]):
             # an input written in place may take a different value per sample
             env[name] = np.broadcast_to(arr, batch + arr.shape).copy()
         else:
@@ -660,8 +665,8 @@ def run_forward(
 ) -> RunResult:
     """Execute the program by ``run_plan``, built for ``program``; without
     one, by a plan built here under ``params`` that records nothing; with
-    one, ``params`` is not read. A plan whose ``record`` is a set of
-    ``(name, version)`` pairs keeps a tape of them, each a copy only if the
+    one, it reads neither ``program`` nor ``params``. A plan whose
+    ``record`` is a set of ``(name, version)`` pairs keeps a tape of them, each a copy only if the
     program mutates the name (``RunPlan.mutated``); else the snapshot is
     the array itself, an input's version 0 the array the run was given.
     The run frees each intermediate after its last touch, or when it ends
@@ -671,7 +676,7 @@ def run_forward(
     by a plan that records what the reverse program reads from the tape
     (``autodiff._replay_plans``)."""
     plan = run_plan or RunPlan(program, dict(params or {}))
-    env, batch = _prepare_inputs(program, inputs, plan)
+    env, batch = _prepare_inputs(plan, inputs)
     tape = None
     if plan.record is not None:
         tape = Tape()
@@ -681,40 +686,34 @@ def run_forward(
                 tape.values[(name, 0, ())] = np.array(snap, copy=True) if name in plan.mutated else snap
     ex = Executor(plan, env, batch, tape=tape)
     ex.run()
-    value = env.get(program.dependent)
+    value = env.get(plan.dependent)
     if value is None:
-        raise UnboundName(f"dependent '{program.dependent}' was never written")
+        raise UnboundName(f"dependent '{plan.dependent}' was never written")
     for name in plan.intermediates:
         env.pop(name, None)
     return RunResult(env=env, value=value, op_count=ex.op_count, tape=tape)
 
 
-def run_backward(
-    program: Program,
-    backward: Program,
-    inputs: dict,
-    *,
-    run_plan: RunPlan,
-    tape: Tape | None = None,
-    seed=1.0,
-) -> RunResult:
-    """Run the reverse-mode program ``backward`` of ``program`` by
-    ``run_plan``, built for ``backward`` with ``src_program=program`` and
-    the ``forwarding`` table through which the run reads ``tape``: every
-    forwarded value, or for a planned replay each one the plan keeps.
-    ``inputs`` are the forward inputs (pristine arrays are read directly).
-    The batch shape is the forward inputs' one, since the reverse program
-    may read none of them.
+def run_backward(run_plan: RunPlan, inputs: dict, *, tape: Tape | None = None, seed=1.0) -> RunResult:
+    """Run a reverse-mode program by ``run_plan``, built for it with
+    ``src_program`` its forward program and the ``forwarding`` table
+    through which the run reads ``tape``: every forwarded value, or for a
+    planned replay each one the plan keeps. ``inputs`` are the forward
+    inputs (pristine arrays are read directly). The batch shape is the
+    forward inputs' one, since the reverse program may read none of them.
+    The run seeds the reverse program's dependent (``run_plan.dependent``,
+    the gradient of the forward dependent) with ``seed`` broadcast to the
+    batch, and returns it as ``value``.
 
     The run consumes what it holds: each rebuilt value, scratch array and
     gradient other than an output is released after its last touch, and
     each tape snapshot the run reads is popped from ``tape.values`` after
     its last read: the last-touch rule of ``ir.live_ranges``, which the
     memory model also prices."""
-    env, batch = _prepare_inputs(program, inputs, run_plan)
-    seed_name = program.dependent + "__grad"
-    if seed_name in backward.descriptors and seed_name not in env:
-        env[seed_name] = np.full(batch, seed, dtype=_DTYPE[backward.descriptors[seed_name].element_kind])
+    env, batch = _prepare_inputs(run_plan, inputs)
+    seed_name = run_plan.dependent
+    if seed_name not in env:
+        env[seed_name] = np.full(batch, seed, dtype=run_plan.dtypes[seed_name])
     ex = Executor(run_plan, env, batch, src_tape=tape)
     ex.run()
     return RunResult(env=env, value=env.get(seed_name), op_count=ex.op_count)

@@ -98,20 +98,28 @@ def library_item(node: LibraryNode, step: LibraryStep, shape_of: Callable, descr
     from its graph's step and the shapes ``shape_of`` gives its arrays.
     ``("library", ins, outs, how, cost)``: ``(connector, array)`` per
     in-edge, ``(array, wcr, shape, element kind)`` per out-edge, ``cost``
-    its operators per run, and ``how`` one of ``("matmul", id, ta, tb)``,
+    its operators per run, and ``how`` one of ``("matmul", ta, tb)``,
     ``("reduce_sum", rank)`` (the rank of ``x``) or ``("elementwise",
-    source, pads, mismatch)``: the node's expression as Python over its
-    operands (the k-th in-edge's is ``p<k>``) and its operand checks
-    (``_operand_checks``)."""
+    source, pads)``: the node's expression as Python over its operands (the
+    k-th in-edge's is ``p<k>``) and its rank-0 operands' pads
+    (``_operand_checks``). The shapes decide whether the operands fit, so a
+    node whose operands do not raises ``ShapeMismatch`` here, when the run
+    plan is built: a matmul whose inner dimensions differ once ``ta`` and
+    ``tb`` are applied, or an elementwise node with an operand of rank >= 1
+    whose shape is not the output's."""
     outs = tuple((data, wcr, shape_of(data), descriptors[data].element_kind) for data, wcr in step.outs)
     if node.kind == "matmul":
-        how = ("matmul", node.id, node.ta, node.tb)
+        arrays = dict(step.ins)
+        sa, sb = shape_of(arrays["a"]), shape_of(arrays["b"])
+        inner = sa[0] if node.ta else sa[1], sb[1] if node.tb else sb[0]
+        if inner[0] != inner[1]:
+            raise ShapeMismatch(f"matmul '{node.id}': inner dims {inner[0]} vs {inner[1]}")
+        how = ("matmul", node.ta, node.tb)
     elif node.kind == "reduce_sum":
         how = ("reduce_sum", len(shape_of(dict(step.ins)["x"])))
     else:
         operand = _operands(step.ins)
-        how = ("elementwise", python_source(step.expr, operand.__getitem__),
-               *_operand_checks(node, step, shape_of))
+        how = ("elementwise", python_source(step.expr, operand.__getitem__), _operand_checks(node, step, shape_of))
     return "library", step.ins, outs, how, cost
 
 
@@ -121,11 +129,11 @@ def _operands(ins: tuple) -> dict[str, str]:
     return {conn: f"p{k}" for k, (conn, _) in enumerate(ins)}
 
 
-def _operand_checks(node: LibraryNode, step: LibraryStep, shape_of) -> tuple[tuple, str | None]:
+def _operand_checks(node: LibraryNode, step: LibraryStep, shape_of) -> tuple:
     """An elementwise node's operand checks, from shapes alone: ``(conn,
-    trailing ones)`` for each rank-0 operand ahead of the first operand
-    whose shape is not the output's, and that operand's ``ShapeMismatch``
-    message (None if there is none)."""
+    trailing ones)`` for each rank-0 operand, which broadcasts behind its
+    batch axes; ``ShapeMismatch`` for the first operand of rank >= 1 whose
+    shape is not the output's."""
     shape = shape_of(step.outs[0][0])
     pads = []
     for conn, data in step.ins:
@@ -133,8 +141,8 @@ def _operand_checks(node: LibraryNode, step: LibraryStep, shape_of) -> tuple[tup
         if not s:
             pads.append((conn, (1,) * len(shape)))
         elif s != shape:
-            return tuple(pads), f"'{node.id}': operand '{conn}' has shape {s}, output {shape}"
-    return tuple(pads), None
+            raise ShapeMismatch(f"'{node.id}': operand '{conn}' has shape {s}, output {shape}")
+    return tuple(pads)
 
 
 def _read(var: str, data: str) -> list[str]:
@@ -147,31 +155,28 @@ def _read(var: str, data: str) -> list[str]:
 def _library_lines(item: tuple) -> list[str]:
     """The code of one run of a library node on whole arrays, from its item
     (``library_item``), for a state's function and a nest alike. It reads
-    each in-edge's array, in edge order. A matmul transposes as flagged and
-    checks the inner dimensions; a sum over all declared axes keeps the
-    batch axes; an elementwise node broadcasts its rank-0 operands behind
-    their batch axes, raises its ``ShapeMismatch`` and evaluates its
-    expression, copied if it aliases an operand. Each out-edge then adds
-    the result (``wcr="sum"``) or stores it, cast to the array's dtype and
-    broadcast to its batched shape, as an array of its own. The code counts
-    no operators, and ends by clearing its locals."""
+    each in-edge's array, in edge order, and checks no shape: building the
+    item did. A matmul transposes as flagged; a sum over all declared axes
+    keeps the batch axes; an elementwise node broadcasts its rank-0
+    operands behind their batch axes and evaluates its expression, copied
+    if it aliases an operand. Each out-edge then adds the result
+    (``wcr="sum"``) or stores it, cast to the array's dtype and broadcast
+    to its batched shape, as an array of its own. The code counts no
+    operators, and ends by clearing its locals."""
     _, ins, outs, how, _ = item
     var = _operands(ins)
     lines = [text for k, (_, data) in enumerate(ins) for text in _read(f"p{k}", data)]
     if how[0] == "matmul":
-        _, node_id, ta, tb = how
+        _, ta, tb = how
         a, b = var["a"], var["b"]
         lines += [f"{x} = np.swapaxes({x}, -1, -2)" for x, flag in ((a, ta), (b, tb)) if flag]
-        lines += [f"if {a}.shape[-1] != {b}.shape[-2]:", f"    _inner_dims({node_id!r}, {a}, {b})",
-                  f"q = np.matmul({a}, {b})"]
+        lines.append(f"q = np.matmul({a}, {b})")
     elif how[0] == "reduce_sum":
         x, rank = var["x"], how[1]
         lines.append(f"q = {x}.sum(axis={tuple(range(-rank, 0))!r})" if rank else f"q = np.array({x}, copy=True)")
     else:
-        _, source, pads, mismatch = how
+        _, source, pads = how
         lines += [f"{var[conn]} = {var[conn]}.reshape({var[conn]}.shape + {ones!r})" for conn, ones in pads]
-        if mismatch:
-            return lines + [f"raise ShapeMismatch({mismatch!r})"]
         lines.append(f"q = np.asarray({source})")
         if var:  # the output must not alias an input
             lines += [f"if {' or '.join(f'q is {v}' for v in dict.fromkeys(var.values()))}:",
@@ -186,10 +191,6 @@ def _library_lines(item: tuple) -> list[str]:
                       f"    t = np.broadcast_to(t, {want}).astype({kind})",
                       f"env[{data!r}] = np.array(t, copy=True) if t.base is not None else t"]
     return lines + [" = ".join([*(f"p{k}" for k in range(len(ins))), "q", "t", "None"])]
-
-
-def _inner_dims(node_id: str, a: np.ndarray, b: np.ndarray):
-    raise ShapeMismatch(f"matmul '{node_id}': inner dims {a.shape[-1]} vs {b.shape[-2]}")
 
 
 @functools.lru_cache(maxsize=4096)
@@ -616,8 +617,7 @@ def _compiled_tasklet(key: tuple) -> Callable:
 
 
 # what every generated function may call; dtypes by element kind
-_NAMESPACE = {**SOURCE_NAMESPACE, "np": np, "real32": np.float32, "real64": np.float64,
-              "ShapeMismatch": ShapeMismatch, "_inner_dims": _inner_dims}
+_NAMESPACE = {**SOURCE_NAMESPACE, "np": np, "real32": np.float32, "real64": np.float64}
 
 
 def _exact(e) -> bool:

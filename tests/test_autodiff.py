@@ -898,5 +898,5 @@ def test_reversal_without_tape_matches_gradient(rng):
     bundle = build_backward(p)
     assert bundle.forwarding == {}
     run_plan = interpreter.RunPlan(bundle.backward, {}, forwarding={}, src_program=p)
-    bwd = run_backward(p, bundle.backward, {"A": a}, tape=None, run_plan=run_plan)
+    bwd = run_backward(run_plan, {"A": a}, tape=None)
     np.testing.assert_array_equal(bwd.env["A__grad"], grads["A"])

@@ -569,7 +569,7 @@ def test_a_kept_value_is_its_forward_array_on_the_tape_unless_its_name_is_mutate
     for program, params in ((examples.build("scaled_product_chain"), {"N": 4}), (make_map_program(0), {"n": 4})):
         result = plan(program, None, params)
         run_plan = result.backward._kept["runs"][0]
-        env, batch = interpreter._prepare_inputs(program, sample_inputs(program, params, rng), run_plan)
+        env, batch = interpreter._prepare_inputs(run_plan, sample_inputs(program, params, rng))
         by_reference = {}
 
         class Witness(dict):
@@ -999,9 +999,10 @@ def _run_outputs(res) -> tuple:
 
 @pytest.mark.parametrize("name, share", [("seidel_stencil", None), ("scaled_product_chain", None), ("sin_chain", 0.6)])
 def test_a_second_run_prepares_nothing(name, share, monkeypatch):
-    # gradient() keeps its run plans with the program and plan() with the
-    # pair: a second gradient() and every run_planned() evaluate no shape,
-    # written set, last-touch table or parameter-only loop header
+    # gradient()'s run plans and run_planned()'s both live with the reverse
+    # program (autodiff._replay_plans): a second gradient() and every
+    # run_planned() evaluate no shape, written set, last-touch table or
+    # parameter-only loop header
     if name == "sin_chain":
         program, params = sin_chain(12), {}
     else:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +54,10 @@ def test_diff_writes_both_artifacts(foo_path, tmp_path, capsys):
     manifest = json.loads(req.read_text())
     assert [tuple(x) for x in manifest["required"]] == \
         [("A0", 1), ("A1", 1), ("A2", 1)]
+    printed = capsys.readouterr().out.splitlines()
+    assert [Path(line) for line in printed] == [bwd, req]
+    assert run_cli("diff", foo_path, "--json") == 0
+    assert json.loads(capsys.readouterr().out) == {"backward": printed[0], "forwarding": printed[1]}
 
 
 def test_diff_wrt_overrides_independents(foo_path, tmp_path):
@@ -296,6 +301,18 @@ def test_mem_report_text_prints_exact_bytes(tmp_path, capsys):
         "peak 0.00 MiB (128 B, no limit)",
     ]
     assert len(lines) == 4 and re.fullmatch(r"measured \d+ B against modelled 128 B", lines[3])
+    # --events prints each path's timeline events under its line
+    assert run_cli("mem-report", path, "--params", "n=8", "--json") == 0
+    paths = json.loads(capsys.readouterr().out)["paths"]
+    assert run_cli("mem-report", path, "--params", "n=8", "--events") == 0
+    events = []
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("path ["):
+            events.append([])
+        elif line.startswith("  "):
+            total, delta, label = re.fullmatch(r" +(-?\d+) B +([+-]\d+) B  (.+)", line).groups()
+            events[-1].append([label, int(delta), int(total)])
+    assert events == [p["events"] for p in paths] and all(events)
 
 
 def test_mem_report_shows_the_measured_peak(foo_path, capsys):

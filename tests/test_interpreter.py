@@ -162,7 +162,7 @@ def _recorded_runs(p, bundle, inputs, params):
     reverse run reading its tape, each by a plan built here."""
     forward, reverse = _replay_plans(p, bundle.backward, bundle, params)
     fwd = run_forward(p, inputs, run_plan=forward)
-    return fwd, run_backward(p, bundle.backward, inputs, tape=fwd.tape, run_plan=reverse)
+    return fwd, run_backward(reverse, inputs, tape=fwd.tape)
 
 
 def test_batched_backward_matches_individual_gradients(rng):
@@ -1682,7 +1682,7 @@ def test_only_inputs_the_program_mutates_are_copied():
     q = b.finish("O", ["X"])
     before = x.copy()
     assert ir.written_descriptors(q) == {"X", "O"} and ir.mutated_descriptors(q) == set()
-    assert interpreter._prepare_inputs(q, {"X": x}, interpreter.RunPlan(q, {"n": 5}))[0]["X"] is x
+    assert interpreter._prepare_inputs(interpreter.RunPlan(q, {"n": 5}), {"X": x})[0]["X"] is x
     res = run_forward(q, {"X": x}, run_plan=interpreter.RunPlan(q, {"n": 5}, record={("X", 0)}))
     assert res.env["X"] is not x and np.array_equal(x, before)
     np.testing.assert_array_equal(res.env["X"], np.sin(before))
@@ -1694,7 +1694,7 @@ def test_only_inputs_the_program_mutates_are_copied():
     seidel, params = examples.build("seidel_stencil"), examples.DEFAULT_PARAMS["seidel_stencil"]
     a = sample_inputs(seidel, params, np.random.default_rng(1))["A"]
     assert "A" in ir.mutated_descriptors(seidel)
-    assert interpreter._prepare_inputs(seidel, {"A": a}, interpreter.RunPlan(seidel, params))[0]["A"] is not a
+    assert interpreter._prepare_inputs(interpreter.RunPlan(seidel, params), {"A": a})[0]["A"] is not a
 
 
 def _snapshots_and_env(program, inputs, params) -> tuple[dict, dict]:
@@ -1702,7 +1702,7 @@ def _snapshots_and_env(program, inputs, params) -> tuple[dict, dict]:
     before the run drops its intermediates."""
     bundle = build_backward(program)
     run_plan = interpreter.RunPlan(program, params, record=_recorded(bundle.forwarding), vinfo=bundle.vinfo)
-    env, batch = interpreter._prepare_inputs(program, inputs, run_plan)
+    env, batch = interpreter._prepare_inputs(run_plan, inputs)
     tape = interpreter.Tape()
     interpreter.Executor(run_plan, env, batch, tape=tape).run()
     return tape.values, env
@@ -1760,7 +1760,7 @@ def test_reverse_run_consumes_the_snapshots_it_reads(rng):
     forward, reverse = _replay_plans(p, bundle.backward, bundle, {})
     fwd = run_forward(p, inputs, run_plan=forward)
     assert len(fwd.tape.values) == len(bundle.forwarding) > 0
-    run_backward(p, bundle.backward, inputs, tape=fwd.tape, run_plan=reverse)
+    run_backward(reverse, inputs, tape=fwd.tape)
     assert fwd.tape.values == {}
     # a pristine input's own snapshot is the caller's array, not a copy
     x = np.linspace(0.5, 1.5, 5)
@@ -1940,8 +1940,35 @@ def test_a_library_node_keeps_its_error_class_and_message(where, case):
     with b.state("sum") as s:
         s.library("reduce_sum", {"x": "Y"}, {"y": "O"})
     p = b.finish("O", list(shapes))
+    if case in ("operand-shape", "matmul-inner"):  # the binding decides: the plan build raises
+        with pytest.raises(error, match=msg):
+            interpreter.RunPlan(p, {"n": 3})
     with pytest.raises(error, match=msg):
         run_forward(p, inputs, {"n": 3})
+
+
+def test_operand_shapes_that_do_not_fit_fail_the_plan_in_an_arm_the_run_does_not_take():
+    # if n > 5 {Y = X + Z; O = sum Y} else {O = sum X}: at n = 3 the run
+    # takes the else arm, yet Z's n + 1 elements do not fit Y's n
+    b = ProgramBuilder(("n",))
+    b.array("X", ("n",), role="input", kind="real64")
+    b.array("Z", ("(add n 1)",), role="input", kind="real64")
+    b.array("Y", ("n",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.branch("(gt n 5)", label="big") as br:
+        with br.then():
+            with b.state("add") as st:
+                st.library("ew_binary", {"a": "X", "b": "Z"}, {"c": "Y"}, op="add")
+                st.library("reduce_sum", {"x": "Y"}, {"y": "O"})
+        with br.orelse():
+            with b.state("sum") as st:
+                st.library("reduce_sum", {"x": "X"}, {"y": "O"})
+    p = b.finish("O", ["X"])
+    inputs, msg = {"X": np.ones(3), "Z": np.ones(4)}, _LIBRARY_ERRORS["operand-shape"][-1]
+    for call in (lambda: interpreter.RunPlan(p, {"n": 3}), lambda: run_forward(p, inputs, {"n": 3}),
+                 lambda: gradient(p, inputs, {"n": 3}), lambda: plan(p, None, {"n": 3})):
+        with pytest.raises(ShapeMismatch, match=msg):
+            call()
 
 
 def test_a_prepared_step_keeps_error_classes_and_messages():

@@ -11,10 +11,11 @@ from gradflow import (
     compare_gradients,
     finite_difference_gradient,
     gradient,
+    run_forward,
     sample_inputs,
     simulate_memory,
 )
-from gradflow.errors import Infeasible
+from gradflow.errors import BatchDivergence, Infeasible
 from gradflow.verification import BRUTE_FORCE_CAP, fd_epsilon
 
 
@@ -100,6 +101,33 @@ def test_fd_branch_boundary_points_are_excluded():
     # on the threshold the two-sided probe lands on different arms: NaN
     fd = finite_difference_gradient(p, {"t": np.float64(0.5)})
     assert np.isnan(fd["t"])
+
+
+def test_fd_probes_that_diverge_as_a_batch_agree_pairwise():
+    # if X[0]^2 > 0 {O = sum(sin X)} else {O = sum X}, at X[0] = 0: the
+    # probes of X[0] take the then arm and the others the else arm, so the
+    # batched run diverges; each probe pair stays on one arm, with slope 1
+    b = ProgramBuilder(())
+    b.array("X", ("3",), role="input", kind="real64")
+    b.array("S", ("3",), kind="real64")
+    b.scalar("O", role="output", kind="real64")
+    with b.branch("(gt (mul (idx X 0) (idx X 0)) 0)", label="pos") as br:
+        with br.then():
+            with b.state("sin") as s:
+                s.library("ew_unary", {"x": "X"}, {"y": "S"}, op="sin")
+                s.library("reduce_sum", {"x": "S"}, {"y": "O"})
+        with br.orelse():
+            with b.state("sum") as s:
+                s.library("reduce_sum", {"x": "X"}, {"y": "O"})
+    p = b.finish("O", ["X"])
+    x = np.array([0.0, 0.7, 1.1])
+    with pytest.raises(BatchDivergence):
+        run_forward(p, {"X": np.stack([x + [1e-3, 0, 0], x])})
+    fd = finite_difference_gradient(p, {"X": x})["X"]
+    assert not np.isnan(fd).any()
+    grads = gradient(p, {"X": x}).grads["X"]
+    np.testing.assert_array_equal(grads, np.ones(3))
+    assert compare_gradients({"X": grads}, {"X": fd}, tolerance=1e-5)["ok"]
 
 
 # ---------------------------------------------------------------------------
